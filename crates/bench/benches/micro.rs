@@ -4,11 +4,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use exsample_core::belief::{BeliefPrior, ChunkStats};
+use exsample_core::driver::{run_search, SearchCost, StopCond};
 use exsample_core::exsample::{ExSample, ExSampleConfig};
 use exsample_core::policy::SamplingPolicy;
 use exsample_core::within::StratifiedWithin;
 use exsample_core::Chunking;
-use exsample_detect::{Detector, Discriminator, OracleDiscriminator, SimulatedDetector};
+use exsample_detect::{
+    Detector, Discriminator, NoiseModel, OracleDiscriminator, QueryOracle, SimulatedDetector,
+};
 use exsample_optimal::{optimal_weights, ChunkProbs, SolveOpts};
 use exsample_stats::dist::{Continuous, Gamma};
 use exsample_stats::{Rng64, UniformNoReplacement};
@@ -28,17 +31,77 @@ fn bench_gamma_sampling(c: &mut Criterion) {
     g.finish();
 }
 
+/// What one Thompson step pays per large chunk group, at the shape most of
+/// them have (`N1 = 0`, so `α0 = 0.1`) and at the probabilities `U^(1/k)`
+/// of groups of 30 to 2000 chunks: the CDF the screen evaluates against
+/// the quantile it avoids. Divide by `gamma_sample/0.1` for the
+/// quantile-to-draw ratio quoted beside `GROUP_MAX_THRESHOLD`.
+fn bench_gamma_cdf_and_quantile(c: &mut Criterion) {
+    let d = Gamma::new(0.1, 1.0);
+    let mut i = 0usize;
+    c.bench_function("gamma/cdf", |b| {
+        b.iter(|| {
+            i = (i + 1) % 4;
+            black_box(d.cdf([0.4, 1.1, 2.5, 6.0][i]))
+        })
+    });
+    c.bench_function("gamma/inv_cdf", |b| {
+        b.iter(|| {
+            i = (i + 1) % 4;
+            black_box(d.inv_cdf([0.977, 0.993, 0.9991, 0.99965][i]))
+        })
+    });
+}
+
 fn bench_thompson_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("exsample_next_frame");
+    let step = |policy: &mut ExSample, rng: &mut Rng64| {
+        let f = policy.next_frame(rng).expect("frames remain");
+        policy.feedback(f, exsample_core::Feedback::NONE);
+        black_box(f)
+    };
     for m in [64usize, 1024] {
+        // A fresh sampler: all chunks start on one shared belief and only
+        // the sampled ones leave it, without ever reporting a result — not
+        // the mix of groups a search produces (the "searched" cases below).
         let mut policy = ExSample::new(Chunking::even(16_000_000, m), ExSampleConfig::default());
         let mut rng = Rng64::new(2);
         g.bench_with_input(BenchmarkId::new("chunks", m), &m, |b, _| {
-            b.iter(|| {
-                let f = policy.next_frame(&mut rng).expect("frames remain");
-                policy.feedback(f, exsample_core::Feedback::NONE);
-                black_box(f)
-            })
+            b.iter(|| step(&mut policy, &mut rng))
+        });
+    }
+    // The traffic a session really sees: beliefs diverged by a search for
+    // rare, skewed objects (the benchmark's `solo_manychunk` shape at a
+    // quarter of its size) — some forty small groups of chunks with
+    // results beside a few large groups of chunks without.
+    let gt = Arc::new(
+        DatasetSpec::single_class(
+            1_000_000,
+            ClassSpec::new(
+                "object",
+                500,
+                150.0,
+                SkewSpec::CentralNormal { frac95: 1.0 / 16.0 },
+            ),
+        )
+        .generate(8),
+    );
+    for m in [64usize, 1024] {
+        let mut policy = ExSample::new(Chunking::even(gt.frames, m), ExSampleConfig::default());
+        let mut oracle = QueryOracle::new(
+            SimulatedDetector::new(gt.clone(), ClassId(0), NoiseModel::none(), 7),
+            OracleDiscriminator::new(),
+        );
+        let mut rng = Rng64::new(2);
+        run_search(
+            &mut policy,
+            &mut |frame| oracle.process(frame),
+            &SearchCost::per_sample(0.0),
+            &StopCond::results(250),
+            &mut rng,
+        );
+        g.bench_with_input(BenchmarkId::new("searched_chunks", m), &m, |b, _| {
+            b.iter(|| step(&mut policy, &mut rng))
         });
     }
     g.finish();
@@ -169,6 +232,7 @@ fn bench_optimal_solver(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gamma_sampling,
+    bench_gamma_cdf_and_quantile,
     bench_thompson_step,
     bench_belief_draw,
     bench_within_samplers,

@@ -7,12 +7,41 @@
 //! processed frame on BDD-MOT-style per-clip chunkings, which dominates
 //! the sampler's own cost. This implementation exploits that chunks with
 //! identical statistics `(N1, n)` have *i.i.d.* beliefs: they are grouped,
-//! and for a group of size `k` the maximum of `k` i.i.d. draws is sampled
-//! directly as `F⁻¹(U^(1/k))` with a single Gamma-quantile evaluation; the
-//! winning chunk is then chosen uniformly within its group (exact by
-//! exchangeability). Early in a search all `M` chunks share the state
-//! `(0, 0)`, so a step costs one quantile instead of `M` draws; the cost
-//! grows only with the number of *distinct* chunk states.
+//! and for a group of size `k >= GROUP_MAX_THRESHOLD` the maximum of `k`
+//! i.i.d. draws is `F⁻¹(u)` with `u = U^(1/k)` — one uniform instead of
+//! `k` Gamma draws; the winning chunk is then chosen uniformly within its
+//! group (exact by exchangeability). Early in a search all `M` chunks share
+//! the state `(0, 0)`; the cost grows only with the number of *distinct*
+//! chunk states.
+//!
+//! The quantile `F⁻¹` is a Halley iteration over the incomplete gamma
+//! function and costs as much as 40–60 Marsaglia–Tsang draws (2.2 µs
+//! against 53 ns for a draw at shape 0.1 and 36 ns at shape ≥ 1; the
+//! `gamma/inv_cdf` and `gamma_sample/*` cases of `cargo bench -p
+//! exsample-bench --bench micro` regenerate the ratio), so a searched
+//! sampler at `M = 1024`, which holds about three large groups beside some
+//! forty small ones, would spend two thirds of a step in three quantiles
+//! if it scored each. Only the *argmax* is needed, and `F` is increasing,
+//! so the step is split in two passes:
+//!
+//! 1. **Draw.** Walk the groups in id order and consume the RNG: a small
+//!    group draws each member and the best draw so far, `b`, is kept; a
+//!    large group only draws its `u`.
+//! 2. **Screen.** `F_g⁻¹(u_g) > b ⇔ u_g > F_g(b)`: one CDF evaluation
+//!    (≈0.45 µs) discards every large group that cannot beat `b`. If none
+//!    is left the small-group draw wins; if exactly one is left it wins
+//!    *without its score ever being computed*. Only when two or more are
+//!    left, or `u_g` lies within `SCREEN_MARGIN` of `F_g(b)`, is a
+//!    quantile evaluated — for the group furthest ahead of `b`, whose
+//!    score then becomes the bar the others are screened against.
+//!
+//! The chunk returned and the RNG state left behind are those of the
+//! single walk that scored every large group (kept under `cfg(test)` as
+//! `pick_thompson_reference` and compared pick by pick in
+//! `exsample/screen_tests.rs`): pass 1 draws in the same order, exact
+//! scores are compared wherever the screen is not conclusive, and a tie
+//! goes to the lowest group id, which is what "first strictly greater
+//! score in id order" amounts to.
 
 use crate::belief::{BeliefPrior, ChunkStats, Selector};
 use crate::chunking::Chunking;
@@ -70,6 +99,15 @@ struct ChunkGroups {
 impl ChunkGroups {
     fn state_key(s: &ChunkStats) -> (u64, u64) {
         (s.n1.to_bits(), s.n)
+    }
+
+    /// The statistics every member of group `gid` shares.
+    fn stats(&self, gid: usize) -> ChunkStats {
+        let (n1, n) = self.keys[gid];
+        ChunkStats {
+            n1: f64::from_bits(n1),
+            n,
+        }
     }
 
     fn new(m: usize) -> Self {
@@ -166,13 +204,59 @@ pub struct ExSample {
     groups: ChunkGroups,
     /// Total frames handed out (the global step counter `n`).
     steps: u64,
+    /// Scratch of [`ExSample::pick_thompson`]: the large groups between
+    /// its two passes. Kept to reuse the allocation; cleared at the start
+    /// of every pick.
+    pending: Vec<Pending>,
+    /// Score with [`ExSample::pick_thompson_reference`] instead — the
+    /// differential tests run one sampler each way.
+    #[cfg(test)]
+    reference_scorer: bool,
 }
 
-/// Group size above which the Thompson max is drawn via a single quantile
-/// evaluation instead of individual samples. A Gamma quantile costs about
-/// as much as ~30 Marsaglia–Tsang draws, so this is the break-even with
-/// margin.
+/// Group size from which the Thompson max is taken as the `U^(1/k)`
+/// quantile instead of `k` individual draws.
+///
+/// A quantile costs 40–60 draws (module docs), not the ~30 this value was
+/// chosen for, and since the CDF screen most large groups never pay for
+/// one at all — both say the break-even is elsewhere. The value is frozen all the same:
+/// it decides which groups consume one uniform and which `k` Gamma draws,
+/// so moving it shifts the RNG stream and with it every trace, and nothing
+/// yet tells a harmless shift from a broken sampler. Retune it once the
+/// ROADMAP's paper-fidelity gates (estimator calibration, savings over
+/// random at fixed recall) exist.
 const GROUP_MAX_THRESHOLD: usize = 24;
+
+/// How far `u` must lie from `F(b)` for the comparison in probability
+/// space to stand in for comparing `F⁻¹(u)` with `b`; closer calls are
+/// settled by the exact quantile. The computed `F` inverts the computed
+/// `F⁻¹` to within 1e-8 and is monotone over every belief the sampler can
+/// hold (`gamma_cdf_inverts_quantile_on_sampler_domain` in
+/// `exsample-stats`; measured worst case 5e-14), so 1e-6 leaves two orders
+/// of magnitude. What it costs: where `b` lies so deep in a group's tail
+/// that `F(b)` rounds to 1, any `u` above `1 - 1e-6` is a close call —
+/// `k` in a million of that group's screens, five screens in ten thousand
+/// on the benchmark's `solo_manychunk` searches.
+const SCREEN_MARGIN: f64 = 1e-6;
+
+/// The argmax of a scoring pass: a concrete chunk (small Thompson groups
+/// track their own best member) or "a uniform member of this group".
+#[derive(Debug, Clone, Copy)]
+enum Winner {
+    Chunk(u32),
+    Group(u32),
+}
+
+/// A large group between the two passes of [`ExSample::pick_thompson`].
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    gid: u32,
+    /// Where on its belief's CDF the group's Thompson maximum sits.
+    u: f64,
+    /// `u - F(b)` against the incumbent score `b` it was last screened
+    /// against; infinite while there is no incumbent.
+    lead: f64,
+}
 
 impl ExSample {
     /// Create a sampler over the given chunking.
@@ -204,6 +288,9 @@ impl ExSample {
             within,
             groups: ChunkGroups::new(m),
             steps: 0,
+            pending: Vec::new(),
+            #[cfg(test)]
+            reference_scorer: false,
         }
     }
 
@@ -286,60 +373,170 @@ impl ExSample {
         if self.groups.active == 0 {
             return None;
         }
-        let prior = &self.config.prior;
-        let selector = self.config.selector;
+        let winner = match self.config.selector {
+            #[cfg(test)]
+            Selector::Thompson if self.reference_scorer => self.pick_thompson_reference(rng),
+            Selector::Thompson => self.pick_thompson(rng),
+            selector => self.pick_deterministic(selector, rng),
+        };
+        winner.map(|w| match w {
+            Winner::Chunk(chunk) => chunk,
+            Winner::Group(gid) => *rng.choose(&self.groups.members[gid as usize]),
+        })
+    }
+
+    /// Bayes-UCB and greedy: every member of a group has the same score,
+    /// so each group is scored once.
+    fn pick_deterministic(&self, selector: Selector, rng: &mut Rng64) -> Option<Winner> {
         let mut best_score = f64::NEG_INFINITY;
-        // Winner: either a concrete chunk (small Thompson groups track
-        // their argmax) or "uniform member of group g" (quantile path and
-        // deterministic selectors).
-        let mut best: Option<(u32, bool)> = None; // (gid-or-chunk, is_chunk)
+        let mut best = None;
         for (gid, members) in self.groups.members.iter().enumerate() {
             if members.is_empty() {
                 continue;
             }
-            let key = self.groups.keys[gid];
-            let stats = ChunkStats {
-                n1: f64::from_bits(key.0),
-                n: key.1,
-            };
+            let stats = self.groups.stats(gid);
+            let s = selector.score(&self.config.prior, &stats, self.steps, rng);
+            if s > best_score {
+                best_score = s;
+                best = Some(Winner::Group(gid as u32));
+            }
+        }
+        best
+    }
+
+    /// The Thompson argmax over all groups, in two passes (module docs).
+    fn pick_thompson(&mut self, rng: &mut Rng64) -> Option<Winner> {
+        let Self {
+            config,
+            groups,
+            pending,
+            ..
+        } = self;
+        let prior = config.prior;
+        pending.clear();
+
+        // Pass 1: everything that touches the RNG, in group-id order. The
+        // incumbent is the best small-group draw; `best_at` is the group id
+        // it was drawn at, which settles ties the way a single walk would.
+        let mut best_score = f64::NEG_INFINITY;
+        let mut best_at = u32::MAX;
+        let mut best = None;
+        for (gid, members) in groups.members.iter().enumerate() {
+            if members.is_empty() {
+                continue;
+            }
             let k = members.len();
-            match selector {
-                Selector::Thompson => {
-                    if k >= GROUP_MAX_THRESHOLD {
-                        // Max of k iid draws via one quantile evaluation.
-                        let u = rng.f64_open().powf(1.0 / k as f64).min(1.0 - 1e-12);
-                        let s = prior.belief(&stats).inv_cdf(u);
-                        if s > best_score {
-                            best_score = s;
-                            best = Some((gid as u32, false));
-                        }
-                    } else {
-                        for &chunk in members {
-                            let s = prior.thompson_draw(&stats, rng);
-                            if s > best_score {
-                                best_score = s;
-                                best = Some((chunk, true));
-                            }
-                        }
-                    }
-                }
-                Selector::BayesUcb | Selector::Greedy => {
-                    // Deterministic within a group: score once.
-                    let s = selector.score(prior, &stats, self.steps, rng);
+            if k >= GROUP_MAX_THRESHOLD {
+                pending.push(Pending {
+                    gid: gid as u32,
+                    u: rng.f64_open().powf(1.0 / k as f64).min(1.0 - 1e-12),
+                    lead: f64::INFINITY,
+                });
+            } else {
+                let stats = groups.stats(gid);
+                for &chunk in members {
+                    let s = prior.thompson_draw(&stats, rng);
                     if s > best_score {
                         best_score = s;
-                        best = Some((gid as u32, false));
+                        best_at = gid as u32;
+                        best = Some(Winner::Chunk(chunk));
                     }
                 }
             }
         }
-        best.map(|(id, is_chunk)| {
-            if is_chunk {
-                id
-            } else {
-                *rng.choose(&self.groups.members[id as usize])
+
+        // Pass 2: no RNG. Screen the large groups against the incumbent in
+        // probability space and compute a quantile only where that cannot
+        // settle the argmax.
+        let belief = |p: &Pending| prior.belief(&groups.stats(p.gid as usize));
+        let mut rescreen = best.is_some();
+        loop {
+            if rescreen {
+                pending.retain_mut(|p| {
+                    p.lead = p.u - belief(p).cdf(best_score);
+                    let keep = p.lead >= -SCREEN_MARGIN;
+                    debug_assert!(
+                        keep || belief(p).inv_cdf(p.u) < best_score,
+                        "group {} screened out at lead {:e} but scores above {best_score}",
+                        p.gid,
+                        p.lead
+                    );
+                    keep
+                });
+                rescreen = false;
             }
-        })
+            match pending.as_slice() {
+                [] => break best,
+                [only] if only.lead > SCREEN_MARGIN => {
+                    debug_assert!(
+                        belief(only).inv_cdf(only.u) > best_score,
+                        "group {} won unscored at lead {:e} but scores below {best_score}",
+                        only.gid,
+                        only.lead
+                    );
+                    break Some(Winner::Group(only.gid));
+                }
+                _ => {}
+            }
+            // Exact score of the likeliest winner; the rest are screened
+            // again only if it raised the bar.
+            let mut next = 0;
+            for (i, p) in pending.iter().enumerate() {
+                if p.lead > pending[next].lead {
+                    next = i;
+                }
+            }
+            let p = pending.swap_remove(next);
+            let s = belief(&p).inv_cdf(p.u);
+            debug_assert!(
+                p.lead <= SCREEN_MARGIN || s > best_score,
+                "group {} at lead {:e} scores {s}, not above {best_score}",
+                p.gid,
+                p.lead
+            );
+            if s > best_score || (s == best_score && p.gid < best_at) {
+                rescreen = s > best_score;
+                best_score = s;
+                best_at = p.gid;
+                best = Some(Winner::Group(p.gid));
+            }
+        }
+    }
+
+    /// The single-pass scorer [`ExSample::pick_thompson`] replaced: one
+    /// quantile per large group, compared as it is computed. Kept as the
+    /// oracle of the differential tests; it must consume the RNG and break
+    /// ties exactly as the two-pass scorer claims to.
+    #[cfg(test)]
+    fn pick_thompson_reference(&self, rng: &mut Rng64) -> Option<Winner> {
+        let prior = &self.config.prior;
+        let mut best_score = f64::NEG_INFINITY;
+        let mut best = None;
+        for (gid, members) in self.groups.members.iter().enumerate() {
+            if members.is_empty() {
+                continue;
+            }
+            let stats = self.groups.stats(gid);
+            let k = members.len();
+            if k >= GROUP_MAX_THRESHOLD {
+                // Max of k iid draws via one quantile evaluation.
+                let u = rng.f64_open().powf(1.0 / k as f64).min(1.0 - 1e-12);
+                let s = prior.belief(&stats).inv_cdf(u);
+                if s > best_score {
+                    best_score = s;
+                    best = Some(Winner::Group(gid as u32));
+                }
+            } else {
+                for &chunk in members {
+                    let s = prior.thompson_draw(&stats, rng);
+                    if s > best_score {
+                        best_score = s;
+                        best = Some(Winner::Chunk(chunk));
+                    }
+                }
+            }
+        }
+        best
     }
 }
 
@@ -409,6 +606,9 @@ impl SamplingPolicy for ExSample {
         )
     }
 }
+
+#[cfg(test)]
+mod screen_tests;
 
 #[cfg(test)]
 mod tests {

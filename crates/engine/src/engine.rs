@@ -266,11 +266,12 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// A registered repository: ground truth, one deterministic per-class
-/// detector bank, and the bytes of its GOP container.
+/// detector bank, and its GOP container, opened once: sessions read
+/// through [`Container::reader`]s that share its bytes and parsed index.
 struct RepoData {
     gt: Arc<GroundTruth>,
     detectors: Vec<SimulatedDetector>,
-    container: bytes::Bytes,
+    container: Container,
 }
 
 /// A repository slot in the engine state: catalog entry + live data.
@@ -639,7 +640,8 @@ impl Engine {
         let repo = Arc::new(RepoData {
             gt,
             detectors,
-            container: writer.finish(),
+            // lint: allow(panic_audit, the engine wrote these bytes itself two lines up)
+            container: Container::open(writer.finish()).expect("engine-built container"),
         });
         let mut state = self.lock_state();
         // Raced registration of the same identity: first writer wins, the
@@ -765,8 +767,7 @@ impl Engine {
             rng: Rng64::new(spec.seed),
             stepper: SearchStepper::new(spec.stop, 0.0),
             discrim,
-            // lint: allow(panic_audit, the engine built this container spec itself when the repo registered)
-            container: Container::open(repo.container.clone()).expect("engine-built container"),
+            container: repo.container.reader(),
             repo,
             class_dets: Vec::new(),
             gt_scratch: Vec::new(),

@@ -82,10 +82,17 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
+    reg_lower_gamma_with(a, x, ln_gamma(a))
+}
+
+/// `P(a, x)` for `x > 0` given `gln = ln Γ(a)`, so that a caller evaluating
+/// `P` repeatedly at one shape (the Halley iteration of
+/// [`inv_reg_lower_gamma`]) pays for the Lanczos sum once.
+fn reg_lower_gamma_with(a: f64, x: f64, gln: f64) -> f64 {
     if x < a + 1.0 {
-        gamma_series(a, x)
+        gamma_series(a, x, gln)
     } else {
-        1.0 - gamma_contfrac(a, x)
+        1.0 - gamma_contfrac(a, x, gln)
     }
 }
 
@@ -96,15 +103,17 @@ pub fn reg_upper_gamma(a: f64, x: f64) -> f64 {
     if x == 0.0 {
         return 1.0;
     }
+    let gln = ln_gamma(a);
     if x < a + 1.0 {
-        1.0 - gamma_series(a, x)
+        1.0 - gamma_series(a, x, gln)
     } else {
-        gamma_contfrac(a, x)
+        gamma_contfrac(a, x, gln)
     }
 }
 
-/// Series representation of `P(a,x)`, converges fast for `x < a+1`.
-fn gamma_series(a: f64, x: f64) -> f64 {
+/// Series representation of `P(a,x)`, converges fast for `x < a+1`;
+/// `gln = ln Γ(a)`.
+fn gamma_series(a: f64, x: f64, gln: f64) -> f64 {
     let mut ap = a;
     let mut del = 1.0 / a;
     let mut sum = del;
@@ -116,13 +125,13 @@ fn gamma_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    let ln_term = -x + a * x.ln() - ln_gamma(a);
+    let ln_term = -x + a * x.ln() - gln;
     (sum * ln_term.exp()).clamp(0.0, 1.0)
 }
 
 /// Continued-fraction representation of `Q(a,x)` (modified Lentz),
-/// converges fast for `x >= a+1`.
-fn gamma_contfrac(a: f64, x: f64) -> f64 {
+/// converges fast for `x >= a+1`; `gln = ln Γ(a)`.
+fn gamma_contfrac(a: f64, x: f64, gln: f64) -> f64 {
     const FPMIN: f64 = f64::MIN_POSITIVE / f64::EPSILON;
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / FPMIN;
@@ -146,7 +155,7 @@ fn gamma_contfrac(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    let ln_term = -x + a * x.ln() - ln_gamma(a);
+    let ln_term = -x + a * x.ln() - gln;
     (h * ln_term.exp()).clamp(0.0, 1.0)
 }
 
@@ -200,7 +209,7 @@ pub fn inv_reg_lower_gamma(a: f64, p: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
         }
-        let err = reg_lower_gamma(a, x) - p;
+        let err = reg_lower_gamma_with(a, x, gln) - p;
         let t = if a > 1.0 {
             afac * (-(x - a1) + a1 * (x.ln() - lna1)).exp()
         } else {

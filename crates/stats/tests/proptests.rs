@@ -110,3 +110,38 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// What the sampler's CDF screen rests on (`exsample-core`,
+    /// `SCREEN_MARGIN = 1e-6`): over the beliefs it can hold — shape
+    /// `N1 + α0 ∈ [0.1, 200]`, any rate — and the probabilities it asks
+    /// for — `U^(1/k)` with `24 <= k <= 10⁵`, clamped at `1 - 1e-12` —
+    /// `cdf` inverts `inv_cdf` to 1e-8 and is monotone around the
+    /// quantile, so `u < cdf(b) - 1e-6` proves `inv_cdf(u) < b`.
+    #[test]
+    fn gamma_cdf_inverts_quantile_on_sampler_domain(
+        shape in 0.1f64..200.0,
+        n in 0u64..10_000_000,
+        // ln k, so that small and large groups are tried equally often.
+        ln_k in 3.1781f64..11.5130,
+        u in 0.0f64..1.0,
+        step in 0.0f64..1e-3,
+    ) {
+        let d = Gamma::new(shape, n as f64 + 1.0);
+        // u = 0 stands in for the smallest draw `f64_open` can return; a
+        // twentieth of the cases sit on the clamp.
+        let p = if u > 0.95 {
+            1.0 - 1e-12
+        } else {
+            u.max(f64::EPSILON / 2.0).powf(1.0 / ln_k.exp()).min(1.0 - 1e-12)
+        };
+        let x = d.inv_cdf(p);
+        prop_assert!(x > 0.0 && x.is_finite(), "shape={shape} n={n} p={p} x={x}");
+        let back = d.cdf(x);
+        prop_assert!((back - p).abs() <= 1e-8, "shape={shape} n={n} p={p} x={x} back={back}");
+        prop_assert!(d.cdf(x * (1.0 + step)) >= back, "not monotone above x={x}");
+        prop_assert!(d.cdf(x * (1.0 - step)) <= back, "not monotone below x={x}");
+    }
+}

@@ -16,6 +16,7 @@
 use crate::cost::DecodeStats;
 use crate::crc::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"XSVC";
 const INDEX_MAGIC: &[u8; 4] = b"XSVI";
@@ -159,12 +160,16 @@ impl ContainerWriter {
 /// Reads validate GOP checksums on first touch and account decode work in
 /// a [`DecodeStats`] tally. The most recently decoded GOP stays cached, so
 /// sequential access decodes each frame exactly once.
+///
+/// The bytes and the parsed GOP index are shared between a container and
+/// the readers handed out by [`Container::reader`]; the GOP cache and the
+/// tally are each reader's own.
 #[derive(Debug)]
 pub struct Container {
     data: Bytes,
     gop_size: u32,
     frame_count: u64,
-    index: Vec<GopEntry>,
+    index: Arc<[GopEntry]>,
     /// (gop index, decoded frame payloads) of the last touched GOP.
     cache: Option<(u32, Vec<Bytes>)>,
     stats: DecodeStats,
@@ -226,10 +231,25 @@ impl Container {
             data,
             gop_size,
             frame_count,
-            index,
+            index: index.into(),
             cache: None,
             stats: DecodeStats::new(),
         })
+    }
+
+    /// Another reader over the same container: an empty GOP cache and a
+    /// zeroed tally of its own, the bytes and the index shared. Costs two
+    /// reference-count increments where [`Container::open`] parses and
+    /// validates the whole index again.
+    pub fn reader(&self) -> Container {
+        Container {
+            data: self.data.clone(),
+            gop_size: self.gop_size,
+            frame_count: self.frame_count,
+            index: Arc::clone(&self.index),
+            cache: None,
+            stats: DecodeStats::new(),
+        }
     }
 
     /// Frames stored.
@@ -416,6 +436,29 @@ mod tests {
         c.read_frame(47).unwrap(); // later: extends the walk, no new seek
         assert_eq!(c.stats().frames_decoded, decoded + 2);
         assert_eq!(c.stats().seeks, 1);
+    }
+
+    #[test]
+    fn readers_share_the_index_but_not_cache_or_tally() {
+        let mut opened = build(100, 20);
+        opened.read_frame(59).unwrap();
+        let mut reader = opened.reader();
+        assert_eq!(reader.frame_count(), 100);
+        assert_eq!(reader.gop_count(), 5);
+        assert!(Arc::ptr_eq(&opened.index, &reader.index));
+        // A fresh tally, and no inherited GOP cache: frame 59 costs the
+        // full keyframe walk again.
+        assert_eq!(reader.stats().frames_returned, 0);
+        assert_eq!(
+            reader.read_frame(59).unwrap().as_ref(),
+            frame_payload(59).as_slice()
+        );
+        assert_eq!(reader.stats().frames_decoded, 20);
+        assert_eq!(reader.stats().seeks, 1);
+        // ... and the reader's work is not charged to the container it
+        // came from.
+        assert_eq!(opened.stats().frames_returned, 1);
+        assert_eq!(opened.stats().seeks, 1);
     }
 
     #[test]
