@@ -36,7 +36,8 @@
 //!
 //! See `docs/CLUSTER.md` for placement, namespacing, and failure
 //! semantics, and `examples/cluster_search.rs` for a three-shard fleet
-//! (two in-process engines plus one over a Unix-socket `SearchServer`).
+//! (two in-process engines plus one behind a reactor's Unix-socket
+//! listener).
 
 #![warn(missing_docs)]
 

@@ -11,8 +11,8 @@
 //!   worker pool;
 //! * `RemoteClient` (in the `exsample-proto` crate) — remote: calls are
 //!   encoded onto a versioned binary wire protocol and served by a
-//!   `SearchServer` wrapping an engine, so the same code drives a search
-//!   service across a socket.
+//!   `SearchServer` pump or an `exsample-serve` reactor fronting an
+//!   engine, so the same code drives a search service across a socket.
 //!
 //! Code written against `&dyn SearchService` cannot tell the difference —
 //! by design, and by test: the protocol crate asserts remote sessions

@@ -54,18 +54,8 @@ impl<T: Read + Write> RemoteClient<T> {
     /// version yields [`ServiceError::VersionMismatch`] — a clean, typed
     /// rejection instead of a misparse.
     pub fn connect(io: T) -> Result<Self, ServiceError> {
-        let mut framed = Framed::new(io);
-        let theirs = framed
-            .handshake(PROTO_VERSION)
-            .map_err(|e| ServiceError::Transport(e.to_string()))?;
-        if theirs != PROTO_VERSION {
-            return Err(ServiceError::VersionMismatch {
-                ours: PROTO_VERSION,
-                theirs,
-            });
-        }
         Ok(RemoteClient {
-            framed: Mutex::new(framed),
+            framed: Mutex::new(Self::handshaken(io)?),
             acked: Mutex::new(HashMap::new()),
         })
     }
@@ -77,6 +67,13 @@ impl<T: Read + Write> RemoteClient<T> {
     /// [`resume_stream`](RemoteClient::resume_stream). On error the old
     /// connection is kept (still broken, but unchanged).
     pub fn reconnect(&self, io: T) -> Result<(), ServiceError> {
+        let framed = Self::handshaken(io)?;
+        *self.framed.lock().expect("remote client poisoned") = framed;
+        Ok(())
+    }
+
+    /// Exchange preambles over `io`, insisting on our own version.
+    fn handshaken(io: T) -> Result<Framed<T>, ServiceError> {
         let mut framed = Framed::new(io);
         let theirs = framed
             .handshake(PROTO_VERSION)
@@ -87,8 +84,7 @@ impl<T: Read + Write> RemoteClient<T> {
                 theirs,
             });
         }
-        *self.framed.lock().expect("remote client poisoned") = framed;
-        Ok(())
+        Ok(framed)
     }
 
     /// The event-log cursor this client last acknowledged for `id` (0 if

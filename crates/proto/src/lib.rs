@@ -10,35 +10,49 @@
 //!   little-endian binary codec. Floats travel as IEEE-754 bit patterns,
 //!   so a report decoded remotely is **bit-identical** to the in-process
 //!   one.
-//! * [`transport`] — [`Framed`]: length-prefixed, CRC-32-checked frames
-//!   (reusing `exsample-store`'s framing conventions) over any
-//!   `Read + Write` byte stream, plus an in-memory [`duplex`] pipe for
-//!   dependency-free tests. The connection preamble carries magic and
-//!   protocol version; peers speaking a different version are rejected at
-//!   the handshake, before any message could be misparsed.
+//! * [`framebuf`] — [`FrameBuf`], **the** frame codec: the connection
+//!   preamble (magic + protocol version) and length-prefixed,
+//!   CRC-32-checked frames (reusing `exsample-store`'s framing
+//!   conventions), decoded incrementally from however the bytes arrive.
+//!   Peers speaking a different version are rejected at the handshake,
+//!   before any message could be misparsed.
+//! * [`connection`] — [`Connection`], **the** server-side state
+//!   machine, sans-IO: bytes in, decoded messages, engine calls, reply
+//!   bytes queued — handshake, request dispatch, the `Wait` park and
+//!   the ack-windowed `Subscribe` stream. Deployments differ only in
+//!   their [`Host`] (who a token is, what is admitted, whether "not
+//!   yet" blocks or parks).
+//! * [`transport`] — [`Framed`], the blocking adapter over `FrameBuf`
+//!   for any `Read + Write` byte stream, plus an in-memory [`duplex`]
+//!   pipe for dependency-free tests.
 //! * [`client`] — [`RemoteClient`], the remote implementation of
 //!   `SearchService`, plus [`RemoteClient::stream`] for push-style result
 //!   streaming with client-acknowledged windows (cursor ack =
 //!   backpressure).
-//! * [`server`] — [`SearchServer`]: multiplexes many client connections
-//!   over one [`Engine`](exsample_engine::Engine), one thread per
-//!   connection, streaming subscriptions served from the engine's
-//!   blocking `poll_wait` (no busy-polling).
+//! * [`server`] — [`SearchServer`]: the blocking driver of `Connection`,
+//!   one thread per connection over any `Read + Write`; blocking
+//!   requests wait inside the engine (no busy-polling). The
+//!   readiness-driven driver — sockets, listeners, tenants, admission —
+//!   is the `exsample-serve` reactor.
 //!
 //! The protocol is transport-agnostic: anything `Read + Write` works.
-//! The tests run it over in-memory pipes and Unix-domain sockets; see
-//! `examples/remote_search.rs` for the socket deployment and
-//! `docs/PROTOCOL.md` for the byte-level layout.
+//! The tests run it over in-memory pipes, Unix-domain sockets and
+//! loopback TCP; see `examples/remote_search.rs` for the socket
+//! deployment and `docs/PROTOCOL.md` for the byte-level layout.
 
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod connection;
+pub mod framebuf;
 pub mod server;
 pub mod transport;
 pub mod wire;
 
 pub use client::RemoteClient;
-pub use server::{AcceptRetry, SearchServer};
+pub use connection::{Connection, Host};
+pub use framebuf::FrameBuf;
+pub use server::SearchServer;
 pub use transport::{duplex, DuplexStream, Framed};
 pub use wire::{
     decode_message, encode_message, Message, WireCodecError, WireError, MAX_SNAPSHOT_LEN,

@@ -1,53 +1,34 @@
-//! The network front end: one engine, many client connections.
+//! The blocking driver of [`Connection`]: one thread, one connection.
 
-use crate::transport::Framed;
-use crate::wire::{Message, WireError, MAX_SNAPSHOT_LEN};
-use crate::{MAX_POLL_WINDOW, PROTO_VERSION};
-use exsample_engine::{Engine, EngineError, SessionId, SessionStatus};
-use exsample_obs::{HistSnapshot, Stage, NO_SESSION};
+use crate::connection::{Connection, Host, ANONYMOUS};
+use crate::wire::WireError;
+use exsample_engine::{
+    Engine, EngineError, SessionId, SessionReport, SessionSnapshot, TenantBinding,
+};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Serves the wire protocol over any `Read + Write` connection,
+/// Serves the wire protocol over any blocking `Read + Write` connection,
 /// multiplexing every client onto one shared [`Engine`] — the deployment
 /// shape the paper's economics assume: overlapping queries from many
 /// users sharing one detector budget and one detection cache.
 ///
-/// The server is transport-agnostic and thread-per-connection: call
-/// [`SearchServer::serve_connection`] from one thread per accepted
-/// connection (or use [`SearchServer::serve_unix`] for a Unix-socket
-/// accept loop). Requests on one connection are handled in order;
-/// blocking requests (`Wait`, an unacknowledged subscription) block only
-/// their own connection.
+/// This is the simplest driver of the [`Connection`] state machine, the
+/// one tests and in-process fleets use over [`duplex`](crate::duplex)
+/// pipes: call [`SearchServer::serve_connection`] from one thread per
+/// connection. It has no listener, no auth registry and no admission
+/// limits — every connection runs as the anonymous tenant, exactly what
+/// an `exsample-serve` reactor with an empty `ServeConfig` answers. For
+/// sockets, deadlines and quotas, use that reactor; it drives the same
+/// `Connection`.
 pub struct SearchServer {
     engine: Arc<Engine>,
-    handshake_timeout: Duration,
 }
-
-/// Default deadline for a connected peer to complete the version
-/// handshake (see [`SearchServer::handshake_timeout`]).
-pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 impl SearchServer {
     /// A server multiplexing connections over `engine`.
     pub fn new(engine: Arc<Engine>) -> Self {
-        SearchServer {
-            engine,
-            handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
-        }
-    }
-
-    /// How long [`SearchServer::serve_unix`] gives a freshly accepted
-    /// connection to complete the version handshake before dropping it.
-    /// A peer that connects and then goes silent (or sends a truncated
-    /// preamble and stalls) would otherwise pin its connection thread —
-    /// and that thread's buffers — until process exit. The deadline is
-    /// cleared once the handshake completes: an *established* connection
-    /// may legitimately idle between requests indefinitely.
-    pub fn handshake_timeout(mut self, timeout: Duration) -> Self {
-        self.handshake_timeout = timeout;
-        self
+        SearchServer { engine }
     }
 
     /// The engine this server fronts.
@@ -55,338 +36,77 @@ impl SearchServer {
         &self.engine
     }
 
-    /// Serve one client connection to completion (client disconnect).
+    /// Serve one client connection to completion (client disconnect, or
+    /// a close the protocol calls for).
     ///
-    /// Opens with the version handshake: a peer announcing a different
-    /// protocol version is rejected by closing the connection — it has
-    /// our preamble and can report the mismatch precisely; no message is
-    /// ever parsed under version skew. Returns `Err` only for transport
-    /// failures or protocol violations; service-level failures travel to
-    /// the client as [`Message::Error`].
+    /// The whole conversation — handshake, requests, streams — is
+    /// [`Connection`]'s; this is only its blocking pump: flush what is
+    /// queued, then serve one buffered frame or, when none is complete,
+    /// block in one `read`. Blocking requests (`Wait`, a subscription
+    /// between batches) block inside the engine's `wait` / `poll_wait`,
+    /// so they stall only this connection and cost no busy-polling.
+    ///
+    /// Returns `Err` only for transport failures and undecodable input
+    /// (bad magic, a corrupt frame). A peer on another protocol version,
+    /// or one that breaks the conversation's rules, is answered as the
+    /// protocol prescribes and the connection closed — `Ok`, like a
+    /// disconnect; service-level failures travel to the client as
+    /// [`Message::Error`](crate::Message::Error).
     pub fn serve_connection<T: Read + Write>(&self, io: T) -> io::Result<()> {
-        let mut framed = Framed::new(io);
-        let theirs = framed.handshake(PROTO_VERSION)?;
-        if theirs != PROTO_VERSION {
-            return Ok(());
-        }
-        self.serve_framed(&mut framed)
-    }
-
-    /// The request loop of an already-handshaken connection.
-    fn serve_framed<T: Read + Write>(&self, framed: &mut Framed<T>) -> io::Result<()> {
-        loop {
-            let msg = match framed.recv() {
-                Ok(msg) => msg,
-                Err(e) if is_disconnect(&e) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            match msg {
-                Message::Repos => framed.send(&Message::RepoList(self.engine.repos()))?,
-                Message::Hello { token: _ } => {
-                    // The thread-per-connection server has no auth
-                    // registry: every token resolves to the anonymous
-                    // tenant at base weight, keeping v6 clients portable
-                    // across both servers. Admission control lives in
-                    // the reactor (`exsample-serve`).
-                    framed.send(&Message::Welcome {
-                        tenant: 0,
-                        weight: 1,
-                    })?;
-                }
-                Message::Submit { spec, ctx } => {
-                    let mut span = self.engine.obs().span_flight(Stage::Submit, NO_SESSION);
-                    if let Some(ctx) = ctx {
-                        span.set_trace_context(ctx);
-                    }
-                    let reply = match self.engine.submit(spec) {
-                        Ok(id) => {
-                            span.set_session(id.0);
-                            Message::Submitted(id)
-                        }
-                        Err(e) => Message::Error(engine_error(e)),
-                    };
-                    drop(span);
-                    framed.send(&reply)?;
-                }
-                Message::Poll {
-                    session,
-                    cursor,
-                    window,
-                    ctx,
-                } => {
-                    let window = Some(window.unwrap_or(MAX_POLL_WINDOW).min(MAX_POLL_WINDOW));
-                    let mut span = self.engine.obs().span_flight(Stage::Poll, session.0);
-                    if let Some(ctx) = ctx {
-                        span.set_trace_context(ctx);
-                    }
-                    let reply = match self.engine.poll_window(session, cursor, window) {
-                        Ok(snap) => {
-                            span.set_key(snap.events.len() as u64);
-                            Message::Snapshot(snap)
-                        }
-                        Err(e) => Message::Error(engine_error(e)),
-                    };
-                    drop(span);
-                    framed.send(&reply)?;
-                }
-                Message::Cancel { session } => {
-                    let reply = match self.engine.cancel(session) {
-                        Ok(()) => Message::CancelOk,
-                        Err(e) => Message::Error(engine_error(e)),
-                    };
-                    framed.send(&reply)?;
-                }
-                Message::Wait { session } => {
-                    let reply = match self.engine.wait(session) {
-                        Ok(report) => Message::Report(report),
-                        Err(e) => Message::Error(engine_error(e)),
-                    };
-                    framed.send(&reply)?;
-                }
-                Message::Forget { session } => {
-                    let reply = match self.engine.forget(session) {
-                        Ok(report) => Message::Report(report),
-                        Err(e) => Message::Error(engine_error(e)),
-                    };
-                    framed.send(&reply)?;
-                }
-                Message::Stats { detail } => {
-                    let stats = self.engine.service_stats();
-                    let reply = if detail {
-                        let hists = self.engine.obs().registry().histograms();
-                        match check_snapshots(&hists) {
-                            Ok(()) => Message::StatsReply {
-                                stats,
-                                detail: Some(hists),
-                            },
-                            Err(err) => Message::Error(err),
-                        }
-                    } else {
-                        Message::StatsReply {
-                            stats,
-                            detail: None,
-                        }
-                    };
-                    framed.send(&reply)?;
-                }
-                Message::Diagnostics => {
-                    let diag = self.engine.diagnostics();
-                    let reply = match check_snapshots(&diag.histograms) {
-                        Ok(()) => Message::DiagnosticsReply(diag),
-                        Err(err) => Message::Error(err),
-                    };
-                    framed.send(&reply)?;
-                }
-                Message::Subscribe {
-                    session,
-                    cursor,
-                    window,
-                } => self.serve_subscription(framed, session, cursor, window)?,
-                Message::CollectTrace { trace } => {
-                    framed.send(&Message::TraceReply(self.engine.collect_trace(trace)))?;
-                }
-                _ => {
-                    // A response tag, or an Ack outside a subscription:
-                    // the peer is confused; tell it and hang up rather
-                    // than guess at its state.
-                    framed.send(&Message::Error(WireError::Malformed(
-                        "expected a request".into(),
-                    )))?;
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "protocol violation: expected a request",
-                    ));
-                }
-            }
+        match self.pump(io) {
+            Err(e) if is_disconnect(&e) => Ok(()),
+            other => other,
         }
     }
 
-    /// Push result batches for one session until it finishes and its
-    /// event log is drained. Each batch carries at most `window` events;
-    /// the next batch is produced only after the client acknowledges the
-    /// cursor — the client's consumption rate *is* the flow control.
-    /// Batches come from the engine's blocking `poll_wait`, so an idle
-    /// session costs no busy-polling.
-    fn serve_subscription<T: Read + Write>(
-        &self,
-        framed: &mut Framed<T>,
-        session: SessionId,
-        mut cursor: u64,
-        window: u32,
-    ) -> io::Result<()> {
-        let window = window.clamp(1, MAX_POLL_WINDOW);
+    fn pump<T: Read + Write>(&self, mut io: T) -> io::Result<()> {
+        let mut conn = Connection::new();
         loop {
-            // One span per pushed batch: the producing side of the
-            // stream (engine wait + batch assembly), not the client's
-            // think time between acks.
-            let mut span = self.engine.obs().span_flight(Stage::Stream, session.0);
-            let snap = match self.engine.poll_wait(session, cursor, Some(window)) {
-                Ok(snap) => {
-                    span.set_key(snap.events.len() as u64);
-                    snap
-                }
-                Err(e) => {
-                    drop(span);
-                    framed.send(&Message::Error(engine_error(e)))?;
-                    return Ok(());
-                }
-            };
-            drop(span);
-            // A short batch from a finished session means the log is
-            // drained: that batch is terminal, no ack expected. (A full
-            // terminal batch costs one extra empty round to notice.)
-            let terminal =
-                snap.status != SessionStatus::Running && (snap.events.len() as u32) < window;
-            framed.send(&Message::Snapshot(snap))?;
-            if terminal {
+            conn.buf_mut().write_to(&mut io)?;
+            io.flush()?;
+            if conn.is_closing() {
                 return Ok(());
             }
-            match framed.recv() {
-                Ok(Message::Ack {
-                    cursor: acked,
-                    ctx: _,
-                }) => cursor = acked,
-                Ok(_) => {
-                    framed.send(&Message::Error(WireError::Malformed(
-                        "expected Ack during subscription".into(),
-                    )))?;
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "protocol violation: expected Ack during subscription",
-                    ));
-                }
-                Err(e) if is_disconnect(&e) => return Ok(()),
-                Err(e) => return Err(e),
+            // One frame per flush: replies leave before the next frame
+            // is served, so a blocking `Wait` never sits on an earlier
+            // request's answer.
+            if !conn.step(&self.engine, &mut Blocking)? && conn.buf_mut().fill_from(&mut io)? == 0 {
+                return Ok(());
             }
         }
     }
-
-    /// Accept-loop convenience for Unix-domain sockets: spawns a thread
-    /// that accepts connections for the server's lifetime, serving each
-    /// on its own thread. Connection-level errors are logged, not fatal.
-    ///
-    /// The handshake runs under [`SearchServer::handshake_timeout`]: a
-    /// half-open peer — connected but silent, or a truncated preamble —
-    /// is dropped at the deadline instead of retaining its connection
-    /// thread and buffers for the life of the process. The deadline is
-    /// lifted once the handshake completes.
-    #[cfg(unix)]
-    pub fn serve_unix(
-        self: &Arc<Self>,
-        listener: std::os::unix::net::UnixListener,
-    ) -> std::thread::JoinHandle<()> {
-        let server = self.clone();
-        std::thread::Builder::new()
-            .name("exsample-proto-accept".into())
-            .spawn(move || {
-                let mut retry = AcceptRetry::default();
-                for conn in listener.incoming() {
-                    let conn = match conn {
-                        Ok(conn) => conn,
-                        Err(e) => {
-                            eprintln!("exsample-proto: accept error: {e}");
-                            if !retry.on_error() {
-                                eprintln!("exsample-proto: listener unusable, giving up");
-                                return;
-                            }
-                            std::thread::sleep(AcceptRetry::BACKOFF);
-                            continue;
-                        }
-                    };
-                    retry.on_success();
-                    let server = server.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("exsample-proto-conn".into())
-                        .spawn(move || {
-                            if let Err(e) = server.serve_unix_connection(conn) {
-                                eprintln!("exsample-proto: connection error: {e}");
-                            }
-                        });
-                }
-            })
-            // lint: allow(panic_audit, failing to spawn the accept thread at server start is fatal by design)
-            .expect("spawn accept thread")
-    }
-
-    /// Serve one accepted Unix-socket connection: handshake under the
-    /// deadline, then the regular request loop with the deadline lifted.
-    /// A failed or timed-out handshake is a silent drop (`Ok`), not an
-    /// error — scanners and stalled peers are routine, and their state
-    /// must be released, not logged as server failures.
-    #[cfg(unix)]
-    fn serve_unix_connection(&self, conn: std::os::unix::net::UnixStream) -> io::Result<()> {
-        conn.set_read_timeout(Some(self.handshake_timeout))?;
-        let mut framed = Framed::new(conn);
-        let theirs = match framed.handshake(PROTO_VERSION) {
-            Ok(theirs) => theirs,
-            Err(_) => return Ok(()),
-        };
-        if theirs != PROTO_VERSION {
-            return Ok(());
-        }
-        framed.get_ref().set_read_timeout(None)?;
-        self.serve_framed(&mut framed)
-    }
 }
 
-/// Bounded retry policy for an accept loop, shared by
-/// [`SearchServer::serve_unix`] and the reactor's accept path
-/// (`exsample-serve`).
-///
-/// Transient accept failures (fd exhaustion, an aborted connection)
-/// must not kill the loop; a permanently broken listener must not spin
-/// it either. The failure budget counts *consecutive* errors only and
-/// **must** be reset on every successful accept — without the reset, a
-/// long-lived listener dies from unrelated transient errors spread over
-/// days, which is a regression this type's unit tests pin down.
-#[derive(Debug)]
-pub struct AcceptRetry {
-    consecutive: u32,
-    limit: u32,
-}
+/// The host of a blocking pump: no registry, no limits, and "not yet"
+/// is answered by waiting inside the engine — the connection's own
+/// thread is the thing that parks.
+struct Blocking;
 
-impl Default for AcceptRetry {
-    /// The default budget: give up after [`AcceptRetry::DEFAULT_LIMIT`]
-    /// consecutive failures.
-    fn default() -> Self {
-        AcceptRetry::new(AcceptRetry::DEFAULT_LIMIT)
-    }
-}
-
-impl AcceptRetry {
-    /// Default consecutive-failure budget.
-    pub const DEFAULT_LIMIT: u32 = 100;
-
-    /// How long to back off between failed accepts, giving a transient
-    /// condition (fd pressure) room to clear.
-    pub const BACKOFF: Duration = Duration::from_millis(10);
-
-    /// A policy giving up after `limit` consecutive failures.
-    pub fn new(limit: u32) -> Self {
-        AcceptRetry {
-            consecutive: 0,
-            limit: limit.max(1),
-        }
+impl Host for Blocking {
+    fn hello(&mut self, _: &str, _: Option<TenantBinding>) -> Result<TenantBinding, WireError> {
+        Ok(ANONYMOUS)
     }
 
-    /// Record a successful accept: the listener is demonstrably alive,
-    /// so the failure budget refills completely.
-    pub fn on_success(&mut self) {
-        self.consecutive = 0;
+    fn admit_submit(&mut self, _: &Engine, _: Option<TenantBinding>) -> Result<(), WireError> {
+        Ok(())
     }
 
-    /// Record a failed accept. Returns `true` to keep trying (after
-    /// [`AcceptRetry::BACKOFF`]), `false` when the budget is exhausted
-    /// and the listener should be abandoned.
-    #[must_use]
-    pub fn on_error(&mut self) -> bool {
-        self.consecutive += 1;
-        self.consecutive < self.limit
+    fn wait(
+        &mut self,
+        engine: &Engine,
+        session: SessionId,
+    ) -> Result<Option<SessionReport>, EngineError> {
+        engine.wait(session).map(Some)
     }
 
-    /// Consecutive failures since the last successful accept.
-    pub fn consecutive(&self) -> u32 {
-        self.consecutive
+    fn next_batch(
+        &mut self,
+        engine: &Engine,
+        session: SessionId,
+        cursor: u64,
+        window: u32,
+    ) -> Result<Option<SessionSnapshot>, EngineError> {
+        engine.poll_wait(session, cursor, Some(window)).map(Some)
     }
 }
 
@@ -400,61 +120,4 @@ fn is_disconnect(e: &io::Error) -> bool {
             | io::ErrorKind::ConnectionReset
             | io::ErrorKind::ConnectionAborted
     )
-}
-
-/// Refuse to serve any histogram snapshot that would exceed the wire
-/// cap: the reply is a typed [`WireError::SnapshotTooLarge`], never a
-/// silently truncated distribution.
-fn check_snapshots(hists: &[(String, HistSnapshot)]) -> Result<(), WireError> {
-    for (name, snap) in hists {
-        let len = snap.encode().len() as u32;
-        if len > MAX_SNAPSHOT_LEN {
-            return Err(WireError::SnapshotTooLarge {
-                name: name.clone(),
-                len,
-                max: MAX_SNAPSHOT_LEN,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Engine errors crossing the wire keep their exact meaning.
-fn engine_error(e: EngineError) -> WireError {
-    match e {
-        EngineError::UnknownRepo(r) => WireError::UnknownRepo(r.0),
-        EngineError::UnknownSession(s) => WireError::UnknownSession(s.0),
-        EngineError::InvalidSpec(why) => WireError::InvalidSpec(why.to_string()),
-        EngineError::SessionRunning(s) => WireError::SessionRunning(s.0),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accept_retry_gives_up_after_consecutive_failures() {
-        let mut retry = AcceptRetry::new(3);
-        assert!(retry.on_error());
-        assert!(retry.on_error());
-        assert!(!retry.on_error());
-    }
-
-    #[test]
-    fn accept_retry_resets_on_successful_accept() {
-        // Regression guard: errors spread over the listener's lifetime
-        // must never accumulate into a shutdown — only *consecutive*
-        // failures spend the budget.
-        let mut retry = AcceptRetry::new(3);
-        for _ in 0..1000 {
-            assert!(retry.on_error());
-            assert!(retry.on_error());
-            retry.on_success();
-            assert_eq!(retry.consecutive(), 0);
-        }
-        let mut degenerate = AcceptRetry::new(0);
-        assert!(!degenerate.on_error(), "limit is floored at one failure");
-        assert_eq!(AcceptRetry::default().limit, AcceptRetry::DEFAULT_LIMIT);
-    }
 }

@@ -1,34 +1,22 @@
-//! Byte-stream transport: version handshake, CRC-framed messages, and an
-//! in-memory duplex pipe for dependency-free tests.
+//! Byte-stream transport for blocking peers: [`Framed`], the blocking
+//! face of the [`FrameBuf`] codec, and an in-memory duplex pipe for
+//! dependency-free tests.
 //!
-//! A connection opens with a 14-byte preamble from each side — the
-//! [`framing`](exsample_store::framing) segment header (magic
-//! [`PROTO_MAGIC`], protocol version, reserved fingerprint) — after
-//! which every message travels as one framed record:
-//!
-//! ```text
-//! len u32 | crc32 u32 | payload (one encoded Message)
-//! ```
-//!
-//! The length is bounded by [`MAX_FRAME_LEN`] before any allocation and
-//! the payload is checksum-verified before any decoding, so a damaged or
-//! hostile stream surfaces as a clean `InvalidData` error, never a
-//! misparse.
+//! The wire format — preamble, `len | crc32 | payload` frames, the
+//! bound-before-allocate and verify-before-decode rules — is
+//! [`framebuf`](crate::framebuf)'s and lives only there.
 
-use crate::wire::{decode_message, encode_message, Message};
-use crate::{MAX_FRAME_LEN, PROTO_MAGIC};
-use exsample_store::crc::crc32;
-use exsample_store::framing::{
-    read_segment_header, write_segment_header, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
-};
+use crate::framebuf::FrameBuf;
+use crate::wire::Message;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A message-framed view over any `Read + Write` byte stream.
+/// A message-framed view over any blocking `Read + Write` byte stream:
+/// a [`FrameBuf`] plus the stream it is flushed to and filled from.
 pub struct Framed<T> {
     io: T,
-    scratch: Vec<u8>,
+    buf: FrameBuf,
 }
 
 impl<T: Read + Write> Framed<T> {
@@ -37,7 +25,7 @@ impl<T: Read + Write> Framed<T> {
     pub fn new(io: T) -> Self {
         Framed {
             io,
-            scratch: Vec::new(),
+            buf: FrameBuf::new(),
         }
     }
 
@@ -47,7 +35,9 @@ impl<T: Read + Write> Framed<T> {
         &self.io
     }
 
-    /// Mutable access to the underlying byte stream.
+    /// Mutable access to the underlying byte stream. Received bytes are
+    /// buffered: reading from the stream directly can skip past frames
+    /// already pulled into the buffer.
     pub fn get_mut(&mut self) -> &mut T {
         &mut self.io
     }
@@ -57,67 +47,48 @@ impl<T: Read + Write> Framed<T> {
     /// Callers decide the compatibility policy; mismatched magic is
     /// rejected here.
     pub fn handshake(&mut self, version: u16) -> io::Result<u16> {
-        let mut ours = Vec::with_capacity(SEGMENT_HEADER_LEN);
-        write_segment_header(&mut ours, PROTO_MAGIC, version, 0);
-        self.io.write_all(&ours)?;
-        self.io.flush()?;
-        let mut theirs = [0u8; SEGMENT_HEADER_LEN];
-        self.io.read_exact(&mut theirs)?;
-        let (header, _) = read_segment_header(&theirs, PROTO_MAGIC).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad protocol preamble: {e}"),
-            )
-        })?;
-        Ok(header.version)
+        self.buf.queue_preamble(version);
+        self.flush()?;
+        loop {
+            if let Some(theirs) = self.buf.take_preamble()? {
+                return Ok(theirs);
+            }
+            self.fill()?;
+        }
     }
 
-    /// Frame and send one message (single write + flush).
+    /// Frame and send one message (queue, drain, flush).
     pub fn send(&mut self, msg: &Message) -> io::Result<()> {
-        self.scratch.clear();
-        encode_message(msg, &mut self.scratch);
-        if self.scratch.len() > MAX_FRAME_LEN as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "message exceeds maximum frame length",
-            ));
+        self.buf.queue(msg)?;
+        self.flush()
+    }
+
+    /// Receive and decode one message: the next buffered frame, or one
+    /// more read until there is one. An EOF *between* frames surfaces as
+    /// `UnexpectedEof` — the caller's clean-disconnect signal.
+    pub fn recv(&mut self) -> io::Result<Message> {
+        loop {
+            if let Some(msg) = self.buf.next_frame()? {
+                return Ok(msg);
+            }
+            self.fill()?;
         }
-        let mut frame = Vec::with_capacity(self.scratch.len() + RECORD_OVERHEAD);
-        frame.extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&self.scratch).to_le_bytes());
-        frame.extend_from_slice(&self.scratch);
-        self.io.write_all(&frame)?;
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.buf.write_to(&mut self.io)? {
+            // Only a non-blocking stream gets here; the bytes stay
+            // queued and go out with the next send.
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
         self.io.flush()
     }
 
-    /// Receive and decode one message. Length is bounded before
-    /// allocation; the checksum is verified before decoding. An EOF
-    /// *between* frames surfaces as `UnexpectedEof` with no bytes
-    /// consumed — the caller's clean-disconnect signal.
-    pub fn recv(&mut self) -> io::Result<Message> {
-        let mut header = [0u8; RECORD_OVERHEAD];
-        self.io.read_exact(&mut header)?;
-        // Destructuring a fixed-size array is bounds-checked at compile
-        // time — no panic path on this hot read.
-        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame length exceeds limit",
-            ));
+    fn fill(&mut self) -> io::Result<()> {
+        match self.buf.fill_from(&mut self.io)? {
+            0 => Err(io::ErrorKind::UnexpectedEof.into()),
+            _ => Ok(()),
         }
-        self.scratch.clear();
-        self.scratch.resize(len as usize, 0);
-        self.io.read_exact(&mut self.scratch)?;
-        if crc32(&self.scratch) != crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame checksum mismatch",
-            ));
-        }
-        decode_message(&self.scratch).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -231,7 +202,70 @@ impl Drop for DuplexStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_message;
     use exsample_engine::SessionId;
+    use exsample_store::crc::crc32;
+
+    /// A blocking stream handing out `bytes` at most `piece` at a time,
+    /// counting the reads it served; writes are discarded.
+    struct Trickle {
+        bytes: io::Cursor<Vec<u8>>,
+        piece: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = self.piece.min(buf.len());
+            self.bytes.read(&mut buf[..n])
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn recv_reads_once_per_piece_and_never_past_the_stream() {
+        // Two frames behind a preamble, delivered in 1-byte, 7-byte and
+        // whole-stream pieces. Each recv must return as soon as its
+        // frame is complete — a fill that looped until the stream ran
+        // dry would sit in a blocking read the peer never satisfies —
+        // so the reads served by then are exactly one per piece.
+        let msgs = [Message::Repos, Message::CancelOk];
+        let mut wire = FrameBuf::new();
+        wire.queue_preamble(crate::PROTO_VERSION);
+        let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+        for m in &msgs {
+            wire.queue(m).unwrap();
+            wire.write_to(&mut bytes).unwrap();
+            ends.push(bytes.len());
+        }
+        for piece in [1, 7, bytes.len()] {
+            let mut framed = Framed::new(Trickle {
+                bytes: io::Cursor::new(bytes.clone()),
+                piece,
+                reads: 0,
+            });
+            assert_eq!(framed.handshake(3).unwrap(), crate::PROTO_VERSION);
+            for (m, end) in msgs.iter().zip(&ends) {
+                assert_eq!(&framed.recv().unwrap(), m);
+                assert_eq!(framed.get_ref().reads, end.div_ceil(piece), "piece {piece}");
+            }
+            // The stream is spent: the next recv is a clean EOF.
+            assert_eq!(
+                framed.recv().unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof
+            );
+        }
+    }
 
     #[test]
     fn frames_cross_the_pipe_in_order() {

@@ -390,52 +390,6 @@ fn reconnect_resumes_stream_after_transport_failure() {
     );
 }
 
-#[cfg(unix)]
-#[test]
-fn truncated_handshake_is_dropped_and_server_keeps_serving() {
-    use std::io::{Read, Write};
-    use std::os::unix::net::{UnixListener, UnixStream};
-    use std::time::Duration;
-
-    let eng = engine();
-    let repo = eng.register_repo("half-open-cam", truth(2_000, 10), NoiseModel::none(), 5);
-    let server =
-        Arc::new(SearchServer::new(eng.clone()).handshake_timeout(Duration::from_millis(200)));
-    let socket = std::env::temp_dir().join(format!(
-        "exsample-proto-half-open-{}.sock",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&socket);
-    server.serve_unix(UnixListener::bind(&socket).expect("bind unix socket"));
-
-    // A half-open peer: four preamble bytes, then silence — the
-    // connection stays open. Before the handshake deadline existed this
-    // pinned the connection thread (and its buffers) until process exit.
-    let mut half_open = UnixStream::connect(&socket).expect("connect");
-    half_open.write_all(b"XSRP").expect("truncated preamble");
-    half_open
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    // The server wrote its own 14-byte preamble immediately; at the
-    // deadline it must hang up, so the read ends in EOF — a timeout here
-    // would mean the half-open connection is being retained.
-    let mut received = Vec::new();
-    half_open
-        .read_to_end(&mut received)
-        .expect("server must drop the half-open connection, not retain it");
-    assert_eq!(received.len(), 14, "exactly the server preamble");
-
-    // The accept loop is unharmed: a well-formed client still gets served.
-    let client =
-        RemoteClient::connect(UnixStream::connect(&socket).expect("connect")).expect("handshake");
-    let id = client.submit(spec(repo, 3).chunks(4)).expect("valid spec");
-    assert_ne!(
-        client.wait(id).expect("report").status,
-        SessionStatus::Running
-    );
-    let _ = std::fs::remove_file(&socket);
-}
-
 #[test]
 fn subscription_streams_identical_events_to_polling() {
     let eng = engine();

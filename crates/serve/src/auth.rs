@@ -10,6 +10,7 @@
 //! the client controls.
 
 use exsample_engine::{TenantBinding, TenantId};
+use exsample_proto::connection::ANONYMOUS;
 use std::collections::HashMap;
 
 /// Service tier of a tenant, mapped onto a scheduler weight multiplier:
@@ -49,7 +50,8 @@ struct Registered {
 ///
 /// Tenant ids are assigned from 1; id 0 is reserved for the anonymous
 /// tenant that an *empty* registry resolves every token to (an open
-/// server — same behavior as the thread-per-connection `SearchServer`).
+/// server — what the blocking pump, which has no registry, answers too:
+/// [`exsample_proto::connection::ANONYMOUS`]).
 /// A non-empty registry rejects unknown tokens.
 #[derive(Debug, Default, Clone)]
 pub struct AuthRegistry {
@@ -93,10 +95,7 @@ impl AuthRegistry {
     /// non-empty registry and the connection must stay unauthenticated.
     pub fn authenticate(&self, token: &str) -> Option<TenantBinding> {
         if self.by_token.is_empty() {
-            return Some(TenantBinding {
-                tenant: TenantId(0),
-                weight: Tier::Free.weight(),
-            });
+            return Some(ANONYMOUS);
         }
         self.by_token.get(token).map(|r| TenantBinding {
             tenant: r.tenant,

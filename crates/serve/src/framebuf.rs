@@ -1,379 +1,5 @@
-//! Non-blocking frame assembly/disassembly for one connection.
-//!
-//! [`Framed`](exsample_proto::Framed) assumes a blocking stream: `recv`
-//! parks until a whole frame arrives. A readiness-driven reactor cannot
-//! park — it gets *bytes when they exist* and must make progress on
-//! partial input. [`FrameBuf`] is the incremental counterpart: bytes in
-//! from `read()`, complete [`Message`]s out when enough have
-//! accumulated; messages queued, flushed as far as the socket will take
-//! them. The wire format is byte-identical to `Framed` (same preamble,
-//! same `len | crc32 | payload` records, same [`MAX_FRAME_LEN`] bound
-//! enforced *before* allocation), so either end of a connection can be
-//! blocking or non-blocking without the other noticing.
+//! The frame codec, under its historical path: [`FrameBuf`] lives in
+//! `exsample-proto` ([`exsample_proto::framebuf`]), beside the
+//! [`Connection`](exsample_proto::Connection) both servers drive.
 
-use exsample_proto::{decode_message, encode_message, Message, MAX_FRAME_LEN, PROTO_MAGIC};
-use exsample_store::crc::crc32;
-use exsample_store::framing::{
-    read_segment_header, write_segment_header, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
-};
-use std::io::{self, Read, Write};
-
-/// Per-`read_from` ceiling on bytes pulled off the socket. Bounds how
-/// long one connection can monopolise a reactor turn; with oneshot
-/// re-arming, leftover readiness simply redelivers on the next poll.
-const READ_BURST: usize = 256 << 10;
-
-/// What a drain of the readable socket concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// The peer may still send more.
-    Open,
-    /// The peer closed its write side (clean EOF).
-    Eof,
-}
-
-/// Incremental, allocation-reusing frame codec for one non-blocking
-/// connection: an inbound byte accumulator that yields decoded messages
-/// and an outbound byte queue that flushes as far as `write()` allows.
-#[derive(Debug, Default)]
-pub struct FrameBuf {
-    /// Bytes received but not yet consumed; `in_start` is the cursor of
-    /// the first live byte (compacted lazily to amortise the memmove).
-    incoming: Vec<u8>,
-    in_start: usize,
-    /// Bytes queued to send; `out_start` marks how far the socket got.
-    outgoing: Vec<u8>,
-    out_start: usize,
-}
-
-impl FrameBuf {
-    /// An empty buffer pair.
-    pub fn new() -> Self {
-        FrameBuf::default()
-    }
-
-    // ---- inbound ----
-
-    /// Append raw received bytes (test/helper entry; the reactor uses
-    /// [`read_from`](Self::read_from)).
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.incoming.extend_from_slice(bytes);
-    }
-
-    /// Pull whatever the socket has, up to the per-turn burst cap.
-    /// `Ok(Eof)` on clean peer close; `WouldBlock` is absorbed (that is
-    /// the normal end of a drain, not an error).
-    pub fn read_from<R: Read + ?Sized>(&mut self, io: &mut R) -> io::Result<ReadOutcome> {
-        let mut chunk = [0u8; 16 << 10];
-        let mut pulled = 0usize;
-        loop {
-            match io.read(&mut chunk) {
-                Ok(0) => return Ok(ReadOutcome::Eof),
-                Ok(n) => {
-                    // A conforming `Read` bounds n by the buffer; a
-                    // lying one yields a short chunk, never a panic.
-                    let got = chunk.get(..n).unwrap_or(&chunk);
-                    self.incoming.extend_from_slice(got);
-                    pulled += n;
-                    if pulled >= READ_BURST {
-                        return Ok(ReadOutcome::Open);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadOutcome::Open),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Try to consume the connection preamble, returning the peer's
-    /// announced protocol version once 14 bytes have arrived. `Ok(None)`
-    /// means "not enough bytes yet"; bad magic is `InvalidData`.
-    pub fn take_preamble(&mut self) -> io::Result<Option<u16>> {
-        let Some(preamble) = self.live().get(..SEGMENT_HEADER_LEN) else {
-            return Ok(None);
-        };
-        let (header, _) = read_segment_header(preamble, PROTO_MAGIC).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad protocol preamble: {e}"),
-            )
-        })?;
-        self.consume(SEGMENT_HEADER_LEN);
-        Ok(Some(header.version))
-    }
-
-    /// Try to decode the next complete frame. `Ok(None)` means more
-    /// bytes are needed; oversize lengths, checksum mismatches, and
-    /// undecodable payloads are `InvalidData`.
-    pub fn next_frame(&mut self) -> io::Result<Option<Message>> {
-        // `split_first_chunk` + `get` stand in for manual length checks:
-        // "not enough bytes yet" falls out as `None`, and no slice here
-        // can panic however the peer fragments its writes.
-        let live = self.live();
-        let Some((header, rest)) = live.split_first_chunk::<RECORD_OVERHEAD>() else {
-            return Ok(None);
-        };
-        let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame length exceeds limit",
-            ));
-        }
-        let Some(payload) = rest.get(..len as usize) else {
-            return Ok(None);
-        };
-        if crc32(payload) != crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame checksum mismatch",
-            ));
-        }
-        let msg =
-            decode_message(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.consume(RECORD_OVERHEAD + len as usize);
-        Ok(Some(msg))
-    }
-
-    /// Bytes buffered inbound but not yet consumed.
-    pub fn pending_in(&self) -> usize {
-        self.incoming.len() - self.in_start
-    }
-
-    /// The unconsumed inbound bytes, verbatim — for connections that
-    /// speak something other than XSRP frames (the reactor's plaintext
-    /// `/metrics` endpoint parses HTTP request bytes directly).
-    pub fn peek_in(&self) -> &[u8] {
-        self.live()
-    }
-
-    /// The live inbound window. The only slice of `incoming` in this
-    /// module: `in_start` only ever advances by amounts bounded by
-    /// `pending_in` (asserted in `consume_in`, length-checked in the
-    /// decoders), so the cursor cannot pass the end.
-    fn live(&self) -> &[u8] {
-        self.incoming.get(self.in_start..).unwrap_or_default()
-    }
-
-    /// Consume `n` raw inbound bytes previously seen via
-    /// [`peek_in`](Self::peek_in).
-    ///
-    /// # Panics
-    ///
-    /// If `n` exceeds [`pending_in`](Self::pending_in).
-    pub fn consume_in(&mut self, n: usize) {
-        assert!(n <= self.pending_in(), "consumed past the inbound buffer");
-        self.consume(n);
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.in_start += n;
-        // Compact once the dead prefix dominates, so the buffer doesn't
-        // grow without bound across a long-lived connection.
-        if self.in_start > 4096 && self.in_start * 2 >= self.incoming.len() {
-            self.incoming.drain(..self.in_start);
-            self.in_start = 0;
-        }
-    }
-
-    // ---- outbound ----
-
-    /// Queue our connection preamble (must be the first bytes sent).
-    pub fn queue_preamble(&mut self, version: u16) {
-        write_segment_header(&mut self.outgoing, PROTO_MAGIC, version, 0);
-    }
-
-    /// Frame and queue one message for sending.
-    pub fn queue(&mut self, msg: &Message) -> io::Result<()> {
-        let mut payload = Vec::new();
-        encode_message(msg, &mut payload);
-        if payload.len() > MAX_FRAME_LEN as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "message exceeds maximum frame length",
-            ));
-        }
-        self.outgoing
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.outgoing
-            .extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.outgoing.extend_from_slice(&payload);
-        Ok(())
-    }
-
-    /// Flush queued bytes as far as the socket will take them. Returns
-    /// `true` when the queue fully drained, `false` when the socket
-    /// pushed back (`WouldBlock`) — arm writable interest and retry on
-    /// the next readiness event.
-    pub fn write_to<W: Write + ?Sized>(&mut self, io: &mut W) -> io::Result<bool> {
-        // A non-empty-slice pattern instead of index arithmetic: the
-        // drain loop has no panic path even if `out_start` drifted.
-        while let Some(rest @ [_, ..]) = self.outgoing.get(self.out_start..) {
-            match io.write(rest) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ));
-                }
-                Ok(n) => self.out_start += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.outgoing.clear();
-        self.out_start = 0;
-        Ok(true)
-    }
-
-    /// Are there queued bytes the socket has not yet taken?
-    pub fn has_pending_out(&self) -> bool {
-        self.out_start < self.outgoing.len()
-    }
-
-    /// Queue raw bytes verbatim, bypassing XSRP framing — the metrics
-    /// endpoint writes HTTP/1.0 responses through the same flush path.
-    pub fn queue_raw(&mut self, bytes: &[u8]) {
-        self.outgoing.extend_from_slice(bytes);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use exsample_proto::PROTO_VERSION;
-
-    /// Round-trip helper: everything one `FrameBuf` queued, fed into
-    /// another byte-by-byte.
-    fn drain_into(src: &mut FrameBuf, dst: &mut FrameBuf) {
-        let mut wire = Vec::new();
-        src.write_to(&mut wire).unwrap();
-        dst.extend(&wire);
-    }
-
-    #[test]
-    fn preamble_and_frames_decode_incrementally() {
-        let mut tx = FrameBuf::new();
-        tx.queue_preamble(PROTO_VERSION);
-        tx.queue(&Message::Repos).unwrap();
-        tx.queue(&Message::Ack {
-            cursor: 42,
-            ctx: None,
-        })
-        .unwrap();
-        let mut wire = Vec::new();
-        tx.write_to(&mut wire).unwrap();
-
-        // Feed one byte at a time: every prefix must yield "need more",
-        // never an error, until the unit completes.
-        let mut rx = FrameBuf::new();
-        let mut got_version = None;
-        let mut msgs = Vec::new();
-        for &b in &wire {
-            rx.extend(&[b]);
-            if got_version.is_none() {
-                got_version = rx.take_preamble().unwrap();
-                continue;
-            }
-            while let Some(m) = rx.next_frame().unwrap() {
-                msgs.push(m);
-            }
-        }
-        assert_eq!(got_version, Some(PROTO_VERSION));
-        assert_eq!(
-            msgs,
-            vec![
-                Message::Repos,
-                Message::Ack {
-                    cursor: 42,
-                    ctx: None
-                }
-            ]
-        );
-        assert_eq!(rx.pending_in(), 0);
-    }
-
-    #[test]
-    fn wire_bytes_match_blocking_framed() {
-        // The reactor's codec must be byte-identical to `Framed`, or
-        // blocking and non-blocking peers couldn't interoperate.
-        let msg = Message::Hello {
-            token: "tok".to_owned(),
-        };
-        let mut ours = FrameBuf::new();
-        ours.queue_preamble(PROTO_VERSION);
-        ours.queue(&msg).unwrap();
-        let mut our_bytes = Vec::new();
-        ours.write_to(&mut our_bytes).unwrap();
-
-        let mut theirs = Vec::new();
-        write_segment_header(&mut theirs, PROTO_MAGIC, PROTO_VERSION, 0);
-        let mut payload = Vec::new();
-        encode_message(&msg, &mut payload);
-        theirs.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        theirs.extend_from_slice(&crc32(&payload).to_le_bytes());
-        theirs.extend_from_slice(&payload);
-        assert_eq!(our_bytes, theirs);
-    }
-
-    #[test]
-    fn corrupt_crc_is_invalid_data() {
-        let mut tx = FrameBuf::new();
-        tx.queue(&Message::CancelOk).unwrap();
-        let mut wire = Vec::new();
-        tx.write_to(&mut wire).unwrap();
-        let last = wire.len() - 1;
-        wire[last] ^= 0x10;
-        let mut rx = FrameBuf::new();
-        rx.extend(&wire);
-        let err = rx.next_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn oversize_length_rejected_before_payload_arrives() {
-        let mut rx = FrameBuf::new();
-        rx.extend(&u32::MAX.to_le_bytes());
-        rx.extend(&0u32.to_le_bytes());
-        let err = rx.next_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("length"));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut rx = FrameBuf::new();
-        rx.extend(b"HTTP/1.1 200 OK\r\n");
-        let err = rx.take_preamble().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn compaction_keeps_buffer_bounded() {
-        let mut tx = FrameBuf::new();
-        let mut rx = FrameBuf::new();
-        for i in 0..10_000u64 {
-            tx.queue(&Message::Ack {
-                cursor: i,
-                ctx: None,
-            })
-            .unwrap();
-            drain_into(&mut tx, &mut rx);
-            assert_eq!(
-                rx.next_frame().unwrap(),
-                Some(Message::Ack {
-                    cursor: i,
-                    ctx: None
-                })
-            );
-        }
-        assert_eq!(rx.pending_in(), 0);
-        // The dead prefix must have been compacted away, not retained.
-        assert!(rx.incoming.len() < 64 << 10);
-    }
-}
+pub use exsample_proto::framebuf::{FrameBuf, ReadOutcome};

@@ -1,20 +1,21 @@
-//! `exsample-serve`: the readiness-driven async server with per-tenant
-//! admission control.
+//! `exsample-serve`: the readiness-driven driver of the wire protocol,
+//! with per-tenant admission control.
 //!
-//! The thread-per-connection [`SearchServer`](exsample_proto::SearchServer)
-//! is the simplest correct deployment of the wire protocol, but its
+//! The protocol's server side is one sans-IO state machine,
+//! [`exsample_proto::Connection`]. The blocking pump
+//! ([`SearchServer`](exsample_proto::SearchServer)) drives it from one
+//! thread per connection — the simplest correct deployment, whose
 //! economics stop at a few hundred clients: every connection pins a
 //! stack, and every blocking `Wait`/`Subscribe` pins a thread. This
-//! crate is the scale-out deployment shape — one event-loop thread
-//! multiplexing thousands of non-blocking connections over the same
-//! [`Engine`](exsample_engine::Engine), speaking the identical protocol
-//! bytes:
+//! crate is the scale-out driver of the *same* `Connection` — one
+//! event-loop thread multiplexing thousands of non-blocking sockets
+//! over the same [`Engine`](exsample_engine::Engine):
 //!
 //! * [`reactor`] — the epoll-based event loop ([`Reactor`] /
-//!   [`ServeHandle`]): oneshot readiness via the [`polling`] shim,
-//!   per-connection state machines over [`framebuf::FrameBuf`], TCP and
-//!   Unix-domain listeners, parked `Wait`/`Subscribe` progress clocked
-//!   against the engine.
+//!   [`ServeHandle`]): oneshot readiness via the [`polling`] shim, TCP
+//!   and Unix-domain listeners, accept bursts, handshake deadlines, a
+//!   plaintext `/metrics` listener, and parked `Wait`/`Subscribe`
+//!   connections re-asked against the engine on a clock.
 //! * [`auth`] — bearer-token tenant identity ([`AuthRegistry`], [`Tier`]):
 //!   the `Hello` handshake binds a connection to a verified
 //!   [`TenantId`](exsample_engine::TenantId), and tier weights multiply
@@ -26,12 +27,13 @@
 //!   with `Overloaded { retry_after_ms }` on a *surviving* connection
 //!   so clients can back off and retry
 //!   ([`RemoteClient::submit_with_retry`](exsample_proto::RemoteClient)).
-//! * [`framebuf`] — the incremental frame codec: byte-identical to
-//!   `Framed`'s wire format, restartable at any byte boundary.
+//! * [`framebuf`] — re-export of the frame codec,
+//!   [`exsample_proto::FrameBuf`].
 //!
-//! Because the serving path never touches the engine's deterministic
-//! sampling state, a search trace obtained through the reactor is
-//! **bit-identical** to one obtained through the thread server or the
+//! Auth and admission reach the connection through the four decisions
+//! of [`exsample_proto::Host`]; nothing else differs between the two
+//! drivers, so a search trace obtained through the reactor is
+//! **bit-identical** to one obtained through the blocking pump or the
 //! in-process engine — the integration tests pin all three against each
 //! other. See `docs/SERVING.md` for the design discussion and
 //! `crates/bench/src/bin/serve_bench.rs` for the 10k-connection
@@ -63,7 +65,9 @@ pub struct ServeConfig {
     /// Connection, quota, and shed limits.
     pub admission: AdmissionConfig,
     /// Deadline for a fresh connection's preamble, after which a silent
-    /// peer is dropped (mirrors the thread server's handshake timeout).
+    /// peer is dropped. A peer that connects and then stalls would
+    /// otherwise retain its buffers until process exit; an *established*
+    /// connection may idle between requests indefinitely.
     pub handshake_timeout: Duration,
 }
 

@@ -1,48 +1,54 @@
 //! The readiness-driven reactor: one thread, one `epoll` instance, many
 //! non-blocking connections.
 //!
-//! Where [`SearchServer`](exsample_proto::SearchServer) spends a thread
-//! (and its stack) per connection, the reactor multiplexes every
-//! connection over a single event loop: sockets are registered oneshot
-//! with the [`polling`] poller, each delivered readiness event drives
-//! that connection's state machine forward exactly as far as its bytes
-//! allow, and the socket is re-armed with interest matching the new
-//! state (readable unless parked, writable iff output is queued). Ten
+//! Where the blocking pump
+//! ([`SearchServer`](exsample_proto::SearchServer)) spends a thread (and
+//! its stack) per connection, the reactor multiplexes every connection
+//! over a single event loop: sockets are registered oneshot with the
+//! [`polling`] poller, each delivered readiness event moves bytes
+//! between the socket and that connection's [`Connection`] state
+//! machine, which is advanced exactly as far as its bytes allow, and
+//! the socket is re-armed with interest matching the new state
+//! (readable unless parked, writable iff output is queued). Ten
 //! thousand idle connections cost ten thousand file descriptors and a
 //! few megabytes of buffers — not ten thousand stacks.
 //!
-//! The wire conversation is byte-identical to the thread-per-connection
-//! server ([`FrameBuf`] shares `Framed`'s encoding), and the serving
-//! path never touches the engine's deterministic sampling state — so a
-//! trace obtained through the reactor is bit-identical to one obtained
-//! through `SearchServer` or the in-process engine. The integration
-//! tests pin this.
+//! The conversation itself — handshake, request dispatch, the `Wait`
+//! park, the ack-windowed `Subscribe` stream — is `Connection`'s, the
+//! same type the blocking pump drives, so there is one server-side
+//! protocol implementation and nothing to keep byte-identical. The
+//! serving path never touches the engine's deterministic sampling
+//! state, so a trace obtained through the reactor is bit-identical to
+//! one obtained through `SearchServer` or the in-process engine. The
+//! integration tests pin this.
 //!
-//! What the reactor adds over the thread server is the **admission
-//! layer**: the `Hello` handshake binds connections to authenticated
-//! tenants ([`AuthRegistry`]), per-tenant connection and session quotas
-//! plus an engine-wide queue-depth bound shed excess load with typed
+//! What is the reactor's own: the poller, listeners and accept bursts;
+//! handshake deadlines; the plaintext `/metrics` connections; and its
+//! [`Host`] decisions — the **admission layer**. The `Hello` handshake
+//! binds connections to authenticated tenants ([`AuthRegistry`]),
+//! per-tenant connection and session quotas plus an engine-wide
+//! queue-depth bound shed excess load with typed
 //! `Overloaded { retry_after_ms }` answers ([`Admission`]), and tenant
 //! tiers multiply into the scheduler's weighted-fair leases so paying
 //! tenants make proportionally faster progress under contention.
 //!
-//! Blocking requests are turned into parked state machines: `Wait`
-//! parks the connection until [`Engine::try_wait`] resolves;
-//! `Subscribe` runs the same ack-windowed streaming protocol as the
-//! thread server, parking between batches instead of blocking in
-//! `poll_wait`. A parked connection stops draining frames (backpressure
-//! by not reading), exactly mirroring the thread server whose single
-//! connection thread is busy inside the blocking call.
+//! "Not finished yet" parks instead of blocking: `Wait` is answered
+//! from [`Engine::try_wait`], stream batches from
+//! [`Engine::poll_window`], and a connection whose answer is not there
+//! yet joins the parked set, re-asked every 2 ms park tick. A parked
+//! connection stops draining frames (backpressure by not reading),
+//! exactly as a blocking pump's thread is busy inside the engine call.
 
 use crate::admission::{Admission, AdmissionError};
 use crate::auth::AuthRegistry;
-use crate::framebuf::{FrameBuf, ReadOutcome};
 use crate::ServeConfig;
-use exsample_engine::{Engine, EngineError, SessionStatus, TenantBinding, TenantId};
-use exsample_obs::{Counter, CounterFamily, Gauge, HistSnapshot, Stage, NO_SESSION};
-use exsample_proto::{
-    AcceptRetry, Message, WireError, MAX_POLL_WINDOW, MAX_SNAPSHOT_LEN, PROTO_VERSION,
+use exsample_engine::{
+    Engine, EngineError, SessionId, SessionReport, SessionSnapshot, SessionStatus, TenantBinding,
+    TenantId,
 };
+use exsample_obs::{Counter, CounterFamily, Gauge, Stage, NO_SESSION};
+use exsample_proto::framebuf::{FrameBuf, ReadOutcome};
+use exsample_proto::{Connection, Host, WireError};
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -131,64 +137,123 @@ struct ListenerSlot {
     http: bool,
 }
 
-/// Where a connection is in its lifecycle.
-enum Phase {
-    /// Waiting for the peer's 14-byte preamble (under a deadline).
-    Handshake,
-    /// Preambles exchanged; serving requests.
-    Serving,
+/// Bounded retry policy of a listener's accept path.
+///
+/// Transient accept failures (fd exhaustion, an aborted connection)
+/// must not kill the listener; a permanently broken one must not spin
+/// the loop either. The failure budget counts *consecutive* errors only
+/// and **must** be reset on every successful accept — without the
+/// reset, a long-lived listener dies from unrelated transient errors
+/// spread over days, which is a regression this type's unit tests pin
+/// down.
+#[derive(Debug)]
+struct AcceptRetry {
+    consecutive: u32,
+    limit: u32,
 }
 
-/// A request that could not be answered immediately and parked its
-/// connection.
-enum Pending {
-    /// `Wait`: answered once the session finishes.
-    Wait { session: exsample_engine::SessionId },
-    /// `Subscribe`: the ack-windowed streaming state machine.
-    Stream {
-        session: exsample_engine::SessionId,
-        cursor: u64,
-        window: u32,
-        /// True between pushing a batch and receiving its `Ack` — the
-        /// only frame legal in that state.
-        awaiting_ack: bool,
-    },
+impl Default for AcceptRetry {
+    /// Give up after [`AcceptRetry::DEFAULT_LIMIT`] consecutive
+    /// failures.
+    fn default() -> Self {
+        AcceptRetry::new(AcceptRetry::DEFAULT_LIMIT)
+    }
+}
+
+impl AcceptRetry {
+    /// Default consecutive-failure budget.
+    const DEFAULT_LIMIT: u32 = 100;
+
+    /// A policy giving up after `limit` consecutive failures.
+    fn new(limit: u32) -> Self {
+        AcceptRetry {
+            consecutive: 0,
+            limit: limit.max(1),
+        }
+    }
+
+    /// Record a successful accept: the listener is demonstrably alive,
+    /// so the failure budget refills completely.
+    fn on_success(&mut self) {
+        self.consecutive = 0;
+    }
+
+    /// Record a failed accept. Returns `true` to keep the listener,
+    /// `false` when the budget is exhausted and it should be abandoned.
+    #[must_use]
+    fn on_error(&mut self) -> bool {
+        self.consecutive += 1;
+        self.consecutive < self.limit
+    }
+}
+
+/// What a connection speaks, and the state of that conversation.
+enum Speaks {
+    /// XSRP frames: the protocol state machine shared with the blocking
+    /// pump.
+    Xsrp(Connection),
+    /// Plaintext HTTP (from a metrics listener): raw request bytes in,
+    /// one HTTP/1.0 response out, then close.
+    Http { buf: FrameBuf, answered: bool },
+}
+
+impl Speaks {
+    fn buf(&self) -> &FrameBuf {
+        match self {
+            Speaks::Xsrp(machine) => machine.buf(),
+            Speaks::Http { buf, .. } => buf,
+        }
+    }
+
+    fn buf_mut(&mut self) -> &mut FrameBuf {
+        match self {
+            Speaks::Xsrp(machine) => machine.buf_mut(),
+            Speaks::Http { buf, .. } => buf,
+        }
+    }
 }
 
 struct Conn {
     io: Box<dyn ConnIo>,
     key: usize,
-    buf: FrameBuf,
-    phase: Phase,
-    tenant: Option<TenantBinding>,
-    pending: Option<Pending>,
-    /// Flush what is queued, then close (shed or protocol violation).
-    close_after_flush: bool,
-    opened: Instant,
-    /// HTTP scrape connection (from a metrics listener): raw request
-    /// bytes in, one HTTP/1.0 response out, then close.
-    http: bool,
+    speaks: Speaks,
 }
 
 impl Conn {
     /// Parked = progress depends on the engine, not the socket: stop
-    /// draining frames (backpressure) and let the park tick drive it.
+    /// reading (backpressure) and let the park tick drive it.
     fn is_parked(&self) -> bool {
-        matches!(
-            self.pending,
-            Some(Pending::Wait { .. })
-                | Some(Pending::Stream {
-                    awaiting_ack: false,
-                    ..
-                })
-        )
+        matches!(&self.speaks, Speaks::Xsrp(machine) if machine.is_parked())
+    }
+
+    /// Flush what is queued, then close; nothing more is read.
+    fn is_closing(&self) -> bool {
+        match &self.speaks {
+            Speaks::Xsrp(machine) => machine.is_closing(),
+            Speaks::Http { answered, .. } => *answered,
+        }
+    }
+
+    /// Still subject to the handshake deadline. A scrape gets that
+    /// window for its whole exchange: it bounds how long an idle or
+    /// slow-reading scraper may sit on a connection.
+    fn under_deadline(&self) -> bool {
+        match &self.speaks {
+            Speaks::Xsrp(machine) => machine.in_handshake(),
+            Speaks::Http { .. } => true,
+        }
+    }
+
+    /// Closing and fully flushed: nothing left to do but drop it.
+    fn is_finished(&self) -> bool {
+        self.is_closing() && !self.speaks.buf().has_pending_out()
     }
 
     fn interest(&self) -> Event {
         Event {
             key: self.key,
-            readable: !self.close_after_flush && !self.is_parked(),
-            writable: self.buf.has_pending_out(),
+            readable: !self.is_closing() && !self.is_parked(),
+            writable: self.speaks.buf().has_pending_out(),
         }
     }
 }
@@ -330,8 +395,11 @@ impl Reactor {
         let poller = self.poller.clone();
         let event_loop = EventLoop {
             engine: self.engine,
-            auth: self.auth,
-            admission: self.admission,
+            gate: Gate {
+                auth: self.auth,
+                admission: self.admission,
+                shed: shed.clone(),
+            },
             handshake_timeout: self.handshake_timeout,
             poller: self.poller,
             listeners: self.listeners,
@@ -341,7 +409,6 @@ impl Reactor {
             deadlines: VecDeque::new(),
             next_key: 0,
             accepted: accepted.clone(),
-            shed: shed.clone(),
             active: active.clone(),
         };
         let join = std::thread::Builder::new()
@@ -358,10 +425,93 @@ impl Reactor {
     }
 }
 
-struct EventLoop {
-    engine: Arc<Engine>,
+/// The reactor's [`Host`]: tenants come from the registry, admission
+/// limits shed with typed, counted answers, and "not finished yet" is
+/// answered at once — the connection parks and the loop asks again.
+struct Gate {
     auth: AuthRegistry,
     admission: Admission,
+    shed: Arc<CounterFamily>,
+}
+
+impl Gate {
+    /// Count one shed against `tenant`'s label (`0` = unauthenticated /
+    /// anonymous, matching the engine's untagged-submit convention).
+    fn shed_for(&self, tenant: Option<TenantId>) {
+        self.shed.with(&tenant.map_or(0, |t| t.0).to_string()).inc();
+    }
+
+    /// An admission refusal as it crosses the wire; capacity refusals
+    /// are counted against `tenant`.
+    fn refusal(&self, err: AdmissionError, tenant: Option<TenantId>) -> WireError {
+        match err {
+            AdmissionError::Overloaded { retry_after_ms } => {
+                self.shed_for(tenant);
+                WireError::Overloaded { retry_after_ms }
+            }
+            AdmissionError::Unauthorized(why) => WireError::Unauthorized(why),
+        }
+    }
+}
+
+impl Host for Gate {
+    fn hello(
+        &mut self,
+        token: &str,
+        bound: Option<TenantBinding>,
+    ) -> Result<TenantBinding, WireError> {
+        // Re-authentication releases the old binding first; a rejected
+        // token leaves the connection unauthenticated (and alive)
+        // either way.
+        if let Some(old) = bound {
+            self.admission.unbind_tenant(old.tenant);
+        }
+        let binding = self
+            .auth
+            .authenticate(token)
+            .ok_or_else(|| WireError::Unauthorized("unknown tenant token".to_owned()))?;
+        self.admission
+            .bind_tenant(binding.tenant)
+            .map_err(|e| self.refusal(e, Some(binding.tenant)))?;
+        Ok(binding)
+    }
+
+    fn admit_submit(
+        &mut self,
+        engine: &Engine,
+        tenant: Option<TenantBinding>,
+    ) -> Result<(), WireError> {
+        let tenant = tenant.map(|b| b.tenant);
+        self.admission
+            .admit_submit(tenant, engine)
+            .map_err(|e| self.refusal(e, tenant))
+    }
+
+    fn wait(
+        &mut self,
+        engine: &Engine,
+        session: SessionId,
+    ) -> Result<Option<SessionReport>, EngineError> {
+        engine.try_wait(session)
+    }
+
+    fn next_batch(
+        &mut self,
+        engine: &Engine,
+        session: SessionId,
+        cursor: u64,
+        window: u32,
+    ) -> Result<Option<SessionSnapshot>, EngineError> {
+        let snap = engine.poll_window(session, cursor, Some(window))?;
+        // Empty + still running = nothing to push yet.
+        let ready = !snap.events.is_empty() || snap.status != SessionStatus::Running;
+        Ok(ready.then_some(snap))
+    }
+}
+
+struct EventLoop {
+    engine: Arc<Engine>,
+    gate: Gate,
     handshake_timeout: Duration,
     poller: Arc<Poller>,
     listeners: Vec<ListenerSlot>,
@@ -376,16 +526,7 @@ struct EventLoop {
     deadlines: VecDeque<(usize, Instant)>,
     next_key: usize,
     accepted: Arc<Counter>,
-    shed: Arc<CounterFamily>,
     active: Arc<Gauge>,
-}
-
-impl EventLoop {
-    /// Count one shed against `tenant`'s label (`0` = unauthenticated /
-    /// anonymous, matching the engine's untagged-submit convention).
-    fn shed_for(&self, tenant: Option<TenantId>) {
-        self.shed.with(&tenant.map_or(0, |t| t.0).to_string()).inc();
-    }
 }
 
 impl EventLoop {
@@ -473,43 +614,34 @@ impl EventLoop {
         self.accepted.inc();
         let key = self.next_key;
         self.next_key += 1;
-        let mut conn = Conn {
-            io,
-            key,
-            buf: FrameBuf::new(),
-            phase: Phase::Handshake,
-            tenant: None,
-            pending: None,
-            close_after_flush: false,
-            opened: Instant::now(),
-            http,
-        };
-        if http {
-            // A scrape connection sends no preamble and is never shed;
-            // the handshake deadline below still bounds how long an
-            // idle scraper may sit on its request.
-            self.deadlines
-                .push_back((key, conn.opened + self.handshake_timeout));
-        } else {
-            // Our preamble goes out first in all cases — even a shed
-            // peer deserves a parseable, typed answer.
-            conn.buf.queue_preamble(PROTO_VERSION);
-            if self.admission.admit_connection(self.conns.len()).is_err() {
-                self.shed_for(None);
-                let retry_after_ms = self.admission.config().retry_after_ms;
-                let _ = conn
-                    .buf
-                    .queue(&Message::Error(WireError::Overloaded { retry_after_ms }));
-                conn.close_after_flush = true;
-            } else {
-                self.deadlines
-                    .push_back((key, conn.opened + self.handshake_timeout));
+        let speaks = if http {
+            // A scrape connection sends no preamble and is never shed.
+            Speaks::Http {
+                buf: FrameBuf::new(),
+                answered: false,
             }
+        } else {
+            // A fresh `Connection` has our preamble queued, so even a
+            // shed peer gets a parseable, typed answer.
+            let mut machine = Connection::new();
+            if self
+                .gate
+                .admission
+                .admit_connection(self.conns.len())
+                .is_err()
+            {
+                self.gate.shed_for(None);
+                let retry_after_ms = self.gate.admission.config().retry_after_ms;
+                let _ = machine.refuse(WireError::Overloaded { retry_after_ms });
+            }
+            Speaks::Xsrp(machine)
+        };
+        let mut conn = Conn { io, key, speaks };
+        if !conn.is_closing() {
+            self.deadlines
+                .push_back((key, Instant::now() + self.handshake_timeout));
         }
-        if !self.flush(&mut conn) {
-            return;
-        }
-        if conn.close_after_flush && !conn.buf.has_pending_out() {
+        if !self.flush(&mut conn) || conn.is_finished() {
             return;
         }
         if self
@@ -539,368 +671,49 @@ impl EventLoop {
     /// Advance one connection as far as its readiness allows. Returns
     /// `false` when the connection is finished (close it).
     fn drive(&mut self, conn: &mut Conn, readable: bool) -> bool {
-        if conn.buf.has_pending_out() && !self.flush(conn) {
+        if conn.speaks.buf().has_pending_out() && !self.flush(conn) {
             return false;
         }
-        if readable && !conn.close_after_flush {
-            match conn.buf.read_from(&mut *conn.io) {
+        if readable && !conn.is_closing() {
+            let Conn { io, speaks, .. } = &mut *conn;
+            match speaks.buf_mut().read_from(&mut **io) {
                 Ok(ReadOutcome::Open) => {}
-                // EOF or any transport failure: the peer is gone. The
-                // thread server treats these identically (a clean end of
-                // service), and so do we.
+                // EOF or any transport failure: the peer is gone — a
+                // clean end of service.
                 Ok(ReadOutcome::Eof) | Err(_) => return false,
             }
-            let served = if conn.http {
-                self.process_http(conn)
-            } else {
-                self.process_frames(conn)
-            };
-            if !served {
+            if !self.serve(conn) {
                 return false;
             }
         }
-        if !self.flush(conn) {
-            return false;
-        }
-        !conn.close_after_flush || conn.buf.has_pending_out()
+        self.flush(conn) && !conn.is_finished()
     }
 
-    /// Serve one plaintext HTTP request on a metrics connection: wait
-    /// for the blank line ending the headers, answer, close. Anything
-    /// unparseable or oversized closes without an answer.
-    fn process_http(&mut self, conn: &mut Conn) -> bool {
-        /// Longest request (line + headers) a scraper may send; beyond
-        /// this the connection is not a scrape, it is abuse.
-        const MAX_HTTP_REQUEST: usize = 8 << 10;
-        if conn.close_after_flush {
-            return true;
-        }
-        let bytes = conn.buf.peek_in();
-        let Some(end) = bytes.windows(4).position(|w| w == b"\r\n\r\n") else {
-            return bytes.len() <= MAX_HTTP_REQUEST;
-        };
-        let Some(head) = bytes.get(..end) else {
-            return false;
-        };
-        let Ok(head) = std::str::from_utf8(head) else {
-            return false;
-        };
-        let request_line = head.lines().next().unwrap_or("");
-        let mut parts = request_line.split_ascii_whitespace();
-        let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-        let response = if method != "GET" {
-            http_response("405 Method Not Allowed", "method not allowed\n")
-        } else {
-            match path {
-                "/metrics" => http_response("200 OK", &self.engine.obs().registry().render_text()),
-                "/healthz" => http_response("200 OK", "ok\n"),
-                _ => http_response("404 Not Found", "not found\n"),
+    /// Serve what the connection has buffered; `false` = unusable
+    /// (undecodable input, unframeable reply): close it.
+    fn serve(&mut self, conn: &mut Conn) -> bool {
+        let usable = match &mut conn.speaks {
+            Speaks::Xsrp(machine) => machine.advance(&self.engine, &mut self.gate).is_ok(),
+            Speaks::Http { buf, answered } => {
+                let served = serve_http(&self.engine, buf);
+                *answered = served == Some(true);
+                served.is_some()
             }
         };
-        conn.buf.consume_in(end + 4);
-        conn.buf.queue_raw(&response);
-        conn.close_after_flush = true;
-        true
+        if !usable {
+            // Replies earned by the valid frames ahead of the bad one
+            // still go out, as they would have had the frames arrived
+            // in separate reads.
+            let _ = self.flush(conn);
+        }
+        usable
     }
 
     /// Flush queued output; `false` = transport failure (close).
     /// `WouldBlock` is success — writable interest takes over.
     fn flush(&mut self, conn: &mut Conn) -> bool {
-        let Conn { buf, io, .. } = conn;
-        buf.write_to(&mut **io).is_ok()
-    }
-
-    /// Decode and serve every frame the buffer holds, stopping early if
-    /// the connection parks or turns terminal.
-    fn process_frames(&mut self, conn: &mut Conn) -> bool {
-        loop {
-            if conn.close_after_flush {
-                return true;
-            }
-            match conn.phase {
-                Phase::Handshake => match conn.buf.take_preamble() {
-                    Ok(None) => return true,
-                    Ok(Some(version)) => {
-                        if version != PROTO_VERSION {
-                            // The peer has our preamble and can report
-                            // the mismatch precisely; closing is the
-                            // whole answer (same policy as the thread
-                            // server).
-                            return false;
-                        }
-                        self.engine.obs().record(
-                            Stage::Handshake,
-                            NO_SESSION,
-                            conn.opened.elapsed().as_nanos() as u64,
-                            0,
-                        );
-                        conn.phase = Phase::Serving;
-                    }
-                    Err(_) => return false,
-                },
-                Phase::Serving => {
-                    if conn.is_parked() {
-                        // Backpressure: a parked connection stops
-                        // draining frames, exactly like the thread
-                        // server blocked inside wait/poll_wait.
-                        return true;
-                    }
-                    match conn.buf.next_frame() {
-                        Ok(None) => return true,
-                        Ok(Some(msg)) => {
-                            if !self.handle_message(conn, msg) {
-                                return false;
-                            }
-                        }
-                        Err(_) => return false,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Serve one decoded request. Returns `false` only on unqueueable
-    /// output (the connection is unusable).
-    fn handle_message(&mut self, conn: &mut Conn, msg: Message) -> bool {
-        // Inside a subscription window, `Ack` is the only legal frame.
-        if let Some(Pending::Stream {
-            awaiting_ack: true, ..
-        }) = conn.pending
-        {
-            match msg {
-                Message::Ack {
-                    cursor: acked,
-                    ctx: _,
-                } => {
-                    if let Some(Pending::Stream {
-                        cursor,
-                        awaiting_ack,
-                        ..
-                    }) = &mut conn.pending
-                    {
-                        *cursor = acked;
-                        *awaiting_ack = false;
-                    }
-                    return self.stream_progress(conn);
-                }
-                _ => {
-                    let ok = self.queue(
-                        conn,
-                        Message::Error(WireError::Malformed(
-                            "expected Ack during subscription".into(),
-                        )),
-                    );
-                    conn.close_after_flush = true;
-                    return ok;
-                }
-            }
-        }
-        // Clone the engine handle so the span's borrow doesn't pin
-        // `self` for the rest of the turn.
-        let engine = self.engine.clone();
-        let mut turn = engine.obs().span_flight(Stage::Turn, NO_SESSION);
-        match msg {
-            Message::Repos => {
-                let reply = Message::RepoList(self.engine.repos());
-                self.queue(conn, reply)
-            }
-            Message::Hello { token } => {
-                // Re-authentication releases the old binding first; a
-                // rejected token leaves the connection unauthenticated
-                // (and alive) either way.
-                if let Some(old) = conn.tenant.take() {
-                    self.admission.unbind_tenant(old.tenant);
-                }
-                let reply = match self.auth.authenticate(&token) {
-                    None => {
-                        Message::Error(WireError::Unauthorized("unknown tenant token".to_owned()))
-                    }
-                    Some(binding) => match self.admission.bind_tenant(binding.tenant) {
-                        Err(AdmissionError::Overloaded { retry_after_ms }) => {
-                            self.shed_for(Some(binding.tenant));
-                            Message::Error(WireError::Overloaded { retry_after_ms })
-                        }
-                        Err(AdmissionError::Unauthorized(why)) => {
-                            Message::Error(WireError::Unauthorized(why))
-                        }
-                        Ok(()) => {
-                            conn.tenant = Some(binding);
-                            Message::Welcome {
-                                tenant: binding.tenant.0,
-                                weight: binding.weight,
-                            }
-                        }
-                    },
-                };
-                self.queue(conn, reply)
-            }
-            Message::Submit { spec, ctx } => {
-                let admit_start = Instant::now();
-                let admitted = self
-                    .admission
-                    .admit_submit(conn.tenant.map(|b| b.tenant), &self.engine);
-                let admit_ns = admit_start.elapsed().as_nanos() as u64;
-                let reply = match admitted {
-                    Err(AdmissionError::Overloaded { retry_after_ms }) => {
-                        // key=1 marks a shed admission decision.
-                        self.engine
-                            .obs()
-                            .record(Stage::Admission, NO_SESSION, admit_ns, 1);
-                        self.shed_for(conn.tenant.map(|b| b.tenant));
-                        Message::Error(WireError::Overloaded { retry_after_ms })
-                    }
-                    Err(AdmissionError::Unauthorized(why)) => {
-                        self.engine
-                            .obs()
-                            .record(Stage::Admission, NO_SESSION, admit_ns, 1);
-                        Message::Error(WireError::Unauthorized(why))
-                    }
-                    Ok(()) => {
-                        // Unauthenticated connections run as the
-                        // anonymous tenant at base weight — still
-                        // tagged, so quota accounting sees them.
-                        let binding = conn.tenant.unwrap_or(TenantBinding {
-                            tenant: TenantId(0),
-                            weight: 1,
-                        });
-                        let mut span = self.engine.obs().span_flight(Stage::Submit, NO_SESSION);
-                        if let Some(ctx) = ctx {
-                            span.set_trace_context(ctx);
-                        }
-                        match self.engine.submit_tagged(spec, Some(binding)) {
-                            Ok(id) => {
-                                span.set_session(id.0);
-                                turn.set_session(id.0);
-                                // The admission decision happened before
-                                // the session existed; now that the id is
-                                // known, file it under the session so the
-                                // trace tree shows the admission cost.
-                                self.engine
-                                    .obs()
-                                    .record(Stage::Admission, id.0, admit_ns, 0);
-                                Message::Submitted(id)
-                            }
-                            Err(e) => {
-                                self.engine
-                                    .obs()
-                                    .record(Stage::Admission, NO_SESSION, admit_ns, 0);
-                                Message::Error(engine_error(e))
-                            }
-                        }
-                    }
-                };
-                self.queue(conn, reply)
-            }
-            Message::Poll {
-                session,
-                cursor,
-                window,
-                ctx,
-            } => {
-                turn.set_session(session.0);
-                let window = Some(window.unwrap_or(MAX_POLL_WINDOW).min(MAX_POLL_WINDOW));
-                let mut span = self.engine.obs().span_flight(Stage::Poll, session.0);
-                if let Some(ctx) = ctx {
-                    span.set_trace_context(ctx);
-                }
-                let reply = match self.engine.poll_window(session, cursor, window) {
-                    Ok(snap) => {
-                        span.set_key(snap.events.len() as u64);
-                        Message::Snapshot(snap)
-                    }
-                    Err(e) => Message::Error(engine_error(e)),
-                };
-                drop(span);
-                self.queue(conn, reply)
-            }
-            Message::CollectTrace { trace } => {
-                let reply = Message::TraceReply(self.engine.collect_trace(trace));
-                self.queue(conn, reply)
-            }
-            Message::Cancel { session } => {
-                turn.set_session(session.0);
-                let reply = match self.engine.cancel(session) {
-                    Ok(()) => Message::CancelOk,
-                    Err(e) => Message::Error(engine_error(e)),
-                };
-                self.queue(conn, reply)
-            }
-            Message::Wait { session } => {
-                turn.set_session(session.0);
-                match self.engine.try_wait(session) {
-                    Ok(Some(report)) => self.queue(conn, Message::Report(report)),
-                    Ok(None) => {
-                        conn.pending = Some(Pending::Wait { session });
-                        true
-                    }
-                    Err(e) => self.queue(conn, Message::Error(engine_error(e))),
-                }
-            }
-            Message::Forget { session } => {
-                turn.set_session(session.0);
-                let reply = match self.engine.forget(session) {
-                    Ok(report) => Message::Report(report),
-                    Err(e) => Message::Error(engine_error(e)),
-                };
-                self.queue(conn, reply)
-            }
-            Message::Stats { detail } => {
-                let stats = self.engine.service_stats();
-                let reply = if detail {
-                    let hists = self.engine.obs().registry().histograms();
-                    match check_snapshots(&hists) {
-                        Ok(()) => Message::StatsReply {
-                            stats,
-                            detail: Some(hists),
-                        },
-                        Err(err) => Message::Error(err),
-                    }
-                } else {
-                    Message::StatsReply {
-                        stats,
-                        detail: None,
-                    }
-                };
-                self.queue(conn, reply)
-            }
-            Message::Diagnostics => {
-                let diag = self.engine.diagnostics();
-                let reply = match check_snapshots(&diag.histograms) {
-                    Ok(()) => Message::DiagnosticsReply(diag),
-                    Err(err) => Message::Error(err),
-                };
-                self.queue(conn, reply)
-            }
-            Message::Subscribe {
-                session,
-                cursor,
-                window,
-            } => {
-                turn.set_session(session.0);
-                conn.pending = Some(Pending::Stream {
-                    session,
-                    cursor,
-                    window: window.clamp(1, MAX_POLL_WINDOW),
-                    awaiting_ack: false,
-                });
-                self.stream_progress(conn)
-            }
-            _ => {
-                // A response tag, or an Ack outside a subscription: the
-                // peer is confused; tell it and hang up rather than
-                // guess at its state (same policy as the thread server).
-                let ok = self.queue(
-                    conn,
-                    Message::Error(WireError::Malformed("expected a request".into())),
-                );
-                conn.close_after_flush = true;
-                ok
-            }
-        }
-    }
-
-    fn queue(&mut self, conn: &mut Conn, msg: Message) -> bool {
-        conn.buf.queue(&msg).is_ok()
+        let Conn { io, speaks, .. } = conn;
+        speaks.buf_mut().write_to(&mut **io).is_ok()
     }
 
     // ---- parked progress ----
@@ -915,80 +728,12 @@ impl EventLoop {
                 self.parked.remove(&key);
                 continue;
             };
-            let keep = self.progress(&mut conn)
-                // Unparking may have unblocked buffered frames.
-                && self.process_frames(&mut conn)
-                && self.flush(&mut conn)
-                && (!conn.close_after_flush || conn.buf.has_pending_out());
-            if keep {
+            // Asks the host again; an answer also unblocks whatever
+            // frames were buffered behind the parked request.
+            if self.serve(&mut conn) && self.flush(&mut conn) && !conn.is_finished() {
                 self.keep(conn);
             } else {
                 self.close(conn);
-            }
-        }
-    }
-
-    fn progress(&mut self, conn: &mut Conn) -> bool {
-        match conn.pending {
-            Some(Pending::Wait { session }) => match self.engine.try_wait(session) {
-                Ok(None) => true,
-                Ok(Some(report)) => {
-                    conn.pending = None;
-                    self.queue(conn, Message::Report(report))
-                }
-                Err(e) => {
-                    conn.pending = None;
-                    self.queue(conn, Message::Error(engine_error(e)))
-                }
-            },
-            Some(Pending::Stream {
-                awaiting_ack: false,
-                ..
-            }) => self.stream_progress(conn),
-            _ => true,
-        }
-    }
-
-    /// Try to push the next streamed batch. Mirrors the thread server's
-    /// subscription loop: empty + still running = stay parked; a short
-    /// batch from a finished session is terminal (no ack expected).
-    fn stream_progress(&mut self, conn: &mut Conn) -> bool {
-        let Some(Pending::Stream {
-            session,
-            cursor,
-            window,
-            awaiting_ack: false,
-        }) = conn.pending
-        else {
-            return true;
-        };
-        let start = Instant::now();
-        match self.engine.poll_window(session, cursor, Some(window)) {
-            Err(e) => {
-                conn.pending = None;
-                self.queue(conn, Message::Error(engine_error(e)))
-            }
-            Ok(snap) => {
-                if snap.events.is_empty() && snap.status == SessionStatus::Running {
-                    return true; // nothing yet; stay parked
-                }
-                // One recorded span per pushed batch, like the thread
-                // server — parked no-progress polls are not batches.
-                self.engine.obs().record(
-                    Stage::Stream,
-                    session.0,
-                    start.elapsed().as_nanos() as u64,
-                    snap.events.len() as u64,
-                );
-                let terminal =
-                    snap.status != SessionStatus::Running && (snap.events.len() as u32) < window;
-                let ok = self.queue(conn, Message::Snapshot(snap));
-                if terminal {
-                    conn.pending = None;
-                } else if let Some(Pending::Stream { awaiting_ack, .. }) = &mut conn.pending {
-                    *awaiting_ack = true;
-                }
-                ok
             }
         }
     }
@@ -1007,8 +752,10 @@ impl EventLoop {
 
     fn close(&mut self, conn: Conn) {
         let _ = self.poller.delete(&Fd(conn.io.raw_fd()));
-        if let Some(binding) = conn.tenant {
-            self.admission.unbind_tenant(binding.tenant);
+        if let Speaks::Xsrp(machine) = &conn.speaks {
+            if let Some(binding) = machine.tenant() {
+                self.gate.admission.unbind_tenant(binding.tenant);
+            }
         }
         self.parked.remove(&conn.key);
         self.active.set(self.conns.len() as u64);
@@ -1021,10 +768,7 @@ impl EventLoop {
                 break;
             }
             self.deadlines.pop_front();
-            let stalled = self
-                .conns
-                .get(&key)
-                .is_some_and(|c| matches!(c.phase, Phase::Handshake));
+            let stalled = self.conns.get(&key).is_some_and(Conn::under_deadline);
             if stalled {
                 // Re-looked-up rather than `expect`ed: a missing entry
                 // (however it came to be) is a no-op, not a panic that
@@ -1035,6 +779,36 @@ impl EventLoop {
             }
         }
     }
+}
+
+/// Serve one plaintext HTTP request on a metrics connection: wait for
+/// the blank line ending the headers, then queue the answer.
+/// `Some(answered)`; `None` = unparseable or oversized, close without
+/// an answer.
+fn serve_http(engine: &Engine, buf: &mut FrameBuf) -> Option<bool> {
+    /// Longest request (line + headers) a scraper may send; beyond
+    /// this the connection is not a scrape, it is abuse.
+    const MAX_HTTP_REQUEST: usize = 8 << 10;
+    let bytes = buf.peek_in();
+    let Some(end) = bytes.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return (bytes.len() <= MAX_HTTP_REQUEST).then_some(false);
+    };
+    let head = std::str::from_utf8(bytes.get(..end)?).ok()?;
+    let request_line = head.lines().next().unwrap_or("");
+    let mut parts = request_line.split_ascii_whitespace();
+    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let response = if method != "GET" {
+        http_response("405 Method Not Allowed", "method not allowed\n")
+    } else {
+        match path {
+            "/metrics" => http_response("200 OK", &engine.obs().registry().render_text()),
+            "/healthz" => http_response("200 OK", "ok\n"),
+            _ => http_response("404 Not Found", "not found\n"),
+        }
+    };
+    buf.consume_in(end + 4);
+    buf.queue_raw(&response);
+    Some(true)
 }
 
 /// Render a minimal HTTP/1.0 response — just enough HTTP for `curl`
@@ -1052,29 +826,32 @@ fn http_response(status: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Engine errors crossing the wire keep their exact meaning (mirror of
-/// the thread server's mapping).
-fn engine_error(e: EngineError) -> WireError {
-    match e {
-        EngineError::UnknownRepo(r) => WireError::UnknownRepo(r.0),
-        EngineError::UnknownSession(s) => WireError::UnknownSession(s.0),
-        EngineError::InvalidSpec(why) => WireError::InvalidSpec(why.to_string()),
-        EngineError::SessionRunning(s) => WireError::SessionRunning(s.0),
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Refuse oversized histogram snapshots rather than truncate them —
-/// same policy as the thread server.
-fn check_snapshots(hists: &[(String, HistSnapshot)]) -> Result<(), WireError> {
-    for (name, snap) in hists {
-        let len = snap.encode().len() as u32;
-        if len > MAX_SNAPSHOT_LEN {
-            return Err(WireError::SnapshotTooLarge {
-                name: name.clone(),
-                len,
-                max: MAX_SNAPSHOT_LEN,
-            });
-        }
+    #[test]
+    fn accept_retry_gives_up_after_consecutive_failures() {
+        let mut retry = AcceptRetry::new(3);
+        assert!(retry.on_error());
+        assert!(retry.on_error());
+        assert!(!retry.on_error());
     }
-    Ok(())
+
+    #[test]
+    fn accept_retry_resets_on_successful_accept() {
+        // Regression guard: errors spread over the listener's lifetime
+        // must never accumulate into a shutdown — only *consecutive*
+        // failures spend the budget.
+        let mut retry = AcceptRetry::new(3);
+        for _ in 0..1000 {
+            assert!(retry.on_error());
+            assert!(retry.on_error());
+            retry.on_success();
+            assert_eq!(retry.consecutive, 0);
+        }
+        let mut degenerate = AcceptRetry::new(0);
+        assert!(!degenerate.on_error(), "limit is floored at one failure");
+        assert_eq!(AcceptRetry::default().limit, AcceptRetry::DEFAULT_LIMIT);
+    }
 }

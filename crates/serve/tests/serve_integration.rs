@@ -1,5 +1,5 @@
 //! End-to-end tests of the reactor over real sockets: trace
-//! bit-identity against the thread server and the in-process engine,
+//! bit-identity against the blocking pump and the in-process engine,
 //! typed admission rejections on surviving connections, retry-after
 //! honored by the retrying client, tier-weighted scheduling, and clean
 //! version rejection in both directions.
@@ -346,8 +346,9 @@ fn connection_cap_sheds_with_a_parseable_typed_answer() {
 
 #[test]
 fn version_mismatch_rejects_cleanly_in_both_directions() {
-    // Old client (v5) against the v6 reactor: the server announces v6
-    // and hangs up; no frame is ever parsed under version skew.
+    // A client one version behind (`PROTO_VERSION - 1`) against the
+    // reactor: the server announces `PROTO_VERSION` and hangs up; no
+    // frame is ever parsed under version skew.
     let eng = engine(2);
     let (addr, _handle) = serve_tcp(&eng, ServeConfig::default());
     let raw = TcpStream::connect(addr).expect("tcp connect");
@@ -359,8 +360,9 @@ fn version_mismatch_rejects_cleanly_in_both_directions() {
     let err = old_client.recv().expect_err("server hangs up");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 
-    // v6 client against an old (v5) server: typed rejection from
-    // connect_tcp, naming both versions.
+    // A current client against a server one version behind
+    // (`PROTO_VERSION - 1`): typed rejection from connect_tcp, naming
+    // both versions.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let old_addr = listener.local_addr().expect("addr");
     let old_server = std::thread::spawn(move || {

@@ -22,9 +22,10 @@ fn main() {
     use exsample::core::driver::StopCond;
     use exsample::detect::NoiseModel;
     use exsample::engine::{dataset_fingerprint, Engine, EngineConfig, QuerySpec, SearchService};
-    use exsample::proto::{RemoteClient, SearchServer};
+    use exsample::proto::RemoteClient;
+    use exsample::serve::{Reactor, ServeConfig};
     use exsample::videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
-    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::os::unix::net::UnixStream;
     use std::sync::Arc;
 
     // Four repositories of distinct footage: rare objects clustered in
@@ -49,10 +50,11 @@ fn main() {
     let local_a = Arc::new(Engine::new(EngineConfig::default()));
     let local_b = Arc::new(Engine::new(EngineConfig::default()));
     let remote_engine = Arc::new(Engine::new(EngineConfig::default()));
-    let server = Arc::new(SearchServer::new(remote_engine.clone()));
     let socket = std::env::temp_dir().join(format!("exsample-cluster-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    server.serve_unix(UnixListener::bind(&socket).expect("bind unix socket"));
+    let mut reactor = Reactor::new(remote_engine.clone(), ServeConfig::default()).expect("poller");
+    reactor.listen_unix(&socket).expect("bind unix socket");
+    let _server = reactor.spawn().expect("spawn reactor");
     let remote = Arc::new(
         RemoteClient::connect(UnixStream::connect(&socket).expect("connect"))
             .expect("protocol handshake"),

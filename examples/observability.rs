@@ -24,9 +24,10 @@ fn main() {
     use exsample::detect::NoiseModel;
     use exsample::engine::{Engine, EngineConfig, QuerySpec, SearchService};
     use exsample::obs::NO_SESSION;
-    use exsample::proto::{RemoteClient, SearchServer};
+    use exsample::proto::RemoteClient;
+    use exsample::serve::{Reactor, ServeConfig};
     use exsample::videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
-    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::os::unix::net::UnixStream;
     use std::sync::Arc;
 
     // An instrumented engine (`observe` is on by default); a small
@@ -71,10 +72,11 @@ fn main() {
     print!("{}", engine.obs().flight().render());
 
     // ---- the same surface over the wire (protocol v5) ----
-    let server = Arc::new(SearchServer::new(engine.clone()));
     let socket = std::env::temp_dir().join(format!("exsample-obs-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    server.serve_unix(UnixListener::bind(&socket).expect("bind unix socket"));
+    let mut reactor = Reactor::new(engine.clone(), ServeConfig::default()).expect("poller");
+    reactor.listen_unix(&socket).expect("bind unix socket");
+    let _server = reactor.spawn().expect("spawn reactor");
     let client = RemoteClient::connect(UnixStream::connect(&socket).expect("connect"))
         .expect("protocol handshake");
     println!("\n== remote diagnostics over {} ==", socket.display());

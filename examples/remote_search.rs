@@ -1,6 +1,6 @@
-//! The engine as a network service: a `SearchServer` on a Unix-domain
-//! socket, queried by a `RemoteClient` that never touches the engine
-//! in-process.
+//! The engine as a network service: a `Reactor` listening on a
+//! Unix-domain socket, queried by a `RemoteClient` that never touches
+//! the engine in-process.
 //!
 //! The client discovers the repository through the service catalog (by
 //! *name*, not registration order), submits a query, and streams result
@@ -21,9 +21,10 @@ fn main() {
     use exsample::core::driver::StopCond;
     use exsample::detect::NoiseModel;
     use exsample::engine::{Engine, EngineConfig, QuerySpec, SearchService};
-    use exsample::proto::{RemoteClient, SearchServer};
+    use exsample::proto::RemoteClient;
+    use exsample::serve::{Reactor, ServeConfig};
     use exsample::videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
-    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::os::unix::net::UnixStream;
     use std::sync::Arc;
 
     // One shared repository: rare objects clustered in a hot region.
@@ -38,11 +39,11 @@ fn main() {
     // ---- server side ----
     let engine = Arc::new(Engine::new(EngineConfig::default()));
     engine.register_repo("city-cam", gt, NoiseModel::none(), 7);
-    let server = Arc::new(SearchServer::new(engine.clone()));
     let socket = std::env::temp_dir().join(format!("exsample-remote-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    let listener = UnixListener::bind(&socket).expect("bind unix socket");
-    server.serve_unix(listener);
+    let mut reactor = Reactor::new(engine.clone(), ServeConfig::default()).expect("poller");
+    reactor.listen_unix(&socket).expect("bind unix socket");
+    let _server = reactor.spawn().expect("spawn reactor");
     println!("server listening on {}", socket.display());
 
     // ---- client side (wire protocol only from here on) ----
