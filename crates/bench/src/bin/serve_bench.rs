@@ -10,6 +10,16 @@
 //! at once. Submit and poll round-trip latencies are recorded
 //! per-request and reported as p50/p99.
 //!
+//! Then the **parked phase**: with the whole fleet still connected, one
+//! long-running anchor session is submitted and every connection
+//! subscribes to it from past the end of its log — where only its
+//! finalization is a batch — so all of them are parked inside the
+//! reactor at once.
+//! The reactor thread's CPU time over a quiet window is reported — what
+//! parked connections cost while nothing they wait for moves — and the
+//! anchor is cancelled, which must resume every connection with the
+//! stream's terminal batch.
+//!
 //! The reactor runs in a *child process* (`--server`, spawned
 //! automatically): 10k connections are 10k fds on each side, and a
 //! single process holding both ends would need ~20k — right at a
@@ -17,8 +27,8 @@
 //! process comfortable headroom and mirrors a real deployment, where
 //! client and server never share an fd table. The parent reads the
 //! bound address from the child's stdout and requests server counters
-//! (accepted / shed / active / resident) over its stdin at the end,
-//! while every connection is still open.
+//! (accepted / shed / active / resident, and the reactor thread's CPU
+//! time) over its stdin, while every connection is still open.
 //!
 //! `--smoke` runs a small fleet, gates on zero sheds, zero client
 //! errors, and every session completing (CI), and only prints — the
@@ -34,7 +44,7 @@ use exsample_engine::{
     Diagnostics, Engine, EngineConfig, QuerySpec, RepoId, SearchService, SessionId, SessionStatus,
 };
 use exsample_proto::framebuf::{FrameBuf, ReadOutcome};
-use exsample_proto::{decode_message, encode_message, Message, PROTO_VERSION};
+use exsample_proto::{decode_message, encode_message, Message, RemoteClient, PROTO_VERSION};
 use exsample_serve::{AdmissionConfig, Reactor, ServeConfig};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
 use polling::{Event, Events, Poller, NOTIFY_KEY};
@@ -67,6 +77,9 @@ struct Config {
     instances: usize,
     samples_per_session: u64,
     deadline: Duration,
+    /// How long the fleet sits parked while the reactor thread's CPU
+    /// time is read.
+    parked_window: Duration,
 }
 
 impl Config {
@@ -89,6 +102,7 @@ impl Config {
             } else {
                 Duration::from_secs(480)
             },
+            parked_window: Duration::from_millis(if smoke { 300 } else { 1_000 }),
         }
     }
 }
@@ -227,6 +241,18 @@ impl ServerProc {
         }
     }
 
+    /// CPU time the reactor thread has used so far, in nanoseconds.
+    fn reactor_cpu_ns(&mut self) -> u64 {
+        writeln!(self.stdin, "CPU").expect("server stdin");
+        self.stdin.flush().expect("server stdin flush");
+        let mut line = String::new();
+        self.stdout.read_line(&mut line).expect("server cpu line");
+        line.trim()
+            .strip_prefix("CPU ")
+            .and_then(|ns| ns.parse().ok())
+            .expect("CPU line from server")
+    }
+
     fn shutdown(self) {
         // Closing stdin is the shutdown signal; the child exits on EOF.
         drop(self.stdin);
@@ -247,6 +273,29 @@ fn hex_decode(hex: &str) -> Option<Vec<u8>> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
         .collect()
+}
+
+/// On-CPU nanoseconds of this process's reactor thread, found by its
+/// name among `/proc/self/task/*` (the kernel keeps the first 15 bytes:
+/// `exsample-serve-`). `schedstat`'s first field is the scheduler's own
+/// nanosecond count; without it, `stat`'s utime + stime ticks (fields 14
+/// and 15, 100 Hz) are the fallback.
+fn reactor_thread_cpu_ns() -> Option<u64> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let task = tasks.flatten().map(|t| t.path()).find(|t| {
+        std::fs::read_to_string(t.join("comm")).is_ok_and(|c| c.starts_with("exsample-serve-"))
+    })?;
+    if let Ok(sched) = std::fs::read_to_string(task.join("schedstat")) {
+        if let Some(ns) = sched.split_whitespace().next().and_then(|f| f.parse().ok()) {
+            return Some(ns);
+        }
+    }
+    let stat = std::fs::read_to_string(task.join("stat")).ok()?;
+    // The command name may hold spaces; fields resume after its `)`.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) * 10_000_000)
 }
 
 /// `--server` mode: build the engine + reactor, print the bound
@@ -296,16 +345,14 @@ fn run_server(cfg: &Config) -> ! {
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
-        match line.trim() {
+        let reply = match line.trim() {
             "STATS" => {
                 let s = handle.stats();
                 let resident = engine.stats().map(|e| e.live_sessions).unwrap_or_default();
-                println!(
+                format!(
                     "STATS accepted={} shed={} active={} resident={resident}",
                     s.accepted, s.shed, s.connections_active
-                );
-                // lint: allow(lock_blocking, single-threaded control loop; stdin lock is held for the process lifetime by design)
-                std::io::stdout().flush().expect("stdout");
+                )
             }
             "DIAG" => {
                 let mut payload = Vec::new();
@@ -313,13 +360,15 @@ fn run_server(cfg: &Config) -> ! {
                     &Message::DiagnosticsReply(engine.diagnostics()),
                     &mut payload,
                 );
-                println!("DIAG {}", hex_encode(&payload));
-                // lint: allow(lock_blocking, single-threaded control loop; stdin lock is held for the process lifetime by design)
-                std::io::stdout().flush().expect("stdout");
+                format!("DIAG {}", hex_encode(&payload))
             }
+            "CPU" => format!("CPU {}", reactor_thread_cpu_ns().unwrap_or(0)),
             "EXIT" => break,
-            _ => {}
-        }
+            _ => continue,
+        };
+        println!("{reply}");
+        // lint: allow(lock_blocking, single-threaded control loop; stdin lock is held for the process lifetime by design)
+        std::io::stdout().flush().expect("stdout");
     }
     std::process::exit(0);
 }
@@ -568,8 +617,8 @@ fn main() {
     let diag = server.diagnostics();
     let resident = stats.resident;
     peak_connections = peak_connections.max(stats.active);
-    drop(finished);
     drop(conns);
+    let parked = parked_phase(&mut server, &cfg, finished);
 
     // Server-side view of the same load: accept batches and full
     // request turns, as measured inside the reactor.
@@ -626,6 +675,14 @@ fn main() {
         turn50 as f64 / 1e6,
         turn99 as f64 / 1e6
     );
+    println!(
+        "| reactor thread CPU, {} connections parked for {:.2} s | {:.4} s |",
+        parked.connections, parked.window_s, parked.reactor_cpu_s
+    );
+    println!(
+        "| parked connections resumed by one completion | {} / {} in {:.1} ms |",
+        parked.resumed, parked.connections, parked.resume_all_ms
+    );
 
     // A smoke run only prints: the checked-in file is the headline
     // tier's record.
@@ -650,7 +707,9 @@ fn main() {
                 "  \"submit\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {} }},\n",
                 "  \"poll\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {} }},\n",
                 "  \"server\": {{ \"accept_p50_ns\": {}, \"accept_p99_ns\": {}, ",
-                "\"turn_p50_ns\": {}, \"turn_p99_ns\": {} }}\n",
+                "\"turn_p50_ns\": {}, \"turn_p99_ns\": {} }},\n",
+                "  \"parked\": {{ \"connections\": {}, \"window_s\": {:.3}, ",
+                "\"reactor_cpu_s\": {:.6}, \"resumed\": {}, \"resume_all_ms\": {:.3} }}\n",
                 "}}\n",
             ),
             cfg.sessions,
@@ -671,6 +730,11 @@ fn main() {
             accept99,
             turn50,
             turn99,
+            parked.connections,
+            parked.window_s,
+            parked.reactor_cpu_s,
+            parked.resumed,
+            parked.resume_all_ms,
         );
         std::fs::write(&out, json).expect("write BENCH_serve.json");
         eprintln!("wrote {}", out.display());
@@ -681,7 +745,8 @@ fn main() {
         let ok = stats.shed == 0
             && tally.client_sheds == 0
             && tally.errors == 0
-            && tally.completed == cfg.sessions;
+            && tally.completed == cfg.sessions
+            && parked.resumed == parked.connections;
         if ok {
             println!(
                 "\nSMOKE OK: {} sessions, zero sheds, zero errors",
@@ -689,11 +754,92 @@ fn main() {
             );
         } else {
             println!(
-                "\nSMOKE FAILED: completed {} of {}, sheds {}+{}, errors {}",
-                tally.completed, cfg.sessions, stats.shed, tally.client_sheds, tally.errors
+                "\nSMOKE FAILED: completed {} of {}, sheds {}+{}, errors {}, resumed {} of {} parked",
+                tally.completed,
+                cfg.sessions,
+                stats.shed,
+                tally.client_sheds,
+                tally.errors,
+                parked.resumed,
+                parked.connections
             );
             std::process::exit(1);
         }
+    }
+}
+
+/// What the parked phase measured.
+struct Parked {
+    connections: usize,
+    window_s: f64,
+    reactor_cpu_s: f64,
+    resumed: usize,
+    resume_all_ms: f64,
+}
+
+/// Park the whole fleet on one long-running session, read the reactor
+/// thread's CPU time over a quiet window, then finish the session and
+/// count the connections its completion resumes.
+fn parked_phase(server: &mut ServerProc, cfg: &Config, mut fleet: Vec<Conn>) -> Parked {
+    let control = RemoteClient::connect_tcp(server.addr).expect("control connection");
+    // 4096 chunks make every Thompson draw a few tens of microseconds:
+    // sweeping the repository takes this session many times the window,
+    // and nothing but cancellation ends it sooner.
+    let anchor = control
+        .submit(
+            QuerySpec::new(server.repo, ClassId(0), StopCond::results(u64::MAX))
+                .chunks(4096)
+                .seed(u64::MAX),
+        )
+        .expect("submit the anchor session");
+    for conn in &mut fleet {
+        conn.sock.set_nonblocking(false).expect("blocking socket");
+        // A terminal snapshot is a few dozen bytes; a `Wait` would be
+        // answered with the anchor's 4096-chunk report, 10,000 times.
+        let park = Message::Subscribe {
+            session: anchor,
+            cursor: u64::MAX,
+            window: 1,
+        };
+        conn.buf.queue(&park).expect("subscribe frames");
+        conn.buf.write_to(&mut conn.sock).expect("send Subscribe");
+    }
+    // The parks were written before this request, and the reactor serves
+    // readiness in arrival order: once it is answered they are parked.
+    control.stats().expect("stats round trip");
+    std::thread::sleep(Duration::from_millis(100));
+
+    let cpu0 = server.reactor_cpu_ns();
+    std::thread::sleep(cfg.parked_window);
+    let cpu1 = server.reactor_cpu_ns();
+    let still = control
+        .poll(anchor, u64::MAX, Some(1))
+        .expect("poll anchor");
+    assert_eq!(
+        still.status,
+        SessionStatus::Running,
+        "the anchor session ended inside the parked window"
+    );
+
+    let t0 = Instant::now();
+    control.cancel(anchor).expect("cancel the anchor");
+    let mut resumed = 0;
+    for conn in &mut fleet {
+        let answered = loop {
+            match conn.buf.next_frame() {
+                Ok(Some(Message::Snapshot(end))) => break end.status == SessionStatus::Cancelled,
+                Ok(None) if matches!(conn.buf.fill_from(&mut conn.sock), Ok(n) if n > 0) => {}
+                _ => break false,
+            }
+        };
+        resumed += usize::from(answered);
+    }
+    Parked {
+        connections: fleet.len(),
+        window_s: cfg.parked_window.as_secs_f64(),
+        reactor_cpu_s: cpu1.saturating_sub(cpu0) as f64 / 1e9,
+        resumed,
+        resume_all_ms: t0.elapsed().as_secs_f64() * 1e3,
     }
 }
 

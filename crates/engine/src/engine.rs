@@ -4,25 +4,44 @@
 //!
 //! ```text
 //!  submit ──▶ ┌───────────────────────────────┐
-//!  poll   ──▶ │ EngineState (one mutex)       │   work_cv / done_cv
-//!  cancel ──▶ │  sessions: SessionId -> Slot  │◀──────────────┐
-//!  wait   ──▶ │  scheduler: weighted fair     │               │
-//!             └──────────────┬────────────────┘               │
-//!                            │ lease (session checked out)    │
-//!                 ┌──────────▼──────────┐                     │
-//!                 │ worker thread pool  │── step quantum ─────┘
-//!                 └──────────┬──────────┘
-//!                            │ miss: decode + detect
-//!                 ┌──────────▼──────────┐
-//!                 │ FrameCache (sharded)│  hit: free, shared
-//!                 └─────────────────────┘
+//!  cancel ──▶ │ EngineState (state mutex)     │   work_cv: parks idle
+//!  forget ──▶ │  sessions: SessionId -> Slot ─┼─┐ workers, notified only
+//!             │  scheduler: weighted fair     │ │ when one is parked
+//!             │  tenant ledger, reap queue    │ │
+//!             └──────────────┬────────────────┘ │ id -> cell: one lookup
+//!                            │ lease / release  │
+//!                 ┌──────────▼──────────┐       │
+//!                 │ worker thread pool  │       ▼
+//!                 └───┬──────────────┬──┘  ┌──────────────────────────┐
+//!      miss: decode + │      publish │     │ SessionCell (per session)│
+//!      detect         │      quantum └────▶│  progress: small mutex   │◀── poll
+//!                 ┌───▼─────────────────┐  │   events, status, ledger,│◀── poll_wait
+//!                 │ FrameCache (sharded)│  │   final report, watchers │◀── wait
+//!                 └─────────────────────┘  │  wake: own condvar       │
+//!                  hit: free, shared       └───────────┬──────────────┘
+//!                                                      │ one-shot watch fires
+//!                                          ┌───────────▼──────────────┐
+//!                                          │ CompletionQueue (MPSC)   │──▶ server's
+//!                                          │  tokens; wake hook fires │    poller
+//!                                          │  on empty -> non-empty   │    notify
+//!                                          └──────────────────────────┘
 //! ```
 //!
 //! A worker leases the runnable session with the smallest virtual time,
 //! *takes the session core out of the slot* (so the state mutex is not
 //! held while frames are processed), steps it for up to a quantum of
-//! frames, then puts it back and charges the scheduler what the quantum
-//! actually cost. Stepping proceeds in detector *batches* (§III-F,
+//! frames, publishes what the quantum produced into the session's own
+//! [progress cell](crate::session) — outside the state mutex, waking only
+//! callers parked on *that* session and completion queues watching it —
+//! then puts the core back and charges the scheduler what the quantum
+//! actually cost. (The one quantum that finishes a session publishes its
+//! final report under the state mutex instead, right after the engine's
+//! books for the session close, so that a woken `wait` finds both done.)
+//! Clients resolve a session id to its cell with one short
+//! table lookup and read progress under the cell's lock alone; the state
+//! mutex guards the scheduler, the session table, the tenant ledger and
+//! the reap queue, nothing a poll needs. Lock order is state → cell,
+//! never the reverse. Stepping proceeds in detector *batches* (§III-F,
 //! [`EngineConfig::batch`] / `QuerySpec::batch`): each batch is drawn
 //! from the sampler with no intermediate feedback, its cache misses are
 //! resolved by a single detector dispatch issued outside the cache shard
@@ -47,14 +66,15 @@
 //! frame first — those stops are fair but not bit-reproducible.
 
 use crate::cache::{CacheStats, CachedDetections, FrameCache, Lookup, MissGuard};
-use crate::obs::EngineObs;
+use crate::obs::{elapsed_ns, EngineObs};
 use crate::scheduler::Scheduler;
 use crate::service::{
     Diagnostics, RepoInfo, SearchService, ServiceError, ServiceStats, SubmitError,
 };
 use crate::session::{
-    DiscriminatorKind, QuerySpec, RepoId, ResultEvent, SessionCharges, SessionId, SessionReport,
-    SessionSnapshot, SessionStatus, TenantBinding, TenantId,
+    CompletionQueue, DiscriminatorKind, Finished, Progress, Quantum, QuerySpec, RepoId,
+    ResultEvent, SessionCell, SessionId, SessionReport, SessionSnapshot, SessionStatus,
+    TenantBinding, TenantId, Watch,
 };
 use crate::threads::default_threads;
 use exsample_colstore::{ColumnarStore, OpenError};
@@ -77,7 +97,7 @@ use exsample_store::{Container, ContainerWriter, CostModel, DecodeStats};
 use exsample_videosim::GroundTruth;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -301,29 +321,27 @@ struct SessionCore {
     class_dets: Vec<Detection>,
     /// Reusable visible-instance scratch for cache-miss detection runs.
     gt_scratch: Vec<exsample_videosim::InstanceId>,
+    /// Reusable per-batch buffers of [`step_quantum`] / [`resolve_batch`]
+    /// (cleared, never dropped, between batches): the drawn frames, their
+    /// resolutions, and the missed frames with their io seconds.
+    drawn: Vec<u64>,
+    resolved: Vec<Option<ResolvedFrame>>,
+    miss_frames: Vec<u64>,
+    miss_io: Vec<f64>,
+    /// What the quantum in flight produced, until it is published.
+    quantum: Quantum,
     /// Effective detector batch size (spec override or engine default).
     batch: usize,
+    /// The session's progress cell (also reachable through its slot).
+    cell: Arc<SessionCell>,
 }
 
 /// Slot holding a session inside the engine state.
 struct Slot {
     /// `Some` while the session still runs; taken by the leasing worker.
     core: Option<Box<SessionCore>>,
-    status: SessionStatus,
-    cancel: Arc<AtomicBool>,
-    events: Vec<ResultEvent>,
-    charges: SessionCharges,
-    found: u64,
-    samples: u64,
-    /// Final trace, set at completion/cancellation.
-    trace: Option<exsample_core::driver::SearchTrace>,
-    /// Final belief statistics, set alongside `trace`.
-    chunk_stats: Vec<ChunkStats>,
-    /// Position in the engine-wide finish order, set at finalization.
-    finish_order: u64,
-    /// Last client touch (submit/poll/wait); drives TTL-based reaping of
-    /// finished sessions when [`EngineConfig::session_ttl`] is set.
-    last_access: Instant,
+    /// Everything a client observes of the session.
+    cell: Arc<SessionCell>,
     /// Owning tenant when the session came through an authenticated
     /// serving layer ([`Engine::submit_tagged`]); `None` for in-process
     /// and anonymous submissions.
@@ -338,11 +356,10 @@ struct EngineState {
     /// Next id for catalog-less allocation (kept past the durable
     /// catalog's assignments when persistence is on).
     next_repo: u32,
-    /// `poll_wait` callers currently parked on `done_cv`. Workers notify
-    /// per event batch only when this is nonzero, so plain `wait()`
-    /// callers are not stampeded on every quantum of a streaming-free
-    /// engine.
-    stream_waiters: usize,
+    /// Workers parked on `work_cv`. `notify_*` on a futex condvar is a
+    /// syscall whether or not anyone waits, so releases and submits
+    /// notify only when this is nonzero.
+    idle_workers: usize,
     sessions: FxHashMap<SessionId, Slot>,
     scheduler: Scheduler,
     next_session: u64,
@@ -364,8 +381,6 @@ struct Shared {
     state: Mutex<EngineState>,
     /// Wakes workers when sessions become runnable (submit / release).
     work_cv: Condvar,
-    /// Wakes `wait()` callers when any session finishes.
-    done_cv: Condvar,
     cache: FrameCache,
     config: EngineConfig,
     persist: Option<PersistShared>,
@@ -519,7 +534,7 @@ impl Engine {
                 repos: FxHashMap::default(),
                 repo_ids: FxHashMap::default(),
                 next_repo: 0,
-                stream_waiters: 0,
+                idle_workers: 0,
                 sessions: FxHashMap::default(),
                 scheduler: Scheduler::new(),
                 next_session: 0,
@@ -528,7 +543,6 @@ impl Engine {
                 reap_queue: VecDeque::new(),
             }),
             work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
             cache,
             config,
             persist,
@@ -760,6 +774,7 @@ impl Engine {
                 Box::new(TrackerDiscriminator::new(repo.gt.clone(), seed))
             }
         };
+        let cell = SessionCell::new();
         let core = Box::new(SessionCore {
             repo_id: spec.repo,
             class: spec.class,
@@ -771,7 +786,13 @@ impl Engine {
             repo,
             class_dets: Vec::new(),
             gt_scratch: Vec::new(),
+            drawn: Vec::new(),
+            resolved: Vec::new(),
+            miss_frames: Vec::new(),
+            miss_io: Vec::new(),
+            quantum: Quantum::default(),
             batch: spec.batch.unwrap_or(self.shared.config.batch).max(1) as usize,
+            cell: cell.clone(),
         });
         let id = SessionId(state.next_session);
         state.next_session += 1;
@@ -779,16 +800,7 @@ impl Engine {
             id,
             Slot {
                 core: Some(core),
-                status: SessionStatus::Running,
-                cancel: Arc::new(AtomicBool::new(false)),
-                events: Vec::new(),
-                charges: SessionCharges::default(),
-                found: 0,
-                samples: 0,
-                trace: None,
-                chunk_stats: Vec::new(),
-                finish_order: 0,
-                last_access: Instant::now(),
+                cell,
                 tenant: binding.map(|b| b.tenant),
             },
         );
@@ -800,6 +812,7 @@ impl Engine {
             None => spec.weight,
         };
         state.scheduler.register(id, weight);
+        let wake_worker = state.idle_workers > 0;
         drop(state);
         if self.shared.obs.enabled() {
             self.shared.obs.sessions_submitted_total.inc();
@@ -815,12 +828,12 @@ impl Engine {
                 .sessions_active
                 .with(&tenant.to_string())
                 .add(1);
-            let submit_ns = submit_start
-                .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
+            let submit_ns = submit_start.map_or(0, elapsed_ns);
             self.shared.obs.trace_submit(id.0, submit_ns);
         }
-        self.shared.work_cv.notify_all();
+        if wake_worker {
+            self.shared.work_cv.notify_all();
+        }
         Ok(id)
     }
 
@@ -842,45 +855,35 @@ impl Engine {
         cursor: u64,
         window: Option<u32>,
     ) -> Result<SessionSnapshot, EngineError> {
-        let mut state = self.lock_state();
-        let slot = state
-            .sessions
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownSession(id))?;
-        slot.last_access = Instant::now();
-        Ok(snapshot_slot(slot, cursor, window))
+        let cell = self.cell(id)?;
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        self.touch(&mut progress);
+        Ok(progress.snapshot(cursor, window))
     }
 
     /// Blocking poll: parks until the session has result events past
     /// `cursor` *or* has finished, then snapshots like
     /// [`Engine::poll_window`]. This is what a streaming server loop
-    /// uses — no busy-polling between result batches.
+    /// uses — no busy-polling between result batches. The caller parks on
+    /// the session's own cell: only this session's progress wakes it.
     pub fn poll_wait(
         &self,
         id: SessionId,
         cursor: u64,
         window: Option<u32>,
     ) -> Result<SessionSnapshot, EngineError> {
-        let mut state = self.lock_state();
-        loop {
-            let slot = state
-                .sessions
-                .get_mut(&id)
-                .ok_or(EngineError::UnknownSession(id))?;
-            slot.last_access = Instant::now();
-            if slot.trace.is_some() || (slot.events.len() as u64) > cursor {
-                return Ok(snapshot_slot(slot, cursor, window));
-            }
-            // Registered under the same lock the worker checks before its
-            // per-batch notify, so a wakeup can never be missed.
-            state.stream_waiters += 1;
-            state = self
-                .shared
-                .done_cv
-                .wait(state)
-                .expect("engine state poisoned");
-            state.stream_waiters -= 1;
+        let cell = self.cell(id)?;
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        // Counted under the same lock the worker publishes under, so a
+        // wakeup can never be missed.
+        while !progress.has_batch(cursor) {
+            progress.parked_streams += 1;
+            progress = cell.wake.wait(progress).expect("session cell poisoned");
+            progress.parked_streams -= 1;
+            self.shared.obs.wake_serviced(progress.woke_at);
         }
+        self.touch(&mut progress);
+        Ok(progress.snapshot(cursor, window))
     }
 
     /// Request cancellation. Takes effect at the session's next frame
@@ -893,61 +896,101 @@ impl Engine {
             .sessions
             .get(&id)
             .ok_or(EngineError::UnknownSession(id))?;
-        slot.cancel.store(true, Ordering::Relaxed);
+        slot.cell.cancel.store(true, Ordering::Relaxed);
+        // A running session is leased (its worker reads the flag at the
+        // next batch) or runnable (a worker pass finalizes it); only an
+        // idle pool needs the nudge.
+        let wake_worker = state.idle_workers > 0;
         drop(state);
-        // A worker pass finalizes the cancellation even if the session is
-        // currently parked.
-        self.shared.work_cv.notify_all();
+        if wake_worker {
+            self.shared.work_cv.notify_all();
+        }
         Ok(())
     }
 
     /// Block until the session finishes (or is cancelled) and return its
-    /// final report.
+    /// final report. Parks on the session's own cell, like
+    /// [`Engine::poll_wait`], and is woken at finalization only.
     pub fn wait(&self, id: SessionId) -> Result<SessionReport, EngineError> {
-        let mut state = self.lock_state();
-        loop {
-            let slot = state
-                .sessions
-                .get_mut(&id)
-                .ok_or(EngineError::UnknownSession(id))?;
-            slot.last_access = Instant::now();
-            if let Some(trace) = &slot.trace {
-                return Ok(SessionReport {
-                    status: slot.status,
-                    trace: trace.clone(),
-                    charges: slot.charges,
-                    finish_order: slot.finish_order,
-                    chunk_stats: slot.chunk_stats.clone(),
-                });
+        let cell = self.cell(id)?;
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        // Drop takes `&mut self`, so no `wait` borrow can be alive while
+        // the engine shuts down — no stop check is needed here.
+        let report = loop {
+            if let Some(report) = progress.report() {
+                break report;
             }
-            // Drop takes `&mut self`, so no `wait` borrow can be alive
-            // while the engine shuts down — no stop check is needed here.
-            state = self
-                .shared
-                .done_cv
-                .wait(state)
-                .expect("engine state poisoned");
-        }
+            progress.parked_waits += 1;
+            progress = cell.wake.wait(progress).expect("session cell poisoned");
+            progress.parked_waits -= 1;
+            self.shared.obs.wake_serviced(progress.woke_at);
+        };
+        self.touch(&mut progress);
+        Ok(report)
     }
 
     /// Non-blocking [`Engine::wait`]: the final report if the session
-    /// has finished, `None` while it still runs. This is what a
-    /// readiness-driven server uses — it cannot afford to park a thread
-    /// per pending wait.
+    /// has finished, `None` while it still runs.
     pub fn try_wait(&self, id: SessionId) -> Result<Option<SessionReport>, EngineError> {
-        let mut state = self.lock_state();
-        let slot = state
-            .sessions
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownSession(id))?;
-        slot.last_access = Instant::now();
-        Ok(slot.trace.as_ref().map(|trace| SessionReport {
-            status: slot.status,
-            trace: trace.clone(),
-            charges: slot.charges,
-            finish_order: slot.finish_order,
-            chunk_stats: slot.chunk_stats.clone(),
-        }))
+        let cell = self.cell(id)?;
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        self.touch(&mut progress);
+        Ok(progress.report())
+    }
+
+    /// A completion queue on this engine (see [`CompletionQueue`]).
+    /// `wake` is called from a worker thread whenever the queue goes from
+    /// empty to non-empty. It must not block and must not call back into
+    /// the engine — at a session's finalization it runs under the engine
+    /// state lock. A poller notify or a channel send is what it is for.
+    pub fn completion_queue(
+        &self,
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> Arc<CompletionQueue> {
+        CompletionQueue::new(Box::new(wake), self.shared.obs.clone())
+    }
+
+    /// [`Engine::try_wait`] for a readiness-driven server, which cannot
+    /// park a thread per pending wait: when the answer is `None`, `token`
+    /// is pushed onto `queue` once the session finishes — registered
+    /// under the same lock the worker publishes under, so the completion
+    /// cannot be missed. Ask again only then.
+    pub fn try_wait_watch(
+        &self,
+        id: SessionId,
+        queue: &Arc<CompletionQueue>,
+        token: u64,
+    ) -> Result<Option<SessionReport>, EngineError> {
+        let cell = self.cell(id)?;
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        self.touch(&mut progress);
+        let report = progress.report();
+        if report.is_none() {
+            progress.watch(queue, token, u64::MAX);
+        }
+        Ok(report)
+    }
+
+    /// The non-blocking counterpart of [`Engine::poll_wait`]: the
+    /// snapshot if the session has events past `cursor` or has finished;
+    /// otherwise `None`, and `token` is pushed onto `queue` once either
+    /// becomes true (as for [`Engine::try_wait_watch`]).
+    pub fn poll_watch(
+        &self,
+        id: SessionId,
+        cursor: u64,
+        window: Option<u32>,
+        queue: &Arc<CompletionQueue>,
+        token: u64,
+    ) -> Result<Option<SessionSnapshot>, EngineError> {
+        let cell = self.cell(id)?;
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        self.touch(&mut progress);
+        if progress.has_batch(cursor) {
+            return Ok(Some(progress.snapshot(cursor, window)));
+        }
+        progress.watch(queue, token, cursor);
+        Ok(None)
     }
 
     /// Number of sessions currently *running* (admitted and not yet
@@ -981,19 +1024,21 @@ impl Engine {
             .sessions
             .get(&id)
             .ok_or(EngineError::UnknownSession(id))?;
-        if slot.trace.is_none() {
-            return Err(EngineError::SessionRunning(id));
-        }
-        // lint: allow(panic_audit, the same key was fetched two lines up under the same lock)
-        let slot = state.sessions.remove(&id).expect("present above");
-        Ok(SessionReport {
-            status: slot.status,
-            // lint: allow(panic_audit, trace.is_none() returned SessionRunning above)
-            trace: slot.trace.expect("checked above"),
-            charges: slot.charges,
-            finish_order: slot.finish_order,
-            chunk_stats: slot.chunk_stats,
-        })
+        let report = {
+            let mut progress = slot.cell.progress.lock().expect("session cell poisoned");
+            // Usually the table holds the last reference (no new one can
+            // appear while the state lock is held) and the report moves
+            // out; a caller still inside `wait`/`poll` on this session
+            // keeps the cell alive and is left its own copy.
+            if Arc::strong_count(&slot.cell) == 1 {
+                progress.take_report()
+            } else {
+                progress.report()
+            }
+        };
+        let report = report.ok_or(EngineError::SessionRunning(id))?;
+        state.sessions.remove(&id);
+        Ok(report)
     }
 
     /// Shared-cache counters (hits, misses, evictions, residency).
@@ -1095,8 +1140,27 @@ impl Engine {
         self.shared.obs.tracer().collect(trace)
     }
 
+    /// Note a client touch for TTL-based reaping — the only reader of
+    /// `last_access`, so without a TTL the clock is not read.
+    fn touch(&self, progress: &mut Progress) {
+        if self.shared.config.session_ttl.is_some() {
+            progress.last_access = Instant::now();
+        }
+    }
+
+    /// Resolve a session id to its progress cell: the one short visit to
+    /// the state lock a poll or wait makes.
+    fn cell(&self, id: SessionId) -> Result<Arc<SessionCell>, EngineError> {
+        let state = self.lock_state();
+        state
+            .sessions
+            .get(&id)
+            .map(|slot| slot.cell.clone())
+            .ok_or(EngineError::UnknownSession(id))
+    }
+
     fn lock_state(&self) -> MutexGuard<'_, EngineState> {
-        let mut state = self.shared.state.lock().expect("engine state poisoned");
+        let mut state = lock_state(&self.shared);
         // Orphan-session GC piggybacks on every API touch: cheap (a front
         // peek) when nothing is due, and no dedicated timer thread.
         if let Some(ttl) = self.shared.config.session_ttl {
@@ -1106,10 +1170,29 @@ impl Engine {
     }
 }
 
+/// Take the engine state lock. The contended path — and only it — is
+/// timed into `engine_state_lock_wait_ns`: `try_lock` first, so an
+/// uncontended acquisition never reads the clock.
+fn lock_state(shared: &Shared) -> MutexGuard<'_, EngineState> {
+    match shared.state.try_lock() {
+        Ok(state) => state,
+        Err(TryLockError::WouldBlock) => {
+            let since = shared.obs.enabled().then(Instant::now);
+            let state = shared.state.lock().expect("engine state poisoned");
+            if let Some(since) = since {
+                shared.obs.state_lock_waited(since);
+            }
+            state
+        }
+        Err(TryLockError::Poisoned(_)) => panic!("engine state poisoned"),
+    }
+}
+
 /// Reap finished sessions whose TTL elapsed without a client touch.
 /// Entries are queued at finalization; a session polled or waited on
-/// since then is re-queued at its refreshed deadline, and one forgotten
-/// in the meantime is simply skipped.
+/// since then (or whose final report is not published yet) is re-queued
+/// at its refreshed deadline, and one forgotten in the meantime is simply
+/// skipped.
 fn reap_expired(state: &mut EngineState, ttl: Duration) {
     let now = Instant::now();
     while let Some(&(id, due)) = state.reap_queue.front() {
@@ -1120,7 +1203,13 @@ fn reap_expired(state: &mut EngineState, ttl: Duration) {
         let Some(slot) = state.sessions.get(&id) else {
             continue; // forgotten before its TTL ran out
         };
-        let deadline = slot.last_access + ttl;
+        let deadline = {
+            let progress = slot.cell.progress.lock().expect("session cell poisoned");
+            match progress.finished {
+                Some(_) => progress.last_access + ttl,
+                None => now + ttl,
+            }
+        };
         if deadline <= now {
             state.sessions.remove(&id);
         } else {
@@ -1203,7 +1292,6 @@ impl Drop for Engine {
         {
             let _state = self.lock_state();
             self.shared.work_cv.notify_all();
-            self.shared.done_cv.notify_all();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -1223,29 +1311,24 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// What one quantum of stepping produced (applied under the state lock).
-struct QuantumOutcome {
-    events: Vec<ResultEvent>,
-    delta: SessionCharges,
-    finished: bool,
-    cancelled: bool,
-}
-
 fn worker_loop(shared: &Shared) {
-    let mut state = shared.state.lock().expect("engine state poisoned");
+    // Watchers a publish moved out of a cell, fired once its lock drops.
+    let mut woken: Vec<Watch> = Vec::new();
+    let mut state = lock_state(shared);
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             return;
         }
         let Some(id) = state.scheduler.lease_next() else {
+            state.idle_workers += 1;
             state = shared.work_cv.wait(state).expect("engine state poisoned");
+            state.idle_workers -= 1;
             continue;
         };
         // lint: allow(panic_audit, the scheduler only leases ids of registered sessions)
         let slot = state.sessions.get_mut(&id).expect("leased session exists");
         // lint: allow(panic_audit, a leased session's core is parked in its slot between quanta)
         let mut core = slot.core.take().expect("leased session has its core");
-        let cancel = slot.cancel.clone();
         drop(state);
 
         // The lease span covers the session checkout: everything between
@@ -1253,16 +1336,15 @@ fn worker_loop(shared: &Shared) {
         // manually (not via guard) because the release itself happens
         // back under the state lock.
         let lease_t0 = shared.obs.enabled().then(Instant::now);
-        let outcome = step_quantum(&mut core, shared, &cancel, id);
+        step_quantum(&mut core, shared, id);
         if let Some(t0) = lease_t0 {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let frames = core.quantum.delta.frames;
             shared
                 .obs
-                .record(Stage::Lease, id.0, ns, outcome.delta.frames);
-            shared.obs.frames_total.add(outcome.delta.frames);
+                .record(Stage::Lease, id.0, elapsed_ns(t0), frames);
+            shared.obs.frames_total.add(frames);
         }
 
-        state = shared.state.lock().expect("engine state poisoned");
         // Fairness floor: an all-hit quantum costs ~0 modelled seconds,
         // and a near-zero charge would let a cache-warm session hold
         // every lease until it finishes (wall-clock-starving cost-paying
@@ -1272,120 +1354,167 @@ fn worker_loop(shared: &Shared) {
         // the scheduler's own validation in `Scheduler::release`. Session
         // ledgers stay exact; only the arbitration sees the floor.
         let floor_s = shared.config.quantum as f64 / shared.config.detector_fps * 1e-3;
-        state
-            .scheduler
-            .release(id, outcome.delta.total_s().max(floor_s));
-        let finish_order = state.finished_sessions;
-        // On finalization the core is kept out of the slot so the belief
-        // snapshot below can read its final statistics.
-        let retired = {
+        let charge_s = core.quantum.delta.total_s().max(floor_s);
+
+        let Some(status) = core.quantum.ended else {
+            // The common case: the quantum's events and ledger go into
+            // the session's cell without the state lock, and only this
+            // session's waiters hear of it.
+            let notify = {
+                let mut progress = core.cell.progress.lock().expect("session cell poisoned");
+                let (found, samples) = (core.stepper.found(), core.stepper.samples());
+                let stamp = shared.obs.enabled();
+                progress.publish(&core.quantum, found, samples, None, stamp, &mut woken)
+            };
+            wake(&core.cell, notify, &mut woken);
+            state = lock_state(shared);
+            state.scheduler.release(id, charge_s);
             // lint: allow(panic_audit, the session stays registered while its quantum is in flight)
             let slot = state.sessions.get_mut(&id).expect("session exists");
-            slot.events.extend_from_slice(&outcome.events);
-            slot.charges.detect_s += outcome.delta.detect_s;
-            slot.charges.io_s += outcome.delta.io_s;
-            slot.charges.dispatch_s += outcome.delta.dispatch_s;
-            slot.charges.frames += outcome.delta.frames;
-            slot.charges.cache_hits += outcome.delta.cache_hits;
-            slot.charges.detector_invocations += outcome.delta.detector_invocations;
-            slot.charges.dispatches += outcome.delta.dispatches;
-            slot.found = core.stepper.found();
-            slot.samples = core.stepper.samples();
-            if outcome.finished || outcome.cancelled {
-                slot.status = if outcome.cancelled {
-                    SessionStatus::Cancelled
-                } else {
-                    SessionStatus::Done
-                };
-                slot.trace = Some(core.stepper.clone().finish());
-                slot.chunk_stats = core.policy.chunk_stats().to_vec();
-                slot.finish_order = finish_order;
-                slot.last_access = Instant::now();
-                Some(core)
-            } else {
-                slot.core = Some(core);
-                None
-            }
-        };
-        if let Some(core) = retired {
-            state.finished_sessions += 1;
-            state.scheduler.deactivate(id);
-            // Release the tenant's quota slot the moment the session
-            // stops running — not at forget/reap, which can be much
-            // later (or never) and would wedge the tenant's admission.
-            let tenant = state.sessions.get(&id).and_then(|s| s.tenant);
-            if let Some(t) = tenant {
-                if let Some(n) = state.tenant_running.get_mut(&t) {
-                    *n = n.saturating_sub(1);
-                    if *n == 0 {
-                        state.tenant_running.remove(&t);
-                    }
-                }
-            }
-            if shared.obs.enabled() {
-                shared.obs.sessions_finished_total.inc();
-                shared
-                    .obs
-                    .sessions_active
-                    .with(&tenant.map_or(0, |t| t.0).to_string())
-                    .sub(1);
-                shared.obs.trace_finish(id.0);
-            }
-            // The TTL clock starts at finalization; reap opportunistically
-            // so a busy engine collects orphans even with no API traffic.
-            if let Some(ttl) = shared.config.session_ttl {
-                state.reap_queue.push_back((id, Instant::now() + ttl));
-                reap_expired(&mut state, ttl);
-            }
-            // Make the belief snapshot visible (in memory) *before*
-            // waiters learn the session finished: a warm_start query
-            // submitted the instant `wait` returns must find it. Only the
-            // durable file write is deferred past the state lock. The
-            // offer is evidence-gated, so a short or cancelled run never
-            // clobbers a richer snapshot of the same key.
-            let snapshot_key = match &shared.persist {
-                Some(persist) if core.stepper.samples() > 0 => {
-                    let key = (
-                        core.repo_id.0,
-                        core.class.0,
-                        core.policy.chunking().num_chunks() as u32,
-                    );
-                    let adopted = persist
-                        .beliefs
-                        .lock()
-                        .expect("belief store poisoned")
-                        .offer(key, core.policy.chunk_stats().to_vec());
-                    adopted.then_some(key)
-                }
-                _ => None,
-            };
-            shared.done_cv.notify_all();
-            if let Some(key) = snapshot_key {
-                // lint: allow(panic_audit, snapshot_key is only Some when persist was Some above)
-                let persist = shared.persist.as_ref().expect("checked above");
-                drop(state);
-                {
-                    let mut span = shared.obs.span_flight(Stage::BeliefSnapshot, id.0);
-                    span.set_key(key.2 as u64);
-                    persist
-                        .beliefs
-                        .lock()
-                        .expect("belief store poisoned")
-                        .persist_key(key);
-                }
-                state = shared.state.lock().expect("engine state poisoned");
-            }
-        } else {
-            if !outcome.events.is_empty() && state.stream_waiters > 0 {
-                // Streaming consumers (`poll_wait`) park on done_cv until
-                // events land; wake them per batch, not just at finish —
-                // but only when someone is actually streaming, so plain
-                // `wait` callers are not stampeded every quantum.
-                shared.done_cv.notify_all();
-            }
+            slot.core = Some(core);
             // The session is runnable again; a parked worker may want it.
-            shared.work_cv.notify_one();
+            if state.idle_workers > 0 {
+                shared.work_cv.notify_one();
+            }
+            continue;
+        };
+
+        // Finalization. Everything but what the report needs is freed
+        // first, with no lock held. Then the engine's books close — the
+        // lease, the tenant's quota slot, the in-memory belief snapshot —
+        // and the cell publishes the final report *under the same hold of
+        // the state lock*: whoever `wait` wakes finds all of it in place,
+        // and this worker goes on to its next lease (or parks) without
+        // letting go of the lock in between. Re-taking it here would race
+        // the woken client's next `submit` once per session.
+        let Retired {
+            cell,
+            quantum,
+            found,
+            samples,
+            trace,
+            chunk_stats,
+            belief_key,
+        } = retire(core);
+        state = lock_state(shared);
+        state.scheduler.release(id, charge_s);
+        let finish_order = state.finished_sessions;
+        state.finished_sessions += 1;
+        state.scheduler.deactivate(id);
+        // Release the tenant's quota slot the moment the session stops
+        // running — not at forget/reap, which can be much later (or
+        // never) and would wedge the tenant's admission.
+        let tenant = state.sessions.get(&id).and_then(|s| s.tenant);
+        if let Some(t) = tenant {
+            if let Some(n) = state.tenant_running.get_mut(&t) {
+                *n = n.saturating_sub(1);
+                if *n == 0 {
+                    state.tenant_running.remove(&t);
+                }
+            }
         }
+        if shared.obs.enabled() {
+            shared.obs.sessions_finished_total.inc();
+            shared
+                .obs
+                .sessions_active
+                .with(&tenant.map_or(0, |t| t.0).to_string())
+                .sub(1);
+            shared.obs.trace_finish(id.0);
+        }
+        // The TTL clock starts at finalization; reap opportunistically so
+        // a busy engine collects orphans even with no API traffic.
+        if let Some(ttl) = shared.config.session_ttl {
+            state.reap_queue.push_back((id, Instant::now() + ttl));
+            reap_expired(&mut state, ttl);
+        }
+        // Make the belief snapshot visible (in memory) *before* waiters
+        // learn the session finished: a warm_start query submitted the
+        // instant `wait` returns must find it. Only the durable file
+        // write is deferred past the wake. The offer is evidence-gated,
+        // so a short or cancelled run never clobbers a richer snapshot of
+        // the same key.
+        let snapshot = match &shared.persist {
+            Some(persist) if samples > 0 => persist
+                .beliefs
+                .lock()
+                .expect("belief store poisoned")
+                .offer(belief_key, chunk_stats.clone())
+                .then_some(persist),
+            _ => None,
+        };
+        let notify = {
+            let finished = Finished {
+                trace,
+                chunk_stats,
+                finish_order,
+            };
+            let mut progress = cell.progress.lock().expect("session cell poisoned");
+            let (done, stamp) = (Some((status, finished)), shared.obs.enabled());
+            progress.publish(&quantum, found, samples, done, stamp, &mut woken)
+        };
+        wake(&cell, notify, &mut woken);
+        // The table's reference is the last one again, so a `forget`
+        // moves the report out instead of copying it.
+        drop(cell);
+        if let Some(persist) = snapshot {
+            drop(state);
+            {
+                let mut span = shared.obs.span_flight(Stage::BeliefSnapshot, id.0);
+                span.set_key(belief_key.2 as u64);
+                persist
+                    .beliefs
+                    .lock()
+                    .expect("belief store poisoned")
+                    .persist_key(belief_key);
+            }
+            state = lock_state(shared);
+        }
+    }
+}
+
+/// What finalization keeps of a session's core.
+struct Retired {
+    cell: Arc<SessionCell>,
+    /// The last quantum, still to be published.
+    quantum: Quantum,
+    found: u64,
+    samples: u64,
+    trace: exsample_core::driver::SearchTrace,
+    chunk_stats: Vec<ChunkStats>,
+    /// `(repo, class, chunks)`: where the belief snapshot is filed.
+    belief_key: (u32, u16, u32),
+}
+
+/// Reduce a finished session's core to its [`Retired`] parts. The rest —
+/// sampler, discriminator, container reader, scratch buffers — is freed
+/// on return, which the caller arranges to be before it takes any lock.
+fn retire(core: Box<SessionCore>) -> Retired {
+    let core = *core;
+    Retired {
+        found: core.stepper.found(),
+        samples: core.stepper.samples(),
+        chunk_stats: core.policy.chunk_stats().to_vec(),
+        belief_key: (
+            core.repo_id.0,
+            core.class.0,
+            core.policy.chunking().num_chunks() as u32,
+        ),
+        trace: core.stepper.finish(),
+        cell: core.cell,
+        quantum: core.quantum,
+    }
+}
+
+/// Deliver the wake-ups a [`Progress::publish`](crate::session) asked
+/// for, once the cell lock is dropped: the callers parked on the cell's
+/// condvar, and the completion queues whose watches it moved to `woken`.
+fn wake(cell: &SessionCell, notify: bool, woken: &mut Vec<Watch>) {
+    if notify {
+        cell.wake.notify_all();
+    }
+    for watch in woken.drain(..) {
+        watch.fire();
     }
 }
 
@@ -1482,9 +1611,12 @@ fn resolve_batch(
         // reproduces the engine's detector-invocation total.
         let mut span = shared.obs.span_flight(Stage::Dispatch, sid.0);
         span.set_key(reservations.len() as u64);
+        let mut miss_frames = std::mem::take(&mut core.miss_frames);
+        let mut io = std::mem::take(&mut core.miss_io);
+        miss_frames.clear();
+        io.clear();
         // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-        let miss_frames: Vec<u64> = reservations.iter().map(|(k, _)| drawn[*k]).collect();
-        let mut io = Vec::with_capacity(miss_frames.len());
+        miss_frames.extend(reservations.iter().map(|(k, _)| drawn[*k]));
         for &frame in &miss_frames {
             let before = *core.container.stats();
             core.container
@@ -1496,7 +1628,7 @@ fn resolve_batch(
         }
         let banks = dispatch_batch(&core.repo.detectors, &miss_frames, &mut core.gt_scratch);
         let mut first = true;
-        for (((k, guard), dets), io_s) in reservations.into_iter().zip(banks).zip(io) {
+        for (((k, guard), dets), &io_s) in reservations.into_iter().zip(banks).zip(&io) {
             let value = guard.fill(dets);
             // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
             resolved[k] = Some(ResolvedFrame {
@@ -1506,6 +1638,8 @@ fn resolve_batch(
                 dispatch: std::mem::take(&mut first),
             });
         }
+        core.miss_frames = miss_frames;
+        core.miss_io = io;
     }
     for (k, wait) in waits {
         // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
@@ -1603,34 +1737,29 @@ fn resolve_batch(
 /// inference wastes. Their detections stay in the shared cache (later
 /// sessions hit them for free) but are *not* billed to this session's
 /// ledger: the clock stops where the search stopped.
-fn step_quantum(
-    core: &mut SessionCore,
-    shared: &Shared,
-    cancel: &AtomicBool,
-    sid: SessionId,
-) -> QuantumOutcome {
+fn step_quantum(core: &mut SessionCore, shared: &Shared, sid: SessionId) {
     let detect_frame_s = 1.0 / shared.config.detector_fps;
     let cost_model = shared.config.cost_model;
-    let mut out = QuantumOutcome {
-        events: Vec::new(),
-        delta: SessionCharges::default(),
-        finished: false,
-        cancelled: false,
-    };
+    // The quantum's outcome and the batch buffers live in the core
+    // between quanta; they are taken out while `core` is borrowed whole.
+    let mut out = std::mem::take(&mut core.quantum);
+    out.events.clear();
+    out.delta = Default::default();
+    out.ended = None;
+    let mut drawn = std::mem::take(&mut core.drawn);
+    let mut resolved = std::mem::take(&mut core.resolved);
     let quantum = shared.config.quantum as usize;
-    let mut drawn: Vec<u64> = Vec::new();
-    let mut resolved: Vec<Option<ResolvedFrame>> = Vec::new();
     let mut stepped = 0usize;
     'quantum: while stepped < quantum {
-        if cancel.load(Ordering::Relaxed) {
-            out.cancelled = true;
+        if core.cell.cancel.load(Ordering::Relaxed) {
+            out.ended = Some(SessionStatus::Cancelled);
             break;
         }
         let want = core.batch.min(quantum - stepped);
         core.stepper
             .next_batch(&mut core.policy, &mut core.rng, want, &mut drawn);
         if drawn.is_empty() {
-            out.finished = true;
+            out.ended = Some(SessionStatus::Done);
             break;
         }
         {
@@ -1681,33 +1810,17 @@ fn step_quantum(
             }
             stepped += 1;
             if done {
-                out.finished = true;
+                out.ended = Some(SessionStatus::Done);
                 break 'quantum;
             }
         }
     }
-    out
-}
-
-/// Snapshot a slot's observable state from `cursor`, returning at most
-/// `window` events (the [`SessionSnapshot`] cursor contract: a cursor at
-/// or past the end of the log yields empty events, clamped, never OOB).
-fn snapshot_slot(slot: &Slot, cursor: u64, window: Option<u32>) -> SessionSnapshot {
-    let len = slot.events.len();
-    let start = cursor.min(len as u64) as usize;
-    let end = match window {
-        Some(w) => start.saturating_add(w as usize).min(len),
-        None => len,
-    };
-    SessionSnapshot {
-        status: slot.status,
-        found: slot.found,
-        samples: slot.samples,
-        charges: slot.charges,
-        // lint: allow(panic_audit, start and end are both clamped to events.len() just above)
-        events: slot.events[start..end].to_vec(),
-        next_cursor: end as u64,
-    }
+    // A stop mid-batch leaves the unrecorded tail resolved; let go of its
+    // cached detections rather than pinning them until the next lease.
+    resolved.clear();
+    core.drawn = drawn;
+    core.resolved = resolved;
+    core.quantum = out;
 }
 
 /// Component-wise `after - before` of two decode tallies.
@@ -2626,5 +2739,125 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Returns from a park on a session cell, as the engine itself
+    /// counts them.
+    fn wakes(engine: &Engine) -> u64 {
+        engine
+            .diagnostics()
+            .histogram("engine_wake_to_service_ns")
+            .map_or(0, |h| h.total())
+    }
+
+    #[test]
+    fn a_parked_caller_is_woken_by_its_own_session_only() {
+        // Two classes on a timeline that takes seconds to exhaust: cars
+        // to find, and a class with no instances at all — a session
+        // searching for it runs and runs and never logs an event.
+        let car = ClassSpec::new("car", 60, 200.0, SkewSpec::CentralNormal { frac95: 0.2 });
+        let ghost = ClassSpec::new("ghost", 0, 200.0, SkewSpec::CentralNormal { frac95: 0.2 });
+        let footage = DatasetSpec {
+            classes: vec![car.clone(), ghost],
+            ..DatasetSpec::single_class(1_000_000, car)
+        };
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 2,
+            quantum: 8,
+            ..EngineConfig::default()
+        }));
+        let repo = engine.register_repo(
+            "two-class",
+            Arc::new(footage.generate(17)),
+            NoiseModel::none(),
+            5,
+        );
+        let quiet = engine
+            .submit(QuerySpec::new(repo, ClassId(1), StopCond::results(1)).seed(1))
+            .unwrap();
+        let streamer = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.poll_wait(quiet, 0, None).unwrap())
+        };
+        let waiter = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.wait(quiet).unwrap())
+        };
+        // Both are parked on the quiet session's cell before anything
+        // else happens.
+        let cell = engine.cell(quiet).unwrap();
+        loop {
+            let progress = cell.progress.lock().unwrap();
+            if progress.parked_streams == 1 && progress.parked_waits == 1 {
+                break;
+            }
+            drop(progress);
+            std::thread::yield_now();
+        }
+
+        // Forty sessions stream their events and finish next door,
+        // consumed without parking.
+        for seed in 0..40 {
+            let id = engine
+                .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(10)).seed(seed))
+                .unwrap();
+            while engine.try_wait(id).unwrap().is_none() {
+                std::thread::yield_now();
+            }
+            assert!(!engine.poll(id, 0).unwrap().events.is_empty());
+        }
+        assert_eq!(wakes(&engine), 0, "someone else's progress woke a caller");
+        assert!(!streamer.is_finished() && !waiter.is_finished());
+
+        // Its own finalization wakes both, once each.
+        engine.cancel(quiet).unwrap();
+        let snap = streamer.join().unwrap();
+        assert_eq!(snap.status, SessionStatus::Cancelled);
+        assert!(snap.events.is_empty());
+        assert_eq!(waiter.join().unwrap().status, SessionStatus::Cancelled);
+        assert_eq!(wakes(&engine), 2);
+    }
+
+    #[test]
+    fn completion_queue_names_each_watcher_of_a_session_once() {
+        let (engine, repo) = small_engine(2);
+        let (wake, woken) = std::sync::mpsc::channel();
+        let queue = engine.completion_queue(move || {
+            let _ = wake.send(());
+        });
+        // Unreachable target: the session ends when it is cancelled (or
+        // has swept all 20,000 frames).
+        let id = engine
+            .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(u64::MAX)).seed(2))
+            .unwrap();
+        // Three watchers of its end, one of them registered twice; a
+        // fourth is a stream from past the end of the log.
+        for token in [10, 11, 12, 11] {
+            assert_eq!(engine.try_wait_watch(id, &queue, token).unwrap(), None);
+        }
+        assert_eq!(
+            engine.poll_watch(id, u64::MAX, None, &queue, 13).unwrap(),
+            None
+        );
+        engine.cancel(id).unwrap();
+        let mut tokens = Vec::new();
+        while tokens.len() < 4 {
+            woken
+                .recv_timeout(Duration::from_secs(30))
+                .expect("finalization completes every watch");
+            queue.drain(&mut tokens);
+        }
+        tokens.sort_unstable();
+        assert_eq!(tokens, [10, 11, 12, 13]);
+        // One-shot: a finished session answers at once instead of
+        // registering, and nothing more arrives.
+        let report = engine.wait(id).unwrap();
+        assert_eq!(engine.try_wait_watch(id, &queue, 10).unwrap(), Some(report));
+        let snap = engine.poll_watch(id, 0, Some(4), &queue, 13).unwrap();
+        assert!(snap.is_some_and(|s| s.status == SessionStatus::Cancelled));
+        queue.drain(&mut tokens);
+        assert_eq!(tokens.len(), 4);
+        assert!(woken.try_recv().is_err());
+        assert!(engine.try_wait_watch(SessionId(404), &queue, 0).is_err());
     }
 }

@@ -15,6 +15,14 @@
 //!   results (plus [`Engine::poll_wait`] for push-style streaming),
 //!   [`Engine::cancel`], and [`Engine::wait`] for the final
 //!   `SearchTrace`. Sessions are multiplexed over a worker-thread pool.
+//!   Each session's observable progress lives in its own cell: a poll
+//!   never waits behind the scheduler, and a parked `poll_wait`/`wait`
+//!   caller is woken by its own session's progress only.
+//! * [`CompletionQueue`] — how a readiness-driven server (the
+//!   `exsample-serve` reactor) learns *which* parked connections can
+//!   make progress: [`Engine::try_wait_watch`] / [`Engine::poll_watch`]
+//!   leave one-shot interest in a session, and the worker that moves it
+//!   names the watcher on the queue.
 //! * [`FrameCache`] — a sharded, thread-safe memo of detector output keyed
 //!   by `(video, frame)`, with hit/miss/eviction statistics. Overlapping
 //!   queries never pay for the same frame twice.
@@ -90,7 +98,7 @@ pub use obs::EngineObs;
 pub use scheduler::Scheduler;
 pub use service::{Diagnostics, RepoInfo, SearchService, ServiceError, ServiceStats, SubmitError};
 pub use session::{
-    DiscriminatorKind, QuerySpec, RepoId, ResultEvent, SessionCharges, SessionId, SessionReport,
-    SessionSnapshot, SessionStatus, TenantBinding, TenantId,
+    CompletionQueue, DiscriminatorKind, QuerySpec, RepoId, ResultEvent, SessionCharges, SessionId,
+    SessionReport, SessionSnapshot, SessionStatus, TenantBinding, TenantId,
 };
 pub use threads::default_threads;

@@ -14,6 +14,12 @@ use exsample_obs::{
     SpanGuard, SpanId, Stage, TraceId, NO_SESSION,
 };
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Nanoseconds since `since`, saturating.
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// Pre-registered metric handles plus the flight recorder; owned by the
 /// engine's shared state and reachable from every worker.
@@ -40,6 +46,8 @@ pub struct EngineObs {
     serve_turn: Arc<LatencyHistogram>,
     serve_admission: Arc<LatencyHistogram>,
     session_hist: Arc<LatencyHistogram>,
+    state_lock_wait: Arc<LatencyHistogram>,
+    wake_to_service: Arc<LatencyHistogram>,
     tracer: SpanCollector,
     /// Frames stepped across all sessions (bumped once per quantum).
     pub frames_total: Arc<Counter>,
@@ -81,6 +89,8 @@ impl EngineObs {
             serve_turn: registry.histogram("turn_ns"),
             serve_admission: registry.histogram("admission_ns"),
             session_hist: registry.histogram("session_ns"),
+            state_lock_wait: registry.histogram("engine_state_lock_wait_ns"),
+            wake_to_service: registry.histogram("engine_wake_to_service_ns"),
             tracer: SpanCollector::new(enabled && trace),
             frames_total: registry.counter("frames_total"),
             sessions_submitted_total: registry.counter("sessions_submitted_total"),
@@ -160,6 +170,23 @@ impl EngineObs {
     pub fn trace_finish(&self, session: u64) {
         if let Some(ns) = self.tracer.close_root(TraceId::from_session(session)) {
             self.session_hist.record(ns);
+        }
+    }
+
+    /// Record one *contended* acquisition of the engine state lock:
+    /// `since` is when the caller's `try_lock` failed. The uncontended
+    /// path never gets here, so it stays free.
+    pub fn state_lock_waited(&self, since: Instant) {
+        self.state_lock_wait.record(elapsed_ns(since));
+    }
+
+    /// Record one wake-up's latency: from the worker publishing the
+    /// progress (`woke_at`: completion pushed / parked callers notified)
+    /// to the woken side being back in service (connection about to be
+    /// resumed / caller returned from its park). No-op without a stamp.
+    pub fn wake_serviced(&self, woke_at: Option<Instant>) {
+        if let Some(t) = woke_at {
+            self.wake_to_service.record(elapsed_ns(t));
         }
     }
 

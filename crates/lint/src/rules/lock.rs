@@ -4,7 +4,10 @@
 //! no-argument `.lock()`, `.read()`, or `.write()` call is seen; it dies
 //! at the end of the enclosing block, at `drop(name)`, or — for guards
 //! bound to no name (statement temporaries) — at the end of their
-//! statement. A condvar `.wait(guard)` *consumes* the named guard (the
+//! statement. A call of a helper named `lock_<name>` (free function or
+//! method) is an acquisition of lock `<name>`: the one sanctioned way to
+//! wrap an acquisition (timing, piggybacked GC) without hiding the guard
+//! from these rules. A condvar `.wait(guard)` *consumes* the named guard (the
 //! OS releases the lock during the wait) and produces a new one, so the
 //! idiomatic `state = cv.wait(state)?` keeps `state` live without a
 //! false finding.
@@ -26,6 +29,11 @@
 //! Suppressing any one edge of a cycle (an `allow(lock_order, …)` on
 //! that acquisition line) suppresses the cycle: one broken edge breaks
 //! the loop.
+//!
+//! Where a crate fixes the order of two locks by design
+//! ([`DECLARED_ORDER`]), the reverse nesting is a finding on its own —
+//! no matching forward edge is needed to complete a cycle, because the
+//! forward nesting is what the design promises every other site may do.
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
@@ -73,6 +81,19 @@ const BLOCKING: &[&str] = &[
     "join",
 ];
 const EMPTY_ARGS_ONLY: &[&str] = &["join", "park"];
+
+/// Name prefix of guard-returning helpers: `lock_state(…)` acquires
+/// lock `state`.
+const HELPER_PREFIX: &str = "lock_";
+
+/// Lock orders fixed by design: `(crate, first, second)` — `second` may
+/// be taken while `first` is held, never the other way round.
+///
+/// * `engine`: the engine state lock, then a session's progress cell.
+///   Workers publish into a cell and clients read it with the state lock
+///   *not* held; the few paths that need both (`forget`, TTL reaping)
+///   already hold the state lock when they reach the cell.
+pub const DECLARED_ORDER: &[(&str, &str, &str)] = &[("engine", "state", "cell.progress")];
 
 #[derive(Debug)]
 struct Guard {
@@ -169,24 +190,17 @@ fn on_ident(
         && next_paren
         && toks.get(i + 2).is_some_and(|t| t.is_punct(')'))
     {
-        let lock_name = receiver_name(toks, i - 1);
-        for held in guards.iter() {
-            edges.push(Edge {
-                from: held.lock_name.clone(),
-                to: lock_name.clone(),
-                file: f.rel_path.clone(),
-                line: toks[i].line,
-                suppressed: f.lexed.allowed(LOCK_ORDER, toks[i].line),
-            });
-        }
-        let bound = binding_name(toks, i);
-        guards.push(Guard {
-            name: bound,
-            lock_name,
-            depth,
-            line: toks[i].line,
-        });
+        acquire(f, toks, i, depth, receiver_name(toks, i - 1), guards, edges);
         return i + 2;
+    }
+
+    // Guard-returning helper: `lock_<name>(…)` acquires lock `<name>`.
+    if let Some(lock_name) = name.strip_prefix(HELPER_PREFIX) {
+        let is_def = i > 0 && toks[i - 1].is_ident("fn");
+        if next_paren && !is_def && !lock_name.is_empty() {
+            acquire(f, toks, i, depth, lock_name.to_string(), guards, edges);
+            return i;
+        }
     }
 
     // Condvar wait: consumes the guard it is passed; waiting while any
@@ -239,6 +253,34 @@ fn on_ident(
         }
     }
     i
+}
+
+/// Record the acquisition of `lock_name` at token `i`: an order edge
+/// from every guard held, and a new live guard.
+fn acquire(
+    f: &SourceFile,
+    toks: &[Token],
+    i: usize,
+    depth: i32,
+    lock_name: String,
+    guards: &mut Vec<Guard>,
+    edges: &mut Vec<Edge>,
+) {
+    for held in guards.iter() {
+        edges.push(Edge {
+            from: held.lock_name.clone(),
+            to: lock_name.clone(),
+            file: f.rel_path.clone(),
+            line: toks[i].line,
+            suppressed: f.lexed.allowed(LOCK_ORDER, toks[i].line),
+        });
+    }
+    guards.push(Guard {
+        name: binding_name(toks, i),
+        lock_name,
+        depth,
+        line: toks[i].line,
+    });
 }
 
 fn report_blocking(
@@ -408,6 +450,29 @@ pub fn order_findings(
     suppressed_count: &mut usize,
 ) {
     for (krate, edges) in edges_by_crate {
+        for e in edges {
+            let reversed = DECLARED_ORDER
+                .iter()
+                .any(|&(k, first, second)| k == krate && e.from == second && e.to == first);
+            if !reversed {
+                continue;
+            }
+            if e.suppressed {
+                *suppressed_count += 1;
+                continue;
+            }
+            findings.push(Finding {
+                file: e.file.clone(),
+                line: e.line,
+                rule: LOCK_ORDER.into(),
+                message: format!(
+                    "lock `{}` acquired while `{}` is held, against crate `{krate}`'s declared \
+                     order ({} before {}); release the inner lock first, or annotate \
+                     `// lint: allow(lock_order, reason)`",
+                    e.to, e.from, e.to, e.from
+                ),
+            });
+        }
         // Adjacency with one representative site per (from, to).
         let mut adj: BTreeMap<&str, BTreeMap<&str, (&Edge, bool)>> = BTreeMap::new();
         for e in edges {

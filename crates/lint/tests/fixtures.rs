@@ -119,6 +119,34 @@ fn lock_order_cycle_suppressed_by_annotated_edge() {
     assert_eq!(suppressed, 1);
 }
 
+#[test]
+fn declared_order_reversal_and_cell_guard_across_dispatch_are_findings() {
+    let (blocking, _, edges) = lock_walk(include_str!("../fixtures/lock_declared_bad.rs"));
+    assert_eq!(blocking.len(), 1, "{blocking:?}");
+    assert!(blocking[0].message.contains("`dispatch_batch`"));
+    assert!(blocking[0].message.contains("`cell.progress`"));
+    // `cell.progress -> state` alone: no cycle, still a finding.
+    let (findings, suppressed) = order_report(edges);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "lock_order");
+    assert!(findings[0].message.contains("declared order"));
+    assert!(findings[0].message.contains("state before cell.progress"));
+    assert_eq!(suppressed, 0);
+}
+
+#[test]
+fn declared_order_quiet_when_followed_and_helper_guards_are_tracked() {
+    let (blocking, _, edges) = lock_walk(include_str!("../fixtures/lock_declared_clean.rs"));
+    assert!(blocking.is_empty(), "{blocking:?}");
+    // The helper call is seen as an acquisition: the forward edge exists.
+    assert!(edges
+        .iter()
+        .any(|e| e.from == "state" && e.to == "cell.progress"));
+    let (findings, suppressed) = order_report(edges);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(suppressed, 0);
+}
+
 // ---- panic_audit ----
 
 #[test]

@@ -55,8 +55,12 @@ pub trait Host {
     ) -> Result<(), WireError>;
 
     /// The final report of `session`. `Ok(None)` = still running: the
-    /// connection parks and asks again on its driver's next
-    /// [`Connection::advance`]. A host that blocks instead never parks.
+    /// connection parks. Answering `None` obliges the host to have the
+    /// driver call [`Connection::advance`] again once the session has
+    /// finished — a readiness-driven host leaves one-shot interest with
+    /// the engine ([`Engine::try_wait_watch`]) and resumes the connection
+    /// when its completion queue names it; until then nobody asks again.
+    /// A host that blocks instead never parks.
     fn wait(
         &mut self,
         engine: &Engine,
@@ -64,8 +68,9 @@ pub trait Host {
     ) -> Result<Option<SessionReport>, EngineError>;
 
     /// The next streamed batch of `session`: at most `window` events
-    /// from `cursor`. `Ok(None)` = nothing to push yet (park), as for
-    /// [`Host::wait`].
+    /// from `cursor`. `Ok(None)` = nothing to push yet (park), with the
+    /// same obligation as [`Host::wait`], for "has events past `cursor`
+    /// or has finished" ([`Engine::poll_watch`]).
     fn next_batch(
         &mut self,
         engine: &Engine,
@@ -153,8 +158,11 @@ impl Connection {
     }
 
     /// Parked = progress depends on the engine, not the peer: buffered
-    /// frames stay undecoded (backpressure by not reading) until a later
-    /// [`advance`](Self::advance) finds the host has an answer.
+    /// frames stay undecoded (backpressure by not reading) until the
+    /// host's completion arrives and the [`advance`](Self::advance) it
+    /// triggers finds the answer. Advancing a parked connection earlier
+    /// is harmless — it asks the host again — but is the per-turn
+    /// polling the completion queue exists to avoid.
     pub fn is_parked(&self) -> bool {
         matches!(
             self.pending,

@@ -79,7 +79,8 @@ impl SearchServer {
 
 /// The host of a blocking pump: no registry, no limits, and "not yet"
 /// is answered by waiting inside the engine — the connection's own
-/// thread is the thing that parks.
+/// thread is the thing that parks, on the session's progress cell, woken
+/// by that session's progress alone.
 struct Blocking;
 
 impl Host for Blocking {

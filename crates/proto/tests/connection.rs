@@ -1,9 +1,9 @@
 //! Conformance of the one server-side state machine, [`Connection`]:
 //! the same scripted conversations are served
 //!
-//! * sans-IO — no sockets, no driver threads, a test-local [`Host`] —
-//!   fed whole and split at every byte, and the reply bytes must not
-//!   depend on the split;
+//! * sans-IO — no sockets, no driver threads, a test-local [`Host`]
+//!   that parks on the engine's completion queue — fed whole and split
+//!   at every byte, and the reply bytes must not depend on the split;
 //! * by the blocking pump (`SearchServer::serve_connection`) over a
 //!   `duplex()` pipe;
 //! * by the `exsample-serve` reactor over loopback TCP;
@@ -20,8 +20,8 @@
 use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
-    Engine, EngineConfig, EngineError, QuerySpec, RepoId, SessionId, SessionReport,
-    SessionSnapshot, SessionStatus, TenantBinding,
+    CompletionQueue, Engine, EngineConfig, EngineError, QuerySpec, RepoId, SessionId,
+    SessionReport, SessionSnapshot, SessionStatus, TenantBinding,
 };
 use exsample_obs::{TraceContext, TraceId};
 use exsample_proto::connection::ANONYMOUS;
@@ -30,8 +30,13 @@ use exsample_proto::{
 };
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
 use std::io::{Read, Write};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+/// How long a parked driver waits for the completion it was promised
+/// before the test fails instead of hanging.
+const WATCHDOG: Duration = Duration::from_secs(30);
 
 fn engine() -> Arc<Engine> {
     static TRUTH: OnceLock<Arc<GroundTruth>> = OnceLock::new();
@@ -180,9 +185,41 @@ fn absurd_length() -> Vec<u8> {
     bytes
 }
 
-/// The reactor's answers for a sans-IO driver: an open registry and
-/// "not finished yet" parks.
-struct Parking;
+/// The reactor's answers for a sans-IO driver: an open registry, and
+/// "not finished yet" parks with one-shot interest left on the engine's
+/// completion queue, under the token of the connection being served.
+struct Parking {
+    completions: Arc<CompletionQueue>,
+    /// The queue's wake hook: one message per empty → non-empty.
+    woken: Receiver<()>,
+    serving: u64,
+    /// How often the connection asked `wait` / `next_batch`.
+    asks: usize,
+}
+
+impl Parking {
+    fn new(engine: &Engine) -> Parking {
+        let (wake, woken) = channel();
+        Parking {
+            completions: engine.completion_queue(move || {
+                let _ = wake.send(());
+            }),
+            woken,
+            serving: 0,
+            asks: 0,
+        }
+    }
+
+    /// Block until the engine has completions, and return their tokens.
+    fn completed(&mut self) -> Vec<u64> {
+        self.woken
+            .recv_timeout(WATCHDOG)
+            .expect("a parked request's completion arrives");
+        let mut tokens = Vec::new();
+        self.completions.drain(&mut tokens);
+        tokens
+    }
+}
 
 impl Host for Parking {
     fn hello(&mut self, _: &str, _: Option<TenantBinding>) -> Result<TenantBinding, WireError> {
@@ -198,7 +235,8 @@ impl Host for Parking {
         engine: &Engine,
         session: SessionId,
     ) -> Result<Option<SessionReport>, EngineError> {
-        engine.try_wait(session)
+        self.asks += 1;
+        engine.try_wait_watch(session, &self.completions, self.serving)
     }
 
     fn next_batch(
@@ -208,9 +246,14 @@ impl Host for Parking {
         cursor: u64,
         window: u32,
     ) -> Result<Option<SessionSnapshot>, EngineError> {
-        let snap = engine.poll_window(session, cursor, Some(window))?;
-        let ready = !snap.events.is_empty() || snap.status != SessionStatus::Running;
-        Ok(ready.then_some(snap))
+        self.asks += 1;
+        engine.poll_watch(
+            session,
+            cursor,
+            Some(window),
+            &self.completions,
+            self.serving,
+        )
     }
 }
 
@@ -223,17 +266,18 @@ struct Served {
 }
 
 /// Sans-IO: the script goes in as `script[..split]` then
-/// `script[split..]`; parked requests are re-asked until the engine's
-/// workers have the answer.
+/// `script[split..]`; a parked request is asked again exactly when the
+/// engine's completion queue names the connection.
 fn sans_io(script: &[u8], split: usize) -> Served {
     let engine = engine();
+    let mut host = Parking::new(&engine);
     let mut conn = Connection::new();
     let mut bytes = Vec::new();
     let (head, tail) = script.split_at(split);
     for piece in [head, tail] {
         conn.buf_mut().extend(piece);
         loop {
-            let advanced = conn.advance(&engine, &mut Parking);
+            let advanced = conn.advance(&engine, &mut host);
             conn.buf_mut().write_to(&mut bytes).expect("write to a Vec");
             if advanced.is_err() {
                 return Served {
@@ -244,7 +288,7 @@ fn sans_io(script: &[u8], split: usize) -> Served {
             if !conn.is_parked() {
                 break;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            assert_eq!(host.completed(), [host.serving], "one park, one token");
         }
     }
     assert!(conn.is_closing(), "every script ends its connection");
@@ -478,5 +522,140 @@ fn undecodable_input_drops_the_connection_after_the_replies_it_earned() {
             bytes: wire(PROTO_VERSION, &[]),
             dropped: true
         }
+    );
+}
+
+/// The park contract, counted: N connections parked on one session — a
+/// third behind `Wait`, the rest mid-`Subscribe` — are asked about it
+/// once per park and once per completion, however long they stay parked
+/// and however the driver turns; nothing is asked in between.
+#[test]
+fn parked_connections_ask_once_per_completion_not_once_per_turn() {
+    const PARKED: u64 = 24;
+    let engine = engine();
+    // An unreachable target on a timeline that takes seconds to exhaust:
+    // the session runs until it is cancelled, logging an event every now
+    // and then.
+    let marathon = DatasetSpec::single_class(
+        4_000_000,
+        ClassSpec::new("car", 60, 40.0, SkewSpec::CentralNormal { frac95: 0.2 }),
+    );
+    let repo = engine.register_repo(
+        "marathon-cam",
+        Arc::new(marathon.generate(23)),
+        NoiseModel::none(),
+        5,
+    );
+    let id = engine
+        .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(u64::MAX)).seed(3))
+        .expect("valid spec");
+    let mut host = Parking::new(&engine);
+    let mut conns: Vec<Connection> = (0..PARKED)
+        .map(|key| {
+            let mut conn = Connection::new();
+            let request = if key % 3 == 0 {
+                Message::Wait { session: id }
+            } else {
+                // From far past the log's end: only finalization is a
+                // batch for this cursor, so the stream parks like a
+                // `Wait` and every park is one ask.
+                Message::Subscribe {
+                    session: id,
+                    cursor: u64::MAX,
+                    window: 4,
+                }
+            };
+            conn.buf_mut().extend(&wire(PROTO_VERSION, &[request]));
+            host.serving = key;
+            conn.advance(&engine, &mut host).expect("valid frames");
+            assert!(conn.is_parked(), "the session is still running");
+            conn
+        })
+        .collect();
+    assert_eq!(host.asks as u64, PARKED, "one ask per park");
+
+    // The session keeps progressing (events land in its log) and the
+    // queue stays silent: none of it is progress these parks wait for.
+    while engine.poll(id, 0).expect("known session").events.is_empty() {
+        std::thread::yield_now();
+    }
+    let mut tokens = Vec::new();
+    host.completions.drain(&mut tokens);
+    assert_eq!(tokens, [0u64; 0], "nothing a parked request waits for");
+    assert_eq!(host.asks as u64, PARKED, "an idle driver asks nothing");
+
+    // Finalization completes every park, each exactly once.
+    engine.cancel(id).expect("known session");
+    while (tokens.len() as u64) < PARKED {
+        tokens.extend(host.completed());
+    }
+    tokens.sort_unstable();
+    assert_eq!(tokens, (0..PARKED).collect::<Vec<_>>());
+    for key in tokens {
+        host.serving = key;
+        let conn = &mut conns[key as usize];
+        conn.advance(&engine, &mut host).expect("valid frames");
+        assert!(!conn.is_parked(), "the completion carried the answer");
+        assert!(conn.buf().has_pending_out());
+    }
+    assert_eq!(host.asks as u64, 2 * PARKED, "one ask per completion");
+}
+
+/// A stream parked between batches is resumed by the events it waits
+/// for — one completion per batch it can push, not one per driver turn.
+#[test]
+fn a_parked_stream_is_resumed_once_per_batch_of_progress() {
+    let engine = engine();
+    let id = engine.submit(spec()).expect("valid spec");
+    let mut host = Parking::new(&engine);
+    host.serving = 7;
+    let mut conn = Connection::new();
+    conn.buf_mut().extend(&wire(
+        PROTO_VERSION,
+        &[Message::Subscribe {
+            session: id,
+            cursor: 0,
+            window: 1,
+        }],
+    ));
+    let mut out = Vec::new();
+    let (mut pushed, mut cursor) = (0usize, 0u64);
+    loop {
+        conn.advance(&engine, &mut host).expect("valid frames");
+        conn.buf_mut().write_to(&mut out).expect("write to a Vec");
+        if conn.is_parked() {
+            assert_eq!(host.completed(), [7], "this connection's token");
+            continue;
+        }
+        // A batch was pushed: ack it, or stop at the terminal one.
+        pushed += 1;
+        let (_, replies) = decode(&out);
+        let Some(Message::Snapshot(snap)) = replies.last() else {
+            panic!("a subscription pushes snapshots");
+        };
+        if snap.events.is_empty() {
+            assert_ne!(snap.status, SessionStatus::Running);
+            break;
+        }
+        cursor = snap.next_cursor;
+        let ack = Message::Ack { cursor, ctx: None };
+        let mut frame = FrameBuf::new();
+        frame.queue(&ack).expect("ack fits a frame");
+        let mut bytes = Vec::new();
+        frame.write_to(&mut bytes).expect("write to a Vec");
+        conn.buf_mut().extend(&bytes);
+    }
+    assert_eq!(
+        pushed as u64,
+        cursor + 1,
+        "one batch an event, then the end"
+    );
+    // Every ask either pushed a batch or parked; every park was ended by
+    // one completion. So asks ≤ 2 × batches — independent of how long
+    // the session took or how often a driver might have turned.
+    assert!(
+        host.asks <= 2 * pushed,
+        "{} asks for {pushed} batches",
+        host.asks
     );
 }

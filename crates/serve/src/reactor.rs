@@ -33,24 +33,28 @@
 //! tenants make proportionally faster progress under contention.
 //!
 //! "Not finished yet" parks instead of blocking: `Wait` is answered
-//! from [`Engine::try_wait`], stream batches from
-//! [`Engine::poll_window`], and a connection whose answer is not there
-//! yet joins the parked set, re-asked every 2 ms park tick. A parked
-//! connection stops draining frames (backpressure by not reading),
-//! exactly as a blocking pump's thread is busy inside the engine call.
+//! from [`Engine::try_wait_watch`], stream batches from
+//! [`Engine::poll_watch`], and an answer that is not there yet leaves
+//! one-shot interest in the session, tagged with the connection's key.
+//! The worker that makes the session progress pushes the key onto the
+//! engine's [`CompletionQueue`] and wakes the poller; the loop resumes
+//! exactly those connections and asks the engine nothing in between. A
+//! parked connection stops draining frames (backpressure by not
+//! reading), exactly as a blocking pump's thread is busy inside the
+//! engine call.
 
 use crate::admission::{Admission, AdmissionError};
 use crate::auth::AuthRegistry;
 use crate::ServeConfig;
 use exsample_engine::{
-    Engine, EngineError, SessionId, SessionReport, SessionSnapshot, SessionStatus, TenantBinding,
+    CompletionQueue, Engine, EngineError, SessionId, SessionReport, SessionSnapshot, TenantBinding,
     TenantId,
 };
 use exsample_obs::{Counter, CounterFamily, Gauge, Stage, NO_SESSION};
 use exsample_proto::framebuf::{FrameBuf, ReadOutcome};
 use exsample_proto::{Connection, Host, WireError};
 use polling::{Event, Events, Poller};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
@@ -60,12 +64,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often the loop re-polls the engine for parked connections
-/// (`Wait`ers and streams between batches). The engine has no readiness
-/// fd to select on, so parked progress is clocked; 2 ms keeps parked
-/// latency invisible next to detector costs without burning the core.
-const PARK_TICK: Duration = Duration::from_millis(2);
 
 /// Idle wait ceiling — bounds how stale the handshake-deadline sweep
 /// and stop-flag check can get when nothing is happening.
@@ -221,7 +219,7 @@ struct Conn {
 
 impl Conn {
     /// Parked = progress depends on the engine, not the socket: stop
-    /// reading (backpressure) and let the park tick drive it.
+    /// reading (backpressure) until its completion arrives.
     fn is_parked(&self) -> bool {
         matches!(&self.speaks, Speaks::Xsrp(machine) if machine.is_parked())
     }
@@ -393,19 +391,24 @@ impl Reactor {
         let active = registry.gauge("connections_active");
         let stop = Arc::new(AtomicBool::new(false));
         let poller = self.poller.clone();
+        let waker = self.poller.clone();
+        let completions = self.engine.completion_queue(move || {
+            let _ = waker.notify();
+        });
         let event_loop = EventLoop {
             engine: self.engine,
             gate: Gate {
                 auth: self.auth,
                 admission: self.admission,
                 shed: shed.clone(),
+                completions,
+                serving: 0,
             },
             handshake_timeout: self.handshake_timeout,
             poller: self.poller,
             listeners: self.listeners,
             stop: stop.clone(),
             conns: HashMap::new(),
-            parked: HashSet::new(),
             deadlines: VecDeque::new(),
             next_key: 0,
             accepted: accepted.clone(),
@@ -427,11 +430,16 @@ impl Reactor {
 
 /// The reactor's [`Host`]: tenants come from the registry, admission
 /// limits shed with typed, counted answers, and "not finished yet" is
-/// answered at once — the connection parks and the loop asks again.
+/// answered at once — the connection parks, and its key comes back on
+/// the completion queue when the session has progressed.
 struct Gate {
     auth: AuthRegistry,
     admission: Admission,
     shed: Arc<CounterFamily>,
+    completions: Arc<CompletionQueue>,
+    /// Key of the connection being served: the token its parks leave
+    /// with the engine.
+    serving: u64,
 }
 
 impl Gate {
@@ -492,7 +500,9 @@ impl Host for Gate {
         engine: &Engine,
         session: SessionId,
     ) -> Result<Option<SessionReport>, EngineError> {
-        engine.try_wait(session)
+        #[cfg(test)]
+        tests::HOST_ASKS.fetch_add(1, Ordering::SeqCst);
+        engine.try_wait_watch(session, &self.completions, self.serving)
     }
 
     fn next_batch(
@@ -502,10 +512,16 @@ impl Host for Gate {
         cursor: u64,
         window: u32,
     ) -> Result<Option<SessionSnapshot>, EngineError> {
-        let snap = engine.poll_window(session, cursor, Some(window))?;
+        #[cfg(test)]
+        tests::HOST_ASKS.fetch_add(1, Ordering::SeqCst);
         // Empty + still running = nothing to push yet.
-        let ready = !snap.events.is_empty() || snap.status != SessionStatus::Running;
-        Ok(ready.then_some(snap))
+        engine.poll_watch(
+            session,
+            cursor,
+            Some(window),
+            &self.completions,
+            self.serving,
+        )
     }
 }
 
@@ -517,8 +533,6 @@ struct EventLoop {
     listeners: Vec<ListenerSlot>,
     stop: Arc<AtomicBool>,
     conns: HashMap<usize, Conn>,
-    /// Keys of parked connections, swept every [`PARK_TICK`].
-    parked: HashSet<usize>,
     /// Handshake deadlines in accept order (uniform timeout ⇒ the front
     /// is the earliest). Keys are never reused, so stale entries —
     /// closed or already-handshaken connections — are skipped, not
@@ -534,27 +548,30 @@ impl EventLoop {
         // Connection keys live above the listener key range.
         self.next_key = self.listeners.len();
         let mut events = Events::with_capacity(1024);
+        let mut completed: Vec<u64> = Vec::new();
         while !self.stop.load(Ordering::Acquire) {
             if self.poller.wait(&mut events, self.wait_timeout()).is_err() {
                 continue;
             }
-            let delivered: Vec<Event> = events.iter().collect();
-            for ev in delivered {
+            for ev in events.iter() {
                 if ev.key < self.listeners.len() {
                     self.accept_burst(ev.key);
                 } else {
-                    self.conn_event(ev);
+                    self.conn_event(ev.key, ev.readable, false);
                 }
             }
-            self.resolve_parked();
+            // The sessions these connections parked on have progressed. (A
+            // key whose connection closed meanwhile names nothing; keys
+            // are never reused.)
+            self.gate.completions.drain(&mut completed);
+            for key in completed.drain(..) {
+                self.conn_event(key as usize, false, true);
+            }
             self.expire_handshakes();
         }
     }
 
     fn wait_timeout(&self) -> Option<Duration> {
-        if !self.parked.is_empty() {
-            return Some(PARK_TICK);
-        }
         if let Some((_, deadline)) = self.deadlines.front() {
             let until = deadline.saturating_duration_since(Instant::now());
             return Some(until.clamp(Duration::from_millis(1), IDLE_WAIT));
@@ -657,20 +674,21 @@ impl EventLoop {
 
     // ---- connection events ----
 
-    fn conn_event(&mut self, ev: Event) {
-        let Some(mut conn) = self.conns.remove(&ev.key) else {
+    fn conn_event(&mut self, key: usize, readable: bool, resumed: bool) {
+        let Some(mut conn) = self.conns.remove(&key) else {
             return;
         };
-        if self.drive(&mut conn, ev.readable) {
+        if self.drive(&mut conn, readable, resumed) {
             self.keep(conn);
         } else {
             self.close(conn);
         }
     }
 
-    /// Advance one connection as far as its readiness allows. Returns
-    /// `false` when the connection is finished (close it).
-    fn drive(&mut self, conn: &mut Conn, readable: bool) -> bool {
+    /// Advance one connection as far as its readiness (`readable`) or
+    /// its session's progress (`resumed`) allows. Returns `false` when
+    /// the connection is finished (close it).
+    fn drive(&mut self, conn: &mut Conn, readable: bool, resumed: bool) -> bool {
         if conn.speaks.buf().has_pending_out() && !self.flush(conn) {
             return false;
         }
@@ -682,9 +700,11 @@ impl EventLoop {
                 // clean end of service.
                 Ok(ReadOutcome::Eof) | Err(_) => return false,
             }
-            if !self.serve(conn) {
-                return false;
-            }
+        }
+        // Asks the host again when resumed; an answer also unblocks
+        // whatever frames were buffered behind the parked request.
+        if (readable || resumed) && !conn.is_closing() && !self.serve(conn) {
+            return false;
         }
         self.flush(conn) && !conn.is_finished()
     }
@@ -692,6 +712,7 @@ impl EventLoop {
     /// Serve what the connection has buffered; `false` = unusable
     /// (undecodable input, unframeable reply): close it.
     fn serve(&mut self, conn: &mut Conn) -> bool {
+        self.gate.serving = conn.key as u64;
         let usable = match &mut conn.speaks {
             Speaks::Xsrp(machine) => machine.advance(&self.engine, &mut self.gate).is_ok(),
             Speaks::Http { buf, answered } => {
@@ -716,36 +737,9 @@ impl EventLoop {
         speaks.buf_mut().write_to(&mut **io).is_ok()
     }
 
-    // ---- parked progress ----
-
-    fn resolve_parked(&mut self) {
-        if self.parked.is_empty() {
-            return;
-        }
-        let keys: Vec<usize> = self.parked.iter().copied().collect();
-        for key in keys {
-            let Some(mut conn) = self.conns.remove(&key) else {
-                self.parked.remove(&key);
-                continue;
-            };
-            // Asks the host again; an answer also unblocks whatever
-            // frames were buffered behind the parked request.
-            if self.serve(&mut conn) && self.flush(&mut conn) && !conn.is_finished() {
-                self.keep(conn);
-            } else {
-                self.close(conn);
-            }
-        }
-    }
-
     // ---- bookkeeping ----
 
     fn keep(&mut self, conn: Conn) {
-        if conn.is_parked() {
-            self.parked.insert(conn.key);
-        } else {
-            self.parked.remove(&conn.key);
-        }
         let _ = self.poller.modify(&Fd(conn.io.raw_fd()), conn.interest());
         self.conns.insert(conn.key, conn);
     }
@@ -757,7 +751,6 @@ impl EventLoop {
                 self.gate.admission.unbind_tenant(binding.tenant);
             }
         }
-        self.parked.remove(&conn.key);
         self.active.set(self.conns.len() as u64);
     }
 
@@ -829,6 +822,122 @@ fn http_response(status: &str, body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exsample_core::driver::StopCond;
+    use exsample_detect::NoiseModel;
+    use exsample_engine::{EngineConfig, QuerySpec, SessionStatus};
+    use exsample_proto::{Message, PROTO_VERSION};
+    use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
+    use std::sync::atomic::AtomicU64;
+
+    /// How often any reactor in this test binary asked its engine
+    /// `Host::{wait, next_batch}`. One test spawns a reactor.
+    pub(super) static HOST_ASKS: AtomicU64 = AtomicU64::new(0);
+
+    fn asks() -> u64 {
+        HOST_ASKS.load(Ordering::SeqCst)
+    }
+
+    /// One request on a fresh connection, reply unread.
+    fn send(addr: SocketAddr, request: &Message) -> TcpStream {
+        let mut buf = FrameBuf::new();
+        buf.queue_preamble(PROTO_VERSION);
+        buf.queue(request).expect("request fits a frame");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        buf.write_to(&mut stream).expect("send the request");
+        stream
+    }
+
+    /// The one reply a connection of [`send`] gets.
+    fn reply(stream: &mut TcpStream) -> Message {
+        let mut buf = FrameBuf::new();
+        let mut handshaken = false;
+        loop {
+            if !handshaken {
+                handshaken = buf.take_preamble().expect("our magic").is_some();
+            }
+            if handshaken {
+                if let Some(msg) = buf.next_frame().expect("a well-formed reply") {
+                    return msg;
+                }
+            }
+            assert_ne!(buf.fill_from(stream).expect("read"), 0, "closed unanswered");
+        }
+    }
+
+    #[test]
+    fn parked_connections_cost_one_engine_call_per_park_and_per_completion() {
+        const PARKED: u64 = 32;
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 2,
+            quantum: 8,
+            ..EngineConfig::default()
+        }));
+        // A timeline that takes seconds to exhaust, and a target out of
+        // reach: the session streams events until it is cancelled.
+        let footage = DatasetSpec::single_class(
+            4_000_000,
+            ClassSpec::new("car", 60, 40.0, SkewSpec::CentralNormal { frac95: 0.2 }),
+        );
+        let repo = engine.register_repo(
+            "marathon-cam",
+            Arc::new(footage.generate(23)),
+            NoiseModel::none(),
+            5,
+        );
+        let session = engine
+            .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(u64::MAX)).seed(3))
+            .expect("valid spec");
+        let mut reactor = Reactor::new(engine.clone(), ServeConfig::default()).expect("poller");
+        let addr = reactor.listen_tcp("127.0.0.1:0").expect("bind loopback");
+        let _handle = reactor.spawn().expect("spawn reactor");
+
+        // Half wait for the report; half stream from far past the log's
+        // end, where only finalization is a batch.
+        let mut conns: Vec<TcpStream> = (0..PARKED)
+            .map(|i| {
+                let request = if i % 2 == 0 {
+                    Message::Wait { session }
+                } else {
+                    Message::Subscribe {
+                        session,
+                        cursor: u64::MAX,
+                        window: 4,
+                    }
+                };
+                send(addr, &request)
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while asks() < PARKED {
+            assert!(Instant::now() < deadline, "only {} parked", asks());
+            std::thread::yield_now();
+        }
+
+        // Parked, the reactor asks the engine nothing — while the session
+        // next door keeps logging events none of them waits for.
+        let logged = engine.poll(session, 0).expect("known session").events.len();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(asks(), PARKED, "an idle reactor polled the engine");
+        while engine.poll(session, 0).expect("known session").events.len() == logged {
+            std::thread::yield_now();
+        }
+        assert_eq!(asks(), PARKED, "progress nobody waits for resumed someone");
+
+        // Finalization resumes each connection once, with its answer.
+        engine.cancel(session).expect("known session");
+        for (i, conn) in conns.iter_mut().enumerate() {
+            match reply(conn) {
+                Message::Report(report) if i % 2 == 0 => {
+                    assert_eq!(report.status, SessionStatus::Cancelled)
+                }
+                Message::Snapshot(snap) if i % 2 == 1 => {
+                    assert_eq!(snap.status, SessionStatus::Cancelled)
+                }
+                other => panic!("connection {i} got {other:?}"),
+            }
+        }
+        assert_eq!(asks(), 2 * PARKED, "one ask per completion");
+    }
 
     #[test]
     fn accept_retry_gives_up_after_consecutive_failures() {
