@@ -1,4 +1,4 @@
-//! Design ablations (DESIGN.md): prior pseudo-counts, chunk selector,
+//! Design ablations: prior pseudo-counts, chunk selector,
 //! within-chunk order, and batched Thompson sampling.
 
 use exsample_bench::results_dir;

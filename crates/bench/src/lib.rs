@@ -1,4 +1,6 @@
-//! Experiment binaries and Criterion benches.
+//! Paper-reproduction binaries, the 10k-connection `serve_bench`, and
+//! Criterion benches. Every other measurement of the system is the
+//! stand-alone `benchmark/` workspace's (`BENCHMARK.json`).
 //!
 //! Binaries (run with `--release`; add `--quick` for smoke-scale):
 //!
@@ -11,10 +13,12 @@
 //! cargo run --release -p exsample-bench --bin fig6     # chunk histograms + S
 //! cargo run --release -p exsample-bench --bin coverage # §III-D variance check
 //! cargo run --release -p exsample-bench --bin ablate   # design ablations
+//! cargo run --release -p exsample-bench --bin serve_bench -- --smoke  # reactor under load
 //! ```
 //!
-//! Each binary prints paper-style tables and writes CSVs under
-//! `results/`. Criterion benches live in `benches/` (one scaled bench per
+//! Each paper binary prints paper-style tables and writes CSVs under
+//! `results/`; `serve_bench` without `--smoke` rewrites `BENCH_serve.json`.
+//! Criterion benches live in `benches/` (one scaled bench per
 //! table/figure plus microbenches of the hot paths).
 
 /// Output directory for experiment CSVs, honouring `EXSAMPLE_RESULTS`.

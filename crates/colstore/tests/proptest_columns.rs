@@ -142,6 +142,16 @@ proptest! {
         std::fs::write(&path, &bytes).expect("write container");
         let store = ColumnarStore::open(&path, fingerprint).expect("open own container");
         prop_assert_eq!(store.frames_indexed(), records.len() as u64);
+        // Reads are lazy: opening consults the header and chunk index only;
+        // a column group is counted once, when a frame in it is first read.
+        let at_open = store.bytes_touched();
+        prop_assert!(at_open < bytes.len() as u64, "open read column data");
+        let (&(repo, frame), _) = records.iter().next().expect("at least one record");
+        store.get(repo, frame);
+        let one_group = store.bytes_touched();
+        prop_assert!(one_group > at_open);
+        store.get(repo, frame);
+        prop_assert_eq!(store.bytes_touched(), one_group);
         for ((repo, frame), dets) in &records {
             prop_assert!(store.covers(*repo, *frame));
             let got = store.get(*repo, *frame).expect("recorded frame");
@@ -158,6 +168,7 @@ proptest! {
             }
         }
         prop_assert_eq!(store.damaged_groups(), 0);
+        prop_assert!(store.bytes_touched() <= bytes.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -61,6 +61,7 @@ pub mod chunking;
 pub mod driver;
 pub mod exsample;
 pub mod policy;
+pub mod threads;
 pub mod within;
 
 pub use belief::{BeliefPrior, ChunkStats, Selector};
@@ -68,6 +69,7 @@ pub use chunking::Chunking;
 pub use driver::{run_search, SearchCost, SearchStepper, SearchTrace, StopCond, TracePoint};
 pub use exsample::{ExSample, ExSampleConfig};
 pub use policy::{Feedback, SamplingPolicy};
+pub use threads::default_threads;
 pub use within::{RandomWithin, ScoredWithin, StratifiedWithin, WithinKind, WithinSampler};
 
 /// Global frame index. Policies hand these out; oracles consume them.

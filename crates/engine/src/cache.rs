@@ -300,15 +300,6 @@ impl FrameCache {
             && !shard.pending.contains_key(key)
     }
 
-    /// Whether *every* shard is at preload capacity — once true, no
-    /// preload can be accepted and a startup scan can stop streaming the
-    /// log entirely.
-    pub fn preload_saturated(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.lock().expect("cache shard poisoned").map.len() >= self.shard_capacity)
-    }
-
     /// Inject an already-known entry (the bulk preload path used when
     /// restoring persisted detections at startup). Counted as a warm load,
     /// not a miss, and the write-behind hook is *not* invoked — these
@@ -689,10 +680,8 @@ mod tests {
             other => panic!("expected miss, got {other:?}"),
         };
         assert!(!cache.wants(&key(1)), "in flight");
-        assert!(!cache.preload_saturated(), "one slot left");
         guard.fill(Vec::new());
         assert!(!cache.wants(&key(2)), "shard full");
-        assert!(cache.preload_saturated());
     }
 
     #[test]

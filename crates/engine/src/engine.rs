@@ -76,13 +76,12 @@ use crate::session::{
     ResultEvent, SessionCell, SessionId, SessionReport, SessionSnapshot, SessionStatus,
     TenantBinding, TenantId, Watch,
 };
-use crate::threads::default_threads;
 use exsample_colstore::{ColumnarStore, OpenError};
 use exsample_core::belief::ChunkStats;
 use exsample_core::driver::SearchStepper;
 use exsample_core::exsample::ExSample;
 use exsample_core::policy::Feedback;
-use exsample_core::Chunking;
+use exsample_core::{default_threads, Chunking};
 use exsample_detect::{
     dispatch_batch, Detection, Discriminator, NoiseModel, OracleDiscriminator, SimulatedDetector,
     TrackerDiscriminator,
@@ -148,9 +147,9 @@ pub struct EngineConfig {
     /// Record latency histograms and flight-recorder events (on by
     /// default). Instrumentation is observational only — wall-clock
     /// reads and relaxed atomics — so session traces are identical
-    /// either way; switching it off removes even that cost, which is
-    /// the baseline the `obs_cmp` benchmark measures against. Metrics
-    /// are still *registered* when off (with zero readings), so
+    /// either way; switching it off removes even that cost (the
+    /// benchmark's `obs.*_record_ns` layer metrics price it per record).
+    /// Metrics are still *registered* when off (with zero readings), so
     /// [`Engine::diagnostics`] keeps a stable shape.
     pub observe: bool,
     /// Record request-scoped span trees for distributed tracing (on by

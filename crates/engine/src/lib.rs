@@ -41,8 +41,6 @@
 //!   with zero detector invocations; finished sessions snapshot their
 //!   chunk beliefs for cross-session warm-starts. [`Engine::persist_stats`]
 //!   reports what was loaded, skipped (stale fingerprints), or salvaged.
-//! * [`default_threads`] — the workspace-wide `EXSAMPLE_THREADS`
-//!   convention, shared with the experiments harness.
 //!
 //! # Example
 //!
@@ -85,7 +83,6 @@ pub mod obs;
 pub mod scheduler;
 pub mod service;
 pub mod session;
-pub mod threads;
 
 pub use cache::{
     CacheStats, CachedDetections, FrameCache, FrameKey, Lookup, MissGuard, PendingWait,
@@ -101,4 +98,3 @@ pub use session::{
     CompletionQueue, DiscriminatorKind, QuerySpec, RepoId, ResultEvent, SessionCharges, SessionId,
     SessionReport, SessionSnapshot, SessionStatus, TenantBinding, TenantId,
 };
-pub use threads::default_threads;

@@ -6,8 +6,7 @@
 //! Instrumentation is strictly observational (wall clock + atomics); it
 //! cannot perturb a session's deterministic trace. With
 //! [`EngineConfig::observe`](crate::EngineConfig::observe) off, spans
-//! are inert and never read the clock, which is the uninstrumented
-//! baseline the `obs_cmp` benchmark compares against.
+//! are inert and never read the clock (`tests/obs_contract.rs`).
 
 use exsample_obs::{
     Counter, CounterFamily, FlightRecorder, GaugeFamily, LatencyHistogram, Registry, SpanCollector,

@@ -238,8 +238,9 @@ impl SessionCharges {
         self.detect_s + self.io_s + self.dispatch_s
     }
 
-    /// Add one quantum's charges to the ledger.
-    pub(crate) fn add(&mut self, delta: &SessionCharges) {
+    /// Add another ledger to this one: a quantum's charges to its
+    /// session's, or a session's to a fleet total.
+    pub fn add(&mut self, delta: &SessionCharges) {
         self.detect_s += delta.detect_s;
         self.io_s += delta.io_s;
         self.dispatch_s += delta.dispatch_s;

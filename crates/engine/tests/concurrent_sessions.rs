@@ -173,6 +173,39 @@ fn batched_sessions_are_deterministic_across_worker_counts() {
 }
 
 #[test]
+fn exhaustive_sweeps_are_complete_and_billed_once_per_frame_at_any_batch_size() {
+    // Every query samples every frame, so batching can change neither
+    // what is found nor what the detector runs on.
+    let gt = Arc::new(
+        DatasetSpec::single_class(
+            5_000,
+            ClassSpec::new("car", 20, 40.0, SkewSpec::CentralNormal { frac95: 0.15 }),
+        )
+        .generate(7),
+    );
+    for batch in [1, 8] {
+        let engine = Engine::new(EngineConfig {
+            workers: 3,
+            batch,
+            ..EngineConfig::default()
+        });
+        let repo = engine.register_repo("sweep-repo", gt.clone(), NoiseModel::none(), 3);
+        let ids: Vec<_> = (0..3)
+            .map(|q| {
+                let spec = QuerySpec::new(repo, ClassId(0), StopCond::samples(gt.frames));
+                engine.submit(spec.chunks(8).seed(70 + q)).expect("valid")
+            })
+            .collect();
+        for id in ids {
+            let report = engine.wait(id).expect("session finishes");
+            assert_eq!(report.trace.found(), 20, "incomplete sweep, batch {batch}");
+            assert_eq!(report.charges.frames, gt.frames);
+        }
+        assert_eq!(engine.detector_invocations(), gt.frames, "batch {batch}");
+    }
+}
+
+#[test]
 fn per_query_batch_override_takes_precedence_over_engine_default() {
     let engine = Engine::new(EngineConfig {
         workers: 2,

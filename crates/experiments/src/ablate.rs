@@ -1,4 +1,4 @@
-//! Ablations called out in DESIGN.md.
+//! Ablations of the sampler's design choices.
 //!
 //! * **Prior** — sensitivity to `(α0, β0)` (paper §III-C: "we did not
 //!   observe a strong dependence on this value choice").

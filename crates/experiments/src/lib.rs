@@ -1,5 +1,7 @@
-//! Evaluation harness: everything needed to regenerate the paper's tables
-//! and figures.
+//! Paper-reproduction harness: everything needed to regenerate the tables
+//! and figures of ExSample's evaluation, on the library crates alone
+//! (sampler, baselines, simulated detector and repositories). The system
+//! around the sampler is measured by the stand-alone `benchmark/` workspace.
 //!
 //! Each experiment module owns one artifact of the paper's evaluation:
 //!
@@ -12,10 +14,7 @@
 //! | [`fig5`] | Fig. 5 — per-query savings ratios at recall .1/.5/.9 |
 //! | [`fig6`] | Fig. 6 — chunk histograms and the skew metric `S` |
 //! | [`coverage`] | §III-D — variance-bound coverage check (≈80%) |
-//! | [`ablate`] | DESIGN.md ablations: prior, selector, within-chunk order, batch |
-//! | [`engine_cmp`] | engine-shared vs. independent execution of overlapping queries |
-//! | [`persist_cmp`] | cold vs. warm engine start over a persisted detection store |
-//! | [`obs_cmp`] | instrumented vs. uninstrumented engine: observability overhead |
+//! | [`ablate`] | design ablations: prior, selector, within-chunk order, batch |
 //!
 //! Supporting modules: [`presets`] (the six evaluation datasets,
 //! calibrated to the paper's reported frame counts, instance counts and
@@ -26,19 +25,15 @@
 
 pub mod ablate;
 pub mod coverage;
-pub mod engine_cmp;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod obs_cmp;
 pub mod parallel;
-pub mod persist_cmp;
 pub mod presets;
 pub mod report;
 pub mod runner;
-pub mod store_cmp;
 pub mod table1;
 
 /// Controls experiment size: `Quick` for CI-sized smoke runs, `Full` for

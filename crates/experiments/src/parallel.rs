@@ -46,7 +46,7 @@ where
 
 /// The workspace-wide worker-thread convention (`EXSAMPLE_THREADS`),
 /// shared with the engine's worker pool.
-pub use exsample_engine::default_threads;
+pub use exsample_core::default_threads;
 
 #[cfg(test)]
 mod tests {

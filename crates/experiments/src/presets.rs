@@ -2,7 +2,7 @@
 //!
 //! We cannot ship BDD / dashcam / amsterdam / archie / night-street video,
 //! so each dataset is synthesized with the statistical structure the paper
-//! reports (see DESIGN.md §2). Calibration sources:
+//! reports. Calibration sources:
 //!
 //! * **Frame counts** — Table I's proxy-scan column is "bound by
 //!   io+decode" at ≈100 fps, so `frames = scan_seconds × 100`

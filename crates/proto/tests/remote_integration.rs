@@ -122,6 +122,11 @@ fn four_concurrent_remote_clients_match_in_process_sessions() {
         assert_eq!(curve(&local), curve(remote));
         assert_eq!(local.chunk_stats.len(), remote.chunk_stats.len());
     }
+    // Nor does the side of the socket change what the detector ran on.
+    assert_eq!(
+        local_engine.detector_invocations(),
+        remote_engine.detector_invocations()
+    );
 }
 
 #[test]

@@ -20,55 +20,114 @@
 //! cargo run --release --example batched_search
 //! ```
 
-use exsample::experiments::engine_cmp::{run_batched_cmp, to_batch_table, EngineCmpConfig};
+use exsample::core::driver::StopCond;
+use exsample::detect::NoiseModel;
+use exsample::engine::{Engine, EngineConfig, QuerySpec, SessionCharges, SessionStatus};
+use exsample::experiments::report::Table;
+use exsample::store::CostModel;
+use exsample::videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
+use std::sync::Arc;
+
+const QUERIES: u64 = 3;
+const SEED: u64 = 33;
+const DISPATCH_OVERHEAD_S: f64 = 0.02;
+
+/// Every query samples every frame (`StopCond::samples(frames)`) through
+/// one engine dispatching the detector in batches of `batch`. Returns each
+/// query's distinct results and the fleet's ledger, summed over sessions.
+fn sweep(gt: &Arc<GroundTruth>, batch: u32) -> (Vec<u64>, SessionCharges) {
+    let engine = Engine::new(EngineConfig {
+        batch,
+        cost_model: CostModel {
+            dispatch_s: DISPATCH_OVERHEAD_S,
+            ..CostModel::default()
+        },
+        ..EngineConfig::default()
+    });
+    let repo = engine.register_repo("batched-search", gt.clone(), NoiseModel::none(), SEED);
+    let ids: Vec<_> = (0..QUERIES)
+        .map(|q| {
+            let spec = QuerySpec::new(repo, ClassId(0), StopCond::samples(gt.frames));
+            engine
+                .submit(spec.chunks(16).seed(SEED + q))
+                .expect("valid query")
+        })
+        .collect();
+    let (mut found, mut total) = (Vec::new(), SessionCharges::default());
+    for id in ids {
+        let report = engine.wait(id).expect("session finished");
+        assert_eq!(report.status, SessionStatus::Done);
+        found.push(report.trace.found());
+        total.add(&report.charges);
+    }
+    (found, total)
+}
 
 fn main() {
-    let cfg = EngineCmpConfig {
-        frames: 20_000,
-        instances: 40,
-        queries: 3,
-        target: 0, // unused: the comparison sweeps exhaustively
-        ..EngineCmpConfig::default_workload()
-    };
-    let (dispatch_overhead_s, batch) = (0.02, 16);
-    println!(
-        "running {} exhaustive queries over {} frames, dispatch overhead {dispatch_overhead_s}s, B={batch} …\n",
-        cfg.queries, cfg.frames
+    let gt = Arc::new(
+        DatasetSpec::single_class(
+            20_000,
+            ClassSpec::new("object", 40, 60.0, SkewSpec::CentralNormal { frac95: 0.15 }),
+        )
+        .generate(SEED ^ 0xD5),
     );
-    let report = run_batched_cmp(&cfg, 20.0, dispatch_overhead_s, batch);
+    let batch = 16;
+    println!(
+        "running {QUERIES} exhaustive queries over {} frames, dispatch overhead {DISPATCH_OVERHEAD_S}s, B={batch} …\n",
+        gt.frames
+    );
+    let (found_per_frame, per_frame) = sweep(&gt, 1);
+    let (found_batched, batched) = sweep(&gt, batch);
 
-    println!("{}", to_batch_table(&report).to_markdown());
+    let mut table = Table::new(&[
+        "strategy",
+        "frames",
+        "detector invocations",
+        "dispatches",
+        "dispatch seconds",
+        "detector seconds",
+    ]);
+    for (strategy, cost) in [
+        ("per-frame dispatch".to_string(), &per_frame),
+        (format!("batched dispatch (B={batch})"), &batched),
+    ] {
+        table.row(vec![
+            strategy,
+            cost.frames.to_string(),
+            cost.detector_invocations.to_string(),
+            cost.dispatches.to_string(),
+            format!("{:.2}", cost.dispatch_s),
+            format!("{:.1}", cost.detect_s),
+        ]);
+    }
+    println!("{}", table.to_markdown());
 
     // The comparison's contract, asserted here and gated again by CI.
     assert_eq!(
-        report.found_per_frame, report.found_batched,
+        found_per_frame, found_batched,
         "batching changed query results"
     );
     assert_eq!(
-        report.per_frame.detector_invocations, report.batched.detector_invocations,
+        per_frame.detector_invocations, batched.detector_invocations,
         "batching changed what the detector ran on"
     );
     assert!(
-        report.batched.dispatches < report.per_frame.dispatches,
+        batched.dispatches < per_frame.dispatches,
         "batching did not reduce dispatches"
     );
     assert!(
-        report.batched.dispatch_s < report.per_frame.dispatch_s,
+        batched.dispatch_s < per_frame.dispatch_s,
         "batching did not reduce modelled dispatch-seconds"
     );
 
-    let found: u64 = report.found_batched.iter().sum();
     println!("identical results: ok");
-    println!("total found: {found}");
-    println!("per-frame dispatches: {}", report.per_frame.dispatches);
-    println!("batched dispatches: {}", report.batched.dispatches);
-    println!(
-        "per-frame dispatch seconds: {:.3}",
-        report.per_frame.dispatch_s
-    );
-    println!("batched dispatch seconds: {:.3}", report.batched.dispatch_s);
+    println!("total found: {}", found_batched.iter().sum::<u64>());
+    println!("per-frame dispatches: {}", per_frame.dispatches);
+    println!("batched dispatches: {}", batched.dispatches);
+    println!("per-frame dispatch seconds: {:.3}", per_frame.dispatch_s);
+    println!("batched dispatch seconds: {:.3}", batched.dispatch_s);
     println!(
         "\nbatching (B={batch}) cut dispatch overhead by {:.1}% for an identical result set",
-        report.dispatch_savings() * 100.0
+        (1.0 - batched.dispatch_s / per_frame.dispatch_s) * 100.0
     );
 }

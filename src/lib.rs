@@ -53,7 +53,7 @@
 //!   of recent structured events, and a Prometheus-style text
 //!   exposition.
 //! * [`experiments`] — runners that regenerate every table and figure of
-//!   the paper's evaluation, plus the engine-vs-independent comparison.
+//!   the paper's evaluation, on the library crates alone.
 //!
 //! ## Quick start
 //!
