@@ -21,6 +21,11 @@
 //! [ data       ]  concatenated column groups, one per (repo, chunk)
 //! ```
 //!
+//! The fixed parts are declared once, as field lists in byte order
+//! (`Header` + `HeaderSeal`, [`IndexEntry`], `BoxRow` below, over
+//! [`exsample_store::le`]); each declaration is both the writer and the
+//! reader of its part, and the diagram above is their reading aid.
+//!
 //! Each **column group** packs the detections of one `(repo, chunk)` as
 //! four independently-delimited columns (lengths as varints up front):
 //! frame ids (first absolute, then strictly-positive deltas, LEB128),
@@ -40,6 +45,8 @@ use crate::varint::{get_u64, put_u64};
 use exsample_detect::Detection;
 use exsample_stats::FxHashMap;
 use exsample_store::crc::crc32;
+use exsample_store::le::{Le, Reader};
+use exsample_store::le_record;
 use exsample_videosim::{BBox, ClassId, InstanceId};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -51,25 +58,63 @@ pub const MAGIC: &[u8; 4] = b"XSCS";
 /// Current container format version.
 pub const FORMAT_VERSION: u16 = 1;
 /// Fixed byte length of the container header.
-pub const HEADER_LEN: usize = 96;
+pub const HEADER_LEN: usize = <Header as Le<Disk>>::MIN + <HeaderSeal as Le<Disk>>::MIN;
 /// Fixed byte length of one chunk-index entry.
-pub const INDEX_ENTRY_LEN: usize = 64;
+pub const INDEX_ENTRY_LEN: usize = <IndexEntry as Le<Disk>>::MIN;
+// The sizes the format documents; the reserved tail is what rounds the
+// header up to its 96.
+const _: () = assert!(HEADER_LEN == 96 && INDEX_ENTRY_LEN == 64);
 /// Canonical container file name inside a persist directory.
 pub const CONTAINER_NAME: &str = "detections.xsc";
 /// Suffix of in-flight compaction outputs (swept if orphaned by a crash).
 pub const TMP_SUFFIX: &str = ".xsc.tmp";
 
-fn read_u16(data: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(data[off..off + 2].try_into().expect("2 bytes"))
-}
+/// Format marker of the container's fixed layouts (see
+/// [`exsample_store::le`]): each `le_record!(Disk: …)` below is that
+/// part's byte layout, both directions.
+#[derive(Debug, Clone, Copy)]
+pub struct Disk;
 
-fn read_u32(data: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(data[off..off + 4].try_into().expect("4 bytes"))
+/// The checksummed part of the header.
+struct Header {
+    magic: [u8; 4],
+    version: u16,
+    header_len: u16,
+    /// Detector ⊕ dataset.
+    fingerprint: u64,
+    chunk_frames: u64,
+    groups: u32,
+    index_off: u64,
+    index_len: u64,
+    index_crc: u32,
+    data_off: u64,
+    data_len: u64,
+    data_crc: u32,
 }
+le_record!(Disk: Header {
+    magic, version, header_len, fingerprint, chunk_frames, groups,
+    index_off, index_len, index_crc, data_off, data_len, data_crc,
+});
 
-fn read_u64(data: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"))
+/// What closes the header: the CRC of the encoded [`Header`], then
+/// bytes reserved for future versions (zero, and checked to be).
+struct HeaderSeal {
+    header_crc: u32,
+    reserved: [u8; 24],
 }
+le_record!(Disk: HeaderSeal { header_crc, reserved });
+
+/// One detection's row in a group's box column (its score travels in
+/// the score column).
+struct BoxRow {
+    bbox: BBox,
+    class: ClassId,
+    truth: Option<InstanceId>,
+}
+le_record!(Disk: BoxRow { bbox, class, truth });
+le_record!(Disk: BBox { x1, y1, x2, y2 });
+le_record!(Disk: ClassId { 0 });
+le_record!(Disk: InstanceId { 0 });
 
 /// One chunk-index entry: where a `(repo, chunk)` group's columns live
 /// and what they summarize — enough to answer "is this chunk worth
@@ -100,37 +145,9 @@ pub struct IndexEntry {
     pub score_sum: f64,
 }
 
-impl IndexEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.repo.to_le_bytes());
-        out.extend_from_slice(&self.chunk.to_le_bytes());
-        out.extend_from_slice(&self.off.to_le_bytes());
-        out.extend_from_slice(&self.len.to_le_bytes());
-        out.extend_from_slice(&self.crc.to_le_bytes());
-        out.extend_from_slice(&self.frames.to_le_bytes());
-        out.extend_from_slice(&self.dets.to_le_bytes());
-        out.extend_from_slice(&self.min_frame.to_le_bytes());
-        out.extend_from_slice(&self.max_frame.to_le_bytes());
-        out.extend_from_slice(&self.max_score.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.score_sum.to_bits().to_le_bytes());
-    }
-
-    fn decode(data: &[u8]) -> IndexEntry {
-        IndexEntry {
-            repo: read_u32(data, 0),
-            chunk: read_u32(data, 4),
-            off: read_u64(data, 8),
-            len: read_u64(data, 16),
-            crc: read_u32(data, 24),
-            frames: read_u32(data, 28),
-            dets: read_u32(data, 32),
-            min_frame: read_u64(data, 36),
-            max_frame: read_u64(data, 44),
-            max_score: f32::from_bits(read_u32(data, 52)),
-            score_sum: f64::from_bits(read_u64(data, 56)),
-        }
-    }
-}
+le_record!(Disk: IndexEntry {
+    repo, chunk, off, len, crc, frames, dets, min_frame, max_frame, max_score, score_sum,
+});
 
 /// Why a container file was rejected at [`ColumnarStore::open`].
 #[derive(Debug)]
@@ -195,17 +212,12 @@ pub fn encode_group(frames: &[(u64, Vec<Detection>)], out: &mut Vec<u8>) -> Grou
                 }
                 score_sum += f64::from(d.score);
             }
-            for c in [d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2] {
-                boxes_col.extend_from_slice(&c.to_le_bytes());
+            BoxRow {
+                bbox: d.bbox,
+                class: d.class,
+                truth: d.truth,
             }
-            boxes_col.extend_from_slice(&d.class.0.to_le_bytes());
-            match d.truth {
-                Some(id) => {
-                    boxes_col.push(1);
-                    boxes_col.extend_from_slice(&id.0.to_le_bytes());
-                }
-                None => boxes_col.push(0),
-            }
+            .put(&mut boxes_col);
         }
     }
     put_u64(out, frames.len() as u64);
@@ -332,42 +344,19 @@ pub fn decode_group(data: &[u8]) -> Result<DecodedGroup, &'static str> {
     }
 
     let mut spos = 0usize;
-    let mut bpos = 0usize;
+    let mut boxes = Reader::new(boxes_col);
     let mut dets = Vec::with_capacity(n_frames);
     for &count in &counts {
         let mut frame_dets = Vec::with_capacity(count);
         for _ in 0..count {
             let score_bits = get_u64(scores_col, &mut spos).map_err(bad)?;
             let score_bits = u32::try_from(score_bits).map_err(|_| "score bits exceed f32")?;
-            if bpos + 19 > boxes_col.len() {
-                return Err("box column truncated");
-            }
-            let x1 = f32::from_le_bytes(boxes_col[bpos..bpos + 4].try_into().expect("4"));
-            let y1 = f32::from_le_bytes(boxes_col[bpos + 4..bpos + 8].try_into().expect("4"));
-            let x2 = f32::from_le_bytes(boxes_col[bpos + 8..bpos + 12].try_into().expect("4"));
-            let y2 = f32::from_le_bytes(boxes_col[bpos + 12..bpos + 16].try_into().expect("4"));
-            let class = ClassId(u16::from_le_bytes(
-                boxes_col[bpos + 16..bpos + 18].try_into().expect("2"),
-            ));
-            let tag = boxes_col[bpos + 18];
-            bpos += 19;
-            let truth = match tag {
-                0 => None,
-                1 => {
-                    if bpos + 4 > boxes_col.len() {
-                        return Err("box column truncated");
-                    }
-                    let id = read_u32(boxes_col, bpos);
-                    bpos += 4;
-                    Some(InstanceId(id))
-                }
-                _ => return Err("bad truth tag"),
-            };
+            let row = BoxRow::get(&mut boxes).map_err(|_| "bad box column row")?;
             frame_dets.push(Detection {
-                bbox: BBox { x1, y1, x2, y2 },
-                class,
+                bbox: row.bbox,
+                class: row.class,
                 score: f32::from_bits(score_bits),
-                truth,
+                truth: row.truth,
             });
         }
         dets.push(frame_dets);
@@ -375,7 +364,7 @@ pub fn decode_group(data: &[u8]) -> Result<DecodedGroup, &'static str> {
     if spos != scores_col.len() {
         return Err("trailing bytes in score column");
     }
-    if bpos != boxes_col.len() {
+    if boxes.finish().is_err() {
         return Err("trailing bytes in box column");
     }
     Ok(DecodedGroup { frames, dets })
@@ -425,27 +414,31 @@ pub fn build_container(
             max_score: summary.max_score,
             score_sum: summary.score_sum,
         };
-        entry.encode(&mut index);
+        entry.put(&mut index);
         data.extend_from_slice(&group);
     }
     let index_off = HEADER_LEN as u64;
-    let data_off = index_off + index.len() as u64;
     let mut out = Vec::with_capacity(HEADER_LEN + index.len() + data.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(HEADER_LEN as u16).to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&chunk_frames.to_le_bytes());
-    out.extend_from_slice(&n_groups.to_le_bytes());
-    out.extend_from_slice(&index_off.to_le_bytes());
-    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&index).to_le_bytes());
-    out.extend_from_slice(&data_off.to_le_bytes());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&data).to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.resize(HEADER_LEN, 0);
+    Header {
+        magic: *MAGIC,
+        version: FORMAT_VERSION,
+        header_len: HEADER_LEN as u16,
+        fingerprint,
+        chunk_frames,
+        groups: n_groups,
+        index_off,
+        index_len: index.len() as u64,
+        index_crc: crc32(&index),
+        data_off: index_off + index.len() as u64,
+        data_len: data.len() as u64,
+        data_crc: crc32(&data),
+    }
+    .put(&mut out);
+    HeaderSeal {
+        header_crc: crc32(&out),
+        reserved: Default::default(),
+    }
+    .put(&mut out);
     out.extend_from_slice(&index);
     out.extend_from_slice(&data);
     Ok(out)
@@ -498,43 +491,41 @@ impl ColumnarStore {
             Err(e) => return Err(OpenError::Io(e)),
         };
         let data = &*map;
-        if data.len() < HEADER_LEN {
-            return Err(OpenError::Invalid("shorter than the fixed header"));
-        }
-        if &data[..4] != MAGIC {
+        let short = |_| OpenError::Invalid("shorter than the fixed header");
+        let mut r = Reader::new(data);
+        let sealed = r.take(<Header as Le<Disk>>::MIN).map_err(short)?;
+        let seal = HeaderSeal::get(&mut r).map_err(short)?;
+        let header = Header::get(&mut Reader::new(sealed)).map_err(short)?;
+        if header.magic != *MAGIC {
             return Err(OpenError::Invalid("bad magic"));
         }
-        if read_u16(data, 4) != FORMAT_VERSION {
+        if header.version != FORMAT_VERSION {
             return Err(OpenError::Invalid("unsupported format version"));
         }
-        if read_u16(data, 6) as usize != HEADER_LEN {
+        if header.header_len as usize != HEADER_LEN {
             return Err(OpenError::Invalid("unexpected header length"));
         }
-        let header_crc = read_u32(data, 68);
-        if crc32(&data[..68]) != header_crc {
+        if crc32(sealed) != seal.header_crc {
             return Err(OpenError::Invalid("header checksum mismatch"));
         }
         // The reserved tail sits outside the checksummed prefix; requiring
         // it to be zero keeps every header byte validated (and reserves it
         // for future versions, which will bump FORMAT_VERSION anyway).
-        if data[72..HEADER_LEN].iter().any(|&b| b != 0) {
+        if seal.reserved.iter().any(|&b| b != 0) {
             return Err(OpenError::Invalid("nonzero reserved header bytes"));
         }
-        let fingerprint = read_u64(data, 8);
+        let fingerprint = header.fingerprint;
         if fingerprint != expected_fingerprint {
             return Err(OpenError::FingerprintMismatch {
                 found: fingerprint,
                 expected: expected_fingerprint,
             });
         }
-        let chunk_frames = read_u64(data, 16).max(1);
-        let n_groups = read_u32(data, 24) as usize;
-        let index_off = read_u64(data, 28) as usize;
-        let index_len = read_u64(data, 36) as usize;
-        let index_crc = read_u32(data, 44);
-        let data_off = read_u64(data, 48) as usize;
-        let data_len = read_u64(data, 56) as usize;
-        let data_crc = read_u32(data, 64);
+        let chunk_frames = header.chunk_frames.max(1);
+        let n_groups = header.groups as usize;
+        let (index_off, index_len) = (header.index_off as usize, header.index_len as usize);
+        let (data_off, data_len) = (header.data_off as usize, header.data_len as usize);
+        let data_crc = header.data_crc;
         if index_len != n_groups * INDEX_ENTRY_LEN {
             return Err(OpenError::Invalid(
                 "index length disagrees with group count",
@@ -547,13 +538,15 @@ impl ColumnarStore {
             _ => return Err(OpenError::Invalid("section table out of bounds")),
         }
         let index_bytes = &data[index_off..index_off + index_len];
-        if crc32(index_bytes) != index_crc {
+        if crc32(index_bytes) != header.index_crc {
             return Err(OpenError::Invalid("index checksum mismatch"));
         }
+        let mut entries = Reader::new(index_bytes);
         let mut index = Vec::with_capacity(n_groups);
         let mut lookup = FxHashMap::default();
         for i in 0..n_groups {
-            let entry = IndexEntry::decode(&index_bytes[i * INDEX_ENTRY_LEN..]);
+            let entry = IndexEntry::get(&mut entries)
+                .map_err(|_| OpenError::Invalid("index length disagrees with group count"))?;
             let end = entry.off.checked_add(entry.len);
             if end.is_none() || end.expect("checked") > data_len as u64 {
                 return Err(OpenError::Invalid("group extent out of bounds"));

@@ -795,6 +795,9 @@ impl Engine {
         });
         let id = SessionId(state.next_session);
         state.next_session += 1;
+        // Still under the state lock, so before any worker can lease
+        // the session (let alone finish it).
+        self.shared.obs.trace_open(id.0);
         state.sessions.insert(
             id,
             Slot {

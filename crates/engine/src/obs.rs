@@ -151,15 +151,20 @@ impl EngineObs {
         &self.tracer
     }
 
-    /// Open `session`'s trace at submit: mint the root session span and
-    /// record an engine-side submit span of `submit_ns` under it.
-    /// No-op unless tracing is on.
+    /// Open `session`'s trace: mint the root session span. Submit calls
+    /// this before the session can be leased — a worker that runs the
+    /// whole session the moment it can must find the trace open, or its
+    /// spans are dropped and its finish closes nothing. No-op unless
+    /// tracing is on.
+    pub fn trace_open(&self, session: u64) {
+        self.tracer
+            .open_root(TraceId::from_session(session), session);
+    }
+
+    /// Record the engine-side submit span of `submit_ns` under
+    /// `session`'s root. No-op unless tracing is on.
     pub fn trace_submit(&self, session: u64, submit_ns: u64) {
-        if !self.tracer.enabled() {
-            return;
-        }
         let trace = TraceId::from_session(session);
-        self.tracer.open_root(trace, session);
         self.tracer
             .record(trace, SpanId::ROOT, Stage::Submit, session, submit_ns, 0);
     }
@@ -316,6 +321,7 @@ mod tests {
     #[test]
     fn trace_lifecycle_builds_a_session_tree() {
         let obs = EngineObs::new(true, true, 16);
+        obs.trace_open(5);
         obs.trace_submit(5, 1_000);
         {
             let mut s = obs.span_flight(Stage::Dispatch, 5);

@@ -208,6 +208,47 @@ fn collected_trace_is_a_valid_session_tree() {
     assert!(dark.collect_trace(TraceId::from_session(id.0)).is_empty());
 }
 
+/// A session's trace root is open before any worker can lease the
+/// session. One-sample sessions submitted back to back keep both
+/// workers mid-loop, so each new session is leased — and finished — the
+/// moment the submitter lets go of the engine, before the submitter's
+/// next statement runs; a root opened any later than that is found
+/// missing by the worker's spans and by the finish that should close it.
+#[test]
+fn trace_root_is_open_before_a_worker_can_run_the_session() {
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
+    let repo = engine.register_repo("cam", truth(), NoiseModel::none(), 5);
+    // Rounds of fewer sessions than the collector keeps traces for, each
+    // checked before the next round may evict it.
+    for round in 0..5 {
+        let ids: Vec<_> = (0..400)
+            .map(|seed| {
+                let stop = StopCond::samples(1);
+                let spec = QuerySpec::new(repo, ClassId(0), stop).seed(round * 400 + seed);
+                engine.submit(spec).unwrap()
+            })
+            .collect();
+        for id in ids {
+            engine.wait(id).unwrap();
+            let spans = engine.collect_trace(TraceId::from_session(id.0));
+            validate_spans(&spans).expect("causal tree invariants");
+            let root = spans.first().expect("a finished session has a trace");
+            assert_eq!((root.id, root.stage), (SpanId::ROOT, Stage::Session));
+            assert!(root.duration_ns > 0, "session {}: root never closed", id.0);
+            for stage in [Stage::Submit, Stage::Lease] {
+                assert!(
+                    spans.iter().any(|s| s.stage == stage),
+                    "session {}: {stage} span dropped",
+                    id.0
+                );
+            }
+        }
+    }
+}
+
 /// The trait object surfaces diagnostics like the concrete engine.
 #[test]
 fn diagnostics_via_trait_object() {

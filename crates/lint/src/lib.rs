@@ -3,8 +3,8 @@
 //!
 //! The workspace's correctness rests on conventions no compiler checks:
 //! no blocking work under a cache or state mutex, acyclic nested lock
-//! acquisition, a hand-maintained wire-tag table that must stay in
-//! lockstep with `docs/PROTOCOL.md`, panic-free hot paths, and a metric
+//! acquisition, a protocol version that must stay in lockstep with
+//! `docs/PROTOCOL.md`, panic-free hot paths, and a metric
 //! catalog in `docs/OBSERVABILITY.md` mirroring the registry names in
 //! code. Each rule here machine-checks one of those conventions over
 //! the whole workspace, from a comment/string-aware lexical pass — no
@@ -172,15 +172,12 @@ pub fn run_workspace(root: &Path, only: &[String]) -> std::io::Result<Report> {
 /// Locate the wire rule's inputs in the loaded workspace and run it.
 fn run_wire(root: &Path, files: &[SourceFile], report: &mut Report) -> std::io::Result<()> {
     let find = |rel: &str| files.iter().find(|f| f.rel_path == rel);
-    let (Some(wire), Some(lib)) = (
-        find("crates/proto/src/wire.rs"),
-        find("crates/proto/src/lib.rs"),
-    ) else {
+    let Some(lib) = find("crates/proto/src/lib.rs") else {
         report.findings.push(Finding {
             file: "crates/proto/src".into(),
             line: 1,
             rule: rules::wire::WIRE_PROTOCOL.into(),
-            message: "wire.rs / lib.rs not found — wire rule cannot run".into(),
+            message: "lib.rs not found — wire rule cannot run".into(),
         });
         return Ok(());
     };
@@ -199,7 +196,6 @@ fn run_wire(root: &Path, files: &[SourceFile], report: &mut Report) -> std::io::
     })
     .collect();
     let inputs = rules::wire::WireInputs {
-        wire,
         lib,
         doc: (&doc, doc_path),
         handshake_tests: &handshake_tests,

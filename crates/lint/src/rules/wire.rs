@@ -1,34 +1,27 @@
-//! `wire_protocol`: conformance between the hand-maintained wire-tag
-//! table, the version constant, the protocol spec document, and the
-//! handshake tests.
+//! `wire_protocol`: conformance between the protocol version constant,
+//! the protocol spec document, and the handshake tests.
 //!
-//! The encode/decode tables in `crates/proto/src/wire.rs` and the
-//! version constants in `crates/proto/src/lib.rs` / `docs/PROTOCOL.md`
-//! are maintained by hand (PR 3 introduced them, PRs 4–9 each bumped
-//! them); nothing but convention keeps them aligned. This rule checks:
+//! The message tag table is not this rule's business: it is generated
+//! from one declaration in `crates/proto/src/wire.rs` (`MESSAGE_TAGS`),
+//! and a test there checks uniqueness, the request/response split and
+//! the spec document's table against it. What only convention keeps
+//! aligned, and this rule checks:
 //!
-//! * every `TAG_*` value is unique (a duplicate means two messages
-//!   decode identically — silent corruption);
-//! * every `TAG_*` constant has both an encode use (`out.push(TAG_X)`)
-//!   and a decode match arm (`TAG_X =>`);
 //! * `PROTO_VERSION` in code equals the `version u16 = N` the spec
 //!   document declares;
 //! * the version-mismatch handshake tests exist and reference
 //!   `PROTO_VERSION` symbolically (a hardcoded version in those tests
 //!   would rot on the next bump).
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 use crate::source::SourceFile;
 use crate::Finding;
-use std::collections::BTreeMap;
 
 pub const WIRE_PROTOCOL: &str = "wire_protocol";
 
 /// Inputs, injectable so fixture self-tests can drive the rule without
 /// a full workspace on disk.
 pub struct WireInputs<'a> {
-    /// Lexed `crates/proto/src/wire.rs`.
-    pub wire: &'a SourceFile,
     /// Lexed `crates/proto/src/lib.rs` (holds `PROTO_VERSION`).
     pub lib: &'a SourceFile,
     /// `docs/PROTOCOL.md` text and display path.
@@ -38,101 +31,6 @@ pub struct WireInputs<'a> {
 }
 
 pub fn check(inp: &WireInputs<'_>, findings: &mut Vec<Finding>, suppressed: &mut usize) {
-    let toks = &inp.wire.lexed.tokens;
-
-    // ---- collect `const TAG_X: u8 = <value>;` ----
-    let mut tags: BTreeMap<String, (u64, u32, usize)> = BTreeMap::new(); // name -> (value, line, def idx)
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("const") {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 1) else {
-            continue;
-        };
-        if name_tok.kind != TokenKind::Ident || !name_tok.text.starts_with("TAG_") {
-            continue;
-        }
-        // const TAG_X : u8 = <num> ;
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
-            j += 1;
-        }
-        let value = toks
-            .get(j + 1)
-            .filter(|_| toks.get(j).is_some_and(|t| t.is_punct('=')))
-            .and_then(|t| t.num_value());
-        let Some(v) = value else {
-            emit(
-                inp.wire,
-                name_tok.line,
-                format!("tag constant `{}` has a non-literal value", name_tok.text),
-                findings,
-                suppressed,
-            );
-            continue;
-        };
-        tags.insert(name_tok.text.clone(), (v, name_tok.line, i + 1));
-    }
-
-    // ---- uniqueness ----
-    let mut by_value: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-    for (name, (v, _, _)) in &tags {
-        by_value.entry(*v).or_default().push(name);
-    }
-    for (v, names) in by_value {
-        if names.len() > 1 {
-            let (_, line, _) = tags[names[1]];
-            emit(
-                inp.wire,
-                line,
-                format!(
-                    "tag value 0x{v:02X} is assigned to multiple constants: {} — \
-                     messages would decode ambiguously",
-                    names.join(", ")
-                ),
-                findings,
-                suppressed,
-            );
-        }
-    }
-
-    // ---- every tag has an encode use and a decode arm ----
-    for (name, (_, def_line, def_idx)) in &tags {
-        let mut encode = false;
-        let mut decode = false;
-        for i in 0..toks.len() {
-            if i == *def_idx || !toks[i].is_ident(name) {
-                continue;
-            }
-            // Decode arm: `TAG_X =>` (tokens `=` `>` follow).
-            if toks.get(i + 1).is_some_and(|t| t.is_punct('='))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('>'))
-            {
-                decode = true;
-            } else {
-                encode = true;
-            }
-        }
-        if !encode {
-            emit(
-                inp.wire,
-                *def_line,
-                format!("tag `{name}` has no encode use (no `out.push({name})` site)"),
-                findings,
-                suppressed,
-            );
-        }
-        if !decode {
-            emit(
-                inp.wire,
-                *def_line,
-                format!("tag `{name}` has no decode match arm (`{name} =>`)"),
-                findings,
-                suppressed,
-            );
-        }
-    }
-
     // ---- version constant vs spec document ----
     let code_version = find_const(&inp.lib.lexed.tokens, "PROTO_VERSION");
     let (doc_text, doc_path) = inp.doc;

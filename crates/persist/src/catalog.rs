@@ -23,10 +23,13 @@
 //! catalog with a warning, consistent with the crate's philosophy that
 //! persistence is an optimization, never a correctness dependency.
 
+use crate::codec::Disk;
 use exsample_stats::FxHashMap;
 use exsample_store::framing::{
     next_record, read_segment_header, write_record, write_segment_header, RecordStep,
 };
+use exsample_store::le::{self, Le};
+use exsample_store::le_record;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -48,6 +51,7 @@ pub struct CatalogEntry {
     /// Caller-supplied repository name.
     pub name: String,
 }
+le_record!(Disk: CatalogEntry { id, dataset_fingerprint, name });
 
 /// In-memory index of the repository catalog, mirrored to disk on every
 /// new assignment.
@@ -106,7 +110,7 @@ impl RepoCatalog {
         loop {
             match next_record(body) {
                 RecordStep::Record { payload, rest } => {
-                    if let Some(entry) = decode_entry(payload) {
+                    if let Ok(entry) = le::decode::<Disk, CatalogEntry>(payload) {
                         self.adopt(entry);
                     }
                     body = rest;
@@ -197,7 +201,7 @@ impl RepoCatalog {
         let mut payload = Vec::new();
         for entry in &self.entries {
             payload.clear();
-            encode_entry(entry, &mut payload);
+            entry.put(&mut payload);
             write_record(&mut out, &payload);
         }
         let tmp = self.path.with_extension("xsr.tmp");
@@ -235,28 +239,6 @@ impl RepoCatalog {
     pub fn write_errors(&self) -> u64 {
         self.write_errors
     }
-}
-
-fn encode_entry(entry: &CatalogEntry, out: &mut Vec<u8>) {
-    out.extend_from_slice(&entry.id.to_le_bytes());
-    out.extend_from_slice(&entry.dataset_fingerprint.to_le_bytes());
-    out.extend_from_slice(&(entry.name.len() as u32).to_le_bytes());
-    out.extend_from_slice(entry.name.as_bytes());
-}
-
-fn decode_entry(payload: &[u8]) -> Option<CatalogEntry> {
-    let id = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?);
-    let dataset_fingerprint = u64::from_le_bytes(payload.get(4..12)?.try_into().ok()?);
-    let name_len = u32::from_le_bytes(payload.get(12..16)?.try_into().ok()?) as usize;
-    let name_bytes = payload.get(16..)?;
-    if name_bytes.len() != name_len {
-        return None;
-    }
-    Some(CatalogEntry {
-        id,
-        dataset_fingerprint,
-        name: String::from_utf8(name_bytes.to_vec()).ok()?,
-    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Byte-level encoding of the persisted artifacts.
 //!
 //! Two payload kinds live inside [`framing`](exsample_store::framing)
-//! records (all integers little-endian, floats as IEEE-754 bit patterns):
+//! records (all integers little-endian, floats as IEEE-754 bit patterns).
+//! The `le_record!` field lists below *are* the layouts, both directions
+//! ([`exsample_store::le`]); this diagram is their reading aid:
 //!
 //! ```text
 //! detection record : repo u32 | frame u64 | count u32 | count × detection
@@ -17,21 +19,21 @@
 
 use exsample_core::belief::ChunkStats;
 use exsample_detect::Detection;
+use exsample_store::le::{self, Le, Reader};
+use exsample_store::le_record;
 use exsample_videosim::{BBox, ClassId, InstanceId};
+use std::borrow::Cow;
 
 /// Decode failure: the payload does not parse as the expected shape.
 /// With checksums verified by the framing layer this indicates a writer
 /// bug or version skew, not disk damage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodecError(pub &'static str);
+pub use exsample_store::le::Error as CodecError;
 
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed persist payload: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
+/// Format marker of this crate's payload layouts (see
+/// [`exsample_store::le`]): every `le_record!(Disk: …)` in the crate is
+/// the byte layout of that type, both directions.
+#[derive(Debug, Clone, Copy)]
+pub struct Disk;
 
 /// Full detector output for one frame of one repository.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,70 +64,37 @@ impl BeliefSnapshot {
     }
 }
 
-/// Little-endian pull parser over a payload slice.
-struct Cursor<'a> {
-    data: &'a [u8],
+/// The key every detection record opens with — all a scan has to read
+/// to decide whether the record is wanted.
+struct DetectionKey {
+    repo: u32,
+    frame: u64,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.data.len() < n {
-            return Err(CodecError("payload too short"));
-        }
-        let (head, rest) = self.data.split_at(n);
-        self.data = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f32(&mut self) -> Result<f32, CodecError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn finish(&self) -> Result<(), CodecError> {
-        if self.data.is_empty() {
-            Ok(())
-        } else {
-            Err(CodecError("trailing bytes"))
-        }
-    }
+/// A detection record as it is laid out: borrowed from the log's
+/// `append`, owned once decoded.
+struct DetectionRow<'a> {
+    key: DetectionKey,
+    dets: Cow<'a, [Detection]>,
 }
+
+le_record!(Disk: DetectionKey { repo, frame });
+le_record!(Disk: DetectionRow<'_> { key, dets });
+le_record!(Disk: Detection { bbox, class, score, truth });
+le_record!(Disk: BBox { x1, y1, x2, y2 });
+le_record!(Disk: ClassId { 0 });
+le_record!(Disk: InstanceId { 0 });
+le_record!(Disk: BeliefSnapshot { repo, class, stats });
+le_record!(Disk: ChunkStats { n1, n });
 
 /// Encode one frame's detections into `out` (payload only — framing is the
 /// caller's job).
 pub fn encode_detections(repo: u32, frame: u64, dets: &[Detection], out: &mut Vec<u8>) {
-    out.extend_from_slice(&repo.to_le_bytes());
-    out.extend_from_slice(&frame.to_le_bytes());
-    out.extend_from_slice(&(dets.len() as u32).to_le_bytes());
-    for d in dets {
-        for c in [d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2] {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out.extend_from_slice(&d.class.0.to_le_bytes());
-        out.extend_from_slice(&d.score.to_le_bytes());
-        match d.truth {
-            Some(id) => {
-                out.push(1);
-                out.extend_from_slice(&id.0.to_le_bytes());
-            }
-            None => out.push(0),
-        }
+    DetectionRow {
+        key: DetectionKey { repo, frame },
+        dets: Cow::Borrowed(dets),
     }
+    .put(out);
 }
 
 /// Read just the `(repo, frame)` key off a detection-record payload
@@ -133,76 +102,28 @@ pub fn encode_detections(repo: u32, frame: u64, dets: &[Detection], out: &mut Ve
 /// what lets startup preload and the compactor *stream* the log: the key
 /// decides whether a record is even wanted before the expensive decode.
 pub fn peek_detection_key(payload: &[u8]) -> Result<(u32, u64), CodecError> {
-    let mut c = Cursor { data: payload };
-    let repo = c.u32()?;
-    let frame = c.u64()?;
-    Ok((repo, frame))
+    let key = DetectionKey::get(&mut Reader::new(payload))?;
+    Ok((key.repo, key.frame))
 }
 
 /// Decode a detection-record payload.
 pub fn decode_detections(payload: &[u8]) -> Result<DetectionRecord, CodecError> {
-    let mut c = Cursor { data: payload };
-    let repo = c.u32()?;
-    let frame = c.u64()?;
-    let count = c.u32()? as usize;
-    // 23 bytes is the minimal per-detection encoding (16 bbox + 2 class +
-    // 4 score + 1 truth tag); reject counts the payload cannot possibly
-    // hold before allocating.
-    if count > payload.len() / 23 {
-        return Err(CodecError("detection count exceeds payload"));
-    }
-    let mut dets = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x1 = c.f32()?;
-        let y1 = c.f32()?;
-        let x2 = c.f32()?;
-        let y2 = c.f32()?;
-        let class = ClassId(c.u16()?);
-        let score = c.f32()?;
-        let truth = match c.u8()? {
-            0 => None,
-            1 => Some(InstanceId(c.u32()?)),
-            _ => return Err(CodecError("bad truth tag")),
-        };
-        dets.push(Detection {
-            bbox: BBox { x1, y1, x2, y2 },
-            class,
-            score,
-            truth,
-        });
-    }
-    c.finish()?;
-    Ok(DetectionRecord { repo, frame, dets })
+    let row = le::decode::<Disk, DetectionRow<'_>>(payload)?;
+    Ok(DetectionRecord {
+        repo: row.key.repo,
+        frame: row.key.frame,
+        dets: row.dets.into_owned(),
+    })
 }
 
 /// Encode a belief snapshot into `out` (payload only).
 pub fn encode_beliefs(snap: &BeliefSnapshot, out: &mut Vec<u8>) {
-    out.extend_from_slice(&snap.repo.to_le_bytes());
-    out.extend_from_slice(&snap.class.to_le_bytes());
-    out.extend_from_slice(&(snap.stats.len() as u32).to_le_bytes());
-    for s in &snap.stats {
-        out.extend_from_slice(&s.n1.to_bits().to_le_bytes());
-        out.extend_from_slice(&s.n.to_le_bytes());
-    }
+    snap.put(out);
 }
 
 /// Decode a belief-snapshot payload.
 pub fn decode_beliefs(payload: &[u8]) -> Result<BeliefSnapshot, CodecError> {
-    let mut c = Cursor { data: payload };
-    let repo = c.u32()?;
-    let class = c.u16()?;
-    let chunks = c.u32()? as usize;
-    if chunks > payload.len() / 16 {
-        return Err(CodecError("chunk count exceeds payload"));
-    }
-    let mut stats = Vec::with_capacity(chunks);
-    for _ in 0..chunks {
-        let n1 = f64::from_bits(c.u64()?);
-        let n = c.u64()?;
-        stats.push(ChunkStats { n1, n });
-    }
-    c.finish()?;
-    Ok(BeliefSnapshot { repo, class, stats })
+    le::decode::<Disk, _>(payload)
 }
 
 #[cfg(test)]
@@ -269,11 +190,14 @@ mod tests {
 
     #[test]
     fn absurd_count_rejected_without_allocation() {
+        // A valid key, then a count of u32::MAX with nothing behind it.
         let mut buf = Vec::new();
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_detections(&buf).is_err());
+        DetectionKey { repo: 1, frame: 2 }.put(&mut buf);
+        Le::<Disk>::put(&u32::MAX, &mut buf);
+        assert_eq!(
+            decode_detections(&buf),
+            Err(CodecError("element count exceeds payload"))
+        );
     }
 
     #[test]

@@ -28,8 +28,9 @@ use crate::wire::{decode_message, encode_message, Message};
 use crate::{MAX_FRAME_LEN, PROTO_MAGIC};
 use exsample_store::crc::crc32;
 use exsample_store::framing::{
-    read_segment_header, write_segment_header, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
+    read_segment_header, write_segment_header, RecordHeader, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
 };
+use exsample_store::le::{Le, Reader};
 use std::io::{self, Read, Write};
 
 /// Per-`read_from` ceiling on bytes pulled off the socket. Bounds how
@@ -151,23 +152,20 @@ impl FrameBuf {
     /// bytes are needed; oversize lengths, checksum mismatches, and
     /// undecodable payloads are `InvalidData`.
     pub fn next_frame(&mut self) -> io::Result<Option<Message>> {
-        // `split_first_chunk` + `get` stand in for manual length checks:
-        // "not enough bytes yet" falls out as `None`, and no slice here
-        // can panic however the peer fragments its writes.
-        let live = self.live();
-        let Some((header, rest)) = live.split_first_chunk::<RECORD_OVERHEAD>() else {
+        // The reader stands in for manual length checks: "not enough
+        // bytes yet" falls out as an `Err`, and no slice here can panic
+        // however the peer fragments its writes.
+        let mut r = Reader::new(self.live());
+        let Ok(RecordHeader { len, crc }) = RecordHeader::get(&mut r) else {
             return Ok(None);
         };
-        let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len > MAX_FRAME_LEN {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "frame length exceeds limit",
             ));
         }
-        let Some(payload) = rest.get(..len as usize) else {
+        let Ok(payload) = r.take(len as usize) else {
             return Ok(None);
         };
         if crc32(payload) != crc {
@@ -176,8 +174,12 @@ impl FrameBuf {
                 "frame checksum mismatch",
             ));
         }
-        let msg =
-            decode_message(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let msg = decode_message(payload).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("malformed protocol message: {e}"),
+            )
+        })?;
         self.consume(RECORD_OVERHEAD + len as usize);
         Ok(Some(msg))
     }
@@ -351,10 +353,11 @@ mod tests {
 
     #[test]
     fn wire_bytes_match_blocking_framed() {
-        // Whoever drives the codec, what reaches the wire is the format
-        // written out longhand: pins the in-place encoder (header
-        // reserved, payload encoded behind it, `len`/`crc32` patched)
-        // and that the blocking adapter adds and withholds nothing.
+        // Whoever drives the codec, what reaches the wire is the store's
+        // record framing around each encoded message: pins the in-place
+        // encoder (header reserved, payload encoded behind it,
+        // `len`/`crc32` patched) against the format's declaration, and
+        // that the blocking adapter adds and withholds nothing.
         let msgs = [
             Message::Repos,
             Message::Hello {
@@ -365,9 +368,7 @@ mod tests {
         for m in &msgs {
             let mut payload = Vec::new();
             encode_message(m, &mut payload);
-            longhand.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            longhand.extend_from_slice(&crc32(&payload).to_le_bytes());
-            longhand.extend_from_slice(&payload);
+            exsample_store::framing::write_record(&mut longhand, &payload);
         }
 
         let mut buf = FrameBuf::new();
@@ -380,39 +381,6 @@ mod tests {
         buf.write_to(&mut queued).unwrap();
         assert_eq!(queued, longhand);
         assert_eq!(framed.get_ref().get_ref(), &longhand);
-    }
-
-    #[test]
-    fn corrupt_crc_is_invalid_data() {
-        let mut tx = FrameBuf::new();
-        tx.queue(&Message::CancelOk).unwrap();
-        let mut wire = Vec::new();
-        tx.write_to(&mut wire).unwrap();
-        let last = wire.len() - 1;
-        wire[last] ^= 0x10;
-        let mut rx = FrameBuf::new();
-        rx.extend(&wire);
-        let err = rx.next_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn oversize_length_rejected_before_payload_arrives() {
-        let mut rx = FrameBuf::new();
-        rx.extend(&u32::MAX.to_le_bytes());
-        rx.extend(&0u32.to_le_bytes());
-        let err = rx.next_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("length"));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut rx = FrameBuf::new();
-        rx.extend(b"HTTP/1.1 200 OK\r\n");
-        let err = rx.take_preamble().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

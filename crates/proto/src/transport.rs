@@ -204,7 +204,8 @@ mod tests {
     use super::*;
     use crate::wire::encode_message;
     use exsample_engine::SessionId;
-    use exsample_store::crc::crc32;
+    use exsample_store::framing::{write_record, RecordHeader};
+    use exsample_store::le::Le;
 
     /// A blocking stream handing out `bytes` at most `piece` at a time,
     /// counting the reads it served; writes are discarded.
@@ -317,9 +318,7 @@ mod tests {
             &mut payload,
         );
         let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        write_record(&mut frame, &payload);
         let last = frame.len() - 1;
         frame[last] ^= 0x04;
         a.write_all(&frame).unwrap();
@@ -332,9 +331,14 @@ mod tests {
     fn absurd_frame_length_rejected_without_allocation() {
         let (mut a, b) = duplex();
         let mut framed_b = Framed::new(b);
+        // Only the header arrives: the length is refused before any
+        // payload byte is waited for.
         let mut frame = Vec::new();
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
+        RecordHeader {
+            len: u32::MAX,
+            crc: 0,
+        }
+        .put(&mut frame);
         a.write_all(&frame).unwrap();
         let err = framed_b.recv().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

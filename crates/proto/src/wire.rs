@@ -7,17 +7,27 @@
 //! layout. Decoding is total: any payload that does not parse exactly —
 //! short, trailing bytes, unknown tag, bad UTF-8, absurd counts —
 //! is a [`WireCodecError`], never a panic or an over-allocation.
+//!
+//! The codec is *declared*, not written: below the [`Message`] and
+//! [`WireError`] vocabulary, every layout is one field list in wire
+//! order or one tag table over [`exsample_store::le`], and each
+//! declaration yields both the encoder and the decoder. Adding a field
+//! is adding its name to one list (and bumping `PROTO_VERSION`).
 
 use exsample_core::belief::{BeliefPrior, ChunkStats, Selector};
 use exsample_core::driver::{SearchTrace, StopCond, TracePoint};
 use exsample_core::within::WithinKind;
+use exsample_core::ExSampleConfig;
 use exsample_engine::{
     CacheStats, Diagnostics, DiscriminatorKind, PersistStats, QuerySpec, RepoId, RepoInfo,
     ResultEvent, ServiceStats, SessionCharges, SessionId, SessionReport, SessionSnapshot,
     SessionStatus,
 };
 use exsample_obs::{FlightEvent, HistSnapshot, SpanId, SpanRecord, Stage, TraceContext, TraceId};
+use exsample_store::le::{self, Le, Reader};
+use exsample_store::{le_enum, le_record};
 use exsample_videosim::ClassId;
+use std::borrow::Cow;
 
 /// Upper bound on one encoded histogram snapshot crossing the wire.
 /// Today's snapshots are a fixed few hundred bytes; the bound leaves
@@ -31,16 +41,7 @@ pub const MAX_SNAPSHOT_LEN: u32 = 4096;
 /// Decode failure: the payload does not parse as a protocol message.
 /// With frame checksums verified by the transport this indicates a peer
 /// bug or version skew, not line noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireCodecError(pub &'static str);
-
-impl std::fmt::Display for WireCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed protocol message: {}", self.0)
-    }
-}
-
-impl std::error::Error for WireCodecError {}
+pub use exsample_store::le::Error as WireCodecError;
 
 /// A service-level failure reported by the server. Mirrors the
 /// `SubmitError` / `ServiceError` split of the `SearchService` trait;
@@ -220,872 +221,248 @@ pub enum Message {
     Error(WireError),
 }
 
-// Message tags. Requests live below 0x40, responses at or above it.
-const TAG_REPOS: u8 = 0x01;
-const TAG_SUBMIT: u8 = 0x02;
-const TAG_POLL: u8 = 0x03;
-const TAG_CANCEL: u8 = 0x04;
-const TAG_WAIT: u8 = 0x05;
-const TAG_FORGET: u8 = 0x06;
-const TAG_SUBSCRIBE: u8 = 0x07;
-const TAG_ACK: u8 = 0x08;
-const TAG_STATS: u8 = 0x09;
-const TAG_DIAGNOSTICS: u8 = 0x0A;
-const TAG_HELLO: u8 = 0x0B;
-const TAG_COLLECT_TRACE: u8 = 0x0C;
-const TAG_REPO_LIST: u8 = 0x41;
-const TAG_SUBMITTED: u8 = 0x42;
-const TAG_SNAPSHOT: u8 = 0x43;
-const TAG_REPORT: u8 = 0x44;
-const TAG_CANCEL_OK: u8 = 0x45;
-const TAG_ERROR: u8 = 0x46;
-const TAG_STATS_REPLY: u8 = 0x47;
-const TAG_DIAGNOSTICS_REPLY: u8 = 0x48;
-const TAG_WELCOME: u8 = 0x49;
-const TAG_TRACE_REPLY: u8 = 0x4A;
+/// Format marker of the wire protocol (see [`exsample_store::le`]):
+/// every `le_record!(Wire: …)` / `le_enum!(Wire: …)` below is that
+/// type's layout in a message body, both directions.
+#[derive(Debug, Clone, Copy)]
+pub struct Wire;
 
-/// Little-endian pull parser over a payload slice.
-struct Cursor<'a> {
-    data: &'a [u8],
+/// Which way a message travels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Client → server (including `Ack` inside a subscription).
+    Request,
+    /// Server → client.
+    Response,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireCodecError> {
-        if self.data.len() < n {
-            return Err(WireCodecError("payload too short"));
-        }
-        let (head, rest) = self.data.split_at(n);
-        self.data = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireCodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireCodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, WireCodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireCodecError("bad bool tag")),
-        }
-    }
-
-    /// Guard a decoded element count against the bytes actually present:
-    /// rejects absurd counts before any allocation.
-    fn count(&mut self, min_elem_size: usize) -> Result<usize, WireCodecError> {
-        let n = self.u32()? as usize;
-        if n > self.data.len() / min_elem_size {
-            return Err(WireCodecError("element count exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, WireCodecError> {
-        let len = self.u32()? as usize;
-        if len > self.data.len() {
-            return Err(WireCodecError("string length exceeds payload"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| WireCodecError("string not UTF-8"))
-    }
-
-    fn finish(&self) -> Result<(), WireCodecError> {
-        if self.data.is_empty() {
-            Ok(())
-        } else {
-            Err(WireCodecError("trailing bytes"))
-        }
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn get_opt_u64(c: &mut Cursor) -> Result<Option<u64>, WireCodecError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(c.u64()?)),
-        _ => Err(WireCodecError("bad option tag")),
-    }
-}
-
-// ---- component encodings ----
-
-fn put_trace_ctx(out: &mut Vec<u8>, ctx: &Option<TraceContext>) {
-    match ctx {
-        Some(ctx) => {
-            out.push(1);
-            put_u64(out, ctx.trace.0);
-            put_u64(out, ctx.parent.0);
-        }
-        None => out.push(0),
-    }
-}
-
-fn get_trace_ctx(c: &mut Cursor) -> Result<Option<TraceContext>, WireCodecError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(TraceContext {
-            trace: TraceId(c.u64()?),
-            parent: SpanId(c.u64()?),
-        })),
-        _ => Err(WireCodecError("bad trace context tag")),
-    }
-}
-
-/// Byte size of one encoded [`SpanRecord`]: trace, id, parent, stage
-/// tag, session, start, duration, key.
-const SPAN_RECORD_SIZE: usize = 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8;
-
-fn put_span_records(out: &mut Vec<u8>, spans: &[SpanRecord]) {
-    put_u32(out, spans.len() as u32);
-    for s in spans {
-        put_u64(out, s.trace.0);
-        put_u64(out, s.id.0);
-        put_u64(out, s.parent.0);
-        out.push(s.stage.as_u8());
-        put_u64(out, s.session);
-        put_u64(out, s.start_ns);
-        put_u64(out, s.duration_ns);
-        put_u64(out, s.key);
-    }
-}
-
-fn get_span_records(c: &mut Cursor) -> Result<Vec<SpanRecord>, WireCodecError> {
-    let n = c.count(SPAN_RECORD_SIZE)?;
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        let trace = TraceId(c.u64()?);
-        let id = SpanId(c.u64()?);
-        let parent = SpanId(c.u64()?);
-        let stage = Stage::from_u8(c.u8()?).ok_or(WireCodecError("bad stage tag"))?;
-        spans.push(SpanRecord {
-            trace,
-            id,
-            parent,
-            stage,
-            session: c.u64()?,
-            start_ns: c.u64()?,
-            duration_ns: c.u64()?,
-            key: c.u64()?,
+/// Declares the message vocabulary's tag table once: the [`Le`] codec
+/// of [`Message`] and the exported [`MESSAGE_TAGS`] both come from it.
+macro_rules! messages {
+    ($($dir:ident {
+        $($tag:literal => $name:ident $(($($t:ident),*))? $({$($f:ident),*})?,)*
+    })*) => {
+        le_enum!(Wire: Message, "unknown message tag" {
+            $($($tag => $name $(($($t),*))? $({$($f),*})?,)*)*
         });
-    }
-    Ok(spans)
-}
 
-fn put_spec(out: &mut Vec<u8>, spec: &QuerySpec) {
-    put_u32(out, spec.repo.0);
-    out.extend_from_slice(&spec.class.0.to_le_bytes());
-    put_opt_u64(out, spec.stop.max_results);
-    put_opt_u64(out, spec.stop.max_samples);
-    put_opt_u64(out, spec.stop.max_seconds.map(f64::to_bits));
-    put_u64(out, spec.chunks as u64);
-    put_f64(out, spec.config.prior.alpha0);
-    put_f64(out, spec.config.prior.beta0);
-    out.push(match spec.config.selector {
-        Selector::Thompson => 0,
-        Selector::BayesUcb => 1,
-        Selector::Greedy => 2,
-    });
-    out.push(match spec.config.within {
-        WithinKind::Stratified => 0,
-        WithinKind::Random => 1,
-    });
-    put_u32(out, spec.weight);
-    put_u64(out, spec.seed);
-    match spec.discriminator {
-        DiscriminatorKind::Oracle => out.push(0),
-        DiscriminatorKind::Tracker { seed } => {
-            out.push(1);
-            put_u64(out, seed);
-        }
-    }
-    out.push(spec.warm_start as u8);
-    match spec.batch {
-        None => out.push(0),
-        Some(b) => {
-            out.push(1);
-            put_u32(out, b);
-        }
-    }
-}
-
-fn get_spec(c: &mut Cursor) -> Result<QuerySpec, WireCodecError> {
-    let repo = RepoId(c.u32()?);
-    let class = ClassId(c.u16()?);
-    let stop = StopCond {
-        max_results: get_opt_u64(c)?,
-        max_samples: get_opt_u64(c)?,
-        max_seconds: get_opt_u64(c)?.map(f64::from_bits),
+        /// `(tag, message name, direction)` of every message, in tag
+        /// order — the table `docs/PROTOCOL.md` prints.
+        pub const MESSAGE_TAGS: &[(u8, &str, Direction)] =
+            &[$($(($tag, stringify!($name), Direction::$dir),)*)*];
     };
-    let chunks = c.u64()? as usize;
-    let prior = BeliefPrior {
-        alpha0: c.f64()?,
-        beta0: c.f64()?,
-    };
-    let selector = match c.u8()? {
-        0 => Selector::Thompson,
-        1 => Selector::BayesUcb,
-        2 => Selector::Greedy,
-        _ => return Err(WireCodecError("bad selector tag")),
-    };
-    let within = match c.u8()? {
-        0 => WithinKind::Stratified,
-        1 => WithinKind::Random,
-        _ => return Err(WireCodecError("bad within tag")),
-    };
-    let weight = c.u32()?;
-    let seed = c.u64()?;
-    let discriminator = match c.u8()? {
-        0 => DiscriminatorKind::Oracle,
-        1 => DiscriminatorKind::Tracker { seed: c.u64()? },
-        _ => return Err(WireCodecError("bad discriminator tag")),
-    };
-    let warm_start = c.bool()?;
-    let batch = match c.u8()? {
-        0 => None,
-        1 => Some(c.u32()?),
-        _ => return Err(WireCodecError("bad batch tag")),
-    };
-    let mut spec = QuerySpec::new(repo, class, stop)
-        .chunks(chunks)
-        .weight(weight)
-        .seed(seed)
-        .discriminator(discriminator)
-        .warm_start(warm_start);
-    spec.batch = batch;
-    spec.config.prior = prior;
-    spec.config.selector = selector;
-    spec.config.within = within;
-    Ok(spec)
 }
 
-fn put_status(out: &mut Vec<u8>, status: SessionStatus) {
-    out.push(match status {
-        SessionStatus::Running => 0,
-        SessionStatus::Done => 1,
-        SessionStatus::Cancelled => 2,
-    });
-}
-
-fn get_status(c: &mut Cursor) -> Result<SessionStatus, WireCodecError> {
-    match c.u8()? {
-        0 => Ok(SessionStatus::Running),
-        1 => Ok(SessionStatus::Done),
-        2 => Ok(SessionStatus::Cancelled),
-        _ => Err(WireCodecError("bad status tag")),
+// Requests live below 0x40, responses at or above it.
+messages! {
+    Request {
+        0x01 => Repos,
+        0x02 => Submit { spec, ctx },
+        0x03 => Poll { session, cursor, window, ctx },
+        0x04 => Cancel { session },
+        0x05 => Wait { session },
+        0x06 => Forget { session },
+        0x07 => Subscribe { session, cursor, window },
+        0x08 => Ack { cursor, ctx },
+        0x09 => Stats { detail },
+        0x0A => Diagnostics,
+        0x0B => Hello { token },
+        0x0C => CollectTrace { trace },
+    }
+    Response {
+        0x41 => RepoList(repos),
+        0x42 => Submitted(session),
+        0x43 => Snapshot(snapshot),
+        0x44 => Report(report),
+        0x45 => CancelOk,
+        0x46 => Error(error),
+        0x47 => StatsReply { stats, detail },
+        0x48 => DiagnosticsReply(diagnostics),
+        0x49 => Welcome { tenant, weight },
+        0x4A => TraceReply(spans),
     }
 }
 
-fn put_charges(out: &mut Vec<u8>, ch: &SessionCharges) {
-    put_f64(out, ch.detect_s);
-    put_f64(out, ch.io_s);
-    put_f64(out, ch.dispatch_s);
-    put_u64(out, ch.frames);
-    put_u64(out, ch.cache_hits);
-    put_u64(out, ch.detector_invocations);
-    put_u64(out, ch.dispatches);
-}
+le_enum!(Wire: WireError, "bad error tag" {
+    1 => UnknownRepo(repo),
+    2 => UnknownSession(session),
+    3 => SessionRunning(session),
+    4 => InvalidSpec(why),
+    5 => Malformed(why),
+    6 => SnapshotTooLarge { name, len, max },
+    7 => Overloaded { retry_after_ms },
+    8 => Unauthorized(why),
+});
 
-fn get_charges(c: &mut Cursor) -> Result<SessionCharges, WireCodecError> {
-    Ok(SessionCharges {
-        detect_s: c.f64()?,
-        io_s: c.f64()?,
-        dispatch_s: c.f64()?,
-        frames: c.u64()?,
-        cache_hits: c.u64()?,
-        detector_invocations: c.u64()?,
-        dispatches: c.u64()?,
-    })
-}
+// ---- component layouts, fields in wire order ----
 
-/// Byte size of one encoded [`ResultEvent`] (count-guard granularity).
-const EVENT_SIZE: usize = 8 + 4 + 8 + 8;
+le_record!(Wire: RepoId { 0 });
+le_record!(Wire: ClassId { 0 });
+le_record!(Wire: SessionId { 0 });
+le_record!(Wire: TraceId { 0 });
+le_record!(Wire: SpanId { 0 });
 
-fn put_events(out: &mut Vec<u8>, events: &[ResultEvent]) {
-    put_u32(out, events.len() as u32);
-    for e in events {
-        put_u64(out, e.frame);
-        put_u32(out, e.new_results);
-        put_u64(out, e.samples);
-        put_f64(out, e.seconds);
+le_record!(Wire: QuerySpec {
+    repo, class, stop, chunks, config, weight, seed, discriminator, warm_start, batch,
+});
+le_record!(Wire: StopCond { max_results, max_samples, max_seconds });
+le_record!(Wire: ExSampleConfig { prior, selector, within });
+le_record!(Wire: BeliefPrior { alpha0, beta0 });
+le_enum!(Wire: Selector, "bad selector tag" { 0 => Thompson, 1 => BayesUcb, 2 => Greedy });
+le_enum!(Wire: WithinKind, "bad within tag" { 0 => Stratified, 1 => Random });
+le_enum!(Wire: DiscriminatorKind, "bad discriminator tag" { 0 => Oracle, 1 => Tracker { seed } });
+
+le_record!(Wire: TraceContext { trace, parent });
+le_record!(Wire: SpanRecord { trace, id, parent, stage, session, start_ns, duration_ns, key });
+le_record!(Wire: FlightEvent { tick, session, stage, duration_ns, key });
+
+le_enum!(Wire: SessionStatus, "bad status tag" { 0 => Running, 1 => Done, 2 => Cancelled });
+le_record!(Wire: SessionCharges {
+    detect_s, io_s, dispatch_s, frames, cache_hits, detector_invocations, dispatches,
+});
+le_record!(Wire: ResultEvent { frame, new_results, samples, seconds });
+le_record!(Wire: SessionSnapshot { status, found, samples, charges, next_cursor, events });
+le_record!(Wire: SessionReport { status, finish_order, charges, chunk_stats, trace });
+le_record!(Wire: ChunkStats { n1, n });
+le_record!(Wire: TracePoint { samples, found, seconds });
+
+le_record!(Wire: ServiceStats { cache, persist, live_sessions });
+le_record!(Wire: CacheStats { hits, misses, evictions, entries, warm_loads });
+le_record!(Wire: PersistStats {
+    segments_loaded, segments_skipped, records_loaded, damaged_tails, preloaded_frames,
+    snapshots_loaded, snapshots_skipped, beliefs_resident, log_write_errors,
+    snapshot_write_errors, container_frames, container_chunks, container_hits,
+    container_bytes_touched, container_skipped, preload_skipped,
+});
+le_record!(Wire: Diagnostics { histograms, counters, events });
+le_record!(Wire: RepoInfo { id, frames, classes, dataset_fingerprint, name });
+
+// ---- the three layouts a field list cannot state ----
+
+/// The stage tag is `obs`'s own stable numbering.
+impl Le<Wire> for Stage {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.as_u8());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, le::Error> {
+        Stage::from_u8(r.u8()?).ok_or(le::Error("bad stage tag"))
     }
 }
 
-fn get_events(c: &mut Cursor) -> Result<Vec<ResultEvent>, WireCodecError> {
-    let n = c.count(EVENT_SIZE)?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        events.push(ResultEvent {
-            frame: c.u64()?,
-            new_results: c.u32()?,
-            samples: c.u64()?,
-            seconds: c.f64()?,
-        });
+/// A histogram snapshot travels as `len u32` + `obs`'s own encoding,
+/// with `len` capped at [`MAX_SNAPSHOT_LEN`] before a byte is taken.
+impl Le<Wire> for HistSnapshot {
+    const MIN: usize = <u32 as Le<Wire>>::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        le::put_bytes(&self.encode(), out);
     }
-    Ok(events)
-}
-
-fn put_snapshot(out: &mut Vec<u8>, snap: &SessionSnapshot) {
-    put_status(out, snap.status);
-    put_u64(out, snap.found);
-    put_u64(out, snap.samples);
-    put_charges(out, &snap.charges);
-    put_u64(out, snap.next_cursor);
-    put_events(out, &snap.events);
-}
-
-fn get_snapshot(c: &mut Cursor) -> Result<SessionSnapshot, WireCodecError> {
-    Ok(SessionSnapshot {
-        status: get_status(c)?,
-        found: c.u64()?,
-        samples: c.u64()?,
-        charges: get_charges(c)?,
-        next_cursor: c.u64()?,
-        events: get_events(c)?,
-    })
-}
-
-fn put_report(out: &mut Vec<u8>, report: &SessionReport) {
-    put_status(out, report.status);
-    put_u64(out, report.finish_order);
-    put_charges(out, &report.charges);
-    put_u32(out, report.chunk_stats.len() as u32);
-    for s in &report.chunk_stats {
-        put_f64(out, s.n1);
-        put_u64(out, s.n);
-    }
-    let trace = &report.trace;
-    put_u64(out, trace.samples());
-    put_u64(out, trace.found());
-    put_f64(out, trace.seconds());
-    out.push(trace.exhausted() as u8);
-    put_u32(out, trace.points().len() as u32);
-    for p in trace.points() {
-        put_u64(out, p.samples);
-        put_u64(out, p.found);
-        put_f64(out, p.seconds);
-    }
-}
-
-fn get_report(c: &mut Cursor) -> Result<SessionReport, WireCodecError> {
-    let status = get_status(c)?;
-    let finish_order = c.u64()?;
-    let charges = get_charges(c)?;
-    let n_chunks = c.count(16)?;
-    let mut chunk_stats = Vec::with_capacity(n_chunks);
-    for _ in 0..n_chunks {
-        chunk_stats.push(ChunkStats {
-            n1: c.f64()?,
-            n: c.u64()?,
-        });
-    }
-    let samples = c.u64()?;
-    let found = c.u64()?;
-    let seconds = c.f64()?;
-    let exhausted = c.bool()?;
-    let n_points = c.count(24)?;
-    let mut points = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        points.push(TracePoint {
-            samples: c.u64()?,
-            found: c.u64()?,
-            seconds: c.f64()?,
-        });
-    }
-    Ok(SessionReport {
-        status,
-        trace: SearchTrace::from_parts(points, samples, found, seconds, exhausted),
-        charges,
-        finish_order,
-        chunk_stats,
-    })
-}
-
-fn put_service_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
-    put_u64(out, stats.cache.hits);
-    put_u64(out, stats.cache.misses);
-    put_u64(out, stats.cache.evictions);
-    put_u64(out, stats.cache.entries);
-    put_u64(out, stats.cache.warm_loads);
-    match &stats.persist {
-        None => out.push(0),
-        Some(p) => {
-            out.push(1);
-            put_u64(out, p.segments_loaded);
-            put_u64(out, p.segments_skipped);
-            put_u64(out, p.records_loaded);
-            put_u64(out, p.damaged_tails);
-            put_u64(out, p.preloaded_frames);
-            put_u64(out, p.snapshots_loaded);
-            put_u64(out, p.snapshots_skipped);
-            put_u64(out, p.beliefs_resident);
-            put_u64(out, p.log_write_errors);
-            put_u64(out, p.snapshot_write_errors);
-            put_u64(out, p.container_frames);
-            put_u64(out, p.container_chunks);
-            put_u64(out, p.container_hits);
-            put_u64(out, p.container_bytes_touched);
-            put_u64(out, p.container_skipped);
-            put_u64(out, p.preload_skipped);
+    fn get(r: &mut Reader<'_>) -> Result<Self, le::Error> {
+        let len = r.u32()?;
+        if len > MAX_SNAPSHOT_LEN {
+            return Err(le::Error("snapshot too large"));
         }
-    }
-    put_u64(out, stats.live_sessions);
-}
-
-fn get_service_stats(c: &mut Cursor) -> Result<ServiceStats, WireCodecError> {
-    let cache = CacheStats {
-        hits: c.u64()?,
-        misses: c.u64()?,
-        evictions: c.u64()?,
-        entries: c.u64()?,
-        warm_loads: c.u64()?,
-    };
-    let persist = match c.u8()? {
-        0 => None,
-        1 => Some(PersistStats {
-            segments_loaded: c.u64()?,
-            segments_skipped: c.u64()?,
-            records_loaded: c.u64()?,
-            damaged_tails: c.u64()?,
-            preloaded_frames: c.u64()?,
-            snapshots_loaded: c.u64()?,
-            snapshots_skipped: c.u64()?,
-            beliefs_resident: c.u64()?,
-            log_write_errors: c.u64()?,
-            snapshot_write_errors: c.u64()?,
-            container_frames: c.u64()?,
-            container_chunks: c.u64()?,
-            container_hits: c.u64()?,
-            container_bytes_touched: c.u64()?,
-            container_skipped: c.u64()?,
-            preload_skipped: c.u64()?,
-        }),
-        _ => return Err(WireCodecError("bad option tag")),
-    };
-    Ok(ServiceStats {
-        cache,
-        persist,
-        live_sessions: c.u64()?,
-    })
-}
-
-fn put_hist_snapshot(out: &mut Vec<u8>, snap: &HistSnapshot) {
-    let bytes = snap.encode();
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
-}
-
-fn get_hist_snapshot(c: &mut Cursor) -> Result<HistSnapshot, WireCodecError> {
-    let len = c.u32()?;
-    if len > MAX_SNAPSHOT_LEN {
-        return Err(WireCodecError("snapshot too large"));
-    }
-    let bytes = c.take(len as usize)?;
-    HistSnapshot::decode(bytes).map_err(|_| WireCodecError("bad histogram snapshot"))
-}
-
-fn put_named_hists(out: &mut Vec<u8>, hists: &[(String, HistSnapshot)]) {
-    put_u32(out, hists.len() as u32);
-    for (name, snap) in hists {
-        put_string(out, name);
-        put_hist_snapshot(out, snap);
+        HistSnapshot::decode(r.take(len as usize)?).map_err(|_| le::Error("bad histogram snapshot"))
     }
 }
 
-fn get_named_hists(c: &mut Cursor) -> Result<Vec<(String, HistSnapshot)>, WireCodecError> {
-    // Minimal entry: empty name (4) + snapshot length prefix (4).
-    let n = c.count(8)?;
-    let mut hists = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = c.string()?;
-        hists.push((name, get_hist_snapshot(c)?));
-    }
-    Ok(hists)
+/// [`SearchTrace`] keeps its fields private: it is read through its
+/// accessors and rebuilt through `from_parts`, laid out as this record.
+struct TraceParts<'a> {
+    samples: u64,
+    found: u64,
+    seconds: f64,
+    exhausted: bool,
+    points: Cow<'a, [TracePoint]>,
 }
+le_record!(Wire: TraceParts<'_> { samples, found, seconds, exhausted, points });
 
-fn put_counters(out: &mut Vec<u8>, counters: &[(String, u64)]) {
-    put_u32(out, counters.len() as u32);
-    for (name, value) in counters {
-        put_string(out, name);
-        put_u64(out, *value);
-    }
-}
-
-fn get_counters(c: &mut Cursor) -> Result<Vec<(String, u64)>, WireCodecError> {
-    let n = c.count(12)?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = c.string()?;
-        counters.push((name, c.u64()?));
-    }
-    Ok(counters)
-}
-
-/// Byte size of one encoded [`FlightEvent`]: tick, session, stage tag,
-/// duration, key.
-const FLIGHT_EVENT_SIZE: usize = 8 + 8 + 1 + 8 + 8;
-
-fn put_flight_events(out: &mut Vec<u8>, events: &[FlightEvent]) {
-    put_u32(out, events.len() as u32);
-    for e in events {
-        put_u64(out, e.tick);
-        put_u64(out, e.session);
-        out.push(e.stage.as_u8());
-        put_u64(out, e.duration_ns);
-        put_u64(out, e.key);
-    }
-}
-
-fn get_flight_events(c: &mut Cursor) -> Result<Vec<FlightEvent>, WireCodecError> {
-    let n = c.count(FLIGHT_EVENT_SIZE)?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tick = c.u64()?;
-        let session = c.u64()?;
-        let stage = Stage::from_u8(c.u8()?).ok_or(WireCodecError("bad stage tag"))?;
-        events.push(FlightEvent {
-            tick,
-            session,
-            stage,
-            duration_ns: c.u64()?,
-            key: c.u64()?,
-        });
-    }
-    Ok(events)
-}
-
-fn put_diagnostics(out: &mut Vec<u8>, diag: &Diagnostics) {
-    put_named_hists(out, &diag.histograms);
-    put_counters(out, &diag.counters);
-    put_flight_events(out, &diag.events);
-}
-
-fn get_diagnostics(c: &mut Cursor) -> Result<Diagnostics, WireCodecError> {
-    Ok(Diagnostics {
-        histograms: get_named_hists(c)?,
-        counters: get_counters(c)?,
-        events: get_flight_events(c)?,
-    })
-}
-
-fn put_repo_info(out: &mut Vec<u8>, info: &RepoInfo) {
-    put_u32(out, info.id.0);
-    put_u64(out, info.frames);
-    out.extend_from_slice(&info.classes.to_le_bytes());
-    put_u64(out, info.dataset_fingerprint);
-    put_string(out, &info.name);
-}
-
-fn get_repo_info(c: &mut Cursor) -> Result<RepoInfo, WireCodecError> {
-    Ok(RepoInfo {
-        id: RepoId(c.u32()?),
-        frames: c.u64()?,
-        classes: c.u16()?,
-        dataset_fingerprint: c.u64()?,
-        name: c.string()?,
-    })
-}
-
-fn put_wire_error(out: &mut Vec<u8>, err: &WireError) {
-    match err {
-        WireError::UnknownRepo(r) => {
-            out.push(1);
-            put_u32(out, *r);
+impl Le<Wire> for SearchTrace {
+    const MIN: usize = <TraceParts<'_> as Le<Wire>>::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        TraceParts {
+            samples: self.samples(),
+            found: self.found(),
+            seconds: self.seconds(),
+            exhausted: self.exhausted(),
+            points: Cow::Borrowed(self.points()),
         }
-        WireError::UnknownSession(s) => {
-            out.push(2);
-            put_u64(out, *s);
-        }
-        WireError::SessionRunning(s) => {
-            out.push(3);
-            put_u64(out, *s);
-        }
-        WireError::InvalidSpec(why) => {
-            out.push(4);
-            put_string(out, why);
-        }
-        WireError::Malformed(why) => {
-            out.push(5);
-            put_string(out, why);
-        }
-        WireError::SnapshotTooLarge { name, len, max } => {
-            out.push(6);
-            put_string(out, name);
-            put_u32(out, *len);
-            put_u32(out, *max);
-        }
-        WireError::Overloaded { retry_after_ms } => {
-            out.push(7);
-            put_u64(out, *retry_after_ms);
-        }
-        WireError::Unauthorized(why) => {
-            out.push(8);
-            put_string(out, why);
-        }
+        .put(out);
     }
-}
-
-fn get_wire_error(c: &mut Cursor) -> Result<WireError, WireCodecError> {
-    Ok(match c.u8()? {
-        1 => WireError::UnknownRepo(c.u32()?),
-        2 => WireError::UnknownSession(c.u64()?),
-        3 => WireError::SessionRunning(c.u64()?),
-        4 => WireError::InvalidSpec(c.string()?),
-        5 => WireError::Malformed(c.string()?),
-        6 => WireError::SnapshotTooLarge {
-            name: c.string()?,
-            len: c.u32()?,
-            max: c.u32()?,
-        },
-        7 => WireError::Overloaded {
-            retry_after_ms: c.u64()?,
-        },
-        8 => WireError::Unauthorized(c.string()?),
-        _ => return Err(WireCodecError("bad error tag")),
-    })
+    fn get(r: &mut Reader<'_>) -> Result<Self, le::Error> {
+        let t = TraceParts::get(r)?;
+        Ok(SearchTrace::from_parts(
+            t.points.into_owned(),
+            t.samples,
+            t.found,
+            t.seconds,
+            t.exhausted,
+        ))
+    }
 }
 
 /// Encode one message (tag byte + body) into `out`. Framing (length
 /// prefix, checksum) is the transport's job.
 pub fn encode_message(msg: &Message, out: &mut Vec<u8>) {
-    match msg {
-        Message::Repos => out.push(TAG_REPOS),
-        Message::Submit { spec, ctx } => {
-            out.push(TAG_SUBMIT);
-            put_spec(out, spec);
-            put_trace_ctx(out, ctx);
-        }
-        Message::Poll {
-            session,
-            cursor,
-            window,
-            ctx,
-        } => {
-            out.push(TAG_POLL);
-            put_u64(out, session.0);
-            put_u64(out, *cursor);
-            match window {
-                Some(w) => {
-                    out.push(1);
-                    put_u32(out, *w);
-                }
-                None => out.push(0),
-            }
-            put_trace_ctx(out, ctx);
-        }
-        Message::Cancel { session } => {
-            out.push(TAG_CANCEL);
-            put_u64(out, session.0);
-        }
-        Message::Wait { session } => {
-            out.push(TAG_WAIT);
-            put_u64(out, session.0);
-        }
-        Message::Forget { session } => {
-            out.push(TAG_FORGET);
-            put_u64(out, session.0);
-        }
-        Message::Subscribe {
-            session,
-            cursor,
-            window,
-        } => {
-            out.push(TAG_SUBSCRIBE);
-            put_u64(out, session.0);
-            put_u64(out, *cursor);
-            put_u32(out, *window);
-        }
-        Message::Ack { cursor, ctx } => {
-            out.push(TAG_ACK);
-            put_u64(out, *cursor);
-            put_trace_ctx(out, ctx);
-        }
-        Message::Stats { detail } => {
-            out.push(TAG_STATS);
-            out.push(*detail as u8);
-        }
-        Message::Diagnostics => out.push(TAG_DIAGNOSTICS),
-        Message::Hello { token } => {
-            out.push(TAG_HELLO);
-            put_string(out, token);
-        }
-        Message::CollectTrace { trace } => {
-            out.push(TAG_COLLECT_TRACE);
-            put_u64(out, trace.0);
-        }
-        Message::RepoList(infos) => {
-            out.push(TAG_REPO_LIST);
-            put_u32(out, infos.len() as u32);
-            for info in infos {
-                put_repo_info(out, info);
-            }
-        }
-        Message::Submitted(id) => {
-            out.push(TAG_SUBMITTED);
-            put_u64(out, id.0);
-        }
-        Message::Snapshot(snap) => {
-            out.push(TAG_SNAPSHOT);
-            put_snapshot(out, snap);
-        }
-        Message::Report(report) => {
-            out.push(TAG_REPORT);
-            put_report(out, report);
-        }
-        Message::CancelOk => out.push(TAG_CANCEL_OK),
-        Message::StatsReply { stats, detail } => {
-            out.push(TAG_STATS_REPLY);
-            put_service_stats(out, stats);
-            match detail {
-                None => out.push(0),
-                Some(hists) => {
-                    out.push(1);
-                    put_named_hists(out, hists);
-                }
-            }
-        }
-        Message::DiagnosticsReply(diag) => {
-            out.push(TAG_DIAGNOSTICS_REPLY);
-            put_diagnostics(out, diag);
-        }
-        Message::Welcome { tenant, weight } => {
-            out.push(TAG_WELCOME);
-            put_u32(out, *tenant);
-            put_u32(out, *weight);
-        }
-        Message::TraceReply(spans) => {
-            out.push(TAG_TRACE_REPLY);
-            put_span_records(out, spans);
-        }
-        Message::Error(err) => {
-            out.push(TAG_ERROR);
-            put_wire_error(out, err);
-        }
-    }
+    msg.put(out);
 }
 
 /// Decode one message payload (as produced by [`encode_message`]).
 pub fn decode_message(payload: &[u8]) -> Result<Message, WireCodecError> {
-    let mut c = Cursor { data: payload };
-    let msg = match c.u8()? {
-        TAG_REPOS => Message::Repos,
-        TAG_SUBMIT => Message::Submit {
-            spec: get_spec(&mut c)?,
-            ctx: get_trace_ctx(&mut c)?,
-        },
-        TAG_POLL => Message::Poll {
-            session: SessionId(c.u64()?),
-            cursor: c.u64()?,
-            window: match c.u8()? {
-                0 => None,
-                1 => Some(c.u32()?),
-                _ => return Err(WireCodecError("bad option tag")),
-            },
-            ctx: get_trace_ctx(&mut c)?,
-        },
-        TAG_CANCEL => Message::Cancel {
-            session: SessionId(c.u64()?),
-        },
-        TAG_WAIT => Message::Wait {
-            session: SessionId(c.u64()?),
-        },
-        TAG_FORGET => Message::Forget {
-            session: SessionId(c.u64()?),
-        },
-        TAG_SUBSCRIBE => Message::Subscribe {
-            session: SessionId(c.u64()?),
-            cursor: c.u64()?,
-            window: c.u32()?,
-        },
-        TAG_ACK => Message::Ack {
-            cursor: c.u64()?,
-            ctx: get_trace_ctx(&mut c)?,
-        },
-        TAG_STATS => Message::Stats { detail: c.bool()? },
-        TAG_DIAGNOSTICS => Message::Diagnostics,
-        TAG_HELLO => Message::Hello { token: c.string()? },
-        TAG_COLLECT_TRACE => Message::CollectTrace {
-            trace: TraceId(c.u64()?),
-        },
-        TAG_REPO_LIST => {
-            // Minimal RepoInfo: fixed fields + empty name.
-            let n = c.count(4 + 8 + 2 + 8 + 4)?;
-            let mut infos = Vec::with_capacity(n);
-            for _ in 0..n {
-                infos.push(get_repo_info(&mut c)?);
-            }
-            Message::RepoList(infos)
-        }
-        TAG_SUBMITTED => Message::Submitted(SessionId(c.u64()?)),
-        TAG_SNAPSHOT => Message::Snapshot(get_snapshot(&mut c)?),
-        TAG_REPORT => Message::Report(get_report(&mut c)?),
-        TAG_CANCEL_OK => Message::CancelOk,
-        TAG_STATS_REPLY => {
-            let stats = get_service_stats(&mut c)?;
-            let detail = match c.u8()? {
-                0 => None,
-                1 => Some(get_named_hists(&mut c)?),
-                _ => return Err(WireCodecError("bad option tag")),
-            };
-            Message::StatsReply { stats, detail }
-        }
-        TAG_DIAGNOSTICS_REPLY => Message::DiagnosticsReply(get_diagnostics(&mut c)?),
-        TAG_WELCOME => Message::Welcome {
-            tenant: c.u32()?,
-            weight: c.u32()?,
-        },
-        TAG_TRACE_REPLY => Message::TraceReply(get_span_records(&mut c)?),
-        TAG_ERROR => Message::Error(get_wire_error(&mut c)?),
-        _ => return Err(WireCodecError("unknown message tag")),
-    };
-    c.finish()?;
-    Ok(msg)
+    le::decode::<Wire, _>(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tag_of(name: &str) -> u8 {
+        let (tag, ..) = MESSAGE_TAGS
+            .iter()
+            .find(|(_, n, _)| *n == name)
+            .expect("a message of that name");
+        *tag
+    }
+
+    /// The table is generated from the same declaration as the codec;
+    /// this pins what no declaration can: that it is a valid tag space
+    /// and that the spec document prints exactly it.
+    #[test]
+    fn message_tags_are_unique_split_by_direction_and_match_the_spec() {
+        let mut seen = std::collections::BTreeSet::new();
+        for &(tag, name, dir) in MESSAGE_TAGS {
+            assert!(seen.insert(tag), "tag {tag:#04x} ({name}) assigned twice");
+            assert_eq!(dir == Direction::Request, tag < 0x40, "{name} {tag:#04x}");
+        }
+        // Rows of the "Message vocabulary" table: | `0x01` | `Repos` | → | … |
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let section = doc
+            .split("## Message vocabulary")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("a Message vocabulary section");
+        let documented: Vec<(u8, String, Direction)> = section
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line
+                    .split('|')
+                    .map(|c| c.trim().trim_matches('`'))
+                    .collect();
+                let tag = u8::from_str_radix(cells.get(1)?.strip_prefix("0x")?, 16).ok()?;
+                let dir = match *cells.get(3)? {
+                    "→" => Direction::Request,
+                    "←" => Direction::Response,
+                    other => panic!("direction {other:?} in row {line:?}"),
+                };
+                Some((tag, cells.get(2)?.to_string(), dir))
+            })
+            .collect();
+        let declared: Vec<(u8, String, Direction)> = MESSAGE_TAGS
+            .iter()
+            .map(|&(tag, name, dir)| (tag, name.to_string(), dir))
+            .collect();
+        assert_eq!(documented, declared);
+    }
 
     fn roundtrip(msg: &Message) -> Message {
         let mut buf = Vec::new();
@@ -1268,7 +645,9 @@ mod tests {
             .position(|w| w == b"big")
             .expect("metric name in payload");
         let len_pos = name_pos + 3;
-        buf[len_pos..len_pos + 4].copy_from_slice(&(MAX_SNAPSHOT_LEN + 1).to_le_bytes());
+        let mut inflated = Vec::new();
+        Le::<Wire>::put(&(MAX_SNAPSHOT_LEN + 1), &mut inflated);
+        buf[len_pos..len_pos + 4].copy_from_slice(&inflated);
         assert_eq!(
             decode_message(&buf),
             Err(WireCodecError("snapshot too large"))
@@ -1295,7 +674,7 @@ mod tests {
         // The stage byte is 17 bytes into the event record (after tick
         // and session), which itself starts after tag + two empty lists
         // + event count.
-        let stage_pos = buf.len() - FLIGHT_EVENT_SIZE + 16;
+        let stage_pos = buf.len() - <FlightEvent as Le<Wire>>::MIN + 16;
         buf[stage_pos] = 0xEE;
         assert_eq!(decode_message(&buf), Err(WireCodecError("bad stage tag")));
     }
@@ -1376,7 +755,7 @@ mod tests {
             &mut buf,
         );
         // Stage byte sits after the three leading u64s of the record.
-        let stage_pos = buf.len() - SPAN_RECORD_SIZE + 24;
+        let stage_pos = buf.len() - <SpanRecord as Le<Wire>>::MIN + 24;
         buf[stage_pos] = 0xEE;
         assert_eq!(decode_message(&buf), Err(WireCodecError("bad stage tag")));
     }
@@ -1432,10 +811,13 @@ mod tests {
     #[test]
     fn absurd_counts_rejected_before_allocation() {
         // A RepoList claiming u32::MAX entries in a 9-byte payload.
-        let mut buf = vec![TAG_REPO_LIST];
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut buf = vec![tag_of("RepoList")];
+        Le::<Wire>::put(&u32::MAX, &mut buf);
         buf.extend_from_slice(&[0; 4]);
-        assert!(decode_message(&buf).is_err());
+        assert_eq!(
+            decode_message(&buf),
+            Err(WireCodecError("element count exceeds payload"))
+        );
     }
 
     #[test]
@@ -1449,8 +831,9 @@ mod tests {
 
     #[test]
     fn bad_utf8_rejected() {
-        let mut buf = vec![TAG_ERROR, 4];
-        buf.extend_from_slice(&2u32.to_le_bytes());
+        // Error / InvalidSpec / a two-byte string that is not UTF-8.
+        let mut buf = vec![tag_of("Error"), 4];
+        Le::<Wire>::put(&2u32, &mut buf);
         buf.extend_from_slice(&[0xFF, 0xFE]);
         assert_eq!(
             decode_message(&buf),

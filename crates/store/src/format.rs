@@ -1,6 +1,8 @@
 //! The container format: writer, index, and random-access reader.
 //!
-//! Layout (all integers little-endian):
+//! Layout (all integers little-endian). The `Header`, `GopEntry` and
+//! `Trailer` field lists below *are* the layout ([`crate::le`]); this
+//! diagram only places them in the file:
 //!
 //! ```text
 //! [ header  ] magic "XSVC" | version u16 | gop_size u32 | frame_count u64
@@ -15,15 +17,45 @@
 
 use crate::cost::DecodeStats;
 use crate::crc::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::framing::Disk;
+use crate::le::{put_bytes, Le, Reader};
+use crate::le_record;
+use bytes::Bytes;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"XSVC";
-const INDEX_MAGIC: &[u8; 4] = b"XSVI";
+const MAGIC: [u8; 4] = *b"XSVC";
+const INDEX_MAGIC: [u8; 4] = *b"XSVI";
 const VERSION: u16 = 1;
-const HEADER_LEN: usize = 4 + 2 + 4 + 8;
-const TRAILER_LEN: usize = 8 + 4 + 4;
-const INDEX_ENTRY_LEN: usize = 8 + 4 + 4 + 8;
+
+struct Header {
+    magic: [u8; 4],
+    version: u16,
+    gop_size: u32,
+    frame_count: u64,
+}
+le_record!(Disk: Header { magic, version, gop_size, frame_count });
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GopEntry {
+    offset: u64,
+    len: u32,
+    crc: u32,
+    first_frame: u64,
+}
+le_record!(Disk: GopEntry { offset, len, crc, first_frame });
+
+struct Trailer {
+    index_offset: u64,
+    gop_count: u32,
+    magic: [u8; 4],
+}
+le_record!(Disk: Trailer { index_offset, gop_count, magic });
+
+const HEADER_LEN: usize = <Header as Le<Disk>>::MIN;
+const TRAILER_LEN: usize = <Trailer as Le<Disk>>::MIN;
+const INDEX_ENTRY_LEN: usize = <GopEntry as Le<Disk>>::MIN;
+/// The `len u32` in front of each frame inside a GOP.
+const FRAME_PREFIX_LEN: usize = <u32 as Le<Disk>>::MIN;
 
 /// Errors produced while opening or reading a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,19 +97,11 @@ impl std::error::Error for StoreError {}
 #[derive(Debug)]
 pub struct ContainerWriter {
     gop_size: u32,
-    payload: BytesMut,
-    current_gop: BytesMut,
+    payload: Vec<u8>,
+    current_gop: Vec<u8>,
     frames_in_gop: u32,
     frame_count: u64,
     index: Vec<GopEntry>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GopEntry {
-    offset: u64,
-    len: u32,
-    crc: u32,
-    first_frame: u64,
 }
 
 impl ContainerWriter {
@@ -90,8 +114,8 @@ impl ContainerWriter {
         assert!(gop_size > 0, "gop_size must be positive");
         ContainerWriter {
             gop_size,
-            payload: BytesMut::new(),
-            current_gop: BytesMut::new(),
+            payload: Vec::new(),
+            current_gop: Vec::new(),
             frames_in_gop: 0,
             frame_count: 0,
             index: Vec::new(),
@@ -100,8 +124,7 @@ impl ContainerWriter {
 
     /// Append one frame payload.
     pub fn push_frame(&mut self, data: &[u8]) {
-        self.current_gop.put_u32_le(data.len() as u32);
-        self.current_gop.put_slice(data);
+        put_bytes(data, &mut self.current_gop);
         self.frames_in_gop += 1;
         self.frame_count += 1;
         if self.frames_in_gop == self.gop_size {
@@ -133,25 +156,28 @@ impl ContainerWriter {
     /// Finish the container and return its bytes.
     pub fn finish(mut self) -> Bytes {
         self.flush_gop();
-        let mut out = BytesMut::with_capacity(
+        let mut out = Vec::with_capacity(
             HEADER_LEN + self.payload.len() + self.index.len() * INDEX_ENTRY_LEN + TRAILER_LEN,
         );
-        out.put_slice(MAGIC);
-        out.put_u16_le(VERSION);
-        out.put_u32_le(self.gop_size);
-        out.put_u64_le(self.frame_count);
+        Header {
+            magic: MAGIC,
+            version: VERSION,
+            gop_size: self.gop_size,
+            frame_count: self.frame_count,
+        }
+        .put(&mut out);
         out.extend_from_slice(&self.payload);
         let index_offset = out.len() as u64;
         for e in &self.index {
-            out.put_u64_le(e.offset);
-            out.put_u32_le(e.len);
-            out.put_u32_le(e.crc);
-            out.put_u64_le(e.first_frame);
+            e.put(&mut out);
         }
-        out.put_u64_le(index_offset);
-        out.put_u32_le(self.index.len() as u32);
-        out.put_slice(INDEX_MAGIC);
-        out.freeze()
+        Trailer {
+            index_offset,
+            gop_count: self.index.len() as u32,
+            magic: INDEX_MAGIC,
+        }
+        .put(&mut out);
+        Bytes::from(out)
     }
 }
 
@@ -182,45 +208,38 @@ impl Container {
         if data.len() < HEADER_LEN + TRAILER_LEN {
             return Err(StoreError::Malformed("too short"));
         }
-        let mut hdr = &data[..HEADER_LEN];
-        let mut magic = [0u8; 4];
-        hdr.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let (head, trailer) = data.split_at(data.len() - TRAILER_LEN);
+        let header =
+            Header::get(&mut Reader::new(head)).map_err(|_| StoreError::Malformed("too short"))?;
+        if header.magic != MAGIC {
             return Err(StoreError::Malformed("bad magic"));
         }
-        let version = hdr.get_u16_le();
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
+        if header.version != VERSION {
+            return Err(StoreError::UnsupportedVersion(header.version));
         }
-        let gop_size = hdr.get_u32_le();
+        let (gop_size, frame_count) = (header.gop_size, header.frame_count);
         if gop_size == 0 {
             return Err(StoreError::Malformed("zero gop size"));
         }
-        let frame_count = hdr.get_u64_le();
 
-        let mut trailer = &data[data.len() - TRAILER_LEN..];
-        let index_offset = trailer.get_u64_le() as usize;
-        let gop_count = trailer.get_u32_le() as usize;
-        let mut imagic = [0u8; 4];
-        trailer.copy_to_slice(&mut imagic);
-        if &imagic != INDEX_MAGIC {
+        let trailer = Trailer::get(&mut Reader::new(trailer))
+            .map_err(|_| StoreError::Malformed("too short"))?;
+        if trailer.magic != INDEX_MAGIC {
             return Err(StoreError::Malformed("bad index magic"));
         }
+        let index_offset = trailer.index_offset as usize;
+        let gop_count = trailer.gop_count as usize;
         let index_end = index_offset
             .checked_add(gop_count * INDEX_ENTRY_LEN)
             .ok_or(StoreError::Malformed("index overflow"))?;
         if index_end + TRAILER_LEN != data.len() || index_offset < HEADER_LEN {
             return Err(StoreError::Malformed("index bounds"));
         }
-        let mut cursor = &data[index_offset..index_end];
+        let mut entries = Reader::new(&data[index_offset..index_end]);
         let mut index = Vec::with_capacity(gop_count);
         for _ in 0..gop_count {
-            let e = GopEntry {
-                offset: cursor.get_u64_le(),
-                len: cursor.get_u32_le(),
-                crc: cursor.get_u32_le(),
-                first_frame: cursor.get_u64_le(),
-            };
+            let e =
+                GopEntry::get(&mut entries).map_err(|_| StoreError::Malformed("index bounds"))?;
             let end = HEADER_LEN as u64 + e.offset + e.len as u64;
             if end as usize > index_offset {
                 return Err(StoreError::Malformed("gop bounds"));
@@ -332,18 +351,19 @@ impl Container {
     ) -> Result<(), StoreError> {
         let (g, frames) = self.cache.as_mut().expect("cache set by caller");
         debug_assert_eq!(*g, gop);
-        // Re-walk the varint-length frame records from where we stopped.
-        let mut off = frames.iter().map(|f| 4 + f.len()).sum::<usize>();
+        // Re-walk the length-prefixed frame records from where we stopped.
+        let mut off = frames
+            .iter()
+            .map(|f| FRAME_PREFIX_LEN + f.len())
+            .sum::<usize>();
         while frames.len() <= upto {
-            if off + 4 > payload.len() {
-                return Err(StoreError::Malformed("truncated gop"));
-            }
+            let mut r = Reader::new(payload.get(off..).unwrap_or_default());
             let len =
-                u32::from_le_bytes(payload[off..off + 4].try_into().expect("4 bytes")) as usize;
-            off += 4;
-            if off + len > payload.len() {
-                return Err(StoreError::Malformed("truncated frame"));
-            }
+                r.u32()
+                    .map_err(|_| StoreError::Malformed("truncated gop"))? as usize;
+            r.take(len)
+                .map_err(|_| StoreError::Malformed("truncated frame"))?;
+            off += FRAME_PREFIX_LEN;
             frames.push(payload.slice(off..off + len));
             off += len;
             self.stats.frames_decoded += 1;

@@ -20,14 +20,14 @@
 //! of a segment whose tail was torn by a crash or flipped by bit rot.
 
 use crate::crc::crc32;
+use crate::le::{Le, Reader};
+use crate::le_record;
 
-/// Byte length of a segment header (magic + version + fingerprint).
-pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 8;
+/// Format marker of this crate's on-disk layouts (see [`crate::le`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Disk;
 
-/// Byte overhead of one record frame (length + checksum).
-pub const RECORD_OVERHEAD: usize = 4 + 4;
-
-/// Parsed segment header.
+/// Parsed segment header: what follows the magic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
     /// Format version of the segment body.
@@ -35,6 +35,30 @@ pub struct SegmentHeader {
     /// Fingerprint of the configuration that produced the segment.
     pub fingerprint: u64,
 }
+le_record!(Disk: SegmentHeader { version, fingerprint });
+
+/// The first bytes of a segment.
+struct Preamble {
+    magic: [u8; 4],
+    header: SegmentHeader,
+}
+le_record!(Disk: Preamble { magic, header });
+
+/// The frame in front of every record payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHeader {
+    /// Payload length in bytes.
+    pub len: u32,
+    /// CRC-32 of the payload.
+    pub crc: u32,
+}
+le_record!(Disk: RecordHeader { len, crc });
+
+/// Byte length of a segment header (magic + version + fingerprint).
+pub const SEGMENT_HEADER_LEN: usize = <Preamble as Le<Disk>>::MIN;
+
+/// Byte overhead of one record frame (length + checksum).
+pub const RECORD_OVERHEAD: usize = <RecordHeader as Le<Disk>>::MIN;
 
 /// Why a segment header was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +82,15 @@ impl std::error::Error for HeaderError {}
 
 /// Append a segment header to `out`.
 pub fn write_segment_header(out: &mut Vec<u8>, magic: &[u8; 4], version: u16, fingerprint: u64) {
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
+    let header = SegmentHeader {
+        version,
+        fingerprint,
+    };
+    Preamble {
+        magic: *magic,
+        header,
+    }
+    .put(out);
 }
 
 /// Parse a segment header, returning it and the remaining body bytes.
@@ -70,27 +100,21 @@ pub fn read_segment_header<'a>(
     data: &'a [u8],
     magic: &[u8; 4],
 ) -> Result<(SegmentHeader, &'a [u8]), HeaderError> {
-    if data.len() < SEGMENT_HEADER_LEN {
-        return Err(HeaderError::TooShort);
-    }
-    if &data[..4] != magic {
+    let mut r = Reader::new(data);
+    let preamble = Preamble::get(&mut r).map_err(|_| HeaderError::TooShort)?;
+    if preamble.magic != *magic {
         return Err(HeaderError::BadMagic);
     }
-    let version = u16::from_le_bytes(data[4..6].try_into().expect("2 bytes"));
-    let fingerprint = u64::from_le_bytes(data[6..14].try_into().expect("8 bytes"));
-    Ok((
-        SegmentHeader {
-            version,
-            fingerprint,
-        },
-        &data[SEGMENT_HEADER_LEN..],
-    ))
+    Ok((preamble.header, r.rest()))
 }
 
 /// Append one framed record (`len | crc32 | payload`) to `out`.
 pub fn write_record(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    RecordHeader {
+        len: payload.len() as u32,
+        crc: crc32(payload),
+    }
+    .put(out);
     out.extend_from_slice(payload);
 }
 
@@ -124,24 +148,19 @@ pub fn next_record(data: &[u8]) -> RecordStep<'_> {
     if data.is_empty() {
         return RecordStep::End;
     }
-    if data.len() < RECORD_OVERHEAD {
+    let mut r = Reader::new(data);
+    let Ok(header) = RecordHeader::get(&mut r) else {
         return RecordStep::Truncated;
-    }
-    let len = u32::from_le_bytes(data[..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-    let Some(end) = len.checked_add(RECORD_OVERHEAD) else {
-        return RecordStep::Corrupt;
     };
-    if data.len() < end {
+    let Ok(payload) = r.take(header.len as usize) else {
         return RecordStep::Truncated;
-    }
-    let payload = &data[RECORD_OVERHEAD..end];
-    if crc32(payload) != crc {
+    };
+    if crc32(payload) != header.crc {
         return RecordStep::Corrupt;
     }
     RecordStep::Record {
         payload,
-        rest: &data[end..],
+        rest: r.rest(),
     }
 }
 
@@ -229,8 +248,11 @@ mod tests {
     fn absurd_length_is_corrupt_or_truncated() {
         let mut out = Vec::new();
         write_segment_header(&mut out, MAGIC, 1, 0);
-        out.extend_from_slice(&u32::MAX.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
+        RecordHeader {
+            len: u32::MAX,
+            crc: 0,
+        }
+        .put(&mut out);
         out.extend_from_slice(b"short");
         let (_, body) = read_segment_header(&out, MAGIC).unwrap();
         assert!(matches!(

@@ -30,6 +30,7 @@ pub mod cost;
 pub mod crc;
 pub mod format;
 pub mod framing;
+pub mod le;
 
 pub use cost::{CostModel, DecodeStats};
 pub use format::{Container, ContainerWriter, StoreError};
