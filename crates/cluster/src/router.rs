@@ -253,17 +253,32 @@ fn add_cache(a: &mut CacheStats, b: &CacheStats) {
     a.warm_loads += b.warm_loads;
 }
 
+/// Sum every field. The destructuring pattern is exhaustive on purpose
+/// (no `..`): a field added to [`PersistStats`] does not compile until
+/// it is listed here, so the fleet sum can never be silently partial.
 fn add_persist(a: &mut PersistStats, b: &PersistStats) {
-    a.segments_loaded += b.segments_loaded;
-    a.segments_skipped += b.segments_skipped;
-    a.records_loaded += b.records_loaded;
-    a.damaged_tails += b.damaged_tails;
-    a.preloaded_frames += b.preloaded_frames;
-    a.snapshots_loaded += b.snapshots_loaded;
-    a.snapshots_skipped += b.snapshots_skipped;
-    a.beliefs_resident += b.beliefs_resident;
-    a.log_write_errors += b.log_write_errors;
-    a.snapshot_write_errors += b.snapshot_write_errors;
+    macro_rules! sum {
+        ($($field:ident),* $(,)?) => {{
+            let PersistStats { $($field),* } = *b;
+            $(a.$field += $field;)*
+        }};
+    }
+    sum!(
+        segments_loaded,
+        segments_skipped,
+        records_loaded,
+        damaged_tails,
+        snapshots_loaded,
+        snapshots_skipped,
+        beliefs_resident,
+        log_write_errors,
+        snapshot_write_errors,
+        container_frames,
+        container_chunks,
+        container_hits,
+        container_bytes_touched,
+        container_skipped,
+    );
 }
 
 /// True for errors that mean "this shard's link is broken", as opposed

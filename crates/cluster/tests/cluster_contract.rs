@@ -479,7 +479,8 @@ fn placement_of_persisted_repo_survives_restart_with_permuted_shards() {
     let repo = repo_by_name(&router, "city-cam");
     let id = router.submit(spec(repo)).expect("valid spec");
     let first = router.wait(id).expect("completes");
-    assert!(router.stats().unwrap().cache.misses > 0);
+    let paid = router.stats().unwrap().cache.misses;
+    assert!(paid > 0);
     drop(router);
     drop(engines); // flush the owner's detection log
 
@@ -514,11 +515,15 @@ fn placement_of_persisted_repo_survives_restart_with_permuted_shards() {
     let id = router.submit(spec(repo)).expect("valid spec");
     let replay = router.wait(id).expect("completes");
     assert_eq!(curve(&replay.trace), curve(&first.trace));
-    // Served entirely from the owner's preloaded detections: the fleet
-    // paid zero detector invocations for the replay.
+    // Served entirely from the owner's container: the fleet paid zero
+    // detector invocations for the replay, and the fleet-level sum shows
+    // where the frames came from.
     let stats = router.stats().expect("all shards reachable");
     assert_eq!(stats.cache.misses, 0, "warm shard must not re-detect");
     assert!(stats.cache.hits > 0);
+    let persist = stats.persist.expect("the owner persists");
+    assert_eq!(persist.container_hits, paid);
+    assert!(persist.container_frames > 0);
     let (slot, _) = split_session(id);
     assert_eq!(router.shard_names()[slot], owner);
     drop(router);

@@ -7,11 +7,12 @@
 //!
 //! 1. sweep orphaned `*.xsc.tmp` files (a previous crash mid-write);
 //! 2. list sealed segments (the log writer never appends to an existing
-//!    file, so everything on disk before our log opens is immutable);
-//! 3. merge: prior same-fingerprint container (carry-forward) + every
-//!    matching segment's records, keyed by `(repo, frame)` — duplicates
-//!    collapse (first write wins; detections are deterministic per
-//!    fingerprint, so any copy is the same bytes);
+//!    file, so everything on disk before our log opens is immutable) and
+//!    merge every matching segment's records, keyed by `(repo, frame)` —
+//!    nothing matched means nothing to do, and the run ends here;
+//! 3. carry the prior same-fingerprint container forward into the same
+//!    keyed merge — duplicates collapse (first write wins; detections are
+//!    deterministic per fingerprint, so any copy is the same bytes);
 //! 4. write `detections.xsc.tmp`, `fsync` it;
 //! 5. *verify*: re-open the temp file through the real reader and run the
 //!    eager full-container check ([`ColumnarStore::verify`]);
@@ -32,7 +33,7 @@
 
 use crate::format::{build_container, ColumnarStore, OpenError, CONTAINER_NAME, TMP_SUFFIX};
 use exsample_detect::Detection;
-use exsample_persist::{scan_segment_file, sealed_segments, RecordVerdict, SegmentOutcome};
+use exsample_persist::{scan_segment_file, sealed_segments, SegmentOutcome};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write;
@@ -93,6 +94,9 @@ pub struct CompactionReport {
     pub segments_folded: u64,
     /// Log records folded out of those segments.
     pub records_folded: u64,
+    /// Folded segments whose damaged tail was abandoned (the valid prefix
+    /// was folded; the segment is deleted like any other).
+    pub damaged_tails: u64,
     /// Frames carried forward from the prior container.
     pub carried_frames: u64,
     /// Distinct `(repo, frame)` entries in the new container.
@@ -119,8 +123,8 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 }
 
 /// Remove `*.xsc.tmp` leftovers of crashed compactions. Returns how many
-/// were swept. Runs before every compaction and every engine startup — a
-/// half-written temp file is never readable state.
+/// were swept. Runs at the head of every compaction, hence of every
+/// engine startup — a half-written temp file is never readable state.
 pub fn sweep_orphans(dir: &Path) -> std::io::Result<u64> {
     let mut swept = 0;
     if !dir.exists() {
@@ -166,45 +170,15 @@ pub fn compact_with_kill(
 ) -> Result<CompactionReport, CompactError> {
     let mut report = CompactionReport::default();
     sweep_orphans(dir)?;
-    let segments = sealed_segments(dir)?;
-
-    // Carry the prior container forward. A missing container is the
-    // common fresh case; a mismatched or damaged one contributes nothing
-    // (its data is unusable) and is only *replaced* if this run has
-    // something real to write.
-    let final_path = container_path(dir);
-    let mut merged: BTreeMap<(u32, u64), Vec<Detection>> = BTreeMap::new();
-    let prior_usable = match ColumnarStore::open(&final_path, fingerprint) {
-        Ok(prior) => {
-            let skipped = prior.for_each_frame(|repo, frame, dets| {
-                merged.entry((repo, frame)).or_insert_with(|| dets.to_vec());
-            });
-            if skipped > 0 {
-                eprintln!(
-                    "exsample-colstore: carried prior container with {skipped} damaged group(s)"
-                );
-            }
-            report.carried_frames = merged.len() as u64;
-            true
-        }
-        Err(OpenError::Missing) => false,
-        Err(e) => {
-            eprintln!("exsample-colstore: prior container unusable ({e}); will replace");
-            false
-        }
-    };
 
     // Fold matching segments. A segment is deletable once its surviving
     // records are merged — a damaged tail holds nothing any reader would
     // ever serve. Foreign-fingerprint segments are left alone entirely.
+    let mut merged: BTreeMap<(u32, u64), Vec<Detection>> = BTreeMap::new();
     let mut deletable: Vec<PathBuf> = Vec::new();
-    for (_, path) in &segments {
-        let outcome = match scan_segment_file(path, fingerprint, |raw| match raw.decode() {
-            Ok(rec) => {
-                merged.entry((rec.repo, rec.frame)).or_insert(rec.dets);
-                RecordVerdict::Keep
-            }
-            Err(_) => RecordVerdict::Abandon,
+    for (_, path) in sealed_segments(dir)? {
+        let outcome = match scan_segment_file(&path, fingerprint, |rec| {
+            merged.entry((rec.repo, rec.frame)).or_insert(rec.dets);
         }) {
             Ok(outcome) => outcome,
             Err(e) => {
@@ -215,19 +189,46 @@ pub fn compact_with_kill(
                 continue;
             }
         };
-        if let SegmentOutcome::Loaded { records, .. } = outcome {
+        if let SegmentOutcome::Loaded {
+            records,
+            damaged_tail,
+        } = outcome
+        {
             report.segments_folded += 1;
             report.records_folded += records;
-            deletable.push(path.clone());
+            report.damaged_tails += u64::from(damaged_tail);
+            deletable.push(path);
         }
     }
 
     // Nothing to fold: the current state is already as compact as it
-    // gets. Never replace an unusable prior container with an empty one
-    // here — that would destroy (stale but intact) bytes for no gain.
-    if report.segments_folded == 0 && (prior_usable || merged.is_empty()) {
+    // gets, and not one column of the prior container was read to find
+    // that out. An unusable prior container is left alone too — replacing
+    // it with an empty one would destroy (stale but intact) bytes for no
+    // gain.
+    if report.segments_folded == 0 {
         report.completed = true;
         return Ok(report);
+    }
+
+    // Carry the prior container forward. A missing container is the
+    // common fresh case; a mismatched or damaged one contributes nothing
+    // (its data is unusable) and is replaced by this run's output.
+    let final_path = container_path(dir);
+    match ColumnarStore::open(&final_path, fingerprint) {
+        Ok(prior) => {
+            let skipped = prior.for_each_frame(|repo, frame, dets| {
+                report.carried_frames += 1;
+                merged.entry((repo, frame)).or_insert_with(|| dets.to_vec());
+            });
+            if skipped > 0 {
+                eprintln!(
+                    "exsample-colstore: carried prior container with {skipped} damaged group(s)"
+                );
+            }
+        }
+        Err(OpenError::Missing) => {}
+        Err(e) => eprintln!("exsample-colstore: prior container unusable ({e}); will replace"),
     }
 
     let bytes = build_container(&merged, fingerprint, chunk_frames).map_err(CompactError::Build)?;

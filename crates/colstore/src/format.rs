@@ -615,22 +615,6 @@ impl ColumnarStore {
         self.damaged_groups.load(Ordering::Relaxed)
     }
 
-    /// Whether the chunk index *may* hold `(repo, frame)` — index-only
-    /// (no column read): true iff the frame's chunk has a group whose
-    /// `[min_frame, max_frame]` covers it.
-    pub fn covers(&self, repo: u32, frame: u64) -> bool {
-        let Ok(chunk) = u32::try_from(frame / self.chunk_frames) else {
-            return false;
-        };
-        self.lookup
-            .get(&(repo, chunk))
-            .map(|&i| {
-                let e = &self.index[i];
-                frame >= e.min_frame && frame <= e.max_frame
-            })
-            .unwrap_or(false)
-    }
-
     /// The chunk-index entries of `repo`, chunk-sorted — per-chunk frame
     /// and detection counts plus score summaries, read without touching
     /// any column bytes (this is what makes belief imports and chunk

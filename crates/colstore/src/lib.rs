@@ -2,8 +2,8 @@
 //!
 //! The detection log (`exsample-persist`) is the right *write* path —
 //! append-only, crash-safe, cheap per miss — but the wrong *read* shape:
-//! every restart replays it linearly, O(total detections) per engine.
-//! This crate gives durable detections a read-optimized second life. A
+//! replaying it is linear, O(total detections) per engine per restart,
+//! so no engine does. This crate is the durable detections' read path. A
 //! [`compact()`] pass folds sealed log segments into one immutable,
 //! self-describing columnar container ([`mod@format`]): varint-delta frame-id
 //! columns and raw-bit score columns grouped by `(repo, chunk)`, fronted

@@ -278,4 +278,11 @@ fn no_op_and_foreign_fingerprint_segments_survive() {
     let report = compact(&dir, FINGERPRINT, CHUNK_FRAMES).expect("matching compact");
     assert!(report.completed && report.rewritten);
     assert_eq!(container_view(&dir), foreign);
+
+    // Already compact: a second run finds nothing to fold and returns
+    // without carrying (reading) a single frame of the container.
+    let report = compact(&dir, FINGERPRINT, CHUNK_FRAMES).expect("second compact");
+    assert!(report.completed && !report.rewritten);
+    assert_eq!(report.carried_frames, 0);
+    assert_eq!(container_view(&dir), foreign);
 }

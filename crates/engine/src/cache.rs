@@ -26,6 +26,13 @@
 //! stepping (§III-F) can reserve a whole batch of keys, issue **one**
 //! detector dispatch for all misses with no shard lock held, and only
 //! then wait for frames other sessions already have in flight.
+//!
+//! Every entry enters through such a reservation, and there are exactly
+//! two ways to redeem one: [`MissGuard::fill`] publishes fresh detector
+//! output (a miss, written behind into the detection log) and
+//! [`MissGuard::fill_warm`] publishes detections read back from the
+//! durable container (a warm hit, not written again). Nothing loads the
+//! cache in bulk: a restarted engine warms it frame by frame, on touch.
 
 use exsample_detect::Detection;
 use exsample_stats::FxHashMap;
@@ -77,9 +84,10 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Entries injected through [`FrameCache::preload`] (persisted
-    /// detections loaded at startup) — counted separately from misses,
-    /// since no detector ran for them in this process.
+    /// Entries published through [`MissGuard::fill_warm`] (persisted
+    /// detections read back from the mapped container on first touch) —
+    /// counted separately from misses, since no detector ran for them in
+    /// this process.
     pub warm_loads: u64,
 }
 
@@ -284,45 +292,6 @@ impl FrameCache {
                 hook(key, &value);
             }
         }
-    }
-
-    /// Whether a [`FrameCache::preload`] of `key` would currently be
-    /// accepted — the same decline conditions (shard full, already
-    /// resident, in flight) without inserting anything. Startup preload
-    /// peeks this before paying the record decode.
-    pub fn wants(&self, key: &FrameKey) -> bool {
-        // lint: allow(panic_audit, shard_of is modulo the shard count so the index is always in bounds)
-        let shard = self.shards[self.shard_of(key)]
-            .lock()
-            .expect("cache shard poisoned");
-        shard.map.len() < self.shard_capacity
-            && !shard.map.contains_key(key)
-            && !shard.pending.contains_key(key)
-    }
-
-    /// Inject an already-known entry (the bulk preload path used when
-    /// restoring persisted detections at startup). Counted as a warm load,
-    /// not a miss, and the write-behind hook is *not* invoked — these
-    /// entries came from the log in the first place.
-    ///
-    /// Returns `false` without evicting when the key is already resident
-    /// or the shard is full: preloads fill spare capacity, they never push
-    /// out entries the running workload paid for.
-    pub fn preload(&self, key: FrameKey, dets: Vec<Detection>) -> bool {
-        // lint: allow(panic_audit, shard_of is modulo the shard count so the index is always in bounds)
-        let mut shard = self.shards[self.shard_of(&key)]
-            .lock()
-            .expect("cache shard poisoned");
-        if shard.map.len() >= self.shard_capacity
-            || shard.map.contains_key(&key)
-            || shard.pending.contains_key(&key)
-        {
-            return false;
-        }
-        shard.map.insert(key, Arc::new(dets));
-        shard.order.push_back(key);
-        self.warm_loads.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// Aggregate counters across all shards.
@@ -646,45 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn preload_serves_hits_without_misses() {
-        let cache = FrameCache::new(64, 4);
-        assert!(cache.preload(key(3), Vec::new()));
-        assert!(!cache.preload(key(3), Vec::new()), "double preload");
-        let (_, hit) = cache.get_or_compute(key(3), || panic!("preloaded"));
-        assert!(hit);
-        let s = cache.stats();
-        assert_eq!((s.warm_loads, s.hits, s.misses, s.entries), (1, 1, 0, 1));
-    }
-
-    #[test]
-    fn preload_declines_when_full_instead_of_evicting() {
-        let cache = FrameCache::new(2, 1);
-        cache.get_or_compute(key(0), Vec::new);
-        cache.get_or_compute(key(1), Vec::new);
-        assert!(!cache.preload(key(2), Vec::new()));
-        let s = cache.stats();
-        assert_eq!((s.warm_loads, s.evictions, s.entries), (0, 0, 2));
-        // The paid-for entries are still resident.
-        let (_, hit) = cache.get_or_compute(key(0), || panic!("evicted"));
-        assert!(hit);
-    }
-
-    #[test]
-    fn wants_mirrors_preload_acceptance() {
-        let cache = FrameCache::new(2, 1);
-        assert!(cache.wants(&key(0)));
-        cache.get_or_compute(key(0), Vec::new);
-        assert!(!cache.wants(&key(0)), "already resident");
-        let guard = match cache.begin(key(1)) {
-            Lookup::Miss(g) => g,
-            other => panic!("expected miss, got {other:?}"),
-        };
-        assert!(!cache.wants(&key(1)), "in flight");
-        guard.fill(Vec::new());
-        assert!(!cache.wants(&key(2)), "shard full");
-    }
-
-    #[test]
     fn fill_warm_counts_as_warm_hit_and_skips_write_behind() {
         use std::sync::Mutex as StdMutex;
         let written: Arc<StdMutex<Vec<FrameKey>>> = Arc::new(StdMutex::new(Vec::new()));
@@ -715,8 +645,6 @@ mod tests {
             assert!(dets.is_empty());
             sink.lock().unwrap().push(k);
         }));
-        cache.preload(key(9), Vec::new());
-        cache.get_or_compute(key(9), || panic!("preloaded")); // hit: no write
         cache.get_or_compute(key(1), Vec::new); // miss: written
         cache.get_or_compute(key(1), Vec::new); // hit: no write
         cache.get_or_compute(key(2), Vec::new); // miss: written

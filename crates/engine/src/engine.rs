@@ -76,7 +76,7 @@ use crate::session::{
     ResultEvent, SessionCell, SessionId, SessionReport, SessionSnapshot, SessionStatus,
     TenantBinding, TenantId, Watch,
 };
-use exsample_colstore::{ColumnarStore, OpenError};
+use exsample_colstore::{ColumnarStore, CompactionReport, OpenError};
 use exsample_core::belief::ChunkStats;
 use exsample_core::driver::SearchStepper;
 use exsample_core::exsample::ExSample;
@@ -88,8 +88,8 @@ use exsample_detect::{
 };
 use exsample_obs::{SpanRecord, Stage, TraceId, NO_SESSION};
 use exsample_persist::{
-    dataset_fingerprint, scan_detections_raw, BeliefStore, DetectionLog, LoadStats, PersistConfig,
-    RecordVerdict, RepoCatalog,
+    dataset_fingerprint, scan_detections, BeliefStore, DetectionLog, LoadStats, PersistConfig,
+    RepoCatalog,
 };
 use exsample_stats::{FxHashMap, Rng64};
 use exsample_store::{Container, ContainerWriter, CostModel, DecodeStats};
@@ -127,11 +127,12 @@ pub struct EngineConfig {
     pub gop_size: u32,
     /// Prices io/decode work (seeks, GOP walks) in seconds.
     pub cost_model: CostModel,
-    /// Durable detection store. When set, the engine preloads persisted
-    /// detections into the cache at startup, appends every cache miss to
-    /// the detection log (write-behind), and snapshots each finished
-    /// session's chunk beliefs for later warm-starts. `None` (the
-    /// default) keeps the engine fully in-memory.
+    /// Durable detection store. When set, the engine folds the previous
+    /// life's detection log into the mapped columnar container at startup
+    /// and answers cache misses from it before paying the detector,
+    /// appends every real miss to the log (write-behind), and snapshots
+    /// each finished session's chunk beliefs for later warm-starts. `None`
+    /// (the default) keeps the engine fully in-memory.
     pub persist: Option<PersistConfig>,
     /// Orphan-session garbage collection. Sessions deliberately outlive
     /// connections (so remote clients can reconnect and resume), which
@@ -190,20 +191,27 @@ impl Default for EngineConfig {
 /// What the durable detection store did at startup and since (see
 /// [`Engine::persist_stats`]). All "skipped" counters are benign: stale or
 /// damaged data costs recomputation, never correctness.
+///
+/// The four log counters say what this start read out of log segments
+/// matching its fingerprint, *whoever read it*: what startup compaction
+/// folded into the container plus what the pass over the segments it left
+/// behind found. After a clean start that is the previous life's appends;
+/// after a start whose compaction failed it is the un-folded log, which
+/// stays on disk, is not served from, and is folded at the next clean
+/// start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistStats {
-    /// Detection-log segments whose records were loaded at startup.
+    /// Matching detection-log segments read at startup (folded or left).
     pub segments_loaded: u64,
-    /// Segments invalidated at startup (version/fingerprint mismatch or
-    /// unrecognizable header).
+    /// Segments invalidated at startup (version/fingerprint mismatch,
+    /// unrecognizable header, unreadable). Compaction never touches these,
+    /// so the count comes from the leftover pass alone.
     pub segments_skipped: u64,
-    /// Checksum-valid detection records read at startup.
+    /// Checksum-valid detection records read out of those segments.
     pub records_loaded: u64,
-    /// Damaged segment tails abandoned at startup (torn write, bit rot).
+    /// Segments whose damaged tail was abandoned at startup (torn write,
+    /// bit rot) — including segments compaction folded and deleted.
     pub damaged_tails: u64,
-    /// Records actually injected into the cache (≤ `records_loaded`:
-    /// duplicates and capacity overflow are declined).
-    pub preloaded_frames: u64,
     /// Belief snapshots loaded at startup.
     pub snapshots_loaded: u64,
     /// Belief snapshots invalidated at startup.
@@ -215,13 +223,13 @@ pub struct PersistStats {
     pub log_write_errors: u64,
     /// Belief snapshot write errors absorbed.
     pub snapshot_write_errors: u64,
-    /// Frames indexed by the mapped columnar container (0 when columnar
-    /// persistence is off or no container exists).
+    /// Frames indexed by the mapped columnar container (0 when no usable
+    /// container exists: a first start, or a failed first compaction).
     pub container_frames: u64,
     /// `(repo, chunk)` column groups in the mapped container.
     pub container_chunks: u64,
     /// Cache misses answered from the mapped container instead of the
-    /// detector (lazy per-chunk warm starts).
+    /// detector (lazy per-chunk warm starts) — the warm-start number.
     pub container_hits: u64,
     /// Container bytes actually consulted: header + chunk index + each
     /// touched column group once — the I/O a warm start really paid.
@@ -229,10 +237,6 @@ pub struct PersistStats {
     /// 1 when a container file existed but was rejected (fingerprint
     /// mismatch or damage) — benign: the engine recomputes.
     pub container_skipped: u64,
-    /// Startup log records whose detection decode was skipped (frame
-    /// already in the container, or the cache declined the key) — the
-    /// streamed-preload savings.
-    pub preload_skipped: u64,
 }
 
 /// Durable-store handles shared by workers (independent of the state
@@ -244,18 +248,26 @@ struct PersistShared {
     /// restarted engine resolves re-registered repositories to the same
     /// ids its persisted detections and snapshots were written under.
     catalog: Mutex<RepoCatalog>,
+    /// The startup log counters of [`PersistStats`]: compaction's report
+    /// plus the leftover pass.
     detections_load: LoadStats,
-    preloaded_frames: u64,
-    /// The mapped columnar container, when columnar persistence is on and
-    /// a valid container exists. Shared (`Arc`) so every worker reads the
-    /// same mapping zero-copy.
+    /// The mapped columnar container, when a valid one exists. Shared
+    /// (`Arc`) so every worker reads the same mapping zero-copy.
     container: Option<Arc<ColumnarStore>>,
     /// 1 when a container file existed but was rejected at startup.
     container_skipped: u64,
-    /// Startup records whose decode was skipped (see [`PersistStats`]).
-    preload_skipped: u64,
     /// Cache misses served from the container instead of the detector.
     container_hits: std::sync::atomic::AtomicU64,
+}
+
+impl PersistShared {
+    /// The mapped container's copy of `(repo, frame)`, if it holds one —
+    /// counted as a container hit.
+    fn warm(&self, repo: RepoId, frame: u64) -> Option<Vec<Detection>> {
+        let dets = self.container.as_ref()?.get(repo.0, frame)?;
+        self.container_hits.fetch_add(1, Ordering::Relaxed);
+        Some(dets)
+    }
 }
 
 /// Errors surfaced by the engine API.
@@ -402,9 +414,12 @@ pub struct Engine {
 impl Engine {
     /// Start an engine and its worker threads. With
     /// [`EngineConfig::persist`] set, previously persisted detections are
-    /// preloaded into the cache and belief snapshots into memory before
-    /// any worker runs; stale (fingerprint-mismatched) or damaged data is
-    /// skipped and counted in [`Engine::persist_stats`], never an error.
+    /// compacted into the container and mapped, and belief snapshots are
+    /// loaded into memory, before any worker runs; stale
+    /// (fingerprint-mismatched) or damaged data is skipped and counted in
+    /// [`Engine::persist_stats`], never an error. A startup compaction
+    /// that fails is absorbed too: that life serves from whatever
+    /// container was already live and re-pays the detector for the rest.
     ///
     /// # Panics
     /// Panics if the configuration is degenerate (zero workers, quantum,
@@ -423,83 +438,60 @@ impl Engine {
         ));
         let mut cache = FrameCache::new(config.cache_capacity, config.cache_shards);
         let persist = config.persist.as_ref().map(|pc| {
-            // Columnar pipeline first, before the log writer exists: sweep
-            // crashed compaction leftovers, optionally fold the sealed
-            // segments into the container, then map whatever container is
-            // live. Every failure here is absorbed — the log stays
-            // authoritative and the engine recomputes.
-            let mut container: Option<Arc<ColumnarStore>> = None;
-            let mut container_skipped = 0u64;
-            if let Some(cc) = pc.columnar {
-                if let Err(e) = exsample_colstore::sweep_orphans(&pc.dir) {
-                    eprintln!("exsample-engine: orphan sweep failed: {e}");
+            // Before the log writer exists: fold the sealed segments into
+            // the container (compaction sweeps crashed leftovers itself),
+            // then map whatever container is live. Every failure here is
+            // absorbed — the log stays authoritative, the engine
+            // recomputes, and the next clean start folds what this one
+            // could not.
+            let chunk_frames = pc.columnar.unwrap_or_default().chunk_frames;
+            let folded = {
+                let mut span = obs.span_flight(Stage::Compaction, NO_SESSION);
+                span.set_key(chunk_frames);
+                exsample_colstore::compact(&pc.dir, pc.fingerprint, chunk_frames)
+            };
+            let folded = folded.unwrap_or_else(|e| {
+                eprintln!("exsample-engine: startup compaction failed: {e}");
+                CompactionReport::default()
+            });
+            let (container, container_skipped) = match ColumnarStore::open(
+                &exsample_colstore::container_path(&pc.dir),
+                pc.fingerprint,
+            ) {
+                Ok(store) => (Some(Arc::new(store)), 0),
+                Err(OpenError::Missing) => (None, 0),
+                Err(e) => {
+                    eprintln!("exsample-engine: ignoring columnar container: {e}");
+                    (None, 1)
                 }
-                if cc.compact_on_start {
-                    let mut span = obs.span_flight(Stage::Compaction, NO_SESSION);
-                    span.set_key(cc.chunk_frames);
-                    if let Err(e) =
-                        exsample_colstore::compact(&pc.dir, pc.fingerprint, cc.chunk_frames)
-                    {
-                        eprintln!("exsample-engine: startup compaction failed: {e}");
-                    }
-                }
-                match ColumnarStore::open(
-                    &exsample_colstore::container_path(&pc.dir),
-                    pc.fingerprint,
-                ) {
-                    Ok(store) => container = Some(Arc::new(store)),
-                    Err(OpenError::Missing) => {}
-                    Err(e) => {
-                        container_skipped = 1;
-                        eprintln!("exsample-engine: ignoring columnar container: {e}");
-                    }
-                }
-            }
+            };
             // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
             let beliefs = BeliefStore::open(pc).expect("persist directory unusable");
             // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
             let mut catalog = RepoCatalog::open(&pc.dir).expect("persist directory unusable");
             // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
             let log = DetectionLog::open(pc).expect("persist directory unusable");
-            let mut preloaded_frames = 0u64;
-            let mut preload_skipped = 0u64;
+            // One pass over the segments compaction left behind — foreign
+            // ones, or everything when it failed. Nothing read here enters
+            // the cache (the container is the only warm read path); the
+            // pass exists for the id reservation below and the counters.
             let mut max_artifact_repo: Option<u32> = container.as_ref().and_then(|c| c.max_repo());
-            // Stream the remaining log: peek each record's key first and
-            // decode detections only for records the cache will actually
-            // take and the container does not already hold — startup work
-            // and memory stay bounded by cache capacity, not log size.
-            let detections_load = scan_detections_raw(&pc.dir, pc.fingerprint, |raw| {
-                max_artifact_repo = Some(max_artifact_repo.map_or(raw.repo, |m| m.max(raw.repo)));
-                let key = (RepoId(raw.repo), raw.frame);
-                if container
-                    .as_ref()
-                    .is_some_and(|c| c.covers(raw.repo, raw.frame))
-                    || !cache.wants(&key)
-                {
-                    preload_skipped += 1;
-                    return RecordVerdict::Keep;
-                }
-                match raw.decode() {
-                    Ok(rec) => {
-                        if cache.preload(key, rec.dets) {
-                            preloaded_frames += 1;
-                        }
-                        RecordVerdict::Keep
-                    }
-                    Err(_) => RecordVerdict::Abandon,
-                }
+            let mut detections_load = scan_detections(&pc.dir, pc.fingerprint, |rec| {
+                max_artifact_repo = max_artifact_repo.max(Some(rec.repo));
             })
             // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
             .expect("persist directory unusable");
+            detections_load.segments_loaded += folded.segments_folded;
+            detections_load.records_loaded += folded.records_folded;
+            detections_load.damaged_tails += folded.damaged_tails;
             // Safety net for a lost or torn catalog: any id observed in a
-            // surviving artifact (preloaded detections, belief snapshots)
-            // must never be *newly* assigned, or those artifacts would be
-            // silently remapped onto whatever footage registers in that
-            // position next. Reserved ids keep meaning their original
-            // footage (when the catalog entry survived) or nothing.
-            for key in beliefs.keys() {
-                max_artifact_repo = Some(max_artifact_repo.map_or(key.0, |m| m.max(key.0)));
-            }
+            // surviving artifact (container, un-folded log, belief
+            // snapshots) must never be *newly* assigned, or those
+            // artifacts would be silently remapped onto whatever footage
+            // registers in that position next. Reserved ids keep meaning
+            // their original footage (when the catalog entry survived) or
+            // nothing.
+            max_artifact_repo = max_artifact_repo.max(beliefs.keys().map(|key| key.0).max());
             if let Some(max) = max_artifact_repo {
                 catalog.reserve_past(max);
             }
@@ -520,10 +512,8 @@ impl Engine {
                 beliefs: Mutex::new(beliefs),
                 catalog: Mutex::new(catalog),
                 detections_load,
-                preloaded_frames,
                 container,
                 container_skipped,
-                preload_skipped,
                 container_hits: std::sync::atomic::AtomicU64::new(0),
             }
         });
@@ -1065,7 +1055,6 @@ impl Engine {
                 segments_skipped: p.detections_load.segments_skipped,
                 records_loaded: p.detections_load.records_loaded,
                 damaged_tails: p.detections_load.damaged_tails,
-                preloaded_frames: p.preloaded_frames,
                 snapshots_loaded: snapshots.segments_loaded,
                 snapshots_skipped: snapshots.segments_skipped,
                 beliefs_resident: beliefs.len() as u64,
@@ -1076,7 +1065,6 @@ impl Engine {
                 container_hits: p.container_hits.load(Ordering::Relaxed),
                 container_bytes_touched: p.container.as_ref().map_or(0, |c| c.bytes_touched()),
                 container_skipped: p.container_skipped,
-                preload_skipped: p.preload_skipped,
             }
         })
     }
@@ -1534,20 +1522,33 @@ struct ResolvedFrame {
     dispatch: bool,
 }
 
-/// Resolve detections for one drawn batch against the shared cache:
+impl ResolvedFrame {
+    /// Detections this session did not run the detector for: resident,
+    /// filled by another session, or read back from the container.
+    fn free(dets: CachedDetections) -> Self {
+        ResolvedFrame {
+            dets,
+            io_s: 0.0,
+            miss: false,
+            dispatch: false,
+        }
+    }
+}
+
+/// Resolve detections for one drawn batch, *cache → container →
+/// detector*:
 ///
 /// 1. **Reserve** every key ([`FrameCache::begin`]) — hits are served
 ///    immediately, misses become this session's reservations, keys other
 ///    sessions are computing become waits.
-/// 2. **Dispatch once**: decode every missed frame through the session's
-///    own container reader, run them through the repository's detector
-///    bank as a single batched dispatch, and publish each result — all
+/// 2. **Redeem** the reservations ([`redeem`]): the mapped container
+///    answers what it holds, and the rest is one detector dispatch — all
 ///    with **no cache shard lock held**, so detection never serializes
 ///    unrelated sessions on a shard.
 /// 3. **Wait** for the in-flight keys, strictly *after* our own fills —
 ///    two sessions batching overlapping frames therefore can never
 ///    deadlock on each other. An abandoned in-flight entry (its computer
-///    panicked) is recomputed here as its own single-frame dispatch.
+///    panicked) becomes our reservation and is redeemed like any other.
 ///
 /// `resolved` is filled positionally (one entry per drawn frame).
 fn resolve_batch(
@@ -1557,91 +1558,20 @@ fn resolve_batch(
     resolved: &mut Vec<Option<ResolvedFrame>>,
     sid: SessionId,
 ) {
-    let cost_model = shared.config.cost_model;
     resolved.clear();
     resolved.resize_with(drawn.len(), || None);
     let mut reservations: Vec<(usize, MissGuard<'_>)> = Vec::new();
     let mut waits = Vec::new();
     for (k, &frame) in drawn.iter().enumerate() {
         match shared.cache.begin((core.repo_id, frame)) {
-            Lookup::Hit(dets) => {
-                // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-                resolved[k] = Some(ResolvedFrame {
-                    dets,
-                    io_s: 0.0,
-                    miss: false,
-                    dispatch: false,
-                });
-            }
+            // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
+            Lookup::Hit(dets) => resolved[k] = Some(ResolvedFrame::free(dets)),
             Lookup::Pending(wait) => waits.push((k, wait)),
             Lookup::Miss(guard) => reservations.push((k, guard)),
         }
     }
-    // Lazy warm start: before paying any detector time, let the mapped
-    // columnar container answer reservations. Only the touched chunks'
-    // columns are decoded (and only once per chunk, cached); a served
-    // frame is a warm hit — no miss, no io bill, no write-behind.
     if !reservations.is_empty() {
-        if let Some(p) = shared.persist.as_ref() {
-            if let Some(store) = p.container.as_ref() {
-                let mut still = Vec::with_capacity(reservations.len());
-                for (k, guard) in reservations {
-                    // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-                    match store.get(core.repo_id.0, drawn[k]) {
-                        Some(dets) => {
-                            p.container_hits.fetch_add(1, Ordering::Relaxed);
-                            // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-                            resolved[k] = Some(ResolvedFrame {
-                                dets: guard.fill_warm(dets),
-                                io_s: 0.0,
-                                miss: false,
-                                dispatch: false,
-                            });
-                        }
-                        None => still.push((k, guard)),
-                    }
-                }
-                reservations = still;
-            }
-        }
-    }
-    if !reservations.is_empty() {
-        // One dispatch for every miss in the batch: decode, then detect
-        // back-to-back, then publish. The first miss carries the
-        // dispatch-overhead bill. The span covers all three phases; its
-        // event key is the miss count, so summing dispatch-event keys
-        // reproduces the engine's detector-invocation total.
-        let mut span = shared.obs.span_flight(Stage::Dispatch, sid.0);
-        span.set_key(reservations.len() as u64);
-        let mut miss_frames = std::mem::take(&mut core.miss_frames);
-        let mut io = std::mem::take(&mut core.miss_io);
-        miss_frames.clear();
-        io.clear();
-        // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-        miss_frames.extend(reservations.iter().map(|(k, _)| drawn[*k]));
-        for &frame in &miss_frames {
-            let before = *core.container.stats();
-            core.container
-                .read_frame(frame)
-                // lint: allow(panic_audit, the container was validated at registration; torn storage mid-run is fatal by design)
-                .expect("engine-built container read");
-            let after = *core.container.stats();
-            io.push(cost_model.seconds(&decode_delta(&before, &after)));
-        }
-        let banks = dispatch_batch(&core.repo.detectors, &miss_frames, &mut core.gt_scratch);
-        let mut first = true;
-        for (((k, guard), dets), &io_s) in reservations.into_iter().zip(banks).zip(&io) {
-            let value = guard.fill(dets);
-            // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-            resolved[k] = Some(ResolvedFrame {
-                dets: value,
-                io_s,
-                miss: true,
-                dispatch: std::mem::take(&mut first),
-            });
-        }
-        core.miss_frames = miss_frames;
-        core.miss_io = io;
+        redeem(core, shared, reservations, resolved, sid);
     }
     for (k, wait) in waits {
         // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
@@ -1653,72 +1583,93 @@ fn resolve_batch(
         wait_span.set_key(frame);
         let mut wait = Some(wait);
         // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-        resolved[k] = Some(loop {
-            let pending = match wait.take() {
-                Some(w) => w,
-                None => match shared.cache.begin((core.repo_id, frame)) {
-                    Lookup::Hit(dets) => {
-                        break ResolvedFrame {
-                            dets,
-                            io_s: 0.0,
-                            miss: false,
-                            dispatch: false,
-                        }
-                    }
-                    Lookup::Pending(w) => w,
-                    Lookup::Miss(guard) => {
-                        // The session computing this frame died; serve it
-                        // from the columnar container if possible, else
-                        // recompute it as a single-frame dispatch.
-                        if let Some(p) = shared.persist.as_ref() {
-                            if let Some(store) = p.container.as_ref() {
-                                if let Some(dets) = store.get(core.repo_id.0, frame) {
-                                    p.container_hits.fetch_add(1, Ordering::Relaxed);
-                                    break ResolvedFrame {
-                                        dets: guard.fill_warm(dets),
-                                        io_s: 0.0,
-                                        miss: false,
-                                        dispatch: false,
-                                    };
-                                }
-                            }
-                        }
-                        // A real detector invocation: record it as its
-                        // own single-frame dispatch so dispatch events
-                        // still account for every invocation.
-                        let mut dspan = shared.obs.span_flight(Stage::Dispatch, sid.0);
-                        dspan.set_key(1);
-                        let before = *core.container.stats();
-                        core.container
-                            .read_frame(frame)
-                            // lint: allow(panic_audit, the container was validated at registration; torn storage mid-run is fatal by design)
-                            .expect("engine-built container read");
-                        let after = *core.container.stats();
-                        let io_s = cost_model.seconds(&decode_delta(&before, &after));
-                        let dets = exsample_detect::detect_frame(
-                            &core.repo.detectors,
-                            frame,
-                            &mut core.gt_scratch,
-                        );
-                        break ResolvedFrame {
-                            dets: guard.fill(dets),
-                            io_s,
-                            miss: true,
-                            dispatch: true,
-                        };
-                    }
-                },
+        while resolved[k].is_none() {
+            let lookup = match wait.take() {
+                Some(w) => Lookup::Pending(w),
+                None => shared.cache.begin((core.repo_id, frame)),
             };
-            if let Some(dets) = pending.wait() {
-                break ResolvedFrame {
-                    dets,
-                    io_s: 0.0,
-                    miss: false,
-                    dispatch: false,
-                };
+            match lookup {
+                // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
+                Lookup::Hit(dets) => resolved[k] = Some(ResolvedFrame::free(dets)),
+                // `None`: the computing session abandoned the entry; ask again.
+                // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
+                Lookup::Pending(w) => resolved[k] = w.wait().map(ResolvedFrame::free),
+                // The session computing this frame died and the key is
+                // ours now: a batch of one.
+                Lookup::Miss(guard) => redeem(core, shared, vec![(k, guard)], resolved, sid),
             }
+        }
+    }
+}
+
+/// Turn a set of reservations into detections, filling `resolved[k]` for
+/// each `(k, guard)`.
+///
+/// **Container first** (lazy warm start): before paying any detector
+/// time, let the mapped columnar container answer. Only the touched
+/// chunks' columns are decoded (and only once per chunk, cached); a
+/// served frame is a warm hit — no miss, no io bill, no write-behind.
+///
+/// **Then one dispatch** for every reservation left: decode through the
+/// session's own container reader, detect back-to-back, publish. The
+/// first miss carries the dispatch-overhead bill. The span covers all
+/// three phases; its event key is the miss count, so summing
+/// dispatch-event keys reproduces the engine's detector-invocation total.
+fn redeem(
+    core: &mut SessionCore,
+    shared: &Shared,
+    mut reservations: Vec<(usize, MissGuard<'_>)>,
+    resolved: &mut [Option<ResolvedFrame>],
+    sid: SessionId,
+) {
+    if let Some(persist) = shared.persist.as_ref() {
+        reservations = reservations
+            .into_iter()
+            .filter_map(
+                |(k, guard)| match persist.warm(core.repo_id, guard.key().1) {
+                    Some(dets) => {
+                        // lint: allow(panic_audit, every k was issued by resolve_batch against resolved's own length)
+                        resolved[k] = Some(ResolvedFrame::free(guard.fill_warm(dets)));
+                        None
+                    }
+                    None => Some((k, guard)),
+                },
+            )
+            .collect();
+    }
+    if reservations.is_empty() {
+        return;
+    }
+    let cost_model = shared.config.cost_model;
+    let mut span = shared.obs.span_flight(Stage::Dispatch, sid.0);
+    span.set_key(reservations.len() as u64);
+    let mut miss_frames = std::mem::take(&mut core.miss_frames);
+    let mut io = std::mem::take(&mut core.miss_io);
+    miss_frames.clear();
+    io.clear();
+    miss_frames.extend(reservations.iter().map(|(_, guard)| guard.key().1));
+    for &frame in &miss_frames {
+        let before = *core.container.stats();
+        core.container
+            .read_frame(frame)
+            // lint: allow(panic_audit, the container was validated at registration; torn storage mid-run is fatal by design)
+            .expect("engine-built container read");
+        let after = *core.container.stats();
+        io.push(cost_model.seconds(&decode_delta(&before, &after)));
+    }
+    let banks = dispatch_batch(&core.repo.detectors, &miss_frames, &mut core.gt_scratch);
+    let mut first = true;
+    for (((k, guard), dets), &io_s) in reservations.into_iter().zip(banks).zip(&io) {
+        // lint: allow(panic_audit, every k was issued by resolve_batch against resolved's own length)
+        resolved[k] = Some(ResolvedFrame {
+            dets: guard.fill(dets),
+            io_s,
+            miss: true,
+            dispatch: std::mem::take(&mut first),
         });
     }
+    core.miss_frames = miss_frames;
+    core.miss_io = io;
 }
 
 /// Step one leased session for up to `quantum` frames, in detector
@@ -2240,9 +2191,10 @@ mod tests {
         assert_eq!(repo2, repo);
         let ps = engine.persist_stats().expect("persistence on");
         assert_eq!(ps.records_loaded, invocations);
-        assert_eq!(ps.preloaded_frames, invocations);
+        assert_eq!(ps.container_frames, invocations);
         assert_eq!(ps.segments_skipped, 0);
-        assert_eq!(engine.cache_stats().warm_loads, invocations);
+        // Nothing is loaded ahead of a query: the cache warms on touch.
+        assert_eq!(engine.cache_stats().warm_loads, 0);
         // Beliefs: the first session's final stats are served bit-for-bit.
         let warm = engine
             .warm_beliefs(repo, ClassId(0), 16)
@@ -2252,12 +2204,16 @@ mod tests {
             assert_eq!(a.n1.to_bits(), b.n1.to_bits());
             assert_eq!(a.n, b.n);
         }
-        // A cold-belief replay of the same query touches only cached
-        // frames: zero detector invocations.
+        // A cold-belief replay of the same query touches only frames the
+        // container holds: zero detector invocations, every one a warm
+        // load.
         let replay = engine.wait(engine.submit(spec).unwrap()).unwrap();
         assert_eq!(replay.trace.samples(), first.trace.samples());
         assert_eq!(replay.trace.found(), first.trace.found());
         assert_eq!(engine.detector_invocations(), 0);
+        assert_eq!(engine.cache_stats().warm_loads, invocations);
+        let ps = engine.persist_stats().expect("persistence on");
+        assert_eq!(ps.container_hits, invocations);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2351,11 +2307,14 @@ mod tests {
         assert_eq!((a2, b2), (a, b));
         assert!(engine.warm_beliefs(b, ClassId(0), 16).is_some());
         assert!(engine.warm_beliefs(a, ClassId(0), 16).is_none());
-        // The replay is served entirely from preloaded detections.
+        // The replay is served entirely from the container, under b's id.
         let replay = engine.wait(engine.submit(spec).unwrap()).unwrap();
         assert_eq!(replay.trace.samples(), first.trace.samples());
         assert_eq!(replay.trace.found(), first.trace.found());
         assert_eq!(engine.detector_invocations(), 0);
+        assert_eq!(engine.cache_stats().warm_loads, invocations);
+        let ps = engine.persist_stats().expect("persistence on");
+        assert_eq!(ps.container_hits, invocations);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2418,6 +2377,8 @@ mod tests {
             engine.detector_invocations() > 0,
             "stale detections must not be served under a fresh id"
         );
+        let ps = engine.persist_stats().expect("persistence on");
+        assert_eq!((ps.container_hits, engine.cache_stats().warm_loads), (0, 0));
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -36,11 +36,13 @@
 //!   belief warm-starting.
 //! * **Durable detection store** — with [`EngineConfig::persist`] set
 //!   (see [`PersistConfig`]), detector output is written behind the cache
-//!   into `exsample_persist`'s segmented log and preloaded on the next
-//!   start, so a restarted engine answers previously-detected frames
-//!   with zero detector invocations; finished sessions snapshot their
+//!   into `exsample_persist`'s segmented log; the next start folds that
+//!   log into `exsample_colstore`'s memory-mapped container and answers
+//!   cache misses from it, so a restarted engine serves
+//!   previously-detected frames with zero detector invocations and reads
+//!   only the chunks its queries touch; finished sessions snapshot their
 //!   chunk beliefs for cross-session warm-starts. [`Engine::persist_stats`]
-//!   reports what was loaded, skipped (stale fingerprints), or salvaged.
+//!   reports what was folded, skipped (stale fingerprints), or salvaged.
 //!
 //! # Example
 //!

@@ -19,7 +19,7 @@
 
 use exsample_core::belief::ChunkStats;
 use exsample_detect::Detection;
-use exsample_store::le::{self, Le, Reader};
+use exsample_store::le::{self, Le};
 use exsample_store::le_record;
 use exsample_videosim::{BBox, ClassId, InstanceId};
 use std::borrow::Cow;
@@ -64,22 +64,15 @@ impl BeliefSnapshot {
     }
 }
 
-/// The key every detection record opens with — all a scan has to read
-/// to decide whether the record is wanted.
-struct DetectionKey {
-    repo: u32,
-    frame: u64,
-}
-
 /// A detection record as it is laid out: borrowed from the log's
 /// `append`, owned once decoded.
 struct DetectionRow<'a> {
-    key: DetectionKey,
+    repo: u32,
+    frame: u64,
     dets: Cow<'a, [Detection]>,
 }
 
-le_record!(Disk: DetectionKey { repo, frame });
-le_record!(Disk: DetectionRow<'_> { key, dets });
+le_record!(Disk: DetectionRow<'_> { repo, frame, dets });
 le_record!(Disk: Detection { bbox, class, score, truth });
 le_record!(Disk: BBox { x1, y1, x2, y2 });
 le_record!(Disk: ClassId { 0 });
@@ -91,27 +84,19 @@ le_record!(Disk: ChunkStats { n1, n });
 /// caller's job).
 pub fn encode_detections(repo: u32, frame: u64, dets: &[Detection], out: &mut Vec<u8>) {
     DetectionRow {
-        key: DetectionKey { repo, frame },
+        repo,
+        frame,
         dets: Cow::Borrowed(dets),
     }
     .put(out);
-}
-
-/// Read just the `(repo, frame)` key off a detection-record payload
-/// without decoding (or allocating) the detections behind it. This is
-/// what lets startup preload and the compactor *stream* the log: the key
-/// decides whether a record is even wanted before the expensive decode.
-pub fn peek_detection_key(payload: &[u8]) -> Result<(u32, u64), CodecError> {
-    let key = DetectionKey::get(&mut Reader::new(payload))?;
-    Ok((key.repo, key.frame))
 }
 
 /// Decode a detection-record payload.
 pub fn decode_detections(payload: &[u8]) -> Result<DetectionRecord, CodecError> {
     let row = le::decode::<Disk, DetectionRow<'_>>(payload)?;
     Ok(DetectionRecord {
-        repo: row.key.repo,
-        frame: row.key.frame,
+        repo: row.repo,
+        frame: row.frame,
         dets: row.dets.into_owned(),
     })
 }
@@ -156,14 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_decode() {
-        let mut buf = Vec::new();
-        encode_detections(7, 123_456, &[det(0, None), det(1, Some(3))], &mut buf);
-        assert_eq!(peek_detection_key(&buf), Ok((7, 123_456)));
-        assert!(peek_detection_key(&buf[..11]).is_err());
-    }
-
-    #[test]
     fn empty_frame_round_trips() {
         let mut buf = Vec::new();
         encode_detections(0, 0, &[], &mut buf);
@@ -192,7 +169,8 @@ mod tests {
     fn absurd_count_rejected_without_allocation() {
         // A valid key, then a count of u32::MAX with nothing behind it.
         let mut buf = Vec::new();
-        DetectionKey { repo: 1, frame: 2 }.put(&mut buf);
+        encode_detections(1, 2, &[], &mut buf);
+        buf.truncate(buf.len() - 4);
         Le::<Disk>::put(&u32::MAX, &mut buf);
         assert_eq!(
             decode_detections(&buf),

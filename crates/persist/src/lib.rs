@@ -6,9 +6,10 @@
 //! bill each morning. This crate makes both artifacts durable:
 //!
 //! * [`DetectionLog`] — an append-only, segmented, CRC-checksummed log of
-//!   full detector output per `(repo, frame)`. The engine appends on every
-//!   cache miss (write-behind) and bulk-preloads at startup, so a
-//!   restarted engine answers previously-detected frames without a single
+//!   full detector output per `(repo, frame)`: the write-ahead tail. The
+//!   engine appends on every cache miss (write-behind); the next start
+//!   folds the sealed segments into `exsample-colstore`'s mapped container
+//!   and answers previously-detected frames from it without a single
 //!   detector invocation.
 //! * [`BeliefStore`] — compact snapshots of per-chunk
 //!   [`ChunkStats`](exsample_core::belief::ChunkStats), written when a
@@ -42,51 +43,37 @@ pub mod log;
 
 pub use beliefs::{BeliefKey, BeliefStore};
 pub use catalog::{CatalogEntry, RepoCatalog};
-pub use codec::{peek_detection_key, BeliefSnapshot, CodecError, DetectionRecord};
+pub use codec::{BeliefSnapshot, CodecError, DetectionRecord};
 pub use log::{
-    scan_detections, scan_detections_raw, scan_segment_file, sealed_segments, DetectionLog,
-    LoadStats, RawDetectionRecord, RecordVerdict, SegmentOutcome,
+    scan_detections, scan_segment_file, sealed_segments, DetectionLog, LoadStats, SegmentOutcome,
 };
 
 use exsample_detect::NoiseModel;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
-/// How the columnar container (`exsample-colstore`) is used on top of
-/// the log. This lives in `exsample-persist` (plain data, no colstore
-/// dependency) so the engine can carry it inside [`PersistConfig`]
-/// without a dependency cycle — `exsample-colstore` depends on this
-/// crate for segment scanning.
+/// Shape of the columnar container (`exsample-colstore`) every
+/// persistent engine folds its log into. This lives in `exsample-persist`
+/// (plain data, no colstore dependency) so the engine can carry it inside
+/// [`PersistConfig`] without a dependency cycle — `exsample-colstore`
+/// depends on this crate for segment scanning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnarConfig {
     /// Frames per temporal index chunk in the container. Independent of
     /// any query's chunking: smaller chunks mean finer-grained warm-start
     /// I/O, larger chunks mean a smaller index.
     pub chunk_frames: u64,
-    /// Compact sealed log segments into the container at engine startup
-    /// (before the log writer opens). Disable to only *read* an existing
-    /// container.
-    pub compact_on_start: bool,
 }
 
 impl ColumnarConfig {
-    /// Defaults: 4096-frame chunks, compaction at startup.
+    /// Default: 4096-frame chunks.
     pub fn new() -> Self {
-        ColumnarConfig {
-            chunk_frames: 4096,
-            compact_on_start: true,
-        }
+        ColumnarConfig { chunk_frames: 4096 }
     }
 
     /// Set the temporal chunk width (frames).
     pub fn chunk_frames(mut self, frames: u64) -> Self {
         self.chunk_frames = frames.max(1);
-        self
-    }
-
-    /// Enable or disable compaction at startup.
-    pub fn compact_on_start(mut self, yes: bool) -> Self {
-        self.compact_on_start = yes;
         self
     }
 }
@@ -111,14 +98,16 @@ pub struct PersistConfig {
     /// [`detector_fingerprint`]). Segments and snapshots written under a
     /// different fingerprint are invalidated (skipped) at load.
     pub fingerprint: u64,
-    /// Columnar-container usage; `None` keeps the pure log pipeline
-    /// (exactly the pre-colstore behavior).
+    /// Container chunk width; `None` = [`ColumnarConfig::new()`]. It
+    /// selects nothing — every persistent engine compacts into and reads
+    /// from the container — and is an `Option` only until the benchmark,
+    /// which reads it as one, is re-baselined.
     pub columnar: Option<ColumnarConfig>,
 }
 
 impl PersistConfig {
     /// Config with default flush interval (64) and segment capacity
-    /// (4096), a zero fingerprint, and no columnar container.
+    /// (4096), a zero fingerprint, and the default container chunk width.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             dir: dir.into(),
@@ -147,7 +136,7 @@ impl PersistConfig {
         self
     }
 
-    /// Enable the columnar container with `cfg`.
+    /// Set the container chunk width.
     pub fn columnar(mut self, cfg: ColumnarConfig) -> Self {
         self.columnar = Some(cfg);
         self

@@ -20,9 +20,7 @@
 //! [`DetectionLog::open`] starts a fresh segment lazily on first append,
 //! which keeps recovery logic trivial (old segments are immutable).
 
-use crate::codec::{
-    decode_detections, encode_detections, peek_detection_key, CodecError, DetectionRecord,
-};
+use crate::codec::{decode_detections, encode_detections, DetectionRecord};
 use crate::PersistConfig;
 use exsample_detect::Detection;
 use exsample_store::framing::{
@@ -41,18 +39,23 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.xsd"))
 }
 
-/// Outcome counters of scanning a persist directory.
+/// Outcome counters of one scan of a persist directory. They describe
+/// what *that scan* read: segments a compaction folded and deleted before
+/// it are not here — the engine adds the compactor's own report to these
+/// when it publishes its startup counters (`PersistStats` in
+/// `exsample-engine`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
     /// Segments whose header matched and whose records were read.
     pub segments_loaded: u64,
-    /// Segments skipped wholesale: wrong magic, unsupported version, or a
-    /// fingerprint from a different detector configuration.
+    /// Segments skipped wholesale: wrong magic, unsupported version, a
+    /// fingerprint from a different detector configuration, or unreadable.
     pub segments_skipped: u64,
-    /// Checksum-valid records decoded and delivered.
+    /// Checksum-valid records decoded and delivered to the sink.
     pub records_loaded: u64,
-    /// Damaged segment tails abandoned (torn final write or bit rot); one
-    /// count per affected segment, the valid prefix was still loaded.
+    /// Damaged segment tails abandoned (torn final write, bit rot or an
+    /// undecodable record); one count per affected segment, the valid
+    /// prefix was still delivered.
     pub damaged_tails: u64,
 }
 
@@ -213,40 +216,6 @@ pub fn sealed_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// One log record *before* detection decode: the peeked `(repo, frame)`
-/// key plus the checksum-valid payload. Callers that don't want the
-/// record (cache already full, container already has the frame) skip
-/// [`RawDetectionRecord::decode`] entirely — no per-detection allocation.
-#[derive(Debug, Clone, Copy)]
-pub struct RawDetectionRecord<'a> {
-    /// Repository id (the engine's registration index).
-    pub repo: u32,
-    /// Frame index within the repository.
-    pub frame: u64,
-    /// The full encoded payload (including the key bytes).
-    pub payload: &'a [u8],
-}
-
-impl RawDetectionRecord<'_> {
-    /// Decode the full record (detections included).
-    pub fn decode(&self) -> Result<DetectionRecord, CodecError> {
-        decode_detections(self.payload)
-    }
-}
-
-/// What a scan sink decides after seeing one raw record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordVerdict {
-    /// Count the record as loaded and keep scanning.
-    Keep,
-    /// Abandon the rest of *this segment* (counted as a damaged tail) and
-    /// continue with the next one — the decode-error path.
-    Abandon,
-    /// Stop the whole scan immediately (e.g. the cache is full); nothing
-    /// is counted as damage.
-    Stop,
-}
-
 /// Header-match outcome of scanning one segment file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentOutcome {
@@ -255,22 +224,22 @@ pub enum SegmentOutcome {
     Skipped,
     /// Header matched and records were streamed to the sink.
     Loaded {
-        /// Records the sink kept.
+        /// Records delivered to the sink.
         records: u64,
         /// Whether a damaged (or undecodable) suffix was abandoned.
         damaged_tail: bool,
-        /// Whether the sink stopped the scan early.
-        stopped: bool,
     },
 }
 
-/// Stream the checksum-valid records of one segment file to `sink` if its
-/// header matches `fingerprint`. IO errors reading the file surface to
-/// the caller; everything else is an outcome, not an error.
+/// Decode the checksum-valid records of one segment file and hand each to
+/// `sink` if the segment's header matches `fingerprint`. A torn, corrupt
+/// or undecodable record abandons the rest of the segment (the valid
+/// prefix was still delivered). IO errors reading the file surface to the
+/// caller; everything else is an outcome, not an error.
 pub fn scan_segment_file(
     path: &Path,
     fingerprint: u64,
-    mut sink: impl FnMut(RawDetectionRecord<'_>) -> RecordVerdict,
+    mut sink: impl FnMut(DetectionRecord),
 ) -> std::io::Result<SegmentOutcome> {
     let data = fs::read(path)?;
     let body = match read_segment_header(&data, SEGMENT_MAGIC) {
@@ -292,73 +261,52 @@ pub fn scan_segment_file(
         }
     };
     let mut records = 0;
-    let mut damaged_tail = false;
-    let mut stopped = false;
     let mut rest = body;
-    loop {
+    let damaged_tail = loop {
         match next_record(rest) {
-            RecordStep::Record { payload, rest: r } => {
-                rest = r;
-                let (repo, frame) = match peek_detection_key(payload) {
-                    Ok(key) => key,
-                    Err(e) => {
-                        // Checksum-valid but unparseable: writer-version
-                        // skew; treat like damage.
-                        damaged_tail = true;
-                        eprintln!(
-                            "exsample-persist: abandoning tail of {}: {e}",
-                            path.display()
-                        );
-                        break;
-                    }
-                };
-                match sink(RawDetectionRecord {
-                    repo,
-                    frame,
-                    payload,
-                }) {
-                    RecordVerdict::Keep => records += 1,
-                    RecordVerdict::Abandon => {
-                        damaged_tail = true;
-                        eprintln!("exsample-persist: abandoning tail of {}", path.display());
-                        break;
-                    }
-                    RecordVerdict::Stop => {
-                        stopped = true;
-                        break;
-                    }
+            RecordStep::Record { payload, rest: r } => match decode_detections(payload) {
+                Ok(rec) => {
+                    rest = r;
+                    records += 1;
+                    sink(rec);
                 }
-            }
-            RecordStep::End => break,
+                Err(e) => {
+                    // Checksum-valid but unparseable: writer-version
+                    // skew; treat like damage.
+                    eprintln!(
+                        "exsample-persist: abandoning tail of {}: {e}",
+                        path.display()
+                    );
+                    break true;
+                }
+            },
+            RecordStep::End => break false,
             RecordStep::Truncated | RecordStep::Corrupt => {
-                damaged_tail = true;
                 eprintln!(
                     "exsample-persist: abandoning damaged tail of {}",
                     path.display()
                 );
-                break;
+                break true;
             }
         }
-    }
+    };
     Ok(SegmentOutcome::Loaded {
         records,
         damaged_tail,
-        stopped,
     })
 }
 
-/// Stream every segment in `dir` (oldest first) through `sink` without
-/// decoding detections — the sink sees each record's peeked key and raw
-/// payload and decides per record whether the decode is worth paying
-/// ([`RecordVerdict`]). A [`RecordVerdict::Stop`] ends the directory scan.
+/// Scan every segment in `dir`, delivering each checksum-valid record
+/// whose segment matches `fingerprint` to `sink` fully decoded, oldest
+/// segment first.
 ///
 /// Mismatched or damaged data is *skipped and counted*, never fatal: the
 /// only errors surfaced are directory-level IO failures. A missing
 /// directory is an empty log.
-pub fn scan_detections_raw(
+pub fn scan_detections(
     dir: &Path,
     fingerprint: u64,
-    mut sink: impl FnMut(RawDetectionRecord<'_>) -> RecordVerdict,
+    mut sink: impl FnMut(DetectionRecord),
 ) -> std::io::Result<LoadStats> {
     let mut stats = LoadStats::default();
     for (_, path) in sealed_segments(dir)? {
@@ -367,14 +315,10 @@ pub fn scan_detections_raw(
             Ok(SegmentOutcome::Loaded {
                 records,
                 damaged_tail,
-                stopped,
             }) => {
                 stats.segments_loaded += 1;
                 stats.records_loaded += records;
                 stats.damaged_tails += u64::from(damaged_tail);
-                if stopped {
-                    break;
-                }
             }
             Err(e) => {
                 // The file vanished or became unreadable between the
@@ -386,24 +330,6 @@ pub fn scan_detections_raw(
         }
     }
     Ok(stats)
-}
-
-/// Scan every segment in `dir`, delivering each checksum-valid record
-/// whose segment matches `fingerprint` to `sink` *fully decoded*, oldest
-/// segment first. A convenience wrapper over [`scan_detections_raw`] for
-/// callers that want every record.
-pub fn scan_detections(
-    dir: &Path,
-    fingerprint: u64,
-    mut sink: impl FnMut(DetectionRecord),
-) -> std::io::Result<LoadStats> {
-    scan_detections_raw(dir, fingerprint, |raw| match raw.decode() {
-        Ok(rec) => {
-            sink(rec);
-            RecordVerdict::Keep
-        }
-        Err(_) => RecordVerdict::Abandon,
-    })
 }
 
 #[cfg(test)]

@@ -70,7 +70,8 @@ pub const PROTO_MAGIC: &[u8; 4] = b"XSRP";
 /// and the `dispatch_s`/`dispatches` members of `SessionCharges`. v4
 /// added the columnar-container members of `PersistStats`
 /// (`container_frames`, `container_chunks`, `container_hits`,
-/// `container_bytes_touched`, `container_skipped`, `preload_skipped`).
+/// `container_bytes_touched`, `container_skipped`, and a
+/// `preload_skipped` that v8 removed again).
 /// v5 added the observability surface: `Stats` gained a `detail` flag
 /// (the reply then carries latency-histogram snapshots, capped at
 /// [`MAX_SNAPSHOT_LEN`] each and refused — never truncated — beyond it)
@@ -87,7 +88,11 @@ pub const PROTO_MAGIC: &[u8; 4] = b"XSRP";
 /// and the `CollectTrace`/`TraceReply` exchange fetches one trace's
 /// recorded span tree from a shard or, through the cluster router, the
 /// whole fleet.
-pub const PROTO_VERSION: u16 = 7;
+/// v8 removed `preloaded_frames` and `preload_skipped` from
+/// `PersistStats` (14 members, not 16): the engine no longer replays the
+/// log into the cache at startup, so there is nothing for them to count —
+/// `container_hits` is the warm-start number.
+pub const PROTO_VERSION: u16 = 8;
 
 /// Upper bound on one frame's payload, enforced on both send and
 /// receive: a corrupt or hostile length prefix must not provoke an

@@ -329,10 +329,9 @@ le_record!(Wire: TracePoint { samples, found, seconds });
 le_record!(Wire: ServiceStats { cache, persist, live_sessions });
 le_record!(Wire: CacheStats { hits, misses, evictions, entries, warm_loads });
 le_record!(Wire: PersistStats {
-    segments_loaded, segments_skipped, records_loaded, damaged_tails, preloaded_frames,
-    snapshots_loaded, snapshots_skipped, beliefs_resident, log_write_errors,
-    snapshot_write_errors, container_frames, container_chunks, container_hits,
-    container_bytes_touched, container_skipped, preload_skipped,
+    segments_loaded, segments_skipped, records_loaded, damaged_tails, snapshots_loaded,
+    snapshots_skipped, beliefs_resident, log_write_errors, snapshot_write_errors, container_frames,
+    container_chunks, container_hits, container_bytes_touched, container_skipped,
 });
 le_record!(Wire: Diagnostics { histograms, counters, events });
 le_record!(Wire: RepoInfo { id, frames, classes, dataset_fingerprint, name });
@@ -560,7 +559,6 @@ mod tests {
                 segments_skipped: 1,
                 records_loaded: 500,
                 damaged_tails: 1,
-                preloaded_frames: 499,
                 snapshots_loaded: 3,
                 snapshots_skipped: 0,
                 beliefs_resident: 3,
@@ -571,7 +569,6 @@ mod tests {
                 container_hits: 321,
                 container_bytes_touched: 9_876,
                 container_skipped: 1,
-                preload_skipped: 49,
             }),
             live_sessions: u64::MAX,
         };

@@ -1,4 +1,4 @@
-//! Golden vectors for protocol v7: the bytes every `Message` and
+//! Golden vectors for the wire protocol: the bytes every `Message` and
 //! `WireError` variant has on the wire, checked in as hex.
 //!
 //! Round-trip tests cannot see a codec that swaps two fields in both
@@ -14,7 +14,10 @@
 //!
 //! The hex and the offset sets were generated with the hand-written v7
 //! encoder/decoder (the commit before the field-list codec) and must
-//! not change without a protocol version bump.
+//! not change without a protocol version bump. v8 changed exactly one
+//! vector, `stats_reply_durable_detail`: the v7 bytes with the two
+//! removed `PersistStats` fields (8 bytes each) cut out, its reject
+//! offsets behind them moved down by 16.
 
 use exsample_core::belief::{BeliefPrior, ChunkStats, Selector};
 use exsample_core::driver::{SearchTrace, StopCond, TracePoint};
@@ -113,7 +116,6 @@ fn persist_stats() -> PersistStats {
         segments_skipped: 2,
         records_loaded: 3,
         damaged_tails: 4,
-        preloaded_frames: 5,
         snapshots_loaded: 6,
         snapshots_skipped: 7,
         beliefs_resident: 8,
@@ -124,7 +126,6 @@ fn persist_stats() -> PersistStats {
         container_hits: 13,
         container_bytes_touched: 14,
         container_skipped: 15,
-        preload_skipped: u64::MAX,
     }
 }
 
@@ -437,7 +438,7 @@ fn vectors() -> Vec<(&'static str, Message)> {
     all
 }
 
-/// `(name, v7 bytes as hex, offsets where an 0xEE byte must be refused)`.
+/// `(name, wire bytes as hex, offsets where an 0xEE byte must be refused)`.
 const GOLDEN: &[(&str, &str, &str)] = &[
     ("repos", "01", "0"),
     (
@@ -531,25 +532,24 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     (
         "stats_reply_durable_detail",
         "470a0000000000000007000000000000000100000000000000060000000000000003000000000000\
-         00010100000000000000020000000000000003000000000000000400000000000000050000000000\
-         000006000000000000000700000000000000080000000000000009000000000000000a0000000000\
-         00000b000000000000000c000000000000000d000000000000000e000000000000000f0000000000\
-         0000ffffffffffffffffffffffffffffffff01010000000b00000064697370617463685f6e730902\
-         000001c4450f00000000000100000000000000010000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000100000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000100000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
-         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00010100000000000000020000000000000003000000000000000400000000000000060000000000\
+         00000700000000000000080000000000000009000000000000000a000000000000000b0000000000\
+         00000c000000000000000d000000000000000e000000000000000f00000000000000ffffffffffff\
+         ffff01010000000b00000064697370617463685f6e730902000001c4450f00000000000100000000\
+         00000001000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000100000000\
          00000000000000000000000000000000000000000000000000000000000000000000000000000000\
          00000000000000000000000000000000000000000000000000000000000000000000000100000000\
-         000000",
-        "0,41,178-202",
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000100000000000000",
+        "0,41,162-186",
     ),
     (
         "diagnostics_reply",

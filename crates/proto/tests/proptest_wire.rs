@@ -301,7 +301,6 @@ fn make_service_stats(w: &[u64; 6]) -> ServiceStats {
             segments_skipped: w[1].rotate_left(13),
             records_loaded: w[2].rotate_left(17),
             damaged_tails: w[3].rotate_left(19),
-            preloaded_frames: w[4].rotate_left(23),
             snapshots_loaded: w[5].rotate_left(29),
             snapshots_skipped: w[0].rotate_left(31),
             beliefs_resident: w[1].rotate_left(37),
@@ -312,7 +311,6 @@ fn make_service_stats(w: &[u64; 6]) -> ServiceStats {
             container_hits: w[0].rotate_left(59),
             container_bytes_touched: w[1].rotate_left(61),
             container_skipped: w[2].rotate_left(3),
-            preload_skipped: w[3].rotate_left(5),
         }),
         live_sessions: w[5],
     }

@@ -15,7 +15,8 @@
 //!   [`ServeHandle`]): oneshot readiness via the [`polling`] shim, TCP
 //!   and Unix-domain listeners, accept bursts, handshake deadlines, a
 //!   plaintext `/metrics` listener, and parked `Wait`/`Subscribe`
-//!   connections re-asked against the engine on a clock.
+//!   connections resumed from the engine's completion queue — by the
+//!   session that progressed, never on a clock.
 //! * [`auth`] — bearer-token tenant identity ([`AuthRegistry`], [`Tier`]):
 //!   the `Hello` handshake binds a connection to a verified
 //!   [`TenantId`](exsample_engine::TenantId), and tier weights multiply

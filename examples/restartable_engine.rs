@@ -4,10 +4,12 @@
 //! engine, which writes every detector invocation behind the cache into
 //! an append-only, CRC-checked detection log and snapshots each finished
 //! session's chunk beliefs. The engine is then dropped — "the service
-//! restarted" — and a fresh engine reopens the same directory:
+//! restarted" — and a fresh engine reopens the same directory, folds the
+//! sealed log into the memory-mapped columnar container, and:
 //!
 //! * replaying the identical fleet costs **zero** detector invocations
-//!   (every sampled frame is answered from the preloaded cache), and
+//!   (every sampled frame is a cache miss answered from the container's
+//!   columns — only the chunks a query touches are read), and
 //! * a brand-new query warm-starts its beliefs from what earlier
 //!   sessions learned about where results live.
 //!
@@ -18,7 +20,8 @@
 //! Pass a directory to persist across *process* runs: on a second
 //! invocation even the "cold" fleet is answered from disk, so the
 //! printed `total detector invocations:` drops — CI runs this example
-//! twice and fails unless the second run's total is strictly smaller.
+//! twice and fails unless the second run's total is strictly smaller
+//! and its `container hits:` line is positive.
 
 use exsample::core::driver::StopCond;
 use exsample::detect::NoiseModel;
@@ -86,8 +89,8 @@ fn main() {
     let engine = engine_on(&dir, &gt);
     let stats = engine.persist_stats().expect("persistence on");
     println!(
-        "engine 1 up: {} records preloaded, {} segments skipped, {} belief snapshots",
-        stats.preloaded_frames, stats.segments_skipped, stats.beliefs_resident
+        "engine 1 up: {} log records folded, container holds {} frames, {} belief snapshots",
+        stats.records_loaded, stats.container_frames, stats.beliefs_resident
     );
     let repo = engine.register_repo("restartable-cam", gt.clone(), NoiseModel::none(), DET_SEED);
     let fleet1 = run_fleet(&engine, repo);
@@ -100,15 +103,15 @@ fn main() {
     let engine = engine_on(&dir, &gt);
     let stats = engine.persist_stats().expect("persistence on");
     println!(
-        "engine 2 up: {} records preloaded, {} segments skipped, {} belief snapshots",
-        stats.preloaded_frames, stats.segments_skipped, stats.beliefs_resident
+        "engine 2 up: {} log records folded, container holds {} frames, {} belief snapshots",
+        stats.records_loaded, stats.container_frames, stats.beliefs_resident
     );
     let repo = engine.register_repo("restartable-cam", gt.clone(), NoiseModel::none(), DET_SEED);
     let replay = run_fleet(&engine, repo);
     println!("replayed fleet: {replay} detector invocations");
     assert_eq!(
         replay, 0,
-        "previously-detected frames must be answered from the persisted cache"
+        "previously-detected frames must be answered from the container"
     );
 
     // A query this deployment has never seen, warm-started from the
@@ -131,8 +134,11 @@ fn main() {
 
     let total = fleet1 + replay + probe.charges.detector_invocations;
     println!("\ncold-vs-warm: fleet paid {fleet1} detector invocations before the restart and {replay} after");
-    // Machine-readable line compared across process runs by CI.
+    // Machine-readable lines compared across process runs by CI (the
+    // hits are the second incarnation's).
     println!("total detector invocations: {total}");
+    let stats = engine.persist_stats().expect("persistence on");
+    println!("container hits: {}", stats.container_hits);
     drop(engine);
 
     // Only clean up self-made scratch dirs; an explicit argument means

@@ -5,7 +5,7 @@
 //! detector invocations; warm-started beliefs are bit-identical to the
 //! `ChunkStats` the prior run held at snapshot time; corrupted or
 //! fingerprint-mismatched segments are skipped (counted) rather than
-//! poisoning the cache.
+//! poisoning the store.
 
 use exsample::core::driver::StopCond;
 use exsample::core::exsample::{ExSample, ExSampleConfig};
@@ -82,18 +82,20 @@ fn reopened_engine_answers_previous_frames_with_zero_invocations() {
     let (engine, repo) = engine_on(&dir, fingerprint());
     let ps = engine.persist_stats().expect("persistence configured");
     assert_eq!(ps.records_loaded, paid);
-    assert_eq!(ps.preloaded_frames, paid);
     assert_eq!(ps.segments_skipped, 0);
     assert_eq!(ps.damaged_tails, 0);
-    assert_eq!(engine.cache_stats().warm_loads, paid);
 
     let replay = run_query(&engine, query(repo));
     assert_eq!(
         engine.detector_invocations(),
         0,
-        "previously-detected frames must come from the persisted cache"
+        "previously-detected frames must come from the durable store"
     );
     assert_eq!(replay.charges.cache_hits, replay.charges.frames);
+    // Warm loads are lazy: each replayed frame was read back on touch.
+    assert_eq!(engine.cache_stats().warm_loads, paid);
+    let ps = engine.persist_stats().expect("persistence configured");
+    assert_eq!(ps.container_hits, paid);
     // The replay is the same search: identical frames, identical results.
     assert_eq!(replay.trace.samples(), first.trace.samples());
     assert_eq!(replay.trace.found(), first.trace.found());
@@ -174,14 +176,17 @@ fn corrupt_and_mismatched_segments_are_skipped_not_poisoning() {
         ps.records_loaded < paid,
         "the flip cost at least one record"
     );
-    assert_eq!(ps.preloaded_frames, ps.records_loaded);
+    assert_eq!(ps.container_frames, ps.records_loaded);
 
     // Not poisoned: the replay recomputes exactly the lost records and
     // still produces identical results.
     let replay = run_query(&engine, query(repo));
     assert_eq!(replay.trace.found(), first.trace.found());
     assert_eq!(replay.trace.samples(), first.trace.samples());
-    assert_eq!(engine.detector_invocations(), paid - ps.preloaded_frames);
+    assert_eq!(engine.detector_invocations(), paid - ps.records_loaded);
+    assert_eq!(engine.cache_stats().warm_loads, ps.records_loaded);
+    let after = engine.persist_stats().expect("persistence configured");
+    assert_eq!(after.container_hits, ps.records_loaded);
 }
 
 #[test]
