@@ -162,23 +162,22 @@ fn bench_container_reads(c: &mut Criterion) {
     for i in 0..20_000u64 {
         w.push_frame(&i.to_le_bytes());
     }
-    let bytes = w.finish();
+    let opened = Container::open(w.finish()).unwrap();
     let mut g = c.benchmark_group("container");
     g.bench_function("random_read", |b| {
-        let mut container = Container::open(bytes.clone()).unwrap();
+        let mut container = opened.reader();
         let mut rng = Rng64::new(8);
         b.iter(|| {
             let f = rng.u64_below(20_000);
-            black_box(container.read_frame(f).unwrap())
+            black_box(container.read_frame(f).unwrap());
         })
     });
     g.bench_function("sequential_read", |b| {
-        let mut container = Container::open(bytes.clone()).unwrap();
+        let mut container = opened.reader();
         let mut f = 0u64;
         b.iter(|| {
-            let r = container.read_frame(f).unwrap();
+            black_box(container.read_frame(f).unwrap());
             f = (f + 1) % 20_000;
-            black_box(r)
         })
     });
     g.finish();

@@ -14,13 +14,23 @@
 //! Within a GOP each frame is `len u32 | bytes`. Only the first frame of a
 //! GOP is a keyframe: decoding frame `f` walks from the keyframe to `f`,
 //! which is exactly the cost structure of inter-coded video.
+//!
+//! Offsets in the index are relative to the end of the header; each
+//! `crc32` covers one GOP's bytes, prefixes included. Header and trailer
+//! carry no checksum of their own, so [`Container::open`] cross-checks
+//! them against the index instead.
+//!
+//! The file is built and read where it lies. [`ContainerWriter`] appends
+//! each frame to the one buffer that becomes the file;
+//! [`Container::read_frame`] returns a slice of the one buffer every
+//! reader of the container shares.
 
 use crate::cost::DecodeStats;
 use crate::crc::crc32;
 use crate::framing::Disk;
 use crate::le::{put_bytes, Le, Reader};
 use crate::le_record;
-use bytes::Bytes;
+use std::ops::Range;
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"XSVC";
@@ -94,11 +104,20 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// Streaming writer: push frame payloads, obtain the finished container.
+///
+/// The writer holds the file itself, in place: one buffer that starts as
+/// the header's reserved bytes and grows by each length-prefixed frame.
+/// Sealing a GOP checksums the bytes already there and notes one index
+/// entry; [`finish`](ContainerWriter::finish) fills the header in, appends
+/// index and trailer and hands the buffer over. No frame is copied after
+/// `push_frame` wrote it.
 #[derive(Debug)]
 pub struct ContainerWriter {
     gop_size: u32,
-    payload: Vec<u8>,
-    current_gop: Vec<u8>,
+    /// The file so far: reserved header, then every frame pushed.
+    out: Vec<u8>,
+    /// Where the unsealed GOP begins in `out`.
+    gop_start: usize,
     frames_in_gop: u32,
     frame_count: u64,
     index: Vec<GopEntry>,
@@ -114,8 +133,8 @@ impl ContainerWriter {
         assert!(gop_size > 0, "gop_size must be positive");
         ContainerWriter {
             gop_size,
-            payload: Vec::new(),
-            current_gop: Vec::new(),
+            out: vec![0; HEADER_LEN],
+            gop_start: HEADER_LEN,
             frames_in_gop: 0,
             frame_count: 0,
             index: Vec::new(),
@@ -124,27 +143,26 @@ impl ContainerWriter {
 
     /// Append one frame payload.
     pub fn push_frame(&mut self, data: &[u8]) {
-        put_bytes(data, &mut self.current_gop);
+        put_bytes(data, &mut self.out);
         self.frames_in_gop += 1;
         self.frame_count += 1;
         if self.frames_in_gop == self.gop_size {
-            self.flush_gop();
+            self.seal_gop();
         }
     }
 
-    fn flush_gop(&mut self) {
+    fn seal_gop(&mut self) {
         if self.frames_in_gop == 0 {
             return;
         }
-        let first_frame = self.frame_count - self.frames_in_gop as u64;
-        let gop = std::mem::take(&mut self.current_gop);
+        let gop = &self.out[self.gop_start..];
         self.index.push(GopEntry {
-            offset: self.payload.len() as u64,
+            offset: (self.gop_start - HEADER_LEN) as u64,
             len: gop.len() as u32,
-            crc: crc32(&gop),
-            first_frame,
+            crc: crc32(gop),
+            first_frame: self.frame_count - self.frames_in_gop as u64,
         });
-        self.payload.extend_from_slice(&gop);
+        self.gop_start = self.out.len();
         self.frames_in_gop = 0;
     }
 
@@ -153,62 +171,99 @@ impl ContainerWriter {
         self.frame_count
     }
 
-    /// Finish the container and return its bytes.
-    pub fn finish(mut self) -> Bytes {
-        self.flush_gop();
-        let mut out = Vec::with_capacity(
-            HEADER_LEN + self.payload.len() + self.index.len() * INDEX_ENTRY_LEN + TRAILER_LEN,
-        );
+    /// Finish the container and return its bytes, ready for
+    /// [`Container::open`].
+    pub fn finish(mut self) -> Vec<u8> {
+        self.seal_gop();
+        let mut header = Vec::with_capacity(HEADER_LEN);
         Header {
             magic: MAGIC,
             version: VERSION,
             gop_size: self.gop_size,
             frame_count: self.frame_count,
         }
-        .put(&mut out);
-        out.extend_from_slice(&self.payload);
-        let index_offset = out.len() as u64;
+        .put(&mut header);
+        self.out[..HEADER_LEN].copy_from_slice(&header);
+
+        let index_offset = self.out.len() as u64;
+        // Grow once and exactly: fitting the index must not double a
+        // repository-sized buffer.
+        self.out
+            .reserve_exact(self.index.len() * INDEX_ENTRY_LEN + TRAILER_LEN);
         for e in &self.index {
-            e.put(&mut out);
+            e.put(&mut self.out);
         }
         Trailer {
             index_offset,
             gop_count: self.index.len() as u32,
             magic: INDEX_MAGIC,
         }
-        .put(&mut out);
-        Bytes::from(out)
+        .put(&mut self.out);
+        self.out
     }
+}
+
+/// One GOP's place in the file, as [`Container::open`] checked it:
+/// `start..end` lies inside the payload region.
+#[derive(Debug, Clone, Copy)]
+struct Gop {
+    start: usize,
+    end: usize,
+    crc: u32,
+}
+
+/// What a container and every reader taken from it share.
+#[derive(Debug)]
+struct Shared {
+    data: Vec<u8>,
+    gop_size: u32,
+    frame_count: u64,
+    /// One entry per `gop_size` frames, in frame order.
+    gops: Vec<Gop>,
 }
 
 /// Random-access reader over a finished container.
 ///
 /// Reads validate GOP checksums on first touch and account decode work in
 /// a [`DecodeStats`] tally. The most recently decoded GOP stays cached, so
-/// sequential access decodes each frame exactly once.
+/// sequential access decodes each frame exactly once. What is cached is
+/// not bytes: it is the id of the one verified GOP and the extent of each
+/// of its frames the keyframe walk has reached, in a `Vec` reused from GOP
+/// to GOP.
 ///
-/// The bytes and the parsed GOP index are shared between a container and
+/// The bytes and the checked GOP index are shared between a container and
 /// the readers handed out by [`Container::reader`]; the GOP cache and the
-/// tally are each reader's own.
+/// tally are each reader's own. Sharing is one reference count, touched
+/// by `reader()` and by drop and never by a read.
 #[derive(Debug)]
 pub struct Container {
-    data: Bytes,
-    gop_size: u32,
-    frame_count: u64,
-    index: Arc<[GopEntry]>,
-    /// (gop index, decoded frame payloads) of the last touched GOP.
-    cache: Option<(u32, Vec<Bytes>)>,
+    shared: Arc<Shared>,
+    /// The GOP whose checksum this reader verified last.
+    cached_gop: Option<u32>,
+    /// Where in `shared.data` each frame of `cached_gop` decoded so far
+    /// lies, keyframe first.
+    frames: Vec<Range<usize>>,
     stats: DecodeStats,
 }
 
 impl Container {
-    /// Parse a container from bytes (payload is validated lazily, the
-    /// header/index eagerly).
-    pub fn open(data: Bytes) -> Result<Self, StoreError> {
-        if data.len() < HEADER_LEN + TRAILER_LEN {
-            return Err(StoreError::Malformed("too short"));
-        }
-        let (head, trailer) = data.split_at(data.len() - TRAILER_LEN);
+    /// Parse a container from bytes. The payload is validated lazily
+    /// (each GOP's checksum on first touch); header, trailer and index are
+    /// validated here, completely: magic and version, a non-zero GOP
+    /// size, the index lying exactly between payload and trailer, one
+    /// index entry per `gop_size` frames of `frame_count` with entry `i`
+    /// starting at frame `i * gop_size`, and every GOP extent inside the
+    /// payload region under checked arithmetic. A file that passes cannot
+    /// make [`read_frame`](Container::read_frame) index out of bounds —
+    /// the header is covered by no checksum, so this is what stands
+    /// between a flipped `frame_count` bit and a panic.
+    pub fn open(data: Vec<u8>) -> Result<Self, StoreError> {
+        let payload_end = data
+            .len()
+            .checked_sub(TRAILER_LEN)
+            .filter(|&end| end >= HEADER_LEN)
+            .ok_or(StoreError::Malformed("too short"))?;
+        let (head, trailer) = data.split_at(payload_end);
         let header =
             Header::get(&mut Reader::new(head)).map_err(|_| StoreError::Malformed("too short"))?;
         if header.magic != MAGIC {
@@ -227,63 +282,80 @@ impl Container {
         if trailer.magic != INDEX_MAGIC {
             return Err(StoreError::Malformed("bad index magic"));
         }
-        let index_offset = trailer.index_offset as usize;
+        if trailer.gop_count as u64 != frame_count.div_ceil(gop_size as u64) {
+            return Err(StoreError::Malformed("gop count contradicts frame count"));
+        }
         let gop_count = trailer.gop_count as usize;
-        let index_end = index_offset
-            .checked_add(gop_count * INDEX_ENTRY_LEN)
-            .ok_or(StoreError::Malformed("index overflow"))?;
-        if index_end + TRAILER_LEN != data.len() || index_offset < HEADER_LEN {
+        let index_offset = usize::try_from(trailer.index_offset)
+            .ok()
+            .filter(|&at| at >= HEADER_LEN)
+            .ok_or(StoreError::Malformed("index bounds"))?;
+        let index_end = gop_count
+            .checked_mul(INDEX_ENTRY_LEN)
+            .and_then(|len| index_offset.checked_add(len));
+        if index_end != Some(payload_end) {
             return Err(StoreError::Malformed("index bounds"));
         }
-        let mut entries = Reader::new(&data[index_offset..index_end]);
-        let mut index = Vec::with_capacity(gop_count);
-        for _ in 0..gop_count {
+
+        let mut entries = Reader::new(&data[index_offset..payload_end]);
+        let mut gops = Vec::with_capacity(gop_count);
+        for i in 0..gop_count as u64 {
             let e =
                 GopEntry::get(&mut entries).map_err(|_| StoreError::Malformed("index bounds"))?;
-            let end = HEADER_LEN as u64 + e.offset + e.len as u64;
-            if end as usize > index_offset {
-                return Err(StoreError::Malformed("gop bounds"));
+            if e.first_frame != i * gop_size as u64 {
+                return Err(StoreError::Malformed("gop first frame"));
             }
-            index.push(e);
+            let extent = usize::try_from(e.offset)
+                .ok()
+                .and_then(|offset| offset.checked_add(HEADER_LEN))
+                .and_then(|start| Some(start..start.checked_add(e.len as usize)?))
+                .filter(|extent| extent.end <= index_offset)
+                .ok_or(StoreError::Malformed("gop bounds"))?;
+            gops.push(Gop {
+                start: extent.start,
+                end: extent.end,
+                crc: e.crc,
+            });
         }
         Ok(Container {
-            data,
-            gop_size,
-            frame_count,
-            index: index.into(),
-            cache: None,
+            shared: Arc::new(Shared {
+                data,
+                gop_size,
+                frame_count,
+                gops,
+            }),
+            cached_gop: None,
+            frames: Vec::new(),
             stats: DecodeStats::new(),
         })
     }
 
     /// Another reader over the same container: an empty GOP cache and a
-    /// zeroed tally of its own, the bytes and the index shared. Costs two
-    /// reference-count increments where [`Container::open`] parses and
+    /// zeroed tally of its own, the bytes and the index shared. Costs one
+    /// reference-count increment where [`Container::open`] parses and
     /// validates the whole index again.
     pub fn reader(&self) -> Container {
         Container {
-            data: self.data.clone(),
-            gop_size: self.gop_size,
-            frame_count: self.frame_count,
-            index: Arc::clone(&self.index),
-            cache: None,
+            shared: Arc::clone(&self.shared),
+            cached_gop: None,
+            frames: Vec::new(),
             stats: DecodeStats::new(),
         }
     }
 
     /// Frames stored.
     pub fn frame_count(&self) -> u64 {
-        self.frame_count
+        self.shared.frame_count
     }
 
     /// Configured GOP size.
     pub fn gop_size(&self) -> u32 {
-        self.gop_size
+        self.shared.gop_size
     }
 
     /// Number of GOPs.
     pub fn gop_count(&self) -> usize {
-        self.index.len()
+        self.shared.gops.len()
     }
 
     /// Accumulated decode statistics.
@@ -296,79 +368,55 @@ impl Container {
         self.stats = DecodeStats::new();
     }
 
-    /// Read one frame, paying keyframe-walk decode costs.
-    pub fn read_frame(&mut self, frame: u64) -> Result<Bytes, StoreError> {
-        if frame >= self.frame_count {
+    /// Read one frame, paying keyframe-walk decode costs. The slice is
+    /// borrowed from the container's shared bytes — nothing is copied and
+    /// no reference count moves.
+    ///
+    /// A frame outside the cached GOP is a seek: the GOP is fetched and
+    /// charged, its checksum verified, and only then does it replace the
+    /// cached one — after a [`StoreError::CorruptGop`] the previous GOP is
+    /// still cached. Within the cached GOP the walk is extended from where
+    /// it stopped, or not at all for a frame already reached.
+    pub fn read_frame(&mut self, frame: u64) -> Result<&[u8], StoreError> {
+        let shared = &*self.shared;
+        if frame >= shared.frame_count {
             return Err(StoreError::FrameOutOfRange {
                 frame,
-                total: self.frame_count,
+                total: shared.frame_count,
             });
         }
-        let gop = (frame / self.gop_size as u64) as u32;
-        let within = (frame % self.gop_size as u64) as usize;
-        let cached = matches!(&self.cache, Some((g, _)) if *g == gop);
-        if !cached {
-            self.decode_gop_prefix(gop, within)?;
+        let gop = (frame / shared.gop_size as u64) as u32;
+        let within = (frame % shared.gop_size as u64) as usize;
+        // `open` checked that there is a GOP for every frame below
+        // `frame_count` and that its extent lies inside `data`.
+        let e = shared.gops[gop as usize];
+        if self.cached_gop != Some(gop) {
+            self.stats.seeks += 1;
+            self.stats.gops_fetched += 1;
+            self.stats.bytes_fetched += (e.end - e.start) as u64;
+            if crc32(&shared.data[e.start..e.end]) != e.crc {
+                return Err(StoreError::CorruptGop { gop });
+            }
+            self.cached_gop = Some(gop);
+            self.frames.clear();
         }
-        let (_, frames) = self.cache.as_ref().expect("cache populated above");
-        // A re-read of a later frame from a partially decoded GOP may need
-        // to extend the decode walk.
-        if within >= frames.len() {
-            self.extend_gop_decode(gop, within)?;
-        }
-        let (_, frames) = self.cache.as_ref().expect("cache populated above");
-        self.stats.frames_returned += 1;
-        Ok(frames[within].clone())
-    }
-
-    /// Fetch GOP payload, verify checksum, decode frames `0..=upto`.
-    fn decode_gop_prefix(&mut self, gop: u32, upto: usize) -> Result<(), StoreError> {
-        let e = self.index[gop as usize];
-        self.stats.seeks += 1;
-        self.stats.gops_fetched += 1;
-        self.stats.bytes_fetched += e.len as u64;
-        let start = HEADER_LEN + e.offset as usize;
-        let payload = self.data.slice(start..start + e.len as usize);
-        if crc32(&payload) != e.crc {
-            return Err(StoreError::CorruptGop { gop });
-        }
-        self.cache = Some((gop, Vec::new()));
-        self.extend_gop_decode_inner(gop, upto, payload)
-    }
-
-    fn extend_gop_decode(&mut self, gop: u32, upto: usize) -> Result<(), StoreError> {
-        let e = self.index[gop as usize];
-        let start = HEADER_LEN + e.offset as usize;
-        let payload = self.data.slice(start..start + e.len as usize);
-        self.extend_gop_decode_inner(gop, upto, payload)
-    }
-
-    fn extend_gop_decode_inner(
-        &mut self,
-        gop: u32,
-        upto: usize,
-        payload: Bytes,
-    ) -> Result<(), StoreError> {
-        let (g, frames) = self.cache.as_mut().expect("cache set by caller");
-        debug_assert_eq!(*g, gop);
-        // Re-walk the length-prefixed frame records from where we stopped.
-        let mut off = frames
-            .iter()
-            .map(|f| FRAME_PREFIX_LEN + f.len())
-            .sum::<usize>();
-        while frames.len() <= upto {
-            let mut r = Reader::new(payload.get(off..).unwrap_or_default());
+        // Walk the length-prefixed frames on from where the last read of
+        // this GOP stopped.
+        let mut off = self.frames.last().map_or(e.start, |f| f.end);
+        while self.frames.len() <= within {
+            let mut r = Reader::new(&shared.data[off..e.end]);
             let len =
                 r.u32()
                     .map_err(|_| StoreError::Malformed("truncated gop"))? as usize;
             r.take(len)
                 .map_err(|_| StoreError::Malformed("truncated frame"))?;
-            off += FRAME_PREFIX_LEN;
-            frames.push(payload.slice(off..off + len));
-            off += len;
+            let start = off + FRAME_PREFIX_LEN;
+            off = start + len;
+            self.frames.push(start..off);
             self.stats.frames_decoded += 1;
         }
-        Ok(())
+        self.stats.frames_returned += 1;
+        Ok(&shared.data[self.frames[within].clone()])
     }
 }
 
@@ -398,10 +446,7 @@ mod tests {
         assert_eq!(c.frame_count(), 103);
         assert_eq!(c.gop_count(), 6); // 5 full GOPs + partial
         for i in 0..103 {
-            assert_eq!(
-                c.read_frame(i).unwrap().as_ref(),
-                frame_payload(i).as_slice()
-            );
+            assert_eq!(c.read_frame(i).unwrap(), frame_payload(i).as_slice());
         }
     }
 
@@ -465,14 +510,11 @@ mod tests {
         let mut reader = opened.reader();
         assert_eq!(reader.frame_count(), 100);
         assert_eq!(reader.gop_count(), 5);
-        assert!(Arc::ptr_eq(&opened.index, &reader.index));
+        assert!(Arc::ptr_eq(&opened.shared, &reader.shared));
         // A fresh tally, and no inherited GOP cache: frame 59 costs the
         // full keyframe walk again.
         assert_eq!(reader.stats().frames_returned, 0);
-        assert_eq!(
-            reader.read_frame(59).unwrap().as_ref(),
-            frame_payload(59).as_slice()
-        );
+        assert_eq!(reader.read_frame(59).unwrap(), frame_payload(59).as_slice());
         assert_eq!(reader.stats().frames_decoded, 20);
         assert_eq!(reader.stats().seeks, 1);
         // ... and the reader's work is not charged to the container it
@@ -487,10 +529,9 @@ mod tests {
         for i in 0..8 {
             w.push_frame(&frame_payload(i));
         }
-        let bytes = w.finish();
-        let mut raw = bytes.to_vec();
+        let mut raw = w.finish();
         raw[HEADER_LEN + 2] ^= 0xFF; // flip a payload byte in GOP 0
-        let mut c = Container::open(Bytes::from(raw)).unwrap();
+        let mut c = Container::open(raw).unwrap();
         assert_eq!(c.read_frame(0), Err(StoreError::CorruptGop { gop: 0 }));
         // Other GOPs unaffected.
         assert!(c.read_frame(6).is_ok());
@@ -498,13 +539,55 @@ mod tests {
 
     #[test]
     fn open_rejects_garbage() {
-        assert!(Container::open(Bytes::from_static(b"not a container")).is_err());
+        assert!(Container::open(b"not a container".to_vec()).is_err());
         let mut valid = build(4, 2);
         let _ = valid.read_frame(0);
         let mut truncated = ContainerWriter::new(2);
         truncated.push_frame(b"abc");
-        let bytes = truncated.finish().to_vec();
-        assert!(Container::open(Bytes::from(bytes[..bytes.len() - 3].to_vec())).is_err());
+        let mut bytes = truncated.finish();
+        bytes.truncate(bytes.len() - 3);
+        assert!(Container::open(bytes).is_err());
+    }
+
+    #[test]
+    fn open_rejects_a_header_its_index_contradicts() {
+        let mut w = ContainerWriter::new(4);
+        for i in 0..10 {
+            w.push_frame(&frame_payload(i));
+        }
+        let pristine = w.finish();
+        // `frame_count` (bytes 10..18) and `gop_size` (6..10) sit in the
+        // header, which no checksum covers. Left unchecked, 1000 frames
+        // over a 3-entry index sends `read_frame(500)` to GOP 125.
+        let mut raw = pristine.clone();
+        raw[10..18].copy_from_slice(&1000u64.to_le_bytes());
+        assert_eq!(
+            Container::open(raw).err(),
+            Some(StoreError::Malformed("gop count contradicts frame count"))
+        );
+        let mut raw = pristine.clone();
+        raw[6..10].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Container::open(raw).err(),
+            Some(StoreError::Malformed("gop count contradicts frame count"))
+        );
+        // Same GOP count, wrong stride: entry 1 no longer starts at
+        // `1 * gop_size`.
+        let mut raw = pristine.clone();
+        raw[6..10].copy_from_slice(&5u32.to_le_bytes());
+        raw[10..18].copy_from_slice(&11u64.to_le_bytes());
+        assert_eq!(
+            Container::open(raw).err(),
+            Some(StoreError::Malformed("gop first frame"))
+        );
+        // An extent that only fits if the addition wraps.
+        let mut raw = pristine;
+        let entry0 = raw.len() - TRAILER_LEN - 3 * INDEX_ENTRY_LEN;
+        raw[entry0..entry0 + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            Container::open(raw).err(),
+            Some(StoreError::Malformed("gop bounds"))
+        );
     }
 
     #[test]
@@ -526,7 +609,7 @@ mod tests {
         w.push_frame(b"");
         let mut c = Container::open(w.finish()).unwrap();
         assert_eq!(c.read_frame(0).unwrap().len(), 0);
-        assert_eq!(c.read_frame(1).unwrap().as_ref(), b"x");
+        assert_eq!(c.read_frame(1).unwrap(), b"x");
         assert_eq!(c.read_frame(2).unwrap().len(), 0);
     }
 }

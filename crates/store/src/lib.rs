@@ -12,7 +12,11 @@
 //!   GOP size a real knob (tiny GOPs inflate storage, huge GOPs inflate
 //!   random reads),
 //! * an explicit frame/GOP index enables O(1) lookup, and each GOP is
-//!   checksummed (CRC-32) so corruption is detected on read.
+//!   checksummed (CRC-32) so corruption is detected on read,
+//! * the file is one buffer from the first pushed frame to the last read:
+//!   [`ContainerWriter`] builds it in place, [`Container::open`] takes it
+//!   whole and checks header, trailer and index against each other, and
+//!   [`Container::read_frame`] lends out slices of it.
 //!
 //! Every read is tallied into [`DecodeStats`], which a [`CostModel`]
 //! converts into seconds; the evaluation harness uses this to charge the
@@ -23,6 +27,9 @@
 //! little-endian integers, CRC-32 checksums) are factored out in
 //! [`framing`] so sibling crates persisting other artifacts — notably
 //! `exsample-persist`'s detection log — share one format vocabulary.
+//! [`crc::crc32`] is also the checksum of every wire frame and every
+//! columnar-container section, which makes it the hottest function in
+//! this crate; it is slice-by-8 over compile-time tables.
 
 #![warn(missing_docs)]
 

@@ -98,9 +98,9 @@ fn store_costs_reflect_sampling_patterns() {
     for i in 0..frames {
         w.push_frame(&i.to_le_bytes());
     }
-    let bytes = w.finish();
+    let opened = Container::open(w.finish()).unwrap();
 
-    let mut random_reader = Container::open(bytes.clone()).unwrap();
+    let mut random_reader = opened.reader();
     let mut rng = Rng64::new(31);
     let mut sampler = exsample::stats::UniformNoReplacement::new(frames);
     for _ in 0..500 {
@@ -110,7 +110,7 @@ fn store_costs_reflect_sampling_patterns() {
     let amp = random_reader.stats().decode_amplification();
     assert!((6.0..14.0).contains(&amp), "random amplification {amp}");
 
-    let mut seq_reader = Container::open(bytes).unwrap();
+    let mut seq_reader = opened.reader();
     for f in 0..frames {
         seq_reader.read_frame(f).unwrap();
     }
