@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use exsample_core::belief::{BeliefPrior, ChunkStats};
 use exsample_core::driver::{run_search, SearchCost, StopCond};
-use exsample_core::exsample::{ExSample, ExSampleConfig};
+use exsample_core::exsample::{ExSample, ExSampleConfig, ScoringWork};
 use exsample_core::policy::SamplingPolicy;
 use exsample_core::within::StratifiedWithin;
 use exsample_core::Chunking;
@@ -35,7 +35,8 @@ fn bench_gamma_sampling(c: &mut Criterion) {
 /// them have (`N1 = 0`, so `α0 = 0.1`) and at the probabilities `U^(1/k)`
 /// of groups of 30 to 2000 chunks: the CDF the screen evaluates against
 /// the quantile it avoids. Divide by `gamma_sample/0.1` for the
-/// quantile-to-draw ratio quoted beside `GROUP_MAX_THRESHOLD`.
+/// quantile-to-draw ratio quoted beside `GROUP_MAX_THRESHOLD`, and see
+/// `belief/prepared_draw/*` for the draw as a Thompson step makes it.
 fn bench_gamma_cdf_and_quantile(c: &mut Criterion) {
     let d = Gamma::new(0.1, 1.0);
     let mut i = 0usize;
@@ -100,9 +101,27 @@ fn bench_thompson_step(c: &mut Criterion) {
             &StopCond::results(250),
             &mut rng,
         );
+        let before = policy.scoring_work();
         g.bench_with_input(BenchmarkId::new("searched_chunks", m), &m, |b, _| {
             b.iter(|| step(&mut policy, &mut rng))
         });
+        // What the timed picks were made of: the clock above moves with the
+        // machine, these ratios only with the scorer.
+        let after = policy.scoring_work();
+        let per_pick = |count: fn(&ScoringWork) -> u64| {
+            (count(&after) - count(&before)) as f64 / (after.picks - before.picks) as f64
+        };
+        println!(
+            "  per pick: {:.1} groups ({:.2} large), {:.1} draws ({:.1} boosted, {:.2} boosts \
+             evaluated), {:.3} cdf, {:.3} quantiles",
+            per_pick(|w| w.groups),
+            per_pick(|w| w.large_groups),
+            per_pick(|w| w.gamma_draws),
+            per_pick(|w| w.boost_draws),
+            per_pick(|w| w.boosts_evaluated),
+            per_pick(|w| w.cdf_evals),
+            per_pick(|w| w.quantile_evals),
+        );
     }
     g.finish();
 }
@@ -110,10 +129,24 @@ fn bench_thompson_step(c: &mut Criterion) {
 fn bench_belief_draw(c: &mut Criterion) {
     let prior = BeliefPrior::default();
     let stats = ChunkStats { n1: 7.0, n: 421 };
+    // One member of a small group, as a Thompson step draws it: from a
+    // belief prepared once per group, against the best draw so far. At
+    // shape 0.1 (`N1 = 0`) a bar the draw cannot reach saves the boost's
+    // `powf`; at shape 2.1 there is no boost to save. Rate 422 either way.
+    let mut g = c.benchmark_group("belief/prepared_draw");
     let mut rng = Rng64::new(3);
-    c.bench_function("belief/thompson_draw", |b| {
-        b.iter(|| black_box(prior.thompson_draw(&stats, &mut rng)))
-    });
+    for (shape, bar, label) in [
+        (0.1, f64::NEG_INFINITY, "0.1/no_bar"),
+        (0.1, 0.05, "0.1/bar_screens_boost"),
+        (2.1, f64::NEG_INFINITY, "2.1/no_bar"),
+        (2.1, 0.05, "2.1/bar"),
+    ] {
+        let draw = Gamma::new(shape, 422.0).prepare();
+        g.bench_function(label, |b| {
+            b.iter(|| black_box(draw.sample_above(&mut rng, black_box(bar))))
+        });
+    }
+    g.finish();
     c.bench_function("belief/bayes_ucb", |b| {
         let mut t = 0u64;
         b.iter(|| {

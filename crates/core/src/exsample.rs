@@ -15,33 +15,59 @@
 //! chunk states.
 //!
 //! The quantile `F⁻¹` is a Halley iteration over the incomplete gamma
-//! function and costs as much as 40–60 Marsaglia–Tsang draws (2.2 µs
-//! against 53 ns for a draw at shape 0.1 and 36 ns at shape ≥ 1; the
+//! function and costs as much as 50–70 Marsaglia–Tsang draws (2.0 µs
+//! against 40 ns for a draw at shape 0.1 and 28 ns at shape ≥ 1; the
 //! `gamma/inv_cdf` and `gamma_sample/*` cases of `cargo bench -p
 //! exsample-bench --bench micro` regenerate the ratio), so a searched
 //! sampler at `M = 1024`, which holds about three large groups beside some
-//! forty small ones, would spend two thirds of a step in three quantiles
-//! if it scored each. Only the *argmax* is needed, and `F` is increasing,
-//! so the step is split in two passes:
+//! forty small ones, would spend three quarters of a step in three
+//! quantiles if it scored each. Only the *argmax* is needed, and `F` is
+//! non-decreasing, so the step is split in two passes:
 //!
 //! 1. **Draw.** Walk the groups in id order and consume the RNG: a small
-//!    group draws each member and the best draw so far, `b`, is kept; a
-//!    large group only draws its `u`.
-//! 2. **Screen.** `F_g⁻¹(u_g) > b ⇔ u_g > F_g(b)`: one CDF evaluation
-//!    (≈0.45 µs) discards every large group that cannot beat `b`. If none
-//!    is left the small-group draw wins; if exactly one is left it wins
-//!    *without its score ever being computed*. Only when two or more are
-//!    left, or `u_g` lies within `SCREEN_MARGIN` of `F_g(b)`, is a
-//!    quantile evaluated — for the group furthest ahead of `b`, whose
-//!    score then becomes the bar the others are screened against.
+//!    group draws each member from a belief prepared once for the group
+//!    (`Gamma::prepare`) and the best draw so far, `b`, is kept; a large
+//!    group only draws its `u`. A member's draw matters only if it is
+//!    above `b`, which lets most draws at shape below 1 skip the `powf`
+//!    that ends them (`PreparedGamma::sample_above`: 31 ns instead of 44).
+//! 2. **Screen.** `F_g⁻¹(u_g) > b ⇔ u_g > F_g(b)`, so a large group is
+//!    compared with `b` in probability space, on the cheapest rung of four
+//!    that settles it:
+//!    * **Bracket** (a binary search over at most 64 points). `F_g`
+//!      depends on the group's `(N1, n)` alone, so every `(b, F_g(b))` an
+//!      earlier pick computed still holds, and `F_g(b_lo) <= F_g(b) <=
+//!      F_g(b_hi)` for the nearest remembered points either side of `b`:
+//!      `u_g` below `F_g(b_lo)` puts the group out, `u_g` above `F_g(b_hi)`
+//!      puts it ahead (`ScreenMemo`).
+//!    * **CDF** (0.4 µs), only when `u_g` falls inside that bracket; the
+//!      new point is remembered. If no group is left the small-group draw
+//!      wins; if exactly one is left, ahead, it wins *without its score
+//!      ever being computed*.
+//!    * **Floor** (binary searches again), when two or more are left: the
+//!      highest remembered point that one of them surely scores above is
+//!      bracketed against the others, and if it puts them all out, that
+//!      group wins unscored as well.
+//!    * **Quantile** (2.0 µs), when that fails or `u_g` lies within
+//!      `SCREEN_MARGIN` of `F_g(b)` — for the group with the highest
+//!      floor, whose score then becomes the bar the others are screened
+//!      against.
+//!
+//!    On the benchmark's `solo_manychunk` searches (`ExSample::scoring_work`
+//!    counts them; `exsample_next_frame/searched_chunks/1024` of the micro
+//!    bench prints the ratios) a pick screens 3.0 large groups, of which
+//!    0.10 reach the CDF — 3.2 did before there was a memo —, about one
+//!    pick in four reaches the floor and 0.02–0.03 quantiles are left of
+//!    0.24. What remains of a step is its 55–60 draws.
 //!
 //! The chunk returned and the RNG state left behind are those of the
 //! single walk that scored every large group (kept under `cfg(test)` as
 //! `pick_thompson_reference` and compared pick by pick in
-//! `exsample/screen_tests.rs`): pass 1 draws in the same order, exact
-//! scores are compared wherever the screen is not conclusive, and a tie
-//! goes to the lowest group id, which is what "first strictly greater
-//! score in id order" amounts to.
+//! `exsample/screen_tests.rs`): pass 1 draws in the same order, a group is
+//! only ever dropped when it provably scores below another, exact scores
+//! are compared wherever that cannot be shown, and a tie goes to the
+//! lowest group id, which is what "first strictly greater score in id
+//! order" amounts to. The order in which survivors are scored is the only
+//! thing a memo can change.
 
 use crate::belief::{BeliefPrior, ChunkStats, Selector};
 use crate::chunking::Chunking;
@@ -208,6 +234,11 @@ pub struct ExSample {
     /// its two passes. Kept to reuse the allocation; cleared at the start
     /// of every pick.
     pending: Vec<Pending>,
+    /// What earlier screens learnt about each large group's CDF, indexed
+    /// by group id; grown on demand, so a sampler that never holds a
+    /// large group never allocates one.
+    memos: Vec<ScreenMemo>,
+    work: ScoringWork,
     /// Score with [`ExSample::pick_thompson_reference`] instead — the
     /// differential tests run one sampler each way.
     #[cfg(test)]
@@ -217,27 +248,54 @@ pub struct ExSample {
 /// Group size from which the Thompson max is taken as the `U^(1/k)`
 /// quantile instead of `k` individual draws.
 ///
-/// A quantile costs 40–60 draws (module docs), not the ~30 this value was
+/// A quantile costs 50–70 draws (module docs), not the ~30 this value was
 /// chosen for, and since the CDF screen most large groups never pay for
-/// one at all — both say the break-even is elsewhere. The value is frozen all the same:
-/// it decides which groups consume one uniform and which `k` Gamma draws,
-/// so moving it shifts the RNG stream and with it every trace, and nothing
-/// yet tells a harmless shift from a broken sampler. Retune it once the
-/// ROADMAP's paper-fidelity gates (estimator calibration, savings over
-/// random at fixed recall) exist.
+/// one at all — both say the break-even is elsewhere. The value is frozen
+/// all the same: it decides which groups consume one uniform and which `k`
+/// Gamma draws, so moving it shifts the RNG stream and with it every trace,
+/// and nothing yet tells a harmless shift from a broken sampler. Retune it
+/// once the ROADMAP's paper-fidelity gates (estimator calibration, savings
+/// over random at fixed recall) exist.
 const GROUP_MAX_THRESHOLD: usize = 24;
 
 /// How far `u` must lie from `F(b)` for the comparison in probability
 /// space to stand in for comparing `F⁻¹(u)` with `b`; closer calls are
-/// settled by the exact quantile. The computed `F` inverts the computed
-/// `F⁻¹` to within 1e-8 and is monotone over every belief the sampler can
-/// hold (`gamma_cdf_inverts_quantile_on_sampler_domain` in
-/// `exsample-stats`; measured worst case 5e-14), so 1e-6 leaves two orders
-/// of magnitude. What it costs: where `b` lies so deep in a group's tail
-/// that `F(b)` rounds to 1, any `u` above `1 - 1e-6` is a close call —
+/// settled by the exact quantile. Two premises, both over every belief the
+/// sampler can hold (`exsample-stats`, `tests/proptests.rs`): the computed
+/// `F` inverts the computed `F⁻¹` to within 1e-8
+/// (`gamma_cdf_inverts_quantile_on_sampler_domain`; measured worst case
+/// 5e-14), and — since a remembered `F(b')` is compared with draws screened
+/// against any other bar — it is non-decreasing between *arbitrary* points
+/// to 1e-12, across the switch from series to continued fraction too
+/// (`gamma_cdf_is_monotone_between_arbitrary_points`). 1e-6 leaves two
+/// orders of magnitude. What it costs: where `b` lies so deep in a group's
+/// tail that `F(b)` rounds to 1, any `u` above `1 - 1e-6` is a close call —
 /// `k` in a million of that group's screens, five screens in ten thousand
 /// on the benchmark's `solo_manychunk` searches.
 const SCREEN_MARGIN: f64 = 1e-6;
+
+/// Counts of what [`ExSample`]'s Thompson scorer has done, for tests and
+/// benches that hold its cost to a number of operations instead of a
+/// clock. Observation only: nothing reads them back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoringWork {
+    /// Thompson steps taken.
+    pub picks: u64,
+    /// Non-empty chunk groups walked.
+    pub groups: u64,
+    /// Of those, groups of at least `GROUP_MAX_THRESHOLD` chunks.
+    pub large_groups: u64,
+    /// Gamma draws (one per member of every small group).
+    pub gamma_draws: u64,
+    /// Of those, draws at shape below 1, which end in a boost `U^(1/α)`.
+    pub boost_draws: u64,
+    /// Boosts that had to be evaluated; the rest could not have won.
+    pub boosts_evaluated: u64,
+    /// `Gamma::cdf` evaluations.
+    pub cdf_evals: u64,
+    /// `Gamma::inv_cdf` evaluations.
+    pub quantile_evals: u64,
+}
 
 /// The argmax of a scoring pass: a concrete chunk (small Thompson groups
 /// track their own best member) or "a uniform member of this group".
@@ -254,8 +312,103 @@ struct Pending {
     /// Where on its belief's CDF the group's Thompson maximum sits.
     u: f64,
     /// `u - F(b)` against the incumbent score `b` it was last screened
-    /// against; infinite while there is no incumbent.
+    /// against, or a lower bound of it where a remembered point settled the
+    /// screen; infinite while there is no incumbent.
     lead: f64,
+}
+
+/// Points `(b, F(b))` of one large group's belief CDF that earlier screens
+/// computed, sorted by `b`. `F` depends on the group's `(N1, n)` alone,
+/// so the points hold for as long as the group id keeps its key — through
+/// any number of picks, feedback events and membership changes.
+#[derive(Debug, Clone, Default)]
+struct ScreenMemo {
+    /// The `(N1, n)` the points belong to. A group id is recycled, and
+    /// `import_stats` can hand it another belief: a memo under another
+    /// key is emptied before use.
+    key: (u64, u64),
+    points: Vec<(f64, f64)>,
+}
+
+/// What a [`ScreenMemo`] says about `u - F(b)` without evaluating `F`.
+enum Bracket {
+    /// `F(b) > u + SCREEN_MARGIN`: the group scores below `b`.
+    Below,
+    /// `F(b) < u - SCREEN_MARGIN`: the group scores above `b`, and
+    /// `u - F(b)` is at least this.
+    Ahead(f64),
+    /// `b` lies between remembered points that `u` separates.
+    Open,
+}
+
+impl ScreenMemo {
+    /// Points remembered per group: 1 KiB for each group id that has held
+    /// a large group, of which there are `M / GROUP_MAX_THRESHOLD` at a
+    /// time. Counted on the benchmark's `solo_manychunk` shape (three
+    /// seeds), 16 points leave 0.20–0.32 CDF evaluations per pick, 32
+    /// leave 0.11–0.13, 64 leave 0.095–0.102, and 128 or 256 no fewer.
+    const CAPACITY: usize = 64;
+
+    /// Empty the memo unless it was filled under `key`.
+    fn revalidate(&mut self, key: (u64, u64)) {
+        if self.key != key {
+            self.key = key;
+            self.points.clear();
+        }
+    }
+
+    /// Compare `u` with `F(b)` through the nearest remembered points on
+    /// either side of `b`: `F` is non-decreasing, so `F(b_lo) <= F(b) <=
+    /// F(b_hi)`.
+    fn bracket(&self, b: f64, u: f64) -> Bracket {
+        let above = self.points.partition_point(|&(x, _)| x <= b);
+        if let Some(&(_, f)) = above.checked_sub(1).and_then(|lo| self.points.get(lo)) {
+            if u - f < -SCREEN_MARGIN {
+                return Bracket::Below;
+            }
+        }
+        if let Some(&(_, f)) = self.points.get(above) {
+            if u - f > SCREEN_MARGIN {
+                return Bracket::Ahead(u - f);
+            }
+        }
+        Bracket::Open
+    }
+
+    /// Remember `F(b) = f`. A full memo then forgets the point that says
+    /// least — the one whose neighbours lie closest together in `F` — so
+    /// its resolution follows the bars the search currently produces.
+    fn remember(&mut self, b: f64, f: f64) {
+        if self.points.capacity() == 0 {
+            self.points.reserve_exact(Self::CAPACITY + 1);
+        }
+        let at = self.points.partition_point(|&(x, _)| x <= b);
+        self.points.insert(at, (b, f));
+        if self.points.len() > Self::CAPACITY {
+            let gap = |w: &[(f64, f64)]| match w {
+                [lo, _, hi] => hi.1 - lo.1,
+                _ => f64::INFINITY,
+            };
+            let least = self
+                .points
+                .windows(3)
+                .enumerate()
+                .min_by(|(_, v), (_, w)| gap(v).total_cmp(&gap(w)))
+                .map_or(0, |(i, _)| i + 1);
+            self.points.remove(least);
+        }
+    }
+
+    /// The largest remembered `b` that a group at `u` surely scores
+    /// above: `F(b) < u - SCREEN_MARGIN`.
+    fn floor(&self, u: f64) -> Option<f64> {
+        let surely = |f: f64| u - f > SCREEN_MARGIN;
+        let above = self.points.partition_point(|&(_, f)| surely(f));
+        let &(b, f) = self.points.get(above.checked_sub(1)?)?;
+        // The computed `F` may dip by an ulp between neighbours, which
+        // leaves the partition point loose by one.
+        surely(f).then_some(b)
+    }
 }
 
 impl ExSample {
@@ -289,6 +442,8 @@ impl ExSample {
             groups: ChunkGroups::new(m),
             steps: 0,
             pending: Vec::new(),
+            memos: Vec::new(),
+            work: ScoringWork::default(),
             #[cfg(test)]
             reference_scorer: false,
         }
@@ -345,6 +500,11 @@ impl ExSample {
             self.stats[j] = *s;
             self.groups.update(j as u32, s);
         }
+    }
+
+    /// Work the Thompson scorer has done since this sampler was created.
+    pub fn scoring_work(&self) -> ScoringWork {
+        self.work
     }
 
     /// Total frames handed out so far.
@@ -410,10 +570,13 @@ impl ExSample {
             config,
             groups,
             pending,
+            memos,
+            work,
             ..
         } = self;
         let prior = config.prior;
         pending.clear();
+        work.picks += 1;
 
         // Pass 1: everything that touches the RNG, in group-id order. The
         // incumbent is the best small-group draw; `best_at` is the group id
@@ -425,41 +588,67 @@ impl ExSample {
             if members.is_empty() {
                 continue;
             }
+            work.groups += 1;
             let k = members.len();
             if k >= GROUP_MAX_THRESHOLD {
+                if memos.len() <= gid {
+                    memos.resize_with(groups.members.len(), ScreenMemo::default);
+                }
+                memos[gid].revalidate(groups.keys[gid]);
                 pending.push(Pending {
                     gid: gid as u32,
                     u: rng.f64_open().powf(1.0 / k as f64).min(1.0 - 1e-12),
                     lead: f64::INFINITY,
                 });
             } else {
-                let stats = groups.stats(gid);
+                // Only a draw above the incumbent matters, and most
+                // cannot be: see `PreparedGamma::sample_above`.
+                let draw = prior.belief(&groups.stats(gid)).prepare();
                 for &chunk in members {
-                    let s = prior.thompson_draw(&stats, rng);
-                    if s > best_score {
+                    if let Some(s) = draw.sample_above(rng, best_score) {
                         best_score = s;
                         best_at = gid as u32;
                         best = Some(Winner::Chunk(chunk));
                     }
                 }
+                work.gamma_draws += k as u64;
+                if draw.is_boosted() {
+                    work.boost_draws += k as u64;
+                    work.boosts_evaluated += draw.boosts_evaluated();
+                }
             }
         }
+        work.large_groups += pending.len() as u64;
 
         // Pass 2: no RNG. Screen the large groups against the incumbent in
-        // probability space and compute a quantile only where that cannot
-        // settle the argmax.
+        // probability space — through what earlier screens remembered
+        // first — and compute a quantile only where that cannot settle the
+        // argmax.
         let belief = |p: &Pending| prior.belief(&groups.stats(p.gid as usize));
         let mut rescreen = best.is_some();
         loop {
             if rescreen {
                 pending.retain_mut(|p| {
-                    p.lead = p.u - belief(p).cdf(best_score);
-                    let keep = p.lead >= -SCREEN_MARGIN;
+                    let memo = &mut memos[p.gid as usize];
+                    let keep = match memo.bracket(best_score, p.u) {
+                        Bracket::Below => false,
+                        Bracket::Ahead(lead) => {
+                            p.lead = lead;
+                            true
+                        }
+                        Bracket::Open => {
+                            work.cdf_evals += 1;
+                            let f = belief(p).cdf(best_score);
+                            memo.remember(best_score, f);
+                            p.lead = p.u - f;
+                            p.lead >= -SCREEN_MARGIN
+                        }
+                    };
                     debug_assert!(
                         keep || belief(p).inv_cdf(p.u) < best_score,
-                        "group {} screened out at lead {:e} but scores above {best_score}",
+                        "group {} screened out at u {:e} but scores above {best_score}",
                         p.gid,
-                        p.lead
+                        p.u
                     );
                     keep
                 });
@@ -478,15 +667,43 @@ impl ExSample {
                 }
                 _ => {}
             }
-            // Exact score of the likeliest winner; the rest are screened
-            // again only if it raised the bar.
+            // The likeliest winner: whoever surely scores above the highest
+            // remembered point, or failing that is furthest ahead. Before
+            // paying for its exact score, that point may already be out of
+            // the others' reach.
             let mut next = 0;
+            let mut floor = f64::NEG_INFINITY;
             for (i, p) in pending.iter().enumerate() {
-                if p.lead > pending[next].lead {
+                let f = memos[p.gid as usize]
+                    .floor(p.u)
+                    .unwrap_or(f64::NEG_INFINITY);
+                if f > floor || (f == floor && p.lead > pending[next].lead) {
                     next = i;
+                    floor = f;
                 }
             }
             let p = pending.swap_remove(next);
+            if floor > best_score {
+                pending.retain(|q| {
+                    let below = matches!(memos[q.gid as usize].bracket(floor, q.u), Bracket::Below);
+                    debug_assert!(
+                        !below || belief(q).inv_cdf(q.u) < belief(&p).inv_cdf(p.u),
+                        "group {} dropped below floor {floor} of group {} but outscores it",
+                        q.gid,
+                        p.gid
+                    );
+                    !below
+                });
+                if pending.is_empty() {
+                    debug_assert!(
+                        belief(&p).inv_cdf(p.u) > best_score.max(floor),
+                        "group {} won unscored on floor {floor} but scores below it",
+                        p.gid
+                    );
+                    break Some(Winner::Group(p.gid));
+                }
+            }
+            work.quantile_evals += 1;
             let s = belief(&p).inv_cdf(p.u);
             debug_assert!(
                 p.lead <= SCREEN_MARGIN || s > best_score,

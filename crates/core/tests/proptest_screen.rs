@@ -10,9 +10,11 @@
 //! pinned through the public API: the fingerprints below were recorded from
 //! the single-pass implementation, before the two-pass scorer existed, and
 //! a sampler change that shifts the RNG stream or the argmax fails them.
+//! The whole-search case also holds the scorer's work counters
+//! (`ExSample::scoring_work`) under recorded ceilings.
 
 use exsample_core::belief::ChunkStats;
-use exsample_core::exsample::{ExSample, ExSampleConfig};
+use exsample_core::exsample::{ExSample, ExSampleConfig, ScoringWork};
 use exsample_core::policy::{Feedback, SamplingPolicy};
 use exsample_core::Chunking;
 use exsample_stats::Rng64;
@@ -63,6 +65,17 @@ fn outcome(frame: u64, frames: u64) -> Feedback {
 /// `(frames drawn, FNV-1a of the frame sequence, next RNG output)` of a
 /// search of at most `picks` picks in batches of `batch`.
 fn fingerprint(m: usize, warm: bool, batch: usize, picks: usize, seed: u64) -> (usize, u64, u64) {
+    search(m, warm, batch, picks, seed).0
+}
+
+/// The fingerprint of a search and what scoring it took.
+fn search(
+    m: usize,
+    warm: bool,
+    batch: usize,
+    picks: usize,
+    seed: u64,
+) -> ((usize, u64, u64), ScoringWork) {
     let mut policy = sampler(m, warm);
     let frames = policy.chunking().frames();
     let mut rng = Rng64::new(seed);
@@ -79,7 +92,7 @@ fn fingerprint(m: usize, warm: bool, batch: usize, picks: usize, seed: u64) -> (
         }
         drawn += out.len();
     }
-    (drawn, hash, rng.next_u64())
+    ((drawn, hash, rng.next_u64()), policy.scoring_work())
 }
 
 /// `(chunks, warm start, batch, seed) -> fingerprint`, recorded at the
@@ -143,7 +156,21 @@ fn traces_are_those_of_the_single_pass_scorer() {
 fn whole_search_at_m1024_is_the_recorded_sequence() {
     // To exhaustion: large groups shrink below the threshold and chunks
     // retire on the way.
-    let got = fingerprint(1024, false, 1, usize::MAX, 2024);
+    let (got, work) = search(1024, false, 1, usize::MAX, 2024);
     let want = (1024 * 40, 0x4625_cf55_7883_34f5, 0x2a4a_41c7_8cf9_8c28);
     assert_eq!(got, want, "{:#018x} {:#018x}", got.1, got.2);
+
+    // The same search, held to a number of operations instead of a clock.
+    // The scorer before the screen memo (PR 21), carrying these counters
+    // in a scratch copy, took 1,760,963 Gamma draws, 355,950 CDF
+    // evaluations and 32,303 quantiles for it; this one was recorded at
+    // 9,033 and 6,397. The draws are the RNG stream and must not move at
+    // all. The ceilings sit just above the recorded counts — more than ten
+    // times under the old CDF count and under half the old quantile count —
+    // so an edit that quietly stops the memo answering fails here.
+    assert_eq!(work.picks, 1024 * 40);
+    assert_eq!(work.gamma_draws, 1_760_963);
+    assert!(work.cdf_evals <= 9_500, "{work:?}");
+    assert!(work.quantile_evals <= 6_700, "{work:?}");
+    assert!(work.boosts_evaluated < work.boost_draws / 4, "{work:?}");
 }

@@ -14,6 +14,7 @@
 
 use crate::rng::Rng64;
 use crate::special::{erfc, inv_reg_lower_gamma, reg_lower_gamma};
+use std::cell::Cell;
 
 /// A continuous distribution: sampling, CDF, and quantile function.
 pub trait Continuous {
@@ -312,11 +313,91 @@ impl Gamma {
         self.shape / (self.rate * self.rate)
     }
 
-    /// Marsaglia–Tsang draw with unit rate for `shape >= 1`.
-    fn sample_mt(shape: f64, rng: &mut Rng64) -> f64 {
-        debug_assert!(shape >= 1.0);
-        let d = shape - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
+    /// The constants a draw needs, computed once: worth it wherever one
+    /// distribution is drawn from repeatedly (a Thompson step draws every
+    /// member of a chunk group from the same belief).
+    pub fn prepare(&self) -> PreparedGamma {
+        // Below shape 1, Gamma(α) = Gamma(α+1) · U^(1/α) (the boost).
+        let (mt_shape, boost) = if self.shape >= 1.0 {
+            (self.shape, None)
+        } else {
+            let exponent = 1.0 / self.shape;
+            let squarings = (exponent.log2() as u32).min(Boost::MAX_SQUARINGS);
+            (
+                self.shape + 1.0,
+                Some(Boost {
+                    exponent,
+                    squarings,
+                }),
+            )
+        };
+        let d = mt_shape - 1.0 / 3.0;
+        PreparedGamma {
+            d,
+            c: 1.0 / (9.0 * d).sqrt(),
+            boost,
+            rate: self.rate,
+            boosts_evaluated: Cell::new(0),
+        }
+    }
+}
+
+/// The factor `U^(1/α)` that takes a `Gamma(α + 1)` draw to `Gamma(α)`.
+#[derive(Debug, Clone, Copy)]
+struct Boost {
+    /// `1/α > 1`.
+    exponent: f64,
+    /// `U` squared this often is `U^(2^squarings) >= U^(1/α)`: what the
+    /// boost can be at most, for a few multiplications instead of a `powf`.
+    squarings: u32,
+}
+
+impl Boost {
+    /// Keeps the squaring loop short at absurdly small shapes, and the
+    /// rounding it accumulates (2^16 ulps) far inside [`Boost::SLACK`].
+    const MAX_SQUARINGS: u32 = 16;
+
+    /// Relative distance a draw's upper bound must keep below the bar to
+    /// settle the draw. It stands for every rounding between the bound and
+    /// the draw it bounds: the squarings, `powf`'s last place, two
+    /// products and a quotient — 1e-11 at worst.
+    const SLACK: f64 = 1e-9;
+
+    /// Below this a product may be subnormal and round with a large
+    /// relative error; such a bar is not screened against.
+    const NORMAL: f64 = 1e-290;
+
+    /// Whether `mt · u^(1/α) / rate`, computed as [`PreparedGamma::sample`]
+    /// computes it, is surely not above `bar`.
+    fn cannot_reach(&self, mt: f64, u: f64, rate: f64, bar: f64) -> bool {
+        let mut most = u;
+        for _ in 0..self.squarings {
+            most *= most;
+        }
+        let reach = bar * rate * (1.0 - Self::SLACK);
+        reach > Self::NORMAL && mt * most <= reach
+    }
+}
+
+/// [`Gamma`] ready to be drawn from ([`Gamma::prepare`]): Marsaglia–Tsang,
+/// with the boost below shape 1. Both draw methods consume the same random
+/// numbers and, where both return a value, return the same value.
+#[derive(Debug, Clone)]
+pub struct PreparedGamma {
+    /// Marsaglia–Tsang's `d = α − 1/3` and `c = 1/sqrt(9d)`, at the
+    /// boosted shape `α + 1` if `α < 1`.
+    d: f64,
+    c: f64,
+    boost: Option<Boost>,
+    rate: f64,
+    /// How many boosts [`PreparedGamma::sample_above`] had to evaluate.
+    boosts_evaluated: Cell<u64>,
+}
+
+impl PreparedGamma {
+    /// The rejection loop: one unit-rate draw at shape `d + 1/3 >= 1`.
+    fn marsaglia_tsang(&self, rng: &mut Rng64) -> f64 {
+        let (d, c) = (self.d, self.c);
         loop {
             let x = Normal::standard_sample(rng);
             let v = 1.0 + c * x;
@@ -333,17 +414,57 @@ impl Gamma {
             }
         }
     }
+
+    /// Draw one variate.
+    pub fn sample(&self, rng: &mut Rng64) -> f64 {
+        let mt = self.marsaglia_tsang(rng);
+        let unit = match self.boost {
+            None => mt,
+            Some(boost) => mt * rng.f64_open().powf(boost.exponent),
+        };
+        unit / self.rate
+    }
+
+    /// Draw one variate and return it if it is strictly above `bar`.
+    ///
+    /// Consumes exactly what [`PreparedGamma::sample`] consumes and returns
+    /// `Some` of exactly what it returns, or `None` where that is not above
+    /// `bar`. The point is the boost's `powf`, a third of a draw at shape
+    /// below 1: the uniform is always drawn, but `U^(1/α)` is evaluated
+    /// only if a cheap upper bound of the draw reaches the bar. A caller
+    /// that keeps a running maximum — the bar rises, most draws stay far
+    /// below it — skips nearly all of them.
+    pub fn sample_above(&self, rng: &mut Rng64, bar: f64) -> Option<f64> {
+        let mt = self.marsaglia_tsang(rng);
+        let s = match self.boost {
+            None => mt / self.rate,
+            Some(boost) => {
+                let u = rng.f64_open();
+                if boost.cannot_reach(mt, u, self.rate, bar) {
+                    return None;
+                }
+                self.boosts_evaluated.set(self.boosts_evaluated.get() + 1);
+                mt * u.powf(boost.exponent) / self.rate
+            }
+        };
+        (s > bar).then_some(s)
+    }
+
+    /// Whether draws are boosted (shape below 1).
+    pub fn is_boosted(&self) -> bool {
+        self.boost.is_some()
+    }
+
+    /// Boosts [`PreparedGamma::sample_above`] evaluated so far; the rest of
+    /// its boosted draws were settled by the bar.
+    pub fn boosts_evaluated(&self) -> u64 {
+        self.boosts_evaluated.get()
+    }
 }
 
 impl Continuous for Gamma {
     fn sample(&self, rng: &mut Rng64) -> f64 {
-        let unit = if self.shape >= 1.0 {
-            Self::sample_mt(self.shape, rng)
-        } else {
-            // Johnk/boost trick: Gamma(α) = Gamma(α+1) · U^(1/α).
-            Self::sample_mt(self.shape + 1.0, rng) * rng.f64_open().powf(1.0 / self.shape)
-        };
-        unit / self.rate
+        self.prepare().sample(rng)
     }
 
     fn cdf(&self, x: f64) -> f64 {

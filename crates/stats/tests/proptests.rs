@@ -144,4 +144,146 @@ proptest! {
         prop_assert!(d.cdf(x * (1.0 + step)) >= back, "not monotone above x={x}");
         prop_assert!(d.cdf(x * (1.0 - step)) <= back, "not monotone below x={x}");
     }
+
+    /// What the sampler's screen *memo* rests on: a CDF value computed at
+    /// one bar is compared with draws screened against any other bar, so
+    /// `cdf` must be non-decreasing between arbitrary points, not only
+    /// next to a quantile — including pairs that straddle the switch from
+    /// the series to the continued fraction at `rate · x = shape + 1`.
+    #[test]
+    fn gamma_cdf_is_monotone_between_arbitrary_points(
+        shape in 0.1f64..200.0,
+        n in 0u64..10_000_000,
+        // Both points as multiples of the switch point, log-uniform over
+        // 1e-6 … 1e3; `straddle` forces one to each side of it.
+        ln_a in -13.8f64..6.9,
+        ln_b in -13.8f64..6.9,
+        straddle: bool,
+    ) {
+        let d = Gamma::new(shape, n as f64 + 1.0);
+        let switch = (shape + 1.0) / (n as f64 + 1.0);
+        let (a, b) = if straddle {
+            (-ln_a.abs(), ln_b.abs())
+        } else {
+            (ln_a.min(ln_b), ln_a.max(ln_b))
+        };
+        let (x, y) = (switch * a.exp(), switch * b.exp());
+        prop_assert!(x <= y);
+        let (fx, fy) = (d.cdf(x), d.cdf(y));
+        prop_assert!((0.0..=1.0).contains(&fx) && (0.0..=1.0).contains(&fy));
+        prop_assert!(fy >= fx - 1e-12, "shape={shape} n={n} F({x})={fx} > F({y})={fy}");
+    }
+
+    /// The prepared draw is `Gamma::sample`: same bits, same RNG state,
+    /// over the shapes the sampler holds and well below (0.1 is its prior,
+    /// 1.0 the edge between the boosted and the plain draw).
+    #[test]
+    fn prepared_draw_is_gamma_sample(
+        pick in 0usize..6,
+        any_shape in 0.01f64..200.0,
+        ln_rate in -7.0f64..17.0,
+        seed: u64,
+    ) {
+        let shape = [0.1, 1.0, 0.01, any_shape, any_shape, any_shape][pick];
+        let d = Gamma::new(shape, ln_rate.exp());
+        let prepared = d.prepare();
+        let (mut plain, mut again) = (Rng64::new(seed), Rng64::new(seed));
+        for _ in 0..8 {
+            prop_assert_eq!(d.sample(&mut plain).to_bits(), prepared.sample(&mut again).to_bits());
+            prop_assert_eq!(&plain, &again);
+        }
+    }
+
+    /// `sample_above` is the full draw compared with the bar: `Some(s)`
+    /// exactly when `s > bar`, the same `s`, the same RNG state either
+    /// way — for bars far below, an ulp either side of, exactly at and far
+    /// above the draw, and the bars a running maximum starts from.
+    #[test]
+    fn gamma_sample_above_is_the_full_draw_compared(
+        pick in 0usize..6,
+        any_shape in 0.01f64..200.0,
+        ln_rate in -7.0f64..17.0,
+        seed: u64,
+    ) {
+        let shape = [0.1, 1.0, 0.01, any_shape, any_shape, any_shape][pick];
+        let prepared = Gamma::new(shape, ln_rate.exp()).prepare();
+        let mut rng = Rng64::new(seed);
+        for _ in 0..4 {
+            let before = rng.clone();
+            let s = prepared.sample(&mut rng);
+            let bars = [
+                f64::NEG_INFINITY,
+                0.0,
+                s * 1e-6,
+                s * 0.5,
+                s * (1.0 - 1e-9),
+                s * (1.0 - 1e-12),
+                // One ulp below; a draw can underflow to zero at shape 0.01.
+                if s > 0.0 { f64::from_bits(s.to_bits() - 1) } else { -f64::MIN_POSITIVE },
+                s,
+                f64::from_bits(s.to_bits() + 1),
+                s * (1.0 + 1e-12),
+                s * (1.0 + 1e-9),
+                s * 2.0,
+                s * 1e6,
+                f64::INFINITY,
+            ];
+            for bar in bars {
+                let mut again = before.clone();
+                let got = prepared.sample_above(&mut again, bar);
+                prop_assert_eq!(got.map(f64::to_bits), (s > bar).then_some(s.to_bits()), "shape={} s={} bar={}", shape, s, bar);
+                prop_assert_eq!(&again, &rng);
+            }
+        }
+    }
+}
+
+/// `(seed, shape, rate, bits of the third draw, next RNG output)`, recorded
+/// from `Gamma::sample` at the last commit where it ran its own
+/// Marsaglia–Tsang loop (PR 21): the prepared form must be that sampler
+/// across versions, not only equal to itself.
+const GAMMA_DRAWS: &[(u64, f64, f64, u64, u64)] = &[
+    (1, 0.01, 1.0, 0x2a1cd2803015a778, 0x28065aa8f428a8bb),
+    (2, 0.1, 1.0, 0x3f91bdb237faa684, 0xacc4d85db8169545),
+    (3, 0.1, 421.0, 0x3dea24467f04d5a4, 0x5abf41e04a504eed),
+    (4, 0.1, 10000000.0, 0x3e2705a4ea4a590a, 0x9c680a3a33d3da1e),
+    (5, 0.35, 0.25, 0x401d60e8bc1305eb, 0xbc49957f69cd7a00),
+    (6, 0.999, 3.0, 0x3fe5c5e0393f30a5, 0xff8370e280c39708),
+    (7, 1.0, 1.0, 0x3fff8baecdb9e486, 0xcae4e13a01e20963),
+    (8, 1.0, 57.0, 0x3f57df0f00109a04, 0xb476d66a3afb3ddb),
+    (9, 1.1, 13.0, 0x3fc0fee5c52672e7, 0xacc06b9105d15f6c),
+    (10, 2.1, 41.0, 0x3fa90cfb0f8c6bc8, 0x22d17ae08322e3e8),
+    (11, 7.1, 101.0, 0x3fbb4b0ee7256434, 0x5d18724415dcfcbf),
+    (12, 33.1, 5000.0, 0x3f7f229353bf5b1b, 0x3c1c129c4a104901),
+    (13, 100.1, 2.5, 0x40436fa8abf41adb, 0x247e838714a9ac46),
+    (14, 200.0, 0.001, 0x410a0613335bb32e, 0x031749315d14dda6),
+    (15, 0.5, 9.0, 0x3fb89380bfd9937b, 0xfda46989f8cd154c),
+];
+
+#[test]
+fn gamma_draws_are_the_recorded_ones() {
+    type Draw = fn(&Gamma, &mut Rng64) -> f64;
+    let forms: [(&str, Draw); 3] = [
+        ("Gamma::sample", |d, rng| d.sample(rng)),
+        ("prepared sample", |d, rng| d.prepare().sample(rng)),
+        ("prepared sample_above", |d, rng| {
+            let draw = d.prepare().sample_above(rng, f64::NEG_INFINITY);
+            draw.expect("every draw is above -inf")
+        }),
+    ];
+    for &(seed, shape, rate, bits, next) in GAMMA_DRAWS {
+        let d = Gamma::new(shape, rate);
+        for (form, draw) in forms {
+            let mut rng = Rng64::new(seed);
+            draw(&d, &mut rng);
+            draw(&d, &mut rng);
+            let third = draw(&d, &mut rng);
+            assert_eq!(
+                (third.to_bits(), rng.next_u64()),
+                (bits, next),
+                "{form} at seed {seed}, shape {shape}, rate {rate}: {:#018x}",
+                third.to_bits()
+            );
+        }
+    }
 }
