@@ -17,7 +17,7 @@
 //! The quantile `F⁻¹` is a Halley iteration over the incomplete gamma
 //! function and costs as much as 50–70 Marsaglia–Tsang draws (2.0 µs
 //! against 40 ns for a draw at shape 0.1 and 28 ns at shape ≥ 1; the
-//! `gamma/inv_cdf` and `gamma_sample/*` cases of `cargo bench -p
+//! `gamma/inv_cdf` and `belief/prepared_draw/*` cases of `cargo bench -p
 //! exsample-bench --bench micro` regenerate the ratio), so a searched
 //! sampler at `M = 1024`, which holds about three large groups beside some
 //! forty small ones, would spend three quarters of a step in three

@@ -20,17 +20,14 @@
 //! invocation count deterministic for a fixed workload (modulo
 //! evictions).
 //!
-//! Besides the classic [`FrameCache::get_or_compute`], the reservation
-//! machinery is exposed directly as [`FrameCache::begin`] /
-//! [`MissGuard::fill`] / [`PendingWait::wait`] so the engine's batched
+//! The reservation is the interface — [`FrameCache::begin`], then
+//! [`MissGuard::fill`] or [`PendingWait::wait`] — so the engine's batched
 //! stepping (§III-F) can reserve a whole batch of keys, issue **one**
 //! detector dispatch for all misses with no shard lock held, and only
-//! then wait for frames other sessions already have in flight.
-//!
-//! Every entry enters through such a reservation, and there are exactly
-//! two ways to redeem one: [`MissGuard::fill`] publishes fresh detector
-//! output (a miss, written behind into the detection log) and
-//! [`MissGuard::fill_warm`] publishes detections read back from the
+//! then wait for frames other sessions already have in flight. There are
+//! exactly two ways to redeem a reservation: [`MissGuard::fill`] publishes
+//! fresh detector output (a miss, written behind into the detection log)
+//! and [`MissGuard::fill_warm`] publishes detections read back from the
 //! durable container (a warm hit, not written again). Nothing loads the
 //! cache in bulk: a restarted engine warms it frame by frame, on touch.
 
@@ -226,36 +223,6 @@ impl FrameCache {
         })
     }
 
-    /// Look up `key`, running `compute` to fill the entry on a miss.
-    /// Returns the detections and whether this was a hit. `compute` runs
-    /// with no cache lock held; concurrent lookups of the same key wait
-    /// for it instead of recomputing, and lookups of *other* keys on the
-    /// same shard proceed unhindered.
-    pub fn get_or_compute(
-        &self,
-        key: FrameKey,
-        compute: impl FnOnce() -> Vec<Detection>,
-    ) -> (CachedDetections, bool) {
-        let mut compute = Some(compute);
-        loop {
-            match self.begin(key) {
-                Lookup::Hit(value) => return (value, true),
-                Lookup::Pending(wait) => {
-                    if let Some(value) = wait.wait() {
-                        return (value, true);
-                    }
-                    // The computing session died; retry (possibly
-                    // becoming the computer ourselves).
-                }
-                Lookup::Miss(guard) => {
-                    // lint: allow(panic_audit, Miss is returned at most once per loop so the Option is still full)
-                    let dets = (compute.take().expect("at most one compute per lookup"))();
-                    return (guard.fill(dets), false);
-                }
-            }
-        }
-    }
-
     /// Publish a freshly computed entry under `key`, evicting FIFO as
     /// needed and waking waiters: the internals of [`MissGuard::fill`].
     /// `write_behind: false` is the warm-fill path — the detections came
@@ -441,12 +408,39 @@ mod tests {
         (RepoId(0), frame)
     }
 
+    /// One lookup through the reservation protocol, the way a session
+    /// makes it: a hit is served, an in-flight key is waited for (and
+    /// asked again if its computer abandoned it), a miss runs `compute`
+    /// with no cache lock held and fills. Returns the detections and
+    /// whether this was a hit.
+    fn get_or_compute(
+        cache: &FrameCache,
+        key: FrameKey,
+        compute: impl FnOnce() -> Vec<Detection>,
+    ) -> (CachedDetections, bool) {
+        let mut compute = Some(compute);
+        loop {
+            match cache.begin(key) {
+                Lookup::Hit(value) => return (value, true),
+                Lookup::Pending(wait) => {
+                    if let Some(value) = wait.wait() {
+                        return (value, true);
+                    }
+                }
+                Lookup::Miss(guard) => {
+                    let compute = compute.take().expect("at most one miss per lookup");
+                    return (guard.fill(compute()), false);
+                }
+            }
+        }
+    }
+
     #[test]
     fn miss_then_hit() {
         let cache = FrameCache::new(64, 4);
-        let (a, hit_a) = cache.get_or_compute(key(7), Vec::new);
+        let (a, hit_a) = get_or_compute(&cache, key(7), Vec::new);
         assert!(!hit_a);
-        let (b, hit_b) = cache.get_or_compute(key(7), || panic!("must not recompute"));
+        let (b, hit_b) = get_or_compute(&cache, key(7), || panic!("must not recompute"));
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -459,23 +453,23 @@ mod tests {
         // Single shard so the eviction order is fully observable.
         let cache = FrameCache::new(4, 1);
         for f in 0..8 {
-            cache.get_or_compute(key(f), Vec::new);
+            get_or_compute(&cache, key(f), Vec::new);
         }
         let s = cache.stats();
         assert_eq!(s.entries, 4);
         assert_eq!(s.evictions, 4);
         // Oldest entries are gone: looking them up recomputes.
-        let (_, hit) = cache.get_or_compute(key(0), Vec::new);
+        let (_, hit) = get_or_compute(&cache, key(0), Vec::new);
         assert!(!hit);
-        let (_, hit) = cache.get_or_compute(key(7), || panic!("recent entry evicted"));
+        let (_, hit) = get_or_compute(&cache, key(7), || panic!("recent entry evicted"));
         assert!(hit);
     }
 
     #[test]
     fn distinct_repos_do_not_collide() {
         let cache = FrameCache::new(64, 4);
-        cache.get_or_compute((RepoId(1), 5), Vec::new);
-        let (_, hit) = cache.get_or_compute((RepoId(2), 5), Vec::new);
+        get_or_compute(&cache, (RepoId(1), 5), Vec::new);
+        let (_, hit) = get_or_compute(&cache, (RepoId(2), 5), Vec::new);
         assert!(!hit);
         assert_eq!(cache.stats().entries, 2);
     }
@@ -494,7 +488,7 @@ mod tests {
                     // differently per thread.
                     for i in 0..512u64 {
                         let f = (i * (t + 1)) % 512;
-                        cache.get_or_compute(key(f), || {
+                        get_or_compute(cache, key(f), || {
                             computes.fetch_add(1, Ordering::Relaxed);
                             Vec::new()
                         });
@@ -511,7 +505,7 @@ mod tests {
 
     #[test]
     fn slow_compute_does_not_block_other_keys_on_the_same_shard() {
-        // Regression: get_or_compute used to run the compute closure while
+        // Regression: a miss's compute used to run while the lookup was
         // holding the shard mutex, serializing every session that hashed
         // to the shard behind one detector invocation. The compute below
         // cannot finish until the *other-key* lookup on the same (single)
@@ -524,14 +518,14 @@ mod tests {
         std::thread::scope(|scope| {
             let cache = &cache;
             scope.spawn(move || {
-                cache.get_or_compute(key(1), move || {
+                get_or_compute(cache, key(1), move || {
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     Vec::new()
                 });
             });
             entered_rx.recv().unwrap(); // key 1 is mid-compute
-            let (_, hit) = cache.get_or_compute(key(2), Vec::new);
+            let (_, hit) = get_or_compute(cache, key(2), Vec::new);
             assert!(!hit);
             release_tx.send(()).unwrap();
         });
@@ -548,7 +542,7 @@ mod tests {
         std::thread::scope(|scope| {
             let cache = &cache;
             scope.spawn(move || {
-                cache.get_or_compute(key(1), move || {
+                get_or_compute(cache, key(1), move || {
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     Vec::new()
@@ -557,7 +551,7 @@ mod tests {
             entered_rx.recv().unwrap();
             let waiter = scope.spawn(move || {
                 // Must park on the in-flight entry, not recompute.
-                cache.get_or_compute(key(1), || panic!("computed twice"))
+                get_or_compute(cache, key(1), || panic!("computed twice"))
             });
             release_tx.send(()).unwrap();
             let (_, hit) = waiter.join().unwrap();
@@ -572,14 +566,14 @@ mod tests {
         use std::panic::AssertUnwindSafe;
         let cache = FrameCache::new(64, 1);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_compute(key(5), || panic!("detector died"));
+            get_or_compute(&cache, key(5), || panic!("detector died"));
         }));
         assert!(result.is_err());
         // The reservation was released: the key is computable again, and
         // nothing is wedged.
-        let (_, hit) = cache.get_or_compute(key(5), Vec::new);
+        let (_, hit) = get_or_compute(&cache, key(5), Vec::new);
         assert!(!hit);
-        let (_, hit) = cache.get_or_compute(key(5), || panic!("resident now"));
+        let (_, hit) = get_or_compute(&cache, key(5), || panic!("resident now"));
         assert!(hit);
     }
 
@@ -588,7 +582,7 @@ mod tests {
         // The engine's batched path: reserve several keys, fill them in
         // one "dispatch", and observe hits afterwards.
         let cache = FrameCache::new(64, 1);
-        cache.get_or_compute(key(0), Vec::new); // resident
+        get_or_compute(&cache, key(0), Vec::new); // resident
         let mut guards = Vec::new();
         for f in 1..4 {
             match cache.begin(key(f)) {
@@ -607,7 +601,7 @@ mod tests {
             g.fill(Vec::new());
         }
         for f in 0..4 {
-            let (_, hit) = cache.get_or_compute(key(f), || panic!("filled above"));
+            let (_, hit) = get_or_compute(&cache, key(f), || panic!("filled above"));
             assert!(hit);
         }
         let s = cache.stats();
@@ -631,7 +625,7 @@ mod tests {
         // log never sees it again.
         assert_eq!((s.hits, s.misses, s.warm_loads, s.entries), (1, 0, 1, 1));
         assert!(written.lock().unwrap().is_empty());
-        let (_, hit) = cache.get_or_compute(key(3), || panic!("resident"));
+        let (_, hit) = get_or_compute(&cache, key(3), || panic!("resident"));
         assert!(hit);
     }
 
@@ -645,9 +639,9 @@ mod tests {
             assert!(dets.is_empty());
             sink.lock().unwrap().push(k);
         }));
-        cache.get_or_compute(key(1), Vec::new); // miss: written
-        cache.get_or_compute(key(1), Vec::new); // hit: no write
-        cache.get_or_compute(key(2), Vec::new); // miss: written
+        get_or_compute(&cache, key(1), Vec::new); // miss: written
+        get_or_compute(&cache, key(1), Vec::new); // hit: no write
+        get_or_compute(&cache, key(2), Vec::new); // miss: written
         assert_eq!(*written.lock().unwrap(), vec![key(1), key(2)]);
     }
 
@@ -672,7 +666,7 @@ mod tests {
     fn capacity_rounds_to_shards() {
         let cache = FrameCache::new(10, 3); // 4 shards, cap 3 each
         for f in 0..100 {
-            cache.get_or_compute(key(f), Vec::new);
+            get_or_compute(&cache, key(f), Vec::new);
         }
         assert!(cache.stats().entries <= 12);
         assert!(cache.stats().evictions >= 88);

@@ -1,17 +1,17 @@
-//! The engine: worker threads multiplexing many search sessions.
+//! The engine: many search sessions multiplexed over a few workers.
 //!
 //! # Architecture
 //!
 //! ```text
 //!  submit ──▶ ┌───────────────────────────────┐
 //!  cancel ──▶ │ EngineState (state mutex)     │   work_cv: parks idle
-//!  forget ──▶ │  sessions: SessionId -> Slot ─┼─┐ workers, notified only
+//!  forget ──▶ │  sessions: SessionId -> cell ─┼─┐ workers, notified only
 //!             │  scheduler: weighted fair     │ │ when one is parked
 //!             │  tenant ledger, reap queue    │ │
 //!             └──────────────┬────────────────┘ │ id -> cell: one lookup
 //!                            │ lease / release  │
 //!                 ┌──────────▼──────────┐       │
-//!                 │ worker thread pool  │       ▼
+//!                 │ workers: run_quantum│       ▼
 //!                 └───┬──────────────┬──┘  ┌──────────────────────────┐
 //!      miss: decode + │      publish │     │ SessionCell (per session)│
 //!      detect         │      quantum └────▶│  progress: small mutex   │◀── poll
@@ -27,35 +27,57 @@
 //!                                          └──────────────────────────┘
 //! ```
 //!
-//! A worker leases the runnable session with the smallest virtual time,
-//! *takes the session core out of the slot* (so the state mutex is not
-//! held while frames are processed), steps it for up to a quantum of
-//! frames, publishes what the quantum produced into the session's own
+//! A worker leases the runnable session with the smallest virtual time —
+//! the lease *owns* the session's core, so the state mutex is not held
+//! while frames are processed — steps it for up to a quantum of frames,
+//! publishes what the quantum produced into the session's own
 //! [progress cell](crate::session) — outside the state mutex, waking only
 //! callers parked on *that* session and completion queues watching it —
-//! then puts the core back and charges the scheduler what the quantum
-//! actually cost. (The one quantum that finishes a session publishes its
-//! final report under the state mutex instead, right after the engine's
-//! books for the session close, so that a woken `wait` finds both done.)
-//! Clients resolve a session id to its cell with one short
+//! then checks the core back in and charges the scheduler what the
+//! quantum actually cost. (The one quantum that finishes a session
+//! publishes its final report under the state mutex instead, right after
+//! the engine's books for the session close, so that a woken `wait` finds
+//! both done.) Clients resolve a session id to its cell with one short
 //! table lookup and read progress under the cell's lock alone; the state
 //! mutex guards the scheduler, the session table, the tenant ledger and
 //! the reap queue, nothing a poll needs. Lock order is state → cell,
-//! never the reverse. Stepping proceeds in detector *batches* (§III-F,
-//! [`EngineConfig::batch`] / `QuerySpec::batch`): each batch is drawn
-//! from the sampler with no intermediate feedback, its cache misses are
-//! resolved by a single detector dispatch issued outside the cache shard
-//! locks, and discriminator feedback is replayed in draw order. Per-frame
-//! cost is the modelled detector time (`1 / detector_fps`, cache misses
-//! only) plus io/decode seconds from the session's own GOP container
-//! reader priced by the store's `CostModel`, plus one
+//! never the reverse.
+//!
+//! # Stepping
+//!
+//! That whole turn — lease → step → publish or finalize → release — is
+//! one call, [`Engine::run_quantum`], and the only stepping code there is:
+//! a worker thread is `loop { if !run_quantum() { park } }`, and an engine
+//! built with [`EngineConfig::workers`]` = 0` spawns no thread and moves
+//! only when its owner makes that call, so a fleet's interleaving becomes
+//! a program instead of a race (`wait` and `poll_wait` never step on the
+//! caller's behalf). Within a quantum, stepping proceeds in detector
+//! *batches* (§III-F, [`EngineConfig::batch`] / `QuerySpec::batch`), each
+//! one value handed through three phases, back to back:
+//!
+//! 1. **draw + reserve** — the batch is drawn from the sampler with no
+//!    intermediate feedback and each frame looked up in the cache: a hit
+//!    is in hand, a miss becomes this session's reservation, a key another
+//!    session is computing becomes a wait;
+//! 2. **detect** — the reservations are redeemed outside the cache shard
+//!    locks, from the mapped container where it holds the frame and by a
+//!    single detector dispatch for the rest. It reads no sampler or
+//!    stepper state: the cut a fleet-level dispatch queue needs;
+//! 3. **record + publish** — other sessions' in-flight frames are waited
+//!    for (strictly after our own fills, so overlapping batches cannot
+//!    deadlock), then discriminator feedback is replayed in draw order and
+//!    the session charged.
+//!
+//! Per-frame cost is the modelled detector time (`1 / detector_fps`,
+//! cache misses only) plus io/decode seconds from the session's own GOP
+//! container reader priced by the store's `CostModel`, plus one
 //! `CostModel::dispatch_s` overhead per dispatch; cache hits are free,
 //! which is precisely the sharing the engine exists to exploit.
 //!
 //! # Determinism
 //!
 //! Each session owns its policy, RNG, and discriminator, and is stepped by
-//! one worker at a time, so its frame sequence — and therefore its
+//! one lease holder at a time, so its frame sequence — and therefore its
 //! results, for result- or sample-bounded stops — is a pure function of
 //! its `QuerySpec`, independent of scheduling interleavings. Detector
 //! output is deterministic per `(repo, frame)`, and the cache computes
@@ -65,45 +87,41 @@
 //! seconds, which depend on which session happens to pay for a shared
 //! frame first — those stops are fair but not bit-reproducible.
 
-use crate::cache::{CacheStats, CachedDetections, FrameCache, Lookup, MissGuard};
+mod bootstrap;
+mod service;
+mod worker;
+
+pub use bootstrap::PersistStats;
+
+use crate::cache::{CacheStats, FrameCache};
 use crate::obs::{elapsed_ns, EngineObs};
 use crate::scheduler::Scheduler;
-use crate::service::{
-    Diagnostics, RepoInfo, SearchService, ServiceError, ServiceStats, SubmitError,
-};
+use crate::service::{Diagnostics, ServiceStats};
 use crate::session::{
-    CompletionQueue, DiscriminatorKind, Finished, Progress, Quantum, QuerySpec, RepoId,
-    ResultEvent, SessionCell, SessionId, SessionReport, SessionSnapshot, SessionStatus,
-    TenantBinding, TenantId, Watch,
+    CompletionQueue, Progress, QuerySpec, RepoId, SessionCell, SessionId, SessionReport,
+    SessionSnapshot, TenantBinding, TenantId,
 };
-use exsample_colstore::{ColumnarStore, CompactionReport, OpenError};
+use bootstrap::{PersistShared, RepoData, RepoEntry};
 use exsample_core::belief::ChunkStats;
-use exsample_core::driver::SearchStepper;
 use exsample_core::exsample::ExSample;
-use exsample_core::policy::Feedback;
 use exsample_core::{default_threads, Chunking};
-use exsample_detect::{
-    dispatch_batch, Detection, Discriminator, NoiseModel, OracleDiscriminator, SimulatedDetector,
-    TrackerDiscriminator,
-};
-use exsample_obs::{SpanRecord, Stage, TraceId, NO_SESSION};
-use exsample_persist::{
-    dataset_fingerprint, scan_detections, BeliefStore, DetectionLog, LoadStats, PersistConfig,
-    RepoCatalog,
-};
-use exsample_stats::{FxHashMap, Rng64};
-use exsample_store::{Container, ContainerWriter, CostModel, DecodeStats};
-use exsample_videosim::GroundTruth;
+use exsample_obs::{SpanRecord, TraceId};
+use exsample_persist::PersistConfig;
+use exsample_stats::FxHashMap;
+use exsample_store::CostModel;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use worker::{SessionCore, Worker};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads (defaults to [`default_threads`]).
+    /// Worker threads (defaults to [`default_threads`]). `0` spawns none:
+    /// the engine moves only when its owner calls
+    /// [`Engine::run_quantum`].
     pub workers: usize,
     /// Modelled detector throughput; one invocation charges
     /// `1 / detector_fps` seconds (the paper measures ≈ 20 fps).
@@ -158,7 +176,7 @@ pub struct EngineConfig {
     /// Each accepted submit opens a trace — deterministically derived
     /// from the session id — and every instrumented stage adds a span to
     /// its causal tree, collectable via
-    /// [`SearchService::collect_trace`].
+    /// [`SearchService::collect_trace`](crate::SearchService::collect_trace).
     /// Like all instrumentation this is observational only; search
     /// traces are bit-identical with tracing on or off.
     pub trace: bool,
@@ -188,88 +206,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// What the durable detection store did at startup and since (see
-/// [`Engine::persist_stats`]). All "skipped" counters are benign: stale or
-/// damaged data costs recomputation, never correctness.
-///
-/// The four log counters say what this start read out of log segments
-/// matching its fingerprint, *whoever read it*: what startup compaction
-/// folded into the container plus what the pass over the segments it left
-/// behind found. After a clean start that is the previous life's appends;
-/// after a start whose compaction failed it is the un-folded log, which
-/// stays on disk, is not served from, and is folded at the next clean
-/// start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Matching detection-log segments read at startup (folded or left).
-    pub segments_loaded: u64,
-    /// Segments invalidated at startup (version/fingerprint mismatch,
-    /// unrecognizable header, unreadable). Compaction never touches these,
-    /// so the count comes from the leftover pass alone.
-    pub segments_skipped: u64,
-    /// Checksum-valid detection records read out of those segments.
-    pub records_loaded: u64,
-    /// Segments whose damaged tail was abandoned at startup (torn write,
-    /// bit rot) — including segments compaction folded and deleted.
-    pub damaged_tails: u64,
-    /// Belief snapshots loaded at startup.
-    pub snapshots_loaded: u64,
-    /// Belief snapshots invalidated at startup.
-    pub snapshots_skipped: u64,
-    /// Belief snapshot keys currently resident (loaded + written since).
-    pub beliefs_resident: u64,
-    /// Detection-log write errors absorbed (the log goes inert after the
-    /// first).
-    pub log_write_errors: u64,
-    /// Belief snapshot write errors absorbed.
-    pub snapshot_write_errors: u64,
-    /// Frames indexed by the mapped columnar container (0 when no usable
-    /// container exists: a first start, or a failed first compaction).
-    pub container_frames: u64,
-    /// `(repo, chunk)` column groups in the mapped container.
-    pub container_chunks: u64,
-    /// Cache misses answered from the mapped container instead of the
-    /// detector (lazy per-chunk warm starts) — the warm-start number.
-    pub container_hits: u64,
-    /// Container bytes actually consulted: header + chunk index + each
-    /// touched column group once — the I/O a warm start really paid.
-    pub container_bytes_touched: u64,
-    /// 1 when a container file existed but was rejected (fingerprint
-    /// mismatch or damage) — benign: the engine recomputes.
-    pub container_skipped: u64,
-}
-
-/// Durable-store handles shared by workers (independent of the state
-/// mutex; lock order is always state → persist, or persist alone).
-struct PersistShared {
-    log: Arc<Mutex<DetectionLog>>,
-    beliefs: Mutex<BeliefStore>,
-    /// Durable `(name, dataset fingerprint) -> RepoId` assignments, so a
-    /// restarted engine resolves re-registered repositories to the same
-    /// ids its persisted detections and snapshots were written under.
-    catalog: Mutex<RepoCatalog>,
-    /// The startup log counters of [`PersistStats`]: compaction's report
-    /// plus the leftover pass.
-    detections_load: LoadStats,
-    /// The mapped columnar container, when a valid one exists. Shared
-    /// (`Arc`) so every worker reads the same mapping zero-copy.
-    container: Option<Arc<ColumnarStore>>,
-    /// 1 when a container file existed but was rejected at startup.
-    container_skipped: u64,
-    /// Cache misses served from the container instead of the detector.
-    container_hits: std::sync::atomic::AtomicU64,
-}
-
-impl PersistShared {
-    /// The mapped container's copy of `(repo, frame)`, if it holds one —
-    /// counted as a container hit.
-    fn warm(&self, repo: RepoId, frame: u64) -> Option<Vec<Detection>> {
-        let dets = self.container.as_ref()?.get(repo.0, frame)?;
-        self.container_hits.fetch_add(1, Ordering::Relaxed);
-        Some(dets)
-    }
-}
-
 /// Errors surfaced by the engine API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -296,74 +232,14 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A registered repository: ground truth, one deterministic per-class
-/// detector bank, and its GOP container, opened once: sessions read
-/// through [`Container::reader`]s that share its bytes and parsed index.
-struct RepoData {
-    gt: Arc<GroundTruth>,
-    detectors: Vec<SimulatedDetector>,
-    container: Container,
-}
-
-/// A repository slot in the engine state: catalog entry + live data.
-struct RepoEntry {
-    info: RepoInfo,
-    /// Detector parameters the repository was built with. Re-registering
-    /// the same identity with different parameters is rejected loudly:
-    /// silently serving the original detectors would be wrong detections.
-    noise: NoiseModel,
-    det_seed: u64,
-    data: Arc<RepoData>,
-}
-
-/// The per-session state a worker checks out while stepping.
-struct SessionCore {
-    repo_id: RepoId,
-    repo: Arc<RepoData>,
-    class: exsample_videosim::ClassId,
-    policy: ExSample,
-    rng: Rng64,
-    stepper: SearchStepper,
-    discrim: Box<dyn Discriminator + Send>,
-    /// This session's private reader over the repo container (its own GOP
-    /// cache and decode tally).
-    container: Container,
-    /// Reusable buffer for the query-class slice of cached detections.
-    class_dets: Vec<Detection>,
-    /// Reusable visible-instance scratch for cache-miss detection runs.
-    gt_scratch: Vec<exsample_videosim::InstanceId>,
-    /// Reusable per-batch buffers of [`step_quantum`] / [`resolve_batch`]
-    /// (cleared, never dropped, between batches): the drawn frames, their
-    /// resolutions, and the missed frames with their io seconds.
-    drawn: Vec<u64>,
-    resolved: Vec<Option<ResolvedFrame>>,
-    miss_frames: Vec<u64>,
-    miss_io: Vec<f64>,
-    /// What the quantum in flight produced, until it is published.
-    quantum: Quantum,
-    /// Effective detector batch size (spec override or engine default).
-    batch: usize,
-    /// The session's progress cell (also reachable through its slot).
-    cell: Arc<SessionCell>,
-}
-
-/// Slot holding a session inside the engine state.
-struct Slot {
-    /// `Some` while the session still runs; taken by the leasing worker.
-    core: Option<Box<SessionCore>>,
-    /// Everything a client observes of the session.
-    cell: Arc<SessionCell>,
-    /// Owning tenant when the session came through an authenticated
-    /// serving layer ([`Engine::submit_tagged`]); `None` for in-process
-    /// and anonymous submissions.
-    tenant: Option<TenantId>,
-}
+/// The engine state lock, held.
+type StateGuard<'a> = MutexGuard<'a, EngineState>;
 
 struct EngineState {
+    /// The repository catalog, which is also its own identity index: each
+    /// entry's `RepoInfo` carries the `(name, dataset fingerprint)` it
+    /// was registered under.
     repos: FxHashMap<RepoId, RepoEntry>,
-    /// `(name, dataset fingerprint) -> id`: in-memory identity index
-    /// (mirrors the durable catalog when persistence is on).
-    repo_ids: FxHashMap<(String, u64), RepoId>,
     /// Next id for catalog-less allocation (kept past the durable
     /// catalog's assignments when persistence is on).
     next_repo: u32,
@@ -371,7 +247,13 @@ struct EngineState {
     /// syscall whether or not anyone waits, so releases and submits
     /// notify only when this is nonzero.
     idle_workers: usize,
-    sessions: FxHashMap<SessionId, Slot>,
+    /// Every session a client can still ask about, running or finished:
+    /// id → everything a client observes of it.
+    sessions: FxHashMap<SessionId, Arc<SessionCell>>,
+    /// The cores of the running sessions nobody is stepping right now. A
+    /// core is here or in its lease holder's hands, never both — which is
+    /// all "leased" means.
+    parked: FxHashMap<SessionId, Box<SessionCore>>,
     scheduler: Scheduler,
     next_session: u64,
     finished_sessions: u64,
@@ -412,7 +294,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start an engine and its worker threads. With
+    /// Start an engine and its worker threads — none with
+    /// [`EngineConfig::workers`]` = 0`: that engine is stepped by its
+    /// caller through [`Engine::run_quantum`]. With
     /// [`EngineConfig::persist`] set, previously persisted detections are
     /// compacted into the container and mapped, and belief snapshots are
     /// loaded into memory, before any worker runs; stale
@@ -422,12 +306,11 @@ impl Engine {
     /// container was already live and re-pays the detector for the rest.
     ///
     /// # Panics
-    /// Panics if the configuration is degenerate (zero workers, quantum,
+    /// Panics if the configuration is degenerate (zero quantum, batch,
     /// fps, or cache capacity), or if the persist directory cannot be
     /// created or listed at all (directory-level IO failure — damaged
     /// *contents* never panic).
     pub fn new(config: EngineConfig) -> Self {
-        assert!(config.workers > 0, "need at least one worker");
         assert!(config.quantum > 0, "quantum must be positive");
         assert!(config.batch > 0, "batch must be positive");
         assert!(config.detector_fps > 0.0, "detector_fps must be positive");
@@ -437,94 +320,18 @@ impl Engine {
             config.flight_capacity,
         ));
         let mut cache = FrameCache::new(config.cache_capacity, config.cache_shards);
-        let persist = config.persist.as_ref().map(|pc| {
-            // Before the log writer exists: fold the sealed segments into
-            // the container (compaction sweeps crashed leftovers itself),
-            // then map whatever container is live. Every failure here is
-            // absorbed — the log stays authoritative, the engine
-            // recomputes, and the next clean start folds what this one
-            // could not.
-            let chunk_frames = pc.columnar.unwrap_or_default().chunk_frames;
-            let folded = {
-                let mut span = obs.span_flight(Stage::Compaction, NO_SESSION);
-                span.set_key(chunk_frames);
-                exsample_colstore::compact(&pc.dir, pc.fingerprint, chunk_frames)
-            };
-            let folded = folded.unwrap_or_else(|e| {
-                eprintln!("exsample-engine: startup compaction failed: {e}");
-                CompactionReport::default()
-            });
-            let (container, container_skipped) = match ColumnarStore::open(
-                &exsample_colstore::container_path(&pc.dir),
-                pc.fingerprint,
-            ) {
-                Ok(store) => (Some(Arc::new(store)), 0),
-                Err(OpenError::Missing) => (None, 0),
-                Err(e) => {
-                    eprintln!("exsample-engine: ignoring columnar container: {e}");
-                    (None, 1)
-                }
-            };
-            // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
-            let beliefs = BeliefStore::open(pc).expect("persist directory unusable");
-            // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
-            let mut catalog = RepoCatalog::open(&pc.dir).expect("persist directory unusable");
-            // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
-            let log = DetectionLog::open(pc).expect("persist directory unusable");
-            // One pass over the segments compaction left behind — foreign
-            // ones, or everything when it failed. Nothing read here enters
-            // the cache (the container is the only warm read path); the
-            // pass exists for the id reservation below and the counters.
-            let mut max_artifact_repo: Option<u32> = container.as_ref().and_then(|c| c.max_repo());
-            let mut detections_load = scan_detections(&pc.dir, pc.fingerprint, |rec| {
-                max_artifact_repo = max_artifact_repo.max(Some(rec.repo));
-            })
-            // lint: allow(panic_audit, an unusable persist directory at engine startup is fatal by design)
-            .expect("persist directory unusable");
-            detections_load.segments_loaded += folded.segments_folded;
-            detections_load.records_loaded += folded.records_folded;
-            detections_load.damaged_tails += folded.damaged_tails;
-            // Safety net for a lost or torn catalog: any id observed in a
-            // surviving artifact (container, un-folded log, belief
-            // snapshots) must never be *newly* assigned, or those
-            // artifacts would be silently remapped onto whatever footage
-            // registers in that position next. Reserved ids keep meaning
-            // their original footage (when the catalog entry survived) or
-            // nothing.
-            max_artifact_repo = max_artifact_repo.max(beliefs.keys().map(|key| key.0).max());
-            if let Some(max) = max_artifact_repo {
-                catalog.reserve_past(max);
-            }
-            let log = Arc::new(Mutex::new(log));
-            let sink = log.clone();
-            let wb_obs = obs.clone();
-            cache.set_write_behind(Box::new(move |key, dets| {
-                // The cache does not know which session published the
-                // miss; write-behind events are unowned.
-                let mut span = wb_obs.span_flight(Stage::WriteBehind, NO_SESSION);
-                span.set_key(key.1);
-                sink.lock()
-                    .expect("detection log poisoned")
-                    .append(key.0 .0, key.1, dets);
-            }));
-            PersistShared {
-                log,
-                beliefs: Mutex::new(beliefs),
-                catalog: Mutex::new(catalog),
-                detections_load,
-                container,
-                container_skipped,
-                container_hits: std::sync::atomic::AtomicU64::new(0),
-            }
-        });
+        let persist = config
+            .persist
+            .as_ref()
+            .map(|pc| PersistShared::open(pc, &obs, &mut cache));
         let workers = config.workers;
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
                 repos: FxHashMap::default(),
-                repo_ids: FxHashMap::default(),
                 next_repo: 0,
                 idle_workers: 0,
                 sessions: FxHashMap::default(),
+                parked: FxHashMap::default(),
                 scheduler: Scheduler::new(),
                 next_session: 0,
                 finished_sessions: 0,
@@ -543,22 +350,7 @@ impl Engine {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("exsample-engine-{i}"))
-                    .spawn(move || {
-                        // On a worker panic, dump the flight recorder —
-                        // the last few thousand structured events are
-                        // exactly the context a post-mortem needs — then
-                        // let the panic proceed unchanged.
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            worker_loop(&shared)
-                        }));
-                        if let Err(panic) = run {
-                            eprintln!(
-                                "exsample-engine: worker panicked; {}",
-                                shared.obs.flight().render()
-                            );
-                            std::panic::resume_unwind(panic);
-                        }
-                    })
+                    .spawn(move || Worker::new(&shared).run())
                     // lint: allow(panic_audit, failing to spawn a worker at engine startup is fatal by design)
                     .expect("spawn engine worker")
             })
@@ -566,145 +358,22 @@ impl Engine {
         Engine { shared, workers }
     }
 
-    /// Register a repository under a caller-supplied `name`. Builds the
-    /// per-class detector bank (the noise stream of class `c` is seeded by
-    /// `det_seed + c`, so detection output is a pure function of
-    /// `(repo, frame)`) and writes the repository's GOP container, which
-    /// sessions decode through.
-    ///
-    /// # Identity
-    ///
-    /// The repository's identity is `(name, dataset fingerprint)` — not
-    /// its registration order. Registering the same identity twice
-    /// returns the same [`RepoId`] (the repository is *not* rebuilt), and
-    /// with [`EngineConfig::persist`] set the assignment is durable: a
-    /// restarted engine resolves the identity to the id its persisted
-    /// detections and belief snapshots were written under, regardless of
-    /// the order repositories are re-registered in. Footage that changes
-    /// under the same name is a *new* identity and gets a fresh id, so
-    /// stale persisted data can never be served for it. The catalog of
-    /// registered repositories is browsable via [`Engine::repos`].
+    /// Run one quantum on the calling thread: lease the runnable session
+    /// with the smallest virtual time, step it for up to
+    /// [`EngineConfig::quantum`] frames, publish what that produced (or
+    /// finalize the session), release the lease. `false`, having done
+    /// nothing, when no session is runnable. Worker threads call exactly
+    /// this in a loop, and it is the whole of how a `workers = 0` engine
+    /// moves: `while engine.run_quantum() {}` drives every submitted
+    /// session to completion in scheduler order.
     ///
     /// # Panics
-    ///
-    /// Panics when the identity is already registered with *different*
-    /// detector parameters (`noise`, `det_seed`): those are not part of
-    /// the identity, and silently serving the original detector bank
-    /// would hand the second caller wrong detections. (Across restarts
-    /// the analogous protection is [`PersistConfig`]'s fingerprint —
-    /// fold `detector_fingerprint(noise, det_seed)` into it so a
-    /// detector upgrade invalidates persisted output.)
-    pub fn register_repo(
-        &self,
-        name: &str,
-        gt: Arc<GroundTruth>,
-        noise: NoiseModel,
-        det_seed: u64,
-    ) -> RepoId {
-        let fingerprint = dataset_fingerprint(&gt);
-        let key = (name.to_string(), fingerprint);
-        // The mismatch assert must run *after* the state guard drops, or
-        // the panic would poison the engine mutex and turn into a
-        // double-panic abort when Drop tries to lock it during unwind.
-        let same_detectors = |existing: (NoiseModel, u64)| {
-            assert!(
-                existing == (noise, det_seed),
-                "repository {name:?} is already registered with different detector parameters"
-            );
-        };
-        {
-            let state = self.lock_state();
-            if let Some(&id) = state.repo_ids.get(&key) {
-                // lint: allow(panic_audit, repo_ids only holds ids that are keys of repos)
-                let existing = (state.repos[&id].noise, state.repos[&id].det_seed);
-                drop(state);
-                same_detectors(existing);
-                return id;
-            }
-        }
-        let detectors = (0..gt.num_classes())
-            .map(|c| {
-                SimulatedDetector::new(
-                    gt.clone(),
-                    exsample_videosim::ClassId(c as u16),
-                    noise,
-                    det_seed.wrapping_add(c as u64),
-                )
-            })
-            .collect();
-        // Model the storage layer with an empty payload per frame: decode
-        // *cost* (seeks, keyframe walks) is structural, not content-bound.
-        let mut writer = ContainerWriter::new(self.shared.config.gop_size);
-        for _ in 0..gt.frames {
-            writer.push_frame(&[]);
-        }
-        let frames = gt.frames;
-        let classes = gt.num_classes() as u16;
-        let repo = Arc::new(RepoData {
-            gt,
-            detectors,
-            // lint: allow(panic_audit, the engine wrote these bytes itself two lines up)
-            container: Container::open(writer.finish()).expect("engine-built container"),
-        });
-        let mut state = self.lock_state();
-        // Raced registration of the same identity: first writer wins, the
-        // duplicate build is discarded.
-        if let Some(&id) = state.repo_ids.get(&key) {
-            // lint: allow(panic_audit, repo_ids only holds ids that are keys of repos)
-            let existing = (state.repos[&id].noise, state.repos[&id].det_seed);
-            drop(state);
-            same_detectors(existing);
-            return id;
-        }
-        // The durable file write happens *after* the state lock drops:
-        // workers need this lock between every quantum, and an fsync must
-        // never stall them (same discipline as belief snapshots). A crash
-        // in the window loses only the assignment record, which the
-        // startup `reserve_past` safety net already tolerates.
-        let (id, fresh) = match &self.shared.persist {
-            Some(p) => {
-                let (id, fresh) = p
-                    .catalog
-                    .lock()
-                    .expect("repo catalog poisoned")
-                    .assign(name, fingerprint);
-                (RepoId(id), fresh)
-            }
-            None => (RepoId(state.next_repo), false),
-        };
-        state.next_repo = state.next_repo.max(id.0.saturating_add(1));
-        state.repo_ids.insert(key, id);
-        state.repos.insert(
-            id,
-            RepoEntry {
-                info: RepoInfo {
-                    id,
-                    name: name.to_string(),
-                    frames,
-                    classes,
-                    dataset_fingerprint: fingerprint,
-                },
-                noise,
-                det_seed,
-                data: repo,
-            },
-        );
-        drop(state);
-        if fresh {
-            // lint: allow(panic_audit, fresh is only set on the branch that already dereferenced persist)
-            let p = self.shared.persist.as_ref().expect("fresh implies persist");
-            p.catalog.lock().expect("repo catalog poisoned").persist();
-        }
-        id
-    }
-
-    /// The repository catalog: one [`RepoInfo`] per registered repository,
-    /// in id order.
-    pub fn repos(&self) -> Vec<RepoInfo> {
+    /// Re-raises a panic from the session's discriminator or storage —
+    /// after finalizing the session as cancelled, so nothing waits on it
+    /// forever.
+    pub fn run_quantum(&self) -> bool {
         let state = self.lock_state();
-        let mut infos: Vec<RepoInfo> = state.repos.values().map(|e| e.info.clone()).collect();
-        infos.sort_by_key(|i| i.id);
-        infos
+        Worker::new(&self.shared).quantum(state).1
     }
 
     /// Submit a query; the session immediately competes for detector
@@ -732,7 +401,8 @@ impl Engine {
         spec: QuerySpec,
         binding: Option<TenantBinding>,
     ) -> Result<SessionId, EngineError> {
-        let submit_start = self.shared.obs.enabled().then(Instant::now);
+        let obs = &self.shared.obs;
+        let submit_start = obs.enabled().then(Instant::now);
         spec.validate().map_err(EngineError::InvalidSpec)?;
         let mut state = self.lock_state();
         let repo = state
@@ -757,71 +427,33 @@ impl Engine {
                 }
             }
         }
-        let discrim: Box<dyn Discriminator + Send> = match spec.discriminator {
-            DiscriminatorKind::Oracle => Box::new(OracleDiscriminator::new()),
-            DiscriminatorKind::Tracker { seed } => {
-                Box::new(TrackerDiscriminator::new(repo.gt.clone(), seed))
-            }
-        };
         let cell = SessionCell::new();
-        let core = Box::new(SessionCore {
-            repo_id: spec.repo,
-            class: spec.class,
-            policy,
-            rng: Rng64::new(spec.seed),
-            stepper: SearchStepper::new(spec.stop, 0.0),
-            discrim,
-            container: repo.container.reader(),
-            repo,
-            class_dets: Vec::new(),
-            gt_scratch: Vec::new(),
-            drawn: Vec::new(),
-            resolved: Vec::new(),
-            miss_frames: Vec::new(),
-            miss_io: Vec::new(),
-            quantum: Quantum::default(),
-            batch: spec.batch.unwrap_or(self.shared.config.batch).max(1) as usize,
-            cell: cell.clone(),
-        });
+        let batch = spec.batch.unwrap_or(self.shared.config.batch);
+        let tenant = binding.map(|b| b.tenant);
+        let core = SessionCore::new(&spec, repo, policy, batch, cell.clone(), tenant);
         let id = SessionId(state.next_session);
         state.next_session += 1;
         // Still under the state lock, so before any worker can lease
         // the session (let alone finish it).
-        self.shared.obs.trace_open(id.0);
-        state.sessions.insert(
-            id,
-            Slot {
-                core: Some(core),
-                cell,
-                tenant: binding.map(|b| b.tenant),
-            },
-        );
-        if let Some(b) = binding {
-            *state.tenant_running.entry(b.tenant).or_insert(0) += 1;
+        obs.trace_open(id.0);
+        state.sessions.insert(id, cell);
+        if let Some(t) = tenant {
+            *state.tenant_running.entry(t).or_insert(0) += 1;
         }
         let weight = match binding {
             Some(b) => spec.weight.saturating_mul(b.weight.max(1)),
             None => spec.weight,
         };
-        state.scheduler.register(id, weight);
+        state.admit(id, weight, core);
         let wake_worker = state.idle_workers > 0;
         drop(state);
-        if self.shared.obs.enabled() {
-            self.shared.obs.sessions_submitted_total.inc();
+        if obs.enabled() {
+            obs.sessions_submitted_total.inc();
             // Untagged in-process submits are accounted under tenant 0.
-            let tenant = binding.map_or(0, |b| b.tenant.0);
-            self.shared
-                .obs
-                .submits_by_tenant
-                .with(&tenant.to_string())
-                .inc();
-            self.shared
-                .obs
-                .sessions_active
-                .with(&tenant.to_string())
-                .add(1);
-            let submit_ns = submit_start.map_or(0, elapsed_ns);
-            self.shared.obs.trace_submit(id.0, submit_ns);
+            let tenant = tenant.map_or(0, |t| t.0).to_string();
+            obs.submits_by_tenant.with(&tenant).inc();
+            obs.sessions_active.with(&tenant).add(1);
+            obs.trace_submit(id.0, submit_start.map_or(0, elapsed_ns));
         }
         if wake_worker {
             self.shared.work_cv.notify_all();
@@ -880,15 +512,15 @@ impl Engine {
 
     /// Request cancellation. Takes effect at the session's next frame
     /// boundary; `wait` then returns its partial trace with status
-    /// [`SessionStatus::Cancelled`]. Cancelling a finished session is a
-    /// no-op.
+    /// [`Cancelled`](crate::SessionStatus::Cancelled). Cancelling a
+    /// finished session is a no-op.
     pub fn cancel(&self, id: SessionId) -> Result<(), EngineError> {
         let state = self.lock_state();
-        let slot = state
+        let cell = state
             .sessions
             .get(&id)
             .ok_or(EngineError::UnknownSession(id))?;
-        slot.cell.cancel.store(true, Ordering::Relaxed);
+        cell.cancel.store(true, Ordering::Relaxed);
         // A running session is leased (its worker reads the flag at the
         // next batch) or runnable (a worker pass finalizes it); only an
         // idle pool needs the nudge.
@@ -1012,17 +644,17 @@ impl Engine {
     /// consumed, or resident memory grows with every query ever run.
     pub fn forget(&self, id: SessionId) -> Result<SessionReport, EngineError> {
         let mut state = self.lock_state();
-        let slot = state
+        let cell = state
             .sessions
             .get(&id)
             .ok_or(EngineError::UnknownSession(id))?;
         let report = {
-            let mut progress = slot.cell.progress.lock().expect("session cell poisoned");
+            let mut progress = cell.progress.lock().expect("session cell poisoned");
             // Usually the table holds the last reference (no new one can
             // appear while the state lock is held) and the report moves
             // out; a caller still inside `wait`/`poll` on this session
             // keeps the cell alive and is left its own copy.
-            if Arc::strong_count(&slot.cell) == 1 {
+            if Arc::strong_count(cell) == 1 {
                 progress.take_report()
             } else {
                 progress.report()
@@ -1047,26 +679,7 @@ impl Engine {
 
     /// Durable-store counters, or `None` when persistence is off.
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.shared.persist.as_ref().map(|p| {
-            let beliefs = p.beliefs.lock().expect("belief store poisoned");
-            let snapshots = beliefs.load_stats();
-            PersistStats {
-                segments_loaded: p.detections_load.segments_loaded,
-                segments_skipped: p.detections_load.segments_skipped,
-                records_loaded: p.detections_load.records_loaded,
-                damaged_tails: p.detections_load.damaged_tails,
-                snapshots_loaded: snapshots.segments_loaded,
-                snapshots_skipped: snapshots.segments_skipped,
-                beliefs_resident: beliefs.len() as u64,
-                snapshot_write_errors: beliefs.write_errors(),
-                log_write_errors: p.log.lock().expect("detection log poisoned").write_errors(),
-                container_frames: p.container.as_ref().map_or(0, |c| c.frames_indexed()),
-                container_chunks: p.container.as_ref().map_or(0, |c| c.group_count() as u64),
-                container_hits: p.container_hits.load(Ordering::Relaxed),
-                container_bytes_touched: p.container.as_ref().map_or(0, |c| c.bytes_touched()),
-                container_skipped: p.container_skipped,
-            }
-        })
+        self.shared.persist.as_ref().map(PersistShared::stats)
     }
 
     /// The belief statistics a warm-starting query over
@@ -1145,11 +758,11 @@ impl Engine {
         state
             .sessions
             .get(&id)
-            .map(|slot| slot.cell.clone())
+            .cloned()
             .ok_or(EngineError::UnknownSession(id))
     }
 
-    fn lock_state(&self) -> MutexGuard<'_, EngineState> {
+    fn lock_state(&self) -> StateGuard<'_> {
         let mut state = lock_state(&self.shared);
         // Orphan-session GC piggybacks on every API touch: cheap (a front
         // peek) when nothing is due, and no dedicated timer thread.
@@ -1163,7 +776,7 @@ impl Engine {
 /// Take the engine state lock. The contended path — and only it — is
 /// timed into `engine_state_lock_wait_ns`: `try_lock` first, so an
 /// uncontended acquisition never reads the clock.
-fn lock_state(shared: &Shared) -> MutexGuard<'_, EngineState> {
+fn lock_state(shared: &Shared) -> StateGuard<'_> {
     match shared.state.try_lock() {
         Ok(state) => state,
         Err(TryLockError::WouldBlock) => {
@@ -1190,11 +803,11 @@ fn reap_expired(state: &mut EngineState, ttl: Duration) {
             break;
         }
         state.reap_queue.pop_front();
-        let Some(slot) = state.sessions.get(&id) else {
+        let Some(cell) = state.sessions.get(&id) else {
             continue; // forgotten before its TTL ran out
         };
         let deadline = {
-            let progress = slot.cell.progress.lock().expect("session cell poisoned");
+            let progress = cell.progress.lock().expect("session cell poisoned");
             match progress.finished {
                 Some(_) => progress.last_access + ttl,
                 None => now + ttl,
@@ -1205,68 +818,6 @@ fn reap_expired(state: &mut EngineState, ttl: Duration) {
         } else {
             state.reap_queue.push_back((id, deadline));
         }
-    }
-}
-
-/// Map lifecycle [`EngineError`]s onto the service vocabulary. Submit
-/// errors are handled separately (they map onto [`SubmitError`]).
-fn service_err(e: EngineError) -> ServiceError {
-    match e {
-        EngineError::UnknownSession(s) => ServiceError::UnknownSession(s),
-        EngineError::SessionRunning(s) => ServiceError::SessionRunning(s),
-        // Unreachable from lifecycle calls; surfaced faithfully anyway.
-        other => ServiceError::Transport(other.to_string()),
-    }
-}
-
-/// The in-process implementation of the client-facing API: calls go
-/// straight to the engine, no serialization. The remote implementation
-/// (`exsample-proto`'s `RemoteClient`) is interchangeable with this one
-/// and produces identical session results.
-impl SearchService for Engine {
-    fn repos(&self) -> Result<Vec<RepoInfo>, ServiceError> {
-        Ok(Engine::repos(self))
-    }
-
-    fn submit(&self, spec: QuerySpec) -> Result<SessionId, SubmitError> {
-        Engine::submit(self, spec).map_err(|e| match e {
-            EngineError::UnknownRepo(r) => SubmitError::UnknownRepo(r),
-            EngineError::InvalidSpec(why) => SubmitError::InvalidSpec(why.to_string()),
-            other => SubmitError::InvalidSpec(other.to_string()),
-        })
-    }
-
-    fn poll(
-        &self,
-        id: SessionId,
-        cursor: u64,
-        window: Option<u32>,
-    ) -> Result<SessionSnapshot, ServiceError> {
-        Engine::poll_window(self, id, cursor, window).map_err(service_err)
-    }
-
-    fn cancel(&self, id: SessionId) -> Result<(), ServiceError> {
-        Engine::cancel(self, id).map_err(service_err)
-    }
-
-    fn wait(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        Engine::wait(self, id).map_err(service_err)
-    }
-
-    fn forget(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        Engine::forget(self, id).map_err(service_err)
-    }
-
-    fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        Ok(Engine::service_stats(self))
-    }
-
-    fn diagnostics(&self) -> Result<Diagnostics, ServiceError> {
-        Ok(Engine::diagnostics(self))
-    }
-
-    fn collect_trace(&self, trace: TraceId) -> Result<Vec<SpanRecord>, ServiceError> {
-        Ok(Engine::collect_trace(self, trace))
     }
 }
 
@@ -1301,497 +852,15 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    // Watchers a publish moved out of a cell, fired once its lock drops.
-    let mut woken: Vec<Watch> = Vec::new();
-    let mut state = lock_state(shared);
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let Some(id) = state.scheduler.lease_next() else {
-            state.idle_workers += 1;
-            state = shared.work_cv.wait(state).expect("engine state poisoned");
-            state.idle_workers -= 1;
-            continue;
-        };
-        // lint: allow(panic_audit, the scheduler only leases ids of registered sessions)
-        let slot = state.sessions.get_mut(&id).expect("leased session exists");
-        // lint: allow(panic_audit, a leased session's core is parked in its slot between quanta)
-        let mut core = slot.core.take().expect("leased session has its core");
-        drop(state);
-
-        // The lease span covers the session checkout: everything between
-        // taking the core and being ready to release the lease. Measured
-        // manually (not via guard) because the release itself happens
-        // back under the state lock.
-        let lease_t0 = shared.obs.enabled().then(Instant::now);
-        step_quantum(&mut core, shared, id);
-        if let Some(t0) = lease_t0 {
-            let frames = core.quantum.delta.frames;
-            shared
-                .obs
-                .record(Stage::Lease, id.0, elapsed_ns(t0), frames);
-            shared.obs.frames_total.add(frames);
-        }
-
-        // Fairness floor: an all-hit quantum costs ~0 modelled seconds,
-        // and a near-zero charge would let a cache-warm session hold
-        // every lease until it finishes (wall-clock-starving cost-paying
-        // sessions). Floor each release at 0.1% of a fully-missing
-        // quantum — negligible for budget split, sufficient for rotation.
-        // This is *policy*; correctness (NaN/negative/zero charges) is
-        // the scheduler's own validation in `Scheduler::release`. Session
-        // ledgers stay exact; only the arbitration sees the floor.
-        let floor_s = shared.config.quantum as f64 / shared.config.detector_fps * 1e-3;
-        let charge_s = core.quantum.delta.total_s().max(floor_s);
-
-        let Some(status) = core.quantum.ended else {
-            // The common case: the quantum's events and ledger go into
-            // the session's cell without the state lock, and only this
-            // session's waiters hear of it.
-            let notify = {
-                let mut progress = core.cell.progress.lock().expect("session cell poisoned");
-                let (found, samples) = (core.stepper.found(), core.stepper.samples());
-                let stamp = shared.obs.enabled();
-                progress.publish(&core.quantum, found, samples, None, stamp, &mut woken)
-            };
-            wake(&core.cell, notify, &mut woken);
-            state = lock_state(shared);
-            state.scheduler.release(id, charge_s);
-            // lint: allow(panic_audit, the session stays registered while its quantum is in flight)
-            let slot = state.sessions.get_mut(&id).expect("session exists");
-            slot.core = Some(core);
-            // The session is runnable again; a parked worker may want it.
-            if state.idle_workers > 0 {
-                shared.work_cv.notify_one();
-            }
-            continue;
-        };
-
-        // Finalization. Everything but what the report needs is freed
-        // first, with no lock held. Then the engine's books close — the
-        // lease, the tenant's quota slot, the in-memory belief snapshot —
-        // and the cell publishes the final report *under the same hold of
-        // the state lock*: whoever `wait` wakes finds all of it in place,
-        // and this worker goes on to its next lease (or parks) without
-        // letting go of the lock in between. Re-taking it here would race
-        // the woken client's next `submit` once per session.
-        let Retired {
-            cell,
-            quantum,
-            found,
-            samples,
-            trace,
-            chunk_stats,
-            belief_key,
-        } = retire(core);
-        state = lock_state(shared);
-        state.scheduler.release(id, charge_s);
-        let finish_order = state.finished_sessions;
-        state.finished_sessions += 1;
-        state.scheduler.deactivate(id);
-        // Release the tenant's quota slot the moment the session stops
-        // running — not at forget/reap, which can be much later (or
-        // never) and would wedge the tenant's admission.
-        let tenant = state.sessions.get(&id).and_then(|s| s.tenant);
-        if let Some(t) = tenant {
-            if let Some(n) = state.tenant_running.get_mut(&t) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    state.tenant_running.remove(&t);
-                }
-            }
-        }
-        if shared.obs.enabled() {
-            shared.obs.sessions_finished_total.inc();
-            shared
-                .obs
-                .sessions_active
-                .with(&tenant.map_or(0, |t| t.0).to_string())
-                .sub(1);
-            shared.obs.trace_finish(id.0);
-        }
-        // The TTL clock starts at finalization; reap opportunistically so
-        // a busy engine collects orphans even with no API traffic.
-        if let Some(ttl) = shared.config.session_ttl {
-            state.reap_queue.push_back((id, Instant::now() + ttl));
-            reap_expired(&mut state, ttl);
-        }
-        // Make the belief snapshot visible (in memory) *before* waiters
-        // learn the session finished: a warm_start query submitted the
-        // instant `wait` returns must find it. Only the durable file
-        // write is deferred past the wake. The offer is evidence-gated,
-        // so a short or cancelled run never clobbers a richer snapshot of
-        // the same key.
-        let snapshot = match &shared.persist {
-            Some(persist) if samples > 0 => persist
-                .beliefs
-                .lock()
-                .expect("belief store poisoned")
-                .offer(belief_key, chunk_stats.clone())
-                .then_some(persist),
-            _ => None,
-        };
-        let notify = {
-            let finished = Finished {
-                trace,
-                chunk_stats,
-                finish_order,
-            };
-            let mut progress = cell.progress.lock().expect("session cell poisoned");
-            let (done, stamp) = (Some((status, finished)), shared.obs.enabled());
-            progress.publish(&quantum, found, samples, done, stamp, &mut woken)
-        };
-        wake(&cell, notify, &mut woken);
-        // The table's reference is the last one again, so a `forget`
-        // moves the report out instead of copying it.
-        drop(cell);
-        if let Some(persist) = snapshot {
-            drop(state);
-            {
-                let mut span = shared.obs.span_flight(Stage::BeliefSnapshot, id.0);
-                span.set_key(belief_key.2 as u64);
-                persist
-                    .beliefs
-                    .lock()
-                    .expect("belief store poisoned")
-                    .persist_key(belief_key);
-            }
-            state = lock_state(shared);
-        }
-    }
-}
-
-/// What finalization keeps of a session's core.
-struct Retired {
-    cell: Arc<SessionCell>,
-    /// The last quantum, still to be published.
-    quantum: Quantum,
-    found: u64,
-    samples: u64,
-    trace: exsample_core::driver::SearchTrace,
-    chunk_stats: Vec<ChunkStats>,
-    /// `(repo, class, chunks)`: where the belief snapshot is filed.
-    belief_key: (u32, u16, u32),
-}
-
-/// Reduce a finished session's core to its [`Retired`] parts. The rest —
-/// sampler, discriminator, container reader, scratch buffers — is freed
-/// on return, which the caller arranges to be before it takes any lock.
-fn retire(core: Box<SessionCore>) -> Retired {
-    let core = *core;
-    Retired {
-        found: core.stepper.found(),
-        samples: core.stepper.samples(),
-        chunk_stats: core.policy.chunk_stats().to_vec(),
-        belief_key: (
-            core.repo_id.0,
-            core.class.0,
-            core.policy.chunking().num_chunks() as u32,
-        ),
-        trace: core.stepper.finish(),
-        cell: core.cell,
-        quantum: core.quantum,
-    }
-}
-
-/// Deliver the wake-ups a [`Progress::publish`](crate::session) asked
-/// for, once the cell lock is dropped: the callers parked on the cell's
-/// condvar, and the completion queues whose watches it moved to `woken`.
-fn wake(cell: &SessionCell, notify: bool, woken: &mut Vec<Watch>) {
-    if notify {
-        cell.wake.notify_all();
-    }
-    for watch in woken.drain(..) {
-        watch.fire();
-    }
-}
-
-/// How one drawn frame's detections were obtained (see
-/// [`resolve_batch`]).
-struct ResolvedFrame {
-    dets: CachedDetections,
-    /// io/decode seconds this session paid (misses only).
-    io_s: f64,
-    /// This session ran the detector for the frame (a cache miss).
-    miss: bool,
-    /// Recording this frame also bills one dispatch overhead
-    /// ([`CostModel::dispatch_s`]) — set on the first miss of each
-    /// dispatch.
-    dispatch: bool,
-}
-
-impl ResolvedFrame {
-    /// Detections this session did not run the detector for: resident,
-    /// filled by another session, or read back from the container.
-    fn free(dets: CachedDetections) -> Self {
-        ResolvedFrame {
-            dets,
-            io_s: 0.0,
-            miss: false,
-            dispatch: false,
-        }
-    }
-}
-
-/// Resolve detections for one drawn batch, *cache → container →
-/// detector*:
-///
-/// 1. **Reserve** every key ([`FrameCache::begin`]) — hits are served
-///    immediately, misses become this session's reservations, keys other
-///    sessions are computing become waits.
-/// 2. **Redeem** the reservations ([`redeem`]): the mapped container
-///    answers what it holds, and the rest is one detector dispatch — all
-///    with **no cache shard lock held**, so detection never serializes
-///    unrelated sessions on a shard.
-/// 3. **Wait** for the in-flight keys, strictly *after* our own fills —
-///    two sessions batching overlapping frames therefore can never
-///    deadlock on each other. An abandoned in-flight entry (its computer
-///    panicked) becomes our reservation and is redeemed like any other.
-///
-/// `resolved` is filled positionally (one entry per drawn frame).
-fn resolve_batch(
-    core: &mut SessionCore,
-    shared: &Shared,
-    drawn: &[u64],
-    resolved: &mut Vec<Option<ResolvedFrame>>,
-    sid: SessionId,
-) {
-    resolved.clear();
-    resolved.resize_with(drawn.len(), || None);
-    let mut reservations: Vec<(usize, MissGuard<'_>)> = Vec::new();
-    let mut waits = Vec::new();
-    for (k, &frame) in drawn.iter().enumerate() {
-        match shared.cache.begin((core.repo_id, frame)) {
-            // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-            Lookup::Hit(dets) => resolved[k] = Some(ResolvedFrame::free(dets)),
-            Lookup::Pending(wait) => waits.push((k, wait)),
-            Lookup::Miss(guard) => reservations.push((k, guard)),
-        }
-    }
-    if !reservations.is_empty() {
-        redeem(core, shared, reservations, resolved, sid);
-    }
-    for (k, wait) in waits {
-        // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-        let frame = drawn[k];
-        // Covers this key's whole resolution: the actual park on the
-        // computing session plus (rarely) the recompute of an abandoned
-        // entry. Key is the frame index waited on.
-        let mut wait_span = shared.obs.span_flight(Stage::CacheWait, sid.0);
-        wait_span.set_key(frame);
-        let mut wait = Some(wait);
-        // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-        while resolved[k].is_none() {
-            let lookup = match wait.take() {
-                Some(w) => Lookup::Pending(w),
-                None => shared.cache.begin((core.repo_id, frame)),
-            };
-            match lookup {
-                // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-                Lookup::Hit(dets) => resolved[k] = Some(ResolvedFrame::free(dets)),
-                // `None`: the computing session abandoned the entry; ask again.
-                // lint: allow(panic_audit, k enumerates drawn and resolved is sized to drawn.len())
-                Lookup::Pending(w) => resolved[k] = w.wait().map(ResolvedFrame::free),
-                // The session computing this frame died and the key is
-                // ours now: a batch of one.
-                Lookup::Miss(guard) => redeem(core, shared, vec![(k, guard)], resolved, sid),
-            }
-        }
-    }
-}
-
-/// Turn a set of reservations into detections, filling `resolved[k]` for
-/// each `(k, guard)`.
-///
-/// **Container first** (lazy warm start): before paying any detector
-/// time, let the mapped columnar container answer. Only the touched
-/// chunks' columns are decoded (and only once per chunk, cached); a
-/// served frame is a warm hit — no miss, no io bill, no write-behind.
-///
-/// **Then one dispatch** for every reservation left: decode through the
-/// session's own container reader, detect back-to-back, publish. The
-/// first miss carries the dispatch-overhead bill. The span covers all
-/// three phases; its event key is the miss count, so summing
-/// dispatch-event keys reproduces the engine's detector-invocation total.
-fn redeem(
-    core: &mut SessionCore,
-    shared: &Shared,
-    mut reservations: Vec<(usize, MissGuard<'_>)>,
-    resolved: &mut [Option<ResolvedFrame>],
-    sid: SessionId,
-) {
-    if let Some(persist) = shared.persist.as_ref() {
-        reservations = reservations
-            .into_iter()
-            .filter_map(
-                |(k, guard)| match persist.warm(core.repo_id, guard.key().1) {
-                    Some(dets) => {
-                        // lint: allow(panic_audit, every k was issued by resolve_batch against resolved's own length)
-                        resolved[k] = Some(ResolvedFrame::free(guard.fill_warm(dets)));
-                        None
-                    }
-                    None => Some((k, guard)),
-                },
-            )
-            .collect();
-    }
-    if reservations.is_empty() {
-        return;
-    }
-    let cost_model = shared.config.cost_model;
-    let mut span = shared.obs.span_flight(Stage::Dispatch, sid.0);
-    span.set_key(reservations.len() as u64);
-    let mut miss_frames = std::mem::take(&mut core.miss_frames);
-    let mut io = std::mem::take(&mut core.miss_io);
-    miss_frames.clear();
-    io.clear();
-    miss_frames.extend(reservations.iter().map(|(_, guard)| guard.key().1));
-    for &frame in &miss_frames {
-        let before = *core.container.stats();
-        core.container
-            .read_frame(frame)
-            // lint: allow(panic_audit, the container was validated at registration; torn storage mid-run is fatal by design)
-            .expect("engine-built container read");
-        let after = *core.container.stats();
-        io.push(cost_model.seconds(&decode_delta(&before, &after)));
-    }
-    let banks = dispatch_batch(&core.repo.detectors, &miss_frames, &mut core.gt_scratch);
-    let mut first = true;
-    for (((k, guard), dets), &io_s) in reservations.into_iter().zip(banks).zip(&io) {
-        // lint: allow(panic_audit, every k was issued by resolve_batch against resolved's own length)
-        resolved[k] = Some(ResolvedFrame {
-            dets: guard.fill(dets),
-            io_s,
-            miss: true,
-            dispatch: std::mem::take(&mut first),
-        });
-    }
-    core.miss_frames = miss_frames;
-    core.miss_io = io;
-}
-
-/// Step one leased session for up to `quantum` frames, in detector
-/// batches of the session's batch size (§III-F). Runs without the state
-/// lock; touches only the session's own core plus the shared cache.
-///
-/// Per batch: draw up to `batch` frames from the sampler with no
-/// intermediate feedback, resolve their detections ([`resolve_batch`]:
-/// one dispatch for the misses, outside the cache shard locks), then
-/// replay discriminator feedback **in draw order** — so a session's
-/// frame sequence and results are a pure function of its spec and batch
-/// size, independent of worker interleavings and of the hit/miss
-/// partition. With `batch = 1` the stepping, charging, and RNG
-/// consumption are bit-identical to per-frame execution.
-///
-/// When the stop condition fires mid-batch, the remaining drawn frames
-/// are discarded unrecorded — the speculative tail real batched
-/// inference wastes. Their detections stay in the shared cache (later
-/// sessions hit them for free) but are *not* billed to this session's
-/// ledger: the clock stops where the search stopped.
-fn step_quantum(core: &mut SessionCore, shared: &Shared, sid: SessionId) {
-    let detect_frame_s = 1.0 / shared.config.detector_fps;
-    let cost_model = shared.config.cost_model;
-    // The quantum's outcome and the batch buffers live in the core
-    // between quanta; they are taken out while `core` is borrowed whole.
-    let mut out = std::mem::take(&mut core.quantum);
-    out.events.clear();
-    out.delta = Default::default();
-    out.ended = None;
-    let mut drawn = std::mem::take(&mut core.drawn);
-    let mut resolved = std::mem::take(&mut core.resolved);
-    let quantum = shared.config.quantum as usize;
-    let mut stepped = 0usize;
-    'quantum: while stepped < quantum {
-        if core.cell.cancel.load(Ordering::Relaxed) {
-            out.ended = Some(SessionStatus::Cancelled);
-            break;
-        }
-        let want = core.batch.min(quantum - stepped);
-        core.stepper
-            .next_batch(&mut core.policy, &mut core.rng, want, &mut drawn);
-        if drawn.is_empty() {
-            out.ended = Some(SessionStatus::Done);
-            break;
-        }
-        {
-            // Histogram-only span (no flight event): at B=1 this fires
-            // per frame, which would churn the event ring for no
-            // diagnostic value.
-            let mut span = shared.obs.span(Stage::BatchAssembly, sid.0);
-            span.set_key(drawn.len() as u64);
-            resolve_batch(core, shared, &drawn, &mut resolved, sid);
-        }
-        for (k, &frame) in drawn.iter().enumerate() {
-            // lint: allow(panic_audit, resolve_batch's postcondition is that every drawn slot is Some)
-            let r = resolved[k].take().expect("resolve_batch fills every slot");
-            core.class_dets.clear();
-            core.class_dets
-                .extend(r.dets.iter().filter(|d| d.class == core.class).cloned());
-            let obs = core.discrim.observe(frame, &core.class_dets);
-            let fb = Feedback::new(obs.new_results, obs.matched_once);
-
-            out.delta.frames += 1;
-            let frame_cost = if r.miss {
-                out.delta.detector_invocations += 1;
-                out.delta.detect_s += detect_frame_s;
-                out.delta.io_s += r.io_s;
-                let mut cost = detect_frame_s + r.io_s;
-                if r.dispatch {
-                    out.delta.dispatches += 1;
-                    out.delta.dispatch_s += cost_model.dispatch_s;
-                    cost += cost_model.dispatch_s;
-                }
-                cost
-            } else {
-                out.delta.cache_hits += 1;
-                0.0
-            };
-            // The session clock lives in the stepper (record sets it to
-            // the absolute value we pass), so there is a single source of
-            // truth.
-            let now = core.stepper.seconds() + frame_cost;
-            let done = core.stepper.record(&mut core.policy, frame, fb, now);
-            if fb.new_results > 0 {
-                out.events.push(ResultEvent {
-                    frame,
-                    new_results: fb.new_results,
-                    samples: core.stepper.samples(),
-                    seconds: now,
-                });
-            }
-            stepped += 1;
-            if done {
-                out.ended = Some(SessionStatus::Done);
-                break 'quantum;
-            }
-        }
-    }
-    // A stop mid-batch leaves the unrecorded tail resolved; let go of its
-    // cached detections rather than pinning them until the next lease.
-    resolved.clear();
-    core.drawn = drawn;
-    core.resolved = resolved;
-    core.quantum = out;
-}
-
-/// Component-wise `after - before` of two decode tallies.
-fn decode_delta(before: &DecodeStats, after: &DecodeStats) -> DecodeStats {
-    DecodeStats {
-        seeks: after.seeks - before.seeks,
-        gops_fetched: after.gops_fetched - before.gops_fetched,
-        frames_decoded: after.frames_decoded - before.frames_decoded,
-        frames_returned: after.frames_returned - before.frames_returned,
-        bytes_fetched: after.bytes_fetched - before.bytes_fetched,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{SearchService, ServiceError, SubmitError};
+    use crate::session::{DiscriminatorKind, SessionStatus};
     use exsample_core::driver::StopCond;
-    use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
+    use exsample_detect::{NoiseModel, OracleDiscriminator, SimulatedDetector};
+    use exsample_stats::Rng64;
+    use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
 
     fn truth(frames: u64, instances: usize) -> Arc<GroundTruth> {
         Arc::new(
@@ -1816,6 +885,11 @@ mod tests {
         });
         let repo = engine.register_repo("test-repo", truth(20_000, 60), NoiseModel::none(), 5);
         (engine, repo)
+    }
+
+    /// Step a `workers: 0` engine until nothing is runnable.
+    fn run_to_idle(engine: &Engine) {
+        while engine.run_quantum() {}
     }
 
     #[test]
@@ -2037,41 +1111,56 @@ mod tests {
 
     #[test]
     fn priority_weights_shift_detector_budget() {
-        // One worker, equal sample budgets: the weight-4 session receives
-        // 4/5 of the detector grants while both run, so it must reach its
-        // budget — and finalize — strictly before the weight-1 session.
-        // finish_order is assigned under the state lock, so this is
-        // race-free.
+        // Equal sample budgets on a caller-stepped engine, so the grant
+        // sequence is the scheduler's and nobody's race. A repository
+        // each (no shared frames: every frame is a miss), free io, and a
+        // detector at 16 fps make every quantum cost exactly 4/16 s, so
+        // the virtual times are exact and weighted fair queueing is an
+        // exact prediction: four grants to the weight-4 session for each
+        // one to the weight-1 session, ties to the older id.
         let engine = Engine::new(EngineConfig {
-            workers: 1,
+            workers: 0,
             quantum: 4,
+            detector_fps: 16.0,
+            cost_model: CostModel {
+                seek_s: 0.0,
+                frame_decode_s: 0.0,
+                ..CostModel::default()
+            },
             ..EngineConfig::default()
         });
-        let repo = engine.register_repo("priority-repo", truth(50_000, 40), NoiseModel::none(), 8);
-        let heavy = engine
-            .submit(
-                QuerySpec::new(repo, ClassId(0), StopCond::samples(2_000))
-                    .seed(1)
-                    .weight(4),
-            )
-            .unwrap();
-        let light = engine
-            .submit(
-                QuerySpec::new(repo, ClassId(0), StopCond::samples(2_000))
-                    .seed(2)
-                    .weight(1),
-            )
-            .unwrap();
+        assert!(engine.workers.is_empty());
+        let submit = |name: &str, seed, weight| {
+            let repo = engine.register_repo(name, truth(50_000, 40), NoiseModel::none(), 8);
+            let spec = QuerySpec::new(repo, ClassId(0), StopCond::samples(2_000));
+            engine.submit(spec.seed(seed).weight(weight)).unwrap()
+        };
+        let heavy = submit("priority-heavy", 1, 4);
+        let light = submit("priority-light", 2, 1);
+        // Nothing moves until the owner steps it.
+        let frames = |id| engine.poll(id, u64::MAX).unwrap().charges.frames;
+        assert_eq!((frames(heavy), frames(light)), (0, 0));
+        let (mut heavy_grants, mut light_grants) = (0u64, 0u64);
+        while engine.try_wait(heavy).unwrap().is_none() {
+            let before = (frames(heavy), frames(light));
+            assert!(engine.run_quantum());
+            match (frames(heavy) - before.0, frames(light) - before.1) {
+                (4, 0) => heavy_grants += 1,
+                (0, 4) => light_grants += 1,
+                other => panic!("one quantum moved {other:?} frames"),
+            }
+            // While both run, the light session is never more than one
+            // grant away from a quarter of the heavy one's.
+            assert!(light_grants.abs_diff(heavy_grants.div_ceil(4)) <= 1);
+        }
+        assert_eq!((heavy_grants, light_grants), (500, 125));
+        run_to_idle(&engine);
         let heavy_report = engine.wait(heavy).unwrap();
         let light_report = engine.wait(light).unwrap();
         assert_eq!(heavy_report.trace.samples(), 2_000);
         assert_eq!(light_report.trace.samples(), 2_000);
-        assert!(
-            heavy_report.finish_order < light_report.finish_order,
-            "weight-4 session finished after weight-1 ({} vs {})",
-            heavy_report.finish_order,
-            light_report.finish_order
-        );
+        assert!(heavy_report.finish_order < light_report.finish_order);
+        assert!(!engine.run_quantum(), "an idle engine has nothing to step");
     }
 
     #[test]
@@ -2702,6 +1791,215 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The `(samples, found)` curve of a trace — what two runs of one
+    /// spec must share whatever their frames cost.
+    fn curve(trace: &exsample_core::driver::SearchTrace) -> Vec<(u64, u64)> {
+        trace
+            .points()
+            .iter()
+            .map(|p| (p.samples, p.found))
+            .collect()
+    }
+
+    #[test]
+    fn stepped_overlapping_sessions_match_solo_runs_and_pay_each_frame_once() {
+        use exsample_core::driver::{run_search_batched, SearchCost};
+        use exsample_core::exsample::ExSampleConfig;
+        use exsample_core::policy::{Feedback, SamplingPolicy};
+        use std::collections::HashSet;
+
+        /// ExSample, with every frame it hands out noted down — the
+        /// speculative tail of a last batch included.
+        struct Noting<'a>(ExSample, &'a mut HashSet<u64>);
+        impl SamplingPolicy for Noting<'_> {
+            fn next_frame(&mut self, rng: &mut Rng64) -> Option<u64> {
+                self.0.next_frame(rng).inspect(|&f| self.1.extend([f]))
+            }
+            fn next_batch(&mut self, batch: usize, rng: &mut Rng64, out: &mut Vec<u64>) {
+                self.0.next_batch(batch, rng, out);
+                self.1.extend(out.iter());
+            }
+            fn feedback(&mut self, frame: u64, fb: Feedback) {
+                self.0.feedback(frame, fb)
+            }
+            fn name(&self) -> String {
+                self.0.name()
+            }
+        }
+
+        // Rare objects and a near-full-recall target: both sessions sweep
+        // much of the same hot region, in batches of 8.
+        let gt = Arc::new(
+            DatasetSpec::single_class(
+                20_000,
+                ClassSpec::new("car", 40, 40.0, SkewSpec::CentralNormal { frac95: 0.15 }),
+            )
+            .generate(17),
+        );
+        let engine = Engine::new(EngineConfig {
+            workers: 0,
+            quantum: 16,
+            batch: 8,
+            ..EngineConfig::default()
+        });
+        let repo = engine.register_repo("overlap-repo", gt.clone(), NoiseModel::none(), 5);
+        let spec = |seed| {
+            QuerySpec::new(repo, ClassId(0), StopCond::results(30))
+                .seed(seed)
+                .chunks(8)
+        };
+        let ids = [
+            engine.submit(spec(100)).unwrap(),
+            engine.submit(spec(101)).unwrap(),
+        ];
+        run_to_idle(&engine);
+
+        let mut drawn = HashSet::new();
+        let mut recorded = 0;
+        for (id, seed) in ids.into_iter().zip([100, 101]) {
+            let report = engine.wait(id).unwrap();
+            let policy = ExSample::new(Chunking::even(20_000, 8), ExSampleConfig::default());
+            let mut oracle = exsample_detect::QueryOracle::new(
+                SimulatedDetector::new(gt.clone(), ClassId(0), NoiseModel::none(), 5),
+                OracleDiscriminator::new(),
+            );
+            let alone = run_search_batched(
+                &mut Noting(policy, &mut drawn),
+                &mut |frame| oracle.process(frame),
+                &SearchCost::per_sample(1.0 / 20.0),
+                &StopCond::results(30),
+                &mut Rng64::new(seed),
+                8,
+            );
+            assert_eq!(curve(&report.trace), curve(&alone));
+            recorded += report.charges.frames;
+        }
+        // Each frame either session drew was detected exactly once,
+        // whichever of them got to it first.
+        let stats = engine.cache_stats();
+        assert_eq!(engine.detector_invocations(), drawn.len() as u64);
+        assert!(
+            (drawn.len() as u64) < recorded,
+            "the sessions never overlapped"
+        );
+        assert!(stats.hits >= recorded - drawn.len() as u64);
+    }
+
+    #[test]
+    fn stepped_and_threaded_engines_report_bit_identical_sessions() {
+        // A repository per session, so who pays for a frame does not
+        // depend on the schedule and the whole report is a function of
+        // the spec: then an engine stepped by its caller and one stepped
+        // by two racing workers must agree to the bit — trace seconds and
+        // ledger included — per frame and in batches of 16.
+        let reports = |workers: usize, batch: u32| {
+            let engine = Engine::new(EngineConfig {
+                workers,
+                quantum: 32,
+                batch,
+                ..EngineConfig::default()
+            });
+            let ids: Vec<SessionId> = (0..3)
+                .map(|i| {
+                    let name = format!("solo-{i}");
+                    let repo =
+                        engine.register_repo(&name, truth(20_000, 60), NoiseModel::none(), 5);
+                    let spec = QuerySpec::new(repo, ClassId(0), StopCond::results(25));
+                    engine.submit(spec.seed(40 + i)).unwrap()
+                })
+                .collect();
+            if workers == 0 {
+                run_to_idle(&engine);
+            }
+            ids.into_iter()
+                .map(|id| engine.wait(id).unwrap())
+                .map(|r| (r.status, r.trace, r.charges, r.chunk_stats))
+                .collect::<Vec<_>>()
+        };
+        for batch in [1, 16] {
+            assert_eq!(reports(0, batch), reports(2, batch), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn a_panic_while_stepping_finalizes_the_session_instead_of_stranding_it() {
+        /// The oracle, until it has seen `left` frames; then it panics.
+        struct PanicsAfter {
+            inner: OracleDiscriminator,
+            left: u32,
+        }
+        impl exsample_detect::Discriminator for PanicsAfter {
+            fn observe(
+                &mut self,
+                frame: u64,
+                dets: &[exsample_detect::Detection],
+            ) -> exsample_detect::DiscrimOutcome {
+                assert!(self.left > 0, "discriminator stub: out of frames");
+                self.left -= 1;
+                self.inner.observe(frame, dets)
+            }
+            fn results(&self) -> u64 {
+                self.inner.results()
+            }
+        }
+
+        let (engine, repo) = small_engine(0);
+        let engine = Arc::new(engine);
+        let tenant = TenantId(9);
+        let binding = Some(TenantBinding { tenant, weight: 1 });
+        let spec = QuerySpec::new(repo, ClassId(0), StopCond::results(u64::MAX)).seed(1);
+        let doomed = engine.submit_tagged(spec, binding).unwrap();
+        // Nobody has stepped yet, so the core is parked: arm it to blow up
+        // in the middle of its third quantum.
+        let stub = PanicsAfter {
+            inner: OracleDiscriminator::new(),
+            left: 20,
+        };
+        lock_state(&engine.shared)
+            .parked
+            .get_mut(&doomed)
+            .expect("a fresh session is parked")
+            .discrim = Box::new(stub);
+        assert_eq!(engine.tenant_running(tenant), 1);
+
+        // A caller parks in `wait`, as a client would; a stepping thread
+        // plays the worker and dies of the panic.
+        let (done, waited) = std::sync::mpsc::channel();
+        let waiter = {
+            let engine = engine.clone();
+            std::thread::spawn(move || done.send(engine.wait(doomed)).unwrap())
+        };
+        let stepper = {
+            let engine = engine.clone();
+            std::thread::spawn(move || run_to_idle(&engine))
+        };
+        assert!(stepper.join().is_err(), "the panic reaches the stepper");
+        let report = waited
+            .recv_timeout(Duration::from_secs(60))
+            .expect("wait returns once the stepper has died")
+            .unwrap();
+        waiter.join().unwrap();
+        // Cancelled, with everything it had recorded — the 4 frames of
+        // the torn quantum included — and its books closed.
+        assert_eq!(report.status, SessionStatus::Cancelled);
+        assert_eq!(report.trace.samples(), 20);
+        assert_eq!(report.charges.frames, 20);
+        assert_eq!(engine.tenant_running(tenant), 0);
+        assert_eq!(engine.running_sessions(), 0);
+        assert_eq!(
+            engine.poll(doomed, 0).unwrap().status,
+            SessionStatus::Cancelled
+        );
+
+        // The engine is whole: the frames the doomed session paid for are
+        // shared, and the next session runs to its end.
+        let spec = QuerySpec::new(repo, ClassId(0), StopCond::results(5)).seed(1);
+        let next = engine.submit_tagged(spec, binding).unwrap();
+        run_to_idle(&engine);
+        assert_eq!(engine.wait(next).unwrap().status, SessionStatus::Done);
+        assert_eq!(engine.tenant_running(tenant), 0);
     }
 
     /// Returns from a park on a session cell, as the engine itself
