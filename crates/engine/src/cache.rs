@@ -20,6 +20,16 @@
 //! invocation count deterministic for a fixed workload (modulo
 //! evictions).
 //!
+//! A waiter's cell (its mutex and condvar) exists only for keys somebody
+//! waits on: the reservation is a bare in-flight entry, the first lookup
+//! that has to wait makes the cell, and a fill or abandon takes it out
+//! under the shard lock it holds anyway and wakes only if it found one.
+//! Most reservations are never waited on, and a fill that nobody waits on
+//! allocates nothing, locks no cell and makes no wake-up syscall. The
+//! counters live in the shards too, moved under the lock each lookup and
+//! fill already holds, so no lookup writes memory another shard's
+//! sessions share.
+//!
 //! The reservation is the interface — [`FrameCache::begin`], then
 //! [`MissGuard::fill`] or [`PendingWait::wait`] — so the engine's batched
 //! stepping (§III-F) can reserve a whole batch of keys, issue **one**
@@ -34,8 +44,7 @@
 use exsample_detect::Detection;
 use exsample_stats::FxHashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::session::RepoId;
 
@@ -49,17 +58,31 @@ struct Shard {
     map: FxHashMap<FrameKey, CachedDetections>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<FrameKey>,
-    /// Keys currently being computed (reserved by a [`MissGuard`]).
-    /// Pending keys are not resident — they don't count against capacity
-    /// and can't be evicted out from under their waiters.
-    pending: FxHashMap<FrameKey, Arc<PendingCell>>,
+    /// Keys currently being computed (reserved by a [`MissGuard`]), each
+    /// with its waiters' cell once the first of them arrived. Pending keys
+    /// are not resident — they don't count against capacity and can't be
+    /// evicted out from under their waiters.
+    pending: FxHashMap<FrameKey, Option<Arc<PendingCell>>>,
+    /// This shard's share of [`CacheStats`].
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    warm_loads: u64,
 }
 
-/// One in-flight computation: waiters park on `cv` until the computing
-/// session fills (or abandons) the entry.
+/// One in-flight computation that somebody waits on: waiters park on
+/// `cv` until the computing session fills (or abandons) the entry.
 struct PendingCell {
     state: Mutex<PendingState>,
     cv: Condvar,
+}
+
+impl PendingCell {
+    /// Publish the computation's outcome and wake every waiter.
+    fn settle(&self, outcome: PendingState) {
+        *self.state.lock().expect("pending cell poisoned") = outcome;
+        self.cv.notify_all();
+    }
 }
 
 enum PendingState {
@@ -128,10 +151,6 @@ pub struct FrameCache {
     shards: Vec<Mutex<Shard>>,
     /// Max resident entries per shard.
     shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    warm_loads: AtomicU64,
     write_behind: Option<WriteBehind>,
 }
 
@@ -153,14 +172,14 @@ impl FrameCache {
                         map: FxHashMap::default(),
                         order: VecDeque::new(),
                         pending: FxHashMap::default(),
+                        hits: 0,
+                        misses: 0,
+                        evictions: 0,
+                        warm_loads: 0,
                     })
                 })
                 .collect(),
             shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            warm_loads: AtomicU64::new(0),
             write_behind: None,
         }
     }
@@ -197,64 +216,74 @@ impl FrameCache {
     /// Statistics: a resident or in-flight key counts as a hit (no
     /// detector runs on behalf of this caller), a reservation as a miss.
     pub fn begin(&self, key: FrameKey) -> Lookup<'_> {
-        // lint: allow(panic_audit, shard_of is modulo the shard count so the index is always in bounds)
-        let mut shard = self.shards[self.shard_of(&key)]
-            .lock()
-            .expect("cache shard poisoned");
+        let mut shard = self.lock_shard(&key);
+        let shard = &mut *shard;
         if let Some(hit) = shard.map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            shard.hits += 1;
             return Lookup::Hit(hit.clone());
         }
-        if let Some(cell) = shard.pending.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(waiters) = shard.pending.get_mut(&key) {
+            shard.hits += 1;
+            let cell = waiters.get_or_insert_with(|| {
+                Arc::new(PendingCell {
+                    state: Mutex::new(PendingState::Computing),
+                    cv: Condvar::new(),
+                })
+            });
             return Lookup::Pending(PendingWait { cell: cell.clone() });
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::new(PendingCell {
-            state: Mutex::new(PendingState::Computing),
-            cv: Condvar::new(),
-        });
-        shard.pending.insert(key, cell.clone());
+        shard.misses += 1;
+        shard.pending.insert(key, None);
         Lookup::Miss(MissGuard {
             cache: self,
             key,
-            cell,
             filled: false,
         })
     }
 
-    /// Publish a freshly computed entry under `key`, evicting FIFO as
-    /// needed and waking waiters: the internals of [`MissGuard::fill`].
-    /// `write_behind: false` is the warm-fill path — the detections came
-    /// from durable storage, so echoing them into the log would duplicate
-    /// them forever.
-    fn finish_fill(
-        &self,
-        key: FrameKey,
-        cell: &PendingCell,
-        value: CachedDetections,
-        write_behind: bool,
-    ) {
+    /// The shard `key` lives in, locked.
+    fn lock_shard(&self, key: &FrameKey) -> MutexGuard<'_, Shard> {
         // lint: allow(panic_audit, shard_of is modulo the shard count so the index is always in bounds)
-        let mut shard = self.shards[self.shard_of(&key)]
+        self.shards[self.shard_of(key)]
             .lock()
-            .expect("cache shard poisoned");
-        shard.pending.remove(&key);
+            .expect("cache shard poisoned")
+    }
+
+    /// Publish a freshly computed entry under `key`, evicting FIFO as
+    /// needed and waking waiters, if there are any: the internals of
+    /// [`MissGuard::fill`]. `warm` is the warm-fill path — the detections
+    /// came from durable storage, so the reservation's miss is booked as
+    /// a warm hit, and echoing them into the log would duplicate them
+    /// forever.
+    fn finish_fill(&self, key: FrameKey, value: CachedDetections, warm: bool) {
+        let mut shard = self.lock_shard(&key);
+        let waiters = shard.pending.remove(&key).flatten();
         while shard.map.len() >= self.shard_capacity {
             // lint: allow(panic_audit, the order deque mirrors the map so it is non-empty while map.len() > 0)
             let victim = shard.order.pop_front().expect("order tracks map");
             shard.map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            shard.evictions += 1;
+        }
+        if warm {
+            // begin() booked this reservation as a miss before anyone
+            // knew the container had the frame; reclassify it as a hit
+            // (served from storage, not the detector) so `misses` keeps
+            // meaning exactly "detector invocations" and hits + misses
+            // keeps meaning lookups.
+            shard.misses -= 1;
+            shard.hits += 1;
+            shard.warm_loads += 1;
         }
         shard.map.insert(key, value.clone());
         shard.order.push_back(key);
         drop(shard);
-        *cell.state.lock().expect("pending cell poisoned") = PendingState::Filled(value.clone());
-        cell.cv.notify_all();
+        if let Some(cell) = waiters {
+            cell.settle(PendingState::Filled(value.clone()));
+        }
         // Write behind with every lock released: the sink may do real IO,
         // and neither this shard's sessions nor the entry's waiters
         // should stall behind it.
-        if write_behind {
+        if !warm {
             if let Some(hook) = &self.write_behind {
                 hook(key, &value);
             }
@@ -263,17 +292,16 @@ impl FrameCache {
 
     /// Aggregate counters across all shards.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard poisoned").map.len() as u64)
-                .sum(),
-            warm_loads: self.warm_loads.load(Ordering::Relaxed),
+        let mut total = CacheStats::default();
+        for shard in &self.shards {
+            let shard = shard.lock().expect("cache shard poisoned");
+            total.hits += shard.hits;
+            total.misses += shard.misses;
+            total.evictions += shard.evictions;
+            total.entries += shard.map.len() as u64;
+            total.warm_loads += shard.warm_loads;
         }
+        total
     }
 }
 
@@ -328,7 +356,6 @@ impl PendingWait {
 pub struct MissGuard<'a> {
     cache: &'a FrameCache,
     key: FrameKey,
-    cell: Arc<PendingCell>,
     filled: bool,
 }
 
@@ -344,8 +371,7 @@ impl MissGuard<'_> {
     pub fn fill(mut self, dets: Vec<Detection>) -> CachedDetections {
         let value: CachedDetections = Arc::new(dets);
         self.filled = true;
-        self.cache
-            .finish_fill(self.key, &self.cell, value.clone(), true);
+        self.cache.finish_fill(self.key, value.clone(), false);
         value
     }
 
@@ -358,15 +384,7 @@ impl MissGuard<'_> {
     pub fn fill_warm(mut self, dets: Vec<Detection>) -> CachedDetections {
         let value: CachedDetections = Arc::new(dets);
         self.filled = true;
-        // begin() booked this reservation as a miss before anyone knew the
-        // container had the frame; reclassify it as a hit (served from
-        // storage, not the detector) so `misses` keeps meaning exactly
-        // "detector invocations" and hits + misses keeps meaning lookups.
-        self.cache.misses.fetch_sub(1, Ordering::Relaxed);
-        self.cache.hits.fetch_add(1, Ordering::Relaxed);
-        self.cache.warm_loads.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .finish_fill(self.key, &self.cell, value.clone(), false);
+        self.cache.finish_fill(self.key, value.clone(), true);
         value
     }
 }
@@ -379,14 +397,10 @@ impl Drop for MissGuard<'_> {
         // Abandoned (the compute panicked, or the guard was discarded):
         // un-reserve the key and wake waiters so they can retry — an
         // in-flight entry must never outlive its computer.
-        // lint: allow(panic_audit, shard_of is modulo the shard count so the index is always in bounds)
-        let mut shard = self.cache.shards[self.cache.shard_of(&self.key)]
-            .lock()
-            .expect("cache shard poisoned");
-        shard.pending.remove(&self.key);
-        drop(shard);
-        *self.cell.state.lock().expect("pending cell poisoned") = PendingState::Abandoned;
-        self.cell.cv.notify_all();
+        let waiters = self.cache.lock_shard(&self.key).pending.remove(&self.key);
+        if let Some(cell) = waiters.flatten() {
+            cell.settle(PendingState::Abandoned);
+        }
     }
 }
 
@@ -403,6 +417,7 @@ impl std::fmt::Debug for FrameCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn key(frame: u64) -> FrameKey {
         (RepoId(0), frame)
@@ -575,6 +590,86 @@ mod tests {
         assert!(!hit);
         let (_, hit) = get_or_compute(&cache, key(5), || panic!("resident now"));
         assert!(hit);
+    }
+
+    /// Reserve `key`, then have a second thread look it up: it must find
+    /// the key pending and park. Returns once that waiter's cell exists —
+    /// the one thing only a waiter makes — with the reservation and the
+    /// waiter's join handle.
+    fn reserve_with_parked_waiter<'s, 'c>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        cache: &'c FrameCache,
+        key: FrameKey,
+    ) -> (
+        MissGuard<'c>,
+        std::thread::ScopedJoinHandle<'s, Option<CachedDetections>>,
+    )
+    where
+        'c: 's,
+    {
+        let waiter_cell = || cache.lock_shard(&key).pending.get(&key).cloned();
+        let guard = match cache.begin(key) {
+            Lookup::Miss(g) => g,
+            other => panic!("expected miss, got {other:?}"),
+        };
+        // Nobody waits yet: the reservation is a bare entry.
+        assert!(matches!(waiter_cell(), Some(None)));
+        let waiter = scope.spawn(move || match cache.begin(key) {
+            Lookup::Pending(wait) => wait.wait(),
+            other => panic!("expected pending, got {other:?}"),
+        });
+        while !matches!(waiter_cell(), Some(Some(_))) {
+            std::thread::yield_now();
+        }
+        // Give the waiter time to park on the condvar; should it not have
+        // yet, it finds the outcome already settled — the same answer.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        (guard, waiter)
+    }
+
+    #[test]
+    fn a_parked_waiter_whose_computer_abandons_retries_and_computes() {
+        let cache = FrameCache::new(64, 1);
+        std::thread::scope(|scope| {
+            let (guard, waiter) = reserve_with_parked_waiter(scope, &cache, key(5));
+            drop(guard);
+            assert!(waiter.join().unwrap().is_none(), "abandoned, not filled");
+        });
+        // The woken waiter asks again and computes the key itself.
+        let (_, hit) = get_or_compute(&cache, key(5), Vec::new);
+        assert!(!hit);
+        let (_, hit) = get_or_compute(&cache, key(5), || panic!("resident now"));
+        assert!(hit);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 2, 1));
+    }
+
+    #[test]
+    fn a_waiter_arriving_after_the_reservation_is_woken_by_fill() {
+        let cache = FrameCache::new(64, 1);
+        std::thread::scope(|scope| {
+            let (guard, waiter) = reserve_with_parked_waiter(scope, &cache, key(1));
+            let filled = guard.fill(Vec::new());
+            let served = waiter.join().unwrap().expect("filled");
+            assert!(Arc::ptr_eq(&filled, &served));
+        });
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.warm_loads, s.entries), (1, 1, 0, 1));
+        assert!(cache.lock_shard(&key(1)).pending.is_empty());
+    }
+
+    #[test]
+    fn a_waiter_arriving_after_the_reservation_is_woken_by_fill_warm() {
+        let cache = FrameCache::new(64, 1);
+        std::thread::scope(|scope| {
+            let (guard, waiter) = reserve_with_parked_waiter(scope, &cache, key(2));
+            let filled = guard.fill_warm(Vec::new());
+            let served = waiter.join().unwrap().expect("filled");
+            assert!(Arc::ptr_eq(&filled, &served));
+        });
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.warm_loads, s.entries), (2, 0, 1, 1));
+        assert!(cache.lock_shard(&key(2)).pending.is_empty());
     }
 
     #[test]

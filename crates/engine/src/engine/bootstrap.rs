@@ -14,7 +14,6 @@ use exsample_persist::{
     dataset_fingerprint, scan_detections, BeliefStore, DetectionLog, LoadStats, PersistConfig,
     RepoCatalog,
 };
-use exsample_store::{Container, ContainerWriter};
 use exsample_videosim::GroundTruth;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -215,13 +214,13 @@ impl PersistShared {
     }
 }
 
-/// A registered repository: ground truth, one deterministic per-class
-/// detector bank, and its GOP container, opened once: sessions read
-/// through [`Container::reader`]s that share its bytes and parsed index.
+/// A registered repository: ground truth and one deterministic per-class
+/// detector bank. Nothing here grows with the frame count — a session
+/// prices its reads with a [`GopWalk`](exsample_store::GopWalk) of its
+/// own, which needs only `gt.frames` and the engine's `gop_size`.
 pub(super) struct RepoData {
     pub(super) gt: Arc<GroundTruth>,
     pub(super) detectors: Vec<SimulatedDetector>,
-    pub(super) container: Container,
 }
 
 /// A repository slot in the engine state: catalog entry + live data.
@@ -251,8 +250,12 @@ impl Engine {
     /// Register a repository under a caller-supplied `name`. Builds the
     /// per-class detector bank (the noise stream of class `c` is seeded by
     /// `det_seed + c`, so detection output is a pure function of
-    /// `(repo, frame)`) and writes the repository's GOP container, which
-    /// sessions decode through.
+    /// `(repo, frame)`) and nothing else: no storage is written, and the
+    /// cost is the same for an hour of footage as for a thousand. What a
+    /// session's reads cost is the GOP container's structure alone —
+    /// seeks and keyframe walks, priced by each session's own
+    /// [`GopWalk`](exsample_store::GopWalk) over `gt.frames` at
+    /// [`EngineConfig::gop_size`](super::EngineConfig::gop_size).
     ///
     /// # Identity
     ///
@@ -312,20 +315,9 @@ impl Engine {
                 )
             })
             .collect();
-        // Model the storage layer with an empty payload per frame: decode
-        // *cost* (seeks, keyframe walks) is structural, not content-bound.
-        let mut writer = ContainerWriter::new(self.shared.config.gop_size);
-        for _ in 0..gt.frames {
-            writer.push_frame(&[]);
-        }
         let frames = gt.frames;
         let classes = gt.num_classes() as u16;
-        let data = Arc::new(RepoData {
-            gt,
-            detectors,
-            // lint: allow(panic_audit, the engine wrote these bytes itself two lines up)
-            container: Container::open(writer.finish()).expect("engine-built container"),
-        });
+        let data = Arc::new(RepoData { gt, detectors });
         let mut state = self.lock_state();
         // Raced registration of the same identity: first writer wins, the
         // duplicate build is discarded.

@@ -69,10 +69,16 @@
 //!    the session charged.
 //!
 //! Per-frame cost is the modelled detector time (`1 / detector_fps`,
-//! cache misses only) plus io/decode seconds from the session's own GOP
-//! container reader priced by the store's `CostModel`, plus one
-//! `CostModel::dispatch_s` overhead per dispatch; cache hits are free,
-//! which is precisely the sharing the engine exists to exploit.
+//! cache misses only) plus io/decode seconds priced by the store's
+//! `CostModel`, plus one `CostModel::dispatch_s` overhead per dispatch;
+//! cache hits are free, which is precisely the sharing the engine exists
+//! to exploit. The io/decode tally of a miss comes from the session's own
+//! `exsample_store::GopWalk` — the seek, GOP fetch and keyframe walk the
+//! paper's re-encoded storage (§V-A, a keyframe every
+//! [`EngineConfig::gop_size`] frames) would pay, with every frame an empty
+//! payload. No container is built or read: decode cost is structural, so
+//! the walk charges exactly what reading such a container would, holds no
+//! bytes, and leaves a repository costing nothing per frame to register.
 //!
 //! # Determinism
 //!
@@ -307,13 +313,14 @@ impl Engine {
     ///
     /// # Panics
     /// Panics if the configuration is degenerate (zero quantum, batch,
-    /// fps, or cache capacity), or if the persist directory cannot be
+    /// fps, GOP size or cache capacity), or if the persist directory cannot be
     /// created or listed at all (directory-level IO failure — damaged
     /// *contents* never panic).
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.quantum > 0, "quantum must be positive");
         assert!(config.batch > 0, "batch must be positive");
         assert!(config.detector_fps > 0.0, "detector_fps must be positive");
+        assert!(config.gop_size > 0, "gop_size must be positive");
         let obs = Arc::new(EngineObs::new(
             config.observe,
             config.trace,
@@ -428,9 +435,18 @@ impl Engine {
             }
         }
         let cell = SessionCell::new();
-        let batch = spec.batch.unwrap_or(self.shared.config.batch);
+        let config = &self.shared.config;
+        let batch = spec.batch.unwrap_or(config.batch);
         let tenant = binding.map(|b| b.tenant);
-        let core = SessionCore::new(&spec, repo, policy, batch, cell.clone(), tenant);
+        let core = SessionCore::new(
+            &spec,
+            repo,
+            policy,
+            batch,
+            config.gop_size,
+            cell.clone(),
+            tenant,
+        );
         let id = SessionId(state.next_session);
         state.next_session += 1;
         // Still under the state lock, so before any worker can lease

@@ -26,7 +26,7 @@ use exsample_detect::{
 };
 use exsample_obs::{SpanGuard, Stage};
 use exsample_stats::Rng64;
-use exsample_store::{Container, DecodeStats};
+use exsample_store::{DecodeStats, GopWalk};
 use exsample_videosim::{ClassId, InstanceId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -43,9 +43,9 @@ pub(super) struct SessionCore {
     rng: Rng64,
     stepper: SearchStepper,
     pub(super) discrim: Box<dyn Discriminator + Send>,
-    /// This session's private reader over the repo container (its own GOP
-    /// cache and decode tally).
-    container: Container,
+    /// Where this session's reads stand in the repository's GOP
+    /// structure: what the next miss's decode costs.
+    walk: GopWalk,
     /// What the quantum in flight produced, until it is published. It
     /// stays in the core while the session is stepped, so a quantum cut
     /// short by a panic still publishes what it had recorded.
@@ -66,6 +66,7 @@ impl SessionCore {
         repo: Arc<RepoData>,
         policy: ExSample,
         batch: u32,
+        gop_size: u32,
         cell: Arc<SessionCell>,
         tenant: Option<TenantId>,
     ) -> Box<Self> {
@@ -76,13 +77,13 @@ impl SessionCore {
             }
         };
         Box::new(SessionCore {
+            walk: GopWalk::new(gop_size, repo.gt.frames),
             repo_id: spec.repo,
             class: spec.class,
             policy,
             rng: Rng64::new(spec.seed),
             stepper: SearchStepper::new(spec.stop, 0.0),
             discrim,
-            container: repo.container.reader(),
             repo,
             quantum: Quantum::default(),
             batch: batch.max(1) as usize,
@@ -456,8 +457,9 @@ impl<'a> Worker<'a> {
     /// chunks' columns are decoded (and only once per chunk, cached); a
     /// served frame is a warm hit — no miss, no io bill, no write-behind.
     ///
-    /// **Then one dispatch** for every reservation left: decode through
-    /// the session's own container reader, detect back-to-back, publish.
+    /// **Then one dispatch** for every reservation left: price each
+    /// frame's decode on the session's own [`GopWalk`], detect
+    /// back-to-back, publish.
     /// The first miss carries the dispatch-overhead bill. The span covers
     /// all three steps; its event key is the miss count, so summing
     /// dispatch-event keys reproduces the engine's detector-invocation
@@ -490,12 +492,10 @@ impl<'a> Worker<'a> {
         span.set_key(miss_frames.len() as u64);
         self.miss_io.clear();
         for &frame in miss_frames.iter() {
-            let before = *core.container.stats();
-            core.container
-                .read_frame(frame)
-                // lint: allow(panic_audit, the container was validated at registration; torn storage mid-run is fatal by design)
-                .expect("engine-built container read");
-            let io = decode_delta(&before, core.container.stats());
+            let mut io = DecodeStats::new();
+            // The sampler draws below `gt.frames`, the walk's frame count,
+            // so the walk refuses nothing — and a refused read is free.
+            let _ = core.walk.read(frame, &mut io);
             self.miss_io.push(shared.config.cost_model.seconds(&io));
         }
         let banks = dispatch_batch(&core.repo.detectors, miss_frames, &mut self.gt_scratch);
@@ -644,7 +644,7 @@ struct Retired {
 }
 
 /// Reduce a finished session's core to its [`Retired`] parts. The rest —
-/// sampler, discriminator, container reader — is freed on return, which
+/// sampler, discriminator, GOP walk — is freed on return, which
 /// the caller arranges to be before it takes any lock.
 fn retire(core: Box<SessionCore>) -> Retired {
     let core = *core;
@@ -671,16 +671,5 @@ fn wake(cell: &SessionCell, notify: bool, woken: &mut Vec<Watch>) {
     }
     for watch in woken.drain(..) {
         watch.fire();
-    }
-}
-
-/// Component-wise `after - before` of two decode tallies.
-fn decode_delta(before: &DecodeStats, after: &DecodeStats) -> DecodeStats {
-    DecodeStats {
-        seeks: after.seeks - before.seeks,
-        gops_fetched: after.gops_fetched - before.gops_fetched,
-        frames_decoded: after.frames_decoded - before.frames_decoded,
-        frames_returned: after.frames_returned - before.frames_returned,
-        bytes_fetched: after.bytes_fetched - before.bytes_fetched,
     }
 }

@@ -25,7 +25,7 @@
 //! [`Container::read_frame`] returns a slice of the one buffer every
 //! reader of the container shares.
 
-use crate::cost::DecodeStats;
+use crate::cost::{DecodeStats, GopWalk};
 use crate::crc::crc32;
 use crate::framing::Disk;
 use crate::le::{put_bytes, Le, Reader};
@@ -65,7 +65,7 @@ const HEADER_LEN: usize = <Header as Le<Disk>>::MIN;
 const TRAILER_LEN: usize = <Trailer as Le<Disk>>::MIN;
 const INDEX_ENTRY_LEN: usize = <GopEntry as Le<Disk>>::MIN;
 /// The `len u32` in front of each frame inside a GOP.
-const FRAME_PREFIX_LEN: usize = <u32 as Le<Disk>>::MIN;
+pub(crate) const FRAME_PREFIX_LEN: usize = <u32 as Le<Disk>>::MIN;
 
 /// Errors produced while opening or reading a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,8 +216,6 @@ struct Gop {
 #[derive(Debug)]
 struct Shared {
     data: Vec<u8>,
-    gop_size: u32,
-    frame_count: u64,
     /// One entry per `gop_size` frames, in frame order.
     gops: Vec<Gop>,
 }
@@ -225,11 +223,11 @@ struct Shared {
 /// Random-access reader over a finished container.
 ///
 /// Reads validate GOP checksums on first touch and account decode work in
-/// a [`DecodeStats`] tally. The most recently decoded GOP stays cached, so
-/// sequential access decodes each frame exactly once. What is cached is
-/// not bytes: it is the id of the one verified GOP and the extent of each
-/// of its frames the keyframe walk has reached, in a `Vec` reused from GOP
-/// to GOP.
+/// a [`DecodeStats`] tally, through a [`GopWalk`]. The most recently
+/// decoded GOP stays cached, so sequential access decodes each frame
+/// exactly once. What is cached is not bytes: it is the walk's place in
+/// the one verified GOP and the extent of each of its frames the walk has
+/// reached, in a `Vec` reused from GOP to GOP.
 ///
 /// The bytes and the checked GOP index are shared between a container and
 /// the readers handed out by [`Container::reader`]; the GOP cache and the
@@ -238,10 +236,11 @@ struct Shared {
 #[derive(Debug)]
 pub struct Container {
     shared: Arc<Shared>,
-    /// The GOP whose checksum this reader verified last.
-    cached_gop: Option<u32>,
-    /// Where in `shared.data` each frame of `cached_gop` decoded so far
-    /// lies, keyframe first.
+    /// Which GOP this reader verified last, and how far into it it has
+    /// decoded.
+    walk: GopWalk,
+    /// Where in `shared.data` each frame `walk` has decoded lies,
+    /// keyframe first: one entry per frame walked.
     frames: Vec<Range<usize>>,
     stats: DecodeStats,
 }
@@ -318,13 +317,8 @@ impl Container {
             });
         }
         Ok(Container {
-            shared: Arc::new(Shared {
-                data,
-                gop_size,
-                frame_count,
-                gops,
-            }),
-            cached_gop: None,
+            shared: Arc::new(Shared { data, gops }),
+            walk: GopWalk::new(gop_size, frame_count),
             frames: Vec::new(),
             stats: DecodeStats::new(),
         })
@@ -337,7 +331,7 @@ impl Container {
     pub fn reader(&self) -> Container {
         Container {
             shared: Arc::clone(&self.shared),
-            cached_gop: None,
+            walk: GopWalk::new(self.gop_size(), self.frame_count()),
             frames: Vec::new(),
             stats: DecodeStats::new(),
         }
@@ -345,12 +339,12 @@ impl Container {
 
     /// Frames stored.
     pub fn frame_count(&self) -> u64 {
-        self.shared.frame_count
+        self.walk.frame_count()
     }
 
     /// Configured GOP size.
     pub fn gop_size(&self) -> u32 {
-        self.shared.gop_size
+        self.walk.gop_size()
     }
 
     /// Number of GOPs.
@@ -379,43 +373,42 @@ impl Container {
     /// it stopped, or not at all for a frame already reached.
     pub fn read_frame(&mut self, frame: u64) -> Result<&[u8], StoreError> {
         let shared = &*self.shared;
-        if frame >= shared.frame_count {
-            return Err(StoreError::FrameOutOfRange {
-                frame,
-                total: shared.frame_count,
-            });
-        }
-        let gop = (frame / shared.gop_size as u64) as u32;
-        let within = (frame % shared.gop_size as u64) as usize;
+        let frames = &mut self.frames;
         // `open` checked that there is a GOP for every frame below
         // `frame_count` and that its extent lies inside `data`.
-        let e = shared.gops[gop as usize];
-        if self.cached_gop != Some(gop) {
-            self.stats.seeks += 1;
-            self.stats.gops_fetched += 1;
-            self.stats.bytes_fetched += (e.end - e.start) as u64;
-            if crc32(&shared.data[e.start..e.end]) != e.crc {
-                return Err(StoreError::CorruptGop { gop });
-            }
-            self.cached_gop = Some(gop);
-            self.frames.clear();
-        }
-        // Walk the length-prefixed frames on from where the last read of
-        // this GOP stopped.
-        let mut off = self.frames.last().map_or(e.start, |f| f.end);
-        while self.frames.len() <= within {
-            let mut r = Reader::new(&shared.data[off..e.end]);
+        let fetch = |gop: u32| {
+            let e = shared.gops[gop as usize];
+            let verified = if crc32(&shared.data[e.start..e.end]) == e.crc {
+                Ok(())
+            } else {
+                Err(StoreError::CorruptGop { gop })
+            };
+            ((e.end - e.start) as u64, verified)
+        };
+        // Extend the walk over the length-prefixed frames. The walk asks
+        // for consecutive frames, starting at the first it has not reached
+        // — frame 0 of a GOP just verified, which drops the last GOP's
+        // extents — so `at` (the next frame's offset, the GOP's end) is
+        // found once per read.
+        let mut at: Option<(usize, usize)> = None;
+        let decode = |gop: u32, i: usize| {
+            let (off, end) = at.get_or_insert_with(|| {
+                let e = shared.gops[gop as usize];
+                frames.truncate(i);
+                (frames.last().map_or(e.start, |f| f.end), e.end)
+            });
+            let mut r = Reader::new(&shared.data[*off..*end]);
             let len =
                 r.u32()
                     .map_err(|_| StoreError::Malformed("truncated gop"))? as usize;
             r.take(len)
                 .map_err(|_| StoreError::Malformed("truncated frame"))?;
-            let start = off + FRAME_PREFIX_LEN;
-            off = start + len;
-            self.frames.push(start..off);
-            self.stats.frames_decoded += 1;
-        }
-        self.stats.frames_returned += 1;
+            let start = *off + FRAME_PREFIX_LEN;
+            *off = start + len;
+            frames.push(start..*off);
+            Ok(())
+        };
+        let within = self.walk.read_with(frame, &mut self.stats, fetch, decode)?;
         Ok(&shared.data[self.frames[within].clone()])
     }
 }
