@@ -1,5 +1,5 @@
 //! Paper-reproduction binaries, the 10k-connection `serve_bench`, and
-//! Criterion benches. Every other measurement of the system is the
+//! `sampler_micro`. Every other measurement of the system is the
 //! stand-alone `benchmark/` workspace's (`BENCHMARK.json`).
 //!
 //! Binaries (run with `--release`; add `--quick` for smoke-scale):
@@ -14,12 +14,12 @@
 //! cargo run --release -p exsample-bench --bin coverage # §III-D variance check
 //! cargo run --release -p exsample-bench --bin ablate   # design ablations
 //! cargo run --release -p exsample-bench --bin serve_bench -- --smoke  # reactor under load
+//! cargo run --release -p exsample-bench --bin sampler_micro # quantile vs draw, work per pick
 //! ```
 //!
 //! Each paper binary prints paper-style tables and writes CSVs under
-//! `results/`; `serve_bench` without `--smoke` rewrites `BENCH_serve.json`.
-//! Criterion benches live in `benches/` (one scaled bench per
-//! table/figure plus microbenches of the hot paths).
+//! `results/`; `serve_bench` without `--smoke` rewrites `BENCH_serve.json`;
+//! `sampler_micro` prints only.
 
 /// Output directory for experiment CSVs, honouring `EXSAMPLE_RESULTS`.
 pub fn results_dir() -> std::path::PathBuf {

@@ -17,11 +17,11 @@
 //! The quantile `F⁻¹` is a Halley iteration over the incomplete gamma
 //! function and costs as much as 50–70 Marsaglia–Tsang draws (2.0 µs
 //! against 40 ns for a draw at shape 0.1 and 28 ns at shape ≥ 1; the
-//! `gamma/inv_cdf` and `belief/prepared_draw/*` cases of `cargo bench -p
-//! exsample-bench --bench micro` regenerate the ratio), so a searched
-//! sampler at `M = 1024`, which holds about three large groups beside some
-//! forty small ones, would spend three quarters of a step in three
-//! quantiles if it scored each. Only the *argmax* is needed, and `F` is
+//! `gamma/inv_cdf` and `belief/prepared_draw/*` cases of `cargo run
+//! --release -p exsample-bench --bin sampler_micro` regenerate the ratio),
+//! so a searched sampler at `M = 1024`, which holds about three large
+//! groups beside some forty small ones, would spend three quarters of a
+//! step in three quantiles if it scored each. Only the *argmax* is needed, and `F` is
 //! non-decreasing, so the step is split in two passes:
 //!
 //! 1. **Draw.** Walk the groups in id order and consume the RNG: a small
@@ -53,8 +53,8 @@
 //!      against.
 //!
 //!    On the benchmark's `solo_manychunk` searches (`ExSample::scoring_work`
-//!    counts them; `exsample_next_frame/searched_chunks/1024` of the micro
-//!    bench prints the ratios) a pick screens 3.0 large groups, of which
+//!    counts them; `exsample_next_frame/searched_chunks/1024` of the
+//!    `sampler_micro` bin prints the ratios) a pick screens 3.0 large groups, of which
 //!    0.10 reach the CDF — 3.2 did before there was a memo —, about one
 //!    pick in four reaches the floor and 0.02–0.03 quantiles are left of
 //!    0.24. What remains of a step is its 55–60 draws.

@@ -111,7 +111,7 @@ impl PersistShared {
         // could not.
         let chunk_frames = pc.columnar.unwrap_or_default().chunk_frames;
         let folded = {
-            let mut span = obs.span_flight(Stage::Compaction, NO_SESSION);
+            let mut span = obs.span(Stage::Compaction, NO_SESSION);
             span.set_key(chunk_frames);
             exsample_colstore::compact(&pc.dir, pc.fingerprint, chunk_frames)
         };
@@ -161,7 +161,7 @@ impl PersistShared {
         cache.set_write_behind(Box::new(move |key, dets| {
             // The cache does not know which session published the
             // miss; write-behind events are unowned.
-            let mut span = wb_obs.span_flight(Stage::WriteBehind, NO_SESSION);
+            let mut span = wb_obs.span(Stage::WriteBehind, NO_SESSION);
             span.set_key(key.1);
             sink.lock()
                 .expect("detection log poisoned")

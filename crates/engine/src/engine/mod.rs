@@ -169,27 +169,19 @@ pub struct EngineConfig {
     /// reaps at its next touch. Pick a TTL comfortably above the slowest
     /// client's poll interval. `None` (the default) never reaps.
     pub session_ttl: Option<Duration>,
-    /// Record latency histograms and flight-recorder events (on by
-    /// default). Instrumentation is observational only — wall-clock
-    /// reads and relaxed atomics — so session traces are identical
-    /// either way; switching it off removes even that cost (the
-    /// benchmark's `obs.*_record_ns` layer metrics price it per record).
-    /// Metrics are still *registered* when off (with zero readings), so
+    /// Record latency histograms, flight-recorder events (the last 4096)
+    /// and request-scoped span trees (on by default). Each accepted
+    /// submit opens a trace — deterministically derived from the session
+    /// id — and every instrumented stage adds a span to its causal tree,
+    /// collectable via
+    /// [`SearchService::collect_trace`](crate::SearchService::collect_trace).
+    /// Instrumentation is observational only — wall-clock reads and
+    /// relaxed atomics — so session traces are identical either way;
+    /// switching it off removes even that cost (the benchmark's
+    /// `obs.*_record_ns` layer metrics price it per record). Metrics are
+    /// still *registered* when off (with zero readings), so
     /// [`Engine::diagnostics`] keeps a stable shape.
     pub observe: bool,
-    /// Record request-scoped span trees for distributed tracing (on by
-    /// default, but inert unless [`observe`](Self::observe) is also on).
-    /// Each accepted submit opens a trace — deterministically derived
-    /// from the session id — and every instrumented stage adds a span to
-    /// its causal tree, collectable via
-    /// [`SearchService::collect_trace`](crate::SearchService::collect_trace).
-    /// Like all instrumentation this is observational only; search
-    /// traces are bit-identical with tracing on or off.
-    pub trace: bool,
-    /// Capacity of the flight recorder's event ring (most recent events
-    /// win). Sized so a typical debugging window — a few thousand
-    /// dispatches — stays resident.
-    pub flight_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -206,8 +198,6 @@ impl Default for EngineConfig {
             persist: None,
             session_ttl: None,
             observe: true,
-            trace: true,
-            flight_capacity: 4096,
         }
     }
 }
@@ -321,11 +311,7 @@ impl Engine {
         assert!(config.batch > 0, "batch must be positive");
         assert!(config.detector_fps > 0.0, "detector_fps must be positive");
         assert!(config.gop_size > 0, "gop_size must be positive");
-        let obs = Arc::new(EngineObs::new(
-            config.observe,
-            config.trace,
-            config.flight_capacity,
-        ));
+        let obs = Arc::new(EngineObs::new(config.observe));
         let mut cache = FrameCache::new(config.cache_capacity, config.cache_shards);
         let persist = config
             .persist
@@ -746,15 +732,15 @@ impl Engine {
     }
 
     /// The instrumentation hub — other layers (e.g. the wire server)
-    /// time their own stages into the same registry and flight
-    /// recorder through this.
+    /// record their own stages through its [`EngineObs::record`] and
+    /// [`EngineObs::span`], into the same histograms, ring and traces.
     pub fn obs(&self) -> &EngineObs {
         &self.shared.obs
     }
 
     /// This shard's recorded spans for `trace`, as a causal tree rooted
-    /// at the session span. Empty when tracing is off (or the trace was
-    /// evicted); never an error.
+    /// at the session span. Empty when [`EngineConfig::observe`] is off
+    /// (or the trace was evicted); never an error.
     pub fn collect_trace(&self, trace: TraceId) -> Vec<SpanRecord> {
         self.shared.obs.tracer().collect(trace)
     }

@@ -12,7 +12,7 @@
 
 use super::{lock_state, reap_expired, EngineState, RepoData, Shared, StateGuard};
 use crate::cache::{CachedDetections, Lookup, MissGuard, PendingWait};
-use crate::obs::elapsed_ns;
+use crate::obs::{elapsed_ns, Span};
 use crate::session::{
     DiscriminatorKind, Finished, Quantum, QuerySpec, RepoId, ResultEvent, SessionCell, SessionId,
     SessionStatus, TenantId, Watch,
@@ -24,7 +24,7 @@ use exsample_core::policy::Feedback;
 use exsample_detect::{
     dispatch_batch, Detection, Discriminator, OracleDiscriminator, TrackerDiscriminator,
 };
-use exsample_obs::{SpanGuard, Stage};
+use exsample_obs::Stage;
 use exsample_stats::Rng64;
 use exsample_store::{DecodeStats, GopWalk};
 use exsample_videosim::{ClassId, InstanceId};
@@ -168,9 +168,7 @@ type Frames<'c> = VecDeque<(u64, FrameState<'c>)>;
 struct Batch<'c> {
     frames: Frames<'c>,
     /// Open from the draw until every frame's detections are in hand.
-    /// Histogram-only (no flight event): at B=1 it fires per frame, which
-    /// would churn the event ring for no diagnostic value.
-    assembly: SpanGuard<'c>,
+    assembly: Span<'c>,
 }
 
 /// Pass every frame's state through `f` — in order, in place, and by
@@ -264,7 +262,7 @@ impl<'a> Worker<'a> {
         }
         if let Some(t0) = lease_t0 {
             let frames = lease.core.quantum.delta.frames;
-            obs.record(Stage::Lease, lease.id.0, elapsed_ns(t0), frames);
+            obs.record(Stage::Lease, lease.id.0, None, elapsed_ns(t0), frames);
             obs.frames_total.add(frames);
         }
         let state = match lease.core.quantum.ended {
@@ -383,7 +381,7 @@ impl<'a> Worker<'a> {
         if let Some(persist) = snapshot {
             drop(state);
             {
-                let mut span = shared.obs.span_flight(Stage::BeliefSnapshot, id.0);
+                let mut span = shared.obs.span(Stage::BeliefSnapshot, id.0);
                 span.set_key(belief_key.2 as u64);
                 persist
                     .beliefs
@@ -488,7 +486,7 @@ impl<'a> Worker<'a> {
         if miss_frames.is_empty() {
             return;
         }
-        let mut span = shared.obs.span_flight(Stage::Dispatch, lease.id.0);
+        let mut span = shared.obs.span(Stage::Dispatch, lease.id.0);
         span.set_key(miss_frames.len() as u64);
         self.miss_io.clear();
         for &frame in miss_frames.iter() {
@@ -608,7 +606,7 @@ impl<'a> Worker<'a> {
     fn settle(&mut self, lease: &mut Lease, frame: u64, mut state: FrameState<'a>) -> Resolved {
         let shared = self.shared;
         let _wait_span = matches!(state, FrameState::Theirs(_)).then(|| {
-            let mut span = shared.obs.span_flight(Stage::CacheWait, lease.id.0);
+            let mut span = shared.obs.span(Stage::CacheWait, lease.id.0);
             span.set_key(frame);
             span
         });

@@ -1,27 +1,35 @@
 //! The engine's instrumentation hub: one [`Registry`], one
-//! [`FlightRecorder`], and pre-resolved histogram handles for every
-//! engine stage, so hot paths record through plain `Arc` derefs and
-//! relaxed atomics — never through the registry lock.
+//! [`FlightRecorder`], one [`SpanCollector`], and one pre-resolved
+//! histogram per [`Stage`] — all written by [`EngineObs::record`], so hot
+//! paths record through plain `Arc` derefs and relaxed atomics, never
+//! through the registry lock. Where an occurrence goes is the stage's
+//! business: its histogram always, the ring when [`Stage::in_ring`], the
+//! trace when it has one. [`Span`] times a region and records it on drop.
 //!
 //! Instrumentation is strictly observational (wall clock + atomics); it
 //! cannot perturb a session's deterministic trace. With
-//! [`EngineConfig::observe`](crate::EngineConfig::observe) off, spans
-//! are inert and never read the clock (`tests/obs_contract.rs`).
+//! [`EngineConfig::observe`](crate::EngineConfig::observe) off, nothing is
+//! recorded and spans never read the clock (`tests/obs_contract.rs`).
 
 use exsample_obs::{
     Counter, CounterFamily, FlightRecorder, GaugeFamily, LatencyHistogram, Registry, SpanCollector,
-    SpanGuard, SpanId, Stage, TraceId, NO_SESSION,
+    SpanId, Stage, TraceContext, TraceId, NO_SESSION,
 };
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Events the flight ring keeps: a debugging window of a few thousand
+/// dispatches.
+const FLIGHT_CAPACITY: usize = 4096;
 
 /// Nanoseconds since `since`, saturating.
 pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Pre-registered metric handles plus the flight recorder; owned by the
-/// engine's shared state and reachable from every worker.
+/// Pre-registered metric handles, the flight recorder and the span
+/// collector; owned by the engine's shared state and reachable from
+/// every worker.
 ///
 /// The metric catalog (names, units, span taxonomy) is documented in
 /// `docs/OBSERVABILITY.md`.
@@ -30,24 +38,11 @@ pub struct EngineObs {
     enabled: bool,
     registry: Arc<Registry>,
     flight: FlightRecorder,
-    dispatch: Arc<LatencyHistogram>,
-    batch_assembly: Arc<LatencyHistogram>,
-    cache_wait: Arc<LatencyHistogram>,
-    lease: Arc<LatencyHistogram>,
-    write_behind: Arc<LatencyHistogram>,
-    belief_snapshot: Arc<LatencyHistogram>,
-    compaction: Arc<LatencyHistogram>,
-    server_submit: Arc<LatencyHistogram>,
-    server_poll: Arc<LatencyHistogram>,
-    server_stream: Arc<LatencyHistogram>,
-    serve_accept: Arc<LatencyHistogram>,
-    serve_handshake: Arc<LatencyHistogram>,
-    serve_turn: Arc<LatencyHistogram>,
-    serve_admission: Arc<LatencyHistogram>,
-    session_hist: Arc<LatencyHistogram>,
+    tracer: SpanCollector,
+    /// One histogram per stage, indexed by wire tag.
+    stages: [Arc<LatencyHistogram>; Stage::ALL.len()],
     state_lock_wait: Arc<LatencyHistogram>,
     wake_to_service: Arc<LatencyHistogram>,
-    tracer: SpanCollector,
     /// Frames stepped across all sessions (bumped once per quantum).
     pub frames_total: Arc<Counter>,
     /// Queries accepted by `submit`.
@@ -66,37 +61,41 @@ pub struct EngineObs {
 impl EngineObs {
     /// Build the hub, registering the full engine metric catalog up
     /// front so diagnostics always expose a stable shape. `enabled`
-    /// gates *recording* only; `trace` additionally switches the span
-    /// collector (request-scoped tracing) and is effective only when
-    /// `enabled` is too.
-    pub fn new(enabled: bool, trace: bool, flight_capacity: usize) -> Self {
+    /// gates *recording* — histograms, flight events and request-scoped
+    /// span trees alike.
+    pub fn new(enabled: bool) -> Self {
         let registry = Arc::new(Registry::new());
         EngineObs {
             enabled,
-            dispatch: registry.histogram("dispatch_ns"),
-            batch_assembly: registry.histogram("batch_assembly_ns"),
-            cache_wait: registry.histogram("cache_wait_ns"),
-            lease: registry.histogram("lease_ns"),
-            write_behind: registry.histogram("write_behind_ns"),
-            belief_snapshot: registry.histogram("belief_snapshot_ns"),
-            compaction: registry.histogram("compaction_ns"),
-            server_submit: registry.histogram("server_submit_ns"),
-            server_poll: registry.histogram("server_poll_ns"),
-            server_stream: registry.histogram("server_stream_ns"),
-            serve_accept: registry.histogram("accept_ns"),
-            serve_handshake: registry.histogram("handshake_ns"),
-            serve_turn: registry.histogram("turn_ns"),
-            serve_admission: registry.histogram("admission_ns"),
-            session_hist: registry.histogram("session_ns"),
+            // In `Stage` wire-tag order. The wire stages are recorded by
+            // `exsample-proto`'s `Connection` and the reactor, which
+            // reach this hub through `Engine::obs`.
+            stages: [
+                registry.histogram("dispatch_ns"),
+                registry.histogram("batch_assembly_ns"),
+                registry.histogram("cache_wait_ns"),
+                registry.histogram("lease_ns"),
+                registry.histogram("write_behind_ns"),
+                registry.histogram("belief_snapshot_ns"),
+                registry.histogram("compaction_ns"),
+                registry.histogram("server_submit_ns"),
+                registry.histogram("server_poll_ns"),
+                registry.histogram("server_stream_ns"),
+                registry.histogram("accept_ns"),
+                registry.histogram("handshake_ns"),
+                registry.histogram("turn_ns"),
+                registry.histogram("admission_ns"),
+                registry.histogram("session_ns"),
+            ],
             state_lock_wait: registry.histogram("engine_state_lock_wait_ns"),
             wake_to_service: registry.histogram("engine_wake_to_service_ns"),
-            tracer: SpanCollector::new(enabled && trace),
+            tracer: SpanCollector::new(enabled),
             frames_total: registry.counter("frames_total"),
             sessions_submitted_total: registry.counter("sessions_submitted_total"),
             sessions_finished_total: registry.counter("sessions_finished_total"),
             submits_by_tenant: registry.counter_family("submits_total", "tenant"),
             sessions_active: registry.gauge_family("sessions_active", "tenant"),
-            flight: FlightRecorder::new(flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             registry,
         }
     }
@@ -113,56 +112,65 @@ impl EngineObs {
         &self.registry
     }
 
-    /// The flight recorder.
+    /// The flight recorder, for dumps.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
 
-    /// The engine histogram for `stage`.
-    fn hist(&self, stage: Stage) -> &Arc<LatencyHistogram> {
-        match stage {
-            Stage::Dispatch => &self.dispatch,
-            Stage::BatchAssembly => &self.batch_assembly,
-            Stage::CacheWait => &self.cache_wait,
-            Stage::Lease => &self.lease,
-            Stage::WriteBehind => &self.write_behind,
-            Stage::BeliefSnapshot => &self.belief_snapshot,
-            Stage::Compaction => &self.compaction,
-            // Recorded by the wire server (`exsample-proto`), which
-            // reaches the same hub through `Engine::obs`.
-            Stage::Submit => &self.server_submit,
-            Stage::Poll => &self.server_poll,
-            Stage::Stream => &self.server_stream,
-            // Recorded by the reactor (`exsample-serve`), same route.
-            Stage::Accept => &self.serve_accept,
-            Stage::Handshake => &self.serve_handshake,
-            Stage::Turn => &self.serve_turn,
-            Stage::Admission => &self.serve_admission,
-            // Fed by `trace_finish` with the root span's duration, so it
-            // fills only while tracing is on.
-            Stage::Session => &self.session_hist,
+    /// The request-scoped span collector, for collection. Inert unless
+    /// [`EngineConfig::observe`](crate::EngineConfig::observe) is set.
+    pub fn tracer(&self) -> &SpanCollector {
+        &self.tracer
+    }
+
+    /// Record one occurrence of `stage` that took `ns`: into the stage's
+    /// histogram, into the flight ring if the stage [is in
+    /// it](Stage::in_ring), and into a trace — under `ctx` when the
+    /// request carried one, else at the root of `session`'s trace. The
+    /// only writer of all three. No-op with recording off.
+    pub fn record(&self, stage: Stage, session: u64, ctx: Option<TraceContext>, ns: u64, key: u64) {
+        if !self.enabled {
+            return;
+        }
+        if let Some(hist) = self.stages.get(stage as usize) {
+            hist.record(ns);
+        }
+        if stage.in_ring() {
+            self.flight.record(session, stage, ns, key);
+        }
+        let ctx =
+            ctx.or_else(|| (session != NO_SESSION).then(|| TraceContext::for_session(session)));
+        if let Some(ctx) = ctx {
+            self.tracer
+                .record(ctx.trace, ctx.parent, stage, session, ns, key);
         }
     }
 
-    /// The request-scoped span collector. Disabled (inert) unless both
-    /// [`EngineConfig::observe`](crate::EngineConfig::observe) and
-    /// [`EngineConfig::trace`](crate::EngineConfig::trace) are set.
-    pub fn tracer(&self) -> &SpanCollector {
-        &self.tracer
+    /// Time `stage` from now until the returned span drops; `session`
+    /// may be [`NO_SESSION`] for unowned work, or filled in later.
+    pub fn span(&self, stage: Stage, session: u64) -> Span<'_> {
+        Span {
+            obs: self,
+            stage,
+            session,
+            ctx: None,
+            key: 0,
+            start: self.enabled.then(Instant::now),
+        }
     }
 
     /// Open `session`'s trace: mint the root session span. Submit calls
     /// this before the session can be leased — a worker that runs the
     /// whole session the moment it can must find the trace open, or its
     /// spans are dropped and its finish closes nothing. No-op unless
-    /// tracing is on.
+    /// recording is on.
     pub fn trace_open(&self, session: u64) {
         self.tracer
             .open_root(TraceId::from_session(session), session);
     }
 
     /// Record the engine-side submit span of `submit_ns` under
-    /// `session`'s root. No-op unless tracing is on.
+    /// `session`'s root. No-op unless recording is on.
     pub fn trace_submit(&self, session: u64, submit_ns: u64) {
         let trace = TraceId::from_session(session);
         self.tracer
@@ -172,8 +180,9 @@ impl EngineObs {
     /// Close `session`'s trace at finalization; the root span's
     /// lifetime lands in the `session_ns` histogram.
     pub fn trace_finish(&self, session: u64) {
-        if let Some(ns) = self.tracer.close_root(TraceId::from_session(session)) {
-            self.session_hist.record(ns);
+        let closed = self.tracer.close_root(TraceId::from_session(session));
+        if let (Some(ns), Some(hist)) = (closed, self.stages.get(Stage::Session as usize)) {
+            hist.record(ns);
         }
     }
 
@@ -193,50 +202,48 @@ impl EngineObs {
             self.wake_to_service.record(elapsed_ns(t));
         }
     }
+}
 
-    /// A histogram-only span (no flight event) — for high-frequency
-    /// stages where a per-occurrence event would churn the ring.
-    pub fn span(&self, stage: Stage, session: u64) -> SpanGuard<'_> {
-        if self.enabled {
-            let mut span = SpanGuard::start(Some(self.hist(stage)), None, session, stage);
-            span.attach_tracer(&self.tracer);
-            span
-        } else {
-            SpanGuard::disabled(stage)
-        }
+/// A timer over the hub: it reads the clock when opened (only with
+/// recording on) and hands its duration to [`EngineObs::record`] when
+/// dropped.
+#[derive(Debug)]
+#[must_use = "a span measures until dropped — binding it to _ ends it immediately"]
+pub struct Span<'a> {
+    obs: &'a EngineObs,
+    stage: Stage,
+    session: u64,
+    ctx: Option<TraceContext>,
+    key: u64,
+    start: Option<Instant>,
+}
+
+impl Span<'_> {
+    /// The stage-specific key reported with the span (e.g. frames in the
+    /// dispatched batch).
+    pub fn set_key(&mut self, key: u64) {
+        self.key = key;
     }
 
-    /// A span that records the histogram *and* leaves a structured
-    /// flight event behind.
-    pub fn span_flight(&self, stage: Stage, session: u64) -> SpanGuard<'_> {
-        if self.enabled {
-            let mut span =
-                SpanGuard::start(Some(self.hist(stage)), Some(&self.flight), session, stage);
-            span.attach_tracer(&self.tracer);
-            span
-        } else {
-            SpanGuard::disabled(stage)
-        }
+    /// Re-tag the owning session after the fact; with no explicit
+    /// context the span then lands at the root of that session's trace.
+    pub fn set_session(&mut self, session: u64) {
+        self.session = session;
     }
 
-    /// Record an already-measured duration for `stage` (used where a
-    /// guard cannot span the region, e.g. across lock boundaries),
-    /// with a flight event.
-    pub fn record(&self, stage: Stage, session: u64, duration_ns: u64, key: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.hist(stage).record(duration_ns);
-        self.flight.record(session, stage, duration_ns, key);
-        if self.tracer.enabled() && session != NO_SESSION {
-            self.tracer.record(
-                TraceId::from_session(session),
-                SpanId::ROOT,
-                stage,
-                session,
-                duration_ns,
-                key,
-            );
+    /// Pin the span to an explicit trace and causal parent — the context
+    /// a wire request carried.
+    pub fn set_trace_context(&mut self, ctx: TraceContext) {
+        self.ctx = Some(ctx);
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            let ns = elapsed_ns(start);
+            self.obs
+                .record(self.stage, self.session, self.ctx, ns, self.key);
         }
     }
 }
@@ -244,15 +251,22 @@ impl EngineObs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exsample_obs::validate_spans;
+
+    fn hist_total(obs: &EngineObs, name: &str) -> u64 {
+        let hists = obs.registry().histograms();
+        let found = hists.iter().find(|(n, _)| n == name);
+        found.map(|(_, s)| s.total()).unwrap()
+    }
 
     #[test]
     fn disabled_hub_records_nothing() {
-        let obs = EngineObs::new(false, false, 16);
+        let obs = EngineObs::new(false);
         {
-            let mut s = obs.span_flight(Stage::Dispatch, 1);
+            let mut s = obs.span(Stage::Dispatch, 1);
             s.set_key(4);
         }
-        obs.record(Stage::Lease, 1, 99, 0);
+        obs.record(Stage::Lease, 1, None, 99, 0);
         assert!(obs
             .registry()
             .histograms()
@@ -263,7 +277,7 @@ mod tests {
 
     #[test]
     fn catalog_is_registered_up_front() {
-        let obs = EngineObs::new(true, true, 16);
+        let obs = EngineObs::new(true);
         let names: Vec<String> = obs
             .registry()
             .histograms()
@@ -278,8 +292,40 @@ mod tests {
             "dispatch_ns",
             "lease_ns",
             "write_behind_ns",
+            "engine_state_lock_wait_ns",
+            "engine_wake_to_service_ns",
         ] {
             assert!(names.iter().any(|n| n == expect), "missing {expect}");
+        }
+        // Every stage records into its own histogram, under the name the
+        // catalog has always given it.
+        let pinned = [
+            (Stage::Dispatch, "dispatch_ns"),
+            (Stage::BatchAssembly, "batch_assembly_ns"),
+            (Stage::CacheWait, "cache_wait_ns"),
+            (Stage::Lease, "lease_ns"),
+            (Stage::WriteBehind, "write_behind_ns"),
+            (Stage::BeliefSnapshot, "belief_snapshot_ns"),
+            (Stage::Compaction, "compaction_ns"),
+            (Stage::Submit, "server_submit_ns"),
+            (Stage::Poll, "server_poll_ns"),
+            (Stage::Stream, "server_stream_ns"),
+            (Stage::Accept, "accept_ns"),
+            (Stage::Handshake, "handshake_ns"),
+            (Stage::Turn, "turn_ns"),
+            (Stage::Admission, "admission_ns"),
+            (Stage::Session, "session_ns"),
+        ];
+        assert_eq!(pinned.len(), Stage::ALL.len());
+        // Stage `i` records `i + 1` times, so a stage that wrote into a
+        // neighbour's histogram shows up as a wrong count.
+        for (i, &(stage, _)) in pinned.iter().enumerate() {
+            for _ in 0..=i {
+                obs.record(stage, NO_SESSION, None, 10, 0);
+            }
+        }
+        for (i, (stage, name)) in pinned.into_iter().enumerate() {
+            assert_eq!(hist_total(&obs, name), i as u64 + 1, "{stage} -> {name}");
         }
         let counters: Vec<String> = obs
             .registry()
@@ -292,25 +338,17 @@ mod tests {
 
     #[test]
     fn enabled_spans_land_in_hist_and_flight() {
-        let obs = EngineObs::new(true, false, 16);
+        let obs = EngineObs::new(true);
         {
-            let mut s = obs.span_flight(Stage::Dispatch, 7);
+            let mut s = obs.span(Stage::Dispatch, 7);
             s.set_key(3);
         }
         {
             let _s = obs.span(Stage::BatchAssembly, 7);
         }
-        let hists = obs.registry().histograms();
-        let get = |name: &str| {
-            hists
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, s)| s.total())
-                .unwrap()
-        };
-        assert_eq!(get("dispatch_ns"), 1);
-        assert_eq!(get("batch_assembly_ns"), 1);
-        // Only the flight-recording span left an event.
+        assert_eq!(hist_total(&obs, "dispatch_ns"), 1);
+        assert_eq!(hist_total(&obs, "batch_assembly_ns"), 1);
+        // Only the stage that is in the ring left an event.
         let events = obs.flight().dump();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].stage, Stage::Dispatch);
@@ -320,26 +358,79 @@ mod tests {
 
     #[test]
     fn trace_lifecycle_builds_a_session_tree() {
-        let obs = EngineObs::new(true, true, 16);
+        let obs = EngineObs::new(true);
         obs.trace_open(5);
         obs.trace_submit(5, 1_000);
         {
-            let mut s = obs.span_flight(Stage::Dispatch, 5);
+            let mut s = obs.span(Stage::Dispatch, 5);
             s.set_key(2);
         }
-        obs.record(Stage::Lease, 5, 42, 0);
+        obs.record(Stage::Lease, 5, None, 42, 0);
         obs.trace_finish(5);
         let spans = obs.tracer().collect(TraceId::from_session(5));
-        exsample_obs::validate_spans(&spans).expect("valid tree");
+        validate_spans(&spans).expect("valid tree");
         assert_eq!(spans.len(), 4, "root + submit + dispatch + lease");
         let root = spans.iter().find(|s| s.stage == Stage::Session).unwrap();
         assert!(root.duration_ns > 0, "trace_finish closed the root");
-        let hists = obs.registry().histograms();
-        let session_total = hists
+        assert_eq!(hist_total(&obs, "session_ns"), 1);
+    }
+
+    #[test]
+    fn drop_records_into_both_sinks() {
+        let obs = EngineObs::new(true);
+        {
+            let mut span = obs.span(Stage::Dispatch, 42);
+            span.set_key(8);
+            assert!(span.start.is_some());
+        }
+        assert_eq!(hist_total(&obs, "dispatch_ns"), 1);
+        let events = obs.flight().dump();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].session, 42);
+        assert_eq!(events[0].stage, Stage::Dispatch);
+        assert_eq!(events[0].key, 8);
+    }
+
+    #[test]
+    fn traced_guard_lands_in_the_session_trace() {
+        let obs = EngineObs::new(true);
+        let trace = TraceId::from_session(7);
+        obs.trace_open(7);
+        {
+            let mut span = obs.span(Stage::Dispatch, NO_SESSION);
+            span.set_session(7); // trace derived at drop time
+            span.set_key(4);
+        }
+        {
+            // Explicit context wins over session derivation.
+            let mut span = obs.span(Stage::Poll, NO_SESSION);
+            span.set_trace_context(TraceContext::for_session(7));
+        }
+        let spans = obs.tracer().collect(trace);
+        assert_eq!(spans.len(), 3, "root + two guard spans");
+        assert!(spans
             .iter()
-            .find(|(n, _)| n == "session_ns")
-            .map(|(_, s)| s.total())
-            .unwrap();
-        assert_eq!(session_total, 1);
+            .any(|s| s.stage == Stage::Dispatch && s.key == 4));
+        assert!(spans.iter().any(|s| s.stage == Stage::Poll));
+        validate_spans(&spans).expect("guard spans keep the tree valid");
+    }
+
+    #[test]
+    fn disabled_guard_records_nothing() {
+        let obs = EngineObs::new(false);
+        obs.trace_open(3);
+        {
+            let mut span = obs.span(Stage::Lease, NO_SESSION);
+            span.set_key(3);
+            span.set_session(3);
+            span.set_trace_context(TraceContext::for_session(3));
+            assert!(
+                span.start.is_none(),
+                "a disabled span never reads the clock"
+            );
+        }
+        assert!(obs.flight().dump().is_empty());
+        assert_eq!(hist_total(&obs, "lease_ns"), 0);
+        assert!(obs.tracer().collect(TraceId::from_session(3)).is_empty());
     }
 }

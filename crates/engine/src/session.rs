@@ -621,7 +621,7 @@ mod tests {
             Box::new(move || {
                 counter.fetch_add(1, Ordering::SeqCst);
             }),
-            Arc::new(EngineObs::new(true, false, 16)),
+            Arc::new(EngineObs::new(true)),
         );
         let mut out = Vec::new();
         queue.drain(&mut out);
@@ -644,8 +644,7 @@ mod tests {
 
     #[test]
     fn watches_fire_past_their_cursor_or_at_the_end_and_only_once() {
-        let queue =
-            CompletionQueue::new(Box::new(|| {}), Arc::new(EngineObs::new(false, false, 16)));
+        let queue = CompletionQueue::new(Box::new(|| {}), Arc::new(EngineObs::new(false)));
         let cell = SessionCell::new();
         let mut progress = cell.progress.lock().unwrap();
         let event = |samples| ResultEvent {

@@ -21,12 +21,13 @@ fn truth() -> Arc<GroundTruth> {
 }
 
 /// Run one fixed session to completion and return the diagnostics plus
-/// the engine's detector-invocation count.
+/// the engine's detector-invocation count. The flight ring keeps the
+/// last 4096 events; the session's are checked to fit well inside it, so
+/// event counts are over the whole session, not a window of it.
 fn run_session(workers: usize, batch: u32) -> (Diagnostics, u64, Vec<(u64, u64)>) {
     let engine = Engine::new(EngineConfig {
         workers,
         quantum: 8,
-        flight_capacity: 16_384,
         ..EngineConfig::default()
     });
     let repo = engine.register_repo("cam", truth(), NoiseModel::none(), 5);
@@ -41,7 +42,13 @@ fn run_session(workers: usize, batch: u32) -> (Diagnostics, u64, Vec<(u64, u64)>
         .iter()
         .map(|p| (p.samples, p.found))
         .collect();
-    (engine.diagnostics(), engine.detector_invocations(), curve)
+    let diag = engine.diagnostics();
+    assert!(
+        diag.events.len() * 4 < 4096,
+        "400 samples must stay well under the 4096-event ring: {} events",
+        diag.events.len()
+    );
+    (diag, engine.detector_invocations(), curve)
 }
 
 /// Every detector invocation is covered by a dispatch span: the sum of
@@ -129,15 +136,14 @@ fn observe_off_is_inert_but_shape_stable() {
 }
 
 /// Tracing is observational-only: the search trace is bit-identical
-/// with tracing on or off (and with observability off entirely).
+/// with observability (histograms, flight ring, span trees) on or off.
 #[test]
 fn tracing_on_or_off_is_bit_identical() {
-    let run = |observe: bool, trace: bool| {
+    let run = |observe: bool| {
         let engine = Engine::new(EngineConfig {
             workers: 2,
             quantum: 8,
             observe,
-            trace,
             ..EngineConfig::default()
         });
         let repo = engine.register_repo("cam", truth(), NoiseModel::none(), 5);
@@ -155,10 +161,9 @@ fn tracing_on_or_off_is_bit_identical() {
             engine.detector_invocations(),
         )
     };
-    let traced = run(true, true);
-    assert_eq!(traced, run(true, false), "tracing off must change nothing");
-    assert_eq!(traced, run(false, false), "observe off must change nothing");
-    assert_eq!(traced, run(false, true), "trace without observe is inert");
+    let traced = run(true);
+    assert_eq!(traced, run(false), "observe off must change nothing");
+    assert_eq!(traced, run(true), "a second traced run agrees");
 }
 
 /// A completed session's collected spans form a valid causal tree
@@ -193,11 +198,11 @@ fn collected_trace_is_a_valid_session_tree() {
     );
     // Every span belongs to this session's trace and session id.
     assert!(spans.iter().all(|s| s.session == id.0));
-    // With trace=false the same engine shape collects nothing.
+    // With observe off the same engine shape collects nothing.
     let dark = Engine::new(EngineConfig {
         workers: 2,
         quantum: 8,
-        trace: false,
+        observe: false,
         ..EngineConfig::default()
     });
     let repo = dark.register_repo("cam", truth(), NoiseModel::none(), 5);

@@ -15,110 +15,110 @@ use std::sync::Mutex;
 /// compaction, server accept loops, ...).
 pub const NO_SESSION: u64 = u64::MAX;
 
-/// Which instrumented operation an event or span measures.
+/// Which instrumented operation an event or span measures. The
+/// discriminant is the stable wire tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
 pub enum Stage {
     /// One detector batch dispatch (decode + detect + publish).
-    Dispatch,
+    Dispatch = 0,
     /// Assembling one batch: cache partition, warm fills, dispatch,
     /// pending waits.
-    BatchAssembly,
+    BatchAssembly = 1,
     /// Waiting on another session's in-flight computation of a frame.
-    CacheWait,
+    CacheWait = 2,
     /// One scheduler lease: session checkout through release.
-    Lease,
+    Lease = 3,
     /// One write-behind append to the durable log.
-    WriteBehind,
+    WriteBehind = 4,
     /// One durable belief-snapshot write at session finish.
-    BeliefSnapshot,
+    BeliefSnapshot = 5,
     /// Log-to-columnar compaction at engine start.
-    Compaction,
+    Compaction = 6,
     /// Server-side handling of one submit request.
-    Submit,
+    Submit = 7,
     /// Server-side handling of one poll request.
-    Poll,
+    Poll = 8,
     /// Server-side handling of one streaming subscription.
-    Stream,
+    Stream = 9,
     /// Reactor accept burst: draining a ready listener (key = number
     /// of connections accepted).
-    Accept,
+    Accept = 10,
     /// One connection's wire handshake, from accept to preamble
     /// verified.
-    Handshake,
+    Handshake = 11,
     /// One reactor turn for a connection: decode, handle, and encode
     /// every frame ready on it.
-    Turn,
+    Turn = 12,
     /// The admission-control decision ahead of one submit (key = 1 when
     /// the submit was shed).
-    Admission,
+    Admission = 13,
     /// A whole session, submit through finalization — the root span of
     /// every trace (see [`crate::trace`]).
-    Session,
+    Session = 14,
 }
 
+/// Stable lowercase names, indexed by wire tag, matching the metric
+/// catalog.
+const NAMES: [&str; Stage::ALL.len()] = [
+    "dispatch",
+    "batch_assembly",
+    "cache_wait",
+    "lease",
+    "write_behind",
+    "belief_snapshot",
+    "compaction",
+    "submit",
+    "poll",
+    "stream",
+    "accept",
+    "handshake",
+    "turn",
+    "admission",
+    "session",
+];
+
 impl Stage {
+    /// Every stage, in wire-tag order.
+    pub const ALL: [Stage; 15] = [
+        Stage::Dispatch,
+        Stage::BatchAssembly,
+        Stage::CacheWait,
+        Stage::Lease,
+        Stage::WriteBehind,
+        Stage::BeliefSnapshot,
+        Stage::Compaction,
+        Stage::Submit,
+        Stage::Poll,
+        Stage::Stream,
+        Stage::Accept,
+        Stage::Handshake,
+        Stage::Turn,
+        Stage::Admission,
+        Stage::Session,
+    ];
+
     /// Stable lowercase name, matching the metric catalog.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            Stage::Dispatch => "dispatch",
-            Stage::BatchAssembly => "batch_assembly",
-            Stage::CacheWait => "cache_wait",
-            Stage::Lease => "lease",
-            Stage::WriteBehind => "write_behind",
-            Stage::BeliefSnapshot => "belief_snapshot",
-            Stage::Compaction => "compaction",
-            Stage::Submit => "submit",
-            Stage::Poll => "poll",
-            Stage::Stream => "stream",
-            Stage::Accept => "accept",
-            Stage::Handshake => "handshake",
-            Stage::Turn => "turn",
-            Stage::Admission => "admission",
-            Stage::Session => "session",
-        }
+        NAMES.get(self.as_u8() as usize).copied().unwrap_or("")
     }
 
     /// Stable wire tag.
     pub fn as_u8(&self) -> u8 {
-        match self {
-            Stage::Dispatch => 0,
-            Stage::BatchAssembly => 1,
-            Stage::CacheWait => 2,
-            Stage::Lease => 3,
-            Stage::WriteBehind => 4,
-            Stage::BeliefSnapshot => 5,
-            Stage::Compaction => 6,
-            Stage::Submit => 7,
-            Stage::Poll => 8,
-            Stage::Stream => 9,
-            Stage::Accept => 10,
-            Stage::Handshake => 11,
-            Stage::Turn => 12,
-            Stage::Admission => 13,
-            Stage::Session => 14,
-        }
+        *self as u8
     }
 
     /// Decode a wire tag.
     pub fn from_u8(tag: u8) -> Option<Stage> {
-        Some(match tag {
-            0 => Stage::Dispatch,
-            1 => Stage::BatchAssembly,
-            2 => Stage::CacheWait,
-            3 => Stage::Lease,
-            4 => Stage::WriteBehind,
-            5 => Stage::BeliefSnapshot,
-            6 => Stage::Compaction,
-            7 => Stage::Submit,
-            8 => Stage::Poll,
-            9 => Stage::Stream,
-            10 => Stage::Accept,
-            11 => Stage::Handshake,
-            12 => Stage::Turn,
-            13 => Stage::Admission,
-            14 => Stage::Session,
-            _ => return None,
-        })
+        Stage::ALL.get(tag as usize).copied()
+    }
+
+    /// Whether an occurrence leaves a [`FlightEvent`] in the ring. Two
+    /// stages do not: a batch assembly fires once per frame at batch
+    /// size 1 and would churn the ring, and a session is a trace's root,
+    /// whose lifetime only its histogram keeps.
+    pub fn in_ring(&self) -> bool {
+        !matches!(self, Stage::BatchAssembly | Stage::Session)
     }
 }
 
@@ -251,12 +251,37 @@ mod tests {
 
     #[test]
     fn stage_tags_roundtrip() {
-        for tag in 0..=14u8 {
-            let stage = Stage::from_u8(tag).unwrap();
+        // Every stage's wire tag, name and ring membership, pinned: the
+        // tags are on the wire (v8 golden vectors), the names in the
+        // metric catalog and the Chrome export.
+        let pinned = [
+            (Stage::Dispatch, 0, "dispatch", true),
+            (Stage::BatchAssembly, 1, "batch_assembly", false),
+            (Stage::CacheWait, 2, "cache_wait", true),
+            (Stage::Lease, 3, "lease", true),
+            (Stage::WriteBehind, 4, "write_behind", true),
+            (Stage::BeliefSnapshot, 5, "belief_snapshot", true),
+            (Stage::Compaction, 6, "compaction", true),
+            (Stage::Submit, 7, "submit", true),
+            (Stage::Poll, 8, "poll", true),
+            (Stage::Stream, 9, "stream", true),
+            (Stage::Accept, 10, "accept", true),
+            (Stage::Handshake, 11, "handshake", true),
+            (Stage::Turn, 12, "turn", true),
+            (Stage::Admission, 13, "admission", true),
+            (Stage::Session, 14, "session", false),
+        ];
+        assert_eq!(pinned.len(), Stage::ALL.len());
+        for ((stage, tag, name, in_ring), listed) in pinned.into_iter().zip(Stage::ALL) {
+            assert_eq!(stage, listed, "Stage::ALL is in wire-tag order");
             assert_eq!(stage.as_u8(), tag);
-            assert!(!stage.as_str().is_empty());
+            assert_eq!(Stage::from_u8(tag), Some(stage));
+            assert_eq!(stage.as_str(), name);
+            assert_eq!(stage.to_string(), name);
+            assert_eq!(stage.in_ring(), in_ring, "{name}");
         }
         assert_eq!(Stage::from_u8(15), None);
+        assert_eq!(Stage::from_u8(u8::MAX), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every layer of the workspace — engine hot loops, the wire server, the
 //! cluster router — needs to answer "where does wall-clock go?" without
-//! perturbing the workload it measures. This crate provides the three
+//! perturbing the workload it measures. This crate provides the
 //! primitives they share:
 //!
 //! * [`LatencyHistogram`] — a mergeable, log-bucketed (power-of-two)
@@ -20,15 +20,16 @@
 //!   Prometheus-style text exposition.
 //! * [`FlightRecorder`] — a fixed-size ring buffer of recent structured
 //!   [`FlightEvent`]s (monotonic tick, session, [`Stage`], duration,
-//!   key), dumpable on demand and on worker panic. [`SpanGuard`] is the
-//!   span-style timing API (see also the [`span!`] macro): start a guard,
-//!   and on drop the elapsed wall time lands in a histogram and,
-//!   optionally, the flight recorder.
+//!   key), dumpable on demand and on worker panic. [`Stage::in_ring`]
+//!   says which stages leave an event.
 //! * [`SpanCollector`] — request-scoped distributed tracing: per-trace
 //!   causal span trees ([`SpanRecord`], [`TraceId`], [`SpanId`]),
 //!   deterministic trace-id derivation from session ids, and a Chrome
-//!   trace-event exporter ([`chrome_trace_json`]). A [`SpanGuard`] with
-//!   a tracer attached records into the owning session's tree on drop.
+//!   trace-event exporter ([`chrome_trace_json`]).
+//!
+//! The engine owns one of each and writes all three through a single
+//! function, `exsample_engine::EngineObs::record`; its `Span` timer is
+//! the span-style API.
 //!
 //! Instrumentation here is strictly *observational*: it reads the wall
 //! clock and bumps atomics, and therefore cannot change any session's
@@ -37,16 +38,15 @@
 //! # Example
 //!
 //! ```
-//! use exsample_obs::{FlightRecorder, Registry, SpanGuard, Stage, NO_SESSION};
+//! use exsample_obs::{FlightRecorder, Registry, Stage, NO_SESSION};
 //!
 //! let registry = Registry::new();
 //! let dispatch = registry.histogram("dispatch_ns");
 //! let flight = FlightRecorder::new(64);
 //!
-//! {
-//!     let mut span = SpanGuard::start(Some(&dispatch), Some(&flight), NO_SESSION, Stage::Dispatch);
-//!     span.set_key(8); // e.g. frames in the dispatched batch
-//! } // drop records duration into the histogram and the flight recorder
+//! // One dispatch of an 8-frame batch that took 1.5 µs.
+//! dispatch.record(1_500);
+//! flight.record(NO_SESSION, Stage::Dispatch, 1_500, 8);
 //!
 //! assert_eq!(dispatch.snapshot().total(), 1);
 //! assert_eq!(flight.dump().len(), 1);
@@ -58,47 +58,12 @@
 pub mod flight;
 pub mod hist;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder, Stage, NO_SESSION};
 pub use hist::{bucket_ceiling, bucket_of, HistSnapshot, LatencyHistogram, SnapshotDecodeError};
 pub use registry::{Counter, CounterFamily, Gauge, GaugeFamily, Metric, Registry};
-pub use span::SpanGuard;
 pub use trace::{
     chrome_trace_json, validate_json, validate_spans, SpanCollector, SpanId, SpanRecord,
     TraceContext, TraceId,
 };
-
-/// Start a [`SpanGuard`] through any object with a
-/// `span(stage) -> SpanGuard` method (e.g. the engine's instrumentation
-/// hub). Sugar for `$obs.span($stage)` with an optional session id.
-///
-/// ```
-/// use exsample_obs::{LatencyHistogram, SpanGuard, Stage, NO_SESSION};
-/// use std::sync::Arc;
-///
-/// struct Obs {
-///     lease: Arc<LatencyHistogram>,
-/// }
-/// impl Obs {
-///     fn span(&self, stage: Stage) -> SpanGuard<'_> {
-///         SpanGuard::start(Some(&self.lease), None, NO_SESSION, stage)
-///     }
-/// }
-///
-/// let obs = Obs { lease: Arc::new(LatencyHistogram::new()) };
-/// let _span = exsample_obs::span!(obs, Stage::Lease, 7);
-/// assert_eq!(obs.lease.snapshot().total(), 0); // recorded when the span drops
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $stage:expr) => {
-        $obs.span($stage)
-    };
-    ($obs:expr, $stage:expr, $session:expr) => {{
-        let mut span = $obs.span($stage);
-        span.set_session($session);
-        span
-    }};
-}

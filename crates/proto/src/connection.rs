@@ -215,7 +215,7 @@ impl Connection {
                 let since_open = self.opened.elapsed().as_nanos() as u64;
                 engine
                     .obs()
-                    .record(Stage::Handshake, NO_SESSION, since_open, 0);
+                    .record(Stage::Handshake, NO_SESSION, None, since_open, 0);
             }
             return Ok(true);
         }
@@ -245,7 +245,7 @@ impl Connection {
             });
             return self.resume(engine, host);
         }
-        let mut turn = engine.obs().span_flight(Stage::Turn, NO_SESSION);
+        let mut turn = engine.obs().span(Stage::Turn, NO_SESSION);
         let reply = match msg {
             Message::Repos => Message::RepoList(engine.repos()),
             Message::Hello { token } => match host.hello(&token, self.tenant.take()) {
@@ -269,7 +269,7 @@ impl Connection {
                 let (reply, session, refused) = match admitted {
                     Err(err) => (Message::Error(err), NO_SESSION, 1),
                     Ok(()) => {
-                        let mut span = engine.obs().span_flight(Stage::Submit, NO_SESSION);
+                        let mut span = engine.obs().span(Stage::Submit, NO_SESSION);
                         if let Some(ctx) = ctx {
                             span.set_trace_context(ctx);
                         }
@@ -286,7 +286,7 @@ impl Connection {
                 };
                 engine
                     .obs()
-                    .record(Stage::Admission, session, admit_ns, refused);
+                    .record(Stage::Admission, session, None, admit_ns, refused);
                 reply
             }
             Message::Poll {
@@ -297,7 +297,7 @@ impl Connection {
             } => {
                 turn.set_session(session.0);
                 let window = Some(window.unwrap_or(MAX_POLL_WINDOW).min(MAX_POLL_WINDOW));
-                let mut span = engine.obs().span_flight(Stage::Poll, session.0);
+                let mut span = engine.obs().span(Stage::Poll, session.0);
                 if let Some(ctx) = ctx {
                     span.set_trace_context(ctx);
                 }
@@ -388,6 +388,7 @@ impl Connection {
                         engine.obs().record(
                             Stage::Stream,
                             session.0,
+                            None,
                             start.elapsed().as_nanos() as u64,
                             snap.events.len() as u64,
                         );

@@ -619,7 +619,7 @@ impl EventLoop {
         }
         if !fresh.is_empty() {
             let engine = self.engine.clone();
-            let mut span = engine.obs().span_flight(Stage::Accept, NO_SESSION);
+            let mut span = engine.obs().span(Stage::Accept, NO_SESSION);
             span.set_key(fresh.len() as u64);
             for io in fresh {
                 self.open_conn(io, http);

@@ -18,8 +18,6 @@
 //! * [`moments`] — online (Welford) and batch descriptive statistics,
 //!   quantiles and percentile bands used for the 25–75% envelopes in
 //!   Figures 3 and 4.
-//! * [`histogram`] — fixed-bin histograms for the Figure 2 comparison of
-//!   empirical `R(n+1)` against the Gamma heuristic.
 //! * [`hash`] — an Fx-style hasher plus map/set aliases for hot
 //!   integer-keyed lookups (per the Rust perf-book guidance).
 //! * [`sample`] — sparse Fisher–Yates uniform sampling *without
@@ -29,7 +27,6 @@
 
 pub mod dist;
 pub mod hash;
-pub mod histogram;
 pub mod moments;
 pub mod rng;
 pub mod sample;
@@ -39,7 +36,6 @@ pub use dist::{
     Bernoulli, Beta, Exponential, Gamma, Geometric, LogNormal, Normal, Poisson, Uniform,
 };
 pub use hash::{FxHashMap, FxHashSet};
-pub use histogram::{BinMismatch, Histogram};
 pub use moments::{quantile, quantile_of_sorted, OnlineMoments, Summary};
 pub use rng::Rng64;
 pub use sample::UniformNoReplacement;

@@ -30,12 +30,8 @@ fn main() {
     use std::os::unix::net::UnixStream;
     use std::sync::Arc;
 
-    // An instrumented engine (`observe` is on by default); a small
-    // flight ring keeps the printed tail readable.
-    let engine = Arc::new(Engine::new(EngineConfig {
-        flight_capacity: 24,
-        ..EngineConfig::default()
-    }));
+    // An instrumented engine (`observe` is on by default).
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let gt = Arc::new(
         DatasetSpec::single_class(
             60_000,
@@ -68,8 +64,18 @@ fn main() {
     print!("{}", engine.obs().registry().render_text());
 
     // ---- the flight recorder tail ----
+    // The ring keeps the last 4096 events; the last two dozen are the
+    // readable part of a post-mortem.
     println!("\n== flight recorder ==");
-    print!("{}", engine.obs().flight().render());
+    let rendered = engine.obs().flight().render();
+    let mut lines = rendered.lines();
+    if let Some(header) = lines.next() {
+        println!("{header}");
+    }
+    let events: Vec<&str> = lines.collect();
+    for line in &events[events.len().saturating_sub(24)..] {
+        println!("{line}");
+    }
 
     // ---- the same surface over the wire (protocol v5) ----
     let socket = std::env::temp_dir().join(format!("exsample-obs-{}.sock", std::process::id()));
