@@ -41,7 +41,8 @@
 use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
-    Diagnostics, Engine, EngineConfig, QuerySpec, RepoId, SearchService, SessionId, SessionStatus,
+    Diagnostics, Engine, EngineConfig, QuerySpec, RepoId, SearchService, ServiceError, SessionId,
+    SessionStatus,
 };
 use exsample_proto::framebuf::{FrameBuf, ReadOutcome};
 use exsample_proto::{decode_message, encode_message, Message, RemoteClient, PROTO_VERSION};
@@ -488,7 +489,7 @@ fn drive(conn: &mut Conn, tally: &mut Tally) -> bool {
                         .expect("poll frames");
                 }
             }
-            Message::Error(exsample_proto::WireError::Overloaded { .. }) => {
+            Message::Error(ServiceError::Overloaded { .. }) => {
                 tally.client_sheds += 1;
                 conn.state = State::Done;
             }

@@ -20,10 +20,10 @@
 //!   slot in the high bits, so submit/poll/cancel/wait/forget route with
 //!   pure bit arithmetic: no id table, no global lock.
 //! * [`ClusterStats`] — fleet-wide cache/persist statistics summed per
-//!   shard (degraded-tolerant), plus [`ShardHealth`]: a shard that errors
-//!   is marked down with typed [`ServiceError::ShardDown`] /
-//!   [`SubmitError::ShardDown`] errors surfaced to the caller instead of
-//!   panics, and [`ShardRouter::revive`] puts it back after repair.
+//!   shard (degraded-tolerant), plus [`ShardHealth`]: a shard whose link
+//!   fails is marked down with a typed [`ServiceError::ShardDown`]
+//!   surfaced to the caller instead of a panic, and
+//!   [`ShardRouter::revive`] puts it back after repair.
 //! * [`FleetDiagnostics`] — fleet-level observability: per-shard latency
 //!   histograms merged by metric name (so `dispatch_ns` p99 is over the
 //!   union of every shard's dispatches) and counters summed, degraded-
@@ -32,7 +32,6 @@
 //!   session ids into the router's id space.
 //!
 //! [`ServiceError::ShardDown`]: exsample_engine::ServiceError::ShardDown
-//! [`SubmitError::ShardDown`]: exsample_engine::SubmitError::ShardDown
 //!
 //! See `docs/CLUSTER.md` for placement, namespacing, and failure
 //! semantics, and `examples/cluster_search.rs` for a three-shard fleet

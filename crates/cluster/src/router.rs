@@ -18,19 +18,20 @@
 //!
 //! # Health
 //!
-//! A shard whose call fails at the connection level (a transport error
-//! or a version mismatch) is marked **down**: the failing call and every
-//! later call routed to it return the typed
-//! [`ServiceError::ShardDown`] / [`SubmitError::ShardDown`] immediately
-//! instead of panicking or hammering a dead link. Calls routed to other
-//! shards are unaffected. After repairing the backend (e.g.
-//! `RemoteClient::reconnect`), [`ShardRouter::revive`] puts the shard
-//! back in rotation.
+//! A shard whose call fails at the connection level (a transport error,
+//! a version mismatch, or a `Malformed` answer, after which the server
+//! hangs up) is marked **down**: the failing call and every later call
+//! routed to it return the typed [`ServiceError::ShardDown`] immediately
+//! instead of panicking or hammering a dead link. Every other error a
+//! shard returns passes through unchanged but for its ids, which are
+//! re-namespaced; calls routed to other shards are unaffected. After
+//! repairing the backend (e.g. `RemoteClient::reconnect`),
+//! [`ShardRouter::revive`] puts the shard back in rotation.
 
 use crate::placement;
 use exsample_engine::{
     CacheStats, Diagnostics, PersistStats, QuerySpec, RepoId, RepoInfo, SearchService,
-    ServiceError, ServiceStats, SessionId, SessionReport, SessionSnapshot, SubmitError,
+    ServiceError, ServiceStats, SessionId, SessionReport, SessionSnapshot,
 };
 use exsample_obs::{HistSnapshot, SpanRecord, TraceId, NO_SESSION};
 use std::collections::BTreeMap;
@@ -282,12 +283,40 @@ fn add_persist(a: &mut PersistStats, b: &PersistStats) {
 }
 
 /// True for errors that mean "this shard's link is broken", as opposed
-/// to ordinary per-request failures a healthy shard can return.
+/// to ordinary per-request failures a healthy shard can return. A server
+/// hangs up after answering `Malformed`.
 fn is_connection_failure(e: &ServiceError) -> bool {
     matches!(
         e,
-        ServiceError::Transport(_) | ServiceError::VersionMismatch { .. }
+        ServiceError::Transport(_)
+            | ServiceError::VersionMismatch { .. }
+            | ServiceError::Malformed(_)
     )
+}
+
+/// A shard-local id that does not fit the router's namespace: the shard
+/// could not have been handed it by this router, so it is reported as a
+/// transport-level inconsistency rather than silently aliased onto
+/// another shard's range.
+fn foreign_id(shard: &Shard, e: IdOverflow) -> ServiceError {
+    ServiceError::Transport(format!("shard {:?} reported a foreign id: {e}", shard.name))
+}
+
+/// Remap the shard-local repository and session ids inside an error
+/// from `shard` (at `slot`) into the router's namespace, so callers see
+/// the ids they hold.
+fn globalize_err(shard: &Shard, slot: usize, e: ServiceError) -> ServiceError {
+    let session = |s, variant: fn(SessionId) -> ServiceError| {
+        global_session(slot, s).map_or_else(|e| foreign_id(shard, e), variant)
+    };
+    match e {
+        ServiceError::UnknownRepo(r) => {
+            global_repo(slot, r).map_or_else(|e| foreign_id(shard, e), ServiceError::UnknownRepo)
+        }
+        ServiceError::UnknownSession(s) => session(s, ServiceError::UnknownSession),
+        ServiceError::SessionRunning(s) => session(s, ServiceError::SessionRunning),
+        other => other,
+    }
 }
 
 /// A [`SearchService`] that shards repositories across N backend
@@ -349,7 +378,6 @@ impl ShardRouter {
                 assert!(a.name != b.name, "duplicate shard name {:?}", a.name);
             }
         }
-        assert!(!shards.is_empty(), "a ShardRouter needs at least one shard");
         ShardRouter { shards }
     }
 
@@ -513,69 +541,43 @@ impl ShardRouter {
         })
     }
 
-    /// Resolve a namespaced session id to its shard, or the typed
-    /// unknown-session error (an out-of-range slot cannot exist).
-    fn session_shard(&self, id: SessionId) -> Result<(&Shard, SessionId), ServiceError> {
-        let (slot, local) = split_session(id);
-        let shard = self
-            .shards
-            .get(slot)
-            .ok_or(ServiceError::UnknownSession(id))?;
-        Ok((shard, local))
-    }
-
-    /// Namespace the ids inside a shard's catalog entry. A shard-local
-    /// id beyond the 24-bit namespace cannot be represented — surfaced
-    /// as a typed error rather than aliased onto another shard's range.
+    /// Namespace the ids inside a shard's catalog entry.
     fn globalize_repo_info(
         &self,
         shard: &Shard,
         slot: usize,
         mut info: RepoInfo,
     ) -> Result<RepoInfo, ServiceError> {
-        info.id = global_repo(slot, info.id)
-            .map_err(|e| ServiceError::Transport(format!("shard {:?}: {e}", shard.name)))?;
+        info.id = global_repo(slot, info.id).map_err(|e| foreign_id(shard, e))?;
         Ok(info)
     }
 
-    /// Remap shard-local session ids inside a lifecycle error back into
-    /// the router's namespace, so callers see the ids they hold. A
-    /// shard echoing an id that does not fit the namespace (it could not
-    /// have come from this router) is reported as a transport-level
-    /// inconsistency rather than silently aliased.
-    fn globalize_session_err(&self, slot: usize, e: ServiceError) -> ServiceError {
-        let globalize = |s| match global_session(slot, s) {
-            Ok(g) => Ok(g),
-            Err(overflow) => Err(ServiceError::Transport(format!(
-                "shard at slot {slot} echoed a foreign session id: {overflow}"
-            ))),
-        };
-        match e {
-            ServiceError::UnknownSession(s) => match globalize(s) {
-                Ok(g) => ServiceError::UnknownSession(g),
-                Err(t) => t,
-            },
-            ServiceError::SessionRunning(s) => match globalize(s) {
-                Ok(g) => ServiceError::SessionRunning(g),
-                Err(t) => t,
-            },
-            other => other,
-        }
+    /// One routed call to the shard at `slot` (`missing` when no shard
+    /// has that slot): fail fast if it is down, run the call, track
+    /// health on the way out, and re-namespace any ids in the error.
+    fn route<T>(
+        &self,
+        slot: usize,
+        missing: ServiceError,
+        call: impl FnOnce(&dyn SearchService) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let shard = self.shards.get(slot).ok_or(missing)?;
+        self.check_up(shard)?;
+        self.observe(shard, call(shard.svc.as_ref()))
+            .map_err(|e| globalize_err(shard, slot, e))
     }
 
-    /// One routed session-lifecycle call: resolve the shard, fail fast
-    /// if it is down, run the call with the shard-local id, track health
-    /// on the way out, and re-namespace any ids in the error.
-    fn route<T>(
+    /// [`ShardRouter::route`] for a call on the session `id`, made with
+    /// its shard-local id.
+    fn route_session<T>(
         &self,
         id: SessionId,
         call: impl FnOnce(&dyn SearchService, SessionId) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        let (shard, local) = self.session_shard(id)?;
-        self.check_up(shard)?;
-        let (slot, _) = split_session(id);
-        self.observe(shard, call(shard.svc.as_ref(), local))
-            .map_err(|e| self.globalize_session_err(slot, e))
+        let (slot, local) = split_session(id);
+        self.route(slot, ServiceError::UnknownSession(id), |svc| {
+            call(svc, local)
+        })
     }
 }
 
@@ -593,41 +595,19 @@ impl SearchService for ShardRouter {
         Ok(all)
     }
 
-    fn submit(&self, spec: QuerySpec) -> Result<SessionId, SubmitError> {
-        let global = spec.repo;
-        let (slot, local) = split_repo(global);
-        let Some(shard) = self.shards.get(slot) else {
-            return Err(SubmitError::UnknownRepo(global));
-        };
-        if let Err(ServiceError::ShardDown { shard, cause }) = self.check_up(shard) {
-            return Err(SubmitError::ShardDown { shard, cause });
-        }
-        let spec = QuerySpec {
-            repo: local,
-            ..spec
-        };
-        match shard.svc.submit(spec) {
-            // A shard-local id beyond the 48-bit namespace (an engine
-            // never allocates one; a nested router's slot bits would)
-            // must not be silently OR-merged into the slot — that would
-            // route every later call for this session to the wrong shard.
-            Ok(session) => global_session(slot, session).map_err(|e| {
-                SubmitError::Transport(format!(
-                    "shard {:?}: {e} (the session runs on the shard but cannot be \
-                     addressed through this router)",
-                    shard.name
-                ))
-            }),
-            Err(SubmitError::UnknownRepo(_)) => Err(SubmitError::UnknownRepo(global)),
-            Err(SubmitError::Transport(cause)) => {
-                *shard.down.lock().expect("shard health poisoned") = Some(cause.clone());
-                Err(SubmitError::ShardDown {
-                    shard: shard.name.clone(),
-                    cause,
-                })
-            }
-            Err(other) => Err(other),
-        }
+    fn submit(&self, spec: QuerySpec) -> Result<SessionId, ServiceError> {
+        let (slot, repo) = split_repo(spec.repo);
+        let missing = ServiceError::UnknownRepo(spec.repo);
+        let session = self.route(slot, missing, |svc| svc.submit(QuerySpec { repo, ..spec }))?;
+        // A shard-local id beyond the 48-bit namespace (an engine never
+        // allocates one; a nested router's slot bits would) must not be
+        // silently OR-merged into the slot — that would route every later
+        // call for this session to the wrong shard.
+        global_session(slot, session).map_err(|e| {
+            ServiceError::Transport(format!(
+                "{e} (the session runs on the shard but cannot be addressed through this router)"
+            ))
+        })
     }
 
     fn poll(
@@ -636,19 +616,19 @@ impl SearchService for ShardRouter {
         cursor: u64,
         window: Option<u32>,
     ) -> Result<SessionSnapshot, ServiceError> {
-        self.route(id, |svc, local| svc.poll(local, cursor, window))
+        self.route_session(id, |svc, local| svc.poll(local, cursor, window))
     }
 
     fn cancel(&self, id: SessionId) -> Result<(), ServiceError> {
-        self.route(id, |svc, local| svc.cancel(local))
+        self.route_session(id, |svc, local| svc.cancel(local))
     }
 
     fn wait(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        self.route(id, |svc, local| svc.wait(local))
+        self.route_session(id, |svc, local| svc.wait(local))
     }
 
     fn forget(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        self.route(id, |svc, local| svc.forget(local))
+        self.route_session(id, |svc, local| svc.forget(local))
     }
 
     /// Fleet-wide sums over every shard. Unlike
@@ -689,12 +669,7 @@ impl SearchService for ShardRouter {
             for mut event in diag.events {
                 if event.session != NO_SESSION {
                     event.session = global_session(slot, SessionId(event.session))
-                        .map_err(|e| {
-                            ServiceError::Transport(format!(
-                                "shard {:?} reported a foreign session id: {e}",
-                                shard.name
-                            ))
-                        })?
+                        .map_err(|e| foreign_id(shard, e))?
                         .0;
                 }
                 events.push(event);
@@ -731,12 +706,7 @@ impl SearchService for ShardRouter {
                 span.trace = trace;
                 if span.session != NO_SESSION {
                     span.session = global_session(slot, SessionId(span.session))
-                        .map_err(|e| {
-                            ServiceError::Transport(format!(
-                                "shard {:?} reported a foreign session id: {e}",
-                                shard.name
-                            ))
-                        })?
+                        .map_err(|e| foreign_id(shard, e))?
                         .0;
                 }
                 Ok(span)

@@ -9,7 +9,7 @@ use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
     dataset_fingerprint, Engine, EngineConfig, QuerySpec, RepoId, SearchService, ServiceError,
-    SessionId, SessionStatus, SubmitError,
+    SessionId, SessionStatus,
 };
 use exsample_proto::transport::DuplexStream;
 use exsample_proto::{duplex, RemoteClient, SearchServer};
@@ -263,16 +263,16 @@ fn session_lifecycle_contract_over_the_router() {
             ClassId(0),
             StopCond::results(1)
         )),
-        Err(SubmitError::UnknownRepo(bogus_local))
+        Err(ServiceError::UnknownRepo(bogus_local))
     );
     let bogus_slot = RepoId(57 << 24); // out-of-range slot
     assert_eq!(
         svc.submit(QuerySpec::new(bogus_slot, ClassId(0), StopCond::results(1))),
-        Err(SubmitError::UnknownRepo(bogus_slot))
+        Err(ServiceError::UnknownRepo(bogus_slot))
     );
     assert_eq!(
         svc.submit(QuerySpec::new(repo, ClassId(0), StopCond::results(1)).chunks(0)),
-        Err(SubmitError::InvalidSpec("chunks must be positive".into()))
+        Err(ServiceError::InvalidSpec("chunks must be positive".into()))
     );
 
     // Unknown sessions: both an unknown local id and an absurd slot.
@@ -390,7 +390,7 @@ fn shard_failure_is_typed_contained_and_revivable() {
     }
     assert!(matches!(
         svc.submit(QuerySpec::new(flaky_repo, ClassId(0), StopCond::results(1))),
-        Err(SubmitError::ShardDown { .. })
+        Err(ServiceError::ShardDown { .. })
     ));
     let health = router.health();
     assert_eq!(health.len(), 2);

@@ -1,37 +1,42 @@
-//! Admission errors cross the router as *per-request* answers, not
-//! shard failures. `Overloaded { retry_after_ms }` and `Unauthorized`
-//! come from a shard that is healthy but busy (or strict) — a router
-//! that marked it down on those would amplify a momentary shed into an
-//! outage, and a retrying client (`RemoteClient::submit_with_retry`)
-//! would never get its second chance.
+//! Per-request errors cross the router as *answers*, not shard failures.
+//! `Overloaded { retry_after_ms }` and `Unauthorized` come from a shard
+//! that is healthy but busy (or strict) — a router that marked it down
+//! on those would amplify a momentary shed into an outage, and a
+//! retrying client (`RemoteClient::submit_with_retry`) would never get
+//! its second chance. Only a broken link — a transport failure, a
+//! version mismatch, or `Malformed`, after which the server hangs up —
+//! marks a shard down.
 
 use exsample_cluster::{global_repo, global_session, split_session, ShardRouter, ShardService};
 use exsample_engine::{
     QuerySpec, RepoId, RepoInfo, SearchService, ServiceError, ServiceStats, SessionId,
-    SessionReport, SessionSnapshot, SessionStatus, SubmitError,
+    SessionReport, SessionSnapshot, SessionStatus,
 };
 use exsample_videosim::ClassId;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// A shard stub that answers like a reactor under admission pressure:
-/// while `shedding`, submits and polls return `Overloaded` and waits
-/// return `Unauthorized`; once the pressure clears, calls succeed.
+/// A shard stub that answers like a reactor under pressure: while it
+/// holds an `answer`, submits, polls and cancels fail with it; once the
+/// answer is cleared, they succeed. Waits and forgets know no session.
 struct BusyShard {
     repo_name: &'static str,
-    shedding: AtomicBool,
+    answer: Mutex<Option<ServiceError>>,
 }
 
 impl BusyShard {
-    fn new(repo_name: &'static str, shedding: bool) -> Arc<Self> {
+    fn new(repo_name: &'static str, answer: Option<ServiceError>) -> Arc<Self> {
         Arc::new(BusyShard {
             repo_name,
-            shedding: AtomicBool::new(shedding),
+            answer: Mutex::new(answer),
         })
     }
 
-    fn shedding(&self) -> bool {
-        self.shedding.load(Ordering::Relaxed)
+    fn answer_with(&self, answer: Option<ServiceError>) {
+        *self.answer.lock().unwrap() = answer;
+    }
+
+    fn answer(&self) -> Result<(), ServiceError> {
+        self.answer.lock().unwrap().clone().map_or(Ok(()), Err)
     }
 }
 
@@ -46,10 +51,8 @@ impl SearchService for BusyShard {
         }])
     }
 
-    fn submit(&self, _spec: QuerySpec) -> Result<SessionId, SubmitError> {
-        if self.shedding() {
-            return Err(SubmitError::Overloaded { retry_after_ms: 35 });
-        }
+    fn submit(&self, _spec: QuerySpec) -> Result<SessionId, ServiceError> {
+        self.answer()?;
         Ok(SessionId(11))
     }
 
@@ -59,9 +62,7 @@ impl SearchService for BusyShard {
         _cursor: u64,
         _window: Option<u32>,
     ) -> Result<SessionSnapshot, ServiceError> {
-        if self.shedding() {
-            return Err(ServiceError::Overloaded { retry_after_ms: 35 });
-        }
+        self.answer()?;
         Ok(SessionSnapshot {
             status: SessionStatus::Done,
             found: 1,
@@ -73,11 +74,11 @@ impl SearchService for BusyShard {
     }
 
     fn cancel(&self, _id: SessionId) -> Result<(), ServiceError> {
-        Ok(())
+        self.answer()
     }
 
-    fn wait(&self, _id: SessionId) -> Result<SessionReport, ServiceError> {
-        Err(ServiceError::Unauthorized("no ticket".to_owned()))
+    fn wait(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
+        Err(ServiceError::UnknownSession(id))
     }
 
     fn forget(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
@@ -113,8 +114,11 @@ fn assert_all_up(router: &ShardRouter) {
 
 #[test]
 fn overloaded_submits_pass_through_without_marking_the_shard_down() {
-    let busy = BusyShard::new("busy-repo", true);
-    let calm = BusyShard::new("calm-repo", false);
+    let busy = BusyShard::new(
+        "busy-repo",
+        Some(ServiceError::Overloaded { retry_after_ms: 35 }),
+    );
+    let calm = BusyShard::new("calm-repo", None);
     let router = ShardRouter::new(vec![
         ("a-busy".to_owned(), busy.clone() as ShardService),
         ("b-calm".to_owned(), calm as ShardService),
@@ -127,7 +131,7 @@ fn overloaded_submits_pass_through_without_marking_the_shard_down() {
     // retry hint and all...
     assert_eq!(
         router.submit(spec(busy_repo)),
-        Err(SubmitError::Overloaded { retry_after_ms: 35 })
+        Err(ServiceError::Overloaded { retry_after_ms: 35 })
     );
     // ...and the shard stays in rotation — a shed is not an outage.
     assert_all_up(&router);
@@ -139,32 +143,91 @@ fn overloaded_submits_pass_through_without_marking_the_shard_down() {
 
     // Once the pressure clears, the *same* router lands the submit with
     // no revive step — nothing was ever marked down.
-    busy.shedding.store(false, Ordering::Relaxed);
+    busy.answer_with(None);
     let sid = router.submit(spec(busy_repo)).expect("retry lands");
     assert_eq!(split_session(sid), (0, SessionId(11)));
 }
 
 #[test]
 fn overloaded_and_unauthorized_lifecycle_calls_are_per_request_answers() {
-    let busy = BusyShard::new("busy-repo", true);
-    let router = ShardRouter::new(vec![("only".to_owned(), busy.clone() as ShardService)]);
-    let sid = global_session(0, SessionId(11)).unwrap();
+    // The shard under test sits at slot 1, so every id it echoes must come
+    // back re-namespaced.
+    let busy = BusyShard::new("busy-repo", None);
+    let router = ShardRouter::new(vec![
+        (
+            "a-calm".to_owned(),
+            BusyShard::new("calm-repo", None) as ShardService,
+        ),
+        ("b-busy".to_owned(), busy.clone() as ShardService),
+    ]);
+    let repo = global_repo(1, RepoId(0)).unwrap();
+    let sid = global_session(1, SessionId(11)).unwrap();
 
-    assert!(matches!(
-        router.poll(sid, 0, None),
-        Err(ServiceError::Overloaded { retry_after_ms: 35 })
-    ));
-    assert_all_up(&router);
-
-    assert!(matches!(
+    // Every per-request answer a shard can give: unchanged but for its
+    // ids, on a submit and on session calls alike, and the shard stays up.
+    let invalid = ServiceError::InvalidSpec("chunks must be positive".into());
+    for (sent, seen) in [
+        (
+            ServiceError::Overloaded { retry_after_ms: 35 },
+            ServiceError::Overloaded { retry_after_ms: 35 },
+        ),
+        (
+            ServiceError::Unauthorized("no ticket".into()),
+            ServiceError::Unauthorized("no ticket".into()),
+        ),
+        (
+            ServiceError::UnknownSession(SessionId(11)),
+            ServiceError::UnknownSession(sid),
+        ),
+        (
+            ServiceError::SessionRunning(SessionId(11)),
+            ServiceError::SessionRunning(sid),
+        ),
+        (invalid.clone(), invalid),
+        (
+            ServiceError::UnknownRepo(RepoId(0)),
+            ServiceError::UnknownRepo(repo),
+        ),
+    ] {
+        busy.answer_with(Some(sent.clone()));
+        assert_eq!(router.submit(spec(repo)), Err(seen.clone()), "{sent:?}");
+        assert_eq!(router.poll(sid, 0, None), Err(seen.clone()), "{sent:?}");
+        assert_eq!(router.cancel(sid), Err(seen), "{sent:?}");
+        assert_all_up(&router);
+    }
+    assert_eq!(
         router.wait(sid),
-        Err(ServiceError::Unauthorized(why)) if why == "no ticket"
-    ));
-    assert_all_up(&router);
+        Err(ServiceError::UnknownSession(sid)),
+        "a session error a shard reports itself is re-namespaced too"
+    );
 
-    // The shard was never marked down, so the moment it stops shedding
-    // the identical poll succeeds.
-    busy.shedding.store(false, Ordering::Relaxed);
+    // A broken link marks the shard down: the failing call and every
+    // later one routed to it answer `ShardDown`, until it is revived.
+    for sent in [
+        ServiceError::Malformed("expected a request".into()),
+        ServiceError::Transport("link severed".into()),
+        ServiceError::VersionMismatch { ours: 9, theirs: 8 },
+    ] {
+        let down = ServiceError::ShardDown {
+            shard: "b-busy".into(),
+            cause: sent.to_string(),
+        };
+        busy.answer_with(Some(sent.clone()));
+        assert_eq!(router.poll(sid, 0, None), Err(down.clone()), "{sent:?}");
+        busy.answer_with(None);
+        assert_eq!(router.submit(spec(repo)), Err(down.clone()), "{sent:?}");
+        let health = router.health();
+        assert!(health[0].up);
+        assert_eq!(
+            (health[1].up, health[1].cause.clone()),
+            (false, Some(sent.to_string()))
+        );
+        assert!(router.revive("b-busy"));
+    }
+
+    // Nothing was left down, so the moment the shard stops refusing the
+    // identical poll succeeds.
+    assert_all_up(&router);
     let snap = router.poll(sid, 0, None).expect("poll lands after shed");
     assert_eq!(snap.status, SessionStatus::Done);
 }

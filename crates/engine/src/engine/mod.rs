@@ -102,7 +102,7 @@ pub use bootstrap::PersistStats;
 use crate::cache::{CacheStats, FrameCache};
 use crate::obs::{elapsed_ns, EngineObs};
 use crate::scheduler::Scheduler;
-use crate::service::{Diagnostics, ServiceStats};
+use crate::service::{Diagnostics, ServiceError, ServiceStats};
 use crate::session::{
     CompletionQueue, Progress, QuerySpec, RepoId, SessionCell, SessionId, SessionReport,
     SessionSnapshot, TenantBinding, TenantId,
@@ -201,32 +201,6 @@ impl Default for EngineConfig {
         }
     }
 }
-
-/// Errors surfaced by the engine API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// The repository id was never registered.
-    UnknownRepo(RepoId),
-    /// The session id was never submitted.
-    UnknownSession(SessionId),
-    /// The query spec is structurally invalid.
-    InvalidSpec(&'static str),
-    /// The session is still running (e.g. `forget` before completion).
-    SessionRunning(SessionId),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::UnknownRepo(r) => write!(f, "unknown repository {r:?}"),
-            EngineError::UnknownSession(s) => write!(f, "unknown session {s:?}"),
-            EngineError::InvalidSpec(why) => write!(f, "invalid query spec: {why}"),
-            EngineError::SessionRunning(s) => write!(f, "session {s:?} is still running"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
 
 /// The engine state lock, held.
 type StateGuard<'a> = MutexGuard<'a, EngineState>;
@@ -376,7 +350,7 @@ impl Engine {
     /// invalid spec (zero chunks or weight, degenerate prior, non-finite
     /// time budget, unknown repository or class) is rejected before it
     /// can consume any detector budget or panic mid-search.
-    pub fn submit(&self, spec: QuerySpec) -> Result<SessionId, EngineError> {
+    pub fn submit(&self, spec: QuerySpec) -> Result<SessionId, ServiceError> {
         self.submit_tagged(spec, None)
     }
 
@@ -393,22 +367,23 @@ impl Engine {
         &self,
         spec: QuerySpec,
         binding: Option<TenantBinding>,
-    ) -> Result<SessionId, EngineError> {
+    ) -> Result<SessionId, ServiceError> {
         let obs = &self.shared.obs;
         let submit_start = obs.enabled().then(Instant::now);
-        spec.validate().map_err(EngineError::InvalidSpec)?;
+        let invalid = |why: &str| ServiceError::InvalidSpec(why.into());
+        spec.validate().map_err(invalid)?;
         let mut state = self.lock_state();
         let repo = state
             .repos
             .get(&spec.repo)
             .map(|e| e.data.clone())
-            .ok_or(EngineError::UnknownRepo(spec.repo))?;
+            .ok_or(ServiceError::UnknownRepo(spec.repo))?;
         if (spec.class.0 as usize) >= repo.gt.num_classes() {
-            return Err(EngineError::InvalidSpec("class not present in repository"));
+            return Err(invalid("class not present in repository"));
         }
         let frames = repo.gt.frames;
         if frames == 0 {
-            return Err(EngineError::InvalidSpec("repository has no frames"));
+            return Err(invalid("repository has no frames"));
         }
         let chunks = spec.chunks.min(frames as usize);
         let mut policy = ExSample::new(Chunking::even(frames, chunks), spec.config);
@@ -468,7 +443,7 @@ impl Engine {
     /// see [`SessionSnapshot`] for the full cursor contract — in
     /// particular, a cursor at or past the end of the event log returns
     /// an empty snapshot, never an error.
-    pub fn poll(&self, id: SessionId, cursor: u64) -> Result<SessionSnapshot, EngineError> {
+    pub fn poll(&self, id: SessionId, cursor: u64) -> Result<SessionSnapshot, ServiceError> {
         self.poll_window(id, cursor, None)
     }
 
@@ -480,7 +455,7 @@ impl Engine {
         id: SessionId,
         cursor: u64,
         window: Option<u32>,
-    ) -> Result<SessionSnapshot, EngineError> {
+    ) -> Result<SessionSnapshot, ServiceError> {
         let cell = self.cell(id)?;
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         self.touch(&mut progress);
@@ -497,7 +472,7 @@ impl Engine {
         id: SessionId,
         cursor: u64,
         window: Option<u32>,
-    ) -> Result<SessionSnapshot, EngineError> {
+    ) -> Result<SessionSnapshot, ServiceError> {
         let cell = self.cell(id)?;
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         // Counted under the same lock the worker publishes under, so a
@@ -516,12 +491,12 @@ impl Engine {
     /// boundary; `wait` then returns its partial trace with status
     /// [`Cancelled`](crate::SessionStatus::Cancelled). Cancelling a
     /// finished session is a no-op.
-    pub fn cancel(&self, id: SessionId) -> Result<(), EngineError> {
+    pub fn cancel(&self, id: SessionId) -> Result<(), ServiceError> {
         let state = self.lock_state();
         let cell = state
             .sessions
             .get(&id)
-            .ok_or(EngineError::UnknownSession(id))?;
+            .ok_or(ServiceError::UnknownSession(id))?;
         cell.cancel.store(true, Ordering::Relaxed);
         // A running session is leased (its worker reads the flag at the
         // next batch) or runnable (a worker pass finalizes it); only an
@@ -537,7 +512,7 @@ impl Engine {
     /// Block until the session finishes (or is cancelled) and return its
     /// final report. Parks on the session's own cell, like
     /// [`Engine::poll_wait`], and is woken at finalization only.
-    pub fn wait(&self, id: SessionId) -> Result<SessionReport, EngineError> {
+    pub fn wait(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
         let cell = self.cell(id)?;
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         // Drop takes `&mut self`, so no `wait` borrow can be alive while
@@ -557,7 +532,7 @@ impl Engine {
 
     /// Non-blocking [`Engine::wait`]: the final report if the session
     /// has finished, `None` while it still runs.
-    pub fn try_wait(&self, id: SessionId) -> Result<Option<SessionReport>, EngineError> {
+    pub fn try_wait(&self, id: SessionId) -> Result<Option<SessionReport>, ServiceError> {
         let cell = self.cell(id)?;
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         self.touch(&mut progress);
@@ -586,7 +561,7 @@ impl Engine {
         id: SessionId,
         queue: &Arc<CompletionQueue>,
         token: u64,
-    ) -> Result<Option<SessionReport>, EngineError> {
+    ) -> Result<Option<SessionReport>, ServiceError> {
         let cell = self.cell(id)?;
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         self.touch(&mut progress);
@@ -608,7 +583,7 @@ impl Engine {
         window: Option<u32>,
         queue: &Arc<CompletionQueue>,
         token: u64,
-    ) -> Result<Option<SessionSnapshot>, EngineError> {
+    ) -> Result<Option<SessionSnapshot>, ServiceError> {
         let cell = self.cell(id)?;
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         self.touch(&mut progress);
@@ -644,12 +619,12 @@ impl Engine {
     /// callers can still read them; a long-lived engine serving an open-
     /// ended query stream should `forget` sessions once their results are
     /// consumed, or resident memory grows with every query ever run.
-    pub fn forget(&self, id: SessionId) -> Result<SessionReport, EngineError> {
+    pub fn forget(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
         let mut state = self.lock_state();
         let cell = state
             .sessions
             .get(&id)
-            .ok_or(EngineError::UnknownSession(id))?;
+            .ok_or(ServiceError::UnknownSession(id))?;
         let report = {
             let mut progress = cell.progress.lock().expect("session cell poisoned");
             // Usually the table holds the last reference (no new one can
@@ -662,7 +637,7 @@ impl Engine {
                 progress.report()
             }
         };
-        let report = report.ok_or(EngineError::SessionRunning(id))?;
+        let report = report.ok_or(ServiceError::SessionRunning(id))?;
         state.sessions.remove(&id);
         Ok(report)
     }
@@ -755,13 +730,13 @@ impl Engine {
 
     /// Resolve a session id to its progress cell: the one short visit to
     /// the state lock a poll or wait makes.
-    fn cell(&self, id: SessionId) -> Result<Arc<SessionCell>, EngineError> {
+    fn cell(&self, id: SessionId) -> Result<Arc<SessionCell>, ServiceError> {
         let state = self.lock_state();
         state
             .sessions
             .get(&id)
             .cloned()
-            .ok_or(EngineError::UnknownSession(id))
+            .ok_or(ServiceError::UnknownSession(id))
     }
 
     fn lock_state(&self) -> StateGuard<'_> {
@@ -857,7 +832,7 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{SearchService, ServiceError, SubmitError};
+    use crate::service::{SearchService, ServiceError};
     use crate::session::{DiscriminatorKind, SessionStatus};
     use exsample_core::driver::StopCond;
     use exsample_detect::{NoiseModel, OracleDiscriminator, SimulatedDetector};
@@ -1090,23 +1065,25 @@ mod tests {
         let (engine, repo) = small_engine(1);
         assert_eq!(
             engine.submit(QuerySpec::new(RepoId(99), ClassId(0), StopCond::results(1))),
-            Err(EngineError::UnknownRepo(RepoId(99)))
+            Err(ServiceError::UnknownRepo(RepoId(99)))
         );
         assert_eq!(
             engine.submit(QuerySpec::new(repo, ClassId(9), StopCond::results(1))),
-            Err(EngineError::InvalidSpec("class not present in repository"))
+            Err(ServiceError::InvalidSpec(
+                "class not present in repository".into()
+            ))
         );
         assert_eq!(
             engine.submit(QuerySpec::new(repo, ClassId(0), StopCond::results(1)).weight(0)),
-            Err(EngineError::InvalidSpec("weight must be positive"))
+            Err(ServiceError::InvalidSpec("weight must be positive".into()))
         );
         assert_eq!(
             engine.poll(SessionId(42), 0).unwrap_err(),
-            EngineError::UnknownSession(SessionId(42))
+            ServiceError::UnknownSession(SessionId(42))
         );
         assert_eq!(
             engine.wait(SessionId(42)).unwrap_err(),
-            EngineError::UnknownSession(SessionId(42))
+            ServiceError::UnknownSession(SessionId(42))
         );
         assert!(engine.cancel(SessionId(42)).is_err());
     }
@@ -1178,18 +1155,18 @@ mod tests {
         // Gone: every later access errors.
         assert_eq!(
             engine.poll(id, 0).unwrap_err(),
-            EngineError::UnknownSession(id)
+            ServiceError::UnknownSession(id)
         );
         assert_eq!(
             engine.forget(id).unwrap_err(),
-            EngineError::UnknownSession(id)
+            ServiceError::UnknownSession(id)
         );
         // A running session cannot be forgotten.
         let busy = engine
             .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(1_000_000)).seed(22))
             .unwrap();
         match engine.forget(busy) {
-            Err(EngineError::SessionRunning(_)) => {}
+            Err(ServiceError::SessionRunning(_)) => {}
             Ok(_) => {
                 // It may legitimately have finished (exhaustion) before we
                 // got here on a fast machine; that is fine too.
@@ -1534,7 +1511,7 @@ mod tests {
         assert!(snap.events.is_empty());
         assert_eq!(
             engine.poll_wait(SessionId(404), 0, None).unwrap_err(),
-            EngineError::UnknownSession(SessionId(404))
+            ServiceError::UnknownSession(SessionId(404))
         );
     }
 
@@ -1549,8 +1526,8 @@ mod tests {
         };
         assert_eq!(
             engine.submit(degenerate_prior),
-            Err(EngineError::InvalidSpec(
-                "prior pseudo-counts must be positive and finite"
+            Err(ServiceError::InvalidSpec(
+                "prior pseudo-counts must be positive and finite".into()
             ))
         );
         let nan_stop = base.clone().chunks(4);
@@ -1560,11 +1537,13 @@ mod tests {
         };
         assert_eq!(
             engine.submit(nan_stop),
-            Err(EngineError::InvalidSpec("stop seconds must be finite"))
+            Err(ServiceError::InvalidSpec(
+                "stop seconds must be finite".into()
+            ))
         );
         assert_eq!(
             engine.submit(base.clone().chunks(0)),
-            Err(EngineError::InvalidSpec("chunks must be positive"))
+            Err(ServiceError::InvalidSpec("chunks must be positive".into()))
         );
         // A valid spec still goes through after the rejections.
         let id = engine.submit(base).unwrap();
@@ -1580,7 +1559,7 @@ mod tests {
         assert_eq!(infos[0].id, repo);
         assert_eq!(
             svc.submit(QuerySpec::new(RepoId(77), ClassId(0), StopCond::results(1))),
-            Err(SubmitError::UnknownRepo(RepoId(77)))
+            Err(ServiceError::UnknownRepo(RepoId(77)))
         );
         let id = svc
             .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(5)).seed(41))
@@ -1626,11 +1605,11 @@ mod tests {
         // The next API touch reaps it — as if forgotten.
         assert_eq!(
             engine.poll(id, 0).unwrap_err(),
-            EngineError::UnknownSession(id)
+            ServiceError::UnknownSession(id)
         );
         assert_eq!(
             engine.wait(id).unwrap_err(),
-            EngineError::UnknownSession(id)
+            ServiceError::UnknownSession(id)
         );
         assert_eq!(engine.service_stats().live_sessions, 0);
     }
@@ -1659,7 +1638,7 @@ mod tests {
         assert!(engine.forget(id).is_ok());
         assert_eq!(
             engine.poll(id, 0).unwrap_err(),
-            EngineError::UnknownSession(id)
+            ServiceError::UnknownSession(id)
         );
     }
 

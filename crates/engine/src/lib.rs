@@ -89,13 +89,13 @@ pub mod session;
 pub use cache::{
     CacheStats, CachedDetections, FrameCache, FrameKey, Lookup, MissGuard, PendingWait,
 };
-pub use engine::{Engine, EngineConfig, EngineError, PersistStats};
+pub use engine::{Engine, EngineConfig, PersistStats};
 pub use exsample_persist::{
     dataset_fingerprint, detector_fingerprint, ColumnarConfig, PersistConfig,
 };
 pub use obs::EngineObs;
 pub use scheduler::Scheduler;
-pub use service::{Diagnostics, RepoInfo, SearchService, ServiceError, ServiceStats, SubmitError};
+pub use service::{Diagnostics, RepoInfo, SearchService, ServiceError, ServiceStats};
 pub use session::{
     CompletionQueue, DiscriminatorKind, QuerySpec, RepoId, ResultEvent, SessionCharges, SessionId,
     SessionReport, SessionSnapshot, SessionStatus, TenantBinding, TenantId,

@@ -20,11 +20,21 @@
 //!
 //! # Errors
 //!
-//! Submission failures are [`SubmitError`] (unknown repository, invalid
-//! spec) and are validated *at submit time*, before the query reaches a
-//! worker. Session-lifecycle failures are [`ServiceError`]. Both carry a
-//! `Transport` variant used only by remote implementations; the in-process
-//! engine never returns it.
+//! Every failure anywhere in the serving stack is one [`ServiceError`]:
+//! the engine returns it, the wire carries it as is, the admission layer
+//! refuses with it and the cluster router passes it on, so no layer
+//! translates another's error. Which layer produces which variant:
+//!
+//! * the engine — `UnknownRepo`, `InvalidSpec` (both at submit time,
+//!   before the query reaches a worker), `UnknownSession`,
+//!   `SessionRunning`;
+//! * the serving layer (`exsample-proto`'s `Connection`, the
+//!   `exsample-serve` admission layer) — `Malformed` for a peer that broke
+//!   the protocol, `Overloaded` when shedding load, `Unauthorized`;
+//! * the remote client — `Transport` for a failed connection or an
+//!   unexpected reply, `VersionMismatch` at the handshake;
+//! * the cluster router — `ShardDown`, and the engine's ids re-namespaced
+//!   into its own.
 
 use crate::cache::CacheStats;
 use crate::engine::PersistStats;
@@ -108,68 +118,38 @@ impl Diagnostics {
     }
 }
 
-/// Why a submission was rejected. Raised at submit time over both
-/// implementations — an invalid spec never reaches a worker thread.
+/// Why a [`SearchService`] call failed — the one failure vocabulary of
+/// every layer (see the [module docs](self#errors) for who produces
+/// which variant).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The spec names a repository id the service does not know.
+pub enum ServiceError {
+    /// A submitted spec names a repository id the service does not know.
     UnknownRepo(RepoId),
-    /// The spec is structurally invalid (zero chunks or weight, class not
-    /// present, non-positive prior, non-finite stop condition, …).
+    /// The session id was never submitted (or already forgotten).
+    UnknownSession(SessionId),
+    /// The session is still running (e.g. `forget` before completion).
+    SessionRunning(SessionId),
+    /// A submitted spec is structurally invalid (zero chunks or weight,
+    /// class not present, non-positive prior, non-finite stop
+    /// condition, …).
     InvalidSpec(String),
-    /// The cluster shard owning the spec's repository is marked down.
-    /// Only returned by routing implementations (`exsample-cluster`).
-    ShardDown {
-        /// Name of the unreachable shard.
-        shard: String,
-        /// The failure that marked it down.
-        cause: String,
-    },
-    /// The remote transport failed (connection, framing, or protocol
-    /// error). Never returned by the in-process engine.
-    Transport(String),
-    /// The serving layer shed this submission under load (queue depth or
-    /// per-tenant quota); the client should retry after the hinted
-    /// delay. Never returned by the in-process engine.
+    /// The peer broke the protocol (e.g. an `Ack` outside a subscription,
+    /// or a response tag sent as a request); the server hangs up after
+    /// saying so.
+    Malformed(String),
+    /// The serving layer shed this call under load (queue depth, a
+    /// connection cap or a per-tenant quota); the client should retry
+    /// after the hinted delay.
     Overloaded {
         /// Server's suggested backoff before retrying.
         retry_after_ms: u64,
     },
     /// The serving layer requires an authenticated tenant for this
     /// operation and the connection has none (or presented a token it
-    /// rejected). Never returned by the in-process engine.
+    /// rejected).
     Unauthorized(String),
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::UnknownRepo(r) => write!(f, "unknown repository {r:?}"),
-            SubmitError::InvalidSpec(why) => write!(f, "invalid query spec: {why}"),
-            SubmitError::ShardDown { shard, cause } => {
-                write!(f, "shard {shard:?} is down: {cause}")
-            }
-            SubmitError::Transport(why) => write!(f, "transport error: {why}"),
-            SubmitError::Overloaded { retry_after_ms } => {
-                write!(f, "service overloaded; retry after {retry_after_ms} ms")
-            }
-            SubmitError::Unauthorized(why) => write!(f, "unauthorized: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// Why a session-lifecycle call failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceError {
-    /// The session id was never submitted (or already forgotten).
-    UnknownSession(SessionId),
-    /// The session is still running (e.g. `forget` before completion).
-    SessionRunning(SessionId),
-    /// The cluster shard owning the addressed session or resource is
-    /// marked down. Only returned by routing implementations
-    /// (`exsample-cluster`); calls to healthy shards are unaffected.
+    /// The cluster shard owning the addressed session or repository is
+    /// marked down; calls to healthy shards are unaffected.
     ShardDown {
         /// Name of the unreachable shard.
         shard: String,
@@ -184,27 +164,23 @@ pub enum ServiceError {
         /// Protocol version the peer announced.
         theirs: u16,
     },
-    /// The remote transport failed (connection, framing, or protocol
-    /// error). Never returned by the in-process engine.
+    /// The remote transport failed (connection, framing, or an
+    /// unexpected reply).
     Transport(String),
-    /// The serving layer shed this call under load; the client should
-    /// retry after the hinted delay. Never returned by the in-process
-    /// engine.
-    Overloaded {
-        /// Server's suggested backoff before retrying.
-        retry_after_ms: u64,
-    },
-    /// The serving layer requires an authenticated tenant for this
-    /// operation and the connection has none (or presented a token it
-    /// rejected). Never returned by the in-process engine.
-    Unauthorized(String),
 }
 
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ServiceError::UnknownRepo(r) => write!(f, "unknown repository {r:?}"),
             ServiceError::UnknownSession(s) => write!(f, "unknown session {s:?}"),
             ServiceError::SessionRunning(s) => write!(f, "session {s:?} is still running"),
+            ServiceError::InvalidSpec(why) => write!(f, "invalid query spec: {why}"),
+            ServiceError::Malformed(why) => write!(f, "protocol violation: {why}"),
+            ServiceError::Overloaded { retry_after_ms } => {
+                write!(f, "service overloaded; retry after {retry_after_ms} ms")
+            }
+            ServiceError::Unauthorized(why) => write!(f, "unauthorized: {why}"),
             ServiceError::ShardDown { shard, cause } => {
                 write!(f, "shard {shard:?} is down: {cause}")
             }
@@ -213,10 +189,6 @@ impl std::fmt::Display for ServiceError {
                 "protocol version mismatch: we speak v{ours}, peer speaks v{theirs}"
             ),
             ServiceError::Transport(why) => write!(f, "transport error: {why}"),
-            ServiceError::Overloaded { retry_after_ms } => {
-                write!(f, "service overloaded; retry after {retry_after_ms} ms")
-            }
-            ServiceError::Unauthorized(why) => write!(f, "unauthorized: {why}"),
         }
     }
 }
@@ -247,7 +219,7 @@ pub trait SearchService {
 
     /// Submit a query for execution. The spec is validated now — a
     /// rejected spec never consumes detector budget.
-    fn submit(&self, spec: QuerySpec) -> Result<SessionId, SubmitError>;
+    fn submit(&self, spec: QuerySpec) -> Result<SessionId, ServiceError>;
 
     /// Non-blocking progress snapshot; see the trait docs for the
     /// cursor/window contract.
@@ -304,36 +276,52 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        assert_eq!(
-            SubmitError::UnknownRepo(RepoId(3)).to_string(),
-            "unknown repository RepoId(3)"
-        );
-        assert_eq!(
-            SubmitError::InvalidSpec("chunks must be positive".into()).to_string(),
-            "invalid query spec: chunks must be positive"
-        );
-        assert_eq!(
-            ServiceError::VersionMismatch { ours: 1, theirs: 2 }.to_string(),
-            "protocol version mismatch: we speak v1, peer speaks v2"
-        );
-        assert!(ServiceError::UnknownSession(SessionId(9))
-            .to_string()
-            .contains("SessionId(9)"));
-        assert_eq!(
-            ServiceError::ShardDown {
-                shard: "shard-b".into(),
-                cause: "transport error: broken pipe".into(),
-            }
-            .to_string(),
-            "shard \"shard-b\" is down: transport error: broken pipe"
-        );
-        assert_eq!(
-            SubmitError::ShardDown {
-                shard: "shard-b".into(),
-                cause: "gone".into(),
-            }
-            .to_string(),
-            "shard \"shard-b\" is down: gone"
-        );
+        for (err, shown) in [
+            (
+                ServiceError::UnknownRepo(RepoId(3)),
+                "unknown repository RepoId(3)",
+            ),
+            (
+                ServiceError::UnknownSession(SessionId(9)),
+                "unknown session SessionId(9)",
+            ),
+            (
+                ServiceError::SessionRunning(SessionId(9)),
+                "session SessionId(9) is still running",
+            ),
+            (
+                ServiceError::InvalidSpec("chunks must be positive".into()),
+                "invalid query spec: chunks must be positive",
+            ),
+            (
+                ServiceError::Malformed("expected a request".into()),
+                "protocol violation: expected a request",
+            ),
+            (
+                ServiceError::Overloaded { retry_after_ms: 50 },
+                "service overloaded; retry after 50 ms",
+            ),
+            (
+                ServiceError::Unauthorized("unknown tenant token".into()),
+                "unauthorized: unknown tenant token",
+            ),
+            (
+                ServiceError::ShardDown {
+                    shard: "shard-b".into(),
+                    cause: "transport error: broken pipe".into(),
+                },
+                "shard \"shard-b\" is down: transport error: broken pipe",
+            ),
+            (
+                ServiceError::VersionMismatch { ours: 1, theirs: 2 },
+                "protocol version mismatch: we speak v1, peer speaks v2",
+            ),
+            (
+                ServiceError::Transport("broken pipe".into()),
+                "transport error: broken pipe",
+            ),
+        ] {
+            assert_eq!(err.to_string(), shown);
+        }
     }
 }

@@ -19,7 +19,7 @@
 use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
-    Engine, EngineConfig, EngineError, QuerySpec, RepoId, ResultEvent, SessionId, SessionStatus,
+    Engine, EngineConfig, QuerySpec, RepoId, ResultEvent, ServiceError, SessionId, SessionStatus,
 };
 use exsample_stats::Rng64;
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
@@ -99,8 +99,8 @@ fn client(
 ) -> Vec<Seen> {
     let mut seen: Vec<Seen> = ids.iter().map(|_| Seen::default()).collect();
     // A session may be unknown only after some thread set out to forget it.
-    let gone = |s: usize, e: EngineError| {
-        assert_eq!(e, EngineError::UnknownSession(ids[s]));
+    let gone = |s: usize, e: ServiceError| {
+        assert_eq!(e, ServiceError::UnknownSession(ids[s]));
         assert!(
             forgetting[s].load(Ordering::SeqCst),
             "session {s} vanished unforgotten"
@@ -151,7 +151,7 @@ fn client(
                 forgetting[s].store(true, Ordering::SeqCst);
                 match engine.forget(id) {
                     Ok(report) => assert_ne!(report.status, SessionStatus::Running),
-                    Err(EngineError::SessionRunning(_)) => {}
+                    Err(ServiceError::SessionRunning(_)) => {}
                     Err(e) => gone(s, e),
                 }
             }

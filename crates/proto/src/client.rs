@@ -1,11 +1,11 @@
 //! The remote implementation of the search service API.
 
 use crate::transport::Framed;
-use crate::wire::{Message, WireError};
+use crate::wire::Message;
 use crate::{MAX_POLL_WINDOW, PROTO_VERSION};
 use exsample_engine::{
-    Diagnostics, QuerySpec, RepoId, RepoInfo, SearchService, ServiceError, ServiceStats, SessionId,
-    SessionReport, SessionSnapshot, SessionStatus, SubmitError,
+    Diagnostics, QuerySpec, RepoInfo, SearchService, ServiceError, ServiceStats, SessionId,
+    SessionReport, SessionSnapshot, SessionStatus,
 };
 use exsample_obs::{HistSnapshot, SpanRecord, TraceContext, TraceId};
 use std::collections::HashMap;
@@ -75,9 +75,7 @@ impl<T: Read + Write> RemoteClient<T> {
     /// Exchange preambles over `io`, insisting on our own version.
     fn handshaken(io: T) -> Result<Framed<T>, ServiceError> {
         let mut framed = Framed::new(io);
-        let theirs = framed
-            .handshake(PROTO_VERSION)
-            .map_err(|e| ServiceError::Transport(e.to_string()))?;
+        let theirs = framed.handshake(PROTO_VERSION).map_err(transport)?;
         if theirs != PROTO_VERSION {
             return Err(ServiceError::VersionMismatch {
                 ours: PROTO_VERSION,
@@ -122,13 +120,12 @@ impl<T: Read + Write> RemoteClient<T> {
             .insert(id.0, cursor);
     }
 
-    /// One request/response exchange. Transport failures surface as the
-    /// error string; service failures come back as [`Message::Error`].
-    fn call(&self, request: &Message) -> Result<Message, String> {
+    /// One request/response exchange; see [`recv`] for the errors.
+    fn call(&self, request: &Message) -> Result<Message, ServiceError> {
         let mut framed = self.framed.lock().expect("remote client poisoned");
-        framed.send(request).map_err(|e| e.to_string())?;
+        framed.send(request).map_err(transport)?;
         // lint: allow(lock_blocking, the framed mutex exists to serialize whole request/reply round trips)
-        framed.recv().map_err(|e| e.to_string())
+        recv(&mut framed)
     }
 
     /// One `Poll` round trip (at most one frame of events).
@@ -146,12 +143,9 @@ impl<T: Read + Write> RemoteClient<T> {
             // it lets the server parent its Poll span under this call.
             ctx: Some(TraceContext::for_session(id.0)),
         };
-        match self.call(&request).map_err(ServiceError::Transport)? {
+        match self.call(&request)? {
             Message::Snapshot(snap) => Ok(snap),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Poll".into(),
-            )),
+            _ => unexpected("Poll"),
         }
     }
 
@@ -163,21 +157,12 @@ impl<T: Read + Write> RemoteClient<T> {
     pub fn stats_detailed(
         &self,
     ) -> Result<(ServiceStats, Vec<(String, HistSnapshot)>), ServiceError> {
-        match self
-            .call(&Message::Stats { detail: true })
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Stats { detail: true })? {
             Message::StatsReply {
                 stats,
                 detail: Some(hists),
             } => Ok((stats, hists)),
-            Message::StatsReply { detail: None, .. } => Err(ServiceError::Transport(
-                "server ignored the stats detail flag".into(),
-            )),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Stats".into(),
-            )),
+            _ => unexpected("Stats"),
         }
     }
 
@@ -188,21 +173,16 @@ impl<T: Read + Write> RemoteClient<T> {
     /// token). Servers without an auth registry answer every token with
     /// the anonymous tenant `(0, 1)`.
     pub fn authenticate(&self, token: &str) -> Result<(u32, u32), ServiceError> {
-        match self
-            .call(&Message::Hello {
-                token: token.to_owned(),
-            })
-            .map_err(ServiceError::Transport)?
-        {
+        let hello = Message::Hello {
+            token: token.to_owned(),
+        };
+        match self.call(&hello)? {
             Message::Welcome { tenant, weight } => Ok((tenant, weight)),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Hello".into(),
-            )),
+            _ => unexpected("Hello"),
         }
     }
 
-    /// Submit with bounded retry on [`SubmitError::Overloaded`]: honors
+    /// Submit with bounded retry on [`ServiceError::Overloaded`]: honors
     /// the server's `retry_after_ms` hint between attempts (each wait
     /// capped at two seconds so a hostile hint cannot hang the caller),
     /// gives up after `attempts` sheds. All other outcomes — success or
@@ -211,14 +191,14 @@ impl<T: Read + Write> RemoteClient<T> {
         &self,
         spec: &QuerySpec,
         attempts: u32,
-    ) -> Result<SessionId, SubmitError> {
+    ) -> Result<SessionId, ServiceError> {
         let mut shed = 0;
         loop {
             match self.submit(spec.clone()) {
-                Err(SubmitError::Overloaded { retry_after_ms }) => {
+                Err(ServiceError::Overloaded { retry_after_ms }) => {
                     shed += 1;
                     if shed >= attempts.max(1) {
-                        return Err(SubmitError::Overloaded { retry_after_ms });
+                        return Err(ServiceError::Overloaded { retry_after_ms });
                     }
                     std::thread::sleep(std::time::Duration::from_millis(
                         retry_after_ms.clamp(1, 2_000),
@@ -246,7 +226,6 @@ impl<T: Read + Write> RemoteClient<T> {
         // Clamp exactly as the server does, so both ends agree on the
         // terminal rule (`events < window` after finish).
         let window = window.clamp(1, MAX_POLL_WINDOW);
-        let transport = |e: std::io::Error| ServiceError::Transport(e.to_string());
         let mut framed = self.framed.lock().expect("remote client poisoned");
         self.note_acked(id, cursor);
         framed
@@ -258,55 +237,46 @@ impl<T: Read + Write> RemoteClient<T> {
             .map_err(transport)?;
         loop {
             // lint: allow(lock_blocking, the framed mutex exists to serialize whole subscribe conversations)
-            match framed.recv().map_err(transport)? {
-                Message::Snapshot(snap) => {
-                    on_batch(&snap);
-                    // Mirror of the server's terminal rule: a short batch
-                    // from a finished session ends the subscription.
-                    if snap.status != SessionStatus::Running && (snap.events.len() as u32) < window
-                    {
-                        self.note_acked(id, snap.next_cursor);
-                        return Ok(snap);
-                    }
-                    framed
-                        .send(&Message::Ack {
-                            cursor: snap.next_cursor,
-                            ctx: Some(TraceContext::for_session(id.0)),
-                        })
-                        .map_err(transport)?;
-                    self.note_acked(id, snap.next_cursor);
-                }
-                Message::Error(err) => return Err(lifecycle_error(err)),
-                _ => {
-                    return Err(ServiceError::Transport(
-                        "unexpected message during subscription".into(),
-                    ))
-                }
+            let Message::Snapshot(snap) = recv(&mut framed)? else {
+                return unexpected("Subscribe");
+            };
+            on_batch(&snap);
+            // Mirror of the server's terminal rule: a short batch from a
+            // finished session ends the subscription.
+            if snap.status != SessionStatus::Running && (snap.events.len() as u32) < window {
+                self.note_acked(id, snap.next_cursor);
+                return Ok(snap);
             }
+            framed
+                .send(&Message::Ack {
+                    cursor: snap.next_cursor,
+                    ctx: Some(TraceContext::for_session(id.0)),
+                })
+                .map_err(transport)?;
+            self.note_acked(id, snap.next_cursor);
         }
     }
 }
 
-/// Map a server-reported error onto the lifecycle error vocabulary.
-fn lifecycle_error(err: WireError) -> ServiceError {
-    match err {
-        WireError::UnknownSession(s) => ServiceError::UnknownSession(SessionId(s)),
-        WireError::SessionRunning(s) => ServiceError::SessionRunning(SessionId(s)),
-        WireError::Overloaded { retry_after_ms } => ServiceError::Overloaded { retry_after_ms },
-        WireError::Unauthorized(why) => ServiceError::Unauthorized(why),
-        other => ServiceError::Transport(format!("server error: {other:?}")),
+/// Receive one reply. A transport failure is
+/// [`ServiceError::Transport`]; the server's `Message::Error(e)` is
+/// `Err(e)`, here and nowhere else.
+fn recv<T: Read + Write>(framed: &mut Framed<T>) -> Result<Message, ServiceError> {
+    match framed.recv().map_err(transport)? {
+        Message::Error(err) => Err(err),
+        reply => Ok(reply),
     }
 }
 
-/// Map a server-reported error onto the submission error vocabulary.
-fn submit_error(err: WireError) -> SubmitError {
-    match err {
-        WireError::UnknownRepo(r) => SubmitError::UnknownRepo(RepoId(r)),
-        WireError::InvalidSpec(why) => SubmitError::InvalidSpec(why),
-        WireError::Overloaded { retry_after_ms } => SubmitError::Overloaded { retry_after_ms },
-        WireError::Unauthorized(why) => SubmitError::Unauthorized(why),
-        other => SubmitError::Transport(format!("server error: {other:?}")),
-    }
+fn transport(e: std::io::Error) -> ServiceError {
+    ServiceError::Transport(e.to_string())
+}
+
+/// The answer to a reply of the wrong kind for `request`.
+fn unexpected<T>(request: &str) -> Result<T, ServiceError> {
+    Err(ServiceError::Transport(format!(
+        "unexpected response to {request}"
+    )))
 }
 
 impl RemoteClient<std::net::TcpStream> {
@@ -314,42 +284,27 @@ impl RemoteClient<std::net::TcpStream> {
     /// `TCP_NODELAY` (the protocol is request/response; Nagle would add
     /// a delayed-ack round trip to every call), and handshake.
     pub fn connect_tcp(addr: impl std::net::ToSocketAddrs) -> Result<Self, ServiceError> {
-        let stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| ServiceError::Transport(e.to_string()))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| ServiceError::Transport(e.to_string()))?;
+        let stream = std::net::TcpStream::connect(addr).map_err(transport)?;
+        stream.set_nodelay(true).map_err(transport)?;
         Self::connect(stream)
     }
 }
 
 impl<T: Read + Write> SearchService for RemoteClient<T> {
     fn repos(&self) -> Result<Vec<RepoInfo>, ServiceError> {
-        match self
-            .call(&Message::Repos)
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Repos)? {
             Message::RepoList(infos) => Ok(infos),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Repos".into(),
-            )),
+            _ => unexpected("Repos"),
         }
     }
 
-    fn submit(&self, spec: QuerySpec) -> Result<SessionId, SubmitError> {
+    fn submit(&self, spec: QuerySpec) -> Result<SessionId, ServiceError> {
         // No trace context: the trace id derives from the session id the
         // server is about to mint, unknowable before the reply. A router
         // forwarding a submit it already namespaced fills this in.
-        match self
-            .call(&Message::Submit { spec, ctx: None })
-            .map_err(SubmitError::Transport)?
-        {
+        match self.call(&Message::Submit { spec, ctx: None })? {
             Message::Submitted(id) => Ok(id),
-            Message::Error(err) => Err(submit_error(err)),
-            _ => Err(SubmitError::Transport(
-                "unexpected response to Submit".into(),
-            )),
+            _ => unexpected("Submit"),
         }
     }
 
@@ -390,36 +345,21 @@ impl<T: Read + Write> SearchService for RemoteClient<T> {
     }
 
     fn cancel(&self, id: SessionId) -> Result<(), ServiceError> {
-        match self
-            .call(&Message::Cancel { session: id })
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Cancel { session: id })? {
             Message::CancelOk => Ok(()),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Cancel".into(),
-            )),
+            _ => unexpected("Cancel"),
         }
     }
 
     fn wait(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        match self
-            .call(&Message::Wait { session: id })
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Wait { session: id })? {
             Message::Report(report) => Ok(report),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Wait".into(),
-            )),
+            _ => unexpected("Wait"),
         }
     }
 
     fn forget(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        match self
-            .call(&Message::Forget { session: id })
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Forget { session: id })? {
             Message::Report(report) => {
                 // The session is gone server-side; dropping its cursor
                 // entry keeps the map bounded on long-lived clients.
@@ -429,49 +369,28 @@ impl<T: Read + Write> SearchService for RemoteClient<T> {
                     .remove(&id.0);
                 Ok(report)
             }
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Forget".into(),
-            )),
+            _ => unexpected("Forget"),
         }
     }
 
     fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        match self
-            .call(&Message::Stats { detail: false })
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Stats { detail: false })? {
             Message::StatsReply { stats, .. } => Ok(stats),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Stats".into(),
-            )),
+            _ => unexpected("Stats"),
         }
     }
 
     fn diagnostics(&self) -> Result<Diagnostics, ServiceError> {
-        match self
-            .call(&Message::Diagnostics)
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::Diagnostics)? {
             Message::DiagnosticsReply(diag) => Ok(diag),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to Diagnostics".into(),
-            )),
+            _ => unexpected("Diagnostics"),
         }
     }
 
     fn collect_trace(&self, trace: TraceId) -> Result<Vec<SpanRecord>, ServiceError> {
-        match self
-            .call(&Message::CollectTrace { trace })
-            .map_err(ServiceError::Transport)?
-        {
+        match self.call(&Message::CollectTrace { trace })? {
             Message::TraceReply(spans) => Ok(spans),
-            Message::Error(err) => Err(lifecycle_error(err)),
-            _ => Err(ServiceError::Transport(
-                "unexpected response to CollectTrace".into(),
-            )),
+            _ => unexpected("CollectTrace"),
         }
     }
 }

@@ -16,13 +16,13 @@
 //! yet" blocks the caller or parks the connection.
 
 use crate::framebuf::FrameBuf;
-use crate::wire::{Message, WireError, MAX_SNAPSHOT_LEN};
+use crate::wire::Message;
 use crate::{MAX_POLL_WINDOW, PROTO_VERSION};
 use exsample_engine::{
-    Engine, EngineError, SessionId, SessionReport, SessionSnapshot, SessionStatus, TenantBinding,
+    Engine, ServiceError, SessionId, SessionReport, SessionSnapshot, SessionStatus, TenantBinding,
     TenantId,
 };
-use exsample_obs::{HistSnapshot, Stage, NO_SESSION};
+use exsample_obs::{Stage, NO_SESSION};
 use std::io;
 use std::time::Instant;
 
@@ -35,7 +35,8 @@ pub const ANONYMOUS: TenantBinding = TenantBinding {
 };
 
 /// The decisions a deployment makes for its connections — the only seam
-/// between [`Connection`] and whoever drives it.
+/// between [`Connection`] and whoever drives it. Every refusal is the
+/// [`ServiceError`] the client receives.
 pub trait Host {
     /// Resolve a `Hello` token to a tenant. `bound` is the binding the
     /// connection held until now; re-authentication releases it whether
@@ -44,7 +45,7 @@ pub trait Host {
         &mut self,
         token: &str,
         bound: Option<TenantBinding>,
-    ) -> Result<TenantBinding, WireError>;
+    ) -> Result<TenantBinding, ServiceError>;
 
     /// May `tenant` (`None` = never authenticated) submit another
     /// session right now?
@@ -52,7 +53,7 @@ pub trait Host {
         &mut self,
         engine: &Engine,
         tenant: Option<TenantBinding>,
-    ) -> Result<(), WireError>;
+    ) -> Result<(), ServiceError>;
 
     /// The final report of `session`. `Ok(None)` = still running: the
     /// connection parks. Answering `None` obliges the host to have the
@@ -65,7 +66,7 @@ pub trait Host {
         &mut self,
         engine: &Engine,
         session: SessionId,
-    ) -> Result<Option<SessionReport>, EngineError>;
+    ) -> Result<Option<SessionReport>, ServiceError>;
 
     /// The next streamed batch of `session`: at most `window` events
     /// from `cursor`. `Ok(None)` = nothing to push yet (park), with the
@@ -77,7 +78,7 @@ pub trait Host {
         session: SessionId,
         cursor: u64,
         window: u32,
-    ) -> Result<Option<SessionSnapshot>, EngineError>;
+    ) -> Result<Option<SessionSnapshot>, ServiceError>;
 }
 
 /// A request that is not answered yet.
@@ -179,7 +180,7 @@ impl Connection {
     /// Answer with a typed error and hang up — how a driver sheds a
     /// connection it will not serve, and how a peer that breaks the
     /// conversation's rules is told so.
-    pub fn refuse(&mut self, err: WireError) -> io::Result<()> {
+    pub fn refuse(&mut self, err: ServiceError) -> io::Result<()> {
         self.close_after_flush = true;
         self.buf.queue(&Message::Error(err))
     }
@@ -234,7 +235,7 @@ impl Connection {
     fn handle(&mut self, msg: Message, engine: &Engine, host: &mut impl Host) -> io::Result<()> {
         if let Some(Pending::AwaitAck { session, window }) = self.pending {
             let Message::Ack { cursor, ctx: _ } = msg else {
-                return self.refuse(WireError::Malformed(
+                return self.refuse(ServiceError::Malformed(
                     "expected Ack during subscription".into(),
                 ));
             };
@@ -280,7 +281,7 @@ impl Connection {
                                 turn.set_session(id.0);
                                 (Message::Submitted(id), id.0, 0)
                             }
-                            Err(e) => (engine_error(e), NO_SESSION, 0),
+                            Err(err) => (Message::Error(err), NO_SESSION, 0),
                         }
                     }
                 };
@@ -306,14 +307,14 @@ impl Connection {
                         span.set_key(snap.events.len() as u64);
                         Message::Snapshot(snap)
                     }
-                    Err(e) => engine_error(e),
+                    Err(err) => Message::Error(err),
                 }
             }
             Message::Cancel { session } => {
                 turn.set_session(session.0);
                 engine
                     .cancel(session)
-                    .map_or_else(engine_error, |()| Message::CancelOk)
+                    .map_or_else(Message::Error, |()| Message::CancelOk)
             }
             Message::Wait { session } => {
                 turn.set_session(session.0);
@@ -324,23 +325,13 @@ impl Connection {
                 turn.set_session(session.0);
                 engine
                     .forget(session)
-                    .map_or_else(engine_error, Message::Report)
+                    .map_or_else(Message::Error, Message::Report)
             }
-            Message::Stats { detail } => {
-                let stats = engine.service_stats();
-                let detail = detail.then(|| engine.obs().registry().histograms());
-                match detail.as_deref().map_or(Ok(()), check_snapshots) {
-                    Ok(()) => Message::StatsReply { stats, detail },
-                    Err(err) => Message::Error(err),
-                }
-            }
-            Message::Diagnostics => {
-                let diag = engine.diagnostics();
-                match check_snapshots(&diag.histograms) {
-                    Ok(()) => Message::DiagnosticsReply(diag),
-                    Err(err) => Message::Error(err),
-                }
-            }
+            Message::Stats { detail } => Message::StatsReply {
+                stats: engine.service_stats(),
+                detail: detail.then(|| engine.obs().registry().histograms()),
+            },
+            Message::Diagnostics => Message::DiagnosticsReply(engine.diagnostics()),
             Message::Subscribe {
                 session,
                 cursor,
@@ -358,7 +349,7 @@ impl Connection {
             // A response tag, or an Ack outside a subscription: the
             // peer is confused; tell it and hang up rather than guess
             // at its state.
-            _ => return self.refuse(WireError::Malformed("expected a request".into())),
+            _ => return self.refuse(ServiceError::Malformed("expected a request".into())),
         };
         self.buf.queue(&reply)
     }
@@ -370,7 +361,7 @@ impl Connection {
             Some(Pending::Wait { session }) => match host.wait(engine, session) {
                 Ok(None) => return Ok(()),
                 Ok(Some(report)) => (Message::Report(report), None),
-                Err(e) => (engine_error(e), None),
+                Err(err) => (Message::Error(err), None),
             },
             Some(Pending::Stream {
                 session,
@@ -401,7 +392,7 @@ impl Connection {
                         let next = (!terminal).then_some(Pending::AwaitAck { session, window });
                         (Message::Snapshot(snap), next)
                     }
-                    Err(e) => (engine_error(e), None),
+                    Err(err) => (Message::Error(err), None),
                 }
             }
             Some(Pending::AwaitAck { .. }) | None => return Ok(()),
@@ -409,32 +400,4 @@ impl Connection {
         self.pending = next;
         self.buf.queue(&reply)
     }
-}
-
-/// Refuse to serve any histogram snapshot that would exceed the wire
-/// cap: the reply is a typed [`WireError::SnapshotTooLarge`], never a
-/// silently truncated distribution.
-fn check_snapshots(hists: &[(String, HistSnapshot)]) -> Result<(), WireError> {
-    for (name, snap) in hists {
-        let len = snap.encode().len() as u32;
-        if len > MAX_SNAPSHOT_LEN {
-            return Err(WireError::SnapshotTooLarge {
-                name: name.clone(),
-                len,
-                max: MAX_SNAPSHOT_LEN,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// An engine error as the reply that carries it; crossing the wire it
-/// keeps its exact meaning.
-fn engine_error(e: EngineError) -> Message {
-    Message::Error(match e {
-        EngineError::UnknownRepo(r) => WireError::UnknownRepo(r.0),
-        EngineError::UnknownSession(s) => WireError::UnknownSession(s.0),
-        EngineError::InvalidSpec(why) => WireError::InvalidSpec(why.to_string()),
-        EngineError::SessionRunning(s) => WireError::SessionRunning(s.0),
-    })
 }

@@ -54,9 +54,7 @@ pub use connection::{Connection, Host};
 pub use framebuf::FrameBuf;
 pub use server::SearchServer;
 pub use transport::{duplex, DuplexStream, Framed};
-pub use wire::{
-    decode_message, encode_message, Message, WireCodecError, WireError, MAX_SNAPSHOT_LEN,
-};
+pub use wire::{decode_message, encode_message, Message, WireCodecError, MAX_SNAPSHOT_LEN};
 
 /// Magic bytes opening every connection ("eXSample Remote Protocol").
 pub const PROTO_MAGIC: &[u8; 4] = b"XSRP";
@@ -92,7 +90,12 @@ pub const PROTO_MAGIC: &[u8; 4] = b"XSRP";
 /// `PersistStats` (14 members, not 16): the engine no longer replays the
 /// log into the cache at startup, so there is nothing for them to count —
 /// `container_hits` is the warm-start number.
-pub const PROTO_VERSION: u16 = 8;
+/// v9 made `Error` carry the `SearchService` trait's own `ServiceError`,
+/// so no layer translates it: the seven error forms v8 kept travel as
+/// before, tag 6 (a snapshot over the cap, which no snapshot can be) is
+/// retired, and `ShardDown`, `VersionMismatch` and `Transport` take
+/// tags 9–11.
+pub const PROTO_VERSION: u16 = 9;
 
 /// Upper bound on one frame's payload, enforced on both send and
 /// receive: a corrupt or hostile length prefix must not provoke an

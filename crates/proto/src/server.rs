@@ -1,9 +1,8 @@
 //! The blocking driver of [`Connection`]: one thread, one connection.
 
 use crate::connection::{Connection, Host, ANONYMOUS};
-use crate::wire::WireError;
 use exsample_engine::{
-    Engine, EngineError, SessionId, SessionReport, SessionSnapshot, TenantBinding,
+    Engine, ServiceError, SessionId, SessionReport, SessionSnapshot, TenantBinding,
 };
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -84,11 +83,11 @@ impl SearchServer {
 struct Blocking;
 
 impl Host for Blocking {
-    fn hello(&mut self, _: &str, _: Option<TenantBinding>) -> Result<TenantBinding, WireError> {
+    fn hello(&mut self, _: &str, _: Option<TenantBinding>) -> Result<TenantBinding, ServiceError> {
         Ok(ANONYMOUS)
     }
 
-    fn admit_submit(&mut self, _: &Engine, _: Option<TenantBinding>) -> Result<(), WireError> {
+    fn admit_submit(&mut self, _: &Engine, _: Option<TenantBinding>) -> Result<(), ServiceError> {
         Ok(())
     }
 
@@ -96,7 +95,7 @@ impl Host for Blocking {
         &mut self,
         engine: &Engine,
         session: SessionId,
-    ) -> Result<Option<SessionReport>, EngineError> {
+    ) -> Result<Option<SessionReport>, ServiceError> {
         engine.wait(session).map(Some)
     }
 
@@ -106,7 +105,7 @@ impl Host for Blocking {
         session: SessionId,
         cursor: u64,
         window: u32,
-    ) -> Result<Option<SessionSnapshot>, EngineError> {
+    ) -> Result<Option<SessionSnapshot>, ServiceError> {
         engine.poll_wait(session, cursor, Some(window)).map(Some)
     }
 }

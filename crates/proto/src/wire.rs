@@ -8,11 +8,11 @@
 //! short, trailing bytes, unknown tag, bad UTF-8, absurd counts —
 //! is a [`WireCodecError`], never a panic or an over-allocation.
 //!
-//! The codec is *declared*, not written: below the [`Message`] and
-//! [`WireError`] vocabulary, every layout is one field list in wire
-//! order or one tag table over [`exsample_store::le`], and each
-//! declaration yields both the encoder and the decoder. Adding a field
-//! is adding its name to one list (and bumping `PROTO_VERSION`).
+//! The codec is *declared*, not written: below the [`Message`]
+//! vocabulary, every layout is one field list in wire order or one tag
+//! table over [`exsample_store::le`], and each declaration yields both
+//! the encoder and the decoder. Adding a field is adding its name to one
+//! list (and bumping `PROTO_VERSION`).
 
 use exsample_core::belief::{BeliefPrior, ChunkStats, Selector};
 use exsample_core::driver::{SearchTrace, StopCond, TracePoint};
@@ -20,8 +20,8 @@ use exsample_core::within::WithinKind;
 use exsample_core::ExSampleConfig;
 use exsample_engine::{
     CacheStats, Diagnostics, DiscriminatorKind, PersistStats, QuerySpec, RepoId, RepoInfo,
-    ResultEvent, ServiceStats, SessionCharges, SessionId, SessionReport, SessionSnapshot,
-    SessionStatus,
+    ResultEvent, ServiceError, ServiceStats, SessionCharges, SessionId, SessionReport,
+    SessionSnapshot, SessionStatus,
 };
 use exsample_obs::{FlightEvent, HistSnapshot, SpanId, SpanRecord, Stage, TraceContext, TraceId};
 use exsample_store::le::{self, Le, Reader};
@@ -30,57 +30,17 @@ use exsample_videosim::ClassId;
 use std::borrow::Cow;
 
 /// Upper bound on one encoded histogram snapshot crossing the wire.
-/// Today's snapshots are a fixed few hundred bytes; the bound leaves
-/// room for future bucket layouts while keeping a corrupt or hostile
-/// length prefix from provoking a large allocation. Oversized snapshots
-/// are **rejected with a typed error** — on decode as a
-/// [`WireCodecError`], on the serving side as
-/// [`WireError::SnapshotTooLarge`] — never silently truncated.
+/// Every snapshot encodes to `exsample_obs::hist::ENCODED_LEN` bytes, a
+/// compile-time constant held under this bound below, so a server never
+/// has one to refuse; the decoder still checks a peer's length prefix
+/// against it before allocating, so a corrupt or hostile one is a
+/// [`WireCodecError`], never a large allocation or a truncation.
 pub const MAX_SNAPSHOT_LEN: u32 = 4096;
 
 /// Decode failure: the payload does not parse as a protocol message.
 /// With frame checksums verified by the transport this indicates a peer
 /// bug or version skew, not line noise.
 pub use exsample_store::le::Error as WireCodecError;
-
-/// A service-level failure reported by the server. Mirrors the
-/// `SubmitError` / `ServiceError` split of the `SearchService` trait;
-/// the client maps it back onto those types.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Submit named a repository the server does not know.
-    UnknownRepo(u32),
-    /// The session id was never submitted (or was forgotten).
-    UnknownSession(u64),
-    /// `forget` on a session that is still running.
-    SessionRunning(u64),
-    /// Submit carried a structurally invalid spec.
-    InvalidSpec(String),
-    /// The peer violated the protocol (e.g. an `Ack` outside a
-    /// subscription, or a response tag sent as a request).
-    Malformed(String),
-    /// A histogram snapshot exceeded [`MAX_SNAPSHOT_LEN`] and was
-    /// refused outright — the protocol never truncates a distribution
-    /// and lets it masquerade as complete.
-    SnapshotTooLarge {
-        /// Metric name of the offending snapshot.
-        name: String,
-        /// Its encoded length in bytes.
-        len: u32,
-        /// The limit it exceeded ([`MAX_SNAPSHOT_LEN`]).
-        max: u32,
-    },
-    /// The serving layer shed the request under load (queue depth or a
-    /// per-tenant quota). The connection stays healthy; the client
-    /// should back off for the hinted delay and retry (protocol v6).
-    Overloaded {
-        /// Server's suggested backoff before retrying.
-        retry_after_ms: u64,
-    },
-    /// The request needs an authenticated tenant and the connection has
-    /// none, or its [`Message::Hello`] token was rejected (protocol v6).
-    Unauthorized(String),
-}
 
 /// One protocol message, either direction. Requests are client → server;
 /// responses are server → client; `Ack` flows client → server inside a
@@ -167,7 +127,7 @@ pub enum Message {
     Diagnostics,
     /// Authenticate the connection as a tenant (protocol v6). Answered
     /// with [`Message::Welcome`] on success or
-    /// [`WireError::Unauthorized`] on a rejected token; either way the
+    /// [`ServiceError::Unauthorized`] on a rejected token; either way the
     /// connection survives. Servers without an auth registry answer
     /// every token with the anonymous tenant.
     Hello {
@@ -217,8 +177,8 @@ pub enum Message {
     /// One trace's recorded spans ([`Message::CollectTrace`] answer,
     /// protocol v7), oldest first.
     TraceReply(Vec<SpanRecord>),
-    /// The request failed.
-    Error(WireError),
+    /// The request failed, for exactly the reason the service gave.
+    Error(ServiceError),
 }
 
 /// Format marker of the wire protocol (see [`exsample_store::le`]):
@@ -283,15 +243,19 @@ messages! {
     }
 }
 
-le_enum!(Wire: WireError, "bad error tag" {
+// Tag 6 (a snapshot over `MAX_SNAPSHOT_LEN`, v5–v8) is retired: no
+// snapshot can be.
+le_enum!(Wire: ServiceError, "bad error tag" {
     1 => UnknownRepo(repo),
     2 => UnknownSession(session),
     3 => SessionRunning(session),
     4 => InvalidSpec(why),
     5 => Malformed(why),
-    6 => SnapshotTooLarge { name, len, max },
     7 => Overloaded { retry_after_ms },
     8 => Unauthorized(why),
+    9 => ShardDown { shard, cause },
+    10 => VersionMismatch { ours, theirs },
+    11 => Transport(why),
 });
 
 // ---- component layouts, fields in wire order ----
@@ -348,6 +312,9 @@ impl Le<Wire> for Stage {
         Stage::from_u8(r.u8()?).ok_or(le::Error("bad stage tag"))
     }
 }
+
+// Every snapshot a server sends fits what a peer accepts.
+const _: () = assert!(exsample_obs::hist::ENCODED_LEN <= MAX_SNAPSHOT_LEN as usize);
 
 /// A histogram snapshot travels as `len u32` + `obs`'s own encoding,
 /// with `len` capped at [`MAX_SNAPSHOT_LEN`] before a byte is taken.
@@ -760,23 +727,34 @@ mod tests {
     #[test]
     fn error_messages_round_trip() {
         for err in [
-            WireError::UnknownRepo(4),
-            WireError::UnknownSession(10),
-            WireError::SessionRunning(2),
-            WireError::InvalidSpec("chunks must be positive".into()),
-            WireError::Malformed("unexpected Ack".into()),
-            WireError::SnapshotTooLarge {
-                name: "dispatch_ns".into(),
-                len: 9_999,
-                max: MAX_SNAPSHOT_LEN,
-            },
-            WireError::Overloaded {
+            ServiceError::UnknownRepo(RepoId(4)),
+            ServiceError::UnknownSession(SessionId(10)),
+            ServiceError::SessionRunning(SessionId(2)),
+            ServiceError::InvalidSpec("chunks must be positive".into()),
+            ServiceError::Malformed("unexpected Ack".into()),
+            ServiceError::Overloaded {
                 retry_after_ms: u64::MAX,
             },
-            WireError::Overloaded { retry_after_ms: 0 },
-            WireError::Unauthorized("unknown token".into()),
+            ServiceError::Overloaded { retry_after_ms: 0 },
+            ServiceError::Unauthorized("unknown token".into()),
+            ServiceError::ShardDown {
+                shard: "shard-b".into(),
+                cause: "transport error: broken pipe".into(),
+            },
+            ServiceError::VersionMismatch {
+                ours: 9,
+                theirs: u16::MAX,
+            },
+            ServiceError::Transport(String::new()),
         ] {
             assert_eq!(roundtrip(&Message::Error(err.clone())), Message::Error(err));
+        }
+        // Tag 6 is retired, and the tag space ends at 11.
+        for retired in [6, 12] {
+            assert_eq!(
+                decode_message(&[tag_of("Error"), retired]),
+                Err(WireCodecError("bad error tag"))
+            );
         }
     }
 

@@ -20,14 +20,12 @@
 use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
-    CompletionQueue, Engine, EngineConfig, EngineError, QuerySpec, RepoId, SessionId,
+    CompletionQueue, Engine, EngineConfig, QuerySpec, RepoId, ServiceError, SessionId,
     SessionReport, SessionSnapshot, SessionStatus, TenantBinding,
 };
 use exsample_obs::{TraceContext, TraceId};
 use exsample_proto::connection::ANONYMOUS;
-use exsample_proto::{
-    duplex, Connection, FrameBuf, Host, Message, SearchServer, WireError, PROTO_VERSION,
-};
+use exsample_proto::{duplex, Connection, FrameBuf, Host, Message, SearchServer, PROTO_VERSION};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
 use std::io::{Read, Write};
 use std::sync::mpsc::{channel, Receiver};
@@ -222,11 +220,11 @@ impl Parking {
 }
 
 impl Host for Parking {
-    fn hello(&mut self, _: &str, _: Option<TenantBinding>) -> Result<TenantBinding, WireError> {
+    fn hello(&mut self, _: &str, _: Option<TenantBinding>) -> Result<TenantBinding, ServiceError> {
         Ok(ANONYMOUS)
     }
 
-    fn admit_submit(&mut self, _: &Engine, _: Option<TenantBinding>) -> Result<(), WireError> {
+    fn admit_submit(&mut self, _: &Engine, _: Option<TenantBinding>) -> Result<(), ServiceError> {
         Ok(())
     }
 
@@ -234,7 +232,7 @@ impl Host for Parking {
         &mut self,
         engine: &Engine,
         session: SessionId,
-    ) -> Result<Option<SessionReport>, EngineError> {
+    ) -> Result<Option<SessionReport>, ServiceError> {
         self.asks += 1;
         engine.try_wait_watch(session, &self.completions, self.serving)
     }
@@ -245,7 +243,7 @@ impl Host for Parking {
         session: SessionId,
         cursor: u64,
         window: u32,
-    ) -> Result<Option<SessionSnapshot>, EngineError> {
+    ) -> Result<Option<SessionSnapshot>, ServiceError> {
         self.asks += 1;
         engine.poll_watch(
             session,
@@ -456,10 +454,10 @@ fn the_conversation_is_served_alike_by_every_driver_at_every_byte_split() {
     assert!(matches!(next(), Message::TraceReply(_)));
     assert_eq!(next(), Message::CancelOk);
     assert!(matches!(next(), Message::Report(last) if last.trace == report.trace));
-    assert_eq!(next(), Message::Error(WireError::UnknownSession(id.0)));
+    assert_eq!(next(), Message::Error(ServiceError::UnknownSession(id)));
     assert_eq!(
         next(),
-        Message::Error(WireError::Malformed("expected a request".into()))
+        Message::Error(ServiceError::Malformed("expected a request".into()))
     );
     assert_eq!(
         replies.next(),
@@ -479,7 +477,7 @@ fn a_non_ack_inside_a_stream_window_is_a_violation() {
             Message::Submitted(_),
             Message::Report(_),
             Message::Snapshot(first),
-            Message::Error(WireError::Malformed(why)),
+            Message::Error(ServiceError::Malformed(why)),
         ] if first.events.len() == 1 && why == "expected Ack during subscription"
     ));
 }

@@ -1,5 +1,5 @@
 //! Golden vectors for the wire protocol: the bytes every `Message` and
-//! `WireError` variant has on the wire, checked in as hex.
+//! `ServiceError` variant has on the wire, checked in as hex.
 //!
 //! Round-trip tests cannot see a codec that swaps two fields in both
 //! directions at once; these can. For every vector: `encode == golden`,
@@ -17,21 +17,24 @@
 //! not change without a protocol version bump. v8 changed exactly one
 //! vector, `stats_reply_durable_detail`: the v7 bytes with the two
 //! removed `PersistStats` fields (8 bytes each) cut out, its reject
-//! offsets behind them moved down by 16.
+//! offsets behind them moved down by 16. v9 retired error tag 6 and its
+//! vector, and added the vectors of error tags 9–11, recorded from the
+//! field-list encoder; every other vector kept its bytes and its
+//! reject set.
 
 use exsample_core::belief::{BeliefPrior, ChunkStats, Selector};
 use exsample_core::driver::{SearchTrace, StopCond, TracePoint};
 use exsample_core::within::WithinKind;
 use exsample_engine::{
     CacheStats, Diagnostics, DiscriminatorKind, PersistStats, QuerySpec, RepoId, RepoInfo,
-    ResultEvent, ServiceStats, SessionCharges, SessionId, SessionReport, SessionSnapshot,
-    SessionStatus,
+    ResultEvent, ServiceError, ServiceStats, SessionCharges, SessionId, SessionReport,
+    SessionSnapshot, SessionStatus,
 };
 use exsample_obs::{
     FlightEvent, HistSnapshot, LatencyHistogram, SpanId, SpanRecord, Stage, TraceContext, TraceId,
 };
 use exsample_proto::wire::{decode_message, encode_message};
-use exsample_proto::{Message, WireError, MAX_SNAPSHOT_LEN};
+use exsample_proto::Message;
 use exsample_videosim::ClassId;
 
 /// A NaN with a payload: survives only if floats travel as raw bits.
@@ -142,32 +145,51 @@ fn cache_stats() -> CacheStats {
 fn error_vectors() -> Vec<(&'static str, Message)> {
     let e = |name, err| (name, Message::Error(err));
     vec![
-        e("error_unknown_repo", WireError::UnknownRepo(4)),
-        e("error_unknown_session", WireError::UnknownSession(u64::MAX)),
-        e("error_session_running", WireError::SessionRunning(2)),
+        e("error_unknown_repo", ServiceError::UnknownRepo(RepoId(4))),
+        e(
+            "error_unknown_session",
+            ServiceError::UnknownSession(SessionId(u64::MAX)),
+        ),
+        e(
+            "error_session_running",
+            ServiceError::SessionRunning(SessionId(2)),
+        ),
         e(
             "error_invalid_spec",
-            WireError::InvalidSpec("chunks must be positive".into()),
+            ServiceError::InvalidSpec("chunks must be positive".into()),
         ),
         e(
             "error_malformed",
-            WireError::Malformed("unerwartetes Ack ✗".into()),
-        ),
-        e(
-            "error_snapshot_too_large",
-            WireError::SnapshotTooLarge {
-                name: "dispatch_ns".into(),
-                len: 9_999,
-                max: MAX_SNAPSHOT_LEN,
-            },
+            ServiceError::Malformed("unerwartetes Ack ✗".into()),
         ),
         e(
             "error_overloaded",
-            WireError::Overloaded {
+            ServiceError::Overloaded {
                 retry_after_ms: 250,
             },
         ),
-        e("error_unauthorized", WireError::Unauthorized(String::new())),
+        e(
+            "error_unauthorized",
+            ServiceError::Unauthorized(String::new()),
+        ),
+        e(
+            "error_shard_down",
+            ServiceError::ShardDown {
+                shard: "flaky".into(),
+                cause: "transport error: link severed".into(),
+            },
+        ),
+        e(
+            "error_version_mismatch",
+            ServiceError::VersionMismatch {
+                ours: 9,
+                theirs: u16::MAX,
+            },
+        ),
+        e(
+            "error_transport",
+            ServiceError::Transport("unexpected response to Poll".into()),
+        ),
     ]
 }
 
@@ -593,13 +615,20 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         "460514000000756e657277617274657465732041636b20e29c97",
         "0-22,24-25",
     ),
-    (
-        "error_snapshot_too_large",
-        "46060b00000064697370617463685f6e730f27000000100000",
-        "0-16",
-    ),
     ("error_overloaded", "4607fa00000000000000", "0-1"),
     ("error_unauthorized", "460800000000", "0-5"),
+    (
+        "error_shard_down",
+        "460905000000666c616b791d0000007472616e73706f7274206572726f723a206c696e6b2073657665\
+         726564",
+        "0-43",
+    ),
+    ("error_version_mismatch", "460a0900ffff", "0-1"),
+    (
+        "error_transport",
+        "460b1b000000756e657870656374656420726573706f6e736520746f20506f6c6c",
+        "0-32",
+    ),
 ];
 
 fn unhex(hex: &str) -> Vec<u8> {
@@ -669,20 +698,22 @@ fn every_variant_has_a_vector() {
             Message::Welcome { .. } => "Welcome",
             Message::TraceReply(_) => "TraceReply",
             Message::Error(err) => match err {
-                WireError::UnknownRepo(_) => "Error/UnknownRepo",
-                WireError::UnknownSession(_) => "Error/UnknownSession",
-                WireError::SessionRunning(_) => "Error/SessionRunning",
-                WireError::InvalidSpec(_) => "Error/InvalidSpec",
-                WireError::Malformed(_) => "Error/Malformed",
-                WireError::SnapshotTooLarge { .. } => "Error/SnapshotTooLarge",
-                WireError::Overloaded { .. } => "Error/Overloaded",
-                WireError::Unauthorized(_) => "Error/Unauthorized",
+                ServiceError::UnknownRepo(_) => "Error/UnknownRepo",
+                ServiceError::UnknownSession(_) => "Error/UnknownSession",
+                ServiceError::SessionRunning(_) => "Error/SessionRunning",
+                ServiceError::InvalidSpec(_) => "Error/InvalidSpec",
+                ServiceError::Malformed(_) => "Error/Malformed",
+                ServiceError::Overloaded { .. } => "Error/Overloaded",
+                ServiceError::Unauthorized(_) => "Error/Unauthorized",
+                ServiceError::ShardDown { .. } => "Error/ShardDown",
+                ServiceError::VersionMismatch { .. } => "Error/VersionMismatch",
+                ServiceError::Transport(_) => "Error/Transport",
             },
         }
     }
     let kinds: std::collections::BTreeSet<_> =
         vectors().iter().map(|(_, msg)| message_kind(msg)).collect();
-    assert_eq!(kinds.len(), 21 + 8, "{kinds:?}");
+    assert_eq!(kinds.len(), 21 + 10, "{kinds:?}");
 }
 
 #[test]

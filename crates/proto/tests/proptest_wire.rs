@@ -8,12 +8,12 @@ use exsample_core::driver::{SearchTrace, StopCond, TracePoint};
 use exsample_core::within::WithinKind;
 use exsample_engine::{
     CacheStats, Diagnostics, DiscriminatorKind, PersistStats, QuerySpec, RepoId, RepoInfo,
-    ResultEvent, ServiceStats, SessionCharges, SessionId, SessionReport, SessionSnapshot,
-    SessionStatus,
+    ResultEvent, ServiceError, ServiceStats, SessionCharges, SessionId, SessionReport,
+    SessionSnapshot, SessionStatus,
 };
 use exsample_obs::{FlightEvent, HistSnapshot, SpanId, SpanRecord, Stage, TraceContext, TraceId};
 use exsample_proto::wire::{decode_message, encode_message};
-use exsample_proto::{Framed, Message, WireError, MAX_SNAPSHOT_LEN};
+use exsample_proto::{Framed, Message};
 use exsample_videosim::ClassId;
 use proptest::prelude::*;
 
@@ -268,21 +268,25 @@ fn make_message(kind: u8, w: &[u64; 6], aux: &[u64]) -> Message {
             trace: TraceId(w[0]),
         },
         21 => Message::TraceReply(make_spans(w[0], aux)),
-        _ => Message::Error(match w[0] % 8 {
-            0 => WireError::UnknownRepo(w[1] as u32),
-            1 => WireError::UnknownSession(w[1]),
-            2 => WireError::SessionRunning(w[1]),
-            3 => WireError::InvalidSpec(make_name(w[1])),
-            4 => WireError::Malformed(make_name(w[1])),
-            5 => WireError::SnapshotTooLarge {
-                name: make_name(w[1]),
-                len: w[2] as u32,
-                max: MAX_SNAPSHOT_LEN,
-            },
-            6 => WireError::Overloaded {
+        _ => Message::Error(match w[0] % 10 {
+            0 => ServiceError::UnknownRepo(RepoId(w[1] as u32)),
+            1 => ServiceError::UnknownSession(SessionId(w[1])),
+            2 => ServiceError::SessionRunning(SessionId(w[1])),
+            3 => ServiceError::InvalidSpec(make_name(w[1])),
+            4 => ServiceError::Malformed(make_name(w[1])),
+            5 => ServiceError::Overloaded {
                 retry_after_ms: w[1],
             },
-            _ => WireError::Unauthorized(make_name(w[1])),
+            6 => ServiceError::Unauthorized(make_name(w[1])),
+            7 => ServiceError::ShardDown {
+                shard: make_name(w[1]),
+                cause: make_name(w[2]),
+            },
+            8 => ServiceError::VersionMismatch {
+                ours: w[1] as u16,
+                theirs: (w[1] >> 16) as u16,
+            },
+            _ => ServiceError::Transport(make_name(w[1])),
         }),
     }
 }

@@ -7,7 +7,6 @@ use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
     Engine, EngineConfig, QuerySpec, RepoId, SearchService, ServiceError, SessionId, SessionStatus,
-    SubmitError,
 };
 use exsample_proto::transport::DuplexStream;
 use exsample_proto::{duplex, Framed, RemoteClient, SearchServer, PROTO_VERSION};
@@ -169,11 +168,11 @@ fn remote_errors_are_typed_not_stringly() {
 
     assert_eq!(
         client.submit(spec(RepoId(42), 1)),
-        Err(SubmitError::UnknownRepo(RepoId(42)))
+        Err(ServiceError::UnknownRepo(RepoId(42)))
     );
     assert_eq!(
         client.submit(spec(repo, 1).chunks(0)),
-        Err(SubmitError::InvalidSpec("chunks must be positive".into()))
+        Err(ServiceError::InvalidSpec("chunks must be positive".into()))
     );
     assert_eq!(
         client.poll(SessionId(404), 0, None),

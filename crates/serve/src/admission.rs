@@ -1,14 +1,14 @@
 //! Admission control: connection caps, per-tenant quotas, and
 //! queue-depth load shedding.
 //!
-//! Every limit here rejects with a *typed, retryable* answer — the
-//! reactor turns an [`AdmissionError`] into a wire
-//! `Error(Overloaded { retry_after_ms })` or `Error(Unauthorized)` and
-//! keeps the connection open — rather than stalling the client or
-//! dropping the socket. A shed client knows exactly when to come back;
-//! an unauthorized one knows it must re-`Hello`.
+//! Every limit here rejects with a *typed, retryable* answer — a
+//! [`ServiceError::Overloaded`] or [`ServiceError::Unauthorized`] that
+//! the reactor sends as is, keeping the connection open — rather than
+//! stalling the client or dropping the socket. A shed client knows
+//! exactly when to come back; an unauthorized one knows it must
+//! re-`Hello`.
 
-use exsample_engine::{Engine, TenantId};
+use exsample_engine::{Engine, ServiceError, TenantId};
 use std::collections::HashMap;
 
 /// Limits enforced by the reactor's admission layer.
@@ -48,18 +48,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Why admission refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmissionError {
-    /// Capacity: retry after the carried hint.
-    Overloaded {
-        /// Suggested client back-off before retrying, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// Identity: the request needs a (different) authenticated tenant.
-    Unauthorized(String),
-}
-
 /// Admission state: the config plus per-tenant connection counts.
 /// Session counts are *not* duplicated here — the engine already tracks
 /// them exactly (`Engine::tenant_running`, `Engine::running_sessions`),
@@ -80,13 +68,8 @@ impl Admission {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// May another connection be accepted, given `active` already open?
-    pub fn admit_connection(&self, active: usize) -> Result<(), AdmissionError> {
+    pub fn admit_connection(&self, active: usize) -> Result<(), ServiceError> {
         if active >= self.config.max_connections {
             return Err(self.overloaded());
         }
@@ -97,7 +80,7 @@ impl Admission {
     /// the per-tenant connection cap. On `Ok` the count is taken;
     /// release it with [`unbind_tenant`](Self::unbind_tenant) when the
     /// connection closes or re-authenticates.
-    pub fn bind_tenant(&mut self, tenant: TenantId) -> Result<(), AdmissionError> {
+    pub fn bind_tenant(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
         let n = self.conns_by_tenant.entry(tenant).or_insert(0);
         if *n >= self.config.max_connections_per_tenant {
             return Err(self.overloaded());
@@ -128,11 +111,11 @@ impl Admission {
         &self,
         tenant: Option<TenantId>,
         engine: &Engine,
-    ) -> Result<(), AdmissionError> {
+    ) -> Result<(), ServiceError> {
         let tenant = match tenant {
             Some(t) => t,
             None if self.config.require_auth => {
-                return Err(AdmissionError::Unauthorized(
+                return Err(ServiceError::Unauthorized(
                     "submit requires an authenticated tenant; send Hello first".to_owned(),
                 ));
             }
@@ -147,8 +130,8 @@ impl Admission {
         Ok(())
     }
 
-    fn overloaded(&self) -> AdmissionError {
-        AdmissionError::Overloaded {
+    fn overloaded(&self) -> ServiceError {
+        ServiceError::Overloaded {
             retry_after_ms: self.config.retry_after_ms,
         }
     }
@@ -176,7 +159,7 @@ mod tests {
         assert!(adm.admit_connection(1).is_ok());
         assert_eq!(
             adm.admit_connection(2),
-            Err(AdmissionError::Overloaded { retry_after_ms: 25 })
+            Err(ServiceError::Overloaded { retry_after_ms: 25 })
         );
     }
 
@@ -187,7 +170,7 @@ mod tests {
         assert!(adm.bind_tenant(t).is_ok());
         assert!(matches!(
             adm.bind_tenant(t),
-            Err(AdmissionError::Overloaded { .. })
+            Err(ServiceError::Overloaded { .. })
         ));
         assert_eq!(adm.tenant_connections(t), 1);
         adm.unbind_tenant(t);
@@ -216,7 +199,7 @@ mod tests {
             ..Default::default()
         });
         match adm.admit_submit(None, &engine) {
-            Err(AdmissionError::Unauthorized(_)) => {}
+            Err(ServiceError::Unauthorized(_)) => {}
             other => panic!("expected Unauthorized, got {other:?}"),
         }
         assert!(adm.admit_submit(Some(TenantId(1)), &engine).is_ok());

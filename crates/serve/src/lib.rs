@@ -48,7 +48,7 @@ pub mod framebuf;
 #[cfg(unix)]
 pub mod reactor;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionError};
+pub use admission::{Admission, AdmissionConfig};
 pub use auth::{AuthRegistry, Tier};
 #[cfg(unix)]
 pub use reactor::{Reactor, ServeHandle, ServeStats};

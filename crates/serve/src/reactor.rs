@@ -43,16 +43,16 @@
 //! reading), exactly as a blocking pump's thread is busy inside the
 //! engine call.
 
-use crate::admission::{Admission, AdmissionError};
+use crate::admission::Admission;
 use crate::auth::AuthRegistry;
 use crate::ServeConfig;
 use exsample_engine::{
-    CompletionQueue, Engine, EngineError, SessionId, SessionReport, SessionSnapshot, TenantBinding,
-    TenantId,
+    CompletionQueue, Engine, ServiceError, SessionId, SessionReport, SessionSnapshot,
+    TenantBinding, TenantId,
 };
 use exsample_obs::{Counter, CounterFamily, Gauge, Stage, NO_SESSION};
 use exsample_proto::framebuf::{FrameBuf, ReadOutcome};
-use exsample_proto::{Connection, Host, WireError};
+use exsample_proto::{Connection, Host};
 use polling::{Event, Events, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -443,22 +443,18 @@ struct Gate {
 }
 
 impl Gate {
-    /// Count one shed against `tenant`'s label (`0` = unauthenticated /
-    /// anonymous, matching the engine's untagged-submit convention).
-    fn shed_for(&self, tenant: Option<TenantId>) {
-        self.shed.with(&tenant.map_or(0, |t| t.0).to_string()).inc();
-    }
-
-    /// An admission refusal as it crosses the wire; capacity refusals
-    /// are counted against `tenant`.
-    fn refusal(&self, err: AdmissionError, tenant: Option<TenantId>) -> WireError {
-        match err {
-            AdmissionError::Overloaded { retry_after_ms } => {
-                self.shed_for(tenant);
-                WireError::Overloaded { retry_after_ms }
-            }
-            AdmissionError::Unauthorized(why) => WireError::Unauthorized(why),
+    /// Pass an admission answer on, counting a shed (`Overloaded`)
+    /// against `tenant`'s label (`0` = unauthenticated / anonymous,
+    /// matching the engine's untagged-submit convention).
+    fn counted(
+        &self,
+        answer: Result<(), ServiceError>,
+        tenant: Option<TenantId>,
+    ) -> Result<(), ServiceError> {
+        if let Err(ServiceError::Overloaded { .. }) = answer {
+            self.shed.with(&tenant.map_or(0, |t| t.0).to_string()).inc();
         }
+        answer
     }
 }
 
@@ -467,7 +463,7 @@ impl Host for Gate {
         &mut self,
         token: &str,
         bound: Option<TenantBinding>,
-    ) -> Result<TenantBinding, WireError> {
+    ) -> Result<TenantBinding, ServiceError> {
         // Re-authentication releases the old binding first; a rejected
         // token leaves the connection unauthenticated (and alive)
         // either way.
@@ -477,10 +473,9 @@ impl Host for Gate {
         let binding = self
             .auth
             .authenticate(token)
-            .ok_or_else(|| WireError::Unauthorized("unknown tenant token".to_owned()))?;
-        self.admission
-            .bind_tenant(binding.tenant)
-            .map_err(|e| self.refusal(e, Some(binding.tenant)))?;
+            .ok_or_else(|| ServiceError::Unauthorized("unknown tenant token".to_owned()))?;
+        let bound = self.admission.bind_tenant(binding.tenant);
+        self.counted(bound, Some(binding.tenant))?;
         Ok(binding)
     }
 
@@ -488,18 +483,16 @@ impl Host for Gate {
         &mut self,
         engine: &Engine,
         tenant: Option<TenantBinding>,
-    ) -> Result<(), WireError> {
+    ) -> Result<(), ServiceError> {
         let tenant = tenant.map(|b| b.tenant);
-        self.admission
-            .admit_submit(tenant, engine)
-            .map_err(|e| self.refusal(e, tenant))
+        self.counted(self.admission.admit_submit(tenant, engine), tenant)
     }
 
     fn wait(
         &mut self,
         engine: &Engine,
         session: SessionId,
-    ) -> Result<Option<SessionReport>, EngineError> {
+    ) -> Result<Option<SessionReport>, ServiceError> {
         #[cfg(test)]
         tests::HOST_ASKS.fetch_add(1, Ordering::SeqCst);
         engine.try_wait_watch(session, &self.completions, self.serving)
@@ -511,7 +504,7 @@ impl Host for Gate {
         session: SessionId,
         cursor: u64,
         window: u32,
-    ) -> Result<Option<SessionSnapshot>, EngineError> {
+    ) -> Result<Option<SessionSnapshot>, ServiceError> {
         #[cfg(test)]
         tests::HOST_ASKS.fetch_add(1, Ordering::SeqCst);
         // Empty + still running = nothing to push yet.
@@ -641,15 +634,9 @@ impl EventLoop {
             // A fresh `Connection` has our preamble queued, so even a
             // shed peer gets a parseable, typed answer.
             let mut machine = Connection::new();
-            if self
-                .gate
-                .admission
-                .admit_connection(self.conns.len())
-                .is_err()
-            {
-                self.gate.shed_for(None);
-                let retry_after_ms = self.gate.admission.config().retry_after_ms;
-                let _ = machine.refuse(WireError::Overloaded { retry_after_ms });
+            let admitted = self.gate.admission.admit_connection(self.conns.len());
+            if let Err(err) = self.gate.counted(admitted, None) {
+                let _ = machine.refuse(err);
             }
             Speaks::Xsrp(machine)
         };

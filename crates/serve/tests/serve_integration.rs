@@ -10,11 +10,8 @@ use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
     Engine, EngineConfig, QuerySpec, RepoId, SearchService, ServiceError, SessionStatus,
-    SubmitError,
 };
-use exsample_proto::{
-    duplex, Framed, Message, RemoteClient, SearchServer, WireError, PROTO_VERSION,
-};
+use exsample_proto::{duplex, Framed, Message, RemoteClient, SearchServer, PROTO_VERSION};
 use exsample_serve::{AdmissionConfig, AuthRegistry, Reactor, ServeConfig, ServeHandle, Tier};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
 use std::net::{SocketAddr, TcpStream};
@@ -149,7 +146,7 @@ fn session_quota_is_a_typed_rejection_on_a_surviving_connection() {
         .seed(1);
     let first = client.submit(slow.clone()).expect("first fits the quota");
     let err = client.submit(slow.clone()).expect_err("second must shed");
-    assert_eq!(err, SubmitError::Overloaded { retry_after_ms: 33 });
+    assert_eq!(err, ServiceError::Overloaded { retry_after_ms: 33 });
     // The connection survived the rejection: requests keep working.
     assert!(!client.repos().expect("connection still serves").is_empty());
     client.cancel(first).expect("cancel");
@@ -186,7 +183,7 @@ fn retrying_client_honors_retry_after_and_eventually_lands() {
     let b = client.submit(blocker.clone()).expect("fills slot two");
     assert!(matches!(
         client.submit(blocker.clone()),
-        Err(SubmitError::Overloaded { retry_after_ms: 20 })
+        Err(ServiceError::Overloaded { retry_after_ms: 20 })
     ));
     // Free the queue from another thread while the retrying client backs
     // off; its bounded retry must then land.
@@ -279,7 +276,7 @@ fn unknown_token_is_unauthorized_and_the_connection_survives() {
     let client = RemoteClient::connect_tcp(addr).expect("tcp handshake");
     // Unauthenticated submit is rejected (require_auth), typed.
     match client.submit(spec(repo, 1)) {
-        Err(SubmitError::Unauthorized(_)) => {}
+        Err(ServiceError::Unauthorized(_)) => {}
         other => panic!("expected Unauthorized, got {other:?}"),
     }
     // Wrong token: typed rejection, connection still usable.
@@ -325,7 +322,7 @@ fn connection_cap_sheds_with_a_parseable_typed_answer() {
         PROTO_VERSION
     );
     match framed.recv().expect("shed answer precedes the close") {
-        Message::Error(WireError::Overloaded { retry_after_ms }) => {
+        Message::Error(ServiceError::Overloaded { retry_after_ms }) => {
             assert_eq!(retry_after_ms, 40)
         }
         other => panic!("expected Overloaded, got {other:?}"),
