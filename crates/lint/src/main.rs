@@ -1,21 +1,21 @@
 //! CLI for `exsample-lint`. See `docs/LINT.md`.
 //!
 //! ```text
-//! exsample-lint [--root DIR] [--rule NAME]… [--json] [--deny] [--list-rules]
+//! exsample-lint [--root DIR] [--deny]
 //! ```
 //!
-//! Text findings print to stdout as `file:line: rule: message`, one per
-//! line, with a summary on stderr. `--json` swaps stdout for a machine
-//! report (the CI artifact). `--deny` exits 1 when any finding
+//! Findings print to stdout as `file:line: rule: message`, one per
+//! line, with a summary on stderr. `--deny` exits 1 when any finding
 //! survives suppression — the CI gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: exsample-lint [--root DIR] [--deny]";
+
 fn main() -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut rules: Vec<String> = Vec::new();
-    let mut json = false;
+    // By default, the workspace this binary was built from.
+    let mut root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let mut deny = false;
 
     let mut args = std::env::args().skip(1);
@@ -25,42 +25,12 @@ fn main() -> ExitCode {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage("--root needs a directory"),
             },
-            "--rule" => match args.next() {
-                Some(r) if exsample_lint::ALL_RULES.contains(&r.as_str()) => rules.push(r),
-                Some(r) => return usage(&format!("unknown rule `{r}` (see --list-rules)")),
-                None => return usage("--rule needs a rule name"),
-            },
-            "--json" => json = true,
             "--deny" => deny = true,
-            "--list-rules" => {
-                for r in exsample_lint::ALL_RULES {
-                    println!("{r}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                return usage("");
-            }
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
 
-    // Accept being launched from a crate directory: walk up to the
-    // workspace root (the directory holding `crates/`).
-    if !root.join("crates").is_dir() {
-        let mut cur = root.canonicalize().unwrap_or_else(|_| root.clone());
-        while let Some(parent) = cur.parent() {
-            if cur.join("crates").is_dir() {
-                break;
-            }
-            cur = parent.to_path_buf();
-        }
-        if cur.join("crates").is_dir() {
-            root = cur;
-        }
-    }
-
-    let report = match exsample_lint::run_workspace(&root, &rules) {
+    let report = match exsample_lint::run_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("exsample-lint: cannot scan {}: {e}", root.display());
@@ -68,12 +38,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        for f in &report.findings {
-            println!("{f}");
-        }
+    for f in &report.findings {
+        println!("{f}");
     }
     eprintln!(
         "exsample-lint: {} finding(s), {} suppressed by annotations",
@@ -87,15 +53,6 @@ fn main() -> ExitCode {
 }
 
 fn usage(err: &str) -> ExitCode {
-    if !err.is_empty() {
-        eprintln!("exsample-lint: {err}");
-    }
-    eprintln!(
-        "usage: exsample-lint [--root DIR] [--rule NAME]... [--json] [--deny] [--list-rules]"
-    );
-    if err.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    }
+    eprintln!("exsample-lint: {err}\n{USAGE}");
+    ExitCode::from(2)
 }

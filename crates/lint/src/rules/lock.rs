@@ -37,7 +37,7 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::Report;
 use std::collections::BTreeMap;
 
 pub const LOCK_BLOCKING: &str = "lock_blocking";
@@ -120,12 +120,7 @@ pub struct Edge {
 /// Walk one file, emitting `lock_blocking` findings and collecting
 /// `lock_order` edges into `edges`. Test modules are skipped: tests
 /// block under locks deliberately (e.g. to provoke contention).
-pub fn walk_file(
-    f: &SourceFile,
-    findings: &mut Vec<Finding>,
-    suppressed: &mut usize,
-    edges: &mut Vec<Edge>,
-) {
+pub fn walk_file(f: &SourceFile, report: &mut Report, edges: &mut Vec<Edge>) {
     let toks = &f.lexed.tokens;
     let mut depth: i32 = 0;
     let mut guards: Vec<Guard> = Vec::new();
@@ -152,21 +147,19 @@ pub fn walk_file(
             // Statement end: temporaries acquired at this depth die.
             guards.retain(|g| g.name.is_some() || g.depth != depth);
         } else if t.kind == TokenKind::Ident {
-            i = on_ident(f, toks, i, depth, &mut guards, findings, suppressed, edges);
+            i = on_ident(f, toks, i, depth, &mut guards, report, edges);
         }
         i += 1;
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn on_ident(
     f: &SourceFile,
     toks: &[Token],
     i: usize,
     depth: i32,
     guards: &mut Vec<Guard>,
-    findings: &mut Vec<Finding>,
-    suppressed: &mut usize,
+    report: &mut Report,
     edges: &mut Vec<Edge>,
 ) -> usize {
     let name = toks[i].text.as_str();
@@ -215,7 +208,7 @@ fn on_ident(
             if held.name == consumed && consumed.is_some() {
                 continue;
             }
-            report_blocking(f, toks[i].line, name, held, findings, suppressed);
+            report_blocking(f, toks[i].line, name, held, report);
         }
         if let Some(c) = consumed {
             // The wait returns a guard on the same lock; rebind it.
@@ -248,7 +241,7 @@ fn on_ident(
             // Report against every live guard (each is independently a
             // reason the call should move).
             for held in guards.iter() {
-                report_blocking(f, toks[i].line, name, held, findings, suppressed);
+                report_blocking(f, toks[i].line, name, held, report);
             }
         }
     }
@@ -283,29 +276,19 @@ fn acquire(
     });
 }
 
-fn report_blocking(
-    f: &SourceFile,
-    line: u32,
-    call: &str,
-    held: &Guard,
-    findings: &mut Vec<Finding>,
-    suppressed: &mut usize,
-) {
-    if f.lexed.allowed(LOCK_BLOCKING, line) {
-        *suppressed += 1;
-        return;
-    }
-    findings.push(Finding {
-        file: f.rel_path.clone(),
+fn report_blocking(f: &SourceFile, line: u32, call: &str, held: &Guard, report: &mut Report) {
+    report.flag(
+        f.lexed.allowed(LOCK_BLOCKING, line),
+        &f.rel_path,
         line,
-        rule: LOCK_BLOCKING.into(),
-        message: format!(
+        LOCK_BLOCKING,
+        format!(
             "blocking call `{call}` while guard of lock `{}` (acquired line {}) is live; \
              move the call outside the critical section or annotate \
              `// lint: allow(lock_blocking, reason)`",
             held.lock_name, held.line
         ),
-    });
+    );
 }
 
 /// Lock identity from the receiver chain ending at `dot_idx` (the `.`
@@ -444,11 +427,7 @@ fn binding_name(toks: &[Token], acq_idx: usize) -> Option<String> {
 /// grouped by the crate the file belongs to; a strongly connected
 /// component with more than one lock, or any self-edge, is a deadlock
 /// candidate. A cycle is suppressed if at least one of its edges is.
-pub fn order_findings(
-    edges_by_crate: &BTreeMap<String, Vec<Edge>>,
-    findings: &mut Vec<Finding>,
-    suppressed_count: &mut usize,
-) {
+pub fn order_findings(edges_by_crate: &BTreeMap<String, Vec<Edge>>, report: &mut Report) {
     for (krate, edges) in edges_by_crate {
         for e in edges {
             let reversed = DECLARED_ORDER
@@ -457,21 +436,18 @@ pub fn order_findings(
             if !reversed {
                 continue;
             }
-            if e.suppressed {
-                *suppressed_count += 1;
-                continue;
-            }
-            findings.push(Finding {
-                file: e.file.clone(),
-                line: e.line,
-                rule: LOCK_ORDER.into(),
-                message: format!(
+            report.flag(
+                e.suppressed,
+                &e.file,
+                e.line,
+                LOCK_ORDER,
+                format!(
                     "lock `{}` acquired while `{}` is held, against crate `{krate}`'s declared \
                      order ({} before {}); release the inner lock first, or annotate \
                      `// lint: allow(lock_order, reason)`",
                     e.to, e.from, e.to, e.from
                 ),
-            });
+            );
         }
         // Adjacency with one representative site per (from, to).
         let mut adj: BTreeMap<&str, BTreeMap<&str, (&Edge, bool)>> = BTreeMap::new();
@@ -489,11 +465,6 @@ pub fn order_findings(
                 .windows(2)
                 .filter_map(|w| adj.get(w[0]).and_then(|m| m.get(w[1])))
                 .collect();
-            let any_suppressed = all_sites.iter().any(|(_, s)| *s);
-            if any_suppressed {
-                *suppressed_count += 1;
-                continue;
-            }
             let (first, _) = all_sites.first().copied().copied().unwrap_or_else(|| {
                 unreachable!("cycle has at least one edge");
             });
@@ -502,17 +473,18 @@ pub fn order_findings(
                 .iter()
                 .map(|(e, _)| format!("{}:{}", e.file, e.line))
                 .collect();
-            findings.push(Finding {
-                file: first.file.clone(),
-                line: first.line,
-                rule: LOCK_ORDER.into(),
-                message: format!(
+            report.flag(
+                all_sites.iter().any(|(_, s)| *s),
+                &first.file,
+                first.line,
+                LOCK_ORDER,
+                format!(
                     "lock-order cycle in crate `{krate}`: {path} (acquisition sites: {}); \
                      nested acquisitions in a loop can deadlock — impose a single order, \
                      or annotate one edge `// lint: allow(lock_order, reason)`",
                     sites.join(", ")
                 ),
-            });
+            );
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::Report;
 use std::collections::BTreeMap;
 
 pub const METRIC_DRIFT: &str = "metric_drift";
@@ -95,13 +95,7 @@ pub fn doc_catalog(doc: &str) -> Vec<(String, u32)> {
 }
 
 /// Compare registrations against the doc catalog.
-pub fn check(
-    registrations: &[Registration],
-    doc: &str,
-    doc_path: &str,
-    findings: &mut Vec<Finding>,
-    suppressed: &mut usize,
-) {
+pub fn check(registrations: &[Registration], doc: &str, doc_path: &str, report: &mut Report) {
     let catalog = doc_catalog(doc);
     let documented: BTreeMap<&str, u32> = catalog.iter().map(|(n, l)| (n.as_str(), *l)).collect();
     let mut seen: BTreeMap<&str, &Registration> = BTreeMap::new();
@@ -112,30 +106,28 @@ pub fn check(
         if documented.contains_key(r.name.as_str()) {
             continue;
         }
-        if r.allowed {
-            *suppressed += 1;
-            continue;
-        }
-        findings.push(Finding {
-            file: r.file.clone(),
-            line: r.line,
-            rule: METRIC_DRIFT.into(),
-            message: format!(
+        report.flag(
+            r.allowed,
+            &r.file,
+            r.line,
+            METRIC_DRIFT,
+            format!(
                 "metric `{}` is registered here but missing from the {doc_path} catalog table",
                 r.name
             ),
-        });
+        );
     }
     for (name, line) in &catalog {
         if !seen.contains_key(name.as_str()) {
-            findings.push(Finding {
-                file: doc_path.to_string(),
-                line: *line,
-                rule: METRIC_DRIFT.into(),
-                message: format!(
+            report.flag(
+                false,
+                doc_path,
+                *line,
+                METRIC_DRIFT,
+                format!(
                     "metric `{name}` is documented in the catalog but never registered in code"
                 ),
-            });
+            );
         }
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::Report;
 
 pub const PANIC_AUDIT: &str = "panic_audit";
 
@@ -48,7 +48,7 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "type", "struct", "enum", "const", "static", "unsafe", "async", "await", "box", "yield",
 ];
 
-pub fn walk_file(f: &SourceFile, findings: &mut Vec<Finding>, suppressed: &mut usize) {
+pub fn walk_file(f: &SourceFile, report: &mut Report) {
     if !HOT_PATH_CRATES.contains(&f.crate_name.as_str()) {
         return;
     }
@@ -74,7 +74,7 @@ pub fn walk_file(f: &SourceFile, findings: &mut Vec<Finding>, suppressed: &mut u
                     continue;
                 }
             }
-            report(
+            flag(
                 f,
                 t.line,
                 format!(
@@ -83,8 +83,7 @@ pub fn walk_file(f: &SourceFile, findings: &mut Vec<Finding>, suppressed: &mut u
                      `// lint: allow(panic_audit, reason)`",
                     t.text
                 ),
-                findings,
-                suppressed,
+                report,
             );
         } else if t.is_punct('[') && i > 0 {
             let p = &toks[i - 1];
@@ -96,36 +95,21 @@ pub fn walk_file(f: &SourceFile, findings: &mut Vec<Finding>, suppressed: &mut u
             if !indexing {
                 continue;
             }
-            report(
+            flag(
                 f,
                 t.line,
                 "direct indexing panics on out-of-bounds; use `.get(…)` or prove the \
                  bound and annotate `// lint: allow(panic_audit, reason)`"
                     .to_string(),
-                findings,
-                suppressed,
+                report,
             );
         }
     }
 }
 
-fn report(
-    f: &SourceFile,
-    line: u32,
-    message: String,
-    findings: &mut Vec<Finding>,
-    suppressed: &mut usize,
-) {
-    if f.lexed.allowed(PANIC_AUDIT, line) {
-        *suppressed += 1;
-        return;
-    }
-    findings.push(Finding {
-        file: f.rel_path.clone(),
-        line,
-        rule: PANIC_AUDIT.into(),
-        message,
-    });
+fn flag(f: &SourceFile, line: u32, message: String, report: &mut Report) {
+    let allowed = f.lexed.allowed(PANIC_AUDIT, line);
+    report.flag(allowed, &f.rel_path, line, PANIC_AUDIT, message);
 }
 
 /// If the expression before `dot_idx` is a call `name(…)`, return the

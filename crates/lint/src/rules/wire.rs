@@ -15,7 +15,7 @@
 
 use crate::lexer::Token;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::Report;
 
 pub const WIRE_PROTOCOL: &str = "wire_protocol";
 
@@ -30,81 +30,43 @@ pub struct WireInputs<'a> {
     pub handshake_tests: &'a [(String, String)],
 }
 
-pub fn check(inp: &WireInputs<'_>, findings: &mut Vec<Finding>, suppressed: &mut usize) {
+pub fn check(inp: &WireInputs<'_>, report: &mut Report) {
+    let lib = inp.lib;
+    let mut emit = |line: u32, message: String| {
+        let allowed = lib.lexed.allowed(WIRE_PROTOCOL, line);
+        report.flag(allowed, &lib.rel_path, line, WIRE_PROTOCOL, message);
+    };
+
     // ---- version constant vs spec document ----
-    let code_version = find_const(&inp.lib.lexed.tokens, "PROTO_VERSION");
+    let code_version = find_const(&lib.lexed.tokens, "PROTO_VERSION");
     let (doc_text, doc_path) = inp.doc;
-    let doc_version = doc_declared_version(doc_text);
-    match (code_version, doc_version) {
-        (Some((cv, cl)), Some((dv, dl))) => {
-            if cv != dv {
-                emit(
-                    inp.lib,
-                    cl,
-                    format!(
-                        "PROTO_VERSION is {cv} but {doc_path}:{dl} declares `version u16 = {dv}` — \
-                         bump them together"
-                    ),
-                    findings,
-                    suppressed,
-                );
-            }
-        }
-        (None, _) => emit(
-            inp.lib,
-            1,
-            "PROTO_VERSION constant not found".to_string(),
-            findings,
-            suppressed,
+    match (code_version, doc_declared_version(doc_text)) {
+        (Some((cv, cl)), Some((dv, dl))) if cv != dv => emit(
+            cl,
+            format!(
+                "PROTO_VERSION is {cv} but {doc_path}:{dl} declares `version u16 = {dv}` — \
+                 bump them together"
+            ),
         ),
+        (Some(_), Some(_)) => {}
+        (None, _) => emit(1, "PROTO_VERSION constant not found".to_string()),
         (_, None) => emit(
-            inp.lib,
             1,
             format!("{doc_path} declares no `version u16 = N` preamble line"),
-            findings,
-            suppressed,
         ),
     }
 
     // ---- handshake tests pin the symbol, not a number ----
     for (path, text) in inp.handshake_tests {
-        if !text.contains("version_mismatch") {
-            findings.push(Finding {
-                file: path.clone(),
-                line: 1,
-                rule: WIRE_PROTOCOL.into(),
-                message: "no version-mismatch handshake test found in this suite".to_string(),
-            });
+        let message = if !text.contains("version_mismatch") {
+            "no version-mismatch handshake test found in this suite"
         } else if !text.contains("PROTO_VERSION") {
-            findings.push(Finding {
-                file: path.clone(),
-                line: 1,
-                rule: WIRE_PROTOCOL.into(),
-                message: "handshake tests must reference PROTO_VERSION symbolically, \
-                          not a hardcoded version"
-                    .to_string(),
-            });
-        }
+            "handshake tests must reference PROTO_VERSION symbolically, not a hardcoded version"
+        } else {
+            continue;
+        };
+        report.flag(false, path, 1, WIRE_PROTOCOL, message.to_string());
     }
-}
-
-fn emit(
-    f: &SourceFile,
-    line: u32,
-    message: String,
-    findings: &mut Vec<Finding>,
-    suppressed: &mut usize,
-) {
-    if f.lexed.allowed(WIRE_PROTOCOL, line) {
-        *suppressed += 1;
-        return;
-    }
-    findings.push(Finding {
-        file: f.rel_path.clone(),
-        line,
-        rule: WIRE_PROTOCOL.into(),
-        message,
-    });
 }
 
 /// `const NAME: … = <num>` anywhere in the token stream.

@@ -16,19 +16,30 @@ pub struct SourceFile {
     /// Index ranges (into `lexed.tokens`) covered by `#[cfg(test)]`
     /// modules; rules that exempt test code skip tokens inside these.
     pub test_regions: Vec<(usize, usize)>,
+    /// Names of out-of-line test modules (`#[cfg(test)] mod name;`),
+    /// whose files hold nothing but test code.
+    pub test_mods: Vec<String>,
 }
 
 impl SourceFile {
     /// Lex and preprocess one file's text.
     pub fn from_text(rel_path: &str, crate_name: &str, text: &str) -> SourceFile {
         let lexed = lex(text);
-        let test_regions = find_test_regions(&lexed.tokens);
+        let (test_regions, test_mods) = find_test_regions(&lexed.tokens);
         SourceFile {
             rel_path: rel_path.to_string(),
             crate_name: crate_name.to_string(),
             lexed,
             test_regions,
+            test_mods,
         }
+    }
+
+    /// First and last line of each `#[cfg(test)]` module.
+    pub fn test_lines(&self) -> Vec<(u32, u32)> {
+        let line = |i: usize| self.lexed.tokens.get(i).map_or(u32::MAX, |t| t.line);
+        let regions = self.test_regions.iter();
+        regions.map(|&(a, b)| (line(a), line(b - 1))).collect()
     }
 
     /// Is token index `i` inside a `#[cfg(test)]` module?
@@ -37,11 +48,12 @@ impl SourceFile {
     }
 }
 
-/// Locate `#[cfg(test)] mod name { … }` regions. The attribute may be
-/// separated from `mod` by further attributes; we scan forward a short
-/// window for the `mod` keyword, then brace-match its body.
-fn find_test_regions(toks: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
+/// Locate `#[cfg(test)] mod name { … }` regions, and the names of
+/// out-of-line `#[cfg(test)] mod name;` declarations. The attribute may
+/// be separated from `mod` by further attributes; we scan forward a
+/// short window for the `mod` keyword, then brace-match its body.
+fn find_test_regions(toks: &[Token]) -> (Vec<(usize, usize)>, Vec<String>) {
+    let (mut out, mut mods) = (Vec::new(), Vec::new());
     let mut i = 0;
     while i + 5 < toks.len() {
         let hit = toks[i].is_punct('#')
@@ -59,6 +71,9 @@ fn find_test_regions(toks: &[Token]) -> Vec<(usize, usize)> {
         let mut j = i + 6;
         let mut guard = 0;
         while j < toks.len() && !toks[j].is_ident("mod") && guard < 32 {
+            if toks[j].is_punct(';') || toks[j].is_punct('{') {
+                break; // the attribute sits on some other item
+            }
             j += 1;
             guard += 1;
         }
@@ -66,14 +81,15 @@ fn find_test_regions(toks: &[Token]) -> Vec<(usize, usize)> {
             i += 1;
             continue;
         }
-        while j < toks.len() && !toks[j].is_punct('{') {
-            // `#[cfg(test)] mod tests;` (out-of-line) has no body here.
-            if toks[j].is_punct(';') {
-                break;
-            }
+        let name = j + 1;
+        while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
             j += 1;
         }
         if j >= toks.len() || !toks[j].is_punct('{') {
+            // `#[cfg(test)] mod tests;`: the body is a file of its own.
+            if j == name + 1 {
+                mods.push(toks[name].text.clone());
+            }
             i += 1;
             continue;
         }
@@ -93,75 +109,64 @@ fn find_test_regions(toks: &[Token]) -> Vec<(usize, usize)> {
         out.push((start, j + 1));
         i = j + 1;
     }
+    (out, mods)
+}
+
+/// Paths of the files among `files` that a `#[cfg(test)] mod name;`
+/// elsewhere in `files` declares: test code from the first line.
+pub fn test_module_files(files: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (path, text) in files.iter().filter(|(p, _)| p.ends_with(".rs")) {
+        let dir = match path.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+            _ => path.trim_end_matches(".rs"),
+        };
+        for m in SourceFile::from_text(path, "", text).test_mods {
+            out.push(format!("{dir}/{m}.rs"));
+            out.push(format!("{dir}/{m}/mod.rs"));
+        }
+    }
     out
 }
 
-/// Recursively collect `.rs` files under `dir` (sorted for stable
-/// output), skipping anything under a `fixtures` or `target` directory.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name == "fixtures" || name == "target" {
-                continue;
-            }
-            collect_rs(&p, out);
-        } else if p.extension().and_then(|e| e.to_str()) == Some("rs") {
-            out.push(p);
+/// Every file under each of `roots` (directories or files, relative to
+/// `root`) as `(relative path, text)`, sorted, never entering a `target`
+/// directory.
+pub fn load_tree(root: &Path, roots: &[&str]) -> std::io::Result<Vec<(String, String)>> {
+    let mut out = Vec::new();
+    let mut todo: Vec<PathBuf> = roots.iter().rev().map(|r| root.join(r)).collect();
+    while let Some(p) = todo.pop() {
+        if p.is_dir() && !p.ends_with("target") {
+            let mut entries: Vec<PathBuf> =
+                std::fs::read_dir(&p)?.flatten().map(|e| e.path()).collect();
+            entries.sort_by(|a, b| b.cmp(a)); // popped in order
+            todo.extend(entries);
+        } else if p.is_file() {
+            let text = String::from_utf8_lossy(&std::fs::read(&p)?).into_owned();
+            let rel = p.strip_prefix(root).unwrap_or(&p).to_string_lossy();
+            out.push((rel.replace('\\', "/"), text));
         }
     }
+    Ok(out)
 }
 
-/// Load every scanned source file of the workspace rooted at `root`:
-/// `crates/*/src/**/*.rs` plus the facade's own `src/`. Shims are
-/// deliberately excluded — they are offline stand-ins for external
-/// crates and follow upstream's conventions, not ours.
-pub fn load_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+/// The Rust sources the lexical rules read, lexed, out of a loaded
+/// tree: `crates/*/src/**/*.rs` plus the facade's own `src/`, skipping
+/// `fixtures/` directories. Shims are deliberately excluded — they are
+/// offline stand-ins for external crates and follow upstream's
+/// conventions, not ours.
+pub fn workspace_sources(tree: &[(String, String)]) -> Vec<SourceFile> {
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for cdir in crate_dirs {
-        let crate_name = cdir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("?")
-            .to_string();
-        let mut paths = Vec::new();
-        collect_rs(&cdir.join("src"), &mut paths);
-        for p in paths {
-            push_file(root, &p, &crate_name, &mut files)?;
+    for (path, text) in tree {
+        let parts: Vec<&str> = path.split('/').collect();
+        let crate_name = match parts[..] {
+            ["src", ..] => ".",
+            ["crates", name, "src", ..] => name,
+            _ => continue,
+        };
+        if path.ends_with(".rs") && !parts.contains(&"fixtures") {
+            files.push(SourceFile::from_text(path, crate_name, text));
         }
     }
-    let mut facade = Vec::new();
-    collect_rs(&root.join("src"), &mut facade);
-    for p in facade {
-        push_file(root, &p, ".", &mut files)?;
-    }
-    Ok(files)
-}
-
-fn push_file(
-    root: &Path,
-    path: &Path,
-    crate_name: &str,
-    files: &mut Vec<SourceFile>,
-) -> std::io::Result<()> {
-    let text = std::fs::read_to_string(path)?;
-    let rel = path
-        .strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/");
-    files.push(SourceFile::from_text(&rel, crate_name, &text));
-    Ok(())
+    files
 }

@@ -4,36 +4,34 @@
 //! are lexed, never compiled.
 
 use exsample_lint::rules::lock::{self, Edge};
+use exsample_lint::rules::retired::{Retirement, RETIREMENTS};
 use exsample_lint::rules::wire::WireInputs;
-use exsample_lint::rules::{metrics, panic, wire};
-use exsample_lint::source::SourceFile;
-use exsample_lint::Finding;
+use exsample_lint::rules::{budget, metrics, panic, retired, wire};
+use exsample_lint::source::{test_module_files, SourceFile};
+use exsample_lint::{Finding, Report};
 use std::collections::BTreeMap;
 
 fn lock_walk(src: &str) -> (Vec<Finding>, usize, Vec<Edge>) {
     let f = SourceFile::from_text("fixtures/x.rs", "engine", src);
-    let mut findings = Vec::new();
-    let mut suppressed = 0;
+    let mut report = Report::default();
     let mut edges = Vec::new();
-    lock::walk_file(&f, &mut findings, &mut suppressed, &mut edges);
-    (findings, suppressed, edges)
+    lock::walk_file(&f, &mut report, &mut edges);
+    (report.findings, report.suppressed, edges)
 }
 
 fn order_report(edges: Vec<Edge>) -> (Vec<Finding>, usize) {
     let mut by_crate = BTreeMap::new();
     by_crate.insert("engine".to_string(), edges);
-    let mut findings = Vec::new();
-    let mut suppressed = 0;
-    lock::order_findings(&by_crate, &mut findings, &mut suppressed);
-    (findings, suppressed)
+    let mut report = Report::default();
+    lock::order_findings(&by_crate, &mut report);
+    (report.findings, report.suppressed)
 }
 
 fn panic_walk(crate_name: &str, src: &str) -> (Vec<Finding>, usize) {
     let f = SourceFile::from_text("fixtures/x.rs", crate_name, src);
-    let mut findings = Vec::new();
-    let mut suppressed = 0;
-    panic::walk_file(&f, &mut findings, &mut suppressed);
-    (findings, suppressed)
+    let mut report = Report::default();
+    panic::walk_file(&f, &mut report);
+    (report.findings, report.suppressed)
 }
 
 // ---- lock_blocking ----
@@ -200,10 +198,9 @@ fn wire_check(lib_src: &str, doc: &str, tests: &[(String, String)]) -> (Vec<Find
         doc: (doc, "fixtures/PROTOCOL.md"),
         handshake_tests: tests,
     };
-    let mut findings = Vec::new();
-    let mut suppressed = 0;
-    wire::check(&inputs, &mut findings, &mut suppressed);
-    (findings, suppressed)
+    let mut report = Report::default();
+    wire::check(&inputs, &mut report);
+    (report.findings, report.suppressed)
 }
 
 #[test]
@@ -270,15 +267,9 @@ fn metric_drift_fires_both_directions() {
     metrics::collect_registrations(&f, &mut regs);
     let doc =
         "| metric | kind |\n|---|---|\n| `frames_total` | counter |\n| `ghost_total` | counter |\n";
-    let mut findings = Vec::new();
-    let mut suppressed = 0;
-    metrics::check(
-        &regs,
-        doc,
-        "fixtures/OBSERVABILITY.md",
-        &mut findings,
-        &mut suppressed,
-    );
+    let mut report = Report::default();
+    metrics::check(&regs, doc, "fixtures/OBSERVABILITY.md", &mut report);
+    let (findings, suppressed) = (report.findings, report.suppressed);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings
         .iter()
@@ -302,11 +293,10 @@ fn metric_drift_quiet_when_in_sync() {
     let mut regs = Vec::new();
     metrics::collect_registrations(&f, &mut regs);
     let doc = "| `frames_total` | counter |\n";
-    let mut findings = Vec::new();
-    let mut suppressed = 0;
-    metrics::check(&regs, doc, "d.md", &mut findings, &mut suppressed);
-    assert!(findings.is_empty(), "{findings:?}");
-    assert_eq!(suppressed, 0);
+    let mut report = Report::default();
+    metrics::check(&regs, doc, "d.md", &mut report);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed, 0);
 }
 
 #[test]
@@ -320,23 +310,6 @@ fn metric_drift_family_labels_are_stripped_from_doc_names() {
 // ---- report plumbing ----
 
 #[test]
-fn json_report_escapes_and_counts() {
-    let report = exsample_lint::Report {
-        findings: vec![Finding {
-            file: "a.rs".into(),
-            line: 3,
-            rule: "panic_audit".into(),
-            message: "uses `expect()` with \"quotes\"".into(),
-        }],
-        suppressed: 2,
-    };
-    let json = report.to_json();
-    assert!(json.contains("\\\"quotes\\\""));
-    assert!(json.contains("\"total\": 1"));
-    assert!(json.contains("\"suppressed\": 2"));
-}
-
-#[test]
 fn findings_display_as_file_line_rule_message() {
     let f = Finding {
         file: "crates/x/src/y.rs".into(),
@@ -345,4 +318,259 @@ fn findings_display_as_file_line_rule_message() {
         message: "nope".into(),
     };
     assert_eq!(f.to_string(), "crates/x/src/y.rs:12: lock_blocking: nope");
+}
+
+// ---- retired ----
+
+fn retired_run(files: &[(String, String)]) -> Vec<Finding> {
+    let mut report = Report::default();
+    retired::check(files, &mut report);
+    assert_eq!(
+        report.suppressed, 0,
+        "no annotation excuses a retired spelling"
+    );
+    report.findings
+}
+
+fn one(path: &str, text: String) -> Vec<(String, String)> {
+    vec![(path.to_string(), text)]
+}
+
+/// A concrete instance of a table spelling: each `*` becomes `x`.
+fn instance(spelling: &str) -> String {
+    spelling.replace('*', "x")
+}
+
+/// The spelling with a line break after every token boundary.
+fn spread(spelling: &str) -> String {
+    let mut out = String::new();
+    for c in instance(spelling).chars() {
+        match c {
+            ' ' => out.push('\n'),
+            c if c.is_ascii_alphanumeric() || c == '_' => out.push(c),
+            c => out.push_str(&format!(" {c}\n ")),
+        }
+    }
+    out
+}
+
+/// One file of each kind the row scans beneath each of its scope roots
+/// (`*` in a path becomes `x`); a root that names a file is itself.
+fn plant_paths(row: &Retirement) -> Vec<String> {
+    let kinds: &[&str] = match row.kinds {
+        [] => &["rs", "md", "toml", "txt"],
+        kinds => kinds,
+    };
+    let mut out = Vec::new();
+    for root in row.scope.iter().map(|r| r.replace('*', "x")) {
+        if root.contains('.') {
+            out.push(root);
+        } else {
+            out.extend(kinds.iter().map(|k| format!("{root}/planted.{k}")));
+        }
+    }
+    out
+}
+
+/// `text` planted in a file at `path`, with the line it lands on: in
+/// code and in a comment for Rust, in prose or a value otherwise.
+fn plants(path: &str, text: &str) -> Vec<(String, u32)> {
+    if path.ends_with(".rs") {
+        vec![
+            (format!("fn planted() {{\n    {text}\n}}\n"), 2),
+            (format!("// {text}\nfn planted() {{}}\n"), 1),
+        ]
+    } else if path.ends_with(".toml") {
+        vec![(format!("[package]\nnote = \"{text}\"\n"), 2)]
+    } else {
+        vec![(format!("# Notes\n\nSee {text} here.\n"), 3)]
+    }
+}
+
+#[test]
+fn retired_flags_every_spelling_once_under_every_scope_root() {
+    let mut planted = 0;
+    for row in RETIREMENTS {
+        for spelling in row.spellings.split('|') {
+            for path in plant_paths(row) {
+                for text in [instance(spelling), spread(spelling)] {
+                    for (src, line) in plants(&path, &text) {
+                        let found = retired_run(&one(&path, src.clone()));
+                        let what =
+                            format!("{} `{spelling}` in {path}:\n{src}\n{found:?}", row.name);
+                        assert_eq!(found.len(), 1, "{what}");
+                        assert_eq!(found[0].line, line, "{what}");
+                        assert_eq!(found[0].rule, retired::RETIRED);
+                        assert!(found[0].message.contains(row.name), "{what}");
+                        planted += 1;
+                    }
+                }
+                // An inline annotation does not excuse it.
+                let annotated = format!("{} // lint: allow(retired, no)\n", instance(spelling));
+                assert_eq!(retired_run(&one(&path, annotated)).len(), 1);
+            }
+        }
+    }
+    assert!(planted >= 300, "only {planted} plants: the table lost rows");
+}
+
+#[test]
+fn retired_stays_quiet_where_a_row_exempts_and_on_near_misses() {
+    let quiet = |path: &str, text: &str| {
+        for (src, _) in plants(path, text) {
+            let found = retired_run(&one(path, src.clone()));
+            assert!(found.is_empty(), "{path}:\n{src}\n{found:?}");
+        }
+    };
+    for row in RETIREMENTS {
+        for spelling in row.spellings.split('|') {
+            let text = instance(spelling);
+            for (allowed, reason) in row.allow {
+                assert!(!reason.is_empty(), "{}: {allowed} needs a reason", row.name);
+                quiet(&allowed.replace('*', "x"), &text);
+            }
+            for kind in ["rs", "md", "toml", "txt"] {
+                if !row.kinds.is_empty() && !row.kinds.contains(&kind) {
+                    for root in row.scope.iter().filter(|r| !r.contains('.')) {
+                        quiet(&format!("{}/planted.{kind}", root.replace('*', "x")), &text);
+                    }
+                }
+            }
+            quiet("CHANGES.md", &text);
+            quiet("crates/lint/src/rules/retired.rs", &text);
+            for path in plant_paths(row).iter().filter(|p| p.ends_with(".rs")) {
+                let expected = usize::from(!row.tests_exempt);
+                let inline = format!("fn a() {{}}\n#[cfg(test)]\nmod tests {{\n    {text}\n}}\n");
+                assert_eq!(retired_run(&one(path, inline)).len(), expected, "{path}");
+                let (dir, _) = path
+                    .rsplit_once('/')
+                    .expect("a planted path has a directory");
+                let out_of_line = vec![
+                    (
+                        format!("{dir}/lib.rs"),
+                        "#[cfg(test)]\nmod planted;\n".to_string(),
+                    ),
+                    (path.clone(), format!("fn t() {{ {text} }}\n")),
+                ];
+                assert_eq!(retired_run(&out_of_line).len(), expected, "{path}");
+            }
+            // Near misses (`my_service_err2`, `EngineErrorKind`,
+            // `fn preloaded`, …) are other words.
+            let word = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+            if word(spelling.chars().next()) && word(spelling.chars().last()) {
+                for miss in [
+                    format!("my_{spelling}2"),
+                    format!("{spelling}Kind"),
+                    format!("{spelling}ed"),
+                ] {
+                    for path in plant_paths(row) {
+                        quiet(&path, &miss);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---- budget ----
+
+fn budget_run(files: &[(String, String)]) -> Vec<Finding> {
+    let mut report = Report::default();
+    budget::check(files, &mut report);
+    assert_eq!(report.suppressed, 0, "no annotation raises a budget");
+    report.findings
+}
+
+fn code_lines(n: usize) -> String {
+    "let x = 1;\n".repeat(n)
+}
+
+#[test]
+fn budget_holds_the_line_ceiling_at_its_boundary() {
+    let b = &budget::BUDGETS[0];
+    let path = format!("{}/carved.rs", b.scope);
+    let file = |n: usize| {
+        let text = format!(
+            "{}#[cfg(test)]\nmod tests {{\n{}}}\n",
+            code_lines(n),
+            code_lines(2000)
+        );
+        one(&path, text)
+    };
+    assert!(budget_run(&file(b.max_lines)).is_empty());
+    let over = budget_run(&file(b.max_lines + 1));
+    assert_eq!(over.len(), 1, "{over:?}");
+    assert_eq!((over[0].file.as_str(), over[0].line), (path.as_str(), 901));
+    assert!(over[0].message.contains("901 lines"), "{over:?}");
+    // An annotation is a line like any other, and excuses nothing.
+    let annotated = format!(
+        "// lint: allow-file(budget, no)\n{}",
+        code_lines(b.max_lines)
+    );
+    assert_eq!(budget_run(&one(&path, annotated)).len(), 1);
+    // Outside the scope nothing is counted.
+    assert!(budget_run(&one("crates/core/src/big.rs", code_lines(5000))).is_empty());
+}
+
+#[test]
+fn budget_holds_the_allow_ceiling_at_its_boundary() {
+    let b = &budget::BUDGETS[0];
+    let files = |n: usize| -> Vec<(String, String)> {
+        let allow = "x(); // lint: allow(panic_audit, proven)\n".to_string();
+        (0..n)
+            .map(|i| (format!("{}/f{i}.rs", b.scope), allow.clone()))
+            .collect()
+    };
+    assert!(budget_run(&files(b.max_allows)).is_empty());
+    let over = budget_run(&files(b.max_allows + 1));
+    assert_eq!(over.len(), 1, "{over:?}");
+    assert_eq!(over[0].file, b.scope);
+    assert!(over[0].message.contains("9 `lint: allow`"), "{over:?}");
+}
+
+#[test]
+fn budget_counts_an_out_of_line_test_module_as_zero() {
+    // The shape of `crates/core/src/exsample/screen_tests.rs`, declared
+    // `#[cfg(test)] mod screen_tests;` in `exsample.rs`: every line of it
+    // is test code, though no line of it opens with `#[cfg(test)]`.
+    let parent = "pub struct ExSample;\n#[cfg(test)]\nmod screen_tests;\n".to_string();
+    let core = [
+        ("crates/core/src/exsample.rs".to_string(), parent.clone()),
+        (
+            "crates/core/src/exsample/screen_tests.rs".to_string(),
+            String::new(),
+        ),
+    ];
+    assert!(test_module_files(&core).contains(&core[1].0));
+    assert!(!test_module_files(&core).contains(&core[0].0));
+
+    let scope = budget::BUDGETS[0].scope;
+    let (child, long) = (
+        format!("{scope}/exsample/screen_tests.rs"),
+        code_lines(2000),
+    );
+    let declared = [
+        (format!("{scope}/exsample.rs"), parent),
+        (child.clone(), long.clone()),
+    ];
+    assert!(budget_run(&declared).is_empty());
+    assert_eq!(budget_run(&one(&child, long)).len(), 1);
+}
+
+#[test]
+fn cfg_test_on_another_item_marks_no_module_as_test() {
+    let src = "#[cfg(test)]\nuse std::fmt;\nmod wire;\nmod tests {\n    fn t() {}\n}\n";
+    let f = SourceFile::from_text("crates/x/src/lib.rs", "x", src);
+    assert!(f.test_regions.is_empty(), "{:?}", f.test_regions);
+    assert!(f.test_mods.is_empty(), "{:?}", f.test_mods);
+}
+
+// ---- the workspace itself ----
+
+#[test]
+fn the_workspace_has_no_findings() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = exsample_lint::run_workspace(&root).expect("the workspace is readable");
+    let findings: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
+    assert!(findings.is_empty(), "{}", findings.join("\n"));
 }

@@ -1,7 +1,9 @@
 //! Dangling-reference guard: every `--bin <x>`, `--example <x>`,
 //! `docs/<x>.md` and `BENCH_<x>.json` that the README, the design notes,
 //! the verify skill or the CI workflow names must be a file in the tree,
-//! so deleting a binary or a record cannot leave prose pointing at it.
+//! and every `CI step "<name>"` they name a `- name:` of the CI workflow,
+//! so deleting a binary, a record or a step cannot leave prose pointing
+//! at it.
 
 use std::fs;
 use std::path::Path;
@@ -37,6 +39,11 @@ fn every_named_bin_example_doc_and_record_exists() {
     sources.push(root.join("README.md"));
     sources.push(root.join(".claude/skills/verify/SKILL.md"));
     sources.push(root.join(".github/workflows/ci.yml"));
+    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let steps: Vec<&str> = ci
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("- name: "))
+        .collect();
     let (mut seen, mut dangling) = (0, Vec::new());
     for source in &sources {
         let text =
@@ -47,6 +54,14 @@ fn every_named_bin_example_doc_and_record_exists() {
                 if !root.join(format!("{head}{x}{tail}")).exists() {
                     dangling.push(format!("{}: {prefix}{x}{suffix}", source.display()));
                 }
+            }
+        }
+        for (at, _) in text.match_indices("CI step \"") {
+            let rest = &text[at + "CI step \"".len()..];
+            let step = &rest[..rest.find('"').unwrap_or(rest.len())];
+            seen += 1;
+            if !steps.contains(&step) {
+                dangling.push(format!("{}: CI step \"{step}\"", source.display()));
             }
         }
     }
