@@ -1,15 +1,15 @@
-//! The cluster layer's contract: a `ShardRouter` over a mixed fleet —
-//! in-process engines plus a remote shard behind the wire protocol — is
-//! indistinguishable from one big engine for every `SearchService`
-//! caller: identical traces, namespaced but stable ids, typed errors,
-//! and shard failures that are contained, reported, and recoverable.
+//! The cluster layer's own contract: catalogs merged with origin tags,
+//! shard failures that are contained, reported and recoverable, and
+//! placement that survives a restart. That a mixed fleet answers every
+//! `SearchService` call like one big engine is held by the workspace's
+//! `tests/conformance.rs`.
 
 use exsample_cluster::{split_repo, split_session, ShardRouter, ShardService};
 use exsample_core::driver::StopCond;
 use exsample_detect::NoiseModel;
 use exsample_engine::{
     dataset_fingerprint, Engine, EngineConfig, QuerySpec, RepoId, SearchService, ServiceError,
-    SessionId, SessionStatus,
+    SessionStatus,
 };
 use exsample_proto::transport::DuplexStream;
 use exsample_proto::{duplex, RemoteClient, SearchServer};
@@ -105,100 +105,6 @@ fn curve(trace: &exsample_core::driver::SearchTrace) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn mixed_cluster_matches_single_engine_bit_for_bit() {
-    // Three repositories of distinct footage, three shards: two
-    // in-process engines plus one behind the wire protocol.
-    let repos: Vec<(String, Arc<GroundTruth>)> = (0..3)
-        .map(|i| (format!("cam-{i}"), truth(20_000, 60, 17 + i)))
-        .collect();
-
-    let locals = [engine(), engine()];
-    let remote_engine = engine();
-    let server = Arc::new(SearchServer::new(remote_engine.clone()));
-    let (client_io, server_io) = duplex();
-    serve(&server, server_io);
-    let remote = Arc::new(RemoteClient::connect(client_io).expect("handshake"));
-
-    let shards: Vec<(String, ShardService)> = vec![
-        ("shard-a".into(), locals[0].clone() as ShardService),
-        ("shard-b".into(), locals[1].clone() as ShardService),
-        ("shard-c".into(), remote.clone() as ShardService),
-    ];
-    let router = ShardRouter::new(shards);
-
-    // Register every repository on its rendezvous-placed shard. The
-    // remote shard's engine is registered through its local handle — the
-    // wire protocol serves queries, not footage ingest.
-    let engine_of = |shard: &str| -> &Arc<Engine> {
-        match shard {
-            "shard-a" => &locals[0],
-            "shard-b" => &locals[1],
-            "shard-c" => &remote_engine,
-            other => panic!("unknown shard {other:?}"),
-        }
-    };
-    let mut owners = std::collections::HashSet::new();
-    for (name, gt) in &repos {
-        let owner = router.place(name, dataset_fingerprint(gt));
-        owners.insert(owner.to_string());
-        engine_of(owner).register_repo(name, gt.clone(), NoiseModel::none(), 5);
-    }
-
-    // Reference: one engine owning all three repositories.
-    let single = engine();
-    for (name, gt) in &repos {
-        single.register_repo(name, gt.clone(), NoiseModel::none(), 5);
-    }
-
-    // Six overlapping queries, two per repository, identical specs on
-    // both sides (repo ids resolved per service — they differ, the
-    // results must not).
-    let spec_for = |svc: &dyn SearchService, q: u64| {
-        let (name, _) = &repos[(q % 3) as usize];
-        QuerySpec::new(repo_by_name(svc, name), ClassId(0), StopCond::results(25))
-            .chunks(8)
-            .seed(1000 + q)
-    };
-    let run = |svc: &dyn SearchService| -> Vec<_> {
-        let ids: Vec<SessionId> = (0..6)
-            .map(|q| svc.submit(spec_for(svc, q)).expect("valid spec"))
-            .collect();
-        ids.into_iter()
-            .map(|id| svc.wait(id).expect("session completes"))
-            .collect()
-    };
-    let clustered = run(&router);
-    let reference = run(single.as_ref());
-
-    let mut total_frames = 0;
-    for (c, r) in clustered.iter().zip(&reference) {
-        assert_eq!(c.status, SessionStatus::Done);
-        assert_eq!(c.trace.samples(), r.trace.samples());
-        assert_eq!(c.trace.found(), r.trace.found());
-        assert_eq!(
-            curve(&c.trace),
-            curve(&r.trace),
-            "traces must be bit-identical"
-        );
-        total_frames += c.charges.frames;
-    }
-
-    // Fleet-wide statistics add up across shards, remote included.
-    let stats = router.stats().expect("all shards reachable");
-    assert_eq!(stats.cache.hits + stats.cache.misses, total_frames);
-    assert_eq!(stats.live_sessions, 6);
-    let cluster = router.cluster_stats();
-    assert_eq!(cluster.cache, stats.cache);
-    assert_eq!(cluster.shards_down(), 0);
-    assert_eq!(cluster.shards.len(), 3);
-    // The single engine paid the same detector bill as the fleet: the
-    // shards partition the repositories, so no sharing is lost.
-    assert_eq!(stats.cache.misses, single.detector_invocations());
-    // The workload actually spread across shards.
-    assert!(owners.len() >= 2, "placement sent everything to one shard");
-}
-
-#[test]
 fn catalog_merges_with_origin_tagging() {
     let a = engine();
     let b = engine();
@@ -239,99 +145,6 @@ fn catalog_merges_with_origin_tagging() {
     assert_eq!(tagged[1].1.len(), 1);
     let flattened: Vec<_> = tagged.into_iter().flat_map(|(_, i)| i).collect();
     assert_eq!(flattened, merged);
-}
-
-#[test]
-fn session_lifecycle_contract_over_the_router() {
-    let a = engine();
-    let b = engine();
-    let repo_gt = truth(20_000, 60, 9);
-    a.register_repo("cam", repo_gt.clone(), NoiseModel::none(), 5);
-    let router = ShardRouter::new(vec![
-        ("alpha".into(), a.clone() as ShardService),
-        ("beta".into(), b.clone() as ShardService),
-    ]);
-    let svc: &dyn SearchService = &router;
-    let repo = repo_by_name(svc, "cam");
-
-    // Submit-time validation and unknown-repo rejection, with the
-    // *caller's* (namespaced) ids in the errors.
-    let bogus_local = RepoId(repo.0 + 1); // valid slot, unknown local id
-    assert_eq!(
-        svc.submit(QuerySpec::new(
-            bogus_local,
-            ClassId(0),
-            StopCond::results(1)
-        )),
-        Err(ServiceError::UnknownRepo(bogus_local))
-    );
-    let bogus_slot = RepoId(57 << 24); // out-of-range slot
-    assert_eq!(
-        svc.submit(QuerySpec::new(bogus_slot, ClassId(0), StopCond::results(1))),
-        Err(ServiceError::UnknownRepo(bogus_slot))
-    );
-    assert_eq!(
-        svc.submit(QuerySpec::new(repo, ClassId(0), StopCond::results(1)).chunks(0)),
-        Err(ServiceError::InvalidSpec("chunks must be positive".into()))
-    );
-
-    // Unknown sessions: both an unknown local id and an absurd slot.
-    let ghost = SessionId(3 | (1 << 48)); // slot 1 (valid), unknown local
-    assert_eq!(
-        svc.poll(ghost, 0, None).unwrap_err(),
-        ServiceError::UnknownSession(ghost)
-    );
-    let far = SessionId(u64::MAX);
-    assert_eq!(
-        svc.wait(far).unwrap_err(),
-        ServiceError::UnknownSession(far)
-    );
-
-    // The full happy path: submit routes to shard alpha, the session id
-    // carries the slot, and poll/cancel/wait/forget all round-trip.
-    let id = svc
-        .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(10)).seed(77))
-        .expect("valid spec");
-    assert_eq!(router.shard_of_session(id), Some("alpha"));
-    let report = svc.wait(id).expect("completes");
-    assert_eq!(report.status, SessionStatus::Done);
-    assert!(report.trace.found() >= 10);
-
-    // Windowed cursor chain over the router equals the full log.
-    let all = svc.poll(id, 0, None).expect("full log");
-    assert!(!all.events.is_empty());
-    let mut cursor = 0;
-    let mut paged = Vec::new();
-    loop {
-        let snap = svc.poll(id, cursor, Some(2)).expect("windowed poll");
-        if snap.events.is_empty() {
-            assert_eq!(snap.next_cursor, all.events.len() as u64);
-            break;
-        }
-        cursor = snap.next_cursor;
-        paged.extend(snap.events);
-    }
-    assert_eq!(paged, all.events);
-
-    // Forget-while-running surfaces the namespaced id; cancel is
-    // idempotent; forget returns the report once, then unknown.
-    let busy = svc
-        .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(1_000_000)).seed(78))
-        .expect("valid spec");
-    match svc.forget(busy) {
-        Err(ServiceError::SessionRunning(s)) => assert_eq!(s, busy),
-        Ok(_) => {} // may have exhausted already on a fast machine
-        Err(other) => panic!("unexpected error {other:?}"),
-    }
-    svc.cancel(busy).expect("cancel routes");
-    svc.cancel(busy).expect("cancel is idempotent");
-    svc.wait(busy).expect("cancelled session reports");
-    let forgotten = svc.forget(id).expect("forget finished session");
-    assert_eq!(forgotten.trace, report.trace);
-    assert_eq!(
-        svc.forget(id).unwrap_err(),
-        ServiceError::UnknownSession(id)
-    );
 }
 
 #[test]

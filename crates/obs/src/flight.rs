@@ -217,7 +217,9 @@ impl FlightRecorder {
     }
 
     /// Human-readable dump, one event per line — used for the
-    /// worker-panic dump and `examples/observability.rs`.
+    /// worker-panic dump. Clients read the same events as
+    /// `Diagnostics::events`, held on every deployment shape by
+    /// `tests/conformance.rs`.
     pub fn render(&self) -> String {
         let events = self.dump();
         let mut out = format!(

@@ -1,8 +1,9 @@
-//! End-to-end tests of the reactor over real sockets: trace
-//! bit-identity against the blocking pump and the in-process engine,
-//! typed admission rejections on surviving connections, retry-after
-//! honored by the retrying client, tier-weighted scheduling, and clean
-//! version rejection in both directions.
+//! End-to-end tests of the reactor over real sockets: typed admission
+//! rejections on surviving connections, retry-after honored by the
+//! retrying client, tier-weighted scheduling, clean version rejection in
+//! both directions, and the HTTP metrics listener. Trace identity,
+//! cursors and streams over the reactor are held by the workspace's
+//! `tests/conformance.rs`.
 
 #![cfg(unix)]
 
@@ -11,7 +12,7 @@ use exsample_detect::NoiseModel;
 use exsample_engine::{
     Engine, EngineConfig, QuerySpec, RepoId, SearchService, ServiceError, SessionStatus,
 };
-use exsample_proto::{duplex, Framed, Message, RemoteClient, SearchServer, PROTO_VERSION};
+use exsample_proto::{Framed, Message, RemoteClient, PROTO_VERSION};
 use exsample_serve::{AdmissionConfig, AuthRegistry, Reactor, ServeConfig, ServeHandle, Tier};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
 use std::net::{SocketAddr, TcpStream};
@@ -53,75 +54,6 @@ fn serve_tcp(engine: &Arc<Engine>, config: ServeConfig) -> (SocketAddr, ServeHan
     let addr = reactor.listen_tcp("127.0.0.1:0").expect("bind");
     let handle = reactor.spawn().expect("spawn");
     (addr, handle)
-}
-
-fn curve(report: &exsample_engine::SessionReport) -> Vec<(u64, u64)> {
-    report
-        .trace
-        .points()
-        .iter()
-        .map(|p| (p.samples, p.found))
-        .collect()
-}
-
-#[test]
-fn reactor_traces_are_bit_identical_to_thread_server_and_in_process() {
-    // Three identically configured engines, three serving paths, one
-    // spec: the discovery traces must agree point for point.
-    let reactor_engine = engine(3);
-    let repo_a = reactor_engine.register_repo("tri-cam", truth(20_000, 60), NoiseModel::none(), 5);
-    let (addr, _handle) = serve_tcp(&reactor_engine, ServeConfig::default());
-    let via_reactor = RemoteClient::connect_tcp(addr).expect("tcp handshake");
-    let id = via_reactor.submit(spec(repo_a, 77)).expect("valid spec");
-    let reactor_report = via_reactor.wait(id).expect("report");
-
-    let thread_engine = engine(3);
-    let repo_b = thread_engine.register_repo("tri-cam", truth(20_000, 60), NoiseModel::none(), 5);
-    assert_eq!(repo_a, repo_b);
-    let server = Arc::new(SearchServer::new(thread_engine.clone()));
-    let (client_io, server_io) = duplex();
-    std::thread::spawn(move || {
-        let _ = server.serve_connection(server_io);
-    });
-    let via_thread = RemoteClient::connect(client_io).expect("handshake");
-    let id = via_thread.submit(spec(repo_b, 77)).expect("valid spec");
-    let thread_report = via_thread.wait(id).expect("report");
-
-    let local_engine = engine(3);
-    let repo_c = local_engine.register_repo("tri-cam", truth(20_000, 60), NoiseModel::none(), 5);
-    let svc: &dyn SearchService = &*local_engine;
-    let id = svc.submit(spec(repo_c, 77)).expect("valid spec");
-    let local_report = svc.wait(id).expect("report");
-
-    assert_eq!(reactor_report.status, local_report.status);
-    assert_eq!(reactor_report.trace.samples(), local_report.trace.samples());
-    assert_eq!(reactor_report.trace.found(), local_report.trace.found());
-    assert_eq!(curve(&reactor_report), curve(&local_report));
-    assert_eq!(curve(&reactor_report), curve(&thread_report));
-    assert_eq!(
-        reactor_report.chunk_stats.len(),
-        local_report.chunk_stats.len()
-    );
-}
-
-#[test]
-fn streaming_over_the_reactor_matches_polling() {
-    let eng = engine(3);
-    let repo = eng.register_repo("stream-cam", truth(20_000, 60), NoiseModel::none(), 5);
-    let (addr, _handle) = serve_tcp(&eng, ServeConfig::default());
-    let client = RemoteClient::connect_tcp(addr).expect("tcp handshake");
-    let id = client.submit(spec(repo, 31)).expect("valid spec");
-    let mut streamed = Vec::new();
-    let terminal = client
-        .stream(id, 0, 4, |snap| {
-            assert!(snap.events.len() <= 4, "window exceeded");
-            streamed.extend(snap.events.clone());
-        })
-        .expect("stream completes");
-    assert_ne!(terminal.status, SessionStatus::Running);
-    let logged = client.poll(id, 0, None).expect("full log");
-    assert_eq!(streamed, logged.events);
-    assert!(!streamed.is_empty());
 }
 
 #[test]
@@ -387,6 +319,7 @@ fn unix_listener_serves_and_metrics_reach_render_text() {
     let _ = std::fs::remove_file(&socket);
     let mut reactor = Reactor::new(eng.clone(), ServeConfig::default()).expect("poller");
     reactor.listen_unix(&socket).expect("bind unix");
+    let metrics = reactor.listen_metrics_tcp("127.0.0.1:0").expect("bind");
     let handle = reactor.spawn().expect("spawn");
     let client =
         RemoteClient::connect(std::os::unix::net::UnixStream::connect(&socket).expect("connect"))
@@ -410,6 +343,29 @@ fn unix_listener_serves_and_metrics_reach_render_text() {
         .histograms
         .iter()
         .any(|(n, _)| n == "turn_ns" || n == "accept_ns"));
+
+    // And over the plaintext HTTP listener, which answers raw outside
+    // input: one request per connection, read to the close.
+    let answers = [
+        ("GET /healthz", "200 OK"),
+        ("GET /nope", "404 Not Found"),
+        ("POST /metrics", "405 Method Not Allowed"),
+        ("GET /metrics", "200 OK"),
+    ];
+    for (request, status) in answers {
+        use std::io::{Read, Write};
+        let mut stream = TcpStream::connect(metrics).expect("connect metrics listener");
+        let request = format!("{request} HTTP/1.0\r\n\r\n");
+        stream.write_all(request.as_bytes()).expect("send request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        let head = format!("HTTP/1.0 {status}\r\n");
+        assert!(response.starts_with(&head), "{request}: {response}");
+        if request.starts_with("GET /metrics") {
+            let (_, body) = response.split_once("\r\n\r\n").expect("header/body split");
+            assert!(body.contains("exsample_submits_total{tenant="), "{body}");
+        }
+    }
     let _ = std::fs::remove_file(&socket);
 }
 

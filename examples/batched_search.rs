@@ -14,7 +14,7 @@
 //!
 //! Both find the complete, identical result set; the example asserts the
 //! batched run pays strictly fewer dispatches and strictly fewer modelled
-//! dispatch-seconds, and prints machine-readable lines CI gates on.
+//! dispatch-seconds before it prints them.
 //!
 //! ```text
 //! cargo run --release --example batched_search
@@ -102,7 +102,7 @@ fn main() {
     }
     println!("{}", table.to_markdown());
 
-    // The comparison's contract, asserted here and gated again by CI.
+    // The comparison's contract: the exit code is the gate.
     assert_eq!(
         found_per_frame, found_batched,
         "batching changed query results"

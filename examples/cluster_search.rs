@@ -13,8 +13,8 @@
 //! cargo run --release --example cluster_search
 //! ```
 //!
-//! Prints machine-readable `cluster found total:` / `identical traces:`
-//! lines (CI asserts the fleet found results and the traces matched).
+//! The example asserts the fleet found results and the traces matched;
+//! `tests/conformance.rs` holds that contract for a mixed fleet.
 
 #[cfg(unix)]
 fn main() {
@@ -197,5 +197,8 @@ fn main() {
 
 #[cfg(not(unix))]
 fn main() {
-    eprintln!("cluster_search requires Unix-domain sockets; see the cluster crate's tests for the duplex-pipe variant");
+    eprintln!(
+        "cluster_search requires Unix-domain sockets; tests/conformance.rs runs a mixed fleet \
+         over TCP"
+    );
 }

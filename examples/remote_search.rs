@@ -1,80 +1,56 @@
-//! The engine as a network service: a `Reactor` listening on a
-//! Unix-domain socket, queried by a `RemoteClient` that never touches
-//! the engine in-process.
+//! The engine as a network service: one `Reactor` listening on a
+//! loopback TCP port and on a Unix-domain socket at once, queried by
+//! `RemoteClient`s that never touch the engine in-process.
 //!
-//! The client discovers the repository through the service catalog (by
+//! Each client discovers the repository through the service catalog (by
 //! *name*, not registration order), submits a query, and streams result
 //! batches pushed by the server under cursor-ack backpressure. The same
-//! `QuerySpec` is then run in-process through the same `SearchService`
+//! `QuerySpec` then runs in-process through the same `SearchService`
 //! trait, and the traces must agree exactly: the wire changes where the
-//! engine runs, not what it computes.
+//! engine runs, not what it computes. `tests/conformance.rs` holds that
+//! contract for every deployment shape; this example shows it.
 //!
 //! ```text
 //! cargo run --release --example remote_search
 //! ```
-//!
-//! Prints machine-readable `streamed events:` / `remote found:` lines
-//! (CI asserts the stream was nonempty and the traces identical).
 
 #[cfg(unix)]
-fn main() {
-    use exsample::core::driver::StopCond;
-    use exsample::detect::NoiseModel;
-    use exsample::engine::{Engine, EngineConfig, QuerySpec, SearchService};
-    use exsample::proto::RemoteClient;
-    use exsample::serve::{Reactor, ServeConfig};
-    use exsample::videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
-    use std::os::unix::net::UnixStream;
-    use std::sync::Arc;
+use exsample::{
+    core::driver::StopCond,
+    engine::{QuerySpec, RepoId, SearchService, SessionReport},
+    proto::RemoteClient,
+    videosim::ClassId,
+};
 
-    // One shared repository: rare objects clustered in a hot region.
-    let gt = Arc::new(
-        DatasetSpec::single_class(
-            100_000,
-            ClassSpec::new("car", 120, 60.0, SkewSpec::CentralNormal { frac95: 0.15 }),
-        )
-        .generate(2026),
-    );
+/// The query every side runs.
+#[cfg(unix)]
+fn spec(repo: RepoId) -> QuerySpec {
+    QuerySpec::new(repo, ClassId(0), StopCond::results(100))
+        .chunks(32)
+        .seed(11)
+}
 
-    // ---- server side ----
-    let engine = Arc::new(Engine::new(EngineConfig::default()));
-    engine.register_repo("city-cam", gt, NoiseModel::none(), 7);
-    let socket = std::env::temp_dir().join(format!("exsample-remote-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
-    let mut reactor = Reactor::new(engine.clone(), ServeConfig::default()).expect("poller");
-    reactor.listen_unix(&socket).expect("bind unix socket");
-    let _server = reactor.spawn().expect("spawn reactor");
-    println!("server listening on {}", socket.display());
-
-    // ---- client side (wire protocol only from here on) ----
-    let stream = UnixStream::connect(&socket).expect("connect");
-    let client = RemoteClient::connect(stream).expect("protocol handshake");
-
+/// Find the repository by name, submit, and stream the results.
+#[cfg(unix)]
+fn search<T: std::io::Read + std::io::Write>(
+    client: &RemoteClient<T>,
+    label: &str,
+) -> SessionReport {
     let catalog = client.repos().expect("repository catalog");
-    println!("\nrepository catalog served to the client:");
-    for info in &catalog {
-        println!(
-            "  {:?}  {:<10} {:>7} frames, {} classes, fingerprint {:016x}",
-            info.id, info.name, info.frames, info.classes, info.dataset_fingerprint
-        );
-    }
     let repo = catalog
         .iter()
         .find(|r| r.name == "city-cam")
-        .expect("repo registered under its name")
-        .id;
-
-    let spec = QuerySpec::new(repo, ClassId(0), StopCond::results(100))
-        .chunks(32)
-        .seed(11);
-    let session = client.submit(spec.clone()).expect("valid spec");
-    println!("\nsubmitted {session:?}; streaming batches (window = 8 events):");
-    let mut streamed_events = 0u64;
-    let mut batches = 0u64;
+        .expect("repo registered under its name");
+    let session = client.submit(spec(repo.id)).expect("valid spec");
+    println!(
+        "\n{label}: {:?} {} ({} frames) -> {session:?}",
+        repo.id, repo.name, repo.frames
+    );
+    let (mut events, mut batches) = (0, 0);
     client
         .stream(session, 0, 8, |snap| {
             batches += 1;
-            streamed_events += snap.events.len() as u64;
+            events += snap.events.len();
             if let (Some(first), Some(last)) = (snap.events.first(), snap.events.last()) {
                 println!(
                     "  batch {batches:>3}: {} events (frames {:>6}..{:>6})  {:>4} found after {:>6} samples",
@@ -87,46 +63,82 @@ fn main() {
             }
         })
         .expect("stream to completion");
-    let remote = client.wait(session).expect("final report");
+    assert!(events > 0, "the stream must carry results");
+    println!("{label}: {events} events streamed in {batches} batches");
+    client.wait(session).expect("final report")
+}
 
-    // ---- the counterfactual: the same spec, in-process ----
+#[cfg(unix)]
+fn main() {
+    use exsample::detect::NoiseModel;
+    use exsample::engine::{Engine, EngineConfig};
+    use exsample::serve::{Reactor, ServeConfig};
+    use exsample::videosim::{ClassSpec, DatasetSpec, SkewSpec};
+    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
+
+    // One shared repository: rare objects clustered in a hot region.
+    let gt = Arc::new(
+        DatasetSpec::single_class(
+            100_000,
+            ClassSpec::new("car", 120, 60.0, SkewSpec::CentralNormal { frac95: 0.15 }),
+        )
+        .generate(2026),
+    );
+
+    // ---- server side: one reactor thread, two listeners ----
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let repo = engine.register_repo("city-cam", gt, NoiseModel::none(), 7);
+    let socket = std::env::temp_dir().join(format!("exsample-remote-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let mut reactor = Reactor::new(engine.clone(), ServeConfig::default()).expect("poller");
+    let addr = reactor.listen_tcp("127.0.0.1:0").expect("bind tcp");
+    reactor.listen_unix(&socket).expect("bind unix socket");
+    let handle = reactor.spawn().expect("spawn reactor");
+    println!("reactor listening on {addr} and {}", socket.display());
+
+    // ---- one client per transport (the wire protocol only), and the
+    // counterfactual: the same spec in-process ----
+    let tcp = RemoteClient::connect_tcp(addr).expect("handshake");
+    let unix =
+        RemoteClient::connect(UnixStream::connect(&socket).expect("connect")).expect("handshake");
     let svc: &dyn SearchService = &*engine;
-    let local_id = svc.submit(spec).expect("valid spec");
-    let local = svc.wait(local_id).expect("final report");
-
-    println!("\nstreamed events: {streamed_events}");
-    println!("streamed batches: {batches}");
-    println!(
-        "remote found: {} after {} samples",
-        remote.trace.found(),
-        remote.trace.samples()
-    );
-    println!(
-        "local  found: {} after {} samples",
-        local.trace.found(),
-        local.trace.samples()
-    );
-    assert!(streamed_events > 0, "the stream must carry results");
-    assert_eq!(remote.trace.found(), local.trace.found());
-    assert_eq!(remote.trace.samples(), local.trace.samples());
-    let curve = |t: &exsample::core::driver::SearchTrace| {
-        t.points()
+    let local = svc.wait(svc.submit(spec(repo)).expect("valid spec"));
+    let reports = [
+        search(&tcp, "tcp"),
+        search(&unix, "unix"),
+        local.expect("report"),
+    ];
+    let curve = |r: &SessionReport| {
+        let points = r.trace.points();
+        points
             .iter()
             .map(|p| (p.samples, p.found))
             .collect::<Vec<_>>()
     };
-    assert_eq!(
-        curve(&remote.trace),
-        curve(&local.trace),
-        "remote and in-process discovery curves must be identical"
-    );
+    println!();
+    for (label, report) in ["tcp", "unix", "in-process"].into_iter().zip(&reports) {
+        let (found, samples) = (report.trace.found(), report.trace.samples());
+        println!("{label:<10} found {found} after {samples} samples");
+        assert_eq!(
+            curve(report),
+            curve(&reports[2]),
+            "{label} and in-process differ"
+        );
+    }
     println!(
-        "\nremote and in-process traces are identical — the wire moved the engine, not the results"
+        "\nserved {} connections, shed {}; remote and in-process traces are identical — \
+         the wire moved the engine, not the results",
+        handle.stats().accepted,
+        handle.stats().shed
     );
     let _ = std::fs::remove_file(&socket);
 }
 
 #[cfg(not(unix))]
 fn main() {
-    eprintln!("remote_search requires Unix-domain sockets; use the duplex-pipe tests instead");
+    eprintln!(
+        "remote_search needs the epoll-backed reactor; tests/conformance.rs holds the same \
+         contract over the duplex-pipe server"
+    );
 }

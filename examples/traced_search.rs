@@ -9,17 +9,18 @@
 //! same tree as the engine's own spans. The router re-namespaces shard
 //! session ids when collecting, the merged tree is validated against
 //! the causal invariants, and one trace is exported as Chrome
-//! trace-event JSON (load it at `chrome://tracing`). Finally the
-//! reactor's plaintext `/metrics` listener is scraped over raw HTTP
-//! and must expose the per-tenant submit counters.
+//! trace-event JSON (load it at `chrome://tracing`). Then the remote
+//! shard's diagnostics — latency histograms, counters and flight events
+//! — are pulled back through its `RemoteClient`, and the reactor's
+//! plaintext `/metrics` listener is scraped over raw HTTP for the
+//! Prometheus-style exposition.
 //!
 //! ```text
 //! cargo run --release --example traced_search
 //! ```
 //!
-//! Prints machine-readable `trace validated: ok` / `chrome export: ok`
-//! / `metrics scrape: ok` lines (CI asserts all three gates plus a
-//! nonzero remote span count).
+//! Every check is an assert; `tests/conformance.rs` holds the span-tree
+//! and diagnostics contract for every deployment shape.
 
 #[cfg(unix)]
 fn main() {
@@ -64,7 +65,7 @@ fn main() {
     let remote = Arc::new(RemoteClient::connect_tcp(addr).expect("protocol handshake"));
     let router = ShardRouter::new(vec![
         ("shard-a".into(), local.clone() as ShardService),
-        ("shard-b".into(), remote as ShardService),
+        ("shard-b".into(), remote.clone() as ShardService),
     ]);
 
     // ---- one query per shard, traced end to end ----
@@ -135,6 +136,33 @@ fn main() {
     );
     println!("chrome export: ok");
 
+    // ---- the remote shard's diagnostics over the wire ----
+    // Stats with the `detail` flag carry per-metric histogram snapshots;
+    // the full exchange adds counters and the flight-event tail.
+    let (stats, detail) = remote.stats_detailed().expect("detailed stats");
+    let diag = remote.diagnostics().expect("diagnostics reply");
+    let dispatch = diag.histogram("dispatch_ns").expect("dispatch histogram");
+    println!(
+        "\nshard-b: {} live sessions, cache {}, {} histograms in the detailed stats",
+        stats.live_sessions,
+        stats.cache,
+        detail.len()
+    );
+    println!(
+        "shard-b dispatch_ns over the wire: count {}, p50 {} ns, p99 {} ns; {} flight events",
+        dispatch.total(),
+        dispatch.quantile(0.5),
+        dispatch.quantile(0.99),
+        diag.events.len()
+    );
+    assert!(dispatch.total() > 0, "dispatches must be observed");
+    assert_eq!(
+        Some(dispatch),
+        remote_engine.diagnostics().histogram("dispatch_ns"),
+        "the wire round-trip must preserve the histogram exactly"
+    );
+    assert!(!detail.is_empty() && !diag.events.is_empty());
+
     // ---- scrape the reactor's metrics listener over raw HTTP ----
     let scrape = |path: &str| -> String {
         let mut stream = TcpStream::connect(metrics_addr).expect("connect metrics listener");
@@ -163,8 +191,9 @@ fn main() {
         body.contains("exsample_submits_total{tenant="),
         "per-tenant submit counters must be exposed"
     );
-    println!("\nper-tenant series from the scrape:");
-    for line in body.lines().filter(|l| l.contains("{tenant=")) {
+    println!("\nper-tenant and dispatch series from the scrape:");
+    let shown = |l: &&str| l.contains("{tenant=") || l.starts_with("exsample_dispatch_ns_");
+    for line in body.lines().filter(shown) {
         println!("  {line}");
     }
     println!("metrics scrape: ok");
@@ -179,5 +208,8 @@ fn main() {
 
 #[cfg(not(unix))]
 fn main() {
-    eprintln!("traced_search requires the epoll-backed reactor; see the serve crate's tests for the duplex-pipe variant");
+    eprintln!(
+        "traced_search needs the epoll-backed reactor; tests/conformance.rs holds the same \
+         span-tree contract over the duplex-pipe server"
+    );
 }

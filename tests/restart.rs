@@ -1,18 +1,16 @@
-//! Integration: the memory-mapped columnar container across engine
-//! restarts.
-//!
-//! Covers the columnar-store acceptance criteria end to end through the
-//! facade crate: startup compaction folds the sealed log into the
-//! container; a reopened engine replays a previous query with **zero**
-//! detector invocations, serving every frame from the mapped container
-//! (`container_hits`) with bit-identical results; a fingerprint change
-//! invalidates the container non-fatally and non-destructively; a crash
-//! mid-compaction between incarnations loses nothing; a startup
-//! compaction that *fails* costs that life its warm start and nothing
-//! else; `PersistConfig::columnar` selects no pipeline.
+//! Integration: the durable detection store across engine restarts,
+//! through the facade crate. Startup compaction folds the sealed log into
+//! the mapped container, and a reopened engine replays with **zero**
+//! detector invocations and bit-identical results; snapshot beliefs come
+//! back to the bit; damaged or foreign segments and containers are
+//! skipped, counted and never destroyed; a crash or a failed compaction
+//! between lives loses nothing; `PersistConfig::columnar` selects no
+//! pipeline.
 
 use exsample::colstore::{compact_with_kill, container_path, KillPoint};
 use exsample::core::driver::StopCond;
+use exsample::core::exsample::{ExSample, ExSampleConfig};
+use exsample::core::Chunking;
 use exsample::detect::NoiseModel;
 use exsample::engine::{
     detector_fingerprint, ColumnarConfig, Engine, EngineConfig, PersistConfig, QuerySpec, RepoId,
@@ -34,13 +32,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 fn repository() -> Arc<GroundTruth> {
-    Arc::new(
-        DatasetSpec::single_class(
-            FRAMES,
-            ClassSpec::new("car", 60, 50.0, SkewSpec::CentralNormal { frac95: 0.2 }),
-        )
-        .generate(17),
-    )
+    let class = ClassSpec::new("car", 60, 50.0, SkewSpec::CentralNormal { frac95: 0.2 });
+    Arc::new(DatasetSpec::single_class(FRAMES, class).generate(17))
 }
 
 fn engine_on(dir: &PathBuf, fingerprint: u64) -> (Engine, RepoId) {
@@ -50,7 +43,7 @@ fn engine_on(dir: &PathBuf, fingerprint: u64) -> (Engine, RepoId) {
             .fingerprint(fingerprint)
             .columnar(columnar),
     );
-    let repo = engine.register_repo("colstore-repo", repository(), NoiseModel::none(), DET_SEED);
+    let repo = engine.register_repo("restart-repo", repository(), NoiseModel::none(), DET_SEED);
     (engine, repo)
 }
 
@@ -94,12 +87,8 @@ fn run_query(engine: &Engine, spec: QuerySpec) -> SessionReport {
 }
 
 fn curve(report: &SessionReport) -> Vec<(u64, u64)> {
-    report
-        .trace
-        .points()
-        .iter()
-        .map(|p| (p.samples, p.found))
-        .collect()
+    let points = report.trace.points();
+    points.iter().map(|p| (p.samples, p.found)).collect()
 }
 
 #[test]
@@ -109,11 +98,13 @@ fn restart_replays_from_container_with_zero_invocations() {
     let first = run_query(&engine, query(repo));
     let paid = engine.detector_invocations();
     assert!(paid > 0, "cold run must invoke the detector");
+    assert_eq!(paid, first.charges.detector_invocations);
     drop(engine);
 
     // Startup compaction folded the whole log into the container.
     let (engine, repo) = engine_on(&dir, fingerprint());
     let ps = engine.persist_stats().expect("persistence configured");
+    assert_eq!((ps.segments_skipped, ps.damaged_tails), (0, 0));
     assert_eq!(ps.container_frames, paid);
     assert!(ps.container_chunks > 0);
     assert_eq!(ps.container_skipped, 0);
@@ -162,6 +153,101 @@ fn restart_replays_from_container_with_zero_invocations() {
     let again = run_query(&engine, query(repo));
     assert_eq!(engine.detector_invocations(), 0);
     assert_eq!(curve(&again), curve(&first));
+}
+
+#[test]
+fn warm_started_beliefs_are_bit_identical_to_snapshot() {
+    let dir = scratch_dir("belief-bits");
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    let first = run_query(&engine, query(repo));
+    assert_eq!(first.chunk_stats.len(), 8);
+    assert!(first.chunk_stats.iter().any(|s| s.n1 != 0.0 || s.n != 0));
+    drop(engine);
+
+    // The reopened engine serves the snapshot exactly as the prior run
+    // held it at snapshot time — raw f64 bits and all.
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    let warm = engine
+        .warm_beliefs(repo, ClassId(0), 8)
+        .expect("snapshot persisted");
+    assert_eq!(warm.len(), first.chunk_stats.len());
+    for (loaded, held) in warm.iter().zip(&first.chunk_stats) {
+        assert_eq!(loaded.n1.to_bits(), held.n1.to_bits());
+        assert_eq!(loaded.n, held.n);
+    }
+    // And a warm-started sampler adopts them verbatim.
+    let mut sampler = ExSample::new(Chunking::even(FRAMES, 8), ExSampleConfig::default());
+    sampler.import_stats(&warm);
+    for (adopted, held) in sampler.chunk_stats().iter().zip(&first.chunk_stats) {
+        assert_eq!(adopted.n1.to_bits(), held.n1.to_bits());
+        assert_eq!(adopted.n, held.n);
+    }
+    // A warm-started engine session runs to completion over them.
+    let warm_report = run_query(&engine, query(repo).warm_start(true).seed(77));
+    assert!(warm_report.trace.found() >= 30);
+}
+
+#[test]
+fn corrupt_and_mismatched_segments_are_skipped_not_poisoning() {
+    let dir = scratch_dir("corruption");
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    let first = run_query(&engine, query(repo));
+    let paid = engine.detector_invocations();
+    drop(engine);
+
+    // Flip one byte mid-segment (bit rot) ...
+    let seg = dir.join("seg-000000.xsd");
+    let mut raw = std::fs::read(&seg).expect("segment exists");
+    let idx = raw.len() / 2;
+    raw[idx] ^= 0x20;
+    std::fs::write(&seg, &raw).expect("rewrite segment");
+    // ... drop in a segment from a "different detector version" ...
+    let foreign_cfg = PersistConfig::new(&dir).fingerprint(fingerprint() ^ 1);
+    let mut foreign = exsample::persist::DetectionLog::open(&foreign_cfg).expect("open");
+    foreign.append(repo.0, 1, &[]);
+    drop(foreign);
+    // ... and a file that is not a segment at all.
+    std::fs::write(dir.join("seg-000099.xsd"), b"garbage").expect("write garbage");
+
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    let ps = engine.persist_stats().expect("persistence configured");
+    assert_eq!(ps.segments_skipped, 2, "foreign + garbage segments skipped");
+    assert_eq!(ps.damaged_tails, 1, "bit flip abandoned the tail");
+    assert!(
+        ps.records_loaded < paid,
+        "the flip cost at least one record"
+    );
+    assert_eq!(ps.container_frames, ps.records_loaded);
+
+    // Not poisoned: the replay recomputes exactly the lost records and
+    // still produces identical results.
+    let replay = run_query(&engine, query(repo));
+    assert_eq!(curve(&replay), curve(&first));
+    assert_eq!(engine.detector_invocations(), paid - ps.records_loaded);
+    assert_eq!(engine.cache_stats().warm_loads, ps.records_loaded);
+    let after = engine.persist_stats().expect("persistence configured");
+    assert_eq!(after.container_hits, ps.records_loaded);
+}
+
+#[test]
+fn fingerprint_change_invalidates_everything() {
+    let dir = scratch_dir("upgrade");
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    run_query(&engine, query(repo));
+    let paid = engine.detector_invocations();
+    drop(engine);
+
+    // "Detector upgrade": same directory, new fingerprint.
+    let (engine, repo) = engine_on(&dir, 0xDEAD_BEEF);
+    let ps = engine.persist_stats().expect("persistence configured");
+    assert_eq!(ps.records_loaded, 0);
+    assert!(ps.segments_skipped >= 1);
+    assert_eq!(ps.snapshots_loaded, 0);
+    assert!(ps.snapshots_skipped >= 1);
+    assert!(engine.warm_beliefs(repo, ClassId(0), 8).is_none());
+    // Every frame is recomputed under the "new" detector.
+    run_query(&engine, query(repo));
+    assert_eq!(engine.detector_invocations(), paid);
 }
 
 #[test]
@@ -355,7 +441,7 @@ fn columnar_none_is_the_default_chunk_width_not_another_pipeline() {
     let dir = scratch_dir("colstore-none-equals-default");
     let persist = |dir: &Path| PersistConfig::new(dir).fingerprint(fingerprint());
     let engine = engine_with(persist(&dir));
-    let repo = engine.register_repo("colstore-repo", repository(), NoiseModel::none(), DET_SEED);
+    let repo = engine.register_repo("restart-repo", repository(), NoiseModel::none(), DET_SEED);
     run_query(&engine, query(repo));
     drop(engine);
     let copy = scratch_dir("colstore-none-equals-default-copy");
@@ -368,8 +454,7 @@ fn columnar_none_is_the_default_chunk_width_not_another_pipeline() {
     let second_life = |persist: PersistConfig| {
         let engine = engine_with(persist);
         let at_start = engine.persist_stats().expect("persistence configured");
-        let repo =
-            engine.register_repo("colstore-repo", repository(), NoiseModel::none(), DET_SEED);
+        let repo = engine.register_repo("restart-repo", repository(), NoiseModel::none(), DET_SEED);
         let replay = run_query(&engine, query(repo));
         (
             at_start,
