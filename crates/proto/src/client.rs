@@ -20,7 +20,7 @@ use std::sync::Mutex;
 ///
 /// The client is internally synchronized: calls from many threads
 /// serialize onto the one connection. A blocking call ([`wait`], an
-/// unacknowledged [`stream`]) therefore stalls other callers of the
+/// unfinished [`stream`]) therefore stalls other callers of the
 /// *same* client — open one connection per concurrent waiter, as the
 /// integration tests do.
 ///
@@ -211,11 +211,18 @@ impl<T: Read + Write> RemoteClient<T> {
 
     /// Stream a session's results: subscribe from `cursor`, receive
     /// server-pushed batches of at most `window` events (clamped to
-    /// `1..=MAX_POLL_WINDOW` on both ends), and invoke `on_batch` for each. The next batch is requested
-    /// (cursor acknowledgement) only after `on_batch` returns, so a slow
-    /// consumer receives slowly — backpressure end to end. Returns the
-    /// terminal snapshot: final status, counters, and the session's event
-    /// log fully drained.
+    /// `1..=MAX_POLL_WINDOW` on both ends), and invoke `on_batch` for
+    /// each. Each batch's acknowledgement is queued once `on_batch`
+    /// returns and written before the next read that would block (the
+    /// first batch's at once), so a burst of batches costs one read and
+    /// one write. The server pushes at most four batches ahead of the
+    /// acknowledgements it has read, so a slow consumer still receives
+    /// slowly — backpressure end to end.
+    /// [`last_acked`](RemoteClient::last_acked) advances only once an
+    /// acknowledgement has been written. Returns the terminal
+    /// snapshot: final status, counters, and the session's event log
+    /// fully drained. Acknowledgements still queued then go out ahead
+    /// of this client's next request.
     pub fn stream(
         &self,
         id: SessionId,
@@ -235,9 +242,18 @@ impl<T: Read + Write> RemoteClient<T> {
                 window,
             })
             .map_err(transport)?;
+        // The cursor of the newest acknowledgement queued but not yet
+        // written, and whether this is the stream's first batch.
+        let (mut queued, mut first) = (None, true);
         loop {
             // lint: allow(lock_blocking, the framed mutex exists to serialize whole subscribe conversations)
-            let Message::Snapshot(snap) = recv(&mut framed)? else {
+            let reply = recv(&mut framed);
+            if !framed.has_pending_out() {
+                if let Some(acked) = queued.take() {
+                    self.note_acked(id, acked);
+                }
+            }
+            let Message::Snapshot(snap) = reply? else {
                 return unexpected("Subscribe");
             };
             on_batch(&snap);
@@ -248,12 +264,19 @@ impl<T: Read + Write> RemoteClient<T> {
                 return Ok(snap);
             }
             framed
-                .send(&Message::Ack {
+                .queue(&Message::Ack {
                     cursor: snap.next_cursor,
                     ctx: Some(TraceContext::for_session(id.0)),
                 })
                 .map_err(transport)?;
-            self.note_acked(id, snap.next_cursor);
+            queued = Some(snap.next_cursor);
+            // The first ack goes out at once — one write a stream — so
+            // a stream cut during its first burst still resumes past the
+            // batch it consumed first.
+            if std::mem::take(&mut first) {
+                // lint: allow(lock_blocking, the framed mutex exists to serialize whole subscribe conversations)
+                framed.flush().map_err(transport)?;
+            }
         }
     }
 }

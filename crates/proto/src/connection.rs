@@ -4,8 +4,9 @@
 //! [`Connection`] is sans-IO. A driver moves bytes between its socket
 //! and the connection's [`FrameBuf`] ([`Connection::buf_mut`]) and calls
 //! [`Connection::advance`]; everything in between — the version
-//! handshake, request dispatch, the `Wait` park, the ack-windowed
-//! `Subscribe` stream, protocol-violation and version-mismatch closes —
+//! handshake, request dispatch, the `Wait` park, the `Subscribe`
+//! stream (up to four batches pushed ahead of the peer's
+//! acknowledgements), protocol-violation and version-mismatch closes —
 //! happens here, once. The blocking pump
 //! ([`SearchServer::serve_connection`](crate::SearchServer::serve_connection)),
 //! the `exsample-serve` reactor and the socket-free conformance test all
@@ -23,8 +24,17 @@ use exsample_engine::{
     TenantId,
 };
 use exsample_obs::{Stage, NO_SESSION};
+use std::collections::VecDeque;
 use std::io;
 use std::time::Instant;
+
+/// How many pushed batches a subscription may have unacknowledged. The
+/// server pushes the next batch as soon as the host has one until this
+/// many are out, so a stream costs the client one read and one write
+/// per burst rather than per batch; at the bound, the client's
+/// consumption rate is the flow control. A connection buffers at most
+/// this many batches of at most `window` events.
+const STREAM_AHEAD: usize = 4;
 
 /// The tenant of a connection that never authenticated, and of every
 /// connection of a deployment without an auth registry: id 0 at base
@@ -86,15 +96,14 @@ pub trait Host {
 enum Pending {
     /// `Wait`: answered once the session finishes.
     Wait { session: SessionId },
-    /// `Subscribe`, a batch is due: pushed once the host has one.
+    /// `Subscribe`, not ended yet: the next batch starts at `cursor` and
+    /// is pushed once the host has one and fewer than [`STREAM_AHEAD`]
+    /// batches are unacknowledged.
     Stream {
         session: SessionId,
         cursor: u64,
         window: u32,
     },
-    /// `Subscribe`, a batch was pushed: its `Ack` is the only legal
-    /// frame — the client's consumption rate *is* the flow control.
-    AwaitAck { session: SessionId, window: u32 },
 }
 
 /// One client connection, from our preamble to the close. See the
@@ -106,6 +115,11 @@ pub struct Connection {
     handshaken: bool,
     tenant: Option<TenantBinding>,
     pending: Option<Pending>,
+    /// The `next_cursor` of every pushed batch not yet acknowledged,
+    /// oldest first: each `Ack` must carry the front one. Acks still owed
+    /// when a stream ends (terminal batch or `Error`) are consumed before
+    /// the next request is served.
+    unacked: VecDeque<u64>,
     /// Flush what is queued, then close (shed, protocol violation or
     /// version mismatch). No further input is served.
     close_after_flush: bool,
@@ -130,6 +144,7 @@ impl Connection {
             handshaken: false,
             tenant: None,
             pending: None,
+            unacked: VecDeque::new(),
             close_after_flush: false,
             opened: Instant::now(),
         }
@@ -165,10 +180,11 @@ impl Connection {
     /// is harmless — it asks the host again — but is the per-turn
     /// polling the completion queue exists to avoid.
     pub fn is_parked(&self) -> bool {
-        matches!(
-            self.pending,
-            Some(Pending::Wait { .. } | Pending::Stream { .. })
-        )
+        match self.pending {
+            Some(Pending::Wait { .. }) => true,
+            Some(Pending::Stream { .. }) => self.unacked.len() < STREAM_AHEAD,
+            None => false,
+        }
     }
 
     /// The conversation is over: close once the queued output is
@@ -195,10 +211,12 @@ impl Connection {
     }
 
     /// Make one unit of progress — consume the peer's preamble, answer
-    /// a parked request, or decode and serve one frame — and report
-    /// whether calling again can make more. `Ok(false)` = more bytes
-    /// are needed, the connection is (still, or newly) parked, or it is
-    /// closing.
+    /// a parked request or push one stream batch, or decode and serve
+    /// one frame — and report whether calling again can make more.
+    /// `Ok(false)` = more bytes are needed, the connection is (still, or
+    /// newly) parked, or it is closing. A pushed batch is progress even
+    /// when the stream may push another: the caller can flush it before
+    /// calling again.
     pub fn step(&mut self, engine: &Engine, host: &mut impl Host) -> io::Result<bool> {
         if self.close_after_flush {
             return Ok(false);
@@ -221,30 +239,30 @@ impl Connection {
             return Ok(true);
         }
         if self.is_parked() {
-            self.resume(engine, host)?;
-        } else {
-            let Some(msg) = self.buf.next_frame()? else {
-                return Ok(false);
-            };
-            self.handle(msg, engine, host)?;
+            return self.resume(engine, host);
         }
-        Ok(!self.is_parked())
+        let Some(msg) = self.buf.next_frame()? else {
+            return Ok(false);
+        };
+        self.handle(msg, engine, host)
     }
 
-    /// Serve one decoded frame.
-    fn handle(&mut self, msg: Message, engine: &Engine, host: &mut impl Host) -> io::Result<()> {
-        if let Some(Pending::AwaitAck { session, window }) = self.pending {
-            let Message::Ack { cursor, ctx: _ } = msg else {
-                return self.refuse(ServiceError::Malformed(
-                    "expected Ack during subscription".into(),
-                ));
+    /// Serve one decoded frame; `Ok(false)` = it parked the connection.
+    fn handle(&mut self, msg: Message, engine: &Engine, host: &mut impl Host) -> io::Result<bool> {
+        if let Some(&oldest) = self.unacked.front() {
+            let why = match msg {
+                Message::Ack { cursor, ctx: _ } if cursor == oldest => {
+                    self.unacked.pop_front();
+                    return self
+                        .resume(engine, host)
+                        .map(|pushed| pushed || !self.is_parked());
+                }
+                Message::Ack { .. } => "Ack is not for the oldest unacknowledged batch",
+                _ => "expected Ack during subscription",
             };
-            self.pending = Some(Pending::Stream {
-                session,
-                cursor,
-                window,
-            });
-            return self.resume(engine, host);
+            return self
+                .refuse(ServiceError::Malformed(why.into()))
+                .map(|()| true);
         }
         let mut turn = engine.obs().span(Stage::Turn, NO_SESSION);
         let reply = match msg {
@@ -349,17 +367,23 @@ impl Connection {
             // A response tag, or an Ack outside a subscription: the
             // peer is confused; tell it and hang up rather than guess
             // at its state.
-            _ => return self.refuse(ServiceError::Malformed("expected a request".into())),
+            _ => {
+                return self
+                    .refuse(ServiceError::Malformed("expected a request".into()))
+                    .map(|()| true)
+            }
         };
-        self.buf.queue(&reply)
+        self.buf.queue(&reply)?;
+        Ok(true)
     }
 
     /// Ask the host again for what a parked request is waiting on, and
-    /// answer if it has it. A no-op when nothing is parked.
-    fn resume(&mut self, engine: &Engine, host: &mut impl Host) -> io::Result<()> {
+    /// answer — or push one stream batch — if it has it. `Ok(true)` =
+    /// something was queued; a no-op when nothing is pending.
+    fn resume(&mut self, engine: &Engine, host: &mut impl Host) -> io::Result<bool> {
         let (reply, next) = match self.pending {
             Some(Pending::Wait { session }) => match host.wait(engine, session) {
-                Ok(None) => return Ok(()),
+                Ok(None) => return Ok(false),
                 Ok(Some(report)) => (Message::Report(report), None),
                 Err(err) => (Message::Error(err), None),
             },
@@ -374,7 +398,7 @@ impl Connection {
                 // poll that found nothing.
                 let start = Instant::now();
                 match host.next_batch(engine, session, cursor, window) {
-                    Ok(None) => return Ok(()),
+                    Ok(None) => return Ok(false),
                     Ok(Some(snap)) => {
                         engine.obs().record(
                             Stage::Stream,
@@ -386,18 +410,28 @@ impl Connection {
                         // A short batch from a finished session means
                         // the log is drained: that batch is terminal, no
                         // ack expected. (A full terminal batch costs one
-                        // extra empty round to notice.)
+                        // extra empty batch to notice.)
                         let terminal = snap.status != SessionStatus::Running
                             && (snap.events.len() as u32) < window;
-                        let next = (!terminal).then_some(Pending::AwaitAck { session, window });
+                        let next = if terminal {
+                            None
+                        } else {
+                            self.unacked.push_back(snap.next_cursor);
+                            Some(Pending::Stream {
+                                session,
+                                cursor: snap.next_cursor,
+                                window,
+                            })
+                        };
                         (Message::Snapshot(snap), next)
                     }
                     Err(err) => (Message::Error(err), None),
                 }
             }
-            Some(Pending::AwaitAck { .. }) | None => return Ok(()),
+            None => return Ok(false),
         };
         self.pending = next;
-        self.buf.queue(&reply)
+        self.buf.queue(&reply)?;
+        Ok(true)
     }
 }

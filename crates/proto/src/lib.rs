@@ -19,7 +19,8 @@
 //! * [`connection`] — [`Connection`], **the** server-side state
 //!   machine, sans-IO: bytes in, decoded messages, engine calls, reply
 //!   bytes queued — handshake, request dispatch, the `Wait` park and
-//!   the ack-windowed `Subscribe` stream. Deployments differ only in
+//!   the `Subscribe` stream, pushed a few batches ahead of the client's
+//!   acks. Deployments differ only in
 //!   their [`Host`] (who a token is, what is admitted, whether "not
 //!   yet" blocks or parks).
 //! * [`transport`] — [`Framed`], the blocking adapter over `FrameBuf`
@@ -27,7 +28,7 @@
 //!   pipe for dependency-free tests.
 //! * [`client`] — [`RemoteClient`], the remote implementation of
 //!   `SearchService`, plus [`RemoteClient::stream`] for push-style result
-//!   streaming with client-acknowledged windows (cursor ack =
+//!   streaming with client-acknowledged batches (cursor ack =
 //!   backpressure).
 //! * [`server`] — [`SearchServer`]: the blocking driver of `Connection`,
 //!   one thread per connection over any `Read + Write`; blocking

@@ -40,10 +40,11 @@ impl SearchServer {
     ///
     /// The whole conversation — handshake, requests, streams — is
     /// [`Connection`]'s; this is only its blocking pump: flush what is
-    /// queued, then serve one buffered frame or, when none is complete,
-    /// block in one `read`. Blocking requests (`Wait`, a subscription
-    /// between batches) block inside the engine's `wait` / `poll_wait`,
-    /// so they stall only this connection and cost no busy-polling.
+    /// queued, then serve one buffered frame or push one stream batch
+    /// or, when neither can be done, block in one `read`. Blocking
+    /// requests (`Wait`, a subscription between batches) block inside
+    /// the engine's `wait` / `poll_wait`, so they stall only this
+    /// connection and cost no busy-polling.
     ///
     /// Returns `Err` only for transport failures and undecodable input
     /// (bad magic, a corrupt frame). A peer on another protocol version,
@@ -66,9 +67,10 @@ impl SearchServer {
             if conn.is_closing() {
                 return Ok(());
             }
-            // One frame per flush: replies leave before the next frame
+            // One step per flush: replies leave before the next frame
             // is served, so a blocking `Wait` never sits on an earlier
-            // request's answer.
+            // request's answer, and each streamed batch leaves before
+            // the pump blocks in the engine for the next one.
             if !conn.step(&self.engine, &mut Blocking)? && conn.buf_mut().fill_from(&mut io)? == 0 {
                 return Ok(());
             }

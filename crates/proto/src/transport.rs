@@ -57,25 +57,45 @@ impl<T: Read + Write> Framed<T> {
         }
     }
 
-    /// Frame and send one message (queue, drain, flush).
+    /// Frame and send one message (queue, drain, flush), after whatever
+    /// [`queue`](Self::queue) left waiting.
     pub fn send(&mut self, msg: &Message) -> io::Result<()> {
         self.buf.queue(msg)?;
         self.flush()
     }
 
+    /// Frame one message without writing it: it goes out with the next
+    /// [`send`](Self::send) or [`flush`](Self::flush), or before the
+    /// next [`recv`](Self::recv) that has to read, whichever comes
+    /// first.
+    pub fn queue(&mut self, msg: &Message) -> io::Result<()> {
+        self.buf.queue(msg)
+    }
+
+    /// Are there queued bytes not yet written to the stream?
+    pub fn has_pending_out(&self) -> bool {
+        self.buf.has_pending_out()
+    }
+
     /// Receive and decode one message: the next buffered frame, or one
-    /// more read until there is one. An EOF *between* frames surfaces as
-    /// `UnexpectedEof` — the caller's clean-disconnect signal.
+    /// more read until there is one. Queued output is written before
+    /// the first read, so a peer waiting on it is never left waiting.
+    /// An EOF *between* frames surfaces as `UnexpectedEof` — the
+    /// caller's clean-disconnect signal.
     pub fn recv(&mut self) -> io::Result<Message> {
         loop {
             if let Some(msg) = self.buf.next_frame()? {
                 return Ok(msg);
             }
+            if self.buf.has_pending_out() {
+                self.flush()?;
+            }
             self.fill()?;
         }
     }
 
-    fn flush(&mut self) -> io::Result<()> {
+    /// Write everything queued.
+    pub fn flush(&mut self) -> io::Result<()> {
         if !self.buf.write_to(&mut self.io)? {
             // Only a non-blocking stream gets here; the bytes stay
             // queued and go out with the next send.

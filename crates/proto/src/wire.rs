@@ -91,8 +91,8 @@ pub enum Message {
         session: SessionId,
     },
     /// Enter streaming mode: the server pushes [`Message::Snapshot`]
-    /// batches of at most `window` events each, pausing for an
-    /// [`Message::Ack`] between batches (cursor acknowledgement =
+    /// batches of at most `window` events each, a bounded number ahead
+    /// of the [`Message::Ack`]s it has read (cursor acknowledgement =
     /// backpressure).
     Subscribe {
         /// Session to stream.
@@ -103,8 +103,8 @@ pub enum Message {
         /// on both ends).
         window: u32,
     },
-    /// Acknowledge a streamed batch up to `cursor`, opening the window
-    /// for the next one.
+    /// Acknowledge the oldest unacknowledged streamed batch, opening
+    /// the window for one more.
     Ack {
         /// The `next_cursor` of the batch being acknowledged.
         cursor: u64,

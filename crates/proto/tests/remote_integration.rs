@@ -219,3 +219,57 @@ fn reconnect_resumes_stream_after_transport_failure() {
         report.trace.found()
     );
 }
+
+/// The blocking pump flushes each pushed batch before it blocks in the
+/// engine for the next: a subscriber receives its first batch while the
+/// session is still running, though no second batch comes until the
+/// session is cancelled.
+#[test]
+fn a_pump_subscriber_receives_its_first_batch_while_the_session_runs() {
+    use std::time::Duration;
+    let eng = engine();
+    // One long instance on a long timeline: found within a few samples,
+    // then nothing new to find for seconds of sampling.
+    let footage = DatasetSpec::single_class(
+        4_000_000,
+        ClassSpec::new(
+            "car",
+            1,
+            1_000_000.0,
+            SkewSpec::CentralNormal { frac95: 0.2 },
+        ),
+    );
+    let repo = eng.register_repo(
+        "lone-cam",
+        Arc::new(footage.generate(17)),
+        NoiseModel::none(),
+        5,
+    );
+    let id = eng
+        .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(u64::MAX)).seed(3))
+        .expect("valid spec");
+    let (client_io, server_io) = duplex();
+    let server = SearchServer::new(eng.clone());
+    std::thread::spawn(move || server.serve_connection(server_io));
+    let client = RemoteClient::connect(client_io).expect("handshake");
+    let (first, received) = std::sync::mpsc::channel();
+    let subscriber = std::thread::spawn(move || {
+        client.stream(id, 0, 16, |snap| {
+            let _ = first.send(snap.events.len());
+        })
+    });
+
+    let arrived = received.recv_timeout(Duration::from_secs(30));
+    let status = eng.poll(id, 0).expect("known session").status;
+    eng.cancel(id).expect("known session");
+    assert!(
+        matches!(arrived, Ok(events) if events > 0),
+        "no batch arrived while the session ran"
+    );
+    assert_eq!(status, SessionStatus::Running, "the first batch came late");
+    let terminal = subscriber
+        .join()
+        .expect("subscriber thread")
+        .expect("the stream ends with the session");
+    assert_eq!(terminal.status, SessionStatus::Cancelled);
+}

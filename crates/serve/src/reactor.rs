@@ -14,7 +14,8 @@
 //! few megabytes of buffers — not ten thousand stacks.
 //!
 //! The conversation itself — handshake, request dispatch, the `Wait`
-//! park, the ack-windowed `Subscribe` stream — is `Connection`'s, the
+//! park, the `Subscribe` stream that pushes a few batches ahead of the
+//! client's acks — is `Connection`'s, the
 //! same type the blocking pump drives, so there is one server-side
 //! protocol implementation and nothing to keep byte-identical. The
 //! serving path never touches the engine's deterministic sampling
