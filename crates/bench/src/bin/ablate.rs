@@ -2,7 +2,11 @@
 //! within-chunk order, and batched Thompson sampling.
 
 use exsample_bench::results_dir;
+use exsample_experiments::report::Table;
 use exsample_experiments::{ablate, Scale};
+
+/// One ablation: its table from the shared workload.
+type Ablation = fn(&ablate::AblationWorkload) -> Table;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -11,39 +15,22 @@ fn main() {
     let t0 = std::time::Instant::now();
     let w = ablate::AblationWorkload::at_scale(scale);
 
-    println!("\n# Ablation: prior pseudo-counts (α0, β0)\n");
-    let prior = ablate::prior_table(&w);
-    println!("{}", prior.to_markdown());
-    prior
-        .write_csv(results_dir().join("ablate_prior.csv"))
-        .expect("write CSV");
-
-    println!("\n# Ablation: chunk selector\n");
-    let sel = ablate::selector_table(&w);
-    println!("{}", sel.to_markdown());
-    sel.write_csv(results_dir().join("ablate_selector.csv"))
-        .expect("write CSV");
-
-    println!("\n# Ablation: within-chunk order\n");
-    let within = ablate::within_table(&w);
-    println!("{}", within.to_markdown());
-    within
-        .write_csv(results_dir().join("ablate_within.csv"))
-        .expect("write CSV");
-
-    println!("\n# Ablation: batched Thompson sampling\n");
-    let batch = ablate::batch_table(&w);
-    println!("{}", batch.to_markdown());
-    batch
-        .write_csv(results_dir().join("ablate_batch.csv"))
-        .expect("write CSV");
-
-    println!("\n# Ablation: §VII fusion (scored within-chunk order)\n");
-    let fusion = ablate::fusion_table(&w, 0.9);
-    println!("{}", fusion.to_markdown());
-    fusion
-        .write_csv(results_dir().join("ablate_fusion.csv"))
-        .expect("write CSV");
+    let ablations: [(&str, &str, Ablation); 5] = [
+        ("prior pseudo-counts (α0, β0)", "prior", ablate::prior_table),
+        ("chunk selector", "selector", ablate::selector_table),
+        ("within-chunk order", "within", ablate::within_table),
+        ("batched Thompson sampling", "batch", ablate::batch_table),
+        ("§VII fusion (scored within-chunk order)", "fusion", |w| {
+            ablate::fusion_table(w, 0.9)
+        }),
+    ];
+    for (title, name, table) in ablations {
+        let table = table(&w);
+        println!("\n# Ablation: {title}\n");
+        println!("{}", table.to_markdown());
+        let out = results_dir().join(format!("ablate_{name}.csv"));
+        table.write_csv(out).expect("write CSV");
+    }
 
     println!(
         "Reading: performance is insensitive to the prior and to Thompson\n\

@@ -1,5 +1,7 @@
 //! Regenerates Figure 5: per-query time-savings ratios (ExSample vs
 //! random) at recall .1 / .5 / .9, and the headline summary statistics.
+//! Exits non-zero, naming each row, when a query misses its
+//! paper-fidelity band (`fig5::BANDS`).
 
 use exsample_bench::results_dir;
 use exsample_experiments::{fig5, table1, Scale};
@@ -27,5 +29,12 @@ fn main() {
         let out = results_dir().join(format!("fig5_recall{}.csv", panel.recall));
         fig5::panel_table(panel).write_csv(&out).expect("write CSV");
     }
+    let misses = fig5::band_misses(&evals);
+    for miss in &misses {
+        eprintln!("fidelity band missed: {miss}");
+    }
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
+    if !misses.is_empty() {
+        std::process::exit(1);
+    }
 }

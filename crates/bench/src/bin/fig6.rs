@@ -6,7 +6,7 @@ use exsample_experiments::fig6;
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let rows = fig6::run(1000); // matches table1's generation seeds
+    let rows = fig6::run();
     println!("\n# Figure 6 — instance skew for representative queries\n");
     println!("{}", fig6::to_table(&rows).to_markdown());
     println!(

@@ -164,22 +164,6 @@ impl SearchTrace {
         self.exhausted
     }
 
-    /// Samples needed to reach `target` results, if reached.
-    pub fn samples_to_results(&self, target: u64) -> Option<u64> {
-        self.points
-            .iter()
-            .find(|p| p.found >= target)
-            .map(|p| p.samples)
-    }
-
-    /// Seconds needed to reach `target` results, if reached.
-    pub fn seconds_to_results(&self, target: u64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.found >= target)
-            .map(|p| p.seconds)
-    }
-
     /// Results found within the first `samples` frames.
     pub fn found_at_samples(&self, samples: u64) -> u64 {
         self.points
@@ -435,7 +419,8 @@ mod tests {
         assert_eq!(t.found(), 5);
         assert!(!t.exhausted());
         assert_eq!(t.seconds(), t.samples() as f64 * 0.05);
-        assert_eq!(t.samples_to_results(5), Some(t.samples()));
+        let fifth = t.points().iter().find(|p| p.found >= 5).map(|p| p.samples);
+        assert_eq!(fifth, Some(t.samples()));
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! 4. the driver loop (Algorithm 1) feeds detector/discriminator outcomes
 //!    back as [`Feedback`] — see [`driver`].
 //!
+//! [`fidelity`] computes the paper's evaluation numbers from the traces:
+//! median time to a target, savings over random, the Fig. 5 summary.
+//!
 //! The crate is deliberately independent of any video machinery: a frame
 //! is a `u64` index, and the caller supplies an oracle that turns a frame
 //! index into "how many new / once-matched results did this frame yield".
@@ -60,6 +63,7 @@ pub mod belief;
 pub mod chunking;
 pub mod driver;
 pub mod exsample;
+pub mod fidelity;
 pub mod policy;
 pub mod threads;
 pub mod within;

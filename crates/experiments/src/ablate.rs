@@ -14,15 +14,15 @@
 //!   pure proxy ordering.
 
 use crate::report::Table;
-use crate::runner::{median_samples_to, replicate_runs, PolicySpec, RunConfig};
+use crate::runner::{replicate_runs, PolicyFactory, PolicySpec, RunConfig};
 use crate::Scale;
 use exsample_core::belief::{BeliefPrior, Selector};
 use exsample_core::driver::StopCond;
 use exsample_core::exsample::{ExSample, ExSampleConfig};
+use exsample_core::fidelity::{median_to, Key};
 use exsample_core::policy::SamplingPolicy;
 use exsample_core::within::WithinKind;
 use exsample_core::Chunking;
-use exsample_stats::{quantile, Rng64};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, GroundTruth, SkewSpec};
 use std::sync::Arc;
 
@@ -77,31 +77,35 @@ impl AblationWorkload {
         }
     }
 
-    fn run_cfg(&self) -> RunConfig {
-        RunConfig {
-            runs: self.runs,
-            stop: StopCond::results(self.target).or_samples(self.max_samples),
-            detect_fps: 20.0,
-            base_seed: self.seed,
-            threads: crate::parallel::default_threads(),
-        }
+    /// Median samples-to-target of `spec`, runs forked from `seed`, drawing
+    /// `batch` frames per decision.
+    fn median(&self, spec: &dyn PolicyFactory, seed: u64, batch: usize) -> Option<f64> {
+        let stop = StopCond::results(self.target).or_samples(self.max_samples);
+        let cfg = RunConfig {
+            batch,
+            ..RunConfig::new(self.runs, stop, seed)
+        };
+        let traces = replicate_runs(&self.gt, ClassId(0), spec, &cfg);
+        median_to(&traces, self.target, Key::Samples)
     }
 
     /// Median samples-to-target for an ExSample configuration.
     pub fn measure(&self, config: ExSampleConfig) -> Option<f64> {
-        let spec = PolicySpec::ExSample {
+        self.measure_policy(PolicySpec::ExSample {
             chunking: self.chunking.clone(),
             config,
-        };
-        let traces = replicate_runs(&self.gt, ClassId(0), &spec, &self.run_cfg());
-        median_samples_to(&traces, self.target)
+        })
     }
 
     /// Median samples-to-target for a baseline policy.
     pub fn measure_policy(&self, spec: PolicySpec) -> Option<f64> {
-        let traces = replicate_runs(&self.gt, ClassId(0), &spec, &self.run_cfg());
-        median_samples_to(&traces, self.target)
+        self.median(&spec, self.seed, 1)
     }
+}
+
+/// A median cell: whole samples, or `-` when unreached.
+fn fmt_median(m: Option<f64>) -> String {
+    m.map(|v| format!("{v:.0}")).unwrap_or_else(|| "-".into())
 }
 
 /// Prior-sensitivity ablation: grid over `(α0, β0)`.
@@ -113,11 +117,10 @@ pub fn prior_table(w: &AblationWorkload) -> Table {
                 prior: BeliefPrior::new(a0, b0),
                 ..ExSampleConfig::default()
             };
-            let med = w.measure(cfg);
             t.row(vec![
                 format!("{a0}"),
                 format!("{b0}"),
-                med.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
+                fmt_median(w.measure(cfg)),
             ]);
         }
     }
@@ -132,17 +135,10 @@ pub fn selector_table(w: &AblationWorkload) -> Table {
             selector: sel,
             ..ExSampleConfig::default()
         };
-        let med = w.measure(cfg);
-        t.row(vec![
-            sel.name().to_string(),
-            med.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
-        ]);
+        t.row(vec![sel.name().to_string(), fmt_median(w.measure(cfg))]);
     }
     let rnd = w.measure_policy(PolicySpec::Random);
-    t.row(vec![
-        "(random baseline)".into(),
-        rnd.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
-    ]);
+    t.row(vec!["(random baseline)".into(), fmt_median(rnd)]);
     t
 }
 
@@ -158,21 +154,13 @@ pub fn within_table(w: &AblationWorkload) -> Table {
             within,
             ..ExSampleConfig::default()
         };
-        let med = w.measure(cfg);
-        t.row(vec![
-            label.into(),
-            med.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
-        ]);
+        t.row(vec![label.into(), fmt_median(w.measure(cfg))]);
     }
     for (label, spec) in [
         ("random+ (no chunks)", PolicySpec::RandomPlus),
         ("random (no chunks)", PolicySpec::Random),
     ] {
-        let med = w.measure_policy(spec);
-        t.row(vec![
-            label.into(),
-            med.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
-        ]);
+        t.row(vec![label.into(), fmt_median(w.measure_policy(spec))]);
     }
     t
 }
@@ -180,43 +168,11 @@ pub fn within_table(w: &AblationWorkload) -> Table {
 /// Median samples-to-target under batched Thompson sampling with batch
 /// size `b` (feedback only lands after a whole batch is processed).
 pub fn batched_samples_to_target(w: &AblationWorkload, b: usize) -> Option<f64> {
-    let root = Rng64::new(w.seed ^ 0xBA7C);
-    let per_run: Vec<Option<u64>> =
-        crate::parallel::parallel_map(w.runs, crate::parallel::default_threads(), |r| {
-            let mut rng = root.fork(r as u64);
-            let mut policy = ExSample::new(w.chunking.clone(), ExSampleConfig::default());
-            let mut oracle = exsample_detect::QueryOracle::new(
-                exsample_detect::SimulatedDetector::perfect(w.gt.clone(), ClassId(0)),
-                exsample_detect::OracleDiscriminator::new(),
-            );
-            let mut batch = Vec::new();
-            let mut samples = 0u64;
-            let mut found = 0u64;
-            while samples < w.max_samples {
-                policy.next_batch(b, &mut rng, &mut batch);
-                if batch.is_empty() {
-                    break;
-                }
-                // Process the whole batch, then deliver feedback (the GPU
-                // batching model of §III-F: updates are commutative).
-                let outcomes: Vec<_> = batch.iter().map(|&f| (f, oracle.process(f))).collect();
-                for (f, fb) in outcomes {
-                    policy.feedback(f, fb);
-                    found += fb.new_results as u64;
-                    samples += 1;
-                    if found >= w.target {
-                        return Some(samples);
-                    }
-                }
-            }
-            None
-        });
-    let reached: Vec<f64> = per_run.iter().flatten().map(|&s| s as f64).collect();
-    if reached.len() * 2 < w.runs {
-        None
-    } else {
-        Some(quantile(&reached, 0.5))
-    }
+    let spec = PolicySpec::ExSample {
+        chunking: w.chunking.clone(),
+        config: ExSampleConfig::default(),
+    };
+    w.median(&spec, w.seed ^ 0xBA7C, b)
 }
 
 /// §VII fusion study: ExSample chunk selection with score-descending
@@ -225,76 +181,43 @@ pub fn batched_samples_to_target(w: &AblationWorkload, b: usize) -> Option<f64> 
 /// reported separately (it is exactly what the fusion's future-work
 /// "predictive scoring" would remove).
 pub fn fusion_table(w: &AblationWorkload, fidelity: f64) -> Table {
-    use exsample_baselines::ProxyOrderPolicy;
     use exsample_detect::ProxyModel;
     let proxy = ProxyModel::build(&w.gt, ClassId(0), fidelity, w.seed ^ 0xF0);
     let scores: Arc<Vec<f32>> = Arc::new((0..w.gt.frames).map(|f| proxy.score(f)).collect());
-    let order = proxy.descending_order();
-
-    let root = Rng64::new(w.seed ^ 0xF1);
-    let measure = |mk: &dyn Fn() -> Box<dyn SamplingPolicy>| -> Option<f64> {
-        let per_run: Vec<Option<u64>> = (0..w.runs)
-            .map(|r| {
-                let mut rng = root.fork(r as u64);
-                let mut policy = mk();
-                let mut oracle = exsample_detect::QueryOracle::new(
-                    exsample_detect::SimulatedDetector::perfect(w.gt.clone(), ClassId(0)),
-                    exsample_detect::OracleDiscriminator::new(),
-                );
-                let mut found = 0u64;
-                for samples in 1..=w.max_samples {
-                    let f = policy.next_frame(&mut rng)?;
-                    let fb = oracle.process(f);
-                    policy.feedback(f, fb);
-                    found += fb.new_results as u64;
-                    if found >= w.target {
-                        return Some(samples);
-                    }
-                }
-                None
-            })
-            .collect();
-        let reached: Vec<f64> = per_run.iter().flatten().map(|&s| s as f64).collect();
-        if reached.len() * 2 < w.runs {
-            None
-        } else {
-            Some(quantile(&reached, 0.5))
-        }
+    let plain = PolicySpec::ExSample {
+        chunking: w.chunking.clone(),
+        config: ExSampleConfig::default(),
     };
-
+    let fused = |_: u64| -> Box<dyn SamplingPolicy> {
+        Box::new(ExSample::fused(
+            w.chunking.clone(),
+            ExSampleConfig::default(),
+            &scores,
+        ))
+    };
+    let proxy_order = PolicySpec::ProxyOrder {
+        order: Arc::new(proxy.descending_order()),
+        avoid_window: 0,
+        upfront_s: 0.0,
+    };
+    let rows: [(String, &dyn PolicyFactory, &str); 3] = [
+        ("exsample (random+ within)".into(), &plain, "no"),
+        (
+            format!("exsample fused (scores; fid {fidelity})"),
+            &fused,
+            "yes",
+        ),
+        (format!("proxy-order (fid {fidelity})"), &proxy_order, "yes"),
+    ];
     let mut t = Table::new(&[
         "policy",
         "median samples to target",
         "requires scoring scan",
     ]);
-    let fmt = |m: Option<f64>| m.map(|v| format!("{v:.0}")).unwrap_or_else(|| "-".into());
-    let chunking = w.chunking.clone();
-    let m_plain = measure(&|| Box::new(ExSample::new(chunking.clone(), ExSampleConfig::default())));
-    t.row(vec![
-        "exsample (random+ within)".into(),
-        fmt(m_plain),
-        "no".into(),
-    ]);
-    let chunking2 = w.chunking.clone();
-    let scores2 = scores.clone();
-    let m_fused = measure(&|| {
-        Box::new(ExSample::fused(
-            chunking2.clone(),
-            ExSampleConfig::default(),
-            &scores2,
-        ))
-    });
-    t.row(vec![
-        format!("exsample fused (scores; fid {fidelity})"),
-        fmt(m_fused),
-        "yes".into(),
-    ]);
-    let m_proxy = measure(&|| Box::new(ProxyOrderPolicy::new(order.clone(), 0)));
-    t.row(vec![
-        format!("proxy-order (fid {fidelity})"),
-        fmt(m_proxy),
-        "yes".into(),
-    ]);
+    for (label, spec, scan) in rows {
+        let median = w.median(spec, w.seed ^ 0xF1, 1);
+        t.row(vec![label, fmt_median(median), scan.into()]);
+    }
     t
 }
 
@@ -302,10 +225,9 @@ pub fn fusion_table(w: &AblationWorkload, fidelity: f64) -> Table {
 pub fn batch_table(w: &AblationWorkload) -> Table {
     let mut t = Table::new(&["batch size B", "median samples to target"]);
     for b in [1usize, 8, 64] {
-        let med = batched_samples_to_target(w, b);
         t.row(vec![
             b.to_string(),
-            med.map(|m| format!("{m:.0}")).unwrap_or_else(|| "-".into()),
+            fmt_median(batched_samples_to_target(w, b)),
         ]);
     }
     t

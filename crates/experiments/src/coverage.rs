@@ -13,6 +13,7 @@
 use crate::presets::dataset;
 use crate::report::Table;
 use crate::Scale;
+use exsample_core::BeliefPrior;
 use exsample_stats::{FxHashMap, Rng64, UniformNoReplacement};
 use exsample_videosim::{ClassId, GroundTruth, InstanceId};
 
@@ -65,7 +66,7 @@ impl CoverageConfig {
 
 /// Run the coverage study on one class of a ground truth.
 pub fn class_coverage(gt: &GroundTruth, class: ClassId, cfg: &CoverageConfig) -> ClassCoverage {
-    const ALPHA0: f64 = 0.1;
+    let alpha0 = BeliefPrior::default().alpha0;
     let p: FxHashMap<InstanceId, f64> = gt
         .instances_of_class(class)
         .map(|i| (i.id, i.hit_probability(gt.frames)))
@@ -110,7 +111,7 @@ pub fn class_coverage(gt: &GroundTruth, class: ClassId, cfg: &CoverageConfig) ->
             if cp_iter.peek() == Some(&n) {
                 cp_iter.next();
                 let est = n1 as f64 / n as f64;
-                let sd = ((n1 as f64 + ALPHA0).max(0.0)).sqrt() / n as f64;
+                let sd = ((n1 as f64 + alpha0).max(0.0)).sqrt() / n as f64;
                 let (lo, hi) = (est - 1.96 * sd, est + 1.96 * sd);
                 let truth = total_p - seen_p; // Σ p_i over unseen instances
                 evaluations += 1;
@@ -122,20 +123,18 @@ pub fn class_coverage(gt: &GroundTruth, class: ClassId, cfg: &CoverageConfig) ->
             }
         }
     }
-    let misses = evaluations - hits;
+    let share = |part: usize, whole: usize| {
+        if whole == 0 {
+            0.0
+        } else {
+            part as f64 / whole as f64
+        }
+    };
     ClassCoverage {
         class: gt.class_name(class).to_string(),
         evaluations,
-        coverage: if evaluations == 0 {
-            0.0
-        } else {
-            hits as f64 / evaluations as f64
-        },
-        miss_above: if misses == 0 {
-            0.0
-        } else {
-            above as f64 / misses as f64
-        },
+        coverage: share(hits, evaluations),
+        miss_above: share(above, evaluations - hits),
     }
 }
 
@@ -143,7 +142,7 @@ pub fn class_coverage(gt: &GroundTruth, class: ClassId, cfg: &CoverageConfig) ->
 pub fn run(scale: Scale) -> Vec<ClassCoverage> {
     let cfg = CoverageConfig::at_scale(scale);
     let ds = dataset("BDD MOT").expect("preset exists");
-    let gt = ds.dataset_spec().generate(1001); // matches table1's BDD MOT seed
+    let gt = ds.repository();
     (0..ds.classes.len())
         .map(|ci| class_coverage(&gt, ClassId(ci as u16), &cfg))
         .collect()

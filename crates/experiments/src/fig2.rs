@@ -21,7 +21,8 @@
 
 use crate::report::Table;
 use crate::Scale;
-use exsample_stats::dist::{Continuous, Gamma, Geometric, LogNormal};
+use exsample_core::{BeliefPrior, ChunkStats};
+use exsample_stats::dist::{Continuous, Geometric, LogNormal};
 use exsample_stats::{quantile, Rng64};
 
 /// Configuration of the Figure 2 study.
@@ -153,38 +154,25 @@ pub fn run(config: &Fig2Config) -> Vec<Fig2Cell> {
                 .filter(|&&(v, _)| v.abs_diff(n1) <= config.n1_tolerance)
                 .map(|&(_, r)| r)
                 .collect();
-            let gamma = Gamma::new(n1 as f64 + 0.1, n as f64 + 1.0);
+            let gamma = BeliefPrior::default().belief(&ChunkStats { n1: n1 as f64, n });
             let (gq05, gq95) = (gamma.inv_cdf(0.05), gamma.inv_cdf(0.95));
-            let coverage = if pooled.is_empty() {
-                0.0
-            } else {
-                pooled.iter().filter(|&&r| r >= gq05 && r <= gq95).count() as f64
-                    / pooled.len() as f64
-            };
+            // An empty cell reads 0 everywhere.
+            let of_pooled = |f: &dyn Fn() -> f64| if pooled.is_empty() { 0.0 } else { f() };
+            let len = pooled.len() as f64;
             Fig2Cell {
                 n,
                 n1,
                 pooled: pooled.len(),
-                actual_mean: if pooled.is_empty() {
-                    0.0
-                } else {
-                    pooled.iter().sum::<f64>() / pooled.len() as f64
-                },
-                actual_q05: if pooled.is_empty() {
-                    0.0
-                } else {
-                    quantile(&pooled, 0.05)
-                },
-                actual_q95: if pooled.is_empty() {
-                    0.0
-                } else {
-                    quantile(&pooled, 0.95)
-                },
+                actual_mean: of_pooled(&|| pooled.iter().sum::<f64>() / len),
+                actual_q05: of_pooled(&|| quantile(&pooled, 0.05)),
+                actual_q95: of_pooled(&|| quantile(&pooled, 0.95)),
                 point_estimate: n1 as f64 / n as f64,
                 gamma_mean: gamma.mean(),
                 gamma_q05: gq05,
                 gamma_q95: gq95,
-                coverage,
+                coverage: of_pooled(&|| {
+                    pooled.iter().filter(|&&r| r >= gq05 && r <= gq95).count() as f64 / len
+                }),
             }
         })
         .collect()

@@ -8,12 +8,12 @@
 
 use crate::report::{fmt_ratio, Table};
 use crate::runner::{
-    found_band, log_checkpoints, median_samples_to, replicate_runs, BandPoint, PolicySpec,
-    RunConfig,
+    found_band, log_checkpoints, replicate_runs, BandPoint, PolicySpec, RunConfig,
 };
 use crate::Scale;
 use exsample_core::driver::StopCond;
 use exsample_core::exsample::ExSampleConfig;
+use exsample_core::fidelity::{median_to, savings, Key};
 use exsample_core::Chunking;
 use exsample_optimal::{optimal_curve, ChunkProbs, SolveOpts};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
@@ -46,28 +46,20 @@ impl Fig3Config {
     /// Paper-scale or smoke-scale configuration. Quick mode shrinks the
     /// frame count and scales durations with it, preserving every `p_i`.
     pub fn at_scale(scale: Scale) -> Self {
-        let skews = |frames: f64| {
-            vec![
-                ("none".to_string(), SkewSpec::Uniform),
-                ("1/4".to_string(), SkewSpec::CentralNormal { frac95: 0.25 }),
-                (
-                    "1/32".to_string(),
-                    SkewSpec::CentralNormal { frac95: 1.0 / 32.0 },
-                ),
-                (
-                    "1/256".to_string(),
-                    SkewSpec::CentralNormal {
-                        frac95: 1.0 / 256.0,
-                    },
-                ),
-            ]
-            .into_iter()
-            .map(|(l, s)| {
-                let _ = frames;
-                (l, s)
-            })
-            .collect()
-        };
+        let skews = vec![
+            ("none".to_string(), SkewSpec::Uniform),
+            ("1/4".to_string(), SkewSpec::CentralNormal { frac95: 0.25 }),
+            (
+                "1/32".to_string(),
+                SkewSpec::CentralNormal { frac95: 1.0 / 32.0 },
+            ),
+            (
+                "1/256".to_string(),
+                SkewSpec::CentralNormal {
+                    frac95: 1.0 / 256.0,
+                },
+            ),
+        ];
         match scale {
             Scale::Full => Fig3Config {
                 frames: 16_000_000,
@@ -77,7 +69,7 @@ impl Fig3Config {
                 max_samples: 250_000,
                 targets: vec![10, 100, 1000],
                 durations: vec![14.0, 100.0, 700.0, 4900.0],
-                skews: skews(16e6),
+                skews,
                 seed: 31,
             },
             Scale::Quick => Fig3Config {
@@ -89,7 +81,7 @@ impl Fig3Config {
                 targets: vec![10, 100],
                 // Scaled by 1/16 to keep p_i identical to the full grid.
                 durations: vec![1.0, 7.0, 44.0, 306.0],
-                skews: skews(1e6),
+                skews,
                 seed: 31,
             },
         }
@@ -125,13 +117,7 @@ pub fn run_cell(config: &Fig3Config, skew_idx: usize, dur_idx: usize) -> Fig3Cel
     let cell_seed = config.seed ^ ((skew_idx as u64) << 16) ^ ((dur_idx as u64) << 24);
     let gt = Arc::new(spec.generate(cell_seed));
     let stop = StopCond::results(config.instances as u64).or_samples(config.max_samples);
-    let run_cfg = RunConfig {
-        runs: config.runs,
-        stop,
-        detect_fps: 20.0,
-        base_seed: cell_seed ^ 0xABCD,
-        threads: crate::parallel::default_threads(),
-    };
+    let run_cfg = RunConfig::new(config.runs, stop, cell_seed ^ 0xABCD);
     let chunking = Chunking::even(config.frames, config.chunks);
     let ex_spec = PolicySpec::ExSample {
         chunking: chunking.clone(),
@@ -148,11 +134,8 @@ pub fn run_cell(config: &Fig3Config, skew_idx: usize, dur_idx: usize) -> Fig3Cel
         .targets
         .iter()
         .map(|&t| {
-            let s = match (median_samples_to(&rnd, t), median_samples_to(&ex, t)) {
-                (Some(r), Some(e)) if e > 0.0 => Some(r / e),
-                _ => None,
-            };
-            (t, s)
+            let to = |traces| median_to(traces, t, Key::Samples);
+            (t, savings(to(&rnd), to(&ex)))
         })
         .collect();
 
@@ -164,17 +147,6 @@ pub fn run_cell(config: &Fig3Config, skew_idx: usize, dur_idx: usize) -> Fig3Cel
         optimal,
         savings,
     }
-}
-
-/// Run the whole grid (row-major: durations outer, skews inner).
-pub fn run(config: &Fig3Config) -> Vec<Fig3Cell> {
-    let mut out = Vec::new();
-    for dur_idx in 0..config.durations.len() {
-        for skew_idx in 0..config.skews.len() {
-            out.push(run_cell(config, skew_idx, dur_idx));
-        }
-    }
-    out
 }
 
 /// Savings-label summary table (the text annotations of Figure 3).

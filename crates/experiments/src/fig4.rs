@@ -94,13 +94,7 @@ pub fn run(config: &Fig4Config) -> Vec<Fig4Series> {
     );
     let gt = Arc::new(spec.generate(config.seed));
     let stop = StopCond::results(config.instances as u64).or_samples(config.max_samples);
-    let run_cfg = RunConfig {
-        runs: config.runs,
-        stop,
-        detect_fps: 20.0,
-        base_seed: config.seed ^ 0xF1640,
-        threads: crate::parallel::default_threads(),
-    };
+    let run_cfg = RunConfig::new(config.runs, stop, config.seed ^ 0xF1640);
     let checkpoints = log_checkpoints(config.max_samples, 8);
 
     let mut out = Vec::new();

@@ -41,17 +41,12 @@ pub struct Fig6Row {
 }
 
 /// Compute chunk histograms and S for the representative queries.
-pub fn run(seed: u64) -> Vec<Fig6Row> {
+pub fn run() -> Vec<Fig6Row> {
     REPRESENTATIVE
         .iter()
         .map(|&(ds_name, cls_name, paper_s, paper_savings)| {
             let ds = dataset(ds_name).expect("known dataset");
-            // Match the per-dataset generation seed used by table1.
-            let di = crate::presets::all_datasets()
-                .iter()
-                .position(|d| d.name == ds_name)
-                .expect("dataset index");
-            let gt = ds.dataset_spec().generate(seed + di as u64);
+            let gt = ds.repository();
             let ci = ds.class_index(cls_name).expect("known class");
             let chunking = ds.chunking();
             let counts = chunk_instance_counts(&gt, ClassId(ci as u16), &chunking);
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn skew_ordering_matches_paper() {
-        let rows = run(1000);
+        let rows = run();
         assert_eq!(rows.len(), 5);
         let s_of = |name: &str| rows.iter().find(|r| r.dataset == name).unwrap().s;
         // Qualitative ordering: dashcam/bicycle most skewed; archie/car and
@@ -133,7 +128,7 @@ mod tests {
 
     #[test]
     fn counts_sum_to_n() {
-        let rows = run(1000);
+        let rows = run();
         for r in &rows {
             assert_eq!(r.chunk_counts.iter().sum::<usize>(), r.n);
         }
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let rows = run(1000);
+        let rows = run();
         assert_eq!(to_table(&rows).len(), 5);
         assert!(histogram_table(&rows).len() > 100);
     }

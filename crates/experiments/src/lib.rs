@@ -15,6 +15,7 @@
 //! | [`fig6`] | Fig. 6 — chunk histograms and the skew metric `S` |
 //! | [`coverage`] | §III-D — variance-bound coverage check (≈80%) |
 //! | [`ablate`] | design ablations: prior, selector, within-chunk order, batch |
+//! | [`exsample_core::fidelity`] | their shared arithmetic; the gate's bands are [`fig5::BANDS`] |
 //!
 //! Supporting modules: [`presets`] (the six evaluation datasets,
 //! calibrated to the paper's reported frame counts, instance counts and

@@ -26,7 +26,8 @@
 //!   extreme, etc.).
 
 use exsample_core::Chunking;
-use exsample_videosim::{ClassSpec, DatasetSpec, DurationSpec, SkewSpec};
+use exsample_videosim::{ClassSpec, DatasetSpec, DurationSpec, GroundTruth, SkewSpec};
+use std::sync::Arc;
 
 /// Detector throughput the paper measures for query execution
 /// ("ExSample processes frames at a rate of 20 frames per second, bound by
@@ -158,6 +159,16 @@ impl EvalDataset {
                 })
                 .collect(),
         }
+    }
+
+    /// The repository every experiment searches for this dataset: its
+    /// ground truth at seed `1000 + ` its position in [`all_datasets`].
+    pub fn repository(&self) -> Arc<GroundTruth> {
+        let i = all_datasets()
+            .iter()
+            .position(|d| d.name == self.name)
+            .expect("a preset dataset");
+        Arc::new(self.dataset_spec().generate(1000 + i as u64))
     }
 
     /// The chunking used for ExSample on this dataset.

@@ -1,8 +1,9 @@
 //! Replicated discovery-curve runs shared by all experiments.
 
-use crate::parallel::parallel_map;
-use exsample_baselines::{ProxyOrderPolicy, RandomPlusPolicy, RandomPolicy, SequentialPolicy};
-use exsample_core::driver::{run_search, SearchCost, SearchTrace, StopCond};
+use crate::parallel::{default_threads, parallel_map};
+use crate::presets::DETECT_FPS;
+use exsample_baselines::{ProxyOrderPolicy, RandomPlusPolicy, RandomPolicy};
+use exsample_core::driver::{run_search_batched, SearchCost, SearchTrace, StopCond};
 use exsample_core::exsample::{ExSample, ExSampleConfig};
 use exsample_core::policy::SamplingPolicy;
 use exsample_core::Chunking;
@@ -10,6 +11,25 @@ use exsample_detect::{OracleDiscriminator, QueryOracle, SimulatedDetector};
 use exsample_stats::{quantile, Rng64};
 use exsample_videosim::{ClassId, GroundTruth};
 use std::sync::Arc;
+
+/// Builds a fresh policy for every replicate run. [`PolicySpec`] is the
+/// common recipe; a closure `|frames: u64| -> Box<dyn SamplingPolicy>`
+/// builds anything else (fused orders, test wrappers).
+pub trait PolicyFactory: Sync {
+    /// Instantiate the policy for a repository of `frames` frames.
+    fn build(&self, frames: u64) -> Box<dyn SamplingPolicy>;
+
+    /// Upfront cost charged before sampling starts.
+    fn upfront_seconds(&self) -> f64 {
+        0.0
+    }
+}
+
+impl<F: Fn(u64) -> Box<dyn SamplingPolicy> + Sync> PolicyFactory for F {
+    fn build(&self, frames: u64) -> Box<dyn SamplingPolicy> {
+        self(frames)
+    }
+}
 
 /// A policy recipe that can be instantiated fresh for every replicate run.
 #[derive(Debug, Clone)]
@@ -25,11 +45,6 @@ pub enum PolicySpec {
     Random,
     /// Whole-dataset stratified random+.
     RandomPlus,
-    /// Sequential scan with a stride.
-    Sequential {
-        /// Visit every `stride`-th frame per pass.
-        stride: u64,
-    },
     /// BlazeIt-style: frames in descending proxy-score order after a full
     /// scoring scan.
     ProxyOrder {
@@ -42,16 +57,14 @@ pub enum PolicySpec {
     },
 }
 
-impl PolicySpec {
-    /// Instantiate the policy for a repository of `frames` frames.
-    pub fn build(&self, frames: u64) -> Box<dyn SamplingPolicy> {
+impl PolicyFactory for PolicySpec {
+    fn build(&self, frames: u64) -> Box<dyn SamplingPolicy> {
         match self {
             PolicySpec::ExSample { chunking, config } => {
                 Box::new(ExSample::new(chunking.clone(), *config))
             }
             PolicySpec::Random => Box::new(RandomPolicy::new(frames)),
             PolicySpec::RandomPlus => Box::new(RandomPlusPolicy::new(frames)),
-            PolicySpec::Sequential { stride } => Box::new(SequentialPolicy::new(frames, *stride)),
             PolicySpec::ProxyOrder {
                 order,
                 avoid_window,
@@ -60,14 +73,15 @@ impl PolicySpec {
         }
     }
 
-    /// Upfront cost charged before sampling starts.
-    pub fn upfront_seconds(&self) -> f64 {
+    fn upfront_seconds(&self) -> f64 {
         match self {
             PolicySpec::ProxyOrder { upfront_s, .. } => *upfront_s,
             _ => 0.0,
         }
     }
+}
 
+impl PolicySpec {
     /// Display label.
     pub fn label(&self) -> String {
         match self {
@@ -78,7 +92,6 @@ impl PolicySpec {
             ),
             PolicySpec::Random => "random".into(),
             PolicySpec::RandomPlus => "random+".into(),
-            PolicySpec::Sequential { stride } => format!("sequential({stride})"),
             PolicySpec::ProxyOrder { avoid_window, .. } => {
                 format!("proxy-order(w={avoid_window})")
             }
@@ -93,42 +106,42 @@ pub struct RunConfig {
     pub runs: usize,
     /// Stop condition per run.
     pub stop: StopCond,
-    /// Detector throughput (frames per second) for the time model.
-    pub detect_fps: f64,
     /// Root seed; run `r` uses stream `fork(r)`.
     pub base_seed: u64,
-    /// Worker threads.
-    pub threads: usize,
+    /// Frames drawn per decision before any of their feedback lands
+    /// (§III-F batched inference; 1 = per-frame).
+    pub batch: usize,
 }
 
 impl RunConfig {
-    /// Sensible defaults: paper's 20 fps detector, all cores.
+    /// `runs` replicates under `stop`, forked from `base_seed`, with
+    /// per-frame feedback (`batch` 1).
     pub fn new(runs: usize, stop: StopCond, base_seed: u64) -> Self {
         RunConfig {
             runs,
             stop,
-            detect_fps: 20.0,
             base_seed,
-            threads: crate::parallel::default_threads(),
+            batch: 1,
         }
     }
 }
 
 /// Run `cfg.runs` independent searches of `spec` against a perfect
 /// detector + oracle discriminator (the configuration of the paper's
-/// simulation studies) and return their traces.
-pub fn replicate_runs(
+/// simulation studies), timed at the paper's detector rate
+/// ([`DETECT_FPS`]), on every worker thread, and return their traces.
+pub fn replicate_runs<P: PolicyFactory + ?Sized>(
     gt: &Arc<GroundTruth>,
     class: ClassId,
-    spec: &PolicySpec,
+    spec: &P,
     cfg: &RunConfig,
 ) -> Vec<SearchTrace> {
     let root = Rng64::new(cfg.base_seed);
     let cost = SearchCost {
         upfront_s: spec.upfront_seconds(),
-        per_sample_s: 1.0 / cfg.detect_fps,
+        per_sample_s: 1.0 / DETECT_FPS,
     };
-    parallel_map(cfg.runs, cfg.threads, |r| {
+    parallel_map(cfg.runs, default_threads(), |r| {
         let mut rng = root.fork(r as u64);
         let mut policy = spec.build(gt.frames);
         let mut oracle = QueryOracle::new(
@@ -136,7 +149,14 @@ pub fn replicate_runs(
             OracleDiscriminator::new(),
         );
         let mut f = |frame: u64| oracle.process(frame);
-        run_search(policy.as_mut(), &mut f, &cost, &cfg.stop, &mut rng)
+        run_search_batched(
+            policy.as_mut(),
+            &mut f,
+            &cost,
+            &cfg.stop,
+            &mut rng,
+            cfg.batch,
+        )
     })
 }
 
@@ -173,34 +193,6 @@ pub fn found_band(traces: &[SearchTrace], checkpoints: &[u64]) -> Vec<BandPoint>
         .collect()
 }
 
-/// Median (across runs) of the samples needed to reach `target` results.
-/// Returns `None` if fewer than half the runs reached the target.
-pub fn median_samples_to(traces: &[SearchTrace], target: u64) -> Option<f64> {
-    let mut reached: Vec<f64> = traces
-        .iter()
-        .filter_map(|t| t.samples_to_results(target).map(|s| s as f64))
-        .collect();
-    if reached.len() * 2 < traces.len() {
-        return None;
-    }
-    reached.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Some(exsample_stats::quantile_of_sorted(&reached, 0.5))
-}
-
-/// Median (across runs) of seconds to reach `target` results, if at least
-/// half the runs got there.
-pub fn median_seconds_to(traces: &[SearchTrace], target: u64) -> Option<f64> {
-    let mut reached: Vec<f64> = traces
-        .iter()
-        .filter_map(|t| t.seconds_to_results(target))
-        .collect();
-    if reached.len() * 2 < traces.len() {
-        return None;
-    }
-    reached.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Some(exsample_stats::quantile_of_sorted(&reached, 0.5))
-}
-
 /// Log-spaced sample checkpoints from 1 to `max` (inclusive), `per_decade`
 /// points per decade — the x grid of the log-scale figures.
 pub fn log_checkpoints(max: u64, per_decade: usize) -> Vec<u64> {
@@ -227,6 +219,7 @@ pub fn log_checkpoints(max: u64, per_decade: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exsample_core::fidelity::{median_to, Key};
     use exsample_videosim::{ClassSpec, DatasetSpec, SkewSpec};
 
     fn truth() -> Arc<GroundTruth> {
@@ -251,24 +244,6 @@ mod tests {
         for t in &a {
             assert!(t.found() >= 10);
         }
-    }
-
-    #[test]
-    fn exsample_beats_random_under_skew() {
-        let gt = truth();
-        let cfg = RunConfig::new(9, StopCond::results(40), 7);
-        let ex = PolicySpec::ExSample {
-            chunking: Chunking::even(20_000, 16),
-            config: ExSampleConfig::default(),
-        };
-        let ex_traces = replicate_runs(&gt, ClassId(0), &ex, &cfg);
-        let rnd_traces = replicate_runs(&gt, ClassId(0), &PolicySpec::Random, &cfg);
-        let ex_med = median_samples_to(&ex_traces, 40).unwrap();
-        let rnd_med = median_samples_to(&rnd_traces, 40).unwrap();
-        assert!(
-            ex_med < rnd_med,
-            "exsample median {ex_med} !< random median {rnd_med}"
-        );
     }
 
     #[test]
@@ -316,7 +291,7 @@ mod tests {
         let gt = truth();
         let cfg = RunConfig::new(3, StopCond::samples(10), 13);
         let traces = replicate_runs(&gt, ClassId(0), &PolicySpec::Random, &cfg);
-        assert!(median_samples_to(&traces, 1_000).is_none());
+        assert!(median_to(&traces, 1_000, Key::Samples).is_none());
     }
 
     #[test]

@@ -129,6 +129,16 @@ pub const RETIREMENTS: &[Retirement] = &[
         allow: &[],
         why: "the mapped container is the one warm read path (docs/STORE.md)",
     },
+    Retirement {
+        name: "fidelity_arithmetic",
+        pr: 40,
+        spellings: "median_samples_to|median_seconds_to|Gamma::new(",
+        scope: &["crates/experiments"],
+        kinds: &[],
+        tests_exempt: false,
+        allow: &[],
+        why: "medians and savings come from exsample_core::fidelity; Eq. III.4 from BeliefPrior",
+    },
 ];
 
 impl Retirement {

@@ -205,6 +205,6 @@ fn experiment_harness_smoke() {
     );
     assert!(cov.evaluations > 0);
 
-    let rows = fig6::run(1000);
+    let rows = fig6::run();
     assert_eq!(rows.len(), 5);
 }
