@@ -16,11 +16,7 @@ fn main() {
     let series = fig4::run(&config);
     println!("\n# Figure 4 — varying the number of chunks\n");
     println!("{}", fig4::summary_table(&series).to_markdown());
-    println!(
-        "Reading: all chunked variants beat random; small M tracks its\n\
-         (weaker) optimum tightly, large M has a steeper optimum but pays a\n\
-         learning cost, so the benefit is non-monotonic in M."
-    );
+    println!("Reading: {}", fig4::reading(&series));
     let out = results_dir().join("fig4_curves.csv");
     fig4::curves_table(&series)
         .write_csv(&out)

@@ -36,10 +36,11 @@
 //! detector dispatch for all misses with no shard lock held, and only
 //! then wait for frames other sessions already have in flight. There are
 //! exactly two ways to redeem a reservation: [`MissGuard::fill`] publishes
-//! fresh detector output (a miss, written behind into the detection log)
-//! and [`MissGuard::fill_warm`] publishes detections read back from the
-//! durable container (a warm hit, not written again). Nothing loads the
-//! cache in bulk: a restarted engine warms it frame by frame, on touch.
+//! fresh detector output (a miss) and [`MissGuard::fill_warm`] publishes
+//! detections read back from the durable container (a warm hit). The
+//! cache writes nothing durable: the session that paid for a miss logs
+//! it. Nothing loads the cache in bulk: a restarted engine warms it frame
+//! by frame, on touch.
 
 use exsample_detect::Detection;
 use exsample_stats::FxHashMap;
@@ -141,17 +142,11 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// Hook invoked (after the shard lock is released) with every freshly
-/// computed entry; the engine uses it to write detections behind the
-/// cache into the persistent detection log.
-pub type WriteBehind = Box<dyn Fn(FrameKey, &[Detection]) + Send + Sync>;
-
 /// Sharded, thread-safe memo of per-frame detector output.
 pub struct FrameCache {
     shards: Vec<Mutex<Shard>>,
     /// Max resident entries per shard.
     shard_capacity: usize,
-    write_behind: Option<WriteBehind>,
 }
 
 impl FrameCache {
@@ -180,19 +175,7 @@ impl FrameCache {
                 })
                 .collect(),
             shard_capacity,
-            write_behind: None,
         }
-    }
-
-    /// Install a write-behind hook, called exactly once with every entry
-    /// a miss computes. Must be set before the cache is shared (it takes
-    /// `&mut`). The hook runs *after* the shard lock is released, so a
-    /// slow sink (buffered file IO, a periodic fsync) delays only the
-    /// computing session, never other sessions touching the same shard;
-    /// consequently, hook invocations for different keys may interleave
-    /// in any order across threads.
-    pub fn set_write_behind(&mut self, hook: WriteBehind) {
-        self.write_behind = Some(hook);
     }
 
     fn shard_of(&self, key: &FrameKey) -> usize {
@@ -253,8 +236,7 @@ impl FrameCache {
     /// needed and waking waiters, if there are any: the internals of
     /// [`MissGuard::fill`]. `warm` is the warm-fill path — the detections
     /// came from durable storage, so the reservation's miss is booked as
-    /// a warm hit, and echoing them into the log would duplicate them
-    /// forever.
+    /// a warm hit.
     fn finish_fill(&self, key: FrameKey, value: CachedDetections, warm: bool) {
         let mut shard = self.lock_shard(&key);
         let waiters = shard.pending.remove(&key).flatten();
@@ -278,15 +260,7 @@ impl FrameCache {
         shard.order.push_back(key);
         drop(shard);
         if let Some(cell) = waiters {
-            cell.settle(PendingState::Filled(value.clone()));
-        }
-        // Write behind with every lock released: the sink may do real IO,
-        // and neither this shard's sessions nor the entry's waiters
-        // should stall behind it.
-        if !warm {
-            if let Some(hook) = &self.write_behind {
-                hook(key, &value);
-            }
+            cell.settle(PendingState::Filled(value));
         }
     }
 
@@ -366,8 +340,8 @@ impl MissGuard<'_> {
     }
 
     /// Publish the computed detections: the entry becomes resident
-    /// (evicting FIFO if the shard is full), waiters wake with the
-    /// value, and the write-behind hook (if any) runs with no lock held.
+    /// (evicting FIFO if the shard is full) and waiters wake with the
+    /// value.
     pub fn fill(mut self, dets: Vec<Detection>) -> CachedDetections {
         let value: CachedDetections = Arc::new(dets);
         self.filled = true;
@@ -378,9 +352,7 @@ impl MissGuard<'_> {
     /// Publish detections that came from durable storage (the mapped
     /// columnar container) instead of a detector run. Identical to
     /// [`MissGuard::fill`] for waiters and residency, but accounted as a
-    /// warm load rather than a miss (no detector ran in this process) and
-    /// the write-behind hook is skipped (the bytes are already durable —
-    /// re-appending them would grow the log on every restart).
+    /// warm load rather than a miss (no detector ran in this process).
     pub fn fill_warm(mut self, dets: Vec<Detection>) -> CachedDetections {
         let value: CachedDetections = Arc::new(dets);
         self.filled = true;
@@ -701,43 +673,6 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!(s.entries, 4);
-    }
-
-    #[test]
-    fn fill_warm_counts_as_warm_hit_and_skips_write_behind() {
-        use std::sync::Mutex as StdMutex;
-        let written: Arc<StdMutex<Vec<FrameKey>>> = Arc::new(StdMutex::new(Vec::new()));
-        let mut cache = FrameCache::new(64, 4);
-        let sink = written.clone();
-        cache.set_write_behind(Box::new(move |k, _| sink.lock().unwrap().push(k)));
-        let guard = match cache.begin(key(3)) {
-            Lookup::Miss(g) => g,
-            other => panic!("expected miss, got {other:?}"),
-        };
-        guard.fill_warm(Vec::new());
-        let s = cache.stats();
-        // Served from storage: a warm hit, not a detector miss, and the
-        // log never sees it again.
-        assert_eq!((s.hits, s.misses, s.warm_loads, s.entries), (1, 0, 1, 1));
-        assert!(written.lock().unwrap().is_empty());
-        let (_, hit) = get_or_compute(&cache, key(3), || panic!("resident"));
-        assert!(hit);
-    }
-
-    #[test]
-    fn write_behind_sees_each_computed_entry_once() {
-        use std::sync::Mutex as StdMutex;
-        let written: Arc<StdMutex<Vec<FrameKey>>> = Arc::new(StdMutex::new(Vec::new()));
-        let mut cache = FrameCache::new(64, 4);
-        let sink = written.clone();
-        cache.set_write_behind(Box::new(move |k, dets| {
-            assert!(dets.is_empty());
-            sink.lock().unwrap().push(k);
-        }));
-        get_or_compute(&cache, key(1), Vec::new); // miss: written
-        get_or_compute(&cache, key(1), Vec::new); // hit: no write
-        get_or_compute(&cache, key(2), Vec::new); // miss: written
-        assert_eq!(*written.lock().unwrap(), vec![key(1), key(2)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ([`Engine::register_repo`]).
 
 use super::{Engine, EngineState};
-use crate::cache::FrameCache;
+use crate::cache::CachedDetections;
 use crate::obs::EngineObs;
 use crate::service::RepoInfo;
 use crate::session::RepoId;
@@ -72,7 +72,9 @@ pub struct PersistStats {
 /// Durable-store handles shared by workers (independent of the state
 /// mutex; lock order is always state → persist, or persist alone).
 pub(super) struct PersistShared {
-    log: Arc<Mutex<DetectionLog>>,
+    /// The write-ahead tail: each quantum's paid fills, appended by the
+    /// worker that stepped it ([`PersistShared::append`]).
+    pub(super) log: Mutex<DetectionLog>,
     pub(super) beliefs: Mutex<BeliefStore>,
     /// Durable `(name, dataset fingerprint) -> RepoId` assignments, so a
     /// restarted engine resolves re-registered repositories to the same
@@ -100,9 +102,8 @@ fn usable<T>(opened: std::io::Result<T>) -> T {
 impl PersistShared {
     /// Bring the durable store up, before any worker runs: fold the
     /// previous life's log into the container, map the container, open
-    /// beliefs, catalog and log, and hang the log behind `cache` as its
-    /// write-behind sink.
-    pub(super) fn open(pc: &PersistConfig, obs: &Arc<EngineObs>, cache: &mut FrameCache) -> Self {
+    /// beliefs, catalog and log.
+    pub(super) fn open(pc: &PersistConfig, obs: &EngineObs) -> Self {
         // Before the log writer exists: fold the sealed segments into
         // the container (compaction sweeps crashed leftovers itself),
         // then map whatever container is live. Every failure here is
@@ -155,26 +156,36 @@ impl PersistShared {
         if let Some(max) = max_artifact_repo {
             catalog.reserve_past(max);
         }
-        let log = Arc::new(Mutex::new(log));
-        let sink = log.clone();
-        let wb_obs = obs.clone();
-        cache.set_write_behind(Box::new(move |key, dets| {
-            // The cache does not know which session published the
-            // miss; write-behind events are unowned.
-            let mut span = wb_obs.span(Stage::WriteBehind, NO_SESSION);
-            span.set_key(key.1);
-            sink.lock()
-                .expect("detection log poisoned")
-                .append(key.0 .0, key.1, dets);
-        }));
         PersistShared {
-            log,
+            log: Mutex::new(log),
             beliefs: Mutex::new(beliefs),
             catalog: Mutex::new(catalog),
             detections_load,
             container,
             container_skipped,
             container_hits: AtomicU64::new(0),
+        }
+    }
+
+    /// Write behind: append one quantum's paid fills — frames of `repo`
+    /// the detector ran on — to the detection log under one hold of its
+    /// lock, and leave `fills` empty. One `write_behind` occurrence per
+    /// non-empty batch, keyed by the records appended; unowned, so no
+    /// session's trace carries it.
+    pub(super) fn append(
+        &self,
+        repo: RepoId,
+        fills: &mut Vec<(u64, CachedDetections)>,
+        obs: &EngineObs,
+    ) {
+        if fills.is_empty() {
+            return;
+        }
+        let mut span = obs.span(Stage::WriteBehind, NO_SESSION);
+        span.set_key(fills.len() as u64);
+        let mut log = self.log.lock().expect("detection log poisoned");
+        for (frame, dets) in fills.drain(..) {
+            log.append(repo.0, frame, &dets);
         }
     }
 

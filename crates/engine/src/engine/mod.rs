@@ -154,9 +154,10 @@ pub struct EngineConfig {
     /// Durable detection store. When set, the engine folds the previous
     /// life's detection log into the mapped columnar container at startup
     /// and answers cache misses from it before paying the detector,
-    /// appends every real miss to the log (write-behind), and snapshots
-    /// each finished session's chunk beliefs for later warm-starts. `None`
-    /// (the default) keeps the engine fully in-memory.
+    /// appends every real miss to the log at the end of the quantum that
+    /// paid for it (write-behind), and snapshots each finished session's
+    /// chunk beliefs for later warm-starts. `None` (the default) keeps the
+    /// engine fully in-memory.
     pub persist: Option<PersistConfig>,
     /// Orphan-session garbage collection. Sessions deliberately outlive
     /// connections (so remote clients can reconnect and resume), which
@@ -247,8 +248,8 @@ struct Shared {
     cache: FrameCache,
     config: EngineConfig,
     persist: Option<PersistShared>,
-    /// Instrumentation hub (`Arc` so the write-behind closure can hold
-    /// it independently of the engine's lifetime).
+    /// Instrumentation hub (`Arc` so a completion queue can hold it
+    /// independently of the engine's lifetime).
     obs: Arc<EngineObs>,
     stop: AtomicBool,
 }
@@ -286,11 +287,11 @@ impl Engine {
         assert!(config.detector_fps > 0.0, "detector_fps must be positive");
         assert!(config.gop_size > 0, "gop_size must be positive");
         let obs = Arc::new(EngineObs::new(config.observe));
-        let mut cache = FrameCache::new(config.cache_capacity, config.cache_shards);
+        let cache = FrameCache::new(config.cache_capacity, config.cache_shards);
         let persist = config
             .persist
             .as_ref()
-            .map(|pc| PersistShared::open(pc, &obs, &mut cache));
+            .map(|pc| PersistShared::open(pc, &obs));
         let workers = config.workers;
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
@@ -1286,6 +1287,137 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A persistent engine over a fresh directory named for `test`.
+    fn persistent_config(test: &str, fingerprint: u64) -> (EngineConfig, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("exsample-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let persist = exsample_persist::PersistConfig::new(&dir).fingerprint(fingerprint);
+        let config = EngineConfig {
+            workers: 2,
+            quantum: 8,
+            persist: Some(persist),
+            ..EngineConfig::default()
+        };
+        (config, dir)
+    }
+
+    /// The `(repo, frame)` of every record in the log segments of `dir`.
+    fn logged_frames(dir: &std::path::Path, fingerprint: u64) -> Vec<(u32, u64)> {
+        let mut logged = Vec::new();
+        exsample_persist::scan_detections(dir, fingerprint, |rec| {
+            logged.push((rec.repo, rec.frame));
+        })
+        .expect("scan the log");
+        logged
+    }
+
+    #[test]
+    fn every_paid_miss_is_logged_once_before_its_session_finishes() {
+        let (config, dir) = persistent_config("logged-once", 12);
+        let engine = Engine::new(config);
+        let repo = engine.register_repo("logged", truth(20_000, 60), NoiseModel::none(), 5);
+        // Two sessions per seed draw the same frames: one pays for each,
+        // the other hits it or waits on it. Batches of 4 dispatch
+        // several misses at once.
+        let specs = [(3, 1), (3, 4), (4, 1), (4, 4), (5, 1)].map(|(seed, batch)| {
+            QuerySpec::new(repo, ClassId(0), StopCond::results(15))
+                .seed(seed)
+                .batch(batch)
+                .warm_start(false)
+        });
+        let ids: Vec<SessionId> = specs
+            .into_iter()
+            .map(|spec| engine.submit(spec).unwrap())
+            .collect();
+        for id in ids {
+            engine.wait(id).unwrap();
+        }
+        // Each session appended its last quantum's fills before `wait`
+        // could return.
+        let paid = engine.detector_invocations();
+        assert!(engine.cache_stats().hits > 0, "the sessions overlap");
+        let persist = engine.shared.persist.as_ref().expect("persistent");
+        assert_eq!(persist.log.lock().unwrap().writes(), paid);
+        drop(engine);
+        let logged = logged_frames(&dir, 12);
+        let distinct: std::collections::BTreeSet<_> = logged.iter().collect();
+        assert_eq!(logged.len() as u64, paid, "one record per paid miss");
+        assert_eq!(distinct.len(), logged.len(), "no frame logged twice");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frames_served_from_the_container_are_not_logged_again() {
+        let (config, dir) = persistent_config("container-not-logged", 13);
+        let spec = |repo, seed| {
+            QuerySpec::new(repo, ClassId(0), StopCond::results(15))
+                .seed(seed)
+                .warm_start(false)
+        };
+        let engine = Engine::new(config.clone());
+        let repo = engine.register_repo("served", truth(20_000, 60), NoiseModel::none(), 5);
+        engine.wait(engine.submit(spec(repo, 3)).unwrap()).unwrap();
+        drop(engine);
+        let first_life: std::collections::BTreeSet<_> =
+            logged_frames(&dir, 13).into_iter().collect();
+        assert!(!first_life.is_empty());
+
+        // The second life folds the first life's log into the container:
+        // a replay is served from it entirely, and a new query pays only
+        // for frames the container lacks.
+        let engine = Engine::new(config);
+        let repo = engine.register_repo("served", truth(20_000, 60), NoiseModel::none(), 5);
+        engine.wait(engine.submit(spec(repo, 3)).unwrap()).unwrap();
+        assert_eq!(engine.detector_invocations(), 0, "the replay is all warm");
+        engine.wait(engine.submit(spec(repo, 8)).unwrap()).unwrap();
+        let paid = engine.detector_invocations();
+        let served = engine.persist_stats().expect("persistent").container_hits;
+        assert!(paid > 0 && served as usize >= first_life.len());
+        drop(engine);
+        let second_life = logged_frames(&dir, 13);
+        assert_eq!(
+            second_life.len() as u64,
+            paid,
+            "only what this life paid for"
+        );
+        assert!(
+            second_life.iter().all(|f| !first_life.contains(f)),
+            "a container-served frame was logged again"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wait_finds_the_last_quantum_already_recorded() {
+        for batch in [1, 4] {
+            let (engine, repo) = small_engine(2);
+            let spec = QuerySpec::new(repo, ClassId(0), StopCond::results(15))
+                .seed(3)
+                .batch(batch);
+            let id = engine.submit(spec).unwrap();
+            let report = engine.wait(id).unwrap();
+            let spans = engine.collect_trace(TraceId::from_session(id.0));
+            assert!(spans.len() < 4096, "below the trace cap: {}", spans.len());
+            exsample_obs::validate_spans(&spans).expect("a valid tree");
+            let count = |stage| spans.iter().filter(|s| s.stage == stage).count() as u64;
+            let dispatches = report.charges.dispatches;
+            assert!(dispatches > 0);
+            assert_eq!(
+                count(exsample_obs::Stage::Dispatch),
+                dispatches,
+                "batch {batch}"
+            );
+            let diag = engine.diagnostics();
+            let hist = diag.histogram("dispatch_ns").expect("registered");
+            assert_eq!(hist.total(), dispatches, "batch {batch}");
+            let leased = spans
+                .iter()
+                .filter(|s| s.stage == exsample_obs::Stage::Lease);
+            let leased: u64 = leased.map(|s| s.key).sum();
+            assert_eq!(leased, report.charges.frames, "batch {batch}");
+        }
+    }
+
     #[test]
     fn repo_catalog_lists_and_deduplicates_registrations() {
         let engine = Engine::new(EngineConfig {
@@ -1972,6 +2104,21 @@ mod tests {
         assert_eq!(
             engine.poll(doomed, 0).unwrap().status,
             SessionStatus::Cancelled
+        );
+        // The torn quantum's dispatches were settled before the panic
+        // went on: the ring holds one per frame the session paid for,
+        // the frame it died on included.
+        let dispatched: Vec<u64> = engine
+            .diagnostics()
+            .events
+            .iter()
+            .filter(|e| e.stage == exsample_obs::Stage::Dispatch && e.session == doomed.0)
+            .map(|e| e.key)
+            .collect();
+        assert_eq!(dispatched.len(), 21, "16 stepped + 4 recorded + 1 torn");
+        assert_eq!(
+            dispatched.iter().sum::<u64>(),
+            engine.detector_invocations()
         );
 
         // The engine is whole: the frames the doomed session paid for are

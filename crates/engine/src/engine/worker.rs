@@ -9,10 +9,18 @@
 //! [`Batch`] handed through [`Worker::draw_reserve`] → [`Worker::detect`]
 //! → [`Worker::record`], every drawn frame carrying its own
 //! [`FrameState`]: whose job a frame is, is data.
+//!
+//! A quantum settles its books once. What it measured is noted in the
+//! worker's own [`Notes`] and what it paid the detector for in the
+//! worker's own fill list; both are handed over when the quantum ends —
+//! the fills to the detection log under one lock hold, the notes to
+//! [`EngineObs::flush`](crate::obs::EngineObs::flush) — before anyone
+//! hears of the quantum. Two workers stepping at once meet on no shared
+//! histogram, ring slot, collector or log lock per frame.
 
 use super::{lock_state, reap_expired, EngineState, RepoData, Shared, StateGuard};
 use crate::cache::{CachedDetections, Lookup, MissGuard, PendingWait};
-use crate::obs::{elapsed_ns, Span};
+use crate::obs::Notes;
 use crate::session::{
     DiscriminatorKind, Finished, Quantum, QuerySpec, RepoId, ResultEvent, SessionCell, SessionId,
     SessionStatus, TenantId, Watch,
@@ -56,6 +64,10 @@ pub(super) struct SessionCore {
     /// Owning tenant when the session came through an authenticated
     /// serving layer (`Engine::submit_tagged`).
     tenant: Option<TenantId>,
+    /// Whether the session's trace still takes spans: it stops at its
+    /// cap, and from then on the quantum's notes reach only histograms
+    /// and ring.
+    traced: bool,
 }
 
 impl SessionCore {
@@ -89,6 +101,7 @@ impl SessionCore {
             batch: batch.max(1) as usize,
             cell,
             tenant,
+            traced: true,
         })
     }
 }
@@ -167,8 +180,9 @@ type Frames<'c> = VecDeque<(u64, FrameState<'c>)>;
 /// One detector batch on its way through the three phases.
 struct Batch<'c> {
     frames: Frames<'c>,
-    /// Open from the draw until every frame's detections are in hand.
-    assembly: Span<'c>,
+    /// When it was drawn: its assembly lasts until every frame's
+    /// detections are in hand. `None` with recording off.
+    drawn_at: Option<Instant>,
 }
 
 /// Pass every frame's state through `f` — in order, in place, and by
@@ -198,6 +212,11 @@ pub(super) struct Worker<'a> {
     gt_scratch: Vec<InstanceId>,
     /// The query-class slice of one frame's detections.
     class_dets: Vec<Detection>,
+    /// This quantum's occurrences, for [`EngineObs::flush`](crate::obs::EngineObs::flush).
+    notes: Notes,
+    /// This quantum's paid fills, for the detection log (persistent
+    /// engines only): every frame it ran the detector on, once.
+    fills: Vec<(u64, CachedDetections)>,
 }
 
 impl<'a> Worker<'a> {
@@ -211,6 +230,8 @@ impl<'a> Worker<'a> {
             miss_io: Vec::new(),
             gt_scratch: Vec::new(),
             class_dets: Vec::new(),
+            notes: Notes::default(),
+            fills: Vec::new(),
         }
     }
 
@@ -239,7 +260,9 @@ impl<'a> Worker<'a> {
     /// [`SessionStatus::Cancelled`] with what it had recorded — waiters
     /// wake, the tenant's quota slot returns — and the flight recorder is
     /// dumped (the last few thousand structured events are exactly the
-    /// context a post-mortem needs) before the panic proceeds.
+    /// context a post-mortem needs) before the panic proceeds. The torn
+    /// quantum's books are settled first, so its fills are logged and
+    /// its events are in that dump.
     pub(super) fn quantum(&mut self, mut state: StateGuard<'a>) -> (StateGuard<'a>, bool) {
         let obs = &self.shared.obs;
         let Some(mut lease) = state.checkout() else {
@@ -247,12 +270,11 @@ impl<'a> Worker<'a> {
         };
         drop(state);
         // The lease span covers the session checkout: everything between
-        // taking the core and being ready to release the lease. Measured
-        // manually (not via guard) because the release itself happens
-        // back under the state lock.
-        let lease_t0 = obs.enabled().then(Instant::now);
+        // taking the core and being ready to release the lease.
+        let lease_t0 = obs.start();
         let stepped = catch_unwind(AssertUnwindSafe(|| self.step(&mut lease)));
         if let Err(panic) = stepped {
+            self.settle_books(&mut lease);
             drop(self.finalize(lease, SessionStatus::Cancelled));
             eprintln!(
                 "exsample-engine: worker panicked; {}",
@@ -260,16 +282,28 @@ impl<'a> Worker<'a> {
             );
             resume_unwind(panic);
         }
-        if let Some(t0) = lease_t0 {
+        if lease_t0.is_some() {
             let frames = lease.core.quantum.delta.frames;
-            obs.record(Stage::Lease, lease.id.0, None, elapsed_ns(t0), frames);
+            self.notes.note(Stage::Lease, lease_t0, frames);
             obs.frames_total.add(frames);
         }
+        self.settle_books(&mut lease);
         let state = match lease.core.quantum.ended {
             None => self.publish(lease),
             Some(status) => self.finalize(lease, status),
         };
         (state, true)
+    }
+
+    /// Hand over what the quantum kept to itself: its paid fills to the
+    /// detection log, its notes to histograms, ring and trace. Runs
+    /// before anything else learns of the quantum.
+    fn settle_books(&mut self, lease: &mut Lease) {
+        let (shared, core) = (self.shared, &mut *lease.core);
+        if let Some(persist) = &shared.persist {
+            persist.append(core.repo_id, &mut self.fills, &shared.obs);
+        }
+        core.traced = shared.obs.flush(lease.id.0, core.traced, &mut self.notes);
     }
 
     /// The common end of a quantum: its events and ledger go into the
@@ -437,12 +471,11 @@ impl<'a> Worker<'a> {
         if self.drawn.is_empty() {
             return None;
         }
-        let mut assembly = shared.obs.span(Stage::BatchAssembly, lease.id.0);
-        assembly.set_key(self.drawn.len() as u64);
+        let drawn_at = shared.obs.start();
         let mut frames = std::mem::take(&mut self.frames);
         let begin = |&frame| (frame, shared.cache.begin((core.repo_id, frame)).into());
         frames.extend(self.drawn.iter().map(begin));
-        Some(Batch { frames, assembly })
+        Some(Batch { frames, drawn_at })
     }
 
     /// *Detect.* Redeem every reservation among `frames`, with **no cache
@@ -453,13 +486,13 @@ impl<'a> Worker<'a> {
     /// **Container first** (lazy warm start): before paying any detector
     /// time, let the mapped columnar container answer. Only the touched
     /// chunks' columns are decoded (and only once per chunk, cached); a
-    /// served frame is a warm hit — no miss, no io bill, no write-behind.
+    /// served frame is a warm hit — no miss, no io bill, nothing logged.
     ///
     /// **Then one dispatch** for every reservation left: price each
     /// frame's decode on the session's own [`GopWalk`], detect
-    /// back-to-back, publish.
-    /// The first miss carries the dispatch-overhead bill. The span covers
-    /// all three steps; its event key is the miss count, so summing
+    /// back-to-back, publish, and keep each fill for the log.
+    /// The first miss carries the dispatch-overhead bill. The dispatch
+    /// note covers all of it; its key is the miss count, so summing
     /// dispatch-event keys reproduces the engine's detector-invocation
     /// total.
     fn detect(&mut self, lease: &mut Lease, frames: &mut Frames<'a>) {
@@ -486,8 +519,7 @@ impl<'a> Worker<'a> {
         if miss_frames.is_empty() {
             return;
         }
-        let mut span = shared.obs.span(Stage::Dispatch, lease.id.0);
-        span.set_key(miss_frames.len() as u64);
+        let dispatched_at = shared.obs.start();
         self.miss_io.clear();
         for &frame in miss_frames.iter() {
             let mut io = DecodeStats::new();
@@ -502,19 +534,28 @@ impl<'a> Worker<'a> {
         // given frames, the tail stays reserved and `settle` redeems it.
         let mut paid = banks.into_iter().zip(&self.miss_io);
         let mut dispatch = true;
-        rotate(frames, |_, state| match state {
+        let mut fills = shared.persist.is_some().then_some(&mut self.fills);
+        rotate(frames, |frame, state| match state {
             FrameState::Mine(guard) => match paid.next() {
-                Some((dets, &io_s)) => FrameState::Ready(Resolved {
-                    dets: guard.fill(dets),
-                    paid: Some(Paid {
-                        io_s,
-                        dispatch: std::mem::take(&mut dispatch),
-                    }),
-                }),
+                Some((dets, &io_s)) => {
+                    let dets = guard.fill(dets);
+                    if let Some(fills) = fills.as_deref_mut() {
+                        fills.push((frame, dets.clone()));
+                    }
+                    FrameState::Ready(Resolved {
+                        dets,
+                        paid: Some(Paid {
+                            io_s,
+                            dispatch: std::mem::take(&mut dispatch),
+                        }),
+                    })
+                }
                 None => FrameState::Mine(guard),
             },
             other => other,
         });
+        let dispatched = miss_frames.len() as u64;
+        self.notes.note(Stage::Dispatch, dispatched_at, dispatched);
     }
 
     /// *Record + publish.* Wait for the frames other sessions have in
@@ -532,14 +573,15 @@ impl<'a> Worker<'a> {
     fn record(&mut self, lease: &mut Lease, batch: Batch<'a>) -> usize {
         let Batch {
             mut frames,
-            assembly,
+            drawn_at,
         } = batch;
         if frames.iter().any(|f| !matches!(f.1, FrameState::Ready(_))) {
             rotate(&mut frames, |frame, state| {
                 FrameState::Ready(self.settle(lease, frame, state))
             });
         }
-        drop(assembly);
+        let drawn = frames.len() as u64;
+        self.notes.note(Stage::BatchAssembly, drawn_at, drawn);
         let detect_frame_s = 1.0 / self.shared.config.detector_fps;
         let dispatch_s = self.shared.config.cost_model.dispatch_s;
         let mut recorded = 0usize;
@@ -601,22 +643,21 @@ impl<'a> Worker<'a> {
     /// computing session; should that session abandon the entry (it
     /// panicked), the cache is asked again, and a key that has become
     /// ours is redeemed like any reservation — a batch of one. The wait
-    /// span covers the key's whole resolution; its key is the frame
+    /// note covers the key's whole resolution; its key is the frame
     /// index waited on.
     fn settle(&mut self, lease: &mut Lease, frame: u64, mut state: FrameState<'a>) -> Resolved {
         let shared = self.shared;
-        let _wait_span = matches!(state, FrameState::Theirs(_)).then(|| {
-            let mut span = shared.obs.span(Stage::CacheWait, lease.id.0);
-            span.set_key(frame);
-            span
-        });
+        let waited_at = match state {
+            FrameState::Theirs(_) => shared.obs.start(),
+            _ => None,
+        };
         let key = (lease.core.repo_id, frame);
         let again = || FrameState::from(shared.cache.begin(key));
-        loop {
+        let resolved = loop {
             state = match state {
-                FrameState::Ready(resolved) => return resolved,
+                FrameState::Ready(resolved) => break resolved,
                 FrameState::Theirs(wait) => match wait.wait() {
-                    Some(dets) => return Resolved { dets, paid: None },
+                    Some(dets) => break Resolved { dets, paid: None },
                     None => again(),
                 },
                 FrameState::Mine(guard) => {
@@ -625,7 +666,9 @@ impl<'a> Worker<'a> {
                     alone.pop_front().map_or_else(again, |f| f.1)
                 }
             };
-        }
+        };
+        self.notes.note(Stage::CacheWait, waited_at, frame);
+        resolved
     }
 }
 

@@ -35,8 +35,9 @@
 //!   selectable discriminator ([`DiscriminatorKind`]) and per-query
 //!   belief warm-starting.
 //! * **Durable detection store** — with [`EngineConfig::persist`] set
-//!   (see [`PersistConfig`]), detector output is written behind the cache
-//!   into `exsample_persist`'s segmented log; the next start folds that
+//!   (see [`PersistConfig`]), the session that paid for a frame's detector
+//!   output appends it to `exsample_persist`'s segmented log when its
+//!   quantum ends (write-behind); the next start folds that
 //!   log into `exsample_colstore`'s memory-mapped container and answers
 //!   cache misses from it, so a restarted engine serves
 //!   previously-detected frames with zero detector invocations and reads

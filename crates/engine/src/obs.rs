@@ -1,10 +1,13 @@
 //! The engine's instrumentation hub: one [`Registry`], one
 //! [`FlightRecorder`], one [`SpanCollector`], and one pre-resolved
-//! histogram per [`Stage`] — all written by [`EngineObs::record`], so hot
-//! paths record through plain `Arc` derefs and relaxed atomics, never
-//! through the registry lock. Where an occurrence goes is the stage's
+//! histogram per [`Stage`] — all written by [`EngineObs::record`] and
+//! [`EngineObs::flush`], so hot paths record through plain `Arc` derefs
+//! and relaxed atomics, never through the registry lock. Where an occurrence goes is the stage's
 //! business: its histogram always, the ring when [`Stage::in_ring`], the
 //! trace when it has one. [`Span`] times a region and records it on drop.
+//! A worker stepping a session does not record as it goes: it notes each
+//! occurrence in [`Notes`], a buffer of its own, and [`EngineObs::flush`]
+//! writes them all once the quantum ends.
 //!
 //! Instrumentation is strictly observational (wall clock + atomics); it
 //! cannot perturb a session's deterministic trace. With
@@ -12,8 +15,8 @@
 //! recorded and spans never read the clock (`tests/obs_contract.rs`).
 
 use exsample_obs::{
-    Counter, CounterFamily, FlightRecorder, GaugeFamily, LatencyHistogram, Registry, SpanCollector,
-    SpanId, Stage, TraceContext, TraceId, NO_SESSION,
+    Counter, CounterFamily, FlightRecorder, GaugeFamily, LatencyHistogram, MeasuredSpan, Registry,
+    SpanCollector, SpanId, Stage, TraceContext, TraceId, NO_SESSION,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -126,8 +129,9 @@ impl EngineObs {
     /// Record one occurrence of `stage` that took `ns`: into the stage's
     /// histogram, into the flight ring if the stage [is in
     /// it](Stage::in_ring), and into a trace — under `ctx` when the
-    /// request carried one, else at the root of `session`'s trace. The
-    /// only writer of all three. No-op with recording off.
+    /// request carried one, else at the root of `session`'s trace. With
+    /// [`EngineObs::flush`], the only writer of all three. No-op with
+    /// recording off.
     pub fn record(&self, stage: Stage, session: u64, ctx: Option<TraceContext>, ns: u64, key: u64) {
         if !self.enabled {
             return;
@@ -144,6 +148,40 @@ impl EngineObs {
             self.tracer
                 .record(ctx.trace, ctx.parent, stage, session, ns, key);
         }
+    }
+
+    /// Write what a worker noted during one quantum of `session`: every
+    /// occurrence into its stage's histogram and, when the stage is in
+    /// it, into the ring, then — if `traced` — all of them into the
+    /// session's trace under one collector lock. The other half of the
+    /// one writer, beside [`EngineObs::record`]; `notes` comes back empty.
+    /// Returns whether the trace takes further spans (`false` once it is
+    /// full), which is what the next quantum's `traced` should be.
+    pub(crate) fn flush(&self, session: u64, traced: bool, notes: &mut Notes) -> bool {
+        for n in &notes.0 {
+            if let Some(hist) = self.stages.get(n.stage as usize) {
+                hist.record(n.duration_ns);
+            }
+            if n.stage.in_ring() {
+                self.flight.record(session, n.stage, n.duration_ns, n.key);
+            }
+        }
+        let traced = traced
+            && (notes.0.is_empty()
+                || self.tracer.record_all(
+                    TraceId::from_session(session),
+                    SpanId::ROOT,
+                    session,
+                    &notes.0,
+                ));
+        notes.0.clear();
+        traced
+    }
+
+    /// Now, when recording is on: the start of an occurrence a worker
+    /// will [note](Notes::note).
+    pub(crate) fn start(&self) -> Option<Instant> {
+        self.enabled.then(Instant::now)
     }
 
     /// Time `stage` from now until the returned span drops; `session`
@@ -200,6 +238,27 @@ impl EngineObs {
     pub fn wake_serviced(&self, woke_at: Option<Instant>) {
         if let Some(t) = woke_at {
             self.wake_to_service.record(elapsed_ns(t));
+        }
+    }
+}
+
+/// The occurrences a worker measured during one quantum, in the order
+/// they ended, until [`EngineObs::flush`] writes them. The worker owns
+/// it and reuses it, so noting touches nothing another worker shares.
+#[derive(Debug, Default)]
+pub(crate) struct Notes(Vec<MeasuredSpan>);
+
+impl Notes {
+    /// Note one occurrence of `stage` that began at `start` (from
+    /// [`EngineObs::start`]) and ends now. No-op with recording off.
+    pub(crate) fn note(&mut self, stage: Stage, start: Option<Instant>, key: u64) {
+        if let Some(start) = start {
+            self.0.push(MeasuredSpan {
+                stage,
+                start,
+                duration_ns: elapsed_ns(start),
+                key,
+            });
         }
     }
 }
@@ -413,6 +472,60 @@ mod tests {
             .any(|s| s.stage == Stage::Dispatch && s.key == 4));
         assert!(spans.iter().any(|s| s.stage == Stage::Poll));
         validate_spans(&spans).expect("guard spans keep the tree valid");
+    }
+
+    #[test]
+    fn a_flush_writes_the_notes_in_order_to_every_sink() {
+        let obs = EngineObs::new(true);
+        obs.trace_open(5);
+        let mut notes = Notes::default();
+        notes.note(Stage::Dispatch, obs.start(), 2);
+        notes.note(Stage::BatchAssembly, obs.start(), 3);
+        notes.note(Stage::Lease, obs.start(), 8);
+        assert!(obs.flush(5, true, &mut notes), "the trace has room");
+        assert!(notes.0.is_empty());
+        for name in ["dispatch_ns", "batch_assembly_ns", "lease_ns"] {
+            assert_eq!(hist_total(&obs, name), 1, "{name}");
+        }
+        let ring: Vec<(Stage, u64, u64)> = obs
+            .flight()
+            .dump()
+            .iter()
+            .map(|e| (e.stage, e.session, e.key))
+            .collect();
+        assert_eq!(ring, [(Stage::Dispatch, 5, 2), (Stage::Lease, 5, 8)]);
+        let spans = obs.tracer().collect(TraceId::from_session(5));
+        validate_spans(&spans).expect("valid tree");
+        let traced: Vec<(Stage, u64)> = spans.iter().skip(1).map(|s| (s.stage, s.key)).collect();
+        let noted = [
+            (Stage::Dispatch, 2),
+            (Stage::BatchAssembly, 3),
+            (Stage::Lease, 8),
+        ];
+        assert_eq!(traced, noted);
+        assert!(spans
+            .iter()
+            .all(|s| s.parent == SpanId::NONE || s.parent == SpanId::ROOT));
+
+        // Untraced, the notes still reach histogram and ring.
+        notes.note(Stage::Dispatch, obs.start(), 1);
+        assert!(!obs.flush(5, false, &mut notes));
+        assert_eq!(hist_total(&obs, "dispatch_ns"), 2);
+        assert_eq!(obs.flight().dump().len(), 3);
+        assert_eq!(obs.tracer().collect(TraceId::from_session(5)).len(), 4);
+    }
+
+    #[test]
+    fn a_disabled_hub_notes_nothing() {
+        let obs = EngineObs::new(false);
+        obs.trace_open(5);
+        let mut notes = Notes::default();
+        assert!(obs.start().is_none(), "no clock read");
+        notes.note(Stage::Dispatch, obs.start(), 2);
+        assert!(notes.0.is_empty());
+        obs.flush(5, true, &mut notes);
+        assert_eq!(hist_total(&obs, "dispatch_ns"), 0);
+        assert!(obs.flight().dump().is_empty());
     }
 
     #[test]

@@ -143,6 +143,52 @@ pub fn summary_table(series: &[Fig4Series]) -> Table {
     t
 }
 
+/// The reading of a sweep, derived from the medians [`summary_table`]
+/// prints: whether every chunked series beats random (the first series),
+/// and whether the median found at the budget ever falls as `M` grows —
+/// the figure's non-monotonicity, which a sweep that stops before the
+/// learning cost bites does not show.
+pub fn reading(series: &[Fig4Series]) -> String {
+    let Some((random, chunked)) = series.split_first() else {
+        return String::from("no series were run.");
+    };
+    let found = |s: &Fig4Series| format!("{:.0}", s.found_at_budget);
+    let medians: Vec<String> = chunked.iter().map(found).collect();
+    let medians = medians.join(" / ");
+    let losers: Vec<&str> = chunked
+        .iter()
+        .filter(|s| s.found_at_budget <= random.found_at_budget)
+        .map(|s| s.label.as_str())
+        .collect();
+    let versus_random = if losers.is_empty() {
+        format!("every chunked variant beats random ({})", found(random))
+    } else {
+        format!(
+            "{} does not beat random ({})",
+            losers.join(", "),
+            found(random)
+        )
+    };
+    let drop = chunked
+        .windows(2)
+        .find(|w| w[1].found_at_budget < w[0].found_at_budget);
+    let in_m = match drop {
+        Some([peak, after]) => format!(
+            "the median found falls from {} at {} to {} at {} ({medians}), so the benefit is \
+             non-monotonic in M",
+            found(peak),
+            peak.label,
+            found(after),
+            after.label
+        ),
+        _ => format!(
+            "the median found never falls as M grows ({medians}), so this sweep shows no \
+             non-monotonicity in M"
+        ),
+    };
+    format!("{versus_random}; {in_m}.")
+}
+
 /// Full curves as CSV rows.
 pub fn curves_table(series: &[Fig4Series]) -> Table {
     let mut t = Table::new(&["series", "samples", "q25", "median", "q75", "optimal"]);
@@ -214,6 +260,51 @@ mod tests {
                 "optimal not increasing: {opt_at_budget:?}"
             );
         }
+    }
+
+    fn at_budget(found: &[(&str, f64)]) -> Vec<Fig4Series> {
+        let series = |&(label, found): &(&str, f64)| Fig4Series {
+            label: label.into(),
+            band: Vec::new(),
+            optimal: Vec::new(),
+            found_at_budget: found,
+        };
+        found.iter().map(series).collect()
+    }
+
+    #[test]
+    fn reading_of_a_rising_sweep_claims_no_drop() {
+        let series = at_budget(&[
+            ("random", 98.0),
+            ("M=2", 251.0),
+            ("M=16", 465.0),
+            ("M=128", 472.0),
+        ]);
+        assert_eq!(
+            reading(&series),
+            "every chunked variant beats random (98); the median found never falls as M grows \
+             (251 / 465 / 472), so this sweep shows no non-monotonicity in M."
+        );
+    }
+
+    #[test]
+    fn reading_of_a_sweep_with_a_drop_names_it() {
+        let series = at_budget(&[
+            ("random", 1141.0),
+            ("M=2", 1215.0),
+            ("M=16", 1925.0),
+            ("M=128", 1958.0),
+            ("M=1024", 1835.0),
+        ]);
+        let text = reading(&series);
+        assert_eq!(
+            text,
+            "every chunked variant beats random (1141); the median found falls from 1958 at \
+             M=128 to 1835 at M=1024 (1215 / 1925 / 1958 / 1835), so the benefit is \
+             non-monotonic in M."
+        );
+        let lost = at_budget(&[("random", 300.0), ("M=2", 280.0), ("M=16", 400.0)]);
+        assert!(reading(&lost).starts_with("M=2 does not beat random (300); the median"));
     }
 
     #[test]

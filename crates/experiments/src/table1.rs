@@ -85,23 +85,56 @@ pub fn evaluate_query(
     cfg: &EvalConfig,
     exsample: &dyn PolicyFactory,
 ) -> QueryEval {
+    let random_s = random_medians(gt, class_idx, cfg);
+    evaluate_against(gt, dataset, class_idx, cfg, exsample, random_s)
+}
+
+/// The median seconds random sampling takes to each of the query's
+/// recall targets — the baseline half of [`evaluate_query`], for a caller
+/// that evaluates several samplers against one random baseline.
+pub fn random_medians(
+    gt: &Arc<GroundTruth>,
+    class_idx: usize,
+    cfg: &EvalConfig,
+) -> [Option<f64>; 3] {
+    let (class, targets, run_cfg) = plan(gt, class_idx, cfg);
+    let traces = replicate_runs(gt, class, &PolicySpec::Random, &run_cfg);
+    targets.map(|t| median_to(&traces, t, Key::Seconds))
+}
+
+/// Evaluate `exsample` on one query against random medians already
+/// computed by [`random_medians`] with the same `cfg`.
+pub fn evaluate_against(
+    gt: &Arc<GroundTruth>,
+    dataset: &EvalDataset,
+    class_idx: usize,
+    cfg: &EvalConfig,
+    exsample: &dyn PolicyFactory,
+    random_s: [Option<f64>; 3],
+) -> QueryEval {
+    let (class, targets, run_cfg) = plan(gt, class_idx, cfg);
+    let ex_traces = replicate_runs(gt, class, exsample, &run_cfg);
+    QueryEval {
+        dataset: dataset.name.to_string(),
+        class: dataset.classes[class_idx].name.to_string(),
+        count: gt.class_count(class),
+        proxy_scan_s: dataset.proxy_scan_seconds(),
+        targets,
+        exsample_s: targets.map(|t| median_to(&ex_traces, t, Key::Seconds)),
+        random_s,
+    }
+}
+
+/// One query's class, result targets at [`RECALLS`], and the runs both
+/// policies are replicated over.
+fn plan(gt: &GroundTruth, class_idx: usize, cfg: &EvalConfig) -> (ClassId, [u64; 3], RunConfig) {
     let class = ClassId(class_idx as u16);
     let count = gt.class_count(class);
     let targets: [u64; 3] =
         std::array::from_fn(|i| ((count as f64 * RECALLS[i]).ceil() as u64).max(1));
     let stop = StopCond::results(targets[2]).or_samples(cfg.max_samples);
     let run_cfg = RunConfig::new(cfg.runs, stop, cfg.seed ^ (class_idx as u64) << 8);
-    let ex_traces = replicate_runs(gt, class, exsample, &run_cfg);
-    let rnd_traces = replicate_runs(gt, class, &PolicySpec::Random, &run_cfg);
-    QueryEval {
-        dataset: dataset.name.to_string(),
-        class: dataset.classes[class_idx].name.to_string(),
-        count,
-        proxy_scan_s: dataset.proxy_scan_seconds(),
-        targets,
-        exsample_s: std::array::from_fn(|i| median_to(&ex_traces, targets[i], Key::Seconds)),
-        random_s: std::array::from_fn(|i| median_to(&rnd_traces, targets[i], Key::Seconds)),
-    }
+    (class, targets, run_cfg)
 }
 
 /// Evaluate every query of every dataset (the full Table I / Figure 5

@@ -9,7 +9,8 @@
 //!
 //! The gate is itself tested: four broken samplers put in place of
 //! table1's ExSample (three `Faulty` wrappers, and random+) must each
-//! turn a named row red.
+//! turn a named row red. Random sampling is the same in all of them, so
+//! its medians are computed once per (query, seed) and shared.
 
 use exsample_baselines::RandomPlusPolicy;
 use exsample_core::{Feedback, FrameIdx, SamplingPolicy};
@@ -17,10 +18,11 @@ use exsample_experiments::fig2::{self, Fig2Config};
 use exsample_experiments::fig5::BANDS;
 use exsample_experiments::presets::dataset;
 use exsample_experiments::runner::PolicyFactory;
-use exsample_experiments::table1::{self, evaluate_query, EvalConfig};
+use exsample_experiments::table1::{self, EvalConfig};
 use exsample_experiments::Scale;
 use exsample_stats::Rng64;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Gate seeds; 7 is `fig5 --quick`'s own.
 const SEEDS: [u64; 3] = [7, 8, 9];
@@ -29,9 +31,34 @@ const SEEDS: [u64; 3] = [7, 8, 9];
 /// policy and the repository's frame count.
 type Mutation = fn(Box<dyn SamplingPolicy>, u64) -> Box<dyn SamplingPolicy>;
 
+/// Random's medians to each recall of one query.
+type RandomMedians = [Option<f64>; 3];
+
+/// Random's medians for `(dataset, class, seed)`, computed by whichever
+/// test asks first; concurrent askers wait for that one computation.
+fn random_medians_once(
+    key: (&'static str, &'static str, u64),
+    compute: impl FnOnce() -> RandomMedians,
+) -> RandomMedians {
+    type Slots = HashMap<(&'static str, &'static str, u64), Arc<OnceLock<RandomMedians>>>;
+    static MEDIANS: OnceLock<Mutex<Slots>> = OnceLock::new();
+    let slot = MEDIANS
+        .get_or_init(Default::default)
+        .lock()
+        .expect("medians map poisoned")
+        .entry(key)
+        .or_default()
+        .clone();
+    *slot.get_or_init(compute)
+}
+
 /// Every miss of the band rows of `queries` (`(dataset, class)`), with
 /// table1's ExSample put through `mutate`, at each of `seeds`.
-fn savings_misses(queries: &[(&str, &str)], seeds: &[u64], mutate: Mutation) -> Vec<String> {
+fn savings_misses(
+    queries: &[(&'static str, &'static str)],
+    seeds: &[u64],
+    mutate: Mutation,
+) -> Vec<String> {
     let mut misses = Vec::new();
     for &(name, class) in queries {
         let d = dataset(name).expect("preset dataset");
@@ -43,7 +70,10 @@ fn savings_misses(queries: &[(&str, &str)], seeds: &[u64], mutate: Mutation) -> 
                 seed,
                 ..EvalConfig::at_scale(Scale::Quick)
             };
-            let e = evaluate_query(&gt, &d, ci, &cfg, &policy);
+            let random_s = random_medians_once((name, class, seed), || {
+                table1::random_medians(&gt, ci, &cfg)
+            });
+            let e = table1::evaluate_against(&gt, &d, ci, &cfg, &policy, random_s);
             let rows = BANDS
                 .iter()
                 .filter(|b| (b.dataset, b.class) == (name, class));
@@ -59,7 +89,8 @@ fn unmutated(policy: Box<dyn SamplingPolicy>, _frames: u64) -> Box<dyn SamplingP
 
 #[test]
 fn exsample_savings_land_in_every_band() {
-    let mut queries: Vec<(&str, &str)> = BANDS.iter().map(|b| (b.dataset, b.class)).collect();
+    let mut queries: Vec<(&'static str, &'static str)> =
+        BANDS.iter().map(|b| (b.dataset, b.class)).collect();
     queries.dedup();
     assert_eq!(queries.len(), 4);
     let misses = savings_misses(&queries, &SEEDS, unmutated);
@@ -159,7 +190,7 @@ impl SamplingPolicy for Faulty {
 
 /// `mutate` run through the gate on `query`, at its first seed, turns
 /// `row` red.
-fn assert_caught(mutate: Mutation, query: (&str, &str), row: &str) {
+fn assert_caught(mutate: Mutation, query: (&'static str, &'static str), row: &str) {
     let misses = savings_misses(&[query], &SEEDS[..1], mutate);
     assert!(
         misses.iter().any(|m| m.contains(row)),

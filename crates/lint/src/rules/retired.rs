@@ -79,8 +79,21 @@ pub const RETIREMENTS: &[Retirement] = &[
         scope: &["crates/engine/src", "crates/proto/src", "crates/serve/src"],
         kinds: &["rs"],
         tests_exempt: true,
-        allow: &[("crates/engine/src/obs.rs", "EngineObs::record, the one writer")],
-        why: "only EngineObs::record writes stage histograms, the flight ring and spans",
+        allow: &[(
+            "crates/engine/src/obs.rs",
+            "EngineObs::record and EngineObs::flush, the one writer",
+        )],
+        why: "only EngineObs::record, and EngineObs::flush for a quantum's notes, write stage histograms, the flight ring and spans",
+    },
+    Retirement {
+        name: "write_behind_hook",
+        pr: 41,
+        spellings: "set_write_behind",
+        scope: &["crates"],
+        kinds: &[],
+        tests_exempt: false,
+        allow: &[],
+        why: "the worker appends its quantum's paid fills to the log when the quantum ends; the cache writes nothing durable",
     },
     Retirement {
         name: "error_vocabulary",

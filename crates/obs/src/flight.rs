@@ -29,7 +29,8 @@ pub enum Stage {
     CacheWait = 2,
     /// One scheduler lease: session checkout through release.
     Lease = 3,
-    /// One write-behind append to the durable log.
+    /// One write-behind batch: a quantum's paid fills appended to the
+    /// durable log (key = records appended).
     WriteBehind = 4,
     /// One durable belief-snapshot write at session finish.
     BeliefSnapshot = 5,

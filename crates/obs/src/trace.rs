@@ -142,6 +142,21 @@ pub struct SpanRecord {
     pub key: u64,
 }
 
+/// A span its recorder timed and hands over later, in a batch
+/// ([`SpanCollector::record_all`]). It carries its own start, so storing
+/// it reads no clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MeasuredSpan {
+    /// What was measured.
+    pub stage: Stage,
+    /// When the measured interval began.
+    pub start: Instant,
+    /// Measured wall-clock duration in nanoseconds.
+    pub duration_ns: u64,
+    /// Stage-specific payload.
+    pub key: u64,
+}
+
 /// Bounded per-trace storage: traces beyond this are evicted oldest
 /// first.
 const MAX_TRACES: usize = 512;
@@ -193,7 +208,13 @@ impl SpanCollector {
 
     /// Nanoseconds since the collector's epoch.
     fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.since_epoch(Instant::now())
+    }
+
+    /// Nanoseconds from the collector's epoch to `t` (0 before it).
+    fn since_epoch(&self, t: Instant) -> u64 {
+        let ns = t.saturating_duration_since(self.epoch).as_nanos();
+        u64::try_from(ns).unwrap_or(u64::MAX)
     }
 
     /// Open `trace` with its session root span ([`SpanId::ROOT`],
@@ -282,6 +303,47 @@ impl SpanCollector {
             key,
         });
         id
+    }
+
+    /// Record `spans`, in order, under `parent` in `trace`, all with one
+    /// hold of the store's lock. Each starts at its own
+    /// [`MeasuredSpan::start`]. What does not fit a full trace is dropped,
+    /// as by [`SpanCollector::record`]. Returns whether the trace takes
+    /// further spans: `false` once it is full, and for an unknown trace.
+    pub fn record_all(
+        &self,
+        trace: TraceId,
+        parent: SpanId,
+        session: u64,
+        spans: &[MeasuredSpan],
+    ) -> bool {
+        if !self.enabled {
+            return false;
+        }
+        let mut store = self.store.lock().expect("span collector poisoned");
+        let Some(stored) = store.spans.get_mut(&trace.0) else {
+            return false;
+        };
+        let room = MAX_SPANS_PER_TRACE.saturating_sub(stored.len());
+        let taken = spans.len().min(room);
+        let first = self.next_id.fetch_add(taken as u64, Ordering::Relaxed);
+        stored.extend(
+            spans
+                .iter()
+                .take(taken)
+                .zip(first..)
+                .map(|(s, id)| SpanRecord {
+                    trace,
+                    id: SpanId(id),
+                    parent,
+                    stage: s.stage,
+                    session,
+                    start_ns: self.since_epoch(s.start),
+                    duration_ns: s.duration_ns,
+                    key: s.key,
+                }),
+        );
+        stored.len() < MAX_SPANS_PER_TRACE
     }
 
     /// The spans of `trace`, in recording order (root first). Empty for
@@ -620,6 +682,39 @@ mod tests {
         );
         assert!(col.collect(trace).is_empty());
         assert_eq!(col.traces(), 0);
+    }
+
+    #[test]
+    fn a_batch_lands_in_order_until_the_trace_is_full() {
+        let col = SpanCollector::new(true);
+        let trace = TraceId::from_session(4);
+        let t0 = Instant::now();
+        let span = |key: u64| MeasuredSpan {
+            stage: Stage::Dispatch,
+            start: t0 + std::time::Duration::from_nanos(key),
+            duration_ns: 10,
+            key,
+        };
+        let batch: Vec<MeasuredSpan> = (0..8).map(span).collect();
+        assert!(
+            !col.record_all(trace, SpanId::ROOT, 4, &batch),
+            "not opened"
+        );
+        col.open_root(trace, 4);
+        assert!(col.record_all(trace, SpanId::ROOT, 4, &batch));
+        let spans = col.collect(trace);
+        validate_spans(&spans).expect("batched spans keep the tree valid");
+        let keys: Vec<u64> = spans.iter().skip(1).map(|s| s.key).collect();
+        assert_eq!(keys, (0..8).collect::<Vec<_>>(), "recording order");
+        // Each span starts where it says, not where the batch landed.
+        let starts: Vec<u64> = spans.iter().skip(1).map(|s| s.start_ns).collect();
+        assert!(starts.windows(2).all(|w| w[1] == w[0] + 1), "{starts:?}");
+        // Fill up: the overflow is dropped, and the answer turns false.
+        let many: Vec<MeasuredSpan> = (0..MAX_SPANS_PER_TRACE as u64).map(span).collect();
+        assert!(!col.record_all(trace, SpanId::ROOT, 4, &many));
+        assert_eq!(col.collect(trace).len(), MAX_SPANS_PER_TRACE);
+        assert!(!col.record_all(trace, SpanId::ROOT, 4, &batch));
+        assert_eq!(col.collect(trace).len(), MAX_SPANS_PER_TRACE);
     }
 
     #[test]

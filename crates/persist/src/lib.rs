@@ -7,7 +7,8 @@
 //!
 //! * [`DetectionLog`] — an append-only, segmented, CRC-checksummed log of
 //!   full detector output per `(repo, frame)`: the write-ahead tail. The
-//!   engine appends on every cache miss (write-behind); the next start
+//!   engine appends every frame it ran the detector on, in one batch per
+//!   quantum, when the quantum ends (write-behind); the next start
 //!   folds the sealed segments into `exsample-colstore`'s mapped container
 //!   and answers previously-detected frames from it without a single
 //!   detector invocation.

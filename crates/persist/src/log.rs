@@ -81,6 +81,8 @@ pub struct DetectionLog {
     write_errors: u64,
     /// Reusable encode buffer.
     scratch: Vec<u8>,
+    /// Reusable buffer for the framed record.
+    framed: Vec<u8>,
 }
 
 impl DetectionLog {
@@ -103,6 +105,7 @@ impl DetectionLog {
             writes: 0,
             write_errors: 0,
             scratch: Vec::new(),
+            framed: Vec::new(),
         })
     }
 
@@ -139,10 +142,10 @@ impl DetectionLog {
         }
         self.scratch.clear();
         encode_detections(repo, frame, dets, &mut self.scratch);
-        let mut framed = Vec::with_capacity(self.scratch.len() + 8);
-        write_record(&mut framed, &self.scratch);
+        self.framed.clear();
+        write_record(&mut self.framed, &self.scratch);
         let w = self.file.as_mut().expect("opened above");
-        w.write_all(&framed)?;
+        w.write_all(&self.framed)?;
         self.writes += 1;
         self.records_in_segment += 1;
         self.unflushed += 1;
