@@ -7,9 +7,11 @@ use crate::cache::CachedDetections;
 use crate::obs::EngineObs;
 use crate::service::RepoInfo;
 use crate::session::RepoId;
-use exsample_colstore::{ColumnarStore, CompactionReport, OpenError};
 use exsample_detect::{Detection, NoiseModel, SimulatedDetector};
 use exsample_obs::{Stage, NO_SESSION};
+use exsample_persist::container::{
+    compact, container_path, ColumnarStore, CompactionReport, OpenError,
+};
 use exsample_persist::{
     dataset_fingerprint, scan_detections, BeliefStore, DetectionLog, LoadStats, PersistConfig,
     RepoCatalog,
@@ -114,23 +116,21 @@ impl PersistShared {
         let folded = {
             let mut span = obs.span(Stage::Compaction, NO_SESSION);
             span.set_key(chunk_frames);
-            exsample_colstore::compact(&pc.dir, pc.fingerprint, chunk_frames)
+            compact(&pc.dir, pc.fingerprint, chunk_frames)
         };
         let folded = folded.unwrap_or_else(|e| {
             eprintln!("exsample-engine: startup compaction failed: {e}");
             CompactionReport::default()
         });
-        let (container, container_skipped) = match ColumnarStore::open(
-            &exsample_colstore::container_path(&pc.dir),
-            pc.fingerprint,
-        ) {
-            Ok(store) => (Some(Arc::new(store)), 0),
-            Err(OpenError::Missing) => (None, 0),
-            Err(e) => {
-                eprintln!("exsample-engine: ignoring columnar container: {e}");
-                (None, 1)
-            }
-        };
+        let (container, container_skipped) =
+            match ColumnarStore::open(&container_path(&pc.dir), pc.fingerprint) {
+                Ok(store) => (Some(Arc::new(store)), 0),
+                Err(OpenError::Missing) => (None, 0),
+                Err(e) => {
+                    eprintln!("exsample-engine: ignoring columnar container: {e}");
+                    (None, 1)
+                }
+            };
         let beliefs = usable(BeliefStore::open(pc));
         let mut catalog = usable(RepoCatalog::open(&pc.dir));
         let log = usable(DetectionLog::open(pc));

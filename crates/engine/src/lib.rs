@@ -38,7 +38,7 @@
 //!   (see [`PersistConfig`]), the session that paid for a frame's detector
 //!   output appends it to `exsample_persist`'s segmented log when its
 //!   quantum ends (write-behind); the next start folds that
-//!   log into `exsample_colstore`'s memory-mapped container and answers
+//!   log into its memory-mapped container and answers
 //!   cache misses from it, so a restarted engine serves
 //!   previously-detected frames with zero detector invocations and reads
 //!   only the chunks its queries touch; finished sessions snapshot their

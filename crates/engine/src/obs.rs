@@ -1,12 +1,12 @@
 //! The engine's instrumentation hub: one [`Registry`], one
 //! [`FlightRecorder`], one [`SpanCollector`], and one pre-resolved
 //! histogram per [`Stage`] — all written by [`EngineObs::record`] and
-//! [`EngineObs::flush`], so hot paths record through plain `Arc` derefs
+//! `EngineObs::flush`, so hot paths record through plain `Arc` derefs
 //! and relaxed atomics, never through the registry lock. Where an occurrence goes is the stage's
 //! business: its histogram always, the ring when [`Stage::in_ring`], the
 //! trace when it has one. [`Span`] times a region and records it on drop.
 //! A worker stepping a session does not record as it goes: it notes each
-//! occurrence in [`Notes`], a buffer of its own, and [`EngineObs::flush`]
+//! occurrence in `Notes`, a buffer of its own, and `EngineObs::flush`
 //! writes them all once the quantum ends.
 //!
 //! Instrumentation is strictly observational (wall clock + atomics); it
@@ -130,7 +130,7 @@ impl EngineObs {
     /// histogram, into the flight ring if the stage [is in
     /// it](Stage::in_ring), and into a trace — under `ctx` when the
     /// request carried one, else at the root of `session`'s trace. With
-    /// [`EngineObs::flush`], the only writer of all three. No-op with
+    /// `EngineObs::flush`, the only writer of all three. No-op with
     /// recording off.
     pub fn record(&self, stage: Stage, session: u64, ctx: Option<TraceContext>, ns: u64, key: u64) {
         if !self.enabled {

@@ -17,8 +17,6 @@
 //! All policies implement [`exsample_core::policy::SamplingPolicy`], never
 //! repeat a frame, and enumerate every frame before returning `None`.
 
-#![warn(missing_docs)]
-
 use exsample_core::policy::{Feedback, SamplingPolicy};
 use exsample_core::within::{RandomWithin, StratifiedWithin};
 use exsample_core::FrameIdx;
@@ -143,7 +141,7 @@ pub struct ProxyOrderPolicy {
 impl ProxyOrderPolicy {
     /// Policy following `order` (typically
     /// [`exsample_detect::ProxyModel::descending_order`]-style output,
-    /// passed as data to keep this crate detector-agnostic).
+    /// passed as data to keep the policy detector-agnostic).
     ///
     /// # Panics
     /// Panics if `order` contains duplicates.
@@ -219,109 +217,5 @@ impl SamplingPolicy for ProxyOrderPolicy {
     fn feedback(&mut self, _frame: FrameIdx, _fb: Feedback) {}
     fn name(&self) -> String {
         format!("proxy-order(w={})", self.avoid_window)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn drain(policy: &mut dyn SamplingPolicy, seed: u64) -> Vec<u64> {
-        let mut rng = Rng64::new(seed);
-        let mut out = Vec::new();
-        while let Some(f) = policy.next_frame(&mut rng) {
-            out.push(f);
-        }
-        out
-    }
-
-    fn assert_permutation(mut xs: Vec<u64>, n: u64) {
-        assert_eq!(xs.len() as u64, n);
-        xs.sort_unstable();
-        assert_eq!(xs, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn random_policy_is_permutation() {
-        assert_permutation(drain(&mut RandomPolicy::new(500), 1), 500);
-    }
-
-    #[test]
-    fn random_plus_policy_is_permutation() {
-        assert_permutation(drain(&mut RandomPlusPolicy::new(313), 2), 313);
-    }
-
-    #[test]
-    fn sequential_policy_visits_in_stride_order() {
-        let mut p = SequentialPolicy::new(10, 3);
-        let out = drain(&mut p, 3);
-        assert_eq!(out, vec![0, 3, 6, 9, 1, 4, 7, 2, 5, 8]);
-    }
-
-    #[test]
-    fn sequential_policy_stride_one() {
-        let out = drain(&mut SequentialPolicy::new(5, 1), 4);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sequential_policy_stride_larger_than_frames() {
-        assert_permutation(drain(&mut SequentialPolicy::new(4, 100), 5), 4);
-    }
-
-    #[test]
-    fn proxy_policy_follows_score_order() {
-        let order = vec![7, 3, 9, 1, 0, 2, 4, 5, 6, 8];
-        let mut p = ProxyOrderPolicy::new(order.clone(), 0);
-        assert_eq!(drain(&mut p, 6), order);
-    }
-
-    #[test]
-    fn proxy_policy_avoids_neighbours_then_drains() {
-        // Frames 10 and 11 are adjacent; with window 2 the second must be
-        // deferred behind 50.
-        let order = vec![10, 11, 50];
-        let mut p = ProxyOrderPolicy::new(order, 2);
-        assert_eq!(drain(&mut p, 7), vec![10, 50, 11]);
-    }
-
-    #[test]
-    fn proxy_policy_window_edges() {
-        let order = vec![100, 103, 104, 200];
-        // window 3: 103 within 3 of 100 -> deferred; 104 within 3 of 100?
-        // |104-100| = 4 > 3 -> emitted.
-        let mut p = ProxyOrderPolicy::new(order, 3);
-        assert_eq!(drain(&mut p, 8), vec![100, 104, 200, 103]);
-    }
-
-    #[test]
-    fn proxy_policy_remains_complete_permutation() {
-        let order: Vec<u64> = (0..200).rev().collect();
-        let mut p = ProxyOrderPolicy::new(order, 5);
-        assert_permutation(drain(&mut p, 9), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate frame")]
-    fn proxy_policy_rejects_duplicate_order() {
-        ProxyOrderPolicy::new(vec![1, 2, 1], 0);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(RandomPolicy::new(1).name(), "random");
-        assert_eq!(RandomPlusPolicy::new(1).name(), "random+");
-        assert_eq!(SequentialPolicy::new(1, 30).name(), "sequential(stride=30)");
-        assert_eq!(ProxyOrderPolicy::new(vec![], 9).name(), "proxy-order(w=9)");
-    }
-
-    #[test]
-    fn random_policies_ignore_feedback() {
-        let mut p = RandomPolicy::new(10);
-        let mut rng = Rng64::new(11);
-        let a = p.next_frame(&mut rng).unwrap();
-        p.feedback(a, Feedback::new(5, 2));
-        // No panic, no state change observable beyond the draw stream.
-        assert!(p.next_frame(&mut rng).is_some());
     }
 }

@@ -6,6 +6,7 @@
 //! 25–75% band, savings labels at 10/100/1000 results, and the
 //! optimal-allocation reference (Eq. IV.1).
 
+use crate::optimal::{optimal_curve, ChunkProbs, SolveOpts};
 use crate::report::{fmt_ratio, Table};
 use crate::runner::{
     found_band, log_checkpoints, replicate_runs, BandPoint, PolicySpec, RunConfig,
@@ -15,7 +16,6 @@ use exsample_core::driver::StopCond;
 use exsample_core::exsample::ExSampleConfig;
 use exsample_core::fidelity::{median_to, savings, Key};
 use exsample_core::Chunking;
-use exsample_optimal::{optimal_curve, ChunkProbs, SolveOpts};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
 use std::sync::Arc;
 

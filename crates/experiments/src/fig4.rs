@@ -6,6 +6,7 @@
 //! for large `M` a gap opens because the sampler must first *learn* which
 //! chunks pay (the benefit is non-monotonic in `M`).
 
+use crate::optimal::{optimal_curve, ChunkProbs, SolveOpts};
 use crate::report::Table;
 use crate::runner::{
     found_band, log_checkpoints, replicate_runs, BandPoint, PolicySpec, RunConfig,
@@ -14,7 +15,6 @@ use crate::Scale;
 use exsample_core::driver::StopCond;
 use exsample_core::exsample::ExSampleConfig;
 use exsample_core::Chunking;
-use exsample_optimal::{optimal_curve, ChunkProbs, SolveOpts};
 use exsample_videosim::{ClassId, ClassSpec, DatasetSpec, SkewSpec};
 use std::sync::Arc;
 

@@ -6,9 +6,9 @@
 //! night-street/person (S=4.5, savings 3), archie/car (S=1.1, savings 1),
 //! amsterdam/boat (S=1.6, savings 0.9).
 
+use crate::optimal::{chunk_instance_counts, skew_metric};
 use crate::presets::dataset;
 use crate::report::Table;
-use exsample_optimal::{chunk_instance_counts, skew_metric};
 use exsample_videosim::ClassId;
 
 /// The representative queries of Figure 6, in paper order, with the

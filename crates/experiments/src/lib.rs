@@ -17,20 +17,24 @@
 //! | [`ablate`] | design ablations: prior, selector, within-chunk order, batch |
 //! | [`exsample_core::fidelity`] | their shared arithmetic; the gate's bands are [`fig5::BANDS`] |
 //!
-//! Supporting modules: [`presets`] (the six evaluation datasets,
-//! calibrated to the paper's reported frame counts, instance counts and
-//! skew), [`runner`] (replicated discovery-curve runs), [`report`]
-//! (markdown/CSV emission), [`parallel`] (a scoped thread-pool map).
+//! Supporting modules: [`baselines`] and [`optimal`] (the comparison
+//! points: baseline policies, Eq. IV.1 weights, Fig. 6's skew metric),
+//! [`presets`] (the six evaluation datasets, calibrated to the paper's
+//! reported frame counts, instance counts and skew), [`runner`]
+//! (replicated discovery-curve runs), [`report`] (markdown/CSV
+//! emission), [`parallel`] (a scoped thread-pool map).
 
 #![warn(missing_docs)]
 
 pub mod ablate;
+pub mod baselines;
 pub mod coverage;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+pub mod optimal;
 pub mod parallel;
 pub mod presets;
 pub mod report;
@@ -57,3 +61,6 @@ impl Scale {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -21,8 +21,6 @@
 //! number of chunks that jointly contain half the instances (`S = 1` means
 //! no skew; large `S` means a few chunks hold most results).
 
-#![warn(missing_docs)]
-
 use exsample_core::chunking::Chunking;
 use exsample_videosim::{ClassId, GroundTruth};
 
@@ -31,7 +29,7 @@ use exsample_videosim::{ClassId, GroundTruth};
 pub struct ChunkProbs {
     num_chunks: usize,
     /// One row per instance: `(chunk, p)` pairs, `p` = overlap / chunk_len.
-    rows: Vec<Vec<(u32, f64)>>,
+    pub(crate) rows: Vec<Vec<(u32, f64)>>,
 }
 
 impl ChunkProbs {
@@ -246,167 +244,4 @@ pub fn skew_metric(chunk_counts: &[usize]) -> f64 {
         }
     }
     (m as f64 / 2.0) / k as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use exsample_videosim::{ClassSpec, DatasetSpec, SkewSpec};
-
-    fn two_chunk_probs(p0: f64, p1: f64, count0: usize, count1: usize) -> ChunkProbs {
-        let mut rows = Vec::new();
-        for _ in 0..count0 {
-            rows.push(vec![(0u32, p0)]);
-        }
-        for _ in 0..count1 {
-            rows.push(vec![(1u32, p1)]);
-        }
-        ChunkProbs::from_rows(2, rows)
-    }
-
-    #[test]
-    fn expected_found_closed_form() {
-        // One instance with p=0.5 in chunk 0; uniform weights over 2
-        // chunks -> effective p = 0.25; n = 2 -> 1 - 0.75^2 = 0.4375.
-        let probs = two_chunk_probs(0.5, 0.0, 1, 0);
-        let got = probs.expected_found(&[0.5, 0.5], 2);
-        assert!((got - 0.4375).abs() < 1e-12, "got={got}");
-    }
-
-    #[test]
-    fn uniform_weights_match_uniform_helper() {
-        let probs = two_chunk_probs(0.1, 0.2, 5, 7);
-        let w = vec![0.5, 0.5];
-        assert!((probs.expected_found(&w, 50) - probs.expected_found_uniform(50)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_mass_one_chunk_gets_full_weight() {
-        // All instances in chunk 0: optimum must put (almost) all weight
-        // there.
-        let probs = two_chunk_probs(0.01, 0.0, 20, 0);
-        let w = optimal_weights(&probs, 100, SolveOpts::default());
-        assert!(w[0] > 0.99, "w={w:?}");
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn symmetric_chunks_get_equal_weight() {
-        let probs = two_chunk_probs(0.05, 0.05, 10, 10);
-        let w = optimal_weights(&probs, 200, SolveOpts::default());
-        assert!((w[0] - 0.5).abs() < 0.01, "w={w:?}");
-    }
-
-    #[test]
-    fn matches_brute_force_on_two_chunks() {
-        // Asymmetric: chunk 0 has few long instances, chunk 1 many short.
-        let probs = two_chunk_probs(0.2, 0.01, 3, 60);
-        let n = 150;
-        let solver = optimal_weights(&probs, n, SolveOpts::default());
-        let f_solver = probs.expected_found(&solver, n);
-        let mut best = 0.0f64;
-        for i in 0..=1000 {
-            let w0 = i as f64 / 1000.0;
-            best = best.max(probs.expected_found(&[w0, 1.0 - w0], n));
-        }
-        assert!(
-            f_solver >= best - 1e-3 * best,
-            "solver={f_solver} brute={best}"
-        );
-    }
-
-    #[test]
-    fn more_samples_shift_weight_toward_hard_chunk() {
-        // With a tiny budget, the high-yield chunk dominates; with a huge
-        // budget, it saturates and the optimum spreads to the rare chunk.
-        let probs = two_chunk_probs(0.5, 0.001, 10, 10);
-        let w_small = optimal_weights(&probs, 5, SolveOpts::default());
-        let w_large = optimal_weights(&probs, 20_000, SolveOpts::default());
-        assert!(
-            w_small[0] > w_large[0],
-            "small={w_small:?} large={w_large:?}"
-        );
-        assert!(w_large[1] > 0.9, "large={w_large:?}");
-    }
-
-    #[test]
-    fn optimal_beats_uniform_under_skew() {
-        let probs = two_chunk_probs(0.02, 0.0005, 50, 50);
-        for n in [10u64, 100, 1000] {
-            let w = optimal_weights(&probs, n, SolveOpts::default());
-            assert!(
-                probs.expected_found(&w, n) >= probs.expected_found_uniform(n) - 1e-9,
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn build_from_ground_truth() {
-        let spec =
-            DatasetSpec::single_class(1000, ClassSpec::new("car", 30, 40.0, SkewSpec::Uniform));
-        let gt = spec.generate(3);
-        let chunking = Chunking::even(1000, 10);
-        let probs = ChunkProbs::build(&gt, ClassId(0), &chunking);
-        assert_eq!(probs.num_instances(), 30);
-        assert_eq!(probs.num_chunks(), 10);
-        // Each row's total expected overlap equals duration / chunk_len
-        // summed: with equal chunk lengths, sum of p over chunks = dur/100.
-        for (inst, row) in gt.instances_of_class(ClassId(0)).zip(&probs.rows) {
-            let sum: f64 = row.iter().map(|&(_, p)| p).sum();
-            assert!(
-                (sum - inst.duration as f64 / 100.0).abs() < 1e-9,
-                "instance {:?}",
-                inst.id
-            );
-            for &(_, p) in row {
-                assert!(p > 0.0 && p <= 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn curve_is_monotone() {
-        let probs = two_chunk_probs(0.05, 0.01, 10, 40);
-        let pts = optimal_curve(&probs, &[1, 10, 100, 1000], SolveOpts::default());
-        for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-9);
-        }
-        assert!(pts.last().unwrap().1 <= 50.0 + 1e-9);
-    }
-
-    #[test]
-    fn skew_metric_uniform_is_one() {
-        assert!((skew_metric(&[10, 10, 10, 10]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skew_metric_concentrated() {
-        // One of 8 chunks holds everything: k=1, S = 4.
-        assert!((skew_metric(&[0, 80, 0, 0, 0, 0, 0, 0]) - 4.0).abs() < 1e-12);
-        // Two of 8 chunks hold half each... k=1 covers half: S = 4.
-        assert!((skew_metric(&[40, 40, 0, 0, 0, 0, 0, 0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skew_metric_empty() {
-        assert_eq!(skew_metric(&[]), 1.0);
-        assert_eq!(skew_metric(&[0, 0, 0]), 1.0);
-    }
-
-    #[test]
-    fn chunk_counts_sum_to_instances() {
-        let spec = DatasetSpec::single_class(
-            10_000,
-            ClassSpec::new("car", 100, 50.0, SkewSpec::CentralNormal { frac95: 0.1 }),
-        );
-        let gt = spec.generate(4);
-        let chunking = Chunking::even(10_000, 20);
-        let counts = chunk_instance_counts(&gt, ClassId(0), &chunking);
-        assert_eq!(counts.iter().sum::<usize>(), 100);
-        // Skewed placement: the busiest chunk holds far more than 1/20.
-        assert!(*counts.iter().max().unwrap() > 15);
-        let s = skew_metric(&counts);
-        assert!(s > 2.0, "S={s}");
-    }
 }

@@ -1,8 +1,8 @@
 //! Replicated discovery-curve runs shared by all experiments.
 
+use crate::baselines::{ProxyOrderPolicy, RandomPlusPolicy, RandomPolicy};
 use crate::parallel::{default_threads, parallel_map};
 use crate::presets::DETECT_FPS;
-use exsample_baselines::{ProxyOrderPolicy, RandomPlusPolicy, RandomPolicy};
 use exsample_core::driver::{run_search_batched, SearchCost, SearchTrace, StopCond};
 use exsample_core::exsample::{ExSample, ExSampleConfig};
 use exsample_core::policy::SamplingPolicy;

@@ -12,8 +12,8 @@
 //! turn a named row red. Random sampling is the same in all of them, so
 //! its medians are computed once per (query, seed) and shared.
 
-use exsample_baselines::RandomPlusPolicy;
 use exsample_core::{Feedback, FrameIdx, SamplingPolicy};
+use exsample_experiments::baselines::RandomPlusPolicy;
 use exsample_experiments::fig2::{self, Fig2Config};
 use exsample_experiments::fig5::BANDS;
 use exsample_experiments::presets::dataset;

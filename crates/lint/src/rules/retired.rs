@@ -117,7 +117,7 @@ pub const RETIREMENTS: &[Retirement] = &[
             ("crates/obs/src/hist.rs", "obs is dependency-free by design"),
             ("crates/proto/src/framebuf.rs", "patches the 8-byte frame header in place"),
             ("crates/store/src/crc.rs", "not a record codec: the CRC table"),
-            ("crates/colstore/src/varint.rs", "not a record codec: LEB128"),
+            ("crates/persist/src/varint.rs", "not a record codec: LEB128"),
             ("crates/stats/src/*.rs", "not a record codec: hashing"),
         ],
         why: "declare a byte layout with exsample_store::le's le_record!/le_enum!",
@@ -141,6 +141,16 @@ pub const RETIREMENTS: &[Retirement] = &[
         tests_exempt: false,
         allow: &[],
         why: "the mapped container is the one warm read path (docs/STORE.md)",
+    },
+    Retirement {
+        name: "folded_crates",
+        pr: 42,
+        spellings: "exsample_colstore|exsample-colstore|exsample_baselines|exsample-baselines|exsample_optimal|exsample-optimal",
+        scope: &["crates", "src", "examples", "tests"],
+        kinds: &[],
+        tests_exempt: false,
+        allow: &[],
+        why: "the container is exsample_persist::container; baselines and optimal are modules of exsample-experiments",
     },
     Retirement {
         name: "fidelity_arithmetic",

@@ -170,18 +170,7 @@ impl BeliefStore {
         let mut out = Vec::with_capacity(payload.len() + 32);
         write_segment_header(&mut out, BELIEF_MAGIC, BELIEF_VERSION, self.fingerprint);
         write_record(&mut out, &payload);
-        let path = belief_path(&self.dir, snap.key());
-        let tmp = path.with_extension("xsb.tmp");
-        // Write-fsync-rename: the bytes are durable before the rename can
-        // replace the previous good snapshot, so a crash leaves either the
-        // old file or the complete new one — never a torn live file.
-        {
-            let mut f = fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &out)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        crate::replace_file(&belief_path(&self.dir, snap.key()), &out)
     }
 
     /// Keys with a resident snapshot, in no particular order.

@@ -204,14 +204,7 @@ impl RepoCatalog {
             entry.put(&mut payload);
             write_record(&mut out, &payload);
         }
-        let tmp = self.path.with_extension("xsr.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &out)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        Ok(())
+        crate::replace_file(&self.path, &out)
     }
 
     /// All recorded assignments, in allocation order.

@@ -29,9 +29,10 @@ use std::borrow::Cow;
 /// bug or version skew, not disk damage.
 pub use exsample_store::le::Error as CodecError;
 
-/// Format marker of this crate's payload layouts (see
-/// [`exsample_store::le`]): every `le_record!(Disk: …)` in the crate is
-/// the byte layout of that type, both directions.
+/// Format marker of this crate's on-disk layouts (see
+/// [`exsample_store::le`]): every `le_record!(Disk: …)` in the crate —
+/// log and snapshot payloads, catalog entries, the container's header,
+/// index and box rows — is the byte layout of that type, both directions.
 #[derive(Debug, Clone, Copy)]
 pub struct Disk;
 

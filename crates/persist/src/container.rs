@@ -1,10 +1,12 @@
-//! The immutable, memory-mapped columnar container format.
+//! The compacted detection container: one immutable, memory-mapped,
+//! checksummed file (`detections.xsc`) that a [`compact()`] pass folds
+//! sealed log segments into, and that warm starts read lazily.
 //!
-//! One file (`detections.xsc`) holds every compacted detection of a
-//! persist directory, laid out for the *sampling* access pattern: a warm
-//! start touches the fixed header and the chunk index (a few KiB), then
-//! reads only the column groups of chunks a query actually samples —
-//! O(touched chunks), not O(total detections).
+//! The layout serves the *sampling* access pattern: a warm start touches
+//! the fixed header and the chunk index (a few KiB), then reads only the
+//! column groups of chunks a query actually samples — O(touched chunks),
+//! not O(total detections). Because the file is immutable and read via
+//! `mmap`, every engine on a host shares one page-cache copy of it.
 //!
 //! ```text
 //! [ header     ]  96 bytes, fixed, little-endian (see [`HEADER_LEN`]):
@@ -40,6 +42,7 @@
 //! [`ColumnarStore::verify`] checks everything eagerly for the
 //! compactor's write-then-verify step.
 
+use crate::codec::Disk;
 use crate::mmap::MappedFile;
 use crate::varint::{get_u64, put_u64};
 use exsample_detect::Detection;
@@ -52,6 +55,13 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+mod compact;
+
+pub use compact::{
+    compact, compact_with_kill, container_path, sweep_orphans, CompactError, CompactionReport,
+    KillPoint,
+};
 
 /// Magic of columnar containers ("eXSample Columnar Store").
 pub const MAGIC: &[u8; 4] = b"XSCS";
@@ -68,12 +78,6 @@ const _: () = assert!(HEADER_LEN == 96 && INDEX_ENTRY_LEN == 64);
 pub const CONTAINER_NAME: &str = "detections.xsc";
 /// Suffix of in-flight compaction outputs (swept if orphaned by a crash).
 pub const TMP_SUFFIX: &str = ".xsc.tmp";
-
-/// Format marker of the container's fixed layouts (see
-/// [`exsample_store::le`]): each `le_record!(Disk: …)` below is that
-/// part's byte layout, both directions.
-#[derive(Debug, Clone, Copy)]
-pub struct Disk;
 
 /// The checksummed part of the header.
 struct Header {
@@ -112,9 +116,6 @@ struct BoxRow {
     truth: Option<InstanceId>,
 }
 le_record!(Disk: BoxRow { bbox, class, truth });
-le_record!(Disk: BBox { x1, y1, x2, y2 });
-le_record!(Disk: ClassId { 0 });
-le_record!(Disk: InstanceId { 0 });
 
 /// One chunk-index entry: where a `(repo, chunk)` group's columns live
 /// and what they summarize — enough to answer "is this chunk worth
@@ -571,19 +572,9 @@ impl ColumnarStore {
         })
     }
 
-    /// Fingerprint the container was written under.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Temporal chunk width (frames per index chunk).
     pub fn chunk_frames(&self) -> u64 {
         self.chunk_frames
-    }
-
-    /// Total container size in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.map.len() as u64
     }
 
     /// Chunk-index entries (one per `(repo, chunk)` group).
@@ -656,7 +647,7 @@ impl ColumnarStore {
             Err(why) => {
                 self.damaged_groups.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
-                    "exsample-colstore: chunk (repo {}, chunk {}) unusable: {why}",
+                    "exsample-persist: chunk (repo {}, chunk {}) unusable: {why}",
                     entry.repo, entry.chunk
                 );
                 GroupState::Damaged
@@ -735,7 +726,7 @@ impl std::fmt::Debug for ColumnarStore {
             .field("chunk_frames", &self.chunk_frames)
             .field("groups", &self.index.len())
             .field("frames_indexed", &self.frames_indexed())
-            .field("file_len", &self.file_len())
+            .field("file_len", &self.map.len())
             .finish()
     }
 }

@@ -31,9 +31,9 @@
 //! [`KillPoint`] injects a simulated crash at each boundary for tests; the
 //! production entry point [`compact`] never kills.
 
-use crate::format::{build_container, ColumnarStore, OpenError, CONTAINER_NAME, TMP_SUFFIX};
+use super::{build_container, ColumnarStore, OpenError, CONTAINER_NAME, TMP_SUFFIX};
+use crate::log::{scan_segment_file, sealed_segments, SegmentOutcome};
 use exsample_detect::Detection;
-use exsample_persist::{scan_segment_file, sealed_segments, SegmentOutcome};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write;
@@ -139,7 +139,7 @@ pub fn sweep_orphans(dir: &Path) -> std::io::Result<u64> {
         if is_tmp && fs::remove_file(&path).is_ok() {
             swept += 1;
             eprintln!(
-                "exsample-colstore: swept orphaned compaction temp {}",
+                "exsample-persist: swept orphaned compaction temp {}",
                 path.display()
             );
         }
@@ -183,7 +183,7 @@ pub fn compact_with_kill(
             Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!(
-                    "exsample-colstore: leaving unreadable segment {}: {e}",
+                    "exsample-persist: leaving unreadable segment {}: {e}",
                     path.display()
                 );
                 continue;
@@ -223,12 +223,12 @@ pub fn compact_with_kill(
             });
             if skipped > 0 {
                 eprintln!(
-                    "exsample-colstore: carried prior container with {skipped} damaged group(s)"
+                    "exsample-persist: carried prior container with {skipped} damaged group(s)"
                 );
             }
         }
         Err(OpenError::Missing) => {}
-        Err(e) => eprintln!("exsample-colstore: prior container unusable ({e}); will replace"),
+        Err(e) => eprintln!("exsample-persist: prior container unusable ({e}); will replace"),
     }
 
     let bytes = build_container(&merged, fingerprint, chunk_frames).map_err(CompactError::Build)?;
@@ -282,7 +282,7 @@ pub fn compact_with_kill(
         match fs::remove_file(path) {
             Ok(()) => report.reclaimed_bytes += len,
             Err(e) => eprintln!(
-                "exsample-colstore: folded segment {} not deleted: {e}",
+                "exsample-persist: folded segment {} not deleted: {e}",
                 path.display()
             ),
         }

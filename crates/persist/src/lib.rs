@@ -1,17 +1,24 @@
-//! Durable detection store: warm-start caches and belief snapshots.
+//! Durable detection store: the detection log, its compacted container,
+//! belief snapshots and the repository catalog.
 //!
 //! ExSample's whole economy is *seconds of detector per distinct result* —
 //! yet the engine's in-memory `FrameCache` and per-chunk beliefs evaporate
 //! on every restart, so a production deployment re-pays yesterday's GPU
-//! bill each morning. This crate makes both artifacts durable:
+//! bill each morning. This crate makes both durable:
 //!
 //! * [`DetectionLog`] — an append-only, segmented, CRC-checksummed log of
-//!   full detector output per `(repo, frame)`: the write-ahead tail. The
-//!   engine appends every frame it ran the detector on, in one batch per
-//!   quantum, when the quantum ends (write-behind); the next start
-//!   folds the sealed segments into `exsample-colstore`'s mapped container
-//!   and answers previously-detected frames from it without a single
-//!   detector invocation.
+//!   full detector output per `(repo, frame)`: the write path. The engine
+//!   appends every frame it ran the detector on, in one batch per
+//!   quantum, when the quantum ends (write-behind).
+//! * [`container`] — the read path. At the next start
+//!   [`container::compact`] folds the sealed segments into one immutable
+//!   columnar file: varint-delta frame-id columns and raw-bit score
+//!   columns grouped by `(repo, chunk)`, fronted by a per-chunk index. The
+//!   engine maps it ([`container::ColumnarStore::open`]), reads the header
+//!   and the index — a few KiB — and pays column I/O only for the chunks
+//!   a query touches, answering previously-detected frames without a
+//!   single detector invocation. (Replaying the log instead would cost
+//!   O(total detections) per engine per restart.)
 //! * [`BeliefStore`] — compact snapshots of per-chunk
 //!   [`ChunkStats`](exsample_core::belief::ChunkStats), written when a
 //!   search finishes. A new query over an already-explored repository
@@ -22,13 +29,21 @@
 //!   restarts and registration orders, so the artifacts above can never
 //!   be silently remapped onto the wrong footage.
 //!
-//! Both artifacts reuse `exsample-store`'s on-disk conventions
-//! ([`framing`](exsample_store::framing)): magic/version headers,
-//! little-endian integers, CRC-32 record checksums. Every segment header
-//! carries a detector **fingerprint** ([`detector_fingerprint`]); after a
-//! detector upgrade the stale segments are skipped — counted and logged,
-//! never an error — which is the invalidation story: no migration tooling,
-//! just recompute-and-overwrite.
+//! The log is authoritative and takes every new write; the container is
+//! a compacted, verified snapshot of sealed segments, replaced atomically
+//! and never mutated. Compaction deletes only the segments the verified
+//! container provably holds, so a crash anywhere leaves a correct (at
+//! worst duplicated, never lossy) combined state.
+//!
+//! The three artifacts besides the container reuse `exsample-store`'s
+//! on-disk conventions ([`framing`](exsample_store::framing)):
+//! magic/version headers, little-endian integers, CRC-32 record
+//! checksums; the container has a sectioned header of its own over the
+//! same codec and CRC. Every segment header and the container header
+//! carry a detector **fingerprint** ([`detector_fingerprint`]); after a
+//! detector upgrade the stale files are skipped — counted and logged,
+//! never an error — which is the invalidation story: no migration
+//! tooling, just recompute-and-overwrite.
 //!
 //! Failure philosophy: persistence is an optimization, never a
 //! correctness dependency. Damaged data costs recomputation; writer IO
@@ -40,24 +55,24 @@
 pub mod beliefs;
 pub mod catalog;
 pub mod codec;
+pub mod container;
 pub mod log;
+mod mmap;
+mod varint;
 
 pub use beliefs::{BeliefKey, BeliefStore};
 pub use catalog::{CatalogEntry, RepoCatalog};
 pub use codec::{BeliefSnapshot, CodecError, DetectionRecord};
-pub use log::{
-    scan_detections, scan_segment_file, sealed_segments, DetectionLog, LoadStats, SegmentOutcome,
-};
+pub use log::{scan_detections, sealed_segments, DetectionLog, LoadStats};
 
 use exsample_detect::NoiseModel;
+use std::fs;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
-/// Shape of the columnar container (`exsample-colstore`) every
-/// persistent engine folds its log into. This lives in `exsample-persist`
-/// (plain data, no colstore dependency) so the engine can carry it inside
-/// [`PersistConfig`] without a dependency cycle — `exsample-colstore`
-/// depends on this crate for segment scanning.
+/// Shape of the columnar [`container`] every persistent engine folds its
+/// log into, carried inside [`PersistConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnarConfig {
     /// Frames per temporal index chunk in the container. Independent of
@@ -192,6 +207,20 @@ pub fn dataset_fingerprint(gt: &exsample_videosim::GroundTruth) -> u64 {
         inst.duration.hash(&mut h);
     }
     h.finish()
+}
+
+/// Replace `path` with `bytes` atomically: write `<path>.tmp`, `fsync`
+/// it, rename it over `path`. The bytes are durable before the rename can
+/// replace the previous good file, so a crash leaves either the old file
+/// or the complete new one — never a torn live file (an orphaned `.tmp`
+/// is swept by the file's owner at open).
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

@@ -221,7 +221,7 @@ pub fn sealed_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 
 /// Header-match outcome of scanning one segment file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentOutcome {
+pub(crate) enum SegmentOutcome {
     /// Wrong magic, unsupported version, or foreign fingerprint — the
     /// segment was not touched.
     Skipped,
@@ -239,7 +239,7 @@ pub enum SegmentOutcome {
 /// or undecodable record abandons the rest of the segment (the valid
 /// prefix was still delivered). IO errors reading the file surface to the
 /// caller; everything else is an outcome, not an error.
-pub fn scan_segment_file(
+pub(crate) fn scan_segment_file(
     path: &Path,
     fingerprint: u64,
     mut sink: impl FnMut(DetectionRecord),

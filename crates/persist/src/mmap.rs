@@ -74,6 +74,16 @@ impl MappedFile {
     #[cfg(unix)]
     fn from_file(file: &File, len: usize) -> std::io::Result<MappedFile> {
         use std::os::unix::io::AsRawFd;
+        // SAFETY: a read-only shared mapping of `len` bytes of an open
+        // file; the kernel keeps the mapping valid after `file` closes.
+        // What no type can check: the file must not be truncated (or
+        // written in place) while mapped — a read past the new end of
+        // file raises SIGBUS. Only containers are mapped (the live one,
+        // and the compactor's temp file while it verifies it), and none
+        // is ever truncated or rewritten: the compactor writes a new temp
+        // file and renames it over the live name, so an existing mapping
+        // keeps the old inode and its bytes until it is dropped (removing
+        // a file only unlinks it).
         let ptr = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
@@ -148,7 +158,7 @@ mod tests {
     #[test]
     fn maps_file_contents() {
         let dir =
-            std::env::temp_dir().join(format!("exsample-colstore-mmap-{}", std::process::id()));
+            std::env::temp_dir().join(format!("exsample-persist-mmap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("data.bin");
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
@@ -166,7 +176,7 @@ mod tests {
     #[test]
     fn empty_file_is_empty_view() {
         let dir =
-            std::env::temp_dir().join(format!("exsample-colstore-mmap0-{}", std::process::id()));
+            std::env::temp_dir().join(format!("exsample-persist-mmap0-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("empty.bin");
         std::fs::write(&path, b"").unwrap();
@@ -177,6 +187,6 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_error() {
-        assert!(MappedFile::open(Path::new("/nonexistent/exsample-colstore")).is_err());
+        assert!(MappedFile::open(Path::new("/nonexistent/exsample-persist")).is_err());
     }
 }

@@ -1,4 +1,5 @@
-//! LEB128 variable-length integers — the column compression primitive.
+//! LEB128 variable-length integers — the container's column compression
+//! primitive.
 //!
 //! Frame-id columns store the first frame absolute and every subsequent
 //! frame as a delta (strictly positive, since a group's frames are sorted
@@ -7,8 +8,7 @@
 //! round-trips **bitwise** (NaN payloads included), which keeps persisted
 //! detections byte-identical to what the detector produced.
 
-/// Maximum encoded length of a `u64` (10 × 7 bits ≥ 64 bits).
-pub const MAX_VARINT_LEN: usize = 10;
+use crate::codec::CodecError;
 
 /// Append `v` to `out` in LEB128 (little-endian base-128) encoding.
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
@@ -23,31 +23,19 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Decode failure inside a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VarintError(pub &'static str);
-
-impl std::fmt::Display for VarintError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed varint: {}", self.0)
-    }
-}
-
-impl std::error::Error for VarintError {}
-
 /// Read one LEB128 `u64` from `data` starting at `*pos`, advancing `*pos`
-/// past it. Rejects truncation and encodings longer than
-/// [`MAX_VARINT_LEN`] (which would silently wrap).
-pub fn get_u64(data: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
+/// past it. Rejects truncation and encodings longer than the ten bytes
+/// (10 × 7 bits ≥ 64 bits) a `u64` needs, which would silently wrap.
+pub fn get_u64(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
         let Some(&byte) = data.get(*pos) else {
-            return Err(VarintError("truncated"));
+            return Err(CodecError("truncated varint"));
         };
         *pos += 1;
         if shift == 63 && byte > 1 {
-            return Err(VarintError("overflows u64"));
+            return Err(CodecError("varint overflows u64"));
         }
         v |= u64::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
@@ -55,7 +43,7 @@ pub fn get_u64(data: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
         }
         shift += 7;
         if shift > 63 {
-            return Err(VarintError("overflows u64"));
+            return Err(CodecError("varint overflows u64"));
         }
     }
 }
@@ -80,7 +68,7 @@ mod tests {
         assert_eq!(round_trip(128), 2);
         assert_eq!(round_trip(16_383), 2);
         assert_eq!(round_trip(16_384), 3);
-        assert_eq!(round_trip(u64::MAX), MAX_VARINT_LEN);
+        assert_eq!(round_trip(u64::MAX), 10);
         for shift in 0..64 {
             round_trip(1u64 << shift);
             round_trip((1u64 << shift).wrapping_sub(1));

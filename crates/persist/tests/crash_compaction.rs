@@ -3,10 +3,10 @@
 //! readable garbage, and let the next clean compaction converge to the
 //! exact same container with no loss and no duplicates.
 
-use exsample_colstore::{
+use exsample_detect::Detection;
+use exsample_persist::container::{
     compact, compact_with_kill, container_path, sweep_orphans, ColumnarStore, KillPoint, TMP_SUFFIX,
 };
-use exsample_detect::Detection;
 use exsample_persist::{scan_detections, sealed_segments, DetectionLog, PersistConfig};
 use exsample_videosim::{BBox, ClassId, InstanceId};
 use std::collections::BTreeMap;

@@ -7,7 +7,7 @@
 //!   once when received;
 //! * [`crate::framing`] — every log / snapshot / catalog record, once on
 //!   `write_record` and once on `next_record`;
-//! * `exsample_colstore::format` — the sealed header, the chunk index,
+//! * `exsample_persist::container` — the sealed header, the chunk index,
 //!   the data section and every chunk group;
 //! * [`crate::format`] — every GOP, when the writer seals it and on a
 //!   reader's first touch.

@@ -16,9 +16,9 @@
 //!
 //! The format parameter `F` of [`Le`] is a marker type owned by the
 //! crate that owns the format (`Wire` in `exsample-proto`, a `Disk` in
-//! each storage crate). The orphan rule then lets that crate declare
-//! layouts for types it does not own, and one type may be laid out
-//! differently in different formats.
+//! `exsample-store`'s framing and one in `exsample-persist`). The orphan
+//! rule then lets that crate declare layouts for types it does not own,
+//! and one type may be laid out differently in different formats.
 
 use std::borrow::Cow;
 

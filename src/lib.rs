@@ -16,22 +16,17 @@
 //! * [`detect`] — simulated object detector with a noise model, the
 //!   SORT-style IoU tracking discriminator, and the BlazeIt-style proxy
 //!   scorer.
-//! * [`baselines`] — random, random+, sequential, and proxy-ordered
-//!   policies.
-//! * [`optimal`] — the Eq. IV.1 optimal static chunk-weight solver and
-//!   skew diagnostics.
 //! * [`engine`] — the multi-query serving layer: concurrent search
 //!   sessions over shared repositories, a shared detection cache, and a
 //!   cost-aware scheduler arbitrating the detector budget.
 //! * [`persist`] — the durable detection store: an append-only,
-//!   CRC-checked detection log plus belief snapshots, so a restarted
-//!   engine answers previously-detected frames without re-running the
-//!   detector and new queries warm-start from persisted chunk beliefs.
-//! * [`colstore`] — the compacted form of that store: an immutable,
-//!   memory-mapped columnar container with varint-delta columns and a
-//!   per-chunk temporal index, rewritten from sealed log segments by a
-//!   crash-safe compactor, so warm starts read only the chunks a query
-//!   touches instead of replaying the whole log.
+//!   CRC-checked detection log, compacted by a crash-safe compactor into
+//!   an immutable, memory-mapped columnar container (varint-delta
+//!   columns, a per-chunk temporal index), plus belief snapshots — so a
+//!   restarted engine answers previously-detected frames without
+//!   re-running the detector, reading only the chunks a query touches,
+//!   and new queries warm-start from persisted chunk beliefs.
+//!   [`colstore`] names its container module.
 //! * [`proto`] — the serving layer's wire protocol: a versioned,
 //!   length-prefixed binary framing with a remote `SearchService` client
 //!   and a server multiplexing many connections over one engine, so the
@@ -53,7 +48,10 @@
 //!   of recent structured events, and a Prometheus-style text
 //!   exposition.
 //! * [`experiments`] — runners that regenerate every table and figure of
-//!   the paper's evaluation, on the library crates alone.
+//!   the paper's evaluation, on the library crates alone, with the
+//!   comparison points they need: [`baselines`] (random, random+,
+//!   sequential and proxy-ordered policies) and [`optimal`] (the Eq. IV.1
+//!   optimal static chunk-weight solver and skew diagnostics).
 //!
 //! ## Quick start
 //!
@@ -90,16 +88,15 @@
 //! assert!(trace.found() >= 20);
 //! ```
 
-pub use exsample_baselines as baselines;
 pub use exsample_cluster as cluster;
-pub use exsample_colstore as colstore;
 pub use exsample_core as core;
 pub use exsample_detect as detect;
 pub use exsample_engine as engine;
 pub use exsample_experiments as experiments;
+pub use exsample_experiments::{baselines, optimal};
 pub use exsample_obs as obs;
-pub use exsample_optimal as optimal;
 pub use exsample_persist as persist;
+pub use exsample_persist::container as colstore;
 pub use exsample_proto as proto;
 pub use exsample_serve as serve;
 pub use exsample_stats as stats;
