@@ -86,7 +86,8 @@ pub(super) struct PersistShared {
     /// plus the leftover pass.
     detections_load: LoadStats,
     /// The mapped columnar container, when a valid one exists. Shared
-    /// (`Arc`) so every worker reads the same mapping zero-copy.
+    /// (`Arc`) so every worker reads the same mapping and the same
+    /// decoded groups.
     container: Option<Arc<ColumnarStore>>,
     /// 1 when a container file existed but was rejected at startup.
     container_skipped: u64,
@@ -190,9 +191,10 @@ impl PersistShared {
     }
 
     /// The mapped container's copy of `(repo, frame)`, if it holds one —
-    /// counted as a container hit.
+    /// counted as a container hit. The one copy a warm hit makes: the
+    /// decoded group's slice into the cache fill.
     pub(super) fn warm(&self, repo: RepoId, frame: u64) -> Option<Vec<Detection>> {
-        let dets = self.container.as_ref()?.get(repo.0, frame)?;
+        let dets = self.container.as_ref()?.get(repo.0, frame)?.to_vec();
         self.container_hits.fetch_add(1, Ordering::Relaxed);
         Some(dets)
     }

@@ -122,6 +122,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     }
 
     rules::retired::check(&tree, &mut report);
+    rules::retired::stale_allows(&tree, &mut report);
     rules::budget::check(&tree, &mut report);
     report
         .findings

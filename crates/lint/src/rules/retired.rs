@@ -11,7 +11,10 @@
 //! stands for any run of word characters.
 //!
 //! No inline `lint: allow` excuses a site: an exemption is an `allow`
-//! entry with its reason, so it shows up in review as a table edit.
+//! entry with its reason, so it shows up in review as a table edit. An
+//! entry beneath which no file spells any of its row's spellings excuses
+//! nothing and is itself a finding ([`stale_allows`]), so an exemption
+//! does not outlive its reason.
 
 use crate::source::{test_module_files, SourceFile};
 use crate::Report;
@@ -117,7 +120,6 @@ pub const RETIREMENTS: &[Retirement] = &[
             ("crates/obs/src/hist.rs", "obs is dependency-free by design"),
             ("crates/proto/src/framebuf.rs", "patches the 8-byte frame header in place"),
             ("crates/store/src/crc.rs", "not a record codec: the CRC table"),
-            ("crates/persist/src/varint.rs", "not a record codec: LEB128"),
             ("crates/stats/src/*.rs", "not a record codec: hashing"),
         ],
         why: "declare a byte layout with exsample_store::le's le_record!/le_enum!",
@@ -208,6 +210,40 @@ pub fn check(files: &[(String, String)], report: &mut Report) {
             }
         }
     }
+}
+
+/// Flag every `allow` entry beneath which no file of `files` spells any
+/// of its row's spellings, at the entry's line in the table.
+pub fn stale_allows(files: &[(String, String)], report: &mut Report) {
+    let table = files.iter().find(|(p, _)| p == TABLE).map(|(_, t)| t);
+    for row in RETIREMENTS {
+        for (allowed, _) in row.allow {
+            let excuses = files
+                .iter()
+                .any(|(path, text)| under(allowed, path) && spells(text, row));
+            if excuses {
+                continue;
+            }
+            let quoted = format!("\"{allowed}\"");
+            let line = table
+                .and_then(|t| t.lines().position(|l| l.contains(&quoted)))
+                .map_or(1, |i| i as u32 + 1);
+            let message = format!(
+                "`allow` entry `{allowed}` of {} excuses nothing: no file beneath it spells `{}`",
+                row.name, row.spellings
+            );
+            report.flag(false, TABLE, line, RETIRED, message);
+        }
+    }
+}
+
+/// Does `text` spell any of `row`'s spellings?
+fn spells(text: &str, row: &Retirement) -> bool {
+    let toks = tokens(text, false);
+    row.spellings.split('|').any(|spelling| {
+        let pat = tokens(spelling, true);
+        (0..toks.len()).any(|i| matches(&toks[i..], &pat))
+    })
 }
 
 fn is_word(c: char) -> bool {

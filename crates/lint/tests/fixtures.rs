@@ -472,6 +472,63 @@ fn retired_stays_quiet_where_a_row_exempts_and_on_near_misses() {
     }
 }
 
+/// One file at every `allow` entry of the table (`*` → `x`; a directory
+/// entry gets `planted.rs` beneath it), each spelling its row's first
+/// spelling, plus the table itself.
+fn allow_tree() -> Vec<(String, String)> {
+    let table = include_str!("../src/rules/retired.rs").to_string();
+    let mut tree = vec![("crates/lint/src/rules/retired.rs".to_string(), table)];
+    for row in RETIREMENTS {
+        let spelling = row.spellings.split('|').next().expect("a spelling");
+        for (allowed, _) in row.allow {
+            let mut path = allowed.replace('*', "x");
+            if !path.contains('.') {
+                path.push_str("/planted.rs");
+            }
+            tree.push((path, format!("fn f() {{\n    {}\n}}\n", instance(spelling))));
+        }
+    }
+    tree
+}
+
+#[test]
+fn retired_flags_an_allow_entry_that_excuses_nothing() {
+    let stale = |tree: &[(String, String)]| {
+        let mut report = Report::default();
+        retired::stale_allows(tree, &mut report);
+        report.findings
+    };
+    let tree = allow_tree();
+    assert!(tree.len() > 1, "the table lost its allow entries");
+    assert_eq!(stale(&tree), vec![], "every entry is needed");
+    let table = &tree[0].1;
+    let entries = RETIREMENTS
+        .iter()
+        .flat_map(|r| r.allow.iter().map(|(a, _)| (r.name, *a)));
+    for (k, (row, allowed)) in (1..tree.len()).zip(entries) {
+        let (path, _) = &tree[k];
+        // The file is gone, or it spells only a near miss: either way the
+        // entry excuses nothing.
+        let mut without = tree.clone();
+        without.remove(k);
+        let mut near_miss = tree.clone();
+        near_miss[k].1 = "fn f() { le_bytes(); Cursor; }\n".to_string();
+        for case in [without, near_miss] {
+            let found = stale(&case);
+            assert_eq!(found.len(), 1, "{path}: {found:?}");
+            let entry = &found[0];
+            assert_eq!(entry.rule, retired::RETIRED);
+            assert_eq!(entry.file, "crates/lint/src/rules/retired.rs");
+            let line = table
+                .lines()
+                .nth(entry.line as usize - 1)
+                .expect("a table line");
+            assert!(line.contains(&format!("\"{allowed}\"")), "{entry}: {line}");
+            assert!(entry.message.contains(row), "{entry}");
+        }
+    }
+}
+
 // ---- budget ----
 
 fn budget_run(files: &[(String, String)]) -> Vec<Finding> {

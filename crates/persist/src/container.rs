@@ -51,10 +51,9 @@ use exsample_store::crc::crc32;
 use exsample_store::le::{Le, Reader};
 use exsample_store::le_record;
 use exsample_videosim::{BBox, ClassId, InstanceId};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 mod compact;
 
@@ -189,7 +188,7 @@ impl std::error::Error for OpenError {}
 /// Encode the columns of one `(repo, chunk)` group. `frames` must be
 /// sorted by frame id, strictly increasing, and non-empty. Returns the
 /// summary the chunk index records.
-pub fn encode_group(frames: &[(u64, Vec<Detection>)], out: &mut Vec<u8>) -> GroupSummary {
+pub fn encode_group<D: AsRef<[Detection]>>(frames: &[(u64, D)], out: &mut Vec<u8>) -> GroupSummary {
     debug_assert!(!frames.is_empty(), "groups are never empty");
     debug_assert!(frames.windows(2).all(|w| w[0].0 < w[1].0));
     let mut frames_col = Vec::new();
@@ -201,6 +200,7 @@ pub fn encode_group(frames: &[(u64, Vec<Detection>)], out: &mut Vec<u8>) -> Grou
     let mut score_sum = 0.0f64;
     let mut prev = 0u64;
     for (i, (frame, dets)) in frames.iter().enumerate() {
+        let dets = dets.as_ref();
         put_u64(&mut frames_col, if i == 0 { *frame } else { frame - prev });
         prev = *frame;
         put_u64(&mut counts_col, dets.len() as u64);
@@ -255,11 +255,14 @@ pub struct GroupSummary {
 }
 
 /// The decoded columns of one group: sorted frame ids plus each frame's
-/// detections, reassembled bit-identically to what was encoded.
+/// detections, reassembled bit-identically to what was encoded. The
+/// detections of all frames sit in one buffer; frame `i`'s run ends at
+/// `ends[i]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedGroup {
     frames: Vec<u64>,
-    dets: Vec<Vec<Detection>>,
+    ends: Vec<usize>,
+    dets: Vec<Detection>,
 }
 
 impl DecodedGroup {
@@ -268,18 +271,24 @@ impl DecodedGroup {
         &self.frames
     }
 
+    /// Detections of the `i`-th frame.
+    fn at(&self, i: usize) -> &[Detection] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.dets[start..self.ends[i]]
+    }
+
     /// Detections of `frame`, if recorded (binary search).
     pub fn get(&self, frame: u64) -> Option<&[Detection]> {
         let i = self.frames.binary_search(&frame).ok()?;
-        Some(&self.dets[i])
+        Some(self.at(i))
     }
 
     /// Iterate `(frame, detections)` in frame order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[Detection])> {
         self.frames
             .iter()
-            .zip(&self.dets)
-            .map(|(f, d)| (*f, d.as_slice()))
+            .enumerate()
+            .map(|(i, f)| (*f, self.at(i)))
     }
 }
 
@@ -329,13 +338,15 @@ pub fn decode_group(data: &[u8]) -> Result<DecodedGroup, &'static str> {
         return Err("trailing bytes in frame column");
     }
 
-    let mut counts = Vec::with_capacity(n_frames);
+    let mut ends = Vec::with_capacity(n_frames);
     let mut cpos = 0usize;
     let mut total = 0u64;
     for _ in 0..n_frames {
         let c = get_u64(counts_col, &mut cpos).map_err(bad)?;
-        total += c;
-        counts.push(c as usize);
+        // Checked: a wrapped sum could still meet `n_dets` below with
+        // the ends out of order, and `DecodedGroup::at` slices by them.
+        total = total.checked_add(c).ok_or("count column overflow")?;
+        ends.push(total as usize);
     }
     if cpos != counts_col.len() {
         return Err("trailing bytes in count column");
@@ -346,21 +357,17 @@ pub fn decode_group(data: &[u8]) -> Result<DecodedGroup, &'static str> {
 
     let mut spos = 0usize;
     let mut boxes = Reader::new(boxes_col);
-    let mut dets = Vec::with_capacity(n_frames);
-    for &count in &counts {
-        let mut frame_dets = Vec::with_capacity(count);
-        for _ in 0..count {
-            let score_bits = get_u64(scores_col, &mut spos).map_err(bad)?;
-            let score_bits = u32::try_from(score_bits).map_err(|_| "score bits exceed f32")?;
-            let row = BoxRow::get(&mut boxes).map_err(|_| "bad box column row")?;
-            frame_dets.push(Detection {
-                bbox: row.bbox,
-                class: row.class,
-                score: f32::from_bits(score_bits),
-                truth: row.truth,
-            });
-        }
-        dets.push(frame_dets);
+    let mut dets = Vec::with_capacity(n_dets);
+    for _ in 0..n_dets {
+        let score_bits = get_u64(scores_col, &mut spos).map_err(bad)?;
+        let score_bits = u32::try_from(score_bits).map_err(|_| "score bits exceed f32")?;
+        let row = BoxRow::get(&mut boxes).map_err(|_| "bad box column row")?;
+        dets.push(Detection {
+            bbox: row.bbox,
+            class: row.class,
+            score: f32::from_bits(score_bits),
+            truth: row.truth,
+        });
     }
     if spos != scores_col.len() {
         return Err("trailing bytes in score column");
@@ -368,56 +375,51 @@ pub fn decode_group(data: &[u8]) -> Result<DecodedGroup, &'static str> {
     if boxes.finish().is_err() {
         return Err("trailing bytes in box column");
     }
-    Ok(DecodedGroup { frames, dets })
+    Ok(DecodedGroup { frames, ends, dets })
 }
 
 /// Serialize a full container from merged `(repo, frame) → detections`
-/// records. Frames group into temporal chunks of `chunk_frames`; groups
-/// are laid out `(repo, chunk)`-sorted.
+/// records, which must arrive `(repo, frame)`-sorted with each key once
+/// (a `BTreeMap`'s iteration order, or the compactor's sorted list).
+/// Frames group into temporal chunks of `chunk_frames`; groups are laid
+/// out `(repo, chunk)`-sorted. The detections are only borrowed.
 ///
-/// Fails (with a diagnostic, never a panic) only on pathological shapes:
-/// a chunk id or per-group count that does not fit the index's `u32`
-/// fields.
-pub fn build_container(
-    records: &BTreeMap<(u32, u64), Vec<Detection>>,
+/// Fails (with a diagnostic, never a panic) on unsorted or repeated keys
+/// and on pathological shapes: a chunk id or per-group count that does
+/// not fit the index's `u32` fields.
+pub fn build_container<'a, D: AsRef<[Detection]>>(
+    records: impl IntoIterator<Item = (&'a (u32, u64), D)>,
     fingerprint: u64,
     chunk_frames: u64,
 ) -> Result<Vec<u8>, &'static str> {
     let chunk_frames = chunk_frames.max(1);
-    // Group in key order: BTreeMap iteration is (repo, frame)-sorted, so
-    // chunks emerge already sorted and each group's frames ascend.
-    type GroupBuf = Vec<(u64, Vec<Detection>)>;
-    let mut groups: Vec<(u32, u32, GroupBuf)> = Vec::new();
-    for ((repo, frame), dets) in records {
-        let chunk = u32::try_from(frame / chunk_frames).map_err(|_| "chunk id exceeds u32")?;
-        match groups.last_mut() {
-            Some((r, c, g)) if *r == *repo && *c == chunk => g.push((*frame, dets.clone())),
-            _ => groups.push((*repo, chunk, vec![(*frame, dets.clone())])),
-        }
-    }
     let mut data = Vec::new();
-    let mut index = Vec::with_capacity(groups.len() * INDEX_ENTRY_LEN);
-    let n_groups = u32::try_from(groups.len()).map_err(|_| "group count exceeds u32")?;
-    for (repo, chunk, frames) in &groups {
-        let off = data.len() as u64;
-        let mut group = Vec::new();
-        let summary = encode_group(frames, &mut group);
-        let entry = IndexEntry {
-            repo: *repo,
-            chunk: *chunk,
-            off,
-            len: group.len() as u64,
-            crc: crc32(&group),
-            frames: u32::try_from(summary.frames).map_err(|_| "group frames exceed u32")?,
-            dets: u32::try_from(summary.dets).map_err(|_| "group detections exceed u32")?,
-            min_frame: summary.min_frame,
-            max_frame: summary.max_frame,
-            max_score: summary.max_score,
-            score_sum: summary.score_sum,
-        };
-        entry.put(&mut index);
-        data.extend_from_slice(&group);
+    let mut index = Vec::new();
+    // One group's frames at a time: sorted records close each
+    // `(repo, chunk)` group before the next one opens.
+    let mut group: Vec<(u64, D)> = Vec::new();
+    let mut open: Option<(u32, u32)> = None;
+    let mut last: Option<(u32, u64)> = None;
+    for (&(repo, frame), dets) in records {
+        if last.is_some_and(|key| key >= (repo, frame)) {
+            return Err("records not strictly (repo, frame)-sorted");
+        }
+        last = Some((repo, frame));
+        let chunk = u32::try_from(frame / chunk_frames).map_err(|_| "chunk id exceeds u32")?;
+        if open != Some((repo, chunk)) {
+            if let Some((repo, chunk)) = open {
+                put_group(repo, chunk, &group, &mut data, &mut index)?;
+            }
+            group.clear();
+            open = Some((repo, chunk));
+        }
+        group.push((frame, dets));
     }
+    if let Some((repo, chunk)) = open {
+        put_group(repo, chunk, &group, &mut data, &mut index)?;
+    }
+    let n_groups =
+        u32::try_from(index.len() / INDEX_ENTRY_LEN).map_err(|_| "group count exceeds u32")?;
     let index_off = HEADER_LEN as u64;
     let mut out = Vec::with_capacity(HEADER_LEN + index.len() + data.len());
     Header {
@@ -445,22 +447,44 @@ pub fn build_container(
     Ok(out)
 }
 
-/// State of one lazily-decoded group in the reader.
-enum GroupState {
-    /// Decoded and CRC-verified.
-    Ready(std::sync::Arc<DecodedGroup>),
-    /// CRC or decode failure: the chunk is dead (counted), reads miss.
-    Damaged,
+/// Append one group's columns to `data` and its entry to `index`.
+fn put_group<D: AsRef<[Detection]>>(
+    repo: u32,
+    chunk: u32,
+    frames: &[(u64, D)],
+    data: &mut Vec<u8>,
+    index: &mut Vec<u8>,
+) -> Result<(), &'static str> {
+    let off = data.len();
+    let summary = encode_group(frames, data);
+    let group = &data[off..];
+    IndexEntry {
+        repo,
+        chunk,
+        off: off as u64,
+        len: group.len() as u64,
+        crc: crc32(group),
+        frames: u32::try_from(summary.frames).map_err(|_| "group frames exceed u32")?,
+        dets: u32::try_from(summary.dets).map_err(|_| "group detections exceed u32")?,
+        min_frame: summary.min_frame,
+        max_frame: summary.max_frame,
+        max_score: summary.max_score,
+        score_sum: summary.score_sum,
+    }
+    .put(index);
+    Ok(())
 }
 
 /// The memory-mapped reader over a compacted container.
 ///
 /// Opening validates the header and the chunk index (both CRC-checked) —
-/// the only bytes read eagerly. Column groups are decoded on first touch,
-/// CRC-verified, and cached; a damaged group is counted and reads of its
-/// chunk return `None` (a cache miss, never an error). The mapping is
-/// `Sync`: many engines on one host can share one `Arc<ColumnarStore>`,
-/// or map the same file independently and share pages through the OS.
+/// the only bytes read eagerly. Each column group is CRC-verified and
+/// decoded once, by whichever reader touches it first (concurrent first
+/// readers wait for that one decode); later reads of it take no lock. A
+/// damaged group is counted and reads of its chunk return `None` (a
+/// cache miss, never an error). The store is `Sync`: many engines on one
+/// host can share one `Arc<ColumnarStore>`, or map the same file
+/// independently and share pages through the OS.
 pub struct ColumnarStore {
     map: MappedFile,
     fingerprint: u64,
@@ -471,8 +495,9 @@ pub struct ColumnarStore {
     index: Vec<IndexEntry>,
     /// `(repo, chunk) → index position`.
     lookup: FxHashMap<(u32, u32), usize>,
-    /// Lazily decoded groups by index position.
-    groups: Mutex<FxHashMap<usize, GroupState>>,
+    /// Lazily decoded groups, one slot per index position; `None` once
+    /// the group failed its CRC or decode.
+    groups: Box<[OnceLock<Option<DecodedGroup>>]>,
     /// Bytes actually consulted: header + index at open, plus each
     /// touched group once — the "I/O actually paid" a warm start reads.
     bytes_touched: AtomicU64,
@@ -565,7 +590,7 @@ impl ColumnarStore {
             data_crc,
             index,
             lookup,
-            groups: Mutex::new(FxHashMap::default()),
+            groups: (0..n_groups).map(|_| OnceLock::new()).collect(),
             bytes_touched: AtomicU64::new((HEADER_LEN + index_len) as u64),
             damaged_groups: AtomicU64::new(0),
             map,
@@ -621,57 +646,44 @@ impl ColumnarStore {
         entries
     }
 
-    fn group(&self, pos: usize) -> Option<std::sync::Arc<DecodedGroup>> {
-        {
-            let groups = self.groups.lock().expect("group cache poisoned");
-            match groups.get(&pos) {
-                Some(GroupState::Ready(g)) => return Some(g.clone()),
-                Some(GroupState::Damaged) => return None,
-                None => {}
-            }
-        }
-        // Decode outside the cache lock: group decode is the expensive
-        // part and must not serialize readers of other chunks. A racing
-        // decode of the same group is harmless (identical result).
-        let entry = &self.index[pos];
-        let start = self.data_off + entry.off as usize;
-        let bytes = &self.map[start..start + entry.len as usize];
-        self.bytes_touched.fetch_add(entry.len, Ordering::Relaxed);
-        let decoded = if crc32(bytes) != entry.crc {
-            Err("group checksum mismatch")
-        } else {
-            decode_group(bytes)
-        };
-        let state = match decoded {
-            Ok(group) => GroupState::Ready(std::sync::Arc::new(group)),
-            Err(why) => {
-                self.damaged_groups.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "exsample-persist: chunk (repo {}, chunk {}) unusable: {why}",
-                    entry.repo, entry.chunk
-                );
-                GroupState::Damaged
-            }
-        };
-        let mut groups = self.groups.lock().expect("group cache poisoned");
-        let state = groups.entry(pos).or_insert(state);
-        match state {
-            GroupState::Ready(g) => Some(g.clone()),
-            GroupState::Damaged => None,
-        }
+    /// The decoded group at index position `pos`, decoding it (and
+    /// counting its bytes, or its damage) on the first touch only.
+    fn group(&self, pos: usize) -> Option<&DecodedGroup> {
+        self.groups[pos]
+            .get_or_init(|| {
+                let entry = &self.index[pos];
+                let start = self.data_off + entry.off as usize;
+                let bytes = &self.map[start..start + entry.len as usize];
+                self.bytes_touched.fetch_add(entry.len, Ordering::Relaxed);
+                let decoded = if crc32(bytes) != entry.crc {
+                    Err("group checksum mismatch")
+                } else {
+                    decode_group(bytes)
+                };
+                decoded
+                    .inspect_err(|why| {
+                        self.damaged_groups.fetch_add(1, Ordering::Relaxed);
+                        eprintln!(
+                            "exsample-persist: chunk (repo {}, chunk {}) unusable: {why}",
+                            entry.repo, entry.chunk
+                        );
+                    })
+                    .ok()
+            })
+            .as_ref()
     }
 
     /// Detections of `(repo, frame)`, if recorded. Touches (decodes and
-    /// CRC-verifies) only the frame's chunk group; `None` on any miss —
-    /// unknown chunk, unrecorded frame, or damaged group.
-    pub fn get(&self, repo: u32, frame: u64) -> Option<Vec<Detection>> {
+    /// CRC-verifies) only the frame's chunk group, once; `None` on any
+    /// miss — unknown chunk, unrecorded frame, or damaged group.
+    pub fn get(&self, repo: u32, frame: u64) -> Option<&[Detection]> {
         let chunk = u32::try_from(frame / self.chunk_frames).ok()?;
         let &pos = self.lookup.get(&(repo, chunk))?;
         let entry = &self.index[pos];
         if frame < entry.min_frame || frame > entry.max_frame {
             return None;
         }
-        self.group(pos)?.get(frame).map(<[_]>::to_vec)
+        self.group(pos)?.get(frame)
     }
 
     /// Visit every recorded `(repo, frame, detections)` in `(repo,

@@ -8,11 +8,13 @@
 //! 1. sweep orphaned `*.xsc.tmp` files (a previous crash mid-write);
 //! 2. list sealed segments (the log writer never appends to an existing
 //!    file, so everything on disk before our log opens is immutable) and
-//!    merge every matching segment's records, keyed by `(repo, frame)` —
-//!    nothing matched means nothing to do, and the run ends here;
-//! 3. carry the prior same-fingerprint container forward into the same
-//!    keyed merge — duplicates collapse (first write wins; detections are
-//!    deterministic per fingerprint, so any copy is the same bytes);
+//!    collect every matching segment's records, in segment order, into
+//!    one flat list — nothing matched means nothing to do, and the run
+//!    ends here;
+//! 3. append the prior same-fingerprint container's records to the same
+//!    list, then merge by one stable sort on `(repo, frame)` and a dedup
+//!    that keeps each key's first entry — first write wins (detections
+//!    are deterministic per fingerprint, so any copy is the same bytes);
 //! 4. write `detections.xsc.tmp`, `fsync` it;
 //! 5. *verify*: re-open the temp file through the real reader and run the
 //!    eager full-container check ([`ColumnarStore::verify`]);
@@ -24,8 +26,8 @@
 //! A crash at any point leaves a readable state: before the rename the old
 //! container (if any) plus the full log; after the rename but before the
 //! cleanup, the new container plus segments it already contains —
-//! duplicates that the keyed merge and the engine's first-fill-wins cache
-//! both collapse. Segments with a *different* fingerprint are never
+//! duplicates that the merge and the engine's first-fill-wins cache both
+//! collapse. Segments with a *different* fingerprint are never
 //! folded and never deleted.
 //!
 //! [`KillPoint`] injects a simulated crash at each boundary for tests; the
@@ -34,7 +36,6 @@
 use super::{build_container, ColumnarStore, OpenError, CONTAINER_NAME, TMP_SUFFIX};
 use crate::log::{scan_segment_file, sealed_segments, SegmentOutcome};
 use exsample_detect::Detection;
-use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -147,6 +148,37 @@ pub fn sweep_orphans(dir: &Path) -> std::io::Result<u64> {
     Ok(swept)
 }
 
+/// The records of one compaction, in arrival order until [`Merge::settle`]:
+/// each `(repo, frame)` key with the range of its detections in one flat
+/// buffer, so no record owns an allocation of its own.
+#[derive(Default)]
+struct Merge {
+    keys: Vec<((u32, u64), usize, usize)>,
+    dets: Vec<Detection>,
+}
+
+impl Merge {
+    fn push(&mut self, key: (u32, u64), dets: &[Detection]) {
+        self.keys.push((key, self.dets.len(), dets.len()));
+        self.dets.extend_from_slice(dets);
+    }
+
+    /// Sort by key and keep each key's first arrival. The sort is stable,
+    /// so among equal keys arrival order survives and the dedup keeps the
+    /// first write: segments in order, then the prior container.
+    fn settle(&mut self) {
+        self.keys.sort_by_key(|&(key, _, _)| key);
+        self.keys.dedup_by_key(|&mut (key, _, _)| key);
+    }
+
+    /// The settled records, as [`build_container`] takes them.
+    fn records(&self) -> impl Iterator<Item = (&(u32, u64), &[Detection])> {
+        self.keys
+            .iter()
+            .map(|(key, start, len)| (key, &self.dets[*start..*start + *len]))
+    }
+}
+
 /// Compact `dir`: fold every sealed segment matching `fingerprint` (plus
 /// the prior container, if usable) into a fresh container, then delete
 /// the folded segments. No-op (`rewritten: false`) when there is nothing
@@ -174,11 +206,11 @@ pub fn compact_with_kill(
     // Fold matching segments. A segment is deletable once its surviving
     // records are merged — a damaged tail holds nothing any reader would
     // ever serve. Foreign-fingerprint segments are left alone entirely.
-    let mut merged: BTreeMap<(u32, u64), Vec<Detection>> = BTreeMap::new();
+    let mut merged = Merge::default();
     let mut deletable: Vec<PathBuf> = Vec::new();
     for (_, path) in sealed_segments(dir)? {
         let outcome = match scan_segment_file(&path, fingerprint, |rec| {
-            merged.entry((rec.repo, rec.frame)).or_insert(rec.dets);
+            merged.push((rec.repo, rec.frame), &rec.dets);
         }) {
             Ok(outcome) => outcome,
             Err(e) => {
@@ -219,7 +251,7 @@ pub fn compact_with_kill(
         Ok(prior) => {
             let skipped = prior.for_each_frame(|repo, frame, dets| {
                 report.carried_frames += 1;
-                merged.entry((repo, frame)).or_insert_with(|| dets.to_vec());
+                merged.push((repo, frame), dets);
             });
             if skipped > 0 {
                 eprintln!(
@@ -231,8 +263,10 @@ pub fn compact_with_kill(
         Err(e) => eprintln!("exsample-persist: prior container unusable ({e}); will replace"),
     }
 
-    let bytes = build_container(&merged, fingerprint, chunk_frames).map_err(CompactError::Build)?;
-    report.frames = merged.len() as u64;
+    merged.settle();
+    let bytes = build_container(merged.records(), fingerprint, chunk_frames)
+        .map_err(CompactError::Build)?;
+    report.frames = merged.keys.len() as u64;
     report.container_bytes = bytes.len() as u64;
 
     // Write + fsync the temp file.

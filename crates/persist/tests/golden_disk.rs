@@ -266,7 +266,7 @@ fn container_of_two_groups() {
         let got = store.get(repo, frame).expect("recorded frame");
         assert_eq!(format!("{got:?}"), format!("{dets:?}"));
         let bits = |d: &[Detection]| -> Vec<u32> { d.iter().map(|d| d.score.to_bits()).collect() };
-        assert_eq!(bits(&got), bits(&dets));
+        assert_eq!(bits(got), bits(&dets));
     }
     let [first] = store.chunk_summaries(0)[..] else {
         panic!("repo 0 has one group");

@@ -3,7 +3,7 @@
 //! columns (NaN score bit patterns included), full-container
 //! build→open→read identity, and detection (never silent acceptance) of
 //! truncation and single-byte corruption anywhere in a log segment or a
-//! container.
+//! container, and compaction's merge against a first-write-wins map.
 
 use exsample_core::belief::ChunkStats;
 use exsample_detect::Detection;
@@ -11,7 +11,8 @@ use exsample_persist::codec::{
     decode_beliefs, decode_detections, encode_beliefs, encode_detections, BeliefSnapshot,
 };
 use exsample_persist::container::{
-    build_container, decode_group, encode_group, ColumnarStore, OpenError, HEADER_LEN,
+    build_container, compact, container_path, decode_group, encode_group, ColumnarStore, OpenError,
+    HEADER_LEN,
 };
 use exsample_persist::{scan_detections, DetectionLog, PersistConfig};
 use exsample_videosim::{BBox, ClassId, InstanceId};
@@ -67,6 +68,26 @@ fn make_group(frames: &[u64], words: &[u64]) -> Vec<(u64, Vec<Detection>)> {
             (f, dets)
         })
         .collect()
+}
+
+/// Append one log record per case word through a fresh [`DetectionLog`]
+/// (rolling a segment every `segment_records`), and fold the same words
+/// into `reference` first-write-wins. Keys are drawn from a small space,
+/// so a key repeats within a segment, across segments and across calls,
+/// each time with other detections.
+fn log_words(
+    cfg: &PersistConfig,
+    words: &[u64],
+    reference: &mut BTreeMap<(u32, u64), Vec<Detection>>,
+) {
+    let mut log = DetectionLog::open(cfg).expect("open log");
+    for &word in words {
+        let key = ((word % 3) as u32, (word >> 8) % 24);
+        let dets: Vec<Detection> = (0..(word >> 4) % 3).map(|k| make_det(word ^ k)).collect();
+        log.append(key.0, key.1, &dets);
+        reference.entry(key).or_insert(dets);
+    }
+    assert_eq!(log.write_errors(), 0);
 }
 
 fn unique_tmp_dir() -> std::path::PathBuf {
@@ -264,7 +285,7 @@ proptest! {
         prop_assert_eq!(store.bytes_touched(), one_group);
         for ((repo, frame), dets) in &records {
             let got = store.get(*repo, *frame).expect("recorded frame");
-            prop_assert!(same_dets(&got, dets), "container altered a detection");
+            prop_assert!(same_dets(got, dets), "container altered a detection");
         }
         // Unrecorded neighbours miss rather than alias.
         let probes: Vec<(u32, u64)> = records.keys().take(8).copied().collect();
@@ -303,7 +324,7 @@ proptest! {
                 let mut served = 0u64;
                 for ((repo, frame), dets) in &records {
                     if let Some(got) = store.get(*repo, *frame) {
-                        prop_assert!(same_dets(&got, dets));
+                        prop_assert!(same_dets(got, dets));
                         served += 1;
                     }
                 }
@@ -344,7 +365,7 @@ proptest! {
                     match store.get(*repo, *frame) {
                         None => missed += 1,
                         Some(got) => prop_assert!(
-                            same_dets(&got, dets),
+                            same_dets(got, dets),
                             "flip at {} served altered data", idx
                         ),
                     }
@@ -355,6 +376,40 @@ proptest! {
                 prop_assert!(store.verify().is_err());
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Compaction keeps each `(repo, frame)`'s first write — segments in
+    /// order, then the prior container — and writes exactly the bytes
+    /// `build_container` writes over that first-write-wins map.
+    #[test]
+    fn compaction_merge_matches_first_write_wins_reference(
+        old in prop::collection::vec(any::<u64>(), 0..40),
+        new in prop::collection::vec(any::<u64>(), 1..60),
+        segment_records in 1usize..8,
+        chunk_frames in 1u64..32,
+    ) {
+        let dir = unique_tmp_dir();
+        let cfg = PersistConfig::new(&dir).fingerprint(9).segment_records(segment_records);
+        // A prior container holding the first life's writes, if any.
+        let mut prior = BTreeMap::new();
+        if !old.is_empty() {
+            log_words(&cfg, &old, &mut prior);
+            compact(&dir, 9, chunk_frames).expect("first compaction");
+        }
+        // The second life's writes come first; the prior container only
+        // fills keys they left open.
+        let mut reference = BTreeMap::new();
+        log_words(&cfg, &new, &mut reference);
+        for (key, dets) in prior {
+            reference.entry(key).or_insert(dets);
+        }
+        let report = compact(&dir, 9, chunk_frames).expect("second compaction");
+        prop_assert!(report.rewritten);
+        prop_assert_eq!(report.frames, reference.len() as u64);
+        let written = std::fs::read(container_path(&dir)).expect("container written");
+        let expected = build_container(&reference, 9, chunk_frames).expect("build reference");
+        prop_assert!(written == expected, "compaction wrote other bytes than the reference");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
