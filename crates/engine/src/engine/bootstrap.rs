@@ -9,12 +9,9 @@ use crate::service::RepoInfo;
 use crate::session::RepoId;
 use exsample_detect::{Detection, NoiseModel, SimulatedDetector};
 use exsample_obs::{Stage, NO_SESSION};
-use exsample_persist::container::{
-    compact, container_path, ColumnarStore, CompactionReport, OpenError,
-};
+use exsample_persist::container::{container_path, fold_log, ColumnarStore, OpenError};
 use exsample_persist::{
-    dataset_fingerprint, scan_detections, BeliefStore, DetectionLog, LoadStats, PersistConfig,
-    RepoCatalog,
+    dataset_fingerprint, BeliefStore, DetectionLog, LoadStats, PersistConfig, RepoCatalog,
 };
 use exsample_videosim::GroundTruth;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,20 +21,18 @@ use std::sync::{Arc, Mutex};
 /// [`Engine::persist_stats`]). All "skipped" counters are benign: stale or
 /// damaged data costs recomputation, never correctness.
 ///
-/// The four log counters say what this start read out of log segments
-/// matching its fingerprint, *whoever read it*: what startup compaction
-/// folded into the container plus what the pass over the segments it left
-/// behind found. After a clean start that is the previous life's appends;
-/// after a start whose compaction failed it is the un-folded log, which
-/// stays on disk, is not served from, and is folded at the next clean
-/// start.
+/// The four log counters are what this start's single scan of the log —
+/// startup compaction's — read. After a clean start that is the previous
+/// life's appends, folded into the container; after a start whose
+/// compaction failed it is the un-folded log, which stays on disk, is not
+/// served from, and is folded at the next clean start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistStats {
     /// Matching detection-log segments read at startup (folded or left).
     pub segments_loaded: u64,
     /// Segments invalidated at startup (version/fingerprint mismatch,
-    /// unrecognizable header, unreadable). Compaction never touches these,
-    /// so the count comes from the leftover pass alone.
+    /// unrecognizable header, unreadable). Compaction never folds or
+    /// deletes these.
     pub segments_skipped: u64,
     /// Checksum-valid detection records read out of those segments.
     pub records_loaded: u64,
@@ -82,8 +77,7 @@ pub(super) struct PersistShared {
     /// restarted engine resolves re-registered repositories to the same
     /// ids its persisted detections and snapshots were written under.
     catalog: Mutex<RepoCatalog>,
-    /// The startup log counters of [`PersistStats`]: compaction's report
-    /// plus the leftover pass.
+    /// The startup log counters of [`PersistStats`]: compaction's scan.
     detections_load: LoadStats,
     /// The mapped columnar container, when a valid one exists. Shared
     /// (`Arc`) so every worker reads the same mapping and the same
@@ -109,20 +103,23 @@ impl PersistShared {
     pub(super) fn open(pc: &PersistConfig, obs: &EngineObs) -> Self {
         // Before the log writer exists: fold the sealed segments into
         // the container (compaction sweeps crashed leftovers itself),
-        // then map whatever container is live. Every failure here is
-        // absorbed — the log stays authoritative, the engine
+        // then map whatever container is live. The scan is the one pass
+        // over the log, and its counters and repository ids count
+        // whether or not the write that follows succeeds. Every write
+        // failure is absorbed — the log stays authoritative, the engine
         // recomputes, and the next clean start folds what this one
         // could not.
         let chunk_frames = pc.columnar.unwrap_or_default().chunk_frames;
-        let folded = {
+        let (detections_load, logged_repo) = {
             let mut span = obs.span(Stage::Compaction, NO_SESSION);
             span.set_key(chunk_frames);
-            compact(&pc.dir, pc.fingerprint, chunk_frames)
+            let fold = usable(fold_log(&pc.dir, pc.fingerprint));
+            let scanned = (fold.log, fold.max_repo);
+            if let Err(e) = fold.write(chunk_frames, None) {
+                eprintln!("exsample-engine: startup compaction failed: {e}");
+            }
+            scanned
         };
-        let folded = folded.unwrap_or_else(|e| {
-            eprintln!("exsample-engine: startup compaction failed: {e}");
-            CompactionReport::default()
-        });
         let (container, container_skipped) =
             match ColumnarStore::open(&container_path(&pc.dir), pc.fingerprint) {
                 Ok(store) => (Some(Arc::new(store)), 0),
@@ -135,17 +132,6 @@ impl PersistShared {
         let beliefs = usable(BeliefStore::open(pc));
         let mut catalog = usable(RepoCatalog::open(&pc.dir));
         let log = usable(DetectionLog::open(pc));
-        // One pass over the segments compaction left behind — foreign
-        // ones, or everything when it failed. Nothing read here enters
-        // the cache (the container is the only warm read path); the
-        // pass exists for the id reservation below and the counters.
-        let mut max_artifact_repo: Option<u32> = container.as_ref().and_then(|c| c.max_repo());
-        let mut detections_load = usable(scan_detections(&pc.dir, pc.fingerprint, |rec| {
-            max_artifact_repo = max_artifact_repo.max(Some(rec.repo));
-        }));
-        detections_load.segments_loaded += folded.segments_folded;
-        detections_load.records_loaded += folded.records_folded;
-        detections_load.damaged_tails += folded.damaged_tails;
         // Safety net for a lost or torn catalog: any id observed in a
         // surviving artifact (container, un-folded log, belief
         // snapshots) must never be *newly* assigned, or those
@@ -153,7 +139,9 @@ impl PersistShared {
         // registers in that position next. Reserved ids keep meaning
         // their original footage (when the catalog entry survived) or
         // nothing.
-        max_artifact_repo = max_artifact_repo.max(beliefs.keys().map(|key| key.0).max());
+        let max_artifact_repo = logged_repo
+            .max(container.as_ref().and_then(|c| c.max_repo()))
+            .max(beliefs.keys().map(|key| key.0).max());
         if let Some(max) = max_artifact_repo {
             catalog.reserve_past(max);
         }

@@ -155,6 +155,26 @@ pub const RETIREMENTS: &[Retirement] = &[
         why: "the container is exsample_persist::container; baselines and optimal are modules of exsample-experiments",
     },
     Retirement {
+        name: "second_log_pass",
+        pr: 44,
+        spellings: "scan_detections",
+        scope: &["crates/engine/src"],
+        kinds: &[],
+        tests_exempt: true,
+        allow: &[],
+        why: "startup compaction's scan (exsample_persist::container::fold_log) is the engine's one pass over the log",
+    },
+    Retirement {
+        name: "split_log_counters",
+        pr: 44,
+        spellings: "segments_folded|records_folded",
+        scope: &["crates", "src", "tests", "examples", "docs"],
+        kinds: &[],
+        tests_exempt: false,
+        allow: &[],
+        why: "a compaction reports what its scan read as one LoadStats (CompactionReport::log)",
+    },
+    Retirement {
         name: "fidelity_arithmetic",
         pr: 40,
         spellings: "median_samples_to|median_seconds_to|Gamma::new(",

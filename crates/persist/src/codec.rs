@@ -3,7 +3,10 @@
 //! Two payload kinds live inside [`framing`](exsample_store::framing)
 //! records (all integers little-endian, floats as IEEE-754 bit patterns).
 //! The `le_record!` field lists below *are* the layouts, both directions
-//! ([`exsample_store::le`]); this diagram is their reading aid:
+//! ([`exsample_store::le`]); a detection record is a `(repo, frame)` key
+//! and a `Vec<Detection>`, spelled out by [`encode_detections`] and
+//! [`decode_detections_into`] so a scan can decode into one buffer. This
+//! diagram is their reading aid:
 //!
 //! ```text
 //! detection record : repo u32 | frame u64 | count u32 | count × detection
@@ -19,7 +22,7 @@
 
 use exsample_core::belief::ChunkStats;
 use exsample_detect::Detection;
-use exsample_store::le::{self, Le};
+use exsample_store::le::{self, Le, Reader};
 use exsample_store::le_record;
 use exsample_videosim::{BBox, ClassId, InstanceId};
 use std::borrow::Cow;
@@ -65,15 +68,6 @@ impl BeliefSnapshot {
     }
 }
 
-/// A detection record as it is laid out: borrowed from the log's
-/// `append`, owned once decoded.
-struct DetectionRow<'a> {
-    repo: u32,
-    frame: u64,
-    dets: Cow<'a, [Detection]>,
-}
-
-le_record!(Disk: DetectionRow<'_> { repo, frame, dets });
 le_record!(Disk: Detection { bbox, class, score, truth });
 le_record!(Disk: BBox { x1, y1, x2, y2 });
 le_record!(Disk: ClassId { 0 });
@@ -82,24 +76,35 @@ le_record!(Disk: BeliefSnapshot { repo, class, stats });
 le_record!(Disk: ChunkStats { n1, n });
 
 /// Encode one frame's detections into `out` (payload only — framing is the
-/// caller's job).
+/// caller's job): the `(repo, frame)` key, then the detections as a
+/// `Vec`'s layout.
 pub fn encode_detections(repo: u32, frame: u64, dets: &[Detection], out: &mut Vec<u8>) {
-    DetectionRow {
-        repo,
-        frame,
-        dets: Cow::Borrowed(dets),
+    Le::<Disk>::put(&(repo, frame), out);
+    Le::<Disk>::put(&Cow::Borrowed(dets), out);
+}
+
+/// Decode a detection-record payload into `dets`, replacing what it
+/// held, and return its `(repo, frame)` key. A log scan decodes every
+/// record into one buffer this way.
+pub fn decode_detections_into(
+    payload: &[u8],
+    dets: &mut Vec<Detection>,
+) -> Result<(u32, u64), CodecError> {
+    let mut r = Reader::new(payload);
+    let key = Le::<Disk>::get(&mut r)?;
+    dets.clear();
+    for _ in 0..r.count(<Detection as Le<Disk>>::MIN)? {
+        dets.push(Le::<Disk>::get(&mut r)?);
     }
-    .put(out);
+    r.finish()?;
+    Ok(key)
 }
 
 /// Decode a detection-record payload.
 pub fn decode_detections(payload: &[u8]) -> Result<DetectionRecord, CodecError> {
-    let row = le::decode::<Disk, DetectionRow<'_>>(payload)?;
-    Ok(DetectionRecord {
-        repo: row.repo,
-        frame: row.frame,
-        dets: row.dets.into_owned(),
-    })
+    let mut dets = Vec::new();
+    let (repo, frame) = decode_detections_into(payload, &mut dets)?;
+    Ok(DetectionRecord { repo, frame, dets })
 }
 
 /// Encode a belief snapshot into `out` (payload only).
@@ -139,6 +144,15 @@ mod tests {
         assert_eq!(rec.repo, 3);
         assert_eq!(rec.frame, 99_999);
         assert_eq!(rec.dets, dets);
+    }
+
+    #[test]
+    fn decoding_into_a_buffer_replaces_its_contents() {
+        let mut buf = Vec::new();
+        encode_detections(4, 8, &[det(5, None)], &mut buf);
+        let mut dets = vec![det(0, Some(7)), det(1, None)];
+        assert_eq!(decode_detections_into(&buf, &mut dets), Ok((4, 8)));
+        assert_eq!(dets, vec![det(5, None)]);
     }
 
     #[test]

@@ -58,8 +58,8 @@ use std::sync::OnceLock;
 mod compact;
 
 pub use compact::{
-    compact, compact_with_kill, container_path, sweep_orphans, CompactError, CompactionReport,
-    KillPoint,
+    compact, compact_with_kill, container_path, fold_log, sweep_orphans, CompactError,
+    CompactionReport, Fold, KillPoint,
 };
 
 /// Magic of columnar containers ("eXSample Columnar Store").
@@ -646,21 +646,27 @@ impl ColumnarStore {
         entries
     }
 
+    /// CRC-check and decode the group at index position `pos`, straight
+    /// from the mapping: the one decode behind [`ColumnarStore::get`],
+    /// [`ColumnarStore::for_each_frame`] and [`ColumnarStore::verify`].
+    fn decode_at(&self, pos: usize) -> Result<DecodedGroup, &'static str> {
+        let entry = &self.index[pos];
+        let start = self.data_off + entry.off as usize;
+        let bytes = &self.map[start..start + entry.len as usize];
+        if crc32(bytes) != entry.crc {
+            return Err("group checksum mismatch");
+        }
+        decode_group(bytes)
+    }
+
     /// The decoded group at index position `pos`, decoding it (and
     /// counting its bytes, or its damage) on the first touch only.
     fn group(&self, pos: usize) -> Option<&DecodedGroup> {
         self.groups[pos]
             .get_or_init(|| {
                 let entry = &self.index[pos];
-                let start = self.data_off + entry.off as usize;
-                let bytes = &self.map[start..start + entry.len as usize];
                 self.bytes_touched.fetch_add(entry.len, Ordering::Relaxed);
-                let decoded = if crc32(bytes) != entry.crc {
-                    Err("group checksum mismatch")
-                } else {
-                    decode_group(bytes)
-                };
-                decoded
+                self.decode_at(pos)
                     .inspect_err(|why| {
                         self.damaged_groups.fetch_add(1, Ordering::Relaxed);
                         eprintln!(
@@ -688,19 +694,21 @@ impl ColumnarStore {
 
     /// Visit every recorded `(repo, frame, detections)` in `(repo,
     /// chunk, frame)` order, skipping damaged groups. Returns how many
-    /// groups were skipped. This is the compactor's carry-forward path —
-    /// per-frame readers use [`ColumnarStore::get`].
+    /// groups were skipped. This is the compactor's carry-forward path:
+    /// each group is decoded for the visit alone, outside the cache, so
+    /// nothing stays decoded behind it and neither `bytes_touched` nor
+    /// `damaged_groups` moves — per-frame readers use
+    /// [`ColumnarStore::get`].
     pub fn for_each_frame(&self, mut f: impl FnMut(u32, u64, &[Detection])) -> u64 {
         let mut skipped = 0;
-        for pos in 0..self.index.len() {
-            let repo = self.index[pos].repo;
-            match self.group(pos) {
-                Some(group) => {
+        for (pos, entry) in self.index.iter().enumerate() {
+            match self.decode_at(pos) {
+                Ok(group) => {
                     for (frame, dets) in group.iter() {
-                        f(repo, frame, dets);
+                        f(entry.repo, frame, dets);
                     }
                 }
-                None => skipped += 1,
+                Err(_) => skipped += 1,
             }
         }
         skipped
@@ -715,15 +723,8 @@ impl ColumnarStore {
         if crc32(data) != self.data_crc {
             return Err("data section checksum mismatch");
         }
-        for pos in 0..self.index.len() {
-            let entry = &self.index[pos];
-            let start = self.data_off + entry.off as usize;
-            let bytes = &self.map[start..start + entry.len as usize];
-            if crc32(bytes) != entry.crc {
-                return Err("group checksum mismatch");
-            }
-            let group = decode_group(bytes)?;
-            if group.frames().len() as u64 != u64::from(entry.frames) {
+        for (pos, entry) in self.index.iter().enumerate() {
+            if self.decode_at(pos)?.frames().len() as u64 != u64::from(entry.frames) {
                 return Err("index frame count disagrees with column");
             }
         }

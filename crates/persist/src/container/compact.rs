@@ -6,15 +6,17 @@
 //! protocol:
 //!
 //! 1. sweep orphaned `*.xsc.tmp` files (a previous crash mid-write);
-//! 2. list sealed segments (the log writer never appends to an existing
-//!    file, so everything on disk before our log opens is immutable) and
-//!    collect every matching segment's records, in segment order, into
-//!    one flat list — nothing matched means nothing to do, and the run
-//!    ends here;
-//! 3. append the prior same-fingerprint container's records to the same
-//!    list, then merge by one stable sort on `(repo, frame)` and a dedup
-//!    that keeps each key's first entry — first write wins (detections
-//!    are deterministic per fingerprint, so any copy is the same bytes);
+//! 2. *scan* ([`fold_log`]): one pass over the sealed segments (the log
+//!    writer never appends to an existing file, so everything on disk
+//!    before our log opens is immutable) collects every matching
+//!    segment's records, in segment order, into one flat list, and counts
+//!    what it read ([`Fold::log`]) — nothing matched means nothing to do,
+//!    and the run ends here;
+//! 3. *write* ([`Fold::write`]): append the prior same-fingerprint
+//!    container's records to the same list, then merge by one stable sort
+//!    on `(repo, frame)` and a dedup that keeps each key's first entry —
+//!    first write wins (detections are deterministic per fingerprint, so
+//!    any copy is the same bytes);
 //! 4. write `detections.xsc.tmp`, `fsync` it;
 //! 5. *verify*: re-open the temp file through the real reader and run the
 //!    eager full-container check ([`ColumnarStore::verify`]);
@@ -30,11 +32,12 @@
 //! collapse. Segments with a *different* fingerprint are never
 //! folded and never deleted.
 //!
-//! [`KillPoint`] injects a simulated crash at each boundary for tests; the
-//! production entry point [`compact`] never kills.
+//! [`compact`] runs both phases; an engine runs them itself, so it keeps
+//! the scan's counters when the write fails. [`KillPoint`] injects a
+//! simulated crash at each boundary for tests.
 
 use super::{build_container, ColumnarStore, OpenError, CONTAINER_NAME, TMP_SUFFIX};
-use crate::log::{scan_segment_file, sealed_segments, SegmentOutcome};
+use crate::log::{scan_log, LoadStats};
 use exsample_detect::Detection;
 use std::fs::{self, File};
 use std::io::Write;
@@ -91,23 +94,16 @@ pub struct CompactionReport {
     /// Whether a new container was actually written (false when there was
     /// nothing to fold — the existing state was already compact).
     pub rewritten: bool,
-    /// Sealed segments folded (and deleted on completion).
-    pub segments_folded: u64,
-    /// Log records folded out of those segments.
-    pub records_folded: u64,
-    /// Folded segments whose damaged tail was abandoned (the valid prefix
-    /// was folded; the segment is deleted like any other).
-    pub damaged_tails: u64,
+    /// What the scan read. Its matching segments are folded (and deleted
+    /// on completion), a damaged tail's valid prefix with them; skipped
+    /// segments are left alone.
+    pub log: LoadStats,
     /// Frames carried forward from the prior container.
     pub carried_frames: u64,
     /// Distinct `(repo, frame)` entries in the new container.
     pub frames: u64,
-    /// `(repo, chunk)` column groups in the new container.
-    pub groups: u64,
     /// Size of the new container in bytes.
     pub container_bytes: u64,
-    /// Bytes of folded segments reclaimed by the cleanup.
-    pub reclaimed_bytes: u64,
 }
 
 /// Canonical container path inside a persist directory.
@@ -179,10 +175,150 @@ impl Merge {
     }
 }
 
-/// Compact `dir`: fold every sealed segment matching `fingerprint` (plus
-/// the prior container, if usable) into a fresh container, then delete
-/// the folded segments. No-op (`rewritten: false`) when there is nothing
-/// to fold. See the module docs for the crash-safety protocol.
+/// The scan phase of a compaction: the records of every sealed segment
+/// matching one fingerprint, read in one pass and not yet written.
+pub struct Fold {
+    /// What the scan read.
+    pub log: LoadStats,
+    /// Largest repository id among the scanned records, if any.
+    pub max_repo: Option<u32>,
+    dir: PathBuf,
+    fingerprint: u64,
+    /// The matching segments: deletable once the container holding their
+    /// records is live — a damaged tail holds nothing any reader would
+    /// ever serve.
+    folded: Vec<PathBuf>,
+    merged: Merge,
+}
+
+/// Sweep orphans and scan `dir`'s sealed segments under `fingerprint`:
+/// steps 1 and 2 of the protocol. Foreign-fingerprint segments are left
+/// alone entirely.
+pub fn fold_log(dir: &Path, fingerprint: u64) -> std::io::Result<Fold> {
+    sweep_orphans(dir)?;
+    let mut merged = Merge::default();
+    let mut max_repo = None;
+    let (log, folded) = scan_log(dir, fingerprint, |repo, frame, dets| {
+        max_repo = max_repo.max(Some(repo));
+        merged.push((repo, frame), dets);
+    })?;
+    Ok(Fold {
+        log,
+        max_repo,
+        dir: dir.to_path_buf(),
+        fingerprint,
+        folded,
+        merged,
+    })
+}
+
+impl Fold {
+    /// Steps 3–7 of the protocol: fold the scanned records (plus the
+    /// prior container, if usable) into a fresh container, then delete
+    /// the folded segments. No-op (`rewritten: false`) when the scan
+    /// matched nothing. With a `kill`, execution stops dead there
+    /// (returning `completed: false`), leaving the filesystem exactly as
+    /// a real crash there would.
+    pub fn write(
+        mut self,
+        chunk_frames: u64,
+        kill: Option<KillPoint>,
+    ) -> Result<CompactionReport, CompactError> {
+        let mut report = CompactionReport {
+            log: self.log,
+            ..CompactionReport::default()
+        };
+        let (dir, fingerprint) = (self.dir.as_path(), self.fingerprint);
+
+        // Nothing to fold: the current state is already as compact as it
+        // gets, and not one column of the prior container was read to find
+        // that out. An unusable prior container is left alone too —
+        // replacing it with an empty one would destroy (stale but intact)
+        // bytes for no gain.
+        if self.folded.is_empty() {
+            report.completed = true;
+            return Ok(report);
+        }
+
+        // Carry the prior container forward. A missing container is the
+        // common fresh case; a mismatched or damaged one contributes
+        // nothing (its data is unusable) and is replaced by this run's
+        // output.
+        let final_path = container_path(dir);
+        match ColumnarStore::open(&final_path, fingerprint) {
+            Ok(prior) => {
+                let skipped = prior.for_each_frame(|repo, frame, dets| {
+                    report.carried_frames += 1;
+                    self.merged.push((repo, frame), dets);
+                });
+                if skipped > 0 {
+                    eprintln!(
+                        "exsample-persist: carried prior container with {skipped} damaged group(s)"
+                    );
+                }
+            }
+            Err(OpenError::Missing) => {}
+            Err(e) => eprintln!("exsample-persist: prior container unusable ({e}); will replace"),
+        }
+
+        self.merged.settle();
+        let bytes = build_container(self.merged.records(), fingerprint, chunk_frames)
+            .map_err(CompactError::Build)?;
+        report.frames = self.merged.keys.len() as u64;
+        report.container_bytes = bytes.len() as u64;
+
+        // Write + fsync the temp file.
+        let tmp_path = dir.join(format!("{CONTAINER_NAME}.tmp"));
+        debug_assert!(tmp_path.to_string_lossy().ends_with(TMP_SUFFIX));
+        {
+            let mut f = File::create(&tmp_path)?;
+            if kill == Some(KillPoint::MidTmpWrite) {
+                f.write_all(&bytes[..bytes.len() / 2])?;
+                f.flush()?;
+                return Ok(report);
+            }
+            f.write_all(&bytes)?;
+            f.sync_all()?;
+        }
+
+        // Verify through the real reader before the rename: the log stays
+        // authoritative until these bytes are proven readable.
+        let verified = ColumnarStore::open(&tmp_path, fingerprint)
+            .map_err(|e| e.to_string())
+            .and_then(|store| store.verify().map_err(str::to_string));
+        if let Err(why) = verified {
+            let _ = fs::remove_file(&tmp_path);
+            return Err(CompactError::Verify(why));
+        }
+
+        if kill == Some(KillPoint::BeforeRename) {
+            return Ok(report);
+        }
+
+        fs::rename(&tmp_path, &final_path)?;
+        sync_dir(dir)?;
+        report.rewritten = true;
+
+        if kill == Some(KillPoint::BeforeCleanup) {
+            return Ok(report);
+        }
+
+        for path in &self.folded {
+            if let Err(e) = fs::remove_file(path) {
+                eprintln!(
+                    "exsample-persist: folded segment {} not deleted: {e}",
+                    path.display()
+                );
+            }
+        }
+        sync_dir(dir)?;
+        report.completed = true;
+        Ok(report)
+    }
+}
+
+/// Compact `dir`: [`fold_log`], then [`Fold::write`]. See the module
+/// docs for the crash-safety protocol.
 pub fn compact(
     dir: &Path,
     fingerprint: u64,
@@ -191,137 +327,12 @@ pub fn compact(
     compact_with_kill(dir, fingerprint, chunk_frames, None)
 }
 
-/// [`compact`] with an injected crash for tests: execution stops dead at
-/// `kill` (returning `completed: false`), leaving the filesystem exactly
-/// as a real crash there would.
+/// [`compact`] with an injected crash for tests (see [`Fold::write`]).
 pub fn compact_with_kill(
     dir: &Path,
     fingerprint: u64,
     chunk_frames: u64,
     kill: Option<KillPoint>,
 ) -> Result<CompactionReport, CompactError> {
-    let mut report = CompactionReport::default();
-    sweep_orphans(dir)?;
-
-    // Fold matching segments. A segment is deletable once its surviving
-    // records are merged — a damaged tail holds nothing any reader would
-    // ever serve. Foreign-fingerprint segments are left alone entirely.
-    let mut merged = Merge::default();
-    let mut deletable: Vec<PathBuf> = Vec::new();
-    for (_, path) in sealed_segments(dir)? {
-        let outcome = match scan_segment_file(&path, fingerprint, |rec| {
-            merged.push((rec.repo, rec.frame), &rec.dets);
-        }) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!(
-                    "exsample-persist: leaving unreadable segment {}: {e}",
-                    path.display()
-                );
-                continue;
-            }
-        };
-        if let SegmentOutcome::Loaded {
-            records,
-            damaged_tail,
-        } = outcome
-        {
-            report.segments_folded += 1;
-            report.records_folded += records;
-            report.damaged_tails += u64::from(damaged_tail);
-            deletable.push(path);
-        }
-    }
-
-    // Nothing to fold: the current state is already as compact as it
-    // gets, and not one column of the prior container was read to find
-    // that out. An unusable prior container is left alone too — replacing
-    // it with an empty one would destroy (stale but intact) bytes for no
-    // gain.
-    if report.segments_folded == 0 {
-        report.completed = true;
-        return Ok(report);
-    }
-
-    // Carry the prior container forward. A missing container is the
-    // common fresh case; a mismatched or damaged one contributes nothing
-    // (its data is unusable) and is replaced by this run's output.
-    let final_path = container_path(dir);
-    match ColumnarStore::open(&final_path, fingerprint) {
-        Ok(prior) => {
-            let skipped = prior.for_each_frame(|repo, frame, dets| {
-                report.carried_frames += 1;
-                merged.push((repo, frame), dets);
-            });
-            if skipped > 0 {
-                eprintln!(
-                    "exsample-persist: carried prior container with {skipped} damaged group(s)"
-                );
-            }
-        }
-        Err(OpenError::Missing) => {}
-        Err(e) => eprintln!("exsample-persist: prior container unusable ({e}); will replace"),
-    }
-
-    merged.settle();
-    let bytes = build_container(merged.records(), fingerprint, chunk_frames)
-        .map_err(CompactError::Build)?;
-    report.frames = merged.keys.len() as u64;
-    report.container_bytes = bytes.len() as u64;
-
-    // Write + fsync the temp file.
-    let tmp_path = dir.join(format!("{CONTAINER_NAME}.tmp"));
-    debug_assert!(tmp_path.to_string_lossy().ends_with(TMP_SUFFIX));
-    {
-        let mut f = File::create(&tmp_path)?;
-        if kill == Some(KillPoint::MidTmpWrite) {
-            f.write_all(&bytes[..bytes.len() / 2])?;
-            f.flush()?;
-            return Ok(report);
-        }
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-
-    // Verify through the real reader before the rename: the log stays
-    // authoritative until these bytes are proven readable.
-    match ColumnarStore::open(&tmp_path, fingerprint) {
-        Ok(store) => {
-            report.groups = store.group_count() as u64;
-            if let Err(why) = store.verify() {
-                let _ = fs::remove_file(&tmp_path);
-                return Err(CompactError::Verify(why.to_string()));
-            }
-        }
-        Err(e) => {
-            let _ = fs::remove_file(&tmp_path);
-            return Err(CompactError::Verify(e.to_string()));
-        }
-    }
-
-    if kill == Some(KillPoint::BeforeRename) {
-        return Ok(report);
-    }
-
-    fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir)?;
-    report.rewritten = true;
-
-    if kill == Some(KillPoint::BeforeCleanup) {
-        return Ok(report);
-    }
-
-    for path in &deletable {
-        let len = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        match fs::remove_file(path) {
-            Ok(()) => report.reclaimed_bytes += len,
-            Err(e) => eprintln!(
-                "exsample-persist: folded segment {} not deleted: {e}",
-                path.display()
-            ),
-        }
-    }
-    sync_dir(dir)?;
-    report.completed = true;
-    Ok(report)
+    fold_log(dir, fingerprint)?.write(chunk_frames, kill)
 }

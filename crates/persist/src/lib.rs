@@ -13,7 +13,9 @@
 //! * [`container`] — the read path. At the next start
 //!   [`container::compact`] folds the sealed segments into one immutable
 //!   columnar file: varint-delta frame-id columns and raw-bit score
-//!   columns grouped by `(repo, chunk)`, fronted by a per-chunk index. The
+//!   columns grouped by `(repo, chunk)`, fronted by a per-chunk index.
+//!   Its scan ([`container::fold_log`]) is the start's one pass over the
+//!   log, and its [`LoadStats`] are what the engine reports. The
 //!   engine maps it ([`container::ColumnarStore::open`]), reads the header
 //!   and the index — a few KiB — and pays column I/O only for the chunks
 //!   a query touches, answering previously-detected frames without a

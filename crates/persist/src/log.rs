@@ -20,7 +20,7 @@
 //! [`DetectionLog::open`] starts a fresh segment lazily on first append,
 //! which keeps recovery logic trivial (old segments are immutable).
 
-use crate::codec::{decode_detections, encode_detections, DetectionRecord};
+use crate::codec::{decode_detections_into, encode_detections, CodecError, DetectionRecord};
 use crate::PersistConfig;
 use exsample_detect::Detection;
 use exsample_store::framing::{
@@ -39,11 +39,9 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.xsd"))
 }
 
-/// Outcome counters of one scan of a persist directory. They describe
-/// what *that scan* read: segments a compaction folded and deleted before
-/// it are not here — the engine adds the compactor's own report to these
-/// when it publishes its startup counters (`PersistStats` in
-/// `exsample-engine`).
+/// Outcome counters of one pass over a persist directory's log. An
+/// engine's startup compaction makes the only such pass, and publishes
+/// its counters as they are (`PersistStats` in `exsample-engine`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
     /// Segments whose header matched and whose records were read.
@@ -219,120 +217,105 @@ pub fn sealed_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Header-match outcome of scanning one segment file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SegmentOutcome {
-    /// Wrong magic, unsupported version, or foreign fingerprint — the
-    /// segment was not touched.
-    Skipped,
-    /// Header matched and records were streamed to the sink.
-    Loaded {
-        /// Records delivered to the sink.
-        records: u64,
-        /// Whether a damaged (or undecodable) suffix was abandoned.
-        damaged_tail: bool,
-    },
-}
-
-/// Decode the checksum-valid records of one segment file and hand each to
-/// `sink` if the segment's header matches `fingerprint`. A torn, corrupt
-/// or undecodable record abandons the rest of the segment (the valid
-/// prefix was still delivered). IO errors reading the file surface to the
-/// caller; everything else is an outcome, not an error.
-pub(crate) fn scan_segment_file(
-    path: &Path,
-    fingerprint: u64,
-    mut sink: impl FnMut(DetectionRecord),
-) -> std::io::Result<SegmentOutcome> {
-    let data = fs::read(path)?;
-    let body = match read_segment_header(&data, SEGMENT_MAGIC) {
-        Ok((hdr, body)) if hdr.version == SEGMENT_VERSION && hdr.fingerprint == fingerprint => body,
-        Ok((hdr, _)) => {
-            eprintln!(
-                "exsample-persist: skipping {} (version {} fingerprint {:#x}, expected {} / {:#x})",
-                path.display(),
-                hdr.version,
-                hdr.fingerprint,
-                SEGMENT_VERSION,
-                fingerprint
-            );
-            return Ok(SegmentOutcome::Skipped);
-        }
-        Err(e) => {
-            eprintln!("exsample-persist: skipping {}: {e}", path.display());
-            return Ok(SegmentOutcome::Skipped);
-        }
-    };
-    let mut records = 0;
-    let mut rest = body;
-    let damaged_tail = loop {
-        match next_record(rest) {
-            RecordStep::Record { payload, rest: r } => match decode_detections(payload) {
-                Ok(rec) => {
-                    rest = r;
-                    records += 1;
-                    sink(rec);
-                }
-                Err(e) => {
-                    // Checksum-valid but unparseable: writer-version
-                    // skew; treat like damage.
-                    eprintln!(
-                        "exsample-persist: abandoning tail of {}: {e}",
-                        path.display()
-                    );
-                    break true;
-                }
-            },
-            RecordStep::End => break false,
-            RecordStep::Truncated | RecordStep::Corrupt => {
-                eprintln!(
-                    "exsample-persist: abandoning damaged tail of {}",
-                    path.display()
-                );
-                break true;
-            }
-        }
-    };
-    Ok(SegmentOutcome::Loaded {
-        records,
-        damaged_tail,
-    })
-}
-
-/// Scan every segment in `dir`, delivering each checksum-valid record
-/// whose segment matches `fingerprint` to `sink` fully decoded, oldest
-/// segment first.
+/// The one pass over the log: every sealed segment in `dir`, oldest
+/// first, its checksum-valid records handed to `sink` as `(repo, frame,
+/// detections)` when its header matches `fingerprint`. Every record is
+/// decoded into one reused buffer. Returns what the pass read and the
+/// paths of the matching segments — the compactor's fold set.
 ///
-/// Mismatched or damaged data is *skipped and counted*, never fatal: the
-/// only errors surfaced are directory-level IO failures. A missing
-/// directory is an empty log.
+/// Mismatched or damaged data is *skipped and counted*, never fatal: a
+/// segment with a foreign header, or one that cannot be read, is skipped;
+/// a torn, corrupt or undecodable record abandons the rest of its segment
+/// (the valid prefix was still delivered). The only errors surfaced are
+/// directory-level IO failures; a missing directory is an empty log.
+pub(crate) fn scan_log(
+    dir: &Path,
+    fingerprint: u64,
+    mut sink: impl FnMut(u32, u64, &[Detection]),
+) -> std::io::Result<(LoadStats, Vec<PathBuf>)> {
+    let mut stats = LoadStats::default();
+    let mut matched = Vec::new();
+    let mut dets = Vec::new();
+    for (_, path) in sealed_segments(dir)? {
+        let mut skip = |why: &dyn std::fmt::Display| {
+            stats.segments_skipped += 1;
+            eprintln!("exsample-persist: skipping {}: {why}", path.display());
+        };
+        // Unreadable (or gone since the listing) is skipped like any
+        // other segment no reader can use.
+        let data = match fs::read(&path) {
+            Ok(data) => data,
+            Err(e) => {
+                skip(&e);
+                continue;
+            }
+        };
+        let mut rest = match read_segment_header(&data, SEGMENT_MAGIC) {
+            Ok((hdr, body)) if hdr.version == SEGMENT_VERSION && hdr.fingerprint == fingerprint => {
+                body
+            }
+            Ok((hdr, _)) => {
+                skip(&format_args!(
+                    "version {} fingerprint {:#x}, expected {SEGMENT_VERSION} / {fingerprint:#x}",
+                    hdr.version, hdr.fingerprint
+                ));
+                continue;
+            }
+            Err(e) => {
+                skip(&e);
+                continue;
+            }
+        };
+        stats.segments_loaded += 1;
+        let damage = loop {
+            match next_record(rest) {
+                RecordStep::Record { payload, rest: r } => {
+                    match decode_detections_into(payload, &mut dets) {
+                        Ok((repo, frame)) => {
+                            rest = r;
+                            stats.records_loaded += 1;
+                            sink(repo, frame, &dets);
+                        }
+                        // Checksum-valid but unparseable: writer-version
+                        // skew; treat like damage.
+                        Err(CodecError(why)) => break Some(why),
+                    }
+                }
+                RecordStep::End => break None,
+                RecordStep::Truncated | RecordStep::Corrupt => break Some("damaged record"),
+            }
+        };
+        if let Some(why) = damage {
+            stats.damaged_tails += 1;
+            eprintln!(
+                "exsample-persist: abandoning tail of {}: {why}",
+                path.display()
+            );
+        }
+        matched.push(path);
+    }
+    Ok((stats, matched))
+}
+
+/// Deliver each checksum-valid record of the segments in `dir` matching
+/// `fingerprint` to `sink`, owned, oldest segment first; mismatched or
+/// damaged data is skipped and counted, never fatal. This is the log's
+/// one loop with a copy per record. The engine never calls it — its
+/// startup compaction ([`crate::container::fold_log`]) is its one pass
+/// over the log.
 pub fn scan_detections(
     dir: &Path,
     fingerprint: u64,
     mut sink: impl FnMut(DetectionRecord),
 ) -> std::io::Result<LoadStats> {
-    let mut stats = LoadStats::default();
-    for (_, path) in sealed_segments(dir)? {
-        match scan_segment_file(&path, fingerprint, &mut sink) {
-            Ok(SegmentOutcome::Skipped) => stats.segments_skipped += 1,
-            Ok(SegmentOutcome::Loaded {
-                records,
-                damaged_tail,
-            }) => {
-                stats.segments_loaded += 1;
-                stats.records_loaded += records;
-                stats.damaged_tails += u64::from(damaged_tail);
-            }
-            Err(e) => {
-                // The file vanished or became unreadable between the
-                // directory listing and the read: skip it like any other
-                // damaged segment.
-                stats.segments_skipped += 1;
-                eprintln!("exsample-persist: skipping {}: {e}", path.display());
-            }
-        }
-    }
-    Ok(stats)
+    let scan = scan_log(dir, fingerprint, |repo, frame, dets| {
+        sink(DetectionRecord {
+            repo,
+            frame,
+            dets: dets.to_vec(),
+        })
+    });
+    scan.map(|(stats, _)| stats)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Readers racing to a container group's first touch: the group is
 //! decoded once, so its bytes count once in `bytes_touched` and its
 //! damage once in `damaged_groups`, however many threads read it at once.
+//! The compactor's carry-forward visit touches no group at all.
 
 use exsample_detect::Detection;
 use exsample_persist::container::{build_container, ColumnarStore, HEADER_LEN, INDEX_ENTRY_LEN};
@@ -112,4 +113,30 @@ fn racing_first_touches_count_a_damaged_group_once() {
         assert_eq!(store.damaged_groups(), 1);
         assert_eq!(store.bytes_touched(), at_open + chunk0.len);
     }
+}
+
+#[test]
+fn carry_forward_leaves_every_group_untouched() {
+    let records = records();
+    let bytes = build_container(&records, FINGERPRINT, CHUNK_FRAMES).expect("build");
+    let path = scratch_dir("concurrent-reads-carry-forward").join("detections.xsc");
+    std::fs::write(&path, &bytes).expect("write container");
+    let store = ColumnarStore::open(&path, FINGERPRINT).expect("open container");
+    let at_open = store.bytes_touched();
+    let mut visited = BTreeMap::new();
+    let skipped = store.for_each_frame(|repo, frame, dets| {
+        visited.insert((repo, frame), dets.to_vec());
+    });
+    assert_eq!((skipped, &visited), (0, &records));
+    assert_eq!(
+        store.bytes_touched(),
+        at_open,
+        "carry-forward left groups decoded behind it"
+    );
+    // The first read after it decodes chunk 0's group, and counts it once.
+    let chunk0 = store.chunk_summaries(0)[0];
+    for &(_, frame) in records.keys().take(2) {
+        assert_eq!(store.get(0, frame), Some(&records[&(0, frame)][..]));
+    }
+    assert_eq!(store.bytes_touched(), at_open + chunk0.len);
 }

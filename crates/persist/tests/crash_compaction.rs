@@ -266,7 +266,7 @@ fn no_op_and_foreign_fingerprint_segments_survive() {
     let foreign = seed_log(&dir, 30);
     let report = compact(&dir, FINGERPRINT ^ 1, CHUNK_FRAMES).expect("foreign compact");
     assert!(report.completed && !report.rewritten);
-    assert_eq!(report.segments_folded, 0);
+    assert_eq!(report.log.segments_loaded, 0);
     assert!(!container_path(&dir).exists());
     assert_eq!(
         log_view(&dir),
@@ -285,4 +285,25 @@ fn no_op_and_foreign_fingerprint_segments_survive() {
     assert!(report.completed && !report.rewritten);
     assert_eq!(report.carried_frames, 0);
     assert_eq!(container_view(&dir), foreign);
+}
+
+#[test]
+fn an_unreadable_segment_is_skipped_once_and_never_deleted() {
+    let dir = scratch_dir("compact-unreadable-segment");
+    let truth = seed_log(&dir, 40);
+    let loaded = sealed_segments(&dir).expect("list").len() as u64;
+    let unreadable = dir.join("seg-000099.xsd");
+    std::fs::create_dir(&unreadable).expect("plant an unreadable segment");
+
+    let report = compact(&dir, FINGERPRINT, CHUNK_FRAMES).expect("compact");
+    assert!(report.completed && report.rewritten);
+    assert_eq!(report.log.segments_skipped, 1);
+    assert_eq!(report.log.segments_loaded, loaded);
+    assert_eq!(report.log.records_loaded, truth.len() as u64);
+    assert!(
+        unreadable.is_dir(),
+        "an unreadable segment is never deleted"
+    );
+    assert_eq!(sealed_segments(&dir).expect("list").len(), 1);
+    assert_eq!(container_view(&dir), truth);
 }

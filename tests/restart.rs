@@ -437,6 +437,37 @@ fn failed_compaction_with_a_lost_catalog_reserves_the_ids_in_the_unfolded_log() 
 }
 
 #[test]
+fn an_unreadable_segment_is_counted_once_and_never_deleted() {
+    let dir = scratch_dir("colstore-unreadable-segment");
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    let first = run_query(&engine, query(repo));
+    let paid = engine.detector_invocations();
+    drop(engine);
+    let logged = sealed_segments(&dir).expect("list").len() as u64;
+
+    // A segment name no reader can open: compaction's one scan skips and
+    // counts it, folds the rest, and leaves it where it is.
+    let unreadable = dir.join("seg-000099.xsd");
+    std::fs::create_dir(&unreadable).expect("plant an unreadable segment");
+    let (engine, repo) = engine_on(&dir, fingerprint());
+    let ps = engine.persist_stats().expect("persistence configured");
+    assert_eq!(ps.segments_skipped, 1, "counted once, by the one scan");
+    assert_eq!((ps.segments_loaded, ps.records_loaded), (logged, paid));
+    assert_eq!((ps.container_frames, ps.damaged_tails), (paid, 0));
+    let replay = run_query(&engine, query(repo));
+    assert_eq!(engine.detector_invocations(), 0);
+    assert_eq!(curve(&replay), curve(&first));
+    drop(engine);
+    assert!(
+        unreadable.is_dir(),
+        "an unreadable segment is never deleted"
+    );
+    let (engine, _) = engine_on(&dir, fingerprint());
+    let ps = engine.persist_stats().expect("persistence configured");
+    assert_eq!((ps.segments_skipped, ps.segments_loaded), (1, 0));
+}
+
+#[test]
 fn columnar_none_is_the_default_chunk_width_not_another_pipeline() {
     let dir = scratch_dir("colstore-none-equals-default");
     let persist = |dir: &Path| PersistConfig::new(dir).fingerprint(fingerprint());
