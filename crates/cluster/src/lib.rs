@@ -11,7 +11,7 @@
 //!   `exsample-proto` `RemoteClient`s. Existing callers, examples, and
 //!   experiments work unchanged against a fleet, and per-session results
 //!   are bit-identical to running on the owning shard directly.
-//! * [`placement`] — rendezvous hashing of the durable
+//! * `placement` — rendezvous hashing of the durable
 //!   `(name, dataset fingerprint)` repository identity onto shard
 //!   *names*: placement survives restarts and shard-list reordering, and
 //!   adding/removing a shard moves only the repositories it gains or
@@ -19,15 +19,17 @@
 //! * **Namespaced ids** — session and repository ids carry their shard
 //!   slot in the high bits, so submit/poll/cancel/wait/forget route with
 //!   pure bit arithmetic: no id table, no global lock.
-//! * [`ClusterStats`] — fleet-wide cache/persist statistics summed per
-//!   shard (degraded-tolerant), plus [`ShardHealth`]: a shard whose link
+//! * [`ClusterStats`](router::ClusterStats) — fleet-wide cache/persist
+//!   statistics summed per shard (degraded-tolerant), plus
+//!   [`ShardHealth`](router::ShardHealth): a shard whose link
 //!   fails is marked down with a typed [`ServiceError::ShardDown`]
 //!   surfaced to the caller instead of a panic, and
 //!   [`ShardRouter::revive`] puts it back after repair.
-//! * [`FleetDiagnostics`] — fleet-level observability: per-shard latency
-//!   histograms merged by metric name (so `dispatch_ns` p99 is over the
-//!   union of every shard's dispatches) and counters summed, degraded-
-//!   tolerant like [`ClusterStats`]; the router's strict
+//! * [`FleetDiagnostics`](router::FleetDiagnostics) — fleet-level
+//!   observability: per-shard latency histograms merged by metric name
+//!   (so `dispatch_ns` p99 is over the union of every shard's
+//!   dispatches) and counters summed, degraded-tolerant like
+//!   [`ClusterStats`](router::ClusterStats); the router's strict
 //!   `SearchService::diagnostics` additionally re-namespaces flight-event
 //!   session ids into the router's id space.
 //!
@@ -40,11 +42,10 @@
 
 #![warn(missing_docs)]
 
-pub mod placement;
+mod placement;
 pub mod router;
 
-pub use placement::{place, rendezvous_score};
+pub use placement::place;
 pub use router::{
-    global_repo, global_session, split_repo, split_session, ClusterStats, FleetDiagnostics, IdKind,
-    IdOverflow, ShardHealth, ShardRouter, ShardService, MAX_SHARDS,
+    global_repo, global_session, split_repo, split_session, ShardRouter, ShardService,
 };

@@ -31,7 +31,7 @@ fn mix(mut z: u64) -> u64 {
 /// The rendezvous score of one `(shard, repository identity)` pair.
 /// Pure function of its arguments; the owning shard is the one with the
 /// highest score (ties broken by shard name, see [`place`]).
-pub fn rendezvous_score(shard: &str, repo_name: &str, dataset_fingerprint: u64) -> u64 {
+pub(crate) fn rendezvous_score(shard: &str, repo_name: &str, dataset_fingerprint: u64) -> u64 {
     let mut h = FxHasher::default();
     h.write(shard.as_bytes());
     // Domain separator: ("ab","c") and ("a","bc") must not collide.
@@ -43,7 +43,7 @@ pub fn rendezvous_score(shard: &str, repo_name: &str, dataset_fingerprint: u64) 
 
 /// The index (into `shards`, in the given order) of the shard owning the
 /// repository identity `(repo_name, dataset_fingerprint)`: the highest
-/// [`rendezvous_score`], ties broken by the lexicographically greatest
+/// `rendezvous_score`, ties broken by the lexicographically greatest
 /// shard name so the choice is a pure function of the shard *set*.
 /// `None` only for an empty shard list.
 pub fn place<S: AsRef<str>>(

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 /// Hard cap on shards per router: the slot must fit the 8 bits reserved
 /// in a namespaced [`RepoId`].
-pub const MAX_SHARDS: usize = 256;
+pub(crate) const MAX_SHARDS: usize = 256;
 
 const REPO_SLOT_SHIFT: u32 = 24;
 const REPO_LOCAL_MASK: u32 = (1 << REPO_SLOT_SHIFT) - 1;
@@ -355,7 +355,7 @@ impl ShardRouter {
     /// name *set*, never on the order given here.
     ///
     /// # Panics
-    /// Panics on an empty list, more than [`MAX_SHARDS`] shards, or a
+    /// Panics on an empty list, more than `MAX_SHARDS` shards, or a
     /// duplicate name.
     pub fn new(shards: Vec<(String, ShardService)>) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");

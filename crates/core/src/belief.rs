@@ -27,7 +27,7 @@ impl ChunkStats {
     /// 11-12). `N1` is clamped at zero: with a noisy discriminator a
     /// second match can occasionally arrive without its first having been
     /// credited here.
-    pub fn update(&mut self, new_results: u32, matched_once: u32) {
+    pub(crate) fn update(&mut self, new_results: u32, matched_once: u32) {
         self.n1 = (self.n1 + new_results as f64 - matched_once as f64).max(0.0);
         self.n += 1;
     }
@@ -79,14 +79,14 @@ impl BeliefPrior {
     }
 
     /// One Thompson draw from the chunk's belief.
-    pub fn thompson_draw(&self, s: &ChunkStats, rng: &mut Rng64) -> f64 {
+    pub(crate) fn thompson_draw(&self, s: &ChunkStats, rng: &mut Rng64) -> f64 {
         self.belief(s).sample(rng)
     }
 
     /// Bayes-UCB score: the `1 - 1/(t+1)` upper quantile of the belief
     /// (Kaufmann's index policy, referenced in paper §III-C as performing
     /// indistinguishably from Thompson sampling).
-    pub fn bayes_ucb(&self, s: &ChunkStats, step: u64) -> f64 {
+    pub(crate) fn bayes_ucb(&self, s: &ChunkStats, step: u64) -> f64 {
         let q = (1.0 - 1.0 / (step as f64 + 2.0)).min(0.999_999);
         self.belief(s).inv_cdf(q)
     }
@@ -162,11 +162,13 @@ mod tests {
 
     #[test]
     fn belief_variance_matches_eq_iii_3_shape() {
-        // Var = α/β² = mean/β ≈ E[R̂]/n: the paper's variance bound.
+        // Gamma(N1 + α0, n + β0), so Var = α/β² = mean/β ≈ E[R̂]/n: the
+        // paper's variance bound.
         let prior = BeliefPrior::new(0.1, 1.0);
         let s = ChunkStats { n1: 10.0, n: 50 };
         let g = prior.belief(&s);
-        assert!((g.variance() - g.mean() / (s.n as f64 + 1.0)).abs() < 1e-12);
+        assert_eq!(g, Gamma::new(10.0 + 0.1, 50.0 + 1.0));
+        assert!((g.mean() - 10.1 / 51.0).abs() < 1e-12);
     }
 
     #[test]

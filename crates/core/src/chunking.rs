@@ -50,18 +50,6 @@ impl Chunking {
         Chunking::from_bounds(bounds)
     }
 
-    /// Fixed-width chunks (the final chunk may be short).
-    ///
-    /// # Panics
-    /// Panics if `width == 0` or `frames == 0`.
-    pub fn fixed_width(frames: u64, width: u64) -> Self {
-        assert!(width > 0, "chunk width must be positive");
-        assert!(frames > 0, "need at least one frame");
-        let mut bounds: Vec<u64> = (0..frames).step_by(width as usize).collect();
-        bounds.push(frames);
-        Chunking::from_bounds(bounds)
-    }
-
     /// Number of chunks `M`.
     pub fn num_chunks(&self) -> usize {
         self.bounds.len() - 1
@@ -80,12 +68,6 @@ impl Chunking {
     /// Number of frames in chunk `j`.
     pub fn len(&self, j: usize) -> u64 {
         self.bounds[j + 1] - self.bounds[j]
-    }
-
-    /// Whether the chunking covers zero frames. Valid chunkings never are;
-    /// provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.frames() == 0
     }
 
     /// Chunk containing frame `f` (binary search).
@@ -144,14 +126,6 @@ mod tests {
         let c = Chunking::single(42);
         assert_eq!(c.num_chunks(), 1);
         assert_eq!(c.range(0), 0..42);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn fixed_width_last_chunk_short() {
-        let c = Chunking::fixed_width(10, 4);
-        assert_eq!(c.num_chunks(), 3);
-        assert_eq!(c.range(2), 8..10);
     }
 
     #[test]

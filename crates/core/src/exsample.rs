@@ -422,16 +422,11 @@ impl ExSample {
     }
 
     /// Create a sampler with custom within-chunk streams — used by the
-    /// §VII *fusion* variant ([`ExSample::fused`]) and available for
-    /// experimentation with other orders.
+    /// §VII *fusion* variant ([`ExSample::fused`]).
     ///
     /// # Panics
     /// Panics if the number of samplers differs from the chunk count.
-    pub fn from_parts(
-        chunking: Chunking,
-        config: ExSampleConfig,
-        within: Vec<WithinSampler>,
-    ) -> Self {
+    fn from_parts(chunking: Chunking, config: ExSampleConfig, within: Vec<WithinSampler>) -> Self {
         let m = chunking.num_chunks();
         assert_eq!(within.len(), m, "one within-chunk sampler per chunk");
         ExSample {

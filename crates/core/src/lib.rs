@@ -74,7 +74,7 @@ pub use driver::{run_search, SearchCost, SearchStepper, SearchTrace, StopCond, T
 pub use exsample::{ExSample, ExSampleConfig};
 pub use policy::{Feedback, SamplingPolicy};
 pub use threads::default_threads;
-pub use within::{RandomWithin, ScoredWithin, StratifiedWithin, WithinKind, WithinSampler};
+pub use within::{RandomWithin, StratifiedWithin, WithinKind};
 
 /// Global frame index. Policies hand these out; oracles consume them.
 pub type FrameIdx = u64;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// A without-replacement frame stream over one contiguous range.
 #[derive(Debug, Clone)]
-pub enum WithinSampler {
+pub(crate) enum WithinSampler {
     /// Plain uniform without replacement.
     Random(RandomWithin),
     /// Stratified random+ order.
@@ -27,7 +27,7 @@ pub enum WithinSampler {
 
 impl WithinSampler {
     /// Construct the chosen sampler kind over a frame range.
-    pub fn new(kind: WithinKind, range: std::ops::Range<u64>) -> Self {
+    pub(crate) fn new(kind: WithinKind, range: std::ops::Range<u64>) -> Self {
         match kind {
             WithinKind::Random => WithinSampler::Random(RandomWithin::new(range)),
             WithinKind::Stratified => WithinSampler::Stratified(StratifiedWithin::new(range)),
@@ -35,7 +35,7 @@ impl WithinSampler {
     }
 
     /// Draw the next not-yet-returned frame, or `None` when exhausted.
-    pub fn draw(&mut self, rng: &mut Rng64) -> Option<FrameIdx> {
+    pub(crate) fn draw(&mut self, rng: &mut Rng64) -> Option<FrameIdx> {
         match self {
             WithinSampler::Random(s) => s.draw(rng),
             WithinSampler::Stratified(s) => s.draw(rng),
@@ -44,7 +44,7 @@ impl WithinSampler {
     }
 
     /// Frames not yet returned.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         match self {
             WithinSampler::Random(s) => s.remaining(),
             WithinSampler::Stratified(s) => s.remaining(),
@@ -64,7 +64,7 @@ impl WithinSampler {
 /// future work, so experiments using this sampler account the scan cost
 /// separately.
 #[derive(Debug, Clone)]
-pub struct ScoredWithin {
+pub(crate) struct ScoredWithin {
     /// Frame ids of this range, sorted by descending score.
     order: Vec<FrameIdx>,
     pos: usize,
@@ -76,7 +76,7 @@ impl ScoredWithin {
     ///
     /// # Panics
     /// Panics if the range exceeds the score table or a score is NaN.
-    pub fn new(scores: &Arc<Vec<f32>>, range: std::ops::Range<u64>) -> Self {
+    pub(crate) fn new(scores: &Arc<Vec<f32>>, range: std::ops::Range<u64>) -> Self {
         assert!(
             range.end as usize <= scores.len(),
             "score table too short for range {range:?}"
@@ -92,7 +92,7 @@ impl ScoredWithin {
     }
 
     /// Next frame in score order, or `None` when exhausted.
-    pub fn draw(&mut self) -> Option<FrameIdx> {
+    pub(crate) fn draw(&mut self) -> Option<FrameIdx> {
         let f = self.order.get(self.pos).copied();
         if f.is_some() {
             self.pos += 1;
@@ -101,7 +101,7 @@ impl ScoredWithin {
     }
 
     /// Frames not yet returned.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         (self.order.len() - self.pos) as u64
     }
 }

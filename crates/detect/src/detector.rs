@@ -73,7 +73,7 @@ impl NoiseModel {
     }
 
     /// Detection probability for a box of the given area.
-    pub fn detect_probability(&self, area: f64) -> f64 {
+    pub(crate) fn detect_probability(&self, area: f64) -> f64 {
         let extra = self.small_box_extra_miss * (-area / self.area_scale).exp();
         ((1.0 - self.miss_rate) * (1.0 - extra)).clamp(0.0, 1.0)
     }
@@ -109,18 +109,13 @@ impl SimulatedDetector {
         SimulatedDetector::new(gt, class, NoiseModel::none(), 0)
     }
 
-    /// The dataset this detector runs over.
-    pub fn ground_truth(&self) -> &Arc<GroundTruth> {
-        &self.gt
-    }
-
     /// Run detection on one frame through `&self` — identical output to
     /// [`Detector::detect`] (the per-frame noise stream depends only on
     /// `(seed, frame)`), but usable from shared references, which is what
     /// the engine's frame cache needs when many sessions share one
     /// detector. The caller supplies the scratch buffer the `&mut` path
     /// keeps internally.
-    pub fn detect_with_scratch(
+    pub(crate) fn detect_with_scratch(
         &self,
         frame: FrameIdx,
         scratch: &mut Vec<InstanceId>,
@@ -229,6 +224,7 @@ impl Detector for SimulatedDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exsample_videosim::geometry::greedy_iou_match;
     use exsample_videosim::{ClassSpec, DatasetSpec, SkewSpec};
 
     fn truth() -> Arc<GroundTruth> {
@@ -363,7 +359,8 @@ mod tests {
             let b = noisy.detect(frame);
             assert_eq!(a.len(), b.len());
             for (ca, cb) in a.iter().zip(&b) {
-                assert!(ca.bbox.iou(&cb.bbox) > 0.3, "jitter destroyed the box");
+                let (pairs, _, _) = greedy_iou_match(&[ca.bbox], &[cb.bbox], 0.3);
+                assert_eq!(pairs.len(), 1, "jitter destroyed the box");
             }
             return;
         }

@@ -137,25 +137,6 @@ impl TrackerDiscriminator {
         }
     }
 
-    /// Override the IoU matching threshold (default 0.25; SORT-style
-    /// trackers operate around 0.2-0.3).
-    pub fn with_iou_threshold(mut self, t: f32) -> Self {
-        assert!((0.0..=1.0).contains(&t));
-        self.iou_threshold = t;
-        self
-    }
-
-    /// Override the extension drift (default 2 px).
-    pub fn with_drift(mut self, px: f64) -> Self {
-        self.drift_px = px;
-        self
-    }
-
-    /// Number of live tracks (diagnostic).
-    pub fn num_tracks(&self) -> usize {
-        self.tracks.len()
-    }
-
     /// Predicted box of a track at `frame`, if the track covers it.
     fn predict(&self, track: &Track, frame: FrameIdx) -> Option<BBox> {
         if frame < track.start || frame >= track.end {
@@ -303,7 +284,8 @@ mod tests {
     #[test]
     fn tracker_matches_resighting_of_same_instance() {
         let gt = truth();
-        let mut d = TrackerDiscriminator::new(gt.clone(), 1).with_drift(0.0);
+        let mut d = TrackerDiscriminator::new(gt.clone(), 1);
+        d.drift_px = 0.0;
         let inst = gt.instance(InstanceId(3));
         let f1 = inst.start;
         let f2 = inst.start + inst.duration / 2;
@@ -319,7 +301,7 @@ mod tests {
         assert_eq!(o2.new_results, 0, "re-sighting must match the track");
         assert_eq!(o2.matched_once, 1);
         assert_eq!(d.results(), 1);
-        assert_eq!(d.num_tracks(), 1);
+        assert_eq!(d.tracks.len(), 1);
     }
 
     #[test]
@@ -331,7 +313,7 @@ mod tests {
         // A different instance somewhere else must open a second track.
         let o2 = d.observe(gt.instance(InstanceId(1)).start, &[det(&gt, 1)]);
         assert_eq!(o2.new_results, 1);
-        assert_eq!(d.num_tracks(), 2);
+        assert_eq!(d.tracks.len(), 2);
     }
 
     #[test]
@@ -341,7 +323,8 @@ mod tests {
         let gt = truth();
         let mut detector = SimulatedDetector::perfect(gt.clone(), ClassId(0));
         let mut oracle = OracleDiscriminator::new();
-        let mut tracker = TrackerDiscriminator::new(gt.clone(), 3).with_drift(0.0);
+        let mut tracker = TrackerDiscriminator::new(gt.clone(), 3);
+        tracker.drift_px = 0.0;
         let mut rng = Rng64::new(4);
         let mut frames: Vec<u64> = (0..20_000).collect();
         rng.shuffle(&mut frames);

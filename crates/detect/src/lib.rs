@@ -32,9 +32,7 @@ pub mod discrim;
 pub mod oracle;
 pub mod proxy;
 
-pub use detector::{
-    detect_frame, dispatch_batch, Detection, Detector, NoiseModel, SimulatedDetector,
-};
-pub use discrim::{DiscrimOutcome, Discriminator, OracleDiscriminator, TrackerDiscriminator};
+pub use detector::{detect_frame, dispatch_batch, Detection, NoiseModel, SimulatedDetector};
+pub use discrim::{Discriminator, OracleDiscriminator, TrackerDiscriminator};
 pub use oracle::QueryOracle;
 pub use proxy::ProxyModel;

@@ -9,18 +9,14 @@ use exsample_videosim::{FrameIdx, InstanceId};
 /// Bundles a detector and a discriminator into the
 /// `FnMut(FrameIdx) -> Feedback` shape that
 /// [`exsample_core::driver::run_search`] consumes, while keeping the
-/// evaluation-side truth: which *true* distinct instances have been found,
-/// and when.
+/// evaluation-side truth: which *true* distinct instances have been found.
 #[derive(Debug)]
 pub struct QueryOracle<D, X> {
     detector: D,
     discrim: X,
-    calls: u64,
     true_found: FxHashSet<InstanceId>,
     spurious_results: u64,
     duplicate_results: u64,
-    /// `(frames_processed, true_distinct_found)` recorded at each increase.
-    truth_curve: Vec<(u64, u64)>,
 }
 
 impl<D: Detector, X: Discriminator> QueryOracle<D, X> {
@@ -29,26 +25,20 @@ impl<D: Detector, X: Discriminator> QueryOracle<D, X> {
         QueryOracle {
             detector,
             discrim,
-            calls: 0,
             true_found: FxHashSet::default(),
             spurious_results: 0,
             duplicate_results: 0,
-            truth_curve: Vec::new(),
         }
     }
 
     /// Process one frame: detect, discriminate, report `d0`/`d1` sizes.
     pub fn process(&mut self, frame: FrameIdx) -> Feedback {
-        self.calls += 1;
         let dets = self.detector.detect(frame);
         let outcome = self.discrim.observe(frame, &dets);
         for t in &outcome.new_truths {
             match t {
                 Some(id) => {
-                    if self.true_found.insert(*id) {
-                        self.truth_curve
-                            .push((self.calls, self.true_found.len() as u64));
-                    } else {
+                    if !self.true_found.insert(*id) {
                         self.duplicate_results += 1;
                     }
                 }
@@ -56,11 +46,6 @@ impl<D: Detector, X: Discriminator> QueryOracle<D, X> {
             }
         }
         Feedback::new(outcome.new_results, outcome.matched_once)
-    }
-
-    /// Frames processed so far.
-    pub fn calls(&self) -> u64 {
-        self.calls
     }
 
     /// Number of *true* distinct instances found (evaluation-side).
@@ -77,30 +62,6 @@ impl<D: Detector, X: Discriminator> QueryOracle<D, X> {
     /// Results caused by detector false positives.
     pub fn spurious_results(&self) -> u64 {
         self.spurious_results
-    }
-
-    /// The `(frames_processed, true_found)` curve.
-    pub fn truth_curve(&self) -> &[(u64, u64)] {
-        &self.truth_curve
-    }
-
-    /// Frames processed when `target` true distinct instances had been
-    /// found, if ever.
-    pub fn samples_to_true_found(&self, target: u64) -> Option<u64> {
-        self.truth_curve
-            .iter()
-            .find(|&&(_, found)| found >= target)
-            .map(|&(calls, _)| calls)
-    }
-
-    /// Access the wrapped detector.
-    pub fn detector(&self) -> &D {
-        &self.detector
-    }
-
-    /// Access the wrapped discriminator.
-    pub fn discriminator(&self) -> &X {
-        &self.discrim
     }
 }
 
@@ -148,7 +109,6 @@ mod tests {
         assert!(trace.found() >= 10);
         // Oracle discriminator: driver-side found equals true found.
         assert_eq!(trace.found(), q.true_found());
-        assert_eq!(trace.samples(), q.calls());
     }
 
     #[test]
@@ -175,14 +135,5 @@ mod tests {
         assert_eq!(q.true_found(), found);
         assert_eq!(q.duplicate_results(), 0);
         assert_eq!(q.spurious_results(), 0);
-        assert_eq!(q.calls(), samples);
-        assert_eq!(q.samples_to_true_found(found), {
-            // last curve point at or before `samples`
-            q.truth_curve()
-                .iter()
-                .find(|&&(_, tf)| tf >= found)
-                .map(|&(c, _)| c)
-        });
-        assert!(q.samples_to_true_found(10_000).is_none());
     }
 }

@@ -20,7 +20,6 @@ use exsample_videosim::{ClassId, FrameIdx, GroundTruth};
 #[derive(Debug, Clone)]
 pub struct ProxyModel {
     scores: Vec<f32>,
-    class: ClassId,
 }
 
 impl ProxyModel {
@@ -54,22 +53,7 @@ impl ProxyModel {
             };
             scores.push((signal + noise) as f32);
         }
-        ProxyModel { scores, class }
-    }
-
-    /// The scored class.
-    pub fn class(&self) -> ClassId {
-        self.class
-    }
-
-    /// Number of scored frames.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// True when the dataset had no frames.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+        ProxyModel { scores }
     }
 
     /// Score of one frame.
@@ -94,49 +78,6 @@ impl ProxyModel {
     pub fn scan_seconds(&self, score_fps: f64) -> f64 {
         assert!(score_fps > 0.0);
         self.scores.len() as f64 / score_fps
-    }
-
-    /// Empirical AUC of the scores against "frame contains the class"
-    /// (Monte-Carlo over positive/negative pairs). Diagnostic for tests
-    /// and reports.
-    pub fn auc(&self, gt: &GroundTruth, samples: usize, seed: u64) -> f64 {
-        let mut rng = Rng64::new(seed);
-        let mut vis = Vec::new();
-        let mut positives = Vec::new();
-        let mut negatives = Vec::new();
-        // Reservoir-less: sample frames until both classes are populated.
-        let budget = (samples * 50).max(10_000);
-        for _ in 0..budget {
-            let f = rng.u64_below(gt.frames);
-            gt.visible_at(self.class, f, &mut vis);
-            if vis.is_empty() {
-                if negatives.len() < samples {
-                    negatives.push(self.score(f));
-                }
-            } else if positives.len() < samples {
-                positives.push(self.score(f));
-            }
-            if positives.len() >= samples && negatives.len() >= samples {
-                break;
-            }
-        }
-        if positives.is_empty() || negatives.is_empty() {
-            return 0.5;
-        }
-        let mut wins = 0.0;
-        let n = positives.len().min(negatives.len());
-        for i in 0..n {
-            let p = positives[i];
-            let q = negatives[i];
-            wins += if p > q {
-                1.0
-            } else if p == q {
-                0.5
-            } else {
-                0.0
-            };
-        }
-        wins / n as f64
     }
 }
 
@@ -168,14 +109,28 @@ mod tests {
             gt.visible_at(ClassId(0), f, &mut vis);
             assert!(!vis.is_empty(), "frame {f} ranked high but empty");
         }
-        assert!(p.auc(&gt, 500, 2) > 0.999);
     }
 
     #[test]
     fn lower_fidelity_lowers_auc() {
         let gt = truth();
-        let hi = ProxyModel::build(&gt, ClassId(0), 0.95, 3).auc(&gt, 800, 4);
-        let lo = ProxyModel::build(&gt, ClassId(0), 0.5, 3).auc(&gt, 800, 4);
+        // The AUC of the score ranking: the share of (positive, negative)
+        // frame pairs it puts in the right order.
+        let auc = |fidelity: f64| {
+            let mut vis = Vec::new();
+            let (mut negatives, mut positives, mut misordered) = (0u64, 0u64, 0u64);
+            for f in ProxyModel::build(&gt, ClassId(0), fidelity, 3).descending_order() {
+                gt.visible_at(ClassId(0), f, &mut vis);
+                if vis.is_empty() {
+                    negatives += 1;
+                } else {
+                    positives += 1;
+                    misordered += negatives;
+                }
+            }
+            1.0 - misordered as f64 / (positives * negatives) as f64
+        };
+        let (hi, lo) = (auc(0.95), auc(0.5));
         assert!(hi > lo, "hi={hi} lo={lo}");
         assert!(lo > 0.55, "even degraded proxies carry signal: {lo}");
     }

@@ -36,7 +36,7 @@
 //! detector dispatch for all misses with no shard lock held, and only
 //! then wait for frames other sessions already have in flight. There are
 //! exactly two ways to redeem a reservation: [`MissGuard::fill`] publishes
-//! fresh detector output (a miss) and [`MissGuard::fill_warm`] publishes
+//! fresh detector output (a miss) and `MissGuard::fill_warm` publishes
 //! detections read back from the durable container (a warm hit). The
 //! cache writes nothing durable: the session that paid for a miss logs
 //! it. Nothing loads the cache in bulk: a restarted engine warms it frame
@@ -105,7 +105,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Entries published through [`MissGuard::fill_warm`] (persisted
+    /// Entries published through `MissGuard::fill_warm` (persisted
     /// detections read back from the mapped container on first touch) —
     /// counted separately from misses, since no detector ran for them in
     /// this process.
@@ -334,11 +334,6 @@ pub struct MissGuard<'a> {
 }
 
 impl MissGuard<'_> {
-    /// The reserved key.
-    pub fn key(&self) -> FrameKey {
-        self.key
-    }
-
     /// Publish the computed detections: the entry becomes resident
     /// (evicting FIFO if the shard is full) and waiters wake with the
     /// value.
@@ -353,7 +348,7 @@ impl MissGuard<'_> {
     /// columnar container) instead of a detector run. Identical to
     /// [`MissGuard::fill`] for waiters and residency, but accounted as a
     /// warm load rather than a miss (no detector ran in this process).
-    pub fn fill_warm(mut self, dets: Vec<Detection>) -> CachedDetections {
+    pub(crate) fn fill_warm(mut self, dets: Vec<Detection>) -> CachedDetections {
         let value: CachedDetections = Arc::new(dets);
         self.filled = true;
         self.cache.finish_fill(self.key, value.clone(), true);
@@ -664,7 +659,7 @@ mod tests {
         // A concurrent begin of a reserved key parks as Pending.
         assert!(matches!(cache.begin(key(1)), Lookup::Pending(_)));
         for g in guards {
-            assert_eq!(g.key().0, RepoId(0));
+            assert_eq!(g.key.0, RepoId(0));
             g.fill(Vec::new());
         }
         for f in 0..4 {

@@ -531,15 +531,6 @@ impl Engine {
         Ok(report)
     }
 
-    /// Non-blocking [`Engine::wait`]: the final report if the session
-    /// has finished, `None` while it still runs.
-    pub fn try_wait(&self, id: SessionId) -> Result<Option<SessionReport>, ServiceError> {
-        let cell = self.cell(id)?;
-        let mut progress = cell.progress.lock().expect("session cell poisoned");
-        self.touch(&mut progress);
-        Ok(progress.report())
-    }
-
     /// A completion queue on this engine (see [`CompletionQueue`]).
     /// `wake` is called from a worker thread whenever the queue goes from
     /// empty to non-empty. It must not block and must not call back into
@@ -552,8 +543,9 @@ impl Engine {
         CompletionQueue::new(Box::new(wake), self.shared.obs.clone())
     }
 
-    /// [`Engine::try_wait`] for a readiness-driven server, which cannot
-    /// park a thread per pending wait: when the answer is `None`, `token`
+    /// Non-blocking [`Engine::wait`] for a readiness-driven server, which
+    /// cannot park a thread per pending wait: the final report if the
+    /// session has finished; when the answer is `None`, `token`
     /// is pushed onto `queue` once the session finishes — registered
     /// under the same lock the worker publishes under, so the completion
     /// cannot be missed. Ask again only then.
@@ -926,16 +918,17 @@ mod tests {
         let id = engine
             .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(5)).seed(9))
             .unwrap();
-        // Running or finished, try_wait never blocks and never errors on
-        // a live session.
-        let early = engine.try_wait(id).unwrap();
+        // Running or finished, try_wait_watch never blocks and never
+        // errors on a live session.
+        let queue = engine.completion_queue(|| {});
+        let early = engine.try_wait_watch(id, &queue, 0).unwrap();
         let report = engine.wait(id).unwrap();
-        let late = engine.try_wait(id).unwrap().expect("finished");
-        assert_eq!(late.trace, report.trace);
+        let late = engine.try_wait_watch(id, &queue, 1).unwrap();
+        assert_eq!(late.expect("finished").trace, report.trace);
         if let Some(early) = early {
             assert_eq!(early.trace, report.trace);
         }
-        assert!(engine.try_wait(SessionId(999)).is_err());
+        assert!(engine.try_wait_watch(SessionId(999), &queue, 2).is_err());
     }
 
     #[test]
@@ -1121,7 +1114,7 @@ mod tests {
         let frames = |id| engine.poll(id, u64::MAX).unwrap().charges.frames;
         assert_eq!((frames(heavy), frames(light)), (0, 0));
         let (mut heavy_grants, mut light_grants) = (0u64, 0u64);
-        while engine.try_wait(heavy).unwrap().is_none() {
+        while engine.poll(heavy, u64::MAX).unwrap().status == SessionStatus::Running {
             let before = (frames(heavy), frames(light));
             assert!(engine.run_quantum());
             match (frames(heavy) - before.0, frames(light) - before.1) {
@@ -2048,7 +2041,7 @@ mod tests {
                 &mut self,
                 frame: u64,
                 dets: &[exsample_detect::Detection],
-            ) -> exsample_detect::DiscrimOutcome {
+            ) -> exsample_detect::discrim::DiscrimOutcome {
                 assert!(self.left > 0, "discriminator stub: out of frames");
                 self.left -= 1;
                 self.inner.observe(frame, dets)
@@ -2190,7 +2183,7 @@ mod tests {
             let id = engine
                 .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(10)).seed(seed))
                 .unwrap();
-            while engine.try_wait(id).unwrap().is_none() {
+            while engine.poll(id, u64::MAX).unwrap().status == SessionStatus::Running {
                 std::thread::yield_now();
             }
             assert!(!engine.poll(id, 0).unwrap().events.is_empty());

@@ -87,14 +87,11 @@ pub mod scheduler;
 pub mod service;
 pub mod session;
 
-pub use cache::{
-    CacheStats, CachedDetections, FrameCache, FrameKey, Lookup, MissGuard, PendingWait,
-};
+pub use cache::{CacheStats, FrameCache, Lookup};
 pub use engine::{Engine, EngineConfig, PersistStats};
 pub use exsample_persist::{
     dataset_fingerprint, detector_fingerprint, ColumnarConfig, PersistConfig,
 };
-pub use obs::EngineObs;
 pub use scheduler::Scheduler;
 pub use service::{Diagnostics, RepoInfo, SearchService, ServiceError, ServiceStats};
 pub use session::{

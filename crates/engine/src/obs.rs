@@ -202,14 +202,14 @@ impl EngineObs {
     /// whole session the moment it can must find the trace open, or its
     /// spans are dropped and its finish closes nothing. No-op unless
     /// recording is on.
-    pub fn trace_open(&self, session: u64) {
+    pub(crate) fn trace_open(&self, session: u64) {
         self.tracer
             .open_root(TraceId::from_session(session), session);
     }
 
     /// Record the engine-side submit span of `submit_ns` under
     /// `session`'s root. No-op unless recording is on.
-    pub fn trace_submit(&self, session: u64, submit_ns: u64) {
+    pub(crate) fn trace_submit(&self, session: u64, submit_ns: u64) {
         let trace = TraceId::from_session(session);
         self.tracer
             .record(trace, SpanId::ROOT, Stage::Submit, session, submit_ns, 0);
@@ -217,7 +217,7 @@ impl EngineObs {
 
     /// Close `session`'s trace at finalization; the root span's
     /// lifetime lands in the `session_ns` histogram.
-    pub fn trace_finish(&self, session: u64) {
+    pub(crate) fn trace_finish(&self, session: u64) {
         let closed = self.tracer.close_root(TraceId::from_session(session));
         if let (Some(ns), Some(hist)) = (closed, self.stages.get(Stage::Session as usize)) {
             hist.record(ns);
@@ -227,7 +227,7 @@ impl EngineObs {
     /// Record one *contended* acquisition of the engine state lock:
     /// `since` is when the caller's `try_lock` failed. The uncontended
     /// path never gets here, so it stays free.
-    pub fn state_lock_waited(&self, since: Instant) {
+    pub(crate) fn state_lock_waited(&self, since: Instant) {
         self.state_lock_wait.record(elapsed_ns(since));
     }
 
@@ -235,7 +235,7 @@ impl EngineObs {
     /// progress (`woke_at`: completion pushed / parked callers notified)
     /// to the woken side being back in service (connection about to be
     /// resumed / caller returned from its park). No-op without a stamp.
-    pub fn wake_serviced(&self, woke_at: Option<Instant>) {
+    pub(crate) fn wake_serviced(&self, woke_at: Option<Instant>) {
         if let Some(t) = woke_at {
             self.wake_to_service.record(elapsed_ns(t));
         }

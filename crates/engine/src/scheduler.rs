@@ -167,28 +167,13 @@ impl Scheduler {
     /// Mark a session finished: its entry is removed outright, so the
     /// `lease_next` scan and the entry table stay proportional to the
     /// *concurrent* session count, not the total ever submitted.
-    pub fn deactivate(&mut self, id: SessionId) {
+    pub(crate) fn deactivate(&mut self, id: SessionId) {
         let i = self.index_of(id);
         self.entries.swap_remove(i);
     }
 
-    /// Seconds charged to a session so far.
-    ///
-    /// # Panics
-    /// Panics if the session was deactivated (its charges live on in the
-    /// engine's per-session ledger, not here).
-    pub fn charged(&self, id: SessionId) -> f64 {
-        // lint: allow(panic_audit, index_of just returned a live position and documents the panic contract)
-        self.entries[self.index_of(id)].charged_s
-    }
-
-    /// Whether any session is runnable right now.
-    pub fn has_runnable(&self) -> bool {
-        self.entries.iter().any(|e| !e.leased)
-    }
-
     /// Number of unfinished sessions (leased or not).
-    pub fn active_sessions(&self) -> usize {
+    pub(crate) fn active_sessions(&self) -> usize {
         self.entries.len()
     }
 }
@@ -196,6 +181,11 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Seconds charged to a live session so far.
+    fn charged(s: &Scheduler, id: SessionId) -> f64 {
+        s.entries[s.index_of(id)].charged_s
+    }
 
     fn sid(n: u64) -> SessionId {
         SessionId(n)
@@ -281,7 +271,6 @@ mod tests {
         let b = s.lease_next().unwrap();
         assert_ne!(a, b);
         assert!(s.lease_next().is_none());
-        assert!(!s.has_runnable());
         s.release(a, 1.0);
         assert_eq!(s.lease_next(), Some(a));
         s.release(a, 0.0);
@@ -312,7 +301,7 @@ mod tests {
         s.release(id, 1.5);
         let id = s.lease_next().unwrap();
         s.release(id, 0.25);
-        assert!((s.charged(sid(7)) - 1.75).abs() < 1e-12);
+        assert!((charged(&s, sid(7)) - 1.75).abs() < 1e-12);
     }
 
     #[test]
@@ -355,7 +344,7 @@ mod tests {
         assert_ne!(a, b);
         s.release(a, f64::INFINITY); // non-finite likewise dropped
         s.release(b, 1.0);
-        assert!(s.charged(a).is_finite());
+        assert!(charged(&s, a).is_finite());
         assert_eq!(s.lease_next(), Some(a));
     }
 
@@ -365,13 +354,13 @@ mod tests {
         s.register(sid(1), 1);
         let id = s.lease_next().unwrap();
         s.release(id, 5.0);
-        let before = s.charged(sid(1));
+        let before = charged(&s, sid(1));
         let id = s.lease_next().unwrap();
         s.release(id, -100.0);
         assert!(
-            s.charged(sid(1)) >= before,
+            charged(&s, sid(1)) >= before,
             "virtual time rewound: {} < {before}",
-            s.charged(sid(1))
+            charged(&s, sid(1))
         );
     }
 
@@ -382,11 +371,11 @@ mod tests {
         // rotates out even if the caller applies no floor of its own.
         let mut s = Scheduler::new();
         s.register(sid(1), 1);
-        let mut last = s.charged(sid(1));
+        let mut last = charged(&s, sid(1));
         for _ in 0..10 {
             let id = s.lease_next().unwrap();
             s.release(id, 0.0);
-            let now = s.charged(sid(1));
+            let now = charged(&s, sid(1));
             assert!(now > last, "zero-charge release froze virtual time");
             last = now;
         }
@@ -396,11 +385,11 @@ mod tests {
         // re-freeze the clock.
         let id = s.lease_next().unwrap();
         s.release(id, 1e12);
-        let mut last = s.charged(sid(1));
+        let mut last = charged(&s, sid(1));
         for _ in 0..10 {
             let id = s.lease_next().unwrap();
             s.release(id, 0.0);
-            let now = s.charged(sid(1));
+            let now = charged(&s, sid(1));
             assert!(now > last, "epsilon absorbed at charged_s = {last}");
             last = now;
         }

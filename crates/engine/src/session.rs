@@ -131,12 +131,6 @@ impl QuerySpec {
         self
     }
 
-    /// Set the sampler configuration.
-    pub fn config(mut self, config: ExSampleConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Select the discriminator implementation.
     pub fn discriminator(mut self, kind: DiscriminatorKind) -> Self {
         self.discriminator = kind;

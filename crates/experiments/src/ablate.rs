@@ -90,7 +90,7 @@ impl AblationWorkload {
     }
 
     /// Median samples-to-target for an ExSample configuration.
-    pub fn measure(&self, config: ExSampleConfig) -> Option<f64> {
+    pub(crate) fn measure(&self, config: ExSampleConfig) -> Option<f64> {
         self.measure_policy(PolicySpec::ExSample {
             chunking: self.chunking.clone(),
             config,
@@ -98,7 +98,7 @@ impl AblationWorkload {
     }
 
     /// Median samples-to-target for a baseline policy.
-    pub fn measure_policy(&self, spec: PolicySpec) -> Option<f64> {
+    pub(crate) fn measure_policy(&self, spec: PolicySpec) -> Option<f64> {
         self.median(&spec, self.seed, 1)
     }
 }
@@ -167,7 +167,7 @@ pub fn within_table(w: &AblationWorkload) -> Table {
 
 /// Median samples-to-target under batched Thompson sampling with batch
 /// size `b` (feedback only lands after a whole batch is processed).
-pub fn batched_samples_to_target(w: &AblationWorkload, b: usize) -> Option<f64> {
+pub(crate) fn batched_samples_to_target(w: &AblationWorkload, b: usize) -> Option<f64> {
     let spec = PolicySpec::ExSample {
         chunking: w.chunking.clone(),
         config: ExSampleConfig::default(),

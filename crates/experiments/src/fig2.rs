@@ -93,7 +93,7 @@ pub struct Fig2Cell {
 
 /// Generate the paper's skewed `p_i` population: lognormal with arithmetic
 /// mean 3e-3 and sd 8e-3, clamped at 0.15.
-pub fn generate_probabilities(instances: usize, rng: &mut Rng64) -> Vec<f64> {
+pub(crate) fn generate_probabilities(instances: usize, rng: &mut Rng64) -> Vec<f64> {
     // cv = sd/mean = 8/3; sigma² = ln(1+cv²).
     let cv2 = (8.0f64 / 3.0).powi(2);
     let sigma = (1.0 + cv2).ln().sqrt();

@@ -53,7 +53,7 @@ pub struct Band {
     pub dataset: &'static str,
     /// Class name.
     pub class: &'static str,
-    /// Index into [`RECALLS`](crate::table1::RECALLS).
+    /// Index into `RECALLS`.
     pub recall: usize,
     /// Lowest passing savings ratio.
     pub lo: f64,
@@ -100,11 +100,12 @@ impl Band {
 
 /// Band on the geometric mean over every bar, set like [`BANDS`] (1.60×
 /// to 1.68× over seven `Quick` and five `Full` seeds).
-pub const GEO_MEAN_BAND: (f64, f64) = (1.28, 2.10);
+pub(crate) const GEO_MEAN_BAND: (f64, f64) = (1.28, 2.10);
 
 /// Every [`BANDS`] row that `evals` (the whole Table I evaluation) misses,
-/// a row whose query is absent included, then the geometric mean if it
-/// misses [`GEO_MEAN_BAND`].
+/// a row whose query is absent included; every lost bar, a (query, recall)
+/// that random reached and ExSample did not, which [`panels`] cannot show;
+/// then the geometric mean if it misses `GEO_MEAN_BAND`.
 pub fn band_misses(evals: &[QueryEval]) -> Vec<String> {
     let eval = |b: &Band| {
         evals
@@ -118,6 +119,16 @@ pub fn band_misses(evals: &[QueryEval]) -> Vec<String> {
             None => Some(format!("{}/{}: not evaluated", b.dataset, b.class)),
         })
         .collect();
+    for e in evals {
+        for (i, recall) in crate::table1::RECALLS.iter().enumerate() {
+            if e.random_s[i].is_some() && e.exsample_s[i].is_none() {
+                misses.push(format!(
+                    "{}/{} @ recall {recall}: ExSample did not reach the target",
+                    e.dataset, e.class
+                ));
+            }
+        }
+    }
     let (lo, hi) = GEO_MEAN_BAND;
     let geo_mean = summary(&panels(evals)).map(|s| s.geo_mean);
     if !geo_mean.is_some_and(|g| (lo..=hi).contains(&g)) {
@@ -188,6 +199,26 @@ mod tests {
         let p = panels(&evals);
         assert!(p.iter().all(|panel| panel.bars.is_empty()));
         assert!(summary(&p).is_none());
+    }
+
+    #[test]
+    fn a_bar_only_random_reached_is_a_miss() {
+        let mut exsample_s = [Some(10.0); 3];
+        exsample_s[2] = None;
+        let evals = vec![eval("archie", "truck", exsample_s, [Some(20.0); 3])];
+        let misses = band_misses(&evals);
+        let lost = "archie/truck @ recall 0.9: ExSample did not reach the target";
+        assert!(misses.iter().any(|m| m == lost), "{misses:?}");
+        // Neither reached it: no bar to lose.
+        let evals = vec![eval(
+            "archie",
+            "truck",
+            exsample_s,
+            [Some(20.0), Some(20.0), None],
+        )];
+        assert!(!band_misses(&evals)
+            .iter()
+            .any(|m| m.contains("did not reach")));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use exsample_videosim::ClassId;
 
 /// The representative queries of Figure 6, in paper order, with the
 /// paper's reported `(S, savings)` for reference.
-pub const REPRESENTATIVE: [(&str, &str, f64, f64); 5] = [
+pub(crate) const REPRESENTATIVE: [(&str, &str, f64, f64); 5] = [
     ("dashcam", "bicycle", 14.0, 7.0),
     ("BDD 1k", "motor", 19.0, 2.0),
     ("night street", "person", 4.5, 3.0),

@@ -22,7 +22,7 @@
 //! [`presets`] (the six evaluation datasets, calibrated to the paper's
 //! reported frame counts, instance counts and skew), [`runner`]
 //! (replicated discovery-curve runs), [`report`] (markdown/CSV
-//! emission), [`parallel`] (a scoped thread-pool map).
+//! emission), `parallel` (a scoped thread-pool map).
 
 #![warn(missing_docs)]
 
@@ -35,7 +35,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod optimal;
-pub mod parallel;
+mod parallel;
 pub mod presets;
 pub mod report;
 pub mod runner;

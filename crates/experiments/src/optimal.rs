@@ -27,7 +27,7 @@ use exsample_videosim::{ClassId, GroundTruth};
 /// Sparse per-instance chunk probabilities `p_ij`.
 #[derive(Debug, Clone)]
 pub struct ChunkProbs {
-    num_chunks: usize,
+    pub(crate) num_chunks: usize,
     /// One row per instance: `(chunk, p)` pairs, `p` = overlap / chunk_len.
     pub(crate) rows: Vec<Vec<(u32, f64)>>,
 }
@@ -65,28 +65,13 @@ impl ChunkProbs {
         }
     }
 
-    /// Build directly from rows (tests / synthetic studies).
-    ///
-    /// # Panics
-    /// Panics if any probability is outside `[0,1]` or a chunk index is out
-    /// of range.
-    pub fn from_rows(num_chunks: usize, rows: Vec<Vec<(u32, f64)>>) -> Self {
-        for row in &rows {
-            for &(j, p) in row {
-                assert!((j as usize) < num_chunks, "chunk {j} out of range");
-                assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-            }
-        }
-        ChunkProbs { num_chunks, rows }
-    }
-
     /// Number of chunks `M`.
     pub fn num_chunks(&self) -> usize {
         self.num_chunks
     }
 
     /// Number of instances `N`.
-    pub fn num_instances(&self) -> usize {
+    pub(crate) fn num_instances(&self) -> usize {
         self.rows.len()
     }
 
@@ -199,7 +184,11 @@ pub fn optimal_weights(probs: &ChunkProbs, n: u64, opts: SolveOpts) -> Vec<f64> 
 /// The "optimal allocation" reference curve: for each sample budget `n`,
 /// the expected number of instances found if the weights had been chosen
 /// optimally for that `n` (dashed lines in Figures 3 and 4).
-pub fn optimal_curve(probs: &ChunkProbs, budgets: &[u64], opts: SolveOpts) -> Vec<(u64, f64)> {
+pub(crate) fn optimal_curve(
+    probs: &ChunkProbs,
+    budgets: &[u64],
+    opts: SolveOpts,
+) -> Vec<(u64, f64)> {
     budgets
         .iter()
         .map(|&n| {
@@ -211,7 +200,11 @@ pub fn optimal_curve(probs: &ChunkProbs, budgets: &[u64], opts: SolveOpts) -> Ve
 
 /// Number of instances (counted at their midpoint frame) per chunk — the
 /// bar heights of Figure 6.
-pub fn chunk_instance_counts(gt: &GroundTruth, class: ClassId, chunking: &Chunking) -> Vec<usize> {
+pub(crate) fn chunk_instance_counts(
+    gt: &GroundTruth,
+    class: ClassId,
+    chunking: &Chunking,
+) -> Vec<usize> {
     let mut counts = vec![0usize; chunking.num_chunks()];
     for inst in gt.instances_of_class(class) {
         let mid = inst.start + inst.duration / 2;
@@ -225,7 +218,7 @@ pub fn chunk_instance_counts(gt: &GroundTruth, class: ClassId, chunking: &Chunki
 /// uniform spread; `S = M/2` when one chunk holds everything.
 ///
 /// Returns 1.0 for empty inputs.
-pub fn skew_metric(chunk_counts: &[usize]) -> f64 {
+pub(crate) fn skew_metric(chunk_counts: &[usize]) -> f64 {
     let total: usize = chunk_counts.iter().sum();
     let m = chunk_counts.len();
     if total == 0 || m == 0 {

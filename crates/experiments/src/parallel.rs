@@ -11,7 +11,7 @@ use std::sync::Mutex;
 /// Map `f` over `0..n` job indices on up to `threads` OS threads,
 /// returning results in index order. `f` must be `Sync` (it is shared by
 /// reference across threads) — capture per-job state via the index.
-pub fn parallel_map<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -43,10 +43,6 @@ where
         .map(|m| m.into_inner().expect("poisoned").expect("job completed"))
         .collect()
 }
-
-/// The workspace-wide worker-thread convention (`EXSAMPLE_THREADS`),
-/// shared with the engine's worker pool.
-pub use exsample_core::default_threads;
 
 #[cfg(test)]
 mod tests {
@@ -82,6 +78,6 @@ mod tests {
 
     #[test]
     fn default_threads_positive() {
-        assert!(default_threads() > 0);
+        assert!(exsample_core::default_threads() > 0);
     }
 }

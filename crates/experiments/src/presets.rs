@@ -162,7 +162,7 @@ impl EvalDataset {
     }
 
     /// The repository every experiment searches for this dataset: its
-    /// ground truth at seed `1000 + ` its position in [`all_datasets`].
+    /// ground truth at seed `1000 + ` its position in `all_datasets`.
     pub fn repository(&self) -> Arc<GroundTruth> {
         let i = all_datasets()
             .iter()
@@ -180,7 +180,7 @@ impl EvalDataset {
     }
 
     /// Seconds a proxy model needs to score every frame.
-    pub fn proxy_scan_seconds(&self) -> f64 {
+    pub(crate) fn proxy_scan_seconds(&self) -> f64 {
         self.frames as f64 / SCORE_FPS
     }
 
@@ -191,7 +191,7 @@ impl EvalDataset {
 }
 
 /// All six evaluation datasets of §V-A.
-pub fn all_datasets() -> Vec<EvalDataset> {
+pub(crate) fn all_datasets() -> Vec<EvalDataset> {
     use SkewLevel::*;
     vec![
         EvalDataset {

@@ -93,7 +93,7 @@ impl Table {
     }
 
     /// Render as CSV (header + rows, minimal quoting).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |c: &str| {
             if c.contains(',') || c.contains('"') || c.contains('\n') {
                 format!("\"{}\"", c.replace('"', "\"\""))
@@ -131,7 +131,7 @@ impl Table {
 }
 
 /// Format a ratio like the paper's labels: `0.79x`, `1.4x`, `12x`, `84x`.
-pub fn fmt_ratio(r: f64) -> String {
+pub(crate) fn fmt_ratio(r: f64) -> String {
     if !r.is_finite() {
         "-".into()
     } else if r >= 10.0 {

@@ -1,8 +1,9 @@
 //! Replicated discovery-curve runs shared by all experiments.
 
 use crate::baselines::{ProxyOrderPolicy, RandomPlusPolicy, RandomPolicy};
-use crate::parallel::{default_threads, parallel_map};
+use crate::parallel::parallel_map;
 use crate::presets::DETECT_FPS;
+use exsample_core::default_threads;
 use exsample_core::driver::{run_search_batched, SearchCost, SearchTrace, StopCond};
 use exsample_core::exsample::{ExSample, ExSampleConfig};
 use exsample_core::policy::SamplingPolicy;
@@ -101,7 +102,7 @@ impl PolicySpec {
 
 /// Replication settings.
 #[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
+pub(crate) struct RunConfig {
     /// Number of independent replicate runs.
     pub runs: usize,
     /// Stop condition per run.
@@ -116,7 +117,7 @@ pub struct RunConfig {
 impl RunConfig {
     /// `runs` replicates under `stop`, forked from `base_seed`, with
     /// per-frame feedback (`batch` 1).
-    pub fn new(runs: usize, stop: StopCond, base_seed: u64) -> Self {
+    pub(crate) fn new(runs: usize, stop: StopCond, base_seed: u64) -> Self {
         RunConfig {
             runs,
             stop,
@@ -130,7 +131,7 @@ impl RunConfig {
 /// detector + oracle discriminator (the configuration of the paper's
 /// simulation studies), timed at the paper's detector rate
 /// ([`DETECT_FPS`]), on every worker thread, and return their traces.
-pub fn replicate_runs<P: PolicyFactory + ?Sized>(
+pub(crate) fn replicate_runs<P: PolicyFactory + ?Sized>(
     gt: &Arc<GroundTruth>,
     class: ClassId,
     spec: &P,
@@ -175,7 +176,7 @@ pub struct BandPoint {
 
 /// Median and quartiles of "results found" at each checkpoint — the solid
 /// line and shaded band of Figures 3 and 4.
-pub fn found_band(traces: &[SearchTrace], checkpoints: &[u64]) -> Vec<BandPoint> {
+pub(crate) fn found_band(traces: &[SearchTrace], checkpoints: &[u64]) -> Vec<BandPoint> {
     checkpoints
         .iter()
         .map(|&n| {
@@ -195,7 +196,7 @@ pub fn found_band(traces: &[SearchTrace], checkpoints: &[u64]) -> Vec<BandPoint>
 
 /// Log-spaced sample checkpoints from 1 to `max` (inclusive), `per_decade`
 /// points per decade — the x grid of the log-scale figures.
-pub fn log_checkpoints(max: u64, per_decade: usize) -> Vec<u64> {
+pub(crate) fn log_checkpoints(max: u64, per_decade: usize) -> Vec<u64> {
     assert!(max >= 1 && per_decade >= 1);
     let mut out = Vec::new();
     let mut x = 0.0f64;

@@ -12,7 +12,7 @@ use exsample_videosim::{ClassId, GroundTruth};
 use std::sync::Arc;
 
 /// Recall levels reported by Table I / Figure 5.
-pub const RECALLS: [f64; 3] = [0.1, 0.5, 0.9];
+pub(crate) const RECALLS: [f64; 3] = [0.1, 0.5, 0.9];
 
 /// Evaluation result for one dataset/class query.
 #[derive(Debug, Clone)]
@@ -78,7 +78,7 @@ pub fn exsample_policy(dataset: &EvalDataset) -> PolicySpec {
 }
 
 /// Evaluate one query: `exsample` (see [`exsample_policy`]) against random.
-pub fn evaluate_query(
+pub(crate) fn evaluate_query(
     gt: &Arc<GroundTruth>,
     dataset: &EvalDataset,
     class_idx: usize,
@@ -90,7 +90,7 @@ pub fn evaluate_query(
 }
 
 /// The median seconds random sampling takes to each of the query's
-/// recall targets — the baseline half of [`evaluate_query`], for a caller
+/// recall targets — the baseline half of `evaluate_query`, for a caller
 /// that evaluates several samplers against one random baseline.
 pub fn random_medians(
     gt: &Arc<GroundTruth>,

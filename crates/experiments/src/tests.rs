@@ -121,7 +121,10 @@ fn two_chunk_probs(p0: f64, p1: f64, count0: usize, count1: usize) -> ChunkProbs
     for _ in 0..count1 {
         rows.push(vec![(1u32, p1)]);
     }
-    ChunkProbs::from_rows(2, rows)
+    ChunkProbs {
+        num_chunks: 2,
+        rows,
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@
 /// `Punct` characters; multi-character operators arrive as consecutive
 /// `Punct` tokens (`=>` is `=` then `>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`let`, `lock`, `TAG_SUBMIT`, `r#match`).
     Ident,
     /// Lifetime such as `'a` (the tick is not part of `text`).
@@ -35,7 +35,7 @@ pub enum TokenKind {
 
 /// One lexed token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub text: String,
     pub line: u32,
@@ -43,19 +43,19 @@ pub struct Token {
 
 impl Token {
     /// Is this an identifier spelled exactly `s`?
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == s
     }
 
     /// Is this the punctuation character `c`?
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.len() == 1 && self.text.as_bytes()[0] == c as u8
     }
 
     /// Numeric value of a `Num` token, accepting `0x`/`0o`/`0b`
     /// prefixes, `_` separators, and integer-suffix spellings
     /// (`0x4Au8`). `None` for floats or non-numeric tokens.
-    pub fn num_value(&self) -> Option<u64> {
+    pub(crate) fn num_value(&self) -> Option<u64> {
         if self.kind != TokenKind::Num {
             return None;
         }
@@ -87,7 +87,7 @@ impl Token {
 /// the next line that carries any token. `allow-file(rule)` suppresses
 /// the rule for the entire file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
+pub(crate) struct Allow {
     pub rule: String,
     pub reason: String,
     /// Line the suppression applies to; `None` = whole file.
@@ -97,14 +97,14 @@ pub struct Allow {
 /// A fully lexed source file: comment-free tokens plus the allow
 /// annotations the comments carried.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     pub tokens: Vec<Token>,
     pub allows: Vec<Allow>,
 }
 
 impl Lexed {
     /// Is `rule` suppressed at `line`?
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
+    pub(crate) fn allowed(&self, rule: &str, line: u32) -> bool {
         self.allows
             .iter()
             .any(|a| a.rule == rule && (a.line.is_none() || a.line == Some(line)))
@@ -124,7 +124,7 @@ struct PendingAllow {
 /// Lex `src` into tokens and allow annotations. Never fails: bytes the
 /// lexer does not understand become single-character `Punct` tokens, so
 /// a malformed file degrades to noise instead of a crash.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     let b = src.as_bytes();
     let mut i = 0;
     let mut line: u32 = 1;

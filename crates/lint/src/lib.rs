@@ -6,19 +6,19 @@
 //! acquisition, a protocol version in lockstep with `docs/PROTOCOL.md`,
 //! panic-free hot paths, a metric catalog in `docs/OBSERVABILITY.md`
 //! mirroring the registry names in code, deleted mechanisms that stay
-//! deleted, and an engine that stays carved. Each rule here checks one
-//! of those over the whole workspace, from a comment/string-aware
-//! lexical pass — no external parser, because this build environment
-//! is offline.
+//! deleted, an engine that stays carved, and no `pub` item that only its
+//! own crate uses. Each rule here checks one of those over the whole
+//! workspace, from a comment/string-aware lexical pass — no external
+//! parser, because this build environment is offline.
 //!
 //! Run it as `cargo run -p exsample-lint -- --deny` (what CI does), or
 //! use [`run_workspace`] as a library (the fixture self-tests do).
 //! Findings print as `file:line: rule: message`; inline
 //! `// lint: allow(rule, reason)` comments suppress a site, and
 //! `// lint: allow-file(rule, reason)` a whole file, for every rule but
-//! the two table-driven ones. See `docs/LINT.md` for the rule catalog.
+//! the three table-driven ones. See `docs/LINT.md` for the rule catalog.
 
-pub mod lexer;
+mod lexer;
 pub mod rules;
 pub mod source;
 
@@ -57,9 +57,16 @@ pub struct Report {
 impl Report {
     /// The one way a rule reports a site: counted as suppressed when an
     /// inline annotation covers it (`suppressed`), recorded otherwise.
-    /// `retired` and `budget` always pass `false`: their exemptions live
-    /// in their tables, where review sees them.
-    pub fn flag(&mut self, suppressed: bool, file: &str, line: u32, rule: &str, message: String) {
+    /// `retired`, `budget` and `orphan_pub` always pass `false`: their
+    /// exemptions live in their tables, where review sees them.
+    pub(crate) fn flag(
+        &mut self,
+        suppressed: bool,
+        file: &str,
+        line: u32,
+        rule: &str,
+        message: String,
+    ) {
         if suppressed {
             self.suppressed += 1;
         } else {
@@ -124,6 +131,10 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     rules::retired::check(&tree, &mut report);
     rules::retired::stale_allows(&tree, &mut report);
     rules::budget::check(&tree, &mut report);
+    // The benchmark is a user of the workspace's API, read but never linted.
+    let mut users = tree;
+    users.extend(source::load_tree(root, &["benchmark/src"])?);
+    rules::orphan_pub::check(&users, &mut report);
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));

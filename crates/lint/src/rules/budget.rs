@@ -12,7 +12,7 @@ use crate::lexer::lex;
 use crate::source::test_module_files;
 use crate::Report;
 
-pub const BUDGET: &str = "budget";
+pub(crate) const BUDGET: &str = "budget";
 
 pub struct Budget {
     pub scope: &'static str,

@@ -31,7 +31,7 @@
 //! the loop.
 //!
 //! Where a crate fixes the order of two locks by design
-//! ([`DECLARED_ORDER`]), the reverse nesting is a finding on its own —
+//! (`DECLARED_ORDER`), the reverse nesting is a finding on its own —
 //! no matching forward edge is needed to complete a cycle, because the
 //! forward nesting is what the design promises every other site may do.
 
@@ -40,8 +40,8 @@ use crate::source::SourceFile;
 use crate::Report;
 use std::collections::BTreeMap;
 
-pub const LOCK_BLOCKING: &str = "lock_blocking";
-pub const LOCK_ORDER: &str = "lock_order";
+pub(crate) const LOCK_BLOCKING: &str = "lock_blocking";
+pub(crate) const LOCK_ORDER: &str = "lock_order";
 
 /// Method names that produce a guard when called with no arguments.
 const ACQUIRERS: &[&str] = &["lock", "read", "write"];
@@ -93,7 +93,7 @@ const HELPER_PREFIX: &str = "lock_";
 ///   Workers publish into a cell and clients read it with the state lock
 ///   *not* held; the few paths that need both (`forget`, TTL reaping)
 ///   already hold the state lock when they reach the cell.
-pub const DECLARED_ORDER: &[(&str, &str, &str)] = &[("engine", "state", "cell.progress")];
+pub(crate) const DECLARED_ORDER: &[(&str, &str, &str)] = &[("engine", "state", "cell.progress")];
 
 #[derive(Debug)]
 struct Guard {

@@ -20,7 +20,7 @@ use crate::source::SourceFile;
 use crate::Report;
 use std::collections::BTreeMap;
 
-pub const METRIC_DRIFT: &str = "metric_drift";
+pub(crate) const METRIC_DRIFT: &str = "metric_drift";
 
 const REGISTERERS: &[&str] = &[
     "counter",

@@ -5,6 +5,7 @@
 pub mod budget;
 pub mod lock;
 pub mod metrics;
+pub mod orphan_pub;
 pub mod panic;
 pub mod retired;
 pub mod wire;

@@ -24,10 +24,10 @@ use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 use crate::Report;
 
-pub const PANIC_AUDIT: &str = "panic_audit";
+pub(crate) const PANIC_AUDIT: &str = "panic_audit";
 
 /// Crates on the request serving path.
-pub const HOT_PATH_CRATES: &[&str] = &["engine", "serve", "proto", "cluster", "obs"];
+pub(crate) const HOT_PATH_CRATES: &[&str] = &["engine", "serve", "proto", "cluster", "obs"];
 
 /// Callees whose `unwrap`/`expect` is poison propagation.
 const POISON_SOURCES: &[&str] = &[

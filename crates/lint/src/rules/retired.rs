@@ -44,7 +44,7 @@ pub struct Retirement {
 }
 
 /// Every path the workspace run loads: each scope lies beneath one.
-pub const ROOTS: &[&str] = &[
+pub(crate) const ROOTS: &[&str] = &[
     "crates",
     "src",
     "examples",
@@ -188,7 +188,7 @@ pub const RETIREMENTS: &[Retirement] = &[
 
 impl Retirement {
     /// Does this row scan `path`?
-    pub fn covers(&self, path: &str) -> bool {
+    pub(crate) fn covers(&self, path: &str) -> bool {
         let kind = path.rsplit_once('.').map_or("", |(_, ext)| ext);
         self.scope.iter().any(|s| under(s, path))
             && (self.kinds.is_empty() || self.kinds.contains(&kind))

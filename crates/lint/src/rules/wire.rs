@@ -17,7 +17,7 @@ use crate::lexer::Token;
 use crate::source::SourceFile;
 use crate::Report;
 
-pub const WIRE_PROTOCOL: &str = "wire_protocol";
+pub(crate) const WIRE_PROTOCOL: &str = "wire_protocol";
 
 /// Inputs, injectable so fixture self-tests can drive the rule without
 /// a full workspace on disk.

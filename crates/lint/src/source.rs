@@ -12,7 +12,7 @@ pub struct SourceFile {
     /// Crate directory name under `crates/` (`engine`, `proto`, …) or
     /// `"."` for the facade's own `src/`.
     pub crate_name: String,
-    pub lexed: Lexed,
+    pub(crate) lexed: Lexed,
     /// Index ranges (into `lexed.tokens`) covered by `#[cfg(test)]`
     /// modules; rules that exempt test code skip tokens inside these.
     pub test_regions: Vec<(usize, usize)>,
@@ -36,14 +36,14 @@ impl SourceFile {
     }
 
     /// First and last line of each `#[cfg(test)]` module.
-    pub fn test_lines(&self) -> Vec<(u32, u32)> {
+    pub(crate) fn test_lines(&self) -> Vec<(u32, u32)> {
         let line = |i: usize| self.lexed.tokens.get(i).map_or(u32::MAX, |t| t.line);
         let regions = self.test_regions.iter();
         regions.map(|&(a, b)| (line(a), line(b - 1))).collect()
     }
 
     /// Is token index `i` inside a `#[cfg(test)]` module?
-    pub fn in_test(&self, i: usize) -> bool {
+    pub(crate) fn in_test(&self, i: usize) -> bool {
         self.test_regions.iter().any(|&(a, b)| i >= a && i < b)
     }
 }
@@ -132,7 +132,7 @@ pub fn test_module_files(files: &[(String, String)]) -> Vec<String> {
 /// Every file under each of `roots` (directories or files, relative to
 /// `root`) as `(relative path, text)`, sorted, never entering a `target`
 /// directory.
-pub fn load_tree(root: &Path, roots: &[&str]) -> std::io::Result<Vec<(String, String)>> {
+pub(crate) fn load_tree(root: &Path, roots: &[&str]) -> std::io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     let mut todo: Vec<PathBuf> = roots.iter().rev().map(|r| root.join(r)).collect();
     while let Some(p) = todo.pop() {
@@ -155,7 +155,7 @@ pub fn load_tree(root: &Path, roots: &[&str]) -> std::io::Result<Vec<(String, St
 /// `fixtures/` directories. Shims are deliberately excluded — they are
 /// offline stand-ins for external crates and follow upstream's
 /// conventions, not ours.
-pub fn workspace_sources(tree: &[(String, String)]) -> Vec<SourceFile> {
+pub(crate) fn workspace_sources(tree: &[(String, String)]) -> Vec<SourceFile> {
     let mut files = Vec::new();
     for (path, text) in tree {
         let parts: Vec<&str> = path.split('/').collect();

@@ -6,7 +6,7 @@
 use exsample_lint::rules::lock::{self, Edge};
 use exsample_lint::rules::retired::{Retirement, RETIREMENTS};
 use exsample_lint::rules::wire::WireInputs;
-use exsample_lint::rules::{budget, metrics, panic, retired, wire};
+use exsample_lint::rules::{budget, metrics, orphan_pub, panic, retired, wire};
 use exsample_lint::source::{test_module_files, SourceFile};
 use exsample_lint::{Finding, Report};
 use std::collections::BTreeMap;
@@ -620,6 +620,128 @@ fn cfg_test_on_another_item_marks_no_module_as_test() {
     let f = SourceFile::from_text("crates/x/src/lib.rs", "x", src);
     assert!(f.test_regions.is_empty(), "{:?}", f.test_regions);
     assert!(f.test_mods.is_empty(), "{:?}", f.test_mods);
+}
+
+// ---- orphan_pub ----
+
+/// A small workspace: `alpha` declares the items under test, the other
+/// files use some of them, and the `ALLOW` rows have their items.
+fn orphan_tree() -> Vec<(String, String)> {
+    let alpha = r#"
+        pub fn orphan() {}
+        pub struct UsedByBeta;
+        pub fn exposes() -> Exposed { Exposed { inner: Inner } }
+        /// Named by `exposes`, so it stays `pub`.
+        pub struct Exposed { pub inner: Inner, hidden: Hidden }
+        pub struct Inner;
+        pub struct Hidden;
+        pub fn by_bench() {}
+        pub fn by_own_tests() {}
+        pub fn in_beta_tests() {}
+        /// The `Bernoulli` case: elsewhere only in comments and strings.
+        pub struct Bernoulli;
+        pub(crate) fn narrow() {}
+        pub use self::orphan as reexported;
+        #[cfg(test)]
+        mod tests {
+            pub fn test_helper() {}
+        }
+    "#;
+    let beta = r#"
+        // Bernoulli
+        fn f() { alpha::UsedByBeta; alpha::exposes(); let _ = "Bernoulli"; }
+        #[cfg(test)]
+        mod tests {
+            fn t() { in_beta_tests(); }
+        }
+    "#;
+    [
+        ("crates/alpha/src/lib.rs", alpha),
+        ("crates/alpha/tests/own.rs", "fn t() { by_own_tests(); }"),
+        ("crates/beta/src/lib.rs", beta),
+        ("benchmark/src/main.rs", "fn main() { by_bench(); }"),
+        ("crates/detect/src/detector.rs", "pub trait Detector {}"),
+        ("crates/engine/src/lib.rs", "pub mod service;"),
+        (
+            "crates/experiments/src/optimal.rs",
+            "pub fn expected_found_uniform() {}",
+        ),
+        (
+            "crates/lint/src/rules/orphan_pub.rs",
+            include_str!("../src/rules/orphan_pub.rs"),
+        ),
+    ]
+    .map(|(p, t)| (p.to_string(), t.to_string()))
+    .to_vec()
+}
+
+fn orphan_run(files: &[(String, String)]) -> Vec<Finding> {
+    let mut report = Report::default();
+    orphan_pub::check(files, &mut report);
+    assert_eq!(report.suppressed, 0, "no annotation excuses an orphan");
+    report.findings
+}
+
+#[test]
+fn orphan_pub_flags_what_no_other_file_names() {
+    let alpha = "crates/alpha/src/lib.rs";
+    let mut found = orphan_run(&orphan_tree());
+    found.retain(|f| f.file == alpha);
+    let flagged: Vec<(&str, u32)> = found.iter().map(|f| (f.file.as_str(), f.line)).collect();
+    // `orphan`; `Hidden`, which only a private field names; `in_beta_tests`,
+    // named only in a test module; and `Bernoulli`, named only in a comment
+    // and a string.
+    assert_eq!(
+        flagged,
+        [(alpha, 2), (alpha, 8), (alpha, 11), (alpha, 13)],
+        "{found:?}"
+    );
+    assert!(found.iter().all(|f| f.rule == orphan_pub::ORPHAN_PUB));
+    assert!(found[0].message.contains("`pub fn orphan`"), "{}", found[0]);
+    assert!(
+        found[3].message.contains("`pub struct Bernoulli`"),
+        "{}",
+        found[3]
+    );
+}
+
+#[test]
+fn orphan_pub_flags_an_allow_entry_that_excuses_nothing() {
+    let table = include_str!("../src/rules/orphan_pub.rs");
+    for (path, name) in [
+        ("crates/detect/src/detector.rs", "Detector"),
+        ("crates/engine/src/lib.rs", "service"),
+        (
+            "crates/experiments/src/optimal.rs",
+            "expected_found_uniform",
+        ),
+    ] {
+        // The item is gone, or another crate names it now: either way its
+        // row excuses nothing.
+        let mut without = orphan_tree();
+        without.retain(|(p, _)| p != path);
+        let mut used = orphan_tree();
+        used.push((
+            "crates/beta/src/more.rs".into(),
+            format!("fn g() {{ {name}; }}"),
+        ));
+        for tree in [without, used] {
+            let stale: Vec<Finding> = orphan_run(&tree)
+                .into_iter()
+                .filter(|f| f.message.starts_with("`ALLOW` entry"))
+                .collect();
+            assert_eq!(stale.len(), 1, "{stale:?}");
+            let line = table
+                .lines()
+                .nth(stale[0].line as usize - 1)
+                .expect("a table line");
+            assert!(
+                line.contains(&format!("\"{name}\"")),
+                "{}: {line}",
+                stale[0]
+            );
+        }
+    }
 }
 
 // ---- the workspace itself ----

@@ -181,7 +181,7 @@ impl FlightRecorder {
     }
 
     /// Slots in the ring.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 

@@ -109,12 +109,6 @@ impl LatencyHistogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Quantile of the recorded distribution (see
-    /// [`HistSnapshot::quantile`]).
-    pub fn quantile(&self, p: f64) -> u64 {
-        self.snapshot().quantile(p)
-    }
 }
 
 /// A frozen histogram: a plain value safe to merge, encode, ship over
@@ -188,18 +182,6 @@ impl HistSnapshot {
             }
         }
         u64::MAX
-    }
-
-    /// Mean of the recorded values, or `0.0` when empty. Approximate
-    /// once `sum` has wrapped (after ~584 years of recorded
-    /// nanoseconds).
-    pub fn mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / total as f64
-        }
     }
 
     /// Encode to the stable wire form: a version byte, then `sum` and
@@ -320,7 +302,6 @@ mod tests {
     #[test]
     fn empty_quantile_is_zero() {
         assert_eq!(HistSnapshot::default().quantile(0.99), 0);
-        assert_eq!(HistSnapshot::default().mean(), 0.0);
         assert!(HistSnapshot::default().is_empty());
     }
 

@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder, Stage, NO_SESSION};
 pub use hist::{bucket_ceiling, bucket_of, HistSnapshot, LatencyHistogram, SnapshotDecodeError};
-pub use registry::{Counter, CounterFamily, Gauge, GaugeFamily, Metric, Registry};
+pub use registry::{Counter, CounterFamily, Gauge, GaugeFamily, Registry};
 pub use trace::{
     chrome_trace_json, validate_json, validate_spans, MeasuredSpan, SpanCollector, SpanId,
     SpanRecord, TraceContext, TraceId,

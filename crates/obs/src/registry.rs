@@ -149,7 +149,7 @@ impl CounterFamily {
     }
 
     /// Every child's label value and current total, sorted by label.
-    pub fn children(&self) -> Vec<(String, u64)> {
+    pub(crate) fn children(&self) -> Vec<(String, u64)> {
         let children = self.children.lock().expect("counter family poisoned");
         children.iter().map(|(v, c)| (v.clone(), c.get())).collect()
     }
@@ -194,7 +194,7 @@ impl GaugeFamily {
     }
 
     /// Every child's label value and current reading, sorted by label.
-    pub fn children(&self) -> Vec<(String, u64)> {
+    pub(crate) fn children(&self) -> Vec<(String, u64)> {
         let children = self.children.lock().expect("gauge family poisoned");
         children.iter().map(|(v, g)| (v.clone(), g.get())).collect()
     }
@@ -202,7 +202,7 @@ impl GaugeFamily {
 
 /// A registered metric, by kind.
 #[derive(Debug, Clone)]
-pub enum Metric {
+pub(crate) enum Metric {
     /// A monotonic [`Counter`].
     Counter(Arc<Counter>),
     /// An instantaneous [`Gauge`].

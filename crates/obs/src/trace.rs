@@ -201,11 +201,6 @@ impl SpanCollector {
         }
     }
 
-    /// Will this collector record anything?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Nanoseconds since the collector's epoch.
     fn now_ns(&self) -> u64 {
         self.since_epoch(Instant::now())

@@ -28,9 +28,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Magic of belief-snapshot files ("eXSample BeLiefs").
-pub const BELIEF_MAGIC: &[u8; 4] = b"XSBL";
+pub(crate) const BELIEF_MAGIC: &[u8; 4] = b"XSBL";
 /// Current belief-snapshot format version.
-pub const BELIEF_VERSION: u16 = 1;
+pub(crate) const BELIEF_VERSION: u16 = 1;
 
 /// Snapshot key: `(repo, class, chunk count)`. A snapshot only transfers
 /// to a query using the *same* chunk partition of the same repository.

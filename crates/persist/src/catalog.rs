@@ -34,9 +34,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Magic of the repository catalog file ("eXSample Repo Catalog").
-pub const CATALOG_MAGIC: &[u8; 4] = b"XSRC";
+pub(crate) const CATALOG_MAGIC: &[u8; 4] = b"XSRC";
 /// Current catalog format version.
-pub const CATALOG_VERSION: u16 = 1;
+pub(crate) const CATALOG_VERSION: u16 = 1;
 
 const CATALOG_FILE: &str = "repos.xsr";
 
@@ -211,27 +211,6 @@ impl RepoCatalog {
     pub fn entries(&self) -> &[CatalogEntry] {
         &self.entries
     }
-
-    /// The id the next unseen identity would be assigned.
-    pub fn next_id(&self) -> u32 {
-        self.next_id
-    }
-
-    /// Number of recorded identities.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no identity has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Catalog write failures absorbed so far (assignments still serve
-    /// from memory).
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +240,7 @@ mod tests {
         let mut cat = RepoCatalog::open(&dir).unwrap();
         assert_eq!(cat.resolve("cam-south", 222), b);
         assert_eq!(cat.resolve("cam-north", 111), a);
-        assert_eq!(cat.len(), 2);
+        assert_eq!(cat.entries().len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -277,7 +256,7 @@ mod tests {
         // Both identities survive; ids are never reused.
         assert_eq!(cat.resolve("cam", 1), old);
         assert_eq!(cat.resolve("cam", 2), new);
-        assert_eq!(cat.next_id(), new + 1);
+        assert_eq!(cat.next_id, new + 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -294,7 +273,7 @@ mod tests {
         fs::write(&path, &data[..data.len() - 3]).unwrap();
 
         let mut cat = RepoCatalog::open(&dir).unwrap();
-        assert_eq!(cat.len(), 1);
+        assert_eq!(cat.entries().len(), 1);
         assert_eq!(cat.resolve("first", 10), a);
         // The lost entry is reassigned a fresh id on next sight — its old
         // id is gone from the index, but new allocations start past the
@@ -339,7 +318,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(CATALOG_FILE), b"not a catalog").unwrap();
         let mut cat = RepoCatalog::open(&dir).unwrap();
-        assert!(cat.is_empty());
+        assert!(cat.entries().is_empty());
         assert_eq!(cat.resolve("cam", 1), 0);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,7 +5,7 @@
 //! The `le_record!` field lists below *are* the layouts, both directions
 //! ([`exsample_store::le`]); a detection record is a `(repo, frame)` key
 //! and a `Vec<Detection>`, spelled out by [`encode_detections`] and
-//! [`decode_detections_into`] so a scan can decode into one buffer. This
+//! `decode_detections_into` so a scan can decode into one buffer. This
 //! diagram is their reading aid:
 //!
 //! ```text
@@ -37,7 +37,7 @@ pub use exsample_store::le::Error as CodecError;
 /// log and snapshot payloads, catalog entries, the container's header,
 /// index and box rows — is the byte layout of that type, both directions.
 #[derive(Debug, Clone, Copy)]
-pub struct Disk;
+pub(crate) struct Disk;
 
 /// Full detector output for one frame of one repository.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +86,7 @@ pub fn encode_detections(repo: u32, frame: u64, dets: &[Detection], out: &mut Ve
 /// Decode a detection-record payload into `dets`, replacing what it
 /// held, and return its `(repo, frame)` key. A log scan decodes every
 /// record into one buffer this way.
-pub fn decode_detections_into(
+pub(crate) fn decode_detections_into(
     payload: &[u8],
     dets: &mut Vec<Detection>,
 ) -> Result<(u32, u64), CodecError> {

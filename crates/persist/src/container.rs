@@ -57,15 +57,12 @@ use std::sync::OnceLock;
 
 mod compact;
 
-pub use compact::{
-    compact, compact_with_kill, container_path, fold_log, sweep_orphans, CompactError,
-    CompactionReport, Fold, KillPoint,
-};
+pub use compact::{compact, compact_with_kill, container_path, fold_log, sweep_orphans, KillPoint};
 
 /// Magic of columnar containers ("eXSample Columnar Store").
 pub const MAGIC: &[u8; 4] = b"XSCS";
 /// Current container format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 1;
 /// Fixed byte length of the container header.
 pub const HEADER_LEN: usize = <Header as Le<Disk>>::MIN + <HeaderSeal as Le<Disk>>::MIN;
 /// Fixed byte length of one chunk-index entry.
@@ -74,7 +71,7 @@ pub const INDEX_ENTRY_LEN: usize = <IndexEntry as Le<Disk>>::MIN;
 // header up to its 96.
 const _: () = assert!(HEADER_LEN == 96 && INDEX_ENTRY_LEN == 64);
 /// Canonical container file name inside a persist directory.
-pub const CONTAINER_NAME: &str = "detections.xsc";
+pub(crate) const CONTAINER_NAME: &str = "detections.xsc";
 /// Suffix of in-flight compaction outputs (swept if orphaned by a crash).
 pub const TMP_SUFFIX: &str = ".xsc.tmp";
 
@@ -393,7 +390,10 @@ pub fn build_container<'a, D: AsRef<[Detection]>>(
     chunk_frames: u64,
 ) -> Result<Vec<u8>, &'static str> {
     let chunk_frames = chunk_frames.max(1);
-    let mut data = Vec::new();
+    // The data section is written in place, behind room for the header;
+    // the index (one small entry per group) is inserted before it at the
+    // end, so the data section is held once.
+    let mut out = vec![0; HEADER_LEN];
     let mut index = Vec::new();
     // One group's frames at a time: sorted records close each
     // `(repo, chunk)` group before the next one opens.
@@ -408,7 +408,7 @@ pub fn build_container<'a, D: AsRef<[Detection]>>(
         let chunk = u32::try_from(frame / chunk_frames).map_err(|_| "chunk id exceeds u32")?;
         if open != Some((repo, chunk)) {
             if let Some((repo, chunk)) = open {
-                put_group(repo, chunk, &group, &mut data, &mut index)?;
+                put_group(repo, chunk, &group, &mut out, &mut index)?;
             }
             group.clear();
             open = Some((repo, chunk));
@@ -416,12 +416,13 @@ pub fn build_container<'a, D: AsRef<[Detection]>>(
         group.push((frame, dets));
     }
     if let Some((repo, chunk)) = open {
-        put_group(repo, chunk, &group, &mut data, &mut index)?;
+        put_group(repo, chunk, &group, &mut out, &mut index)?;
     }
     let n_groups =
         u32::try_from(index.len() / INDEX_ENTRY_LEN).map_err(|_| "group count exceeds u32")?;
     let index_off = HEADER_LEN as u64;
-    let mut out = Vec::with_capacity(HEADER_LEN + index.len() + data.len());
+    let data = &out[HEADER_LEN..];
+    let mut header = Vec::with_capacity(HEADER_LEN);
     Header {
         magic: *MAGIC,
         version: FORMAT_VERSION,
@@ -434,34 +435,35 @@ pub fn build_container<'a, D: AsRef<[Detection]>>(
         index_crc: crc32(&index),
         data_off: index_off + index.len() as u64,
         data_len: data.len() as u64,
-        data_crc: crc32(&data),
+        data_crc: crc32(data),
     }
-    .put(&mut out);
+    .put(&mut header);
     HeaderSeal {
-        header_crc: crc32(&out),
+        header_crc: crc32(&header),
         reserved: Default::default(),
     }
-    .put(&mut out);
-    out.extend_from_slice(&index);
-    out.extend_from_slice(&data);
+    .put(&mut header);
+    out[..HEADER_LEN].copy_from_slice(&header);
+    out.splice(HEADER_LEN..HEADER_LEN, index);
     Ok(out)
 }
 
-/// Append one group's columns to `data` and its entry to `index`.
+/// Append one group's columns to `out`, a header's room and then the
+/// data section, and the group's entry to `index`.
 fn put_group<D: AsRef<[Detection]>>(
     repo: u32,
     chunk: u32,
     frames: &[(u64, D)],
-    data: &mut Vec<u8>,
+    out: &mut Vec<u8>,
     index: &mut Vec<u8>,
 ) -> Result<(), &'static str> {
-    let off = data.len();
-    let summary = encode_group(frames, data);
-    let group = &data[off..];
+    let start = out.len();
+    let summary = encode_group(frames, out);
+    let group = &out[start..];
     IndexEntry {
         repo,
         chunk,
-        off: off as u64,
+        off: (start - HEADER_LEN) as u64,
         len: group.len() as u64,
         crc: crc32(group),
         frames: u32::try_from(summary.frames).map_err(|_| "group frames exceed u32")?,

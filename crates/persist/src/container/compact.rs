@@ -317,7 +317,7 @@ impl Fold {
     }
 }
 
-/// Compact `dir`: [`fold_log`], then [`Fold::write`]. See the module
+/// Compact `dir`: [`fold_log`], then `Fold::write`. See the module
 /// docs for the crash-safety protocol.
 pub fn compact(
     dir: &Path,
@@ -327,7 +327,7 @@ pub fn compact(
     compact_with_kill(dir, fingerprint, chunk_frames, None)
 }
 
-/// [`compact`] with an injected crash for tests (see [`Fold::write`]).
+/// [`compact`] with an injected crash for tests (see `Fold::write`).
 pub fn compact_with_kill(
     dir: &Path,
     fingerprint: u64,

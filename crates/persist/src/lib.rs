@@ -62,9 +62,9 @@ pub mod log;
 mod mmap;
 mod varint;
 
-pub use beliefs::{BeliefKey, BeliefStore};
+pub use beliefs::BeliefStore;
 pub use catalog::{CatalogEntry, RepoCatalog};
-pub use codec::{BeliefSnapshot, CodecError, DetectionRecord};
+pub use codec::{BeliefSnapshot, CodecError};
 pub use log::{scan_detections, sealed_segments, DetectionLog, LoadStats};
 
 use exsample_detect::NoiseModel;

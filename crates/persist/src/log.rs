@@ -31,9 +31,9 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic of detection-log segments ("eXSample Detection Log").
-pub const SEGMENT_MAGIC: &[u8; 4] = b"XSDL";
+pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"XSDL";
 /// Current detection-log format version.
-pub const SEGMENT_VERSION: u16 = 1;
+pub(crate) const SEGMENT_VERSION: u16 = 1;
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.xsd"))

@@ -16,11 +16,11 @@ use std::path::Path;
 mod sys {
     use core::ffi::c_void;
 
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_SHARED: i32 = 1;
+    pub(crate) const PROT_READ: i32 = 1;
+    pub(crate) const MAP_SHARED: i32 = 1;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: i32,
@@ -28,10 +28,10 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 
-    pub fn map_failed() -> *mut c_void {
+    pub(crate) fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
     }
 }
@@ -49,7 +49,7 @@ enum Backing {
 ///
 /// The mapping is private to this value and unmapped on drop; clones of
 /// the *data* are never taken — readers slice directly into it.
-pub struct MappedFile {
+pub(crate) struct MappedFile {
     backing: Backing,
 }
 
@@ -60,7 +60,7 @@ unsafe impl Sync for MappedFile {}
 
 impl MappedFile {
     /// Map `path` read-only. Empty files yield an empty (owned) view.
-    pub fn open(path: &Path) -> std::io::Result<MappedFile> {
+    pub(crate) fn open(path: &Path) -> std::io::Result<MappedFile> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len == 0 {

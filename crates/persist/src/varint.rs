@@ -11,7 +11,7 @@
 use crate::codec::CodecError;
 
 /// Append `v` to `out` in LEB128 (little-endian base-128) encoding.
-pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -26,7 +26,7 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 /// Read one LEB128 `u64` from `data` starting at `*pos`, advancing `*pos`
 /// past it. Rejects truncation and encodings longer than the ten bytes
 /// (10 × 7 bits ≥ 64 bits) a `u64` needs, which would silently wrap.
-pub fn get_u64(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+pub(crate) fn get_u64(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {

@@ -3,14 +3,14 @@
 //!
 //! A connection opens with a 14-byte preamble from each side — the
 //! [`framing`](exsample_store::framing) segment header (magic
-//! [`PROTO_MAGIC`], protocol version, reserved fingerprint) — after
+//! `PROTO_MAGIC`, protocol version, reserved fingerprint) — after
 //! which every message travels as one framed record:
 //!
 //! ```text
 //! len u32 | crc32 u32 | payload (one encoded Message)
 //! ```
 //!
-//! The length is bounded by [`MAX_FRAME_LEN`] before any allocation and
+//! The length is bounded by `MAX_FRAME_LEN` before any allocation and
 //! the payload is checksum-verified before any decoding, so a damaged or
 //! hostile stream surfaces as a clean `InvalidData` error, never a
 //! misparse.
@@ -235,7 +235,7 @@ impl FrameBuf {
     /// Frame and queue one message for sending, encoded in place: the
     /// header is reserved, the payload encoded straight behind it, then
     /// `len`/`crc32` patched in — no per-message allocation. A message
-    /// over [`MAX_FRAME_LEN`] is refused and leaves nothing queued.
+    /// over `MAX_FRAME_LEN` is refused and leaves nothing queued.
     pub fn queue(&mut self, msg: &Message) -> io::Result<()> {
         let frame = self.outgoing.len();
         self.outgoing.extend_from_slice(&[0; RECORD_OVERHEAD]);

@@ -55,10 +55,10 @@ pub use connection::{Connection, Host};
 pub use framebuf::FrameBuf;
 pub use server::SearchServer;
 pub use transport::{duplex, DuplexStream, Framed};
-pub use wire::{decode_message, encode_message, Message, WireCodecError, MAX_SNAPSHOT_LEN};
+pub use wire::{decode_message, encode_message, Message, WireCodecError};
 
 /// Magic bytes opening every connection ("eXSample Remote Protocol").
-pub const PROTO_MAGIC: &[u8; 4] = b"XSRP";
+pub(crate) const PROTO_MAGIC: &[u8; 4] = b"XSRP";
 
 /// The protocol version this build speaks. Bumped on any change to the
 /// message vocabulary or encodings; the handshake rejects mismatched
@@ -73,7 +73,7 @@ pub const PROTO_MAGIC: &[u8; 4] = b"XSRP";
 /// `preload_skipped` that v8 removed again).
 /// v5 added the observability surface: `Stats` gained a `detail` flag
 /// (the reply then carries latency-histogram snapshots, capped at
-/// [`MAX_SNAPSHOT_LEN`] each and refused — never truncated — beyond it)
+/// `MAX_SNAPSHOT_LEN` each and refused — never truncated — beyond it)
 /// and the `Diagnostics`/`DiagnosticsReply` exchange carrying every
 /// histogram, counter, and recent flight-recorder event of a shard.
 /// v6 added the serving surface for `exsample-serve`: the
@@ -101,7 +101,7 @@ pub const PROTO_VERSION: u16 = 9;
 /// Upper bound on one frame's payload, enforced on both send and
 /// receive: a corrupt or hostile length prefix must not provoke an
 /// unbounded allocation.
-pub const MAX_FRAME_LEN: u32 = 64 << 20;
+pub(crate) const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// Cap on result events per poll answer or streamed batch (~1.8 MiB of
 /// events), keeping every response comfortably under [`MAX_FRAME_LEN`]
@@ -111,4 +111,4 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 /// after finish) agrees on both ends. The cursor contract makes the
 /// clamp transparent to pollers: `next_cursor` advances only past what
 /// was returned, so an unbounded poll simply takes more round trips.
-pub const MAX_POLL_WINDOW: u32 = 65_536;
+pub(crate) const MAX_POLL_WINDOW: u32 = 65_536;

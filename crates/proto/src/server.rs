@@ -30,11 +30,6 @@ impl SearchServer {
         SearchServer { engine }
     }
 
-    /// The engine this server fronts.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
     /// Serve one client connection to completion (client disconnect, or
     /// a close the protocol calls for).
     ///

@@ -35,13 +35,6 @@ impl<T: Read + Write> Framed<T> {
         &self.io
     }
 
-    /// Mutable access to the underlying byte stream. Received bytes are
-    /// buffered: reading from the stream directly can skip past frames
-    /// already pulled into the buffer.
-    pub fn get_mut(&mut self) -> &mut T {
-        &mut self.io
-    }
-
     /// Exchange protocol preambles: write ours (announcing `version`),
     /// read the peer's, and return the version the peer announced.
     /// Callers decide the compatibility policy; mismatched magic is

@@ -35,7 +35,7 @@ use std::borrow::Cow;
 /// has one to refuse; the decoder still checks a peer's length prefix
 /// against it before allocating, so a corrupt or hostile one is a
 /// [`WireCodecError`], never a large allocation or a truncation.
-pub const MAX_SNAPSHOT_LEN: u32 = 4096;
+pub(crate) const MAX_SNAPSHOT_LEN: u32 = 4096;
 
 /// Decode failure: the payload does not parse as a protocol message.
 /// With frame checksums verified by the transport this indicates a peer
@@ -185,11 +185,12 @@ pub enum Message {
 /// every `le_record!(Wire: …)` / `le_enum!(Wire: …)` below is that
 /// type's layout in a message body, both directions.
 #[derive(Debug, Clone, Copy)]
-pub struct Wire;
+pub(crate) struct Wire;
 
 /// Which way a message travels.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+enum Direction {
     /// Client → server (including `Ack` inside a subscription).
     Request,
     /// Server → client.
@@ -197,7 +198,7 @@ pub enum Direction {
 }
 
 /// Declares the message vocabulary's tag table once: the [`Le`] codec
-/// of [`Message`] and the exported [`MESSAGE_TAGS`] both come from it.
+/// of [`Message`] and the tests' `MESSAGE_TAGS` both come from it.
 macro_rules! messages {
     ($($dir:ident {
         $($tag:literal => $name:ident $(($($t:ident),*))? $({$($f:ident),*})?,)*
@@ -208,7 +209,8 @@ macro_rules! messages {
 
         /// `(tag, message name, direction)` of every message, in tag
         /// order — the table `docs/PROTOCOL.md` prints.
-        pub const MESSAGE_TAGS: &[(u8, &str, Direction)] =
+        #[cfg(test)]
+        const MESSAGE_TAGS: &[(u8, &str, Direction)] =
             &[$($(($tag, stringify!($name), Direction::$dir),)*)*];
     };
 }

@@ -69,7 +69,7 @@ impl Admission {
     }
 
     /// May another connection be accepted, given `active` already open?
-    pub fn admit_connection(&self, active: usize) -> Result<(), ServiceError> {
+    pub(crate) fn admit_connection(&self, active: usize) -> Result<(), ServiceError> {
         if active >= self.config.max_connections {
             return Err(self.overloaded());
         }
@@ -80,7 +80,7 @@ impl Admission {
     /// the per-tenant connection cap. On `Ok` the count is taken;
     /// release it with [`unbind_tenant`](Self::unbind_tenant) when the
     /// connection closes or re-authenticates.
-    pub fn bind_tenant(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
+    pub(crate) fn bind_tenant(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
         let n = self.conns_by_tenant.entry(tenant).or_insert(0);
         if *n >= self.config.max_connections_per_tenant {
             return Err(self.overloaded());
@@ -90,18 +90,13 @@ impl Admission {
     }
 
     /// Release one connection slot of `tenant`.
-    pub fn unbind_tenant(&mut self, tenant: TenantId) {
+    pub(crate) fn unbind_tenant(&mut self, tenant: TenantId) {
         if let Some(n) = self.conns_by_tenant.get_mut(&tenant) {
             *n = n.saturating_sub(1);
             if *n == 0 {
                 self.conns_by_tenant.remove(&tenant);
             }
         }
-    }
-
-    /// Connections currently bound to `tenant`.
-    pub fn tenant_connections(&self, tenant: TenantId) -> usize {
-        self.conns_by_tenant.get(&tenant).copied().unwrap_or(0)
     }
 
     /// May `tenant` (None = unauthenticated) submit another session
@@ -172,9 +167,9 @@ mod tests {
             adm.bind_tenant(t),
             Err(ServiceError::Overloaded { .. })
         ));
-        assert_eq!(adm.tenant_connections(t), 1);
+        assert_eq!(adm.conns_by_tenant.get(&t), Some(&1));
         adm.unbind_tenant(t);
-        assert_eq!(adm.tenant_connections(t), 0);
+        assert_eq!(adm.conns_by_tenant.get(&t), None);
         assert!(adm.bind_tenant(t).is_ok());
         // A different tenant has its own budget.
         assert!(adm.bind_tenant(TenantId(8)).is_ok());
@@ -184,7 +179,7 @@ mod tests {
     fn unbind_of_unknown_tenant_is_harmless() {
         let mut adm = tight();
         adm.unbind_tenant(TenantId(99));
-        assert_eq!(adm.tenant_connections(TenantId(99)), 0);
+        assert!(adm.conns_by_tenant.is_empty());
     }
 
     #[test]

@@ -102,24 +102,6 @@ impl AuthRegistry {
             weight: r.tier.weight(),
         })
     }
-
-    /// The display name of a registered tenant, if any.
-    pub fn name_of(&self, tenant: TenantId) -> Option<&str> {
-        self.by_token
-            .values()
-            .find(|r| r.tenant == tenant)
-            .map(|r| r.name.as_str())
-    }
-
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.by_token.len()
-    }
-
-    /// Whether the registry is open (no tenants registered).
-    pub fn is_empty(&self) -> bool {
-        self.by_token.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +127,7 @@ mod tests {
         let b = auth.authenticate("tok-ent").unwrap();
         assert_eq!(b.weight, 16);
         assert_eq!(b.tenant, ent);
-        assert_eq!(auth.name_of(ent), Some("acme"));
+        assert_eq!(auth.by_token["tok-ent"].name, "acme");
         // Non-empty registry rejects unknown tokens.
         assert!(auth.authenticate("tok-wrong").is_none());
     }
@@ -156,7 +138,7 @@ mod tests {
         let a = auth.register("acme", "tok", Tier::Free);
         let b = auth.register("acme-renamed", "tok", Tier::Pro);
         assert_eq!(a, b);
-        assert_eq!(auth.len(), 1);
+        assert_eq!(auth.by_token.len(), 1);
         assert_eq!(auth.authenticate("tok").unwrap().weight, 4);
     }
 }

@@ -74,12 +74,12 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// The default handshake deadline.
-    pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+    pub(crate) const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 }
 
 impl Default for ServeConfig {
     /// Open auth, default admission limits,
-    /// [`ServeConfig::DEFAULT_HANDSHAKE_TIMEOUT`].
+    /// `ServeConfig::DEFAULT_HANDSHAKE_TIMEOUT`.
     fn default() -> Self {
         ServeConfig {
             auth: AuthRegistry::new(),

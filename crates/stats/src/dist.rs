@@ -9,8 +9,7 @@
 //!
 //! All continuous distributions implement the object-safe [`Continuous`]
 //! trait (sample / cdf / quantile); the discrete ones ([`Poisson`],
-//! [`Geometric`], [`Bernoulli`]) expose inherent `sample` methods with
-//! integer (or bool) outputs.
+//! [`Geometric`]) expose inherent `sample` methods with integer outputs.
 
 use crate::rng::Rng64;
 use crate::special::{erfc, inv_reg_lower_gamma, reg_lower_gamma};
@@ -41,11 +40,6 @@ impl Uniform {
     pub fn new(a: f64, b: f64) -> Self {
         assert!(a < b, "Uniform: empty support [{a}, {b})");
         Uniform { a, b }
-    }
-
-    /// Mean `(a + b) / 2`.
-    pub fn mean(&self) -> f64 {
-        0.5 * (self.a + self.b)
     }
 }
 
@@ -80,11 +74,6 @@ impl Exponential {
             "Exponential: rate must be positive, got {lambda}"
         );
         Exponential { lambda }
-    }
-
-    /// Mean `1/lambda`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.lambda
     }
 }
 
@@ -136,14 +125,14 @@ impl Normal {
     }
 
     /// Standard-normal CDF `Φ(z)`.
-    pub fn standard_cdf(z: f64) -> f64 {
+    pub(crate) fn standard_cdf(z: f64) -> f64 {
         0.5 * erfc(-z / std::f64::consts::SQRT_2)
     }
 
     /// Standard-normal quantile `Φ⁻¹(p)` (Acklam's rational approximation
     /// with one Newton refinement; relative error well below 1e-9).
     #[allow(clippy::excessive_precision)] // Acklam's published coefficients, kept verbatim
-    pub fn standard_inv_cdf(p: f64) -> f64 {
+    pub(crate) fn standard_inv_cdf(p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "standard_inv_cdf: p={p}");
         if p <= 0.0 {
             return f64::NEG_INFINITY;
@@ -207,11 +196,6 @@ impl Normal {
         }
         x
     }
-
-    /// Mean.
-    pub fn mean(&self) -> f64 {
-        self.mu
-    }
 }
 
 impl Continuous for Normal {
@@ -257,11 +241,6 @@ impl LogNormal {
         assert!(mean > 0.0, "LogNormal: mean must be positive, got {mean}");
         LogNormal::new(mean.ln() - 0.5 * sigma * sigma, sigma)
     }
-
-    /// Arithmetic mean `exp(mu + sigma²/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
 }
 
 impl Continuous for LogNormal {
@@ -306,11 +285,6 @@ impl Gamma {
     /// Mean `α/β`.
     pub fn mean(&self) -> f64 {
         self.shape / self.rate
-    }
-
-    /// Variance `α/β²`.
-    pub fn variance(&self) -> f64 {
-        self.shape / (self.rate * self.rate)
     }
 
     /// The constants a draw needs, computed once: worth it wherever one
@@ -480,39 +454,6 @@ impl Continuous for Gamma {
     }
 }
 
-/// Beta distribution on `(0, 1)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Beta {
-    a: f64,
-    b: f64,
-}
-
-impl Beta {
-    /// Beta with shape parameters `a` and `b`.
-    ///
-    /// # Panics
-    /// Panics unless both are positive.
-    pub fn new(a: f64, b: f64) -> Self {
-        assert!(
-            a > 0.0 && b > 0.0,
-            "Beta: shapes must be positive, got ({a}, {b})"
-        );
-        Beta { a, b }
-    }
-
-    /// Mean `a / (a + b)`.
-    pub fn mean(&self) -> f64 {
-        self.a / (self.a + self.b)
-    }
-
-    /// Draw via the Gamma-ratio construction.
-    pub fn sample(&self, rng: &mut Rng64) -> f64 {
-        let x = Gamma::new(self.a, 1.0).sample(rng);
-        let y = Gamma::new(self.b, 1.0).sample(rng);
-        x / (x + y)
-    }
-}
-
 /// Poisson distribution (counts per frame, false-positive arrivals).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
@@ -546,11 +487,6 @@ impl Poisson {
             }
         }
         total
-    }
-
-    /// Mean.
-    pub fn mean(&self) -> f64 {
-        self.rate
     }
 }
 
@@ -590,29 +526,6 @@ impl Geometric {
             k as u64
         }
     }
-
-    /// Mean `1/p`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.p
-    }
-}
-
-/// Bernoulli distribution (a single biased coin).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Success probability `p` (clamped to `[0, 1]` at draw time).
-    pub fn new(p: f64) -> Self {
-        Bernoulli { p }
-    }
-
-    /// One trial.
-    pub fn sample(&self, rng: &mut Rng64) -> bool {
-        rng.chance(self.p)
-    }
 }
 
 #[cfg(test)]
@@ -634,7 +547,7 @@ mod tests {
         assert_eq!(d.cdf(6.0), 1.0);
         assert!((d.inv_cdf(0.5) - 1.5).abs() < 1e-12);
         let (m, _) = moments(|r| d.sample(r), 20_000, 1);
-        assert!((m - d.mean()).abs() < 0.05);
+        assert!((m - 1.5).abs() < 0.05);
     }
 
     #[test]
@@ -644,7 +557,7 @@ mod tests {
             assert!((d.cdf(d.inv_cdf(p)) - p).abs() < 1e-10);
         }
         let (m, _) = moments(|r| d.sample(r), 40_000, 2);
-        assert!((m - d.mean()).abs() < 0.03, "mean={m}");
+        assert!((m - 1.0 / 0.7).abs() < 0.03, "mean={m}");
     }
 
     #[test]
@@ -672,7 +585,6 @@ mod tests {
     #[test]
     fn lognormal_from_mean_matches_arithmetic_mean() {
         let d = LogNormal::from_mean(3e-3, 1.2);
-        assert!((d.mean() - 3e-3).abs() < 1e-12);
         let (m, _) = moments(|r| d.sample(r), 200_000, 4);
         assert!((m - 3e-3).abs() < 3e-4, "mean={m}");
     }
@@ -681,7 +593,7 @@ mod tests {
     fn gamma_mean_variance_and_quantiles() {
         let d = Gamma::new(7.1, 101.0);
         assert!((d.mean() - 7.1 / 101.0).abs() < 1e-15);
-        assert!((d.variance() - 7.1 / (101.0 * 101.0)).abs() < 1e-15);
+
         for p in [0.01, 0.5, 0.99] {
             assert!((d.cdf(d.inv_cdf(p)) - p).abs() < 1e-6, "p={p}");
         }
@@ -693,15 +605,8 @@ mod tests {
             let d = Gamma::new(shape, 2.0);
             let (m, v) = moments(|r| d.sample(r), 120_000, 5);
             assert!((m - d.mean()).abs() < 0.02, "shape={shape} mean={m}");
-            assert!((v - d.variance()).abs() < 0.05, "shape={shape} var={v}");
+            assert!((v - shape / 4.0).abs() < 0.05, "shape={shape} var={v}");
         }
-    }
-
-    #[test]
-    fn beta_mean() {
-        let d = Beta::new(2.0, 6.0);
-        let (m, _) = moments(|r| d.sample(r), 40_000, 6);
-        assert!((m - 0.25).abs() < 0.01, "mean={m}");
     }
 
     #[test]
@@ -728,15 +633,6 @@ mod tests {
         let mean = sum / 50_000.0;
         assert!((mean - 100.0).abs() < 2.5, "mean={mean}");
         assert_eq!(Geometric::new(1.0).sample(&mut rng), 1);
-    }
-
-    #[test]
-    fn bernoulli_rate() {
-        let d = Bernoulli::new(0.3);
-        let mut rng = Rng64::new(10);
-        let hits = (0..50_000).filter(|_| d.sample(&mut rng)).count();
-        let rate = hits as f64 / 50_000.0;
-        assert!((rate - 0.3).abs() < 0.01, "rate={rate}");
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //!   belief distribution at the core of ExSample's Thompson sampling and
 //!   by the Bayes-UCB variant, which needs Gamma quantiles.
 //! * [`dist`] — random variate generators and densities: Uniform,
-//!   Exponential, Normal, LogNormal, Gamma, Beta, Poisson, Geometric.
+//!   Exponential, Normal, LogNormal, Gamma, Poisson, Geometric.
 //!   The paper's simulations draw instance durations from LogNormal
 //!   distributions and model `N1(n)` as Poisson; the sampler itself draws
 //!   from Gamma posteriors.
-//! * [`moments`] — online (Welford) and batch descriptive statistics,
-//!   quantiles and percentile bands used for the 25–75% envelopes in
-//!   Figures 3 and 4.
+//! * [`moments`] — quantiles, used for the 25–75% envelopes in Figures 3
+//!   and 4, and the geometric mean of the savings figures.
 //! * [`hash`] — an Fx-style hasher plus map/set aliases for hot
 //!   integer-keyed lookups (per the Rust perf-book guidance).
 //! * [`sample`] — sparse Fisher–Yates uniform sampling *without
@@ -32,10 +31,8 @@ pub mod rng;
 pub mod sample;
 pub mod special;
 
-pub use dist::{
-    Bernoulli, Beta, Exponential, Gamma, Geometric, LogNormal, Normal, Poisson, Uniform,
-};
+pub use dist::{Exponential, Gamma, Geometric, LogNormal, Normal, Poisson, Uniform};
 pub use hash::{FxHashMap, FxHashSet};
-pub use moments::{quantile, quantile_of_sorted, OnlineMoments, Summary};
+pub use moments::{quantile, quantile_of_sorted};
 pub use rng::Rng64;
 pub use sample::UniformNoReplacement;

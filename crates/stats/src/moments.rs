@@ -1,150 +1,8 @@
-//! Descriptive statistics: online moments, batch summaries, quantiles.
+//! Descriptive statistics: quantiles and the geometric mean.
 //!
 //! Used throughout the evaluation harness for the median trajectories and
 //! 25–75% bands of Figures 3 and 4 and for the geometric-mean savings
 //! number quoted in the abstract.
-
-/// Numerically stable streaming mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineMoments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineMoments {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineMoments {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations folded so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0.0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// Batch summary of a sample: mean, sd, min, quartiles, max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub sd: f64,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub q25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub q75: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize a sample. Returns `None` for an empty slice.
-    pub fn of(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-        let mut acc = OnlineMoments::new();
-        for &x in xs {
-            acc.push(x);
-        }
-        Some(Summary {
-            n: xs.len(),
-            mean: acc.mean(),
-            sd: acc.sample_variance().sqrt(),
-            min: sorted[0],
-            q25: quantile_of_sorted(&sorted, 0.25),
-            median: quantile_of_sorted(&sorted, 0.5),
-            q75: quantile_of_sorted(&sorted, 0.75),
-            max: sorted[sorted.len() - 1],
-        })
-    }
-}
 
 /// Linear-interpolation quantile of an (unsorted) sample.
 /// Sorts a copy; use [`quantile_of_sorted`] in loops.
@@ -203,57 +61,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.0, 3.5, -1.0, 0.5, 10.0];
-        let mut acc = OnlineMoments::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-        assert!((acc.mean() - mean).abs() < 1e-12);
-        assert!((acc.variance() - var).abs() < 1e-12);
-        assert_eq!(acc.min(), -1.0);
-        assert_eq!(acc.max(), 10.0);
-        assert_eq!(acc.count(), 6);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineMoments::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineMoments::new();
-        let mut b = OnlineMoments::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineMoments::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&OnlineMoments::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineMoments::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn quantile_basics() {
         let xs = [3.0, 1.0, 2.0, 4.0, 5.0];
         assert_eq!(quantile(&xs, 0.0), 1.0);
@@ -271,18 +78,6 @@ mod tests {
     #[test]
     fn quantile_single_element() {
         assert_eq!(quantile(&[42.0], 0.99), 42.0);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let s = Summary::of(&xs).unwrap();
-        assert_eq!(s.n, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.median - 2.5).abs() < 1e-12);
-        assert!(Summary::of(&[]).is_none());
     }
 
     #[test]

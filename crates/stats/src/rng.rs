@@ -118,7 +118,7 @@ impl Rng64 {
 
     /// Uniform `usize` in `[0, bound)`.
     #[inline]
-    pub fn usize_below(&mut self, bound: usize) -> usize {
+    pub(crate) fn usize_below(&mut self, bound: usize) -> usize {
         self.u64_below(bound as u64) as usize
     }
 

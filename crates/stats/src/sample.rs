@@ -21,7 +21,6 @@ pub struct UniformNoReplacement {
     swapped: FxHashMap<u64, u64>,
     /// Number of indices not yet emitted.
     remaining: u64,
-    n: u64,
 }
 
 impl UniformNoReplacement {
@@ -30,18 +29,7 @@ impl UniformNoReplacement {
         UniformNoReplacement {
             swapped: FxHashMap::default(),
             remaining: n,
-            n,
         }
-    }
-
-    /// Total size of the underlying range.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// True if every index has been emitted (or `n == 0`).
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
     }
 
     /// Number of indices not yet emitted.
@@ -84,7 +72,7 @@ mod tests {
         let mut sorted = seen.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..1000).collect::<Vec<_>>());
-        assert!(s.is_empty());
+        assert_eq!(s.remaining(), 0);
         assert_eq!(s.next(&mut rng), None);
     }
 
@@ -92,7 +80,7 @@ mod tests {
     fn zero_range_is_immediately_empty() {
         let mut s = UniformNoReplacement::new(0);
         let mut rng = Rng64::new(41);
-        assert!(s.is_empty());
+        assert_eq!(s.remaining(), 0);
         assert_eq!(s.next(&mut rng), None);
     }
 

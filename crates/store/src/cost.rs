@@ -195,16 +195,11 @@ impl Default for CostModel {
 impl CostModel {
     /// Total io/decode seconds implied by a tally. Dispatch overhead is
     /// per detector dispatch, not per decode, so it is charged separately
-    /// via [`CostModel::dispatch_seconds`].
+    /// at `dispatch_s` each.
     pub fn seconds(&self, stats: &DecodeStats) -> f64 {
         stats.seeks as f64 * self.seek_s
             + stats.frames_decoded as f64 * self.frame_decode_s
             + stats.bytes_fetched as f64 * self.byte_fetch_s
-    }
-
-    /// Overhead seconds for `dispatches` detector dispatches.
-    pub fn dispatch_seconds(&self, dispatches: u64) -> f64 {
-        dispatches as f64 * self.dispatch_s
     }
 }
 
@@ -262,19 +257,6 @@ mod tests {
             ..Default::default()
         };
         assert!((m.seconds(&s) - (2.0 + 1.0 + 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dispatch_overhead_is_per_dispatch_not_per_frame() {
-        let m = CostModel {
-            dispatch_s: 0.02,
-            ..CostModel::default()
-        };
-        // 64 frames as one batch vs 64 individual dispatches.
-        assert!((m.dispatch_seconds(1) - 0.02).abs() < 1e-12);
-        assert!((m.dispatch_seconds(64) - 1.28).abs() < 1e-12);
-        // Defaults charge nothing: existing accounting is unchanged.
-        assert_eq!(CostModel::default().dispatch_seconds(1_000), 0.0);
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl ContainerWriter {
         self.frames_in_gop = 0;
     }
 
-    /// Number of frames pushed so far.
-    pub fn frame_count(&self) -> u64 {
-        self.frame_count
-    }
-
     /// Finish the container and return its bytes, ready for
     /// [`Container::open`].
     pub fn finish(mut self) -> Vec<u8> {
@@ -355,11 +350,6 @@ impl Container {
     /// Accumulated decode statistics.
     pub fn stats(&self) -> &DecodeStats {
         &self.stats
-    }
-
-    /// Reset the decode tally (e.g. between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = DecodeStats::new();
     }
 
     /// Read one frame, paying keyframe-walk decode costs. The slice is

@@ -93,7 +93,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32` byte length, then that many bytes of UTF-8.
-    pub fn string(&mut self) -> Result<String, Error> {
+    pub(crate) fn string(&mut self) -> Result<String, Error> {
         let len = self.count(1)?;
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| Error("string not UTF-8"))
     }

@@ -447,9 +447,10 @@ mod tests {
             classes: vec![],
         };
         let repo = spec.repo();
-        assert_eq!(repo.total_frames(), 1050);
-        assert_eq!(repo.clips().len(), 6);
-        assert_eq!(repo.clips()[5].frames, 50);
+        let clips = repo.chunking_per_clip();
+        assert_eq!(clips.frames(), 1050);
+        assert_eq!(clips.num_chunks(), 6);
+        assert_eq!(clips.range(5).end - clips.range(5).start, 50);
     }
 
     #[test]
@@ -469,6 +470,6 @@ mod tests {
         assert_eq!(gt.instances().len(), 150);
         assert_eq!(gt.class_count(ClassId(0)), 100);
         assert_eq!(gt.class_count(ClassId(1)), 50);
-        assert_eq!(gt.class_by_name("bike"), Some(ClassId(1)));
+        assert_eq!(gt.class_name(ClassId(1)), "bike");
     }
 }

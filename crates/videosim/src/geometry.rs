@@ -37,12 +37,12 @@ impl BBox {
     }
 
     /// Box width.
-    pub fn width(&self) -> f32 {
+    pub(crate) fn width(&self) -> f32 {
         self.x2 - self.x1
     }
 
     /// Box height.
-    pub fn height(&self) -> f32 {
+    pub(crate) fn height(&self) -> f32 {
         self.y2 - self.y1
     }
 
@@ -51,13 +51,8 @@ impl BBox {
         self.width().max(0.0) * self.height().max(0.0)
     }
 
-    /// Centre point.
-    pub fn center(&self) -> (f32, f32) {
-        (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-    }
-
     /// Intersection box, if the boxes overlap with positive area.
-    pub fn intersect(&self, other: &BBox) -> Option<BBox> {
+    pub(crate) fn intersect(&self, other: &BBox) -> Option<BBox> {
         let x1 = self.x1.max(other.x1);
         let y1 = self.y1.max(other.y1);
         let x2 = self.x2.min(other.x2);
@@ -73,7 +68,7 @@ impl BBox {
     ///
     /// The discriminator follows SORT and matches detections to tracks by
     /// IoU threshold (paper §II-B).
-    pub fn iou(&self, other: &BBox) -> f32 {
+    pub(crate) fn iou(&self, other: &BBox) -> f32 {
         match self.intersect(other) {
             None => 0.0,
             Some(i) => {
@@ -107,12 +102,6 @@ impl BBox {
             x2: self.x2 + dx,
             y2: self.y2 + dy,
         }
-    }
-
-    /// Scale width/height by `s` about the centre.
-    pub fn scaled(&self, s: f32) -> BBox {
-        let (cx, cy) = self.center();
-        BBox::from_center(cx, cy, self.width() * s, self.height() * s)
     }
 }
 
@@ -170,7 +159,8 @@ mod tests {
     fn area_and_center() {
         let b = BBox::new(0.0, 0.0, 4.0, 3.0);
         assert_eq!(b.area(), 12.0);
-        assert_eq!(b.center(), (2.0, 1.5));
+        let c = BBox::from_center(2.0, 1.5, 4.0, 3.0);
+        assert_eq!(c, b);
     }
 
     #[test]

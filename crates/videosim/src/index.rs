@@ -11,7 +11,7 @@ use crate::FrameIdx;
 
 /// Interval stabbing index over `[start, end)` spans keyed by a `u32` id.
 #[derive(Debug, Clone)]
-pub struct IntervalIndex {
+pub(crate) struct IntervalIndex {
     frames: u64,
     bucket_width: u64,
     /// CSR layout: `bucket_off[b]..bucket_off[b+1]` indexes into `entries`.
@@ -27,7 +27,10 @@ impl IntervalIndex {
     ///
     /// # Panics
     /// Panics if an interval is empty or exceeds `frames`.
-    pub fn build(frames: u64, intervals: impl Iterator<Item = (u32, FrameIdx, FrameIdx)>) -> Self {
+    pub(crate) fn build(
+        frames: u64,
+        intervals: impl Iterator<Item = (u32, FrameIdx, FrameIdx)>,
+    ) -> Self {
         let items: Vec<(u32, FrameIdx, FrameIdx)> = intervals.collect();
         for &(id, s, e) in &items {
             assert!(s < e, "interval {id} is empty ({s}..{e})");
@@ -75,18 +78,13 @@ impl IntervalIndex {
     }
 
     /// Number of indexed intervals.
-    pub fn num_intervals(&self) -> usize {
+    pub(crate) fn num_intervals(&self) -> usize {
         self.num_intervals
-    }
-
-    /// Total frame span of the index.
-    pub fn frames(&self) -> u64 {
-        self.frames
     }
 
     /// Visit the id of every interval containing frame `f`.
     #[inline]
-    pub fn stab(&self, f: FrameIdx, mut visit: impl FnMut(u32)) {
+    pub(crate) fn stab(&self, f: FrameIdx, mut visit: impl FnMut(u32)) {
         if f >= self.frames {
             return;
         }
@@ -99,40 +97,17 @@ impl IntervalIndex {
             }
         }
     }
-
-    /// Collect the ids of intervals containing frame `f`.
-    pub fn stab_vec(&self, f: FrameIdx) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.stab(f, |id| out.push(id));
-        out
-    }
-
-    /// Count intervals overlapping the frame range `[lo, hi)` (each
-    /// interval counted once). Used for per-chunk instance histograms
-    /// (Figure 6) and the skew metric.
-    pub fn count_overlapping(&self, lo: FrameIdx, hi: FrameIdx) -> usize {
-        if lo >= hi {
-            return 0;
-        }
-        let mut seen = std::collections::HashSet::new();
-        let b_lo = (lo / self.bucket_width) as usize;
-        let b_hi = (((hi - 1).min(self.frames.saturating_sub(1))) / self.bucket_width) as usize;
-        for b in b_lo..=b_hi.min(self.bucket_off.len().saturating_sub(2)) {
-            let s = self.bucket_off[b] as usize;
-            let e = self.bucket_off[b + 1] as usize;
-            for &(id, is, ie) in &self.entries[s..e] {
-                if is < hi && ie > lo {
-                    seen.insert(id);
-                }
-            }
-        }
-        seen.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stab_vec(idx: &IntervalIndex, f: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        idx.stab(f, |id| out.push(id));
+        out
+    }
 
     fn naive_stab(items: &[(u32, u64, u64)], f: u64) -> Vec<u32> {
         let mut v: Vec<u32> = items
@@ -149,7 +124,7 @@ mod tests {
         let items = vec![(0u32, 0u64, 10u64), (1, 5, 15), (2, 14, 20), (3, 90, 100)];
         let idx = IntervalIndex::build(100, items.iter().copied());
         for f in 0..100 {
-            let mut got = idx.stab_vec(f);
+            let mut got = stab_vec(&idx, f);
             got.sort_unstable();
             assert_eq!(got, naive_stab(&items, f), "frame {f}");
         }
@@ -158,16 +133,15 @@ mod tests {
     #[test]
     fn stab_out_of_range_is_empty() {
         let idx = IntervalIndex::build(50, vec![(0u32, 0u64, 50u64)].into_iter());
-        assert!(idx.stab_vec(50).is_empty());
-        assert!(idx.stab_vec(1000).is_empty());
+        assert!(stab_vec(&idx, 50).is_empty());
+        assert!(stab_vec(&idx, 1000).is_empty());
     }
 
     #[test]
     fn empty_index() {
         let idx = IntervalIndex::build(1000, std::iter::empty());
         assert_eq!(idx.num_intervals(), 0);
-        assert!(idx.stab_vec(5).is_empty());
-        assert_eq!(idx.count_overlapping(0, 1000), 0);
+        assert!(stab_vec(&idx, 5).is_empty());
     }
 
     #[test]
@@ -175,21 +149,9 @@ mod tests {
         let items: Vec<(u32, u64, u64)> = (0..10).map(|i| (i as u32, i * 10, i * 10 + 1)).collect();
         let idx = IntervalIndex::build(100, items.iter().copied());
         for i in 0..10u64 {
-            assert_eq!(idx.stab_vec(i * 10), vec![i as u32]);
-            assert!(idx.stab_vec(i * 10 + 1).is_empty());
+            assert_eq!(stab_vec(&idx, i * 10), vec![i as u32]);
+            assert!(stab_vec(&idx, i * 10 + 1).is_empty());
         }
-    }
-
-    #[test]
-    fn count_overlapping_basics() {
-        let items = [(0u32, 0u64, 10u64), (1, 5, 15), (2, 40, 60)];
-        let idx = IntervalIndex::build(100, items.iter().copied());
-        assert_eq!(idx.count_overlapping(0, 100), 3);
-        assert_eq!(idx.count_overlapping(0, 5), 1);
-        assert_eq!(idx.count_overlapping(5, 10), 2);
-        assert_eq!(idx.count_overlapping(20, 40), 0);
-        assert_eq!(idx.count_overlapping(59, 61), 1);
-        assert_eq!(idx.count_overlapping(10, 10), 0);
     }
 
     #[test]
@@ -202,7 +164,7 @@ mod tests {
         }
         let idx = IntervalIndex::build(100_000, items.iter().copied());
         for f in [0u64, 499, 500, 502, 503, 99_999] {
-            let mut got = idx.stab_vec(f);
+            let mut got = stab_vec(&idx, f);
             got.sort_unstable();
             assert_eq!(got, naive_stab(&items, f), "frame {f}");
         }

@@ -13,7 +13,7 @@
 //! * [`index`] — a bucketed interval index answering "which instances are
 //!   visible in frame `f`" in O(overlap) time; this is the inner loop of
 //!   every experiment.
-//! * [`generator`] — dataset synthesis: instance counts, lognormal
+//! * `generator` — dataset synthesis: instance counts, lognormal
 //!   durations, and placement skew (uniform / central-normal as in
 //!   Figure 3 / hot-spots as observed in the real datasets of Figure 6).
 //! * [`repo`] — the clip/file layout of a repository and its chunkings
@@ -22,7 +22,7 @@
 
 #![warn(missing_docs)]
 
-pub mod generator;
+mod generator;
 pub mod geometry;
 pub mod index;
 pub mod instance;
@@ -31,9 +31,7 @@ pub mod repo;
 pub use exsample_core::chunking::Chunking;
 pub use generator::{ClassSpec, DatasetSpec, DurationSpec, SkewSpec};
 pub use geometry::BBox;
-pub use index::IntervalIndex;
-pub use instance::{ClassId, GroundTruth, Instance, InstanceId};
-pub use repo::{Clip, VideoRepo};
+pub use instance::{ClassId, GroundTruth, InstanceId};
 
 /// Global frame index within a repository (all clips concatenated).
 pub type FrameIdx = u64;

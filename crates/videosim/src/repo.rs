@@ -1,14 +1,12 @@
-//! Repository layout: clips and repo-aware chunk constructors.
+//! Repository layout: clips and the per-clip chunking.
 //!
 //! A repository is an ordered collection of clips (video files); frames are
 //! addressed by a global index over the concatenation. The
 //! [`Chunking`] type itself lives in
 //! `exsample-core` (it is what the bandit operates on); this module adds
-//! the constructors that need clip layout: fixed-duration chunks that
-//! never span clips (the paper's 20-minute chunks) and one-chunk-per-clip
-//! (the BDD setting).
+//! the constructor that needs clip layout: one chunk per clip (the BDD
+//! setting).
 
-use crate::FrameIdx;
 use exsample_core::chunking::Chunking;
 
 /// One video file.
@@ -22,10 +20,9 @@ pub struct Clip {
     pub fps: f64,
 }
 
-/// An ordered collection of clips with global frame addressing.
+/// An ordered collection of clips, addressed by global frame index.
 #[derive(Debug, Clone)]
 pub struct VideoRepo {
-    clips: Vec<Clip>,
     /// `offsets[i]` = global index of the first frame of clip `i`;
     /// final entry = total frames.
     offsets: Vec<u64>,
@@ -45,58 +42,7 @@ impl VideoRepo {
             acc += c.frames;
             offsets.push(acc);
         }
-        VideoRepo { clips, offsets }
-    }
-
-    /// Repository of `n` uniform clips of `frames` each.
-    pub fn uniform(n: usize, frames: u64, fps: f64) -> Self {
-        VideoRepo::new(
-            (0..n)
-                .map(|i| Clip {
-                    name: format!("clip{i:05}"),
-                    frames,
-                    fps,
-                })
-                .collect(),
-        )
-    }
-
-    /// Total frames across all clips.
-    pub fn total_frames(&self) -> u64 {
-        *self.offsets.last().expect("offsets never empty")
-    }
-
-    /// Clip list.
-    pub fn clips(&self) -> &[Clip] {
-        &self.clips
-    }
-
-    /// Map a global frame index to `(clip_index, frame_within_clip)`.
-    ///
-    /// # Panics
-    /// Panics if `f` is out of range.
-    pub fn locate(&self, f: FrameIdx) -> (usize, u64) {
-        assert!(f < self.total_frames(), "frame {f} out of range");
-        let clip = self.offsets.partition_point(|&o| o <= f) - 1;
-        (clip, f - self.offsets[clip])
-    }
-
-    /// Map `(clip_index, frame_within_clip)` to a global frame index.
-    ///
-    /// # Panics
-    /// Panics if out of range.
-    pub fn global(&self, clip: usize, offset: u64) -> FrameIdx {
-        assert!(clip < self.clips.len(), "clip {clip} out of range");
-        assert!(
-            offset < self.clips[clip].frames,
-            "offset {offset} out of range"
-        );
-        self.offsets[clip] + offset
-    }
-
-    /// Global frame range of a clip.
-    pub fn clip_range(&self, clip: usize) -> std::ops::Range<u64> {
-        self.offsets[clip]..self.offsets[clip + 1]
+        VideoRepo { offsets }
     }
 
     /// One chunk per clip (the BDD setting: "we are forced to use each
@@ -104,111 +50,35 @@ impl VideoRepo {
     pub fn chunking_per_clip(&self) -> Chunking {
         Chunking::from_bounds(self.offsets.clone())
     }
-
-    /// Cut each clip into chunks of at most `seconds` of video (chunks do
-    /// not span clip boundaries), as done for the dashcam/static datasets
-    /// with 20-minute chunks.
-    ///
-    /// # Panics
-    /// Panics unless `seconds > 0`.
-    pub fn chunking_by_duration(&self, seconds: f64) -> Chunking {
-        assert!(seconds > 0.0, "chunk duration must be positive");
-        let mut bounds = vec![0u64];
-        for (i, clip) in self.clips.iter().enumerate() {
-            let width = ((clip.fps * seconds) as u64).max(1);
-            let range = self.clip_range(i);
-            let mut b = range.start + width;
-            while b < range.end {
-                bounds.push(b);
-                b += width;
-            }
-            bounds.push(range.end);
-        }
-        Chunking::from_bounds(bounds)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn locate_and_global_round_trip() {
-        let repo = VideoRepo::new(vec![
-            Clip {
-                name: "a".into(),
-                frames: 10,
-                fps: 30.0,
-            },
-            Clip {
-                name: "b".into(),
-                frames: 5,
-                fps: 30.0,
-            },
-            Clip {
-                name: "c".into(),
-                frames: 20,
-                fps: 30.0,
-            },
-        ]);
-        assert_eq!(repo.total_frames(), 35);
-        for f in 0..35 {
-            let (c, o) = repo.locate(f);
-            assert_eq!(repo.global(c, o), f);
-        }
-        assert_eq!(repo.locate(0), (0, 0));
-        assert_eq!(repo.locate(9), (0, 9));
-        assert_eq!(repo.locate(10), (1, 0));
-        assert_eq!(repo.locate(14), (1, 4));
-        assert_eq!(repo.locate(15), (2, 0));
-        assert_eq!(repo.locate(34), (2, 19));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn locate_rejects_past_end() {
-        let repo = VideoRepo::uniform(2, 10, 30.0);
-        repo.locate(20);
+    /// `n` clips of `frames` frames each.
+    fn uniform(n: usize, frames: u64, fps: f64) -> VideoRepo {
+        let clip = |i| Clip {
+            name: format!("clip{i:05}"),
+            frames,
+            fps,
+        };
+        VideoRepo::new((0..n).map(clip).collect())
     }
 
     #[test]
     fn per_clip_chunking() {
-        let repo = VideoRepo::uniform(4, 25, 30.0);
+        let repo = uniform(4, 25, 30.0);
         let c = repo.chunking_per_clip();
         assert_eq!(c.num_chunks(), 4);
         for j in 0..4 {
-            assert_eq!(c.range(j), repo.clip_range(j));
+            assert_eq!(c.range(j), j as u64 * 25..(j as u64 + 1) * 25);
         }
     }
 
     #[test]
-    fn by_duration_respects_clip_boundaries() {
-        let repo = VideoRepo::new(vec![
-            Clip {
-                name: "a".into(),
-                frames: 70,
-                fps: 10.0,
-            }, // 7s -> chunks of <=3s
-            Clip {
-                name: "b".into(),
-                frames: 25,
-                fps: 10.0,
-            }, // 2.5s -> 1 chunk
-        ]);
-        let c = repo.chunking_by_duration(3.0);
-        assert_eq!(c.frames(), 95);
-        // Chunks: [0,30) [30,60) [60,70) [70,95)
-        assert_eq!(c.num_chunks(), 4);
-        assert_eq!(c.range(2), 60..70);
-        assert_eq!(c.range(3), 70..95);
-    }
-
-    #[test]
     fn uniform_repo_layout() {
-        let repo = VideoRepo::uniform(3, 100, 25.0);
-        assert_eq!(repo.total_frames(), 300);
-        assert_eq!(repo.clips().len(), 3);
-        assert_eq!(repo.clips()[1].fps, 25.0);
-        assert_eq!(repo.clip_range(2), 200..300);
+        let repo = uniform(3, 100, 25.0);
+        assert_eq!(repo.offsets, [0, 100, 200, 300]);
     }
 }
