@@ -6,7 +6,7 @@
 //! that every figure and table of the evaluation is computed from.
 //!
 //! The loop is factored through [`SearchStepper`], which exposes the same
-//! state machine one frame at a time so external drivers (notably the
+//! state machine one batch at a time so external drivers (notably the
 //! `exsample-engine` multi-query scheduler) can interleave many searches
 //! and charge each its measured cost. The stepper also speaks the paper's
 //! batched-inference mode (§III-F): [`SearchStepper::next_batch`] draws a
@@ -176,7 +176,7 @@ impl SearchTrace {
 }
 
 /// Incremental form of the Algorithm 1 loop: one search, stepped one
-/// frame at a time by an external caller.
+/// batch at a time by an external caller.
 ///
 /// [`run_search`] is a thin loop over this type. The multi-query engine
 /// drives many steppers concurrently, interleaving their steps under a
@@ -185,10 +185,11 @@ impl SearchTrace {
 /// caller: interleaved searches are charged their *actual* (cache- and
 /// decode-aware) cost rather than a fixed per-sample constant.
 ///
-/// Protocol per step: call [`SearchStepper::next_frame`]; if it yields a
-/// frame, process it (detector + discriminator) and report the outcome via
-/// [`SearchStepper::record`]. When either method signals completion, call
-/// [`SearchStepper::finish`] to obtain the final [`SearchTrace`].
+/// Protocol per step: call [`SearchStepper::next_batch`] (a batch of 1 is
+/// per-frame stepping); process each drawn frame in order (detector +
+/// discriminator) and report its outcome via [`SearchStepper::record`].
+/// When either method signals completion, call [`SearchStepper::finish`]
+/// to obtain the final [`SearchTrace`].
 #[derive(Debug, Clone)]
 pub struct SearchStepper {
     stop: StopCond,
@@ -232,32 +233,6 @@ impl SearchStepper {
         self.trace.seconds
     }
 
-    /// True if the policy ran out of frames before the stop condition hit.
-    pub fn exhausted(&self) -> bool {
-        self.trace.exhausted
-    }
-
-    /// Draw the next frame to process. Returns `None` when the search is
-    /// already done or the policy is exhausted (which marks the search
-    /// done and the trace exhausted).
-    pub fn next_frame(
-        &mut self,
-        policy: &mut dyn SamplingPolicy,
-        rng: &mut Rng64,
-    ) -> Option<FrameIdx> {
-        if self.done {
-            return None;
-        }
-        match policy.next_frame(rng) {
-            Some(frame) => Some(frame),
-            None => {
-                self.trace.exhausted = true;
-                self.done = true;
-                None
-            }
-        }
-    }
-
     /// Draw up to `batch` frames to process *before* seeing any of their
     /// outcomes — the paper's batched-inference mode (§III-F), where the
     /// sampler is granted a whole detector batch per decision so dispatch
@@ -269,10 +244,9 @@ impl SearchStepper {
     /// are deterministic and `batch = 1` is bit-identical to the
     /// per-frame protocol. An empty `out` means the search was already
     /// done or the policy is exhausted (which marks the search done and
-    /// the trace exhausted, exactly like a `None` from
-    /// [`SearchStepper::next_frame`]). A *short* batch is not yet
-    /// exhaustion: the drawn frames are still processed, and the next
-    /// call discovers the dry policy.
+    /// the trace exhausted). A *short* batch is not yet exhaustion: the
+    /// drawn frames are still processed, and the next call discovers the
+    /// dry policy.
     pub fn next_batch(
         &mut self,
         policy: &mut dyn SamplingPolicy,
@@ -552,8 +526,10 @@ mod tests {
         let mut p2 = policy();
         let mut rng2 = Rng64::new(90);
         let mut st = SearchStepper::new(stop, cost.seconds(0));
+        let mut frames = Vec::new();
         while !st.done() {
-            let Some(frame) = st.next_frame(&mut p2, &mut rng2) else {
+            st.next_batch(&mut p2, &mut rng2, 1, &mut frames);
+            let Some(&frame) = frames.first() else {
                 break;
             };
             let fb = oracle(frame);
@@ -570,7 +546,9 @@ mod tests {
         let mut rng = Rng64::new(91);
         let mut st = SearchStepper::new(StopCond::seconds(10.0), 50.0);
         assert!(st.done());
-        assert_eq!(st.next_frame(&mut p, &mut rng), None);
+        let mut frames = vec![7];
+        st.next_batch(&mut p, &mut rng, 1, &mut frames);
+        assert!(frames.is_empty());
         let t = st.finish();
         assert_eq!(t.samples(), 0);
         assert_eq!(t.seconds(), 50.0);
@@ -582,13 +560,16 @@ mod tests {
         let mut p = ExSample::new(Chunking::even(10, 2), ExSampleConfig::default());
         let mut rng = Rng64::new(92);
         let mut st = SearchStepper::new(StopCond::results(99), 0.0);
-        let mut steps = 0;
-        while let Some(f) = st.next_frame(&mut p, &mut rng) {
+        let (mut steps, mut frames) = (0, Vec::new());
+        loop {
+            st.next_batch(&mut p, &mut rng, 1, &mut frames);
+            let Some(&f) = frames.first() else {
+                break;
+            };
             steps += 1;
             st.record(&mut p, f, Feedback::NONE, steps as f64);
         }
         assert!(st.done());
-        assert!(st.exhausted());
         assert_eq!(st.samples(), 10);
         let t = st.finish();
         assert!(t.exhausted());
@@ -602,9 +583,10 @@ mod tests {
         let mut rng = Rng64::new(93);
         let mut st = SearchStepper::new(StopCond::seconds(1.0), 0.0);
         let mut clock = 0.0;
-        let mut frames = 0;
+        let (mut frames, mut drawn) = (0, Vec::new());
         while !st.done() {
-            let Some(f) = st.next_frame(&mut p, &mut rng) else {
+            st.next_batch(&mut p, &mut rng, 1, &mut drawn);
+            let Some(&f) = drawn.first() else {
                 break;
             };
             frames += 1;
@@ -683,12 +665,12 @@ mod tests {
             }
         }
         assert!(st.done());
-        assert!(st.exhausted());
         assert_eq!(st.samples(), 10);
         // Once done, further batch draws stay empty without touching the
         // policy.
         st.next_batch(&mut p, &mut rng, 4, &mut frames);
         assert!(frames.is_empty());
+        assert!(st.finish().exhausted());
     }
 
     #[test]

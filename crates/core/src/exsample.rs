@@ -777,38 +777,6 @@ impl SamplingPolicy for ExSample {
         self.groups.update(j as u32, &self.stats[j]);
     }
 
-    /// The §III-F batched mode: `batch` Thompson draws with **no**
-    /// intermediate feedback — every draw scores the chunk groups under
-    /// the same beliefs, exactly as if the detector results were still in
-    /// flight. Frames come from the same without-replacement within-chunk
-    /// streams as [`SamplingPolicy::next_frame`], so at `batch = 1` the
-    /// RNG consumption (and therefore the whole trace) is bit-identical
-    /// to per-frame stepping, and exhausted chunks are retired eagerly so
-    /// a draw never lands on an empty chunk. A frame can never appear
-    /// twice in flight: chunks partition the frame range and each chunk's
-    /// within-stream samples without replacement (asserted in debug
-    /// builds, and enforced by the batch proptests).
-    fn next_batch(&mut self, batch: usize, rng: &mut Rng64, out: &mut Vec<FrameIdx>) {
-        out.clear();
-        out.reserve(batch);
-        while out.len() < batch {
-            let Some(j) = self.pick_chunk(rng) else {
-                break;
-            };
-            match self.within[j as usize].draw(rng) {
-                Some(frame) => {
-                    self.steps += 1;
-                    if self.within[j as usize].remaining() == 0 {
-                        self.groups.retire(j);
-                    }
-                    debug_assert!(!out.contains(&frame), "duplicate frame {frame} in batch");
-                    out.push(frame);
-                }
-                None => self.groups.retire(j),
-            }
-        }
-    }
-
     fn name(&self) -> String {
         format!(
             "exsample(M={},{},{})",

@@ -16,14 +16,13 @@
 //!      miss: decode + │      publish │     │ SessionCell (per session)│
 //!      detect         │      quantum └────▶│  progress: small mutex   │◀── poll
 //!                 ┌───▼─────────────────┐  │   events, status, ledger,│◀── poll_wait
-//!                 │ FrameCache (sharded)│  │   final report, watchers │◀── wait
-//!                 └─────────────────────┘  │  wake: own condvar       │
-//!                  hit: free, shared       └───────────┬──────────────┘
-//!                                                      │ one-shot watch fires
+//!                 │ FrameCache (sharded)│  │   final report, watches  │◀── wait
+//!                 └─────────────────────┘  └───────────┬──────────────┘
+//!                  hit: free, shared                   │ one-shot watch fires
 //!                                          ┌───────────▼──────────────┐
-//!                                          │ CompletionQueue (MPSC)   │──▶ server's
-//!                                          │  tokens; wake hook fires │    poller
-//!                                          │  on empty -> non-empty   │    notify
+//!                                          │ CompletionQueue (MPSC)   │──▶ poller notify,
+//!                                          │  tokens; wake hook fires │    or unpark of a
+//!                                          │  on empty -> non-empty   │    wait / poll_wait
 //!                                          └──────────────────────────┘
 //! ```
 //!
@@ -31,8 +30,8 @@
 //! the lease *owns* the session's core, so the state mutex is not held
 //! while frames are processed — steps it for up to a quantum of frames,
 //! publishes what the quantum produced into the session's own
-//! [progress cell](crate::session) — outside the state mutex, waking only
-//! callers parked on *that* session and completion queues watching it —
+//! [progress cell](crate::session) — outside the state mutex, firing only
+//! the watches its waiters left on *that* session —
 //! then checks the core back in and charges the scheduler what the
 //! quantum actually cost. (The one quantum that finishes a session
 //! publishes its final report under the state mutex instead, right after
@@ -466,26 +465,16 @@ impl Engine {
     /// Blocking poll: parks until the session has result events past
     /// `cursor` *or* has finished, then snapshots like
     /// [`Engine::poll_window`]. This is what a streaming server loop
-    /// uses — no busy-polling between result batches. The caller parks on
-    /// the session's own cell: only this session's progress wakes it.
+    /// uses — no busy-polling between result batches. The caller asks as
+    /// [`Engine::poll_watch`] does and, told "not yet", parks until its
+    /// watch fires: only this session's progress wakes it.
     pub fn poll_wait(
         &self,
         id: SessionId,
         cursor: u64,
         window: Option<u32>,
     ) -> Result<SessionSnapshot, ServiceError> {
-        let cell = self.cell(id)?;
-        let mut progress = cell.progress.lock().expect("session cell poisoned");
-        // Counted under the same lock the worker publishes under, so a
-        // wakeup can never be missed.
-        while !progress.has_batch(cursor) {
-            progress.parked_streams += 1;
-            progress = cell.wake.wait(progress).expect("session cell poisoned");
-            progress.parked_streams -= 1;
-            self.shared.obs.wake_serviced(progress.woke_at);
-        }
-        self.touch(&mut progress);
-        Ok(progress.snapshot(cursor, window))
+        self.park_until(id, cursor, |p| p.batch(cursor, window))
     }
 
     /// Request cancellation. Takes effect at the session's next frame
@@ -511,24 +500,11 @@ impl Engine {
     }
 
     /// Block until the session finishes (or is cancelled) and return its
-    /// final report. Parks on the session's own cell, like
-    /// [`Engine::poll_wait`], and is woken at finalization only.
+    /// final report. Parks like [`Engine::poll_wait`], on a watch that
+    /// fires at finalization only.
     pub fn wait(&self, id: SessionId) -> Result<SessionReport, ServiceError> {
-        let cell = self.cell(id)?;
-        let mut progress = cell.progress.lock().expect("session cell poisoned");
-        // Drop takes `&mut self`, so no `wait` borrow can be alive while
-        // the engine shuts down — no stop check is needed here.
-        let report = loop {
-            if let Some(report) = progress.report() {
-                break report;
-            }
-            progress.parked_waits += 1;
-            progress = cell.wake.wait(progress).expect("session cell poisoned");
-            progress.parked_waits -= 1;
-            self.shared.obs.wake_serviced(progress.woke_at);
-        };
-        self.touch(&mut progress);
-        Ok(report)
+        // No stop check: Drop takes `&mut self`, so no `wait` is parked.
+        self.park_until(id, u64::MAX, Progress::report)
     }
 
     /// A completion queue on this engine (see [`CompletionQueue`]).
@@ -556,13 +532,7 @@ impl Engine {
         token: u64,
     ) -> Result<Option<SessionReport>, ServiceError> {
         let cell = self.cell(id)?;
-        let mut progress = cell.progress.lock().expect("session cell poisoned");
-        self.touch(&mut progress);
-        let report = progress.report();
-        if report.is_none() {
-            progress.watch(queue, token, u64::MAX);
-        }
-        Ok(report)
+        Ok(self.ask(&cell, u64::MAX, Some((queue, token)), Progress::report))
     }
 
     /// The non-blocking counterpart of [`Engine::poll_wait`]: the
@@ -578,13 +548,55 @@ impl Engine {
         token: u64,
     ) -> Result<Option<SessionSnapshot>, ServiceError> {
         let cell = self.cell(id)?;
+        Ok(self.ask(&cell, cursor, Some((queue, token)), |p| {
+            p.batch(cursor, window)
+        }))
+    }
+
+    /// Ask a session's cell, under its lock; on "not yet", leave `watch`
+    /// there, to fire once the log grows past `past` or the session ends.
+    fn ask<T>(
+        &self,
+        cell: &Arc<SessionCell>,
+        past: u64,
+        watch: Option<(&Arc<CompletionQueue>, u64)>,
+        answer: impl FnOnce(&Progress) -> Option<T>,
+    ) -> Option<T> {
         let mut progress = cell.progress.lock().expect("session cell poisoned");
         self.touch(&mut progress);
-        if progress.has_batch(cursor) {
-            return Ok(Some(progress.snapshot(cursor, window)));
+        let answer = answer(&progress);
+        if let (None, Some((queue, token))) = (&answer, watch) {
+            progress.watch(queue, token, past);
         }
-        progress.watch(queue, token, cursor);
-        Ok(None)
+        answer
+    }
+
+    /// The blocking [`Engine::ask`]: on "not yet", watch on a queue of
+    /// this call's own that unparks this thread, park until that watch
+    /// fired (other unparks park again), ask again. No queue if at once.
+    fn park_until<T>(
+        &self,
+        id: SessionId,
+        past: u64,
+        answer: impl Fn(&Progress) -> Option<T>,
+    ) -> Result<T, ServiceError> {
+        let cell = self.cell(id)?;
+        if let Some(answer) = self.ask(&cell, past, None, &answer) {
+            return Ok(answer);
+        }
+        let me = std::thread::current();
+        let queue = self.completion_queue(move || me.unpark());
+        let mut fired = Vec::with_capacity(1);
+        loop {
+            if let Some(answer) = self.ask(&cell, past, Some((&queue, 0)), &answer) {
+                return Ok(answer);
+            }
+            fired.clear();
+            while fired.is_empty() {
+                std::thread::park();
+                queue.drain(&mut fired);
+            }
+        }
     }
 
     /// Number of sessions currently *running* (admitted and not yet
@@ -2123,8 +2135,8 @@ mod tests {
         assert_eq!(engine.tenant_running(tenant), 0);
     }
 
-    /// Returns from a park on a session cell, as the engine itself
-    /// counts them.
+    /// Wakes delivered to waiters — fired watches drained from their
+    /// queues — as the engine itself counts them.
     fn wakes(engine: &Engine) -> u64 {
         engine
             .diagnostics()
@@ -2165,15 +2177,9 @@ mod tests {
             let engine = engine.clone();
             std::thread::spawn(move || engine.wait(quiet).unwrap())
         };
-        // Both are parked on the quiet session's cell before anything
-        // else happens.
-        let cell = engine.cell(quiet).unwrap();
-        loop {
-            let progress = cell.progress.lock().unwrap();
-            if progress.parked_streams == 1 && progress.parked_waits == 1 {
-                break;
-            }
-            drop(progress);
+        // Both are parked on the quiet session's cell — a watch each —
+        // before anything else happens.
+        while watches(&engine, quiet) < 2 {
             std::thread::yield_now();
         }
 
@@ -2198,6 +2204,77 @@ mod tests {
         assert!(snap.events.is_empty());
         assert_eq!(waiter.join().unwrap().status, SessionStatus::Cancelled);
         assert_eq!(wakes(&engine), 2);
+    }
+
+    /// The watches `id`'s cell holds.
+    fn watches(engine: &Engine, id: SessionId) -> usize {
+        engine
+            .cell(id)
+            .unwrap()
+            .progress
+            .lock()
+            .unwrap()
+            .watchers
+            .len()
+    }
+
+    #[test]
+    fn a_parked_poll_wait_sleeps_through_unparks_until_its_session_moves() {
+        // No workers: the session moves only when this thread steps it.
+        let (engine, repo) = small_engine(0);
+        let engine = Arc::new(engine);
+        let id = engine
+            .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(5)).seed(4))
+            .unwrap();
+        let streamer = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.poll_wait(id, 0, None).unwrap())
+        };
+        while watches(&engine, id) == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..200 {
+            streamer.thread().unpark();
+            std::thread::yield_now();
+        }
+        // The session cannot move, so a right `poll_wait` never returns
+        // here: the pause only gives a wrong one the time to.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!streamer.is_finished(), "an unpark is not progress");
+        assert_eq!(watches(&engine, id), 1);
+        assert_eq!(wakes(&engine), 0);
+
+        while engine.poll(id, 0).unwrap().events.is_empty() {
+            assert!(engine.run_quantum());
+        }
+        let snap = streamer.join().unwrap();
+        assert!(!snap.events.is_empty());
+        assert_eq!(wakes(&engine), 1, "one wake, by the watch");
+        assert_eq!(watches(&engine, id), 0);
+    }
+
+    #[test]
+    fn a_poll_wait_that_answers_at_once_leaves_no_watch() {
+        let (engine, repo) = small_engine(0);
+        let id = engine
+            .submit(QuerySpec::new(repo, ClassId(0), StopCond::results(u64::MAX)).seed(5))
+            .unwrap();
+        while engine.poll(id, 0).unwrap().events.is_empty() {
+            assert!(engine.run_quantum());
+        }
+        // Running, with events past the cursor.
+        let snap = engine.poll_wait(id, 0, Some(1)).unwrap();
+        assert_eq!(snap.status, SessionStatus::Running);
+        assert_eq!(snap.events.len(), 1);
+        assert_eq!(watches(&engine, id), 0);
+        // Finished, from past the end of the log.
+        engine.cancel(id).unwrap();
+        run_to_idle(&engine);
+        let snap = engine.poll_wait(id, u64::MAX, None).unwrap();
+        assert_eq!(snap.status, SessionStatus::Cancelled);
+        assert!(engine.wait(id).is_ok());
+        assert_eq!(watches(&engine, id), 0);
+        assert_eq!(wakes(&engine), 0, "nobody parked");
     }
 
     #[test]

@@ -311,13 +311,11 @@ impl<'a> Worker<'a> {
     /// hear of it, and the lease is returned.
     fn publish(&mut self, lease: Lease) -> StateGuard<'a> {
         let (shared, core) = (self.shared, &lease.core);
-        let notify = {
-            let mut progress = core.cell.progress.lock().expect("session cell poisoned");
-            let (found, samples) = (core.stepper.found(), core.stepper.samples());
-            let stamp = shared.obs.enabled();
-            progress.publish(&core.quantum, found, samples, None, stamp, &mut self.woken)
-        };
-        wake(&core.cell, notify, &mut self.woken);
+        let (found, samples) = (core.stepper.found(), core.stepper.samples());
+        let mut progress = core.cell.progress.lock().expect("session cell poisoned");
+        progress.publish(&core.quantum, found, samples, None, &mut self.woken);
+        drop(progress);
+        self.woken.drain(..).for_each(Watch::fire);
         // Fairness floor: an all-hit quantum costs ~0 modelled seconds,
         // and a near-zero charge would let a cache-warm session hold
         // every lease until it finishes (wall-clock-starving cost-paying
@@ -398,17 +396,16 @@ impl<'a> Worker<'a> {
                 .then_some(persist),
             _ => None,
         };
-        let notify = {
-            let finished = Finished {
-                trace,
-                chunk_stats,
-                finish_order,
-            };
-            let mut progress = cell.progress.lock().expect("session cell poisoned");
-            let (done, stamp) = (Some((status, finished)), shared.obs.enabled());
-            progress.publish(&quantum, found, samples, done, stamp, &mut self.woken)
+        let finished = Finished {
+            trace,
+            chunk_stats,
+            finish_order,
         };
-        wake(&cell, notify, &mut self.woken);
+        let mut progress = cell.progress.lock().expect("session cell poisoned");
+        let done = Some((status, finished));
+        progress.publish(&quantum, found, samples, done, &mut self.woken);
+        drop(progress);
+        self.woken.drain(..).for_each(Watch::fire);
         // The table's reference is the last one again, so a `forget`
         // moves the report out instead of copying it.
         drop(cell);
@@ -700,17 +697,5 @@ fn retire(core: Box<SessionCore>) -> Retired {
         cell: core.cell,
         tenant: core.tenant,
         quantum: core.quantum,
-    }
-}
-
-/// Deliver the wake-ups a [`Progress::publish`](crate::session) asked
-/// for, once the cell lock is dropped: the callers parked on the cell's
-/// condvar, and the completion queues whose watches it moved to `woken`.
-fn wake(cell: &SessionCell, notify: bool, woken: &mut Vec<Watch>) {
-    if notify {
-        cell.wake.notify_all();
-    }
-    for watch in woken.drain(..) {
-        watch.fire();
     }
 }

@@ -18,11 +18,11 @@
 //!   Each session's observable progress lives in its own cell: a poll
 //!   never waits behind the scheduler, and a parked `poll_wait`/`wait`
 //!   caller is woken by its own session's progress only.
-//! * [`CompletionQueue`] — how a readiness-driven server (the
-//!   `exsample-serve` reactor) learns *which* parked connections can
-//!   make progress: [`Engine::try_wait_watch`] / [`Engine::poll_watch`]
-//!   leave one-shot interest in a session, and the worker that moves it
-//!   names the watcher on the queue.
+//! * [`CompletionQueue`] — the one way progress reaches a waiter:
+//!   [`Engine::try_wait_watch`] / [`Engine::poll_watch`] leave one-shot
+//!   interest in a session, and the worker that moves it names the
+//!   watcher on the queue, which wakes a reactor's poller to resume that
+//!   connection, or unparks a blocking `wait` / `poll_wait`.
 //! * [`FrameCache`] — a sharded, thread-safe memo of detector output keyed
 //!   by `(video, frame)`, with hit/miss/eviction statistics. Overlapping
 //!   queries never pay for the same frame twice.

@@ -231,12 +231,12 @@ impl EngineObs {
         self.state_lock_wait.record(elapsed_ns(since));
     }
 
-    /// Record one wake-up's latency: from the worker publishing the
-    /// progress (`woke_at`: completion pushed / parked callers notified)
-    /// to the woken side being back in service (connection about to be
-    /// resumed / caller returned from its park). No-op without a stamp.
-    pub(crate) fn wake_serviced(&self, woke_at: Option<Instant>) {
-        if let Some(t) = woke_at {
+    /// Record one wake-up's latency: from a worker pushing a watcher's
+    /// token onto its [`CompletionQueue`](crate::CompletionQueue) to the
+    /// queue's drain (a connection about to be resumed, a parked `wait` /
+    /// `poll_wait` caller back from its park). No-op without a stamp.
+    pub(crate) fn wake_serviced(&self, pushed: Option<Instant>) {
+        if let Some(t) = pushed {
             self.wake_to_service.record(elapsed_ns(t));
         }
     }

@@ -7,7 +7,7 @@ use exsample_core::driver::{SearchTrace, StopCond};
 use exsample_core::exsample::ExSampleConfig;
 use exsample_videosim::ClassId;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Identifies a video repository registered with an engine.
@@ -291,18 +291,16 @@ pub struct SessionReport {
 }
 
 /// One session's progress cell: everything a client can observe of the
-/// session, behind the session's own small lock, with the session's own
-/// wake primitive. The leasing worker publishes each quantum here —
-/// outside the engine state lock — and wakes only this session's
-/// waiters; `poll` / `poll_wait` / `wait` read it without the state lock.
+/// session, behind the session's own small lock, with the one-shot
+/// watches of its waiters. The leasing worker publishes each quantum here
+/// — outside the engine state lock — and fires only this session's
+/// watches; `poll` / `poll_wait` / `wait` read it without the state lock.
 ///
 /// Lock order: engine state lock → `progress`, never the reverse, and
 /// `progress` is never held across detector dispatch (`exsample-lint`'s
 /// `lock_order` / `lock_blocking` rules enforce both).
 pub(crate) struct SessionCell {
     pub(crate) progress: Mutex<Progress>,
-    /// Parks `poll_wait` / `wait` callers of *this* session.
-    pub(crate) wake: Condvar,
     /// Cancellation request, read by the leasing worker at every batch.
     pub(crate) cancel: AtomicBool,
 }
@@ -318,12 +316,8 @@ impl SessionCell {
                 events: Vec::new(),
                 finished: None,
                 last_access: Instant::now(),
-                parked_streams: 0,
-                parked_waits: 0,
                 watchers: Vec::new(),
-                woke_at: None,
             }),
-            wake: Condvar::new(),
             cancel: AtomicBool::new(false),
         })
     }
@@ -367,20 +361,14 @@ pub(crate) struct Progress {
     /// finished sessions, and is kept current only when
     /// `EngineConfig::session_ttl` is set.
     pub(crate) last_access: Instant,
-    /// `poll_wait` callers parked on the cell: woken per event batch.
-    pub(crate) parked_streams: u32,
-    /// `wait` callers parked on the cell: woken at finalization only.
-    pub(crate) parked_waits: u32,
-    watchers: Vec<Watch>,
-    /// When the worker last woke this cell's parked callers — the start
-    /// of `engine_wake_to_service_ns`. Observation only.
-    pub(crate) woke_at: Option<Instant>,
+    pub(crate) watchers: Vec<Watch>,
 }
 
 impl Progress {
-    /// Whether a `poll_wait` from `cursor` has something to return.
-    pub(crate) fn has_batch(&self, cursor: u64) -> bool {
-        self.finished.is_some() || (self.events.len() as u64) > cursor
+    /// A `poll_wait` from `cursor`'s answer: events past it, or the end.
+    pub(crate) fn batch(&self, cursor: u64, window: Option<u32>) -> Option<SessionSnapshot> {
+        let ready = self.finished.is_some() || (self.events.len() as u64) > cursor;
+        ready.then(|| self.snapshot(cursor, window))
     }
 
     /// The observable state from `cursor`, returning at most `window`
@@ -447,18 +435,16 @@ impl Progress {
     }
 
     /// Worker side: fold one quantum into the cell. Watchers whose
-    /// condition it met move to `woken` (fired by the caller once the
-    /// cell lock is dropped); returns whether parked callers must be
-    /// notified. `stamp` starts the wake-to-service clock.
+    /// condition it met move to `woken`, fired by the caller once the
+    /// cell lock is dropped.
     pub(crate) fn publish(
         &mut self,
         quantum: &Quantum,
         found: u64,
         samples: u64,
         finished: Option<(SessionStatus, Finished)>,
-        stamp: bool,
         woken: &mut Vec<Watch>,
-    ) -> bool {
+    ) {
         self.events.extend_from_slice(&quantum.events);
         self.charges.add(&quantum.delta);
         self.found = found;
@@ -469,17 +455,10 @@ impl Progress {
             self.finished = Some(finished);
             self.last_access = Instant::now();
         }
-        let progressed = !quantum.events.is_empty();
-        if done || progressed {
+        if done || !quantum.events.is_empty() {
             let logged = self.events.len() as u64;
             woken.extend(self.watchers.extract_if(.., |w| done || logged > w.past));
         }
-        let notify =
-            (done && self.parked_waits > 0) || ((done || progressed) && self.parked_streams > 0);
-        if notify && stamp {
-            self.woke_at = Some(Instant::now());
-        }
-        notify
     }
 }
 
@@ -493,13 +472,14 @@ pub(crate) struct Quantum {
     pub(crate) ended: Option<SessionStatus>,
 }
 
-/// The engine's completion queue: how a readiness-driven server learns
-/// *which* of its parked connections can make progress, without asking
-/// the engine about each of them.
+/// The engine's completion queue: the one way a session's progress
+/// reaches a waiter. A readiness-driven server learns from it *which* of
+/// its parked connections can make progress, without asking the engine
+/// about each of them; a blocking `wait` / `poll_wait` is a queue of one,
+/// whose wake hook unparks the calling thread.
 ///
-/// A server that cannot afford a thread per pending request asks with
-/// [`Engine::try_wait_watch`](crate::Engine::try_wait_watch) /
-/// [`Engine::poll_watch`](crate::Engine::poll_watch). When the answer is
+/// A waiter asks with [`Engine::try_wait_watch`](crate::Engine::try_wait_watch)
+/// / [`Engine::poll_watch`](crate::Engine::poll_watch). When the answer is
 /// "not yet", the call leaves one-shot interest in the session, tagged
 /// with a caller-chosen `token` (a connection key); the worker that next
 /// makes the session progress pushes the token here and — only when the
@@ -662,14 +642,15 @@ mod tests {
         progress.watch(&queue, 3, u64::MAX); // a `Wait`
         progress.watch(&queue, 2, 5); // again: one watch, earlier cursor kept
 
-        // No events: nobody's condition is met, nobody is parked.
-        assert!(!progress.publish(&quantum(vec![]), 0, 8, None, false, &mut woken));
+        // No events: nobody's condition is met, not even the stream's at
+        // the head of the log.
+        progress.publish(&quantum(vec![]), 0, 8, None, &mut woken);
         assert!(woken.is_empty());
         // One event: past cursor 0 only.
-        progress.publish(&quantum(vec![event(9)]), 1, 16, None, false, &mut woken);
+        progress.publish(&quantum(vec![event(9)]), 1, 16, None, &mut woken);
         assert_eq!(tokens(&mut woken), [1]);
         // A second: past cursor 1 now; the fired watch does not repeat.
-        progress.publish(&quantum(vec![event(17)]), 2, 24, None, false, &mut woken);
+        progress.publish(&quantum(vec![event(17)]), 2, 24, None, &mut woken);
         assert_eq!(tokens(&mut woken), [2]);
         // Finalization fires whatever is left.
         progress.watch(&queue, 4, 7);
@@ -679,38 +660,11 @@ mod tests {
             finish_order: 0,
         };
         let done = Some((SessionStatus::Done, end));
-        progress.publish(&quantum(vec![]), 2, 24, done, false, &mut woken);
+        progress.publish(&quantum(vec![]), 2, 24, done, &mut woken);
         assert_eq!(tokens(&mut woken), [3, 4]);
         assert_eq!(progress.events.len(), 2);
         assert!(progress
             .report()
             .is_some_and(|r| r.status == SessionStatus::Done));
-    }
-
-    #[test]
-    fn publish_notifies_parked_callers_by_what_they_wait_for() {
-        let cell = SessionCell::new();
-        let mut progress = cell.progress.lock().unwrap();
-        let mut woken = Vec::new();
-        let with_event = Quantum {
-            events: vec![ResultEvent {
-                frame: 1,
-                new_results: 1,
-                samples: 1,
-                seconds: 0.0,
-            }],
-            ..Quantum::default()
-        };
-        // Nobody parked: nothing to notify, no clock read.
-        assert!(!progress.publish(&with_event, 1, 1, None, true, &mut woken));
-        assert!(progress.woke_at.is_none());
-        // A `wait` caller sleeps through events; a `poll_wait` caller
-        // does not sleep through them, but sleeps through empty quanta.
-        progress.parked_waits = 1;
-        assert!(!progress.publish(&with_event, 2, 2, None, true, &mut woken));
-        progress.parked_streams = 1;
-        assert!(!progress.publish(&Quantum::default(), 2, 3, None, true, &mut woken));
-        assert!(progress.publish(&with_event, 3, 4, None, true, &mut woken));
-        assert!(progress.woke_at.is_some(), "the wake is stamped");
     }
 }

@@ -1,5 +1,6 @@
-//! Stress of the engine's wake path: per-session progress cells, their
-//! parked callers, and `cancel` / `forget` racing them.
+//! Stress of the engine's wake path: per-session progress cells, the
+//! one-shot watches their parked callers leave, and `cancel` / `forget`
+//! racing them.
 //!
 //! `THREADS` client threads run seed-drawn schedules of `poll_wait` /
 //! `wait` / `cancel` / `forget` / `poll` over the same `SESSIONS`

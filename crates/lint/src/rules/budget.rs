@@ -1,15 +1,14 @@
 //! `budget`: ceilings that keep a carved crate carved.
 //!
 //! Each row of [`BUDGETS`] holds two limits over the `.rs` files under
-//! its scope: the non-test lines of any one file (lines before the
-//! first line opening with `#[cfg(test)]`, the count simplification
-//! changes report; a file that is itself a `#[cfg(test)] mod name;`
-//! counts 0), and the `lint: allow` annotations of all of them together,
-//! as the lexer harvests them. No inline annotation excuses a breach:
-//! raising a ceiling is a table edit.
+//! its scope: the non-test lines of any one file (`code_lines`, the
+//! count simplification changes report; a file that is itself a
+//! `#[cfg(test)] mod name;` counts 0), and the `lint: allow` annotations
+//! of all of them together, as the lexer harvests them. No inline
+//! annotation excuses a breach: raising a ceiling is a table edit.
 
 use crate::lexer::lex;
-use crate::source::test_module_files;
+use crate::source::{test_module_files, SourceFile};
 use crate::Report;
 
 pub(crate) const BUDGET: &str = "budget";
@@ -43,13 +42,12 @@ pub fn check(files: &[(String, String)], report: &mut Report) {
             let lines = if test_files.contains(path) {
                 0
             } else {
-                let code = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
-                code.count()
+                code_lines(text)
             };
             if lines > b.max_lines {
                 let message = format!(
-                    "{lines} lines before the first `#[cfg(test)]`, over the ceiling of {} set \
-                     in PR {}: carve the file along its seams",
+                    "{lines} lines before its test module, over the ceiling of {} set in PR {}: \
+                     carve the file along its seams",
                     b.max_lines, b.pr
                 );
                 report.flag(false, path, b.max_lines as u32 + 1, BUDGET, message);
@@ -65,4 +63,14 @@ pub fn check(files: &[(String, String)], report: &mut Report) {
             report.flag(false, b.scope, 1, BUDGET, message);
         }
     }
+}
+
+/// The count simplification changes report: the lines before the first
+/// `#[cfg(test)]` module, inline or out-of-line, as every rule finds test
+/// modules; all of them without one. A test-only item elsewhere counts.
+fn code_lines(text: &str) -> usize {
+    let tests = SourceFile::from_text("", "", text).test_lines();
+    tests
+        .first()
+        .map_or(text.lines().count(), |&(first, _)| first as usize - 1)
 }

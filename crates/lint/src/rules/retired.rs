@@ -175,6 +175,16 @@ pub const RETIREMENTS: &[Retirement] = &[
         why: "a compaction reports what its scan read as one LoadStats (CompactionReport::log)",
     },
     Retirement {
+        name: "parked_callers",
+        pr: 49,
+        spellings: "parked_streams|parked_waits|woke_at",
+        scope: &["crates/engine/src"],
+        kinds: &[],
+        tests_exempt: false,
+        allow: &[],
+        why: "a waiter leaves a Watch; progress reaches it through a CompletionQueue",
+    },
+    Retirement {
         name: "fidelity_arithmetic",
         pr: 40,
         spellings: "median_samples_to|median_seconds_to|Gamma::new(",

@@ -14,7 +14,8 @@ pub struct SourceFile {
     pub crate_name: String,
     pub(crate) lexed: Lexed,
     /// Index ranges (into `lexed.tokens`) covered by `#[cfg(test)]`
-    /// modules; rules that exempt test code skip tokens inside these.
+    /// modules, an out-of-line one's declaration included; rules that
+    /// exempt test code skip tokens inside these.
     pub test_regions: Vec<(usize, usize)>,
     /// Names of out-of-line test modules (`#[cfg(test)] mod name;`),
     /// whose files hold nothing but test code.
@@ -48,8 +49,8 @@ impl SourceFile {
     }
 }
 
-/// Locate `#[cfg(test)] mod name { … }` regions, and the names of
-/// out-of-line `#[cfg(test)] mod name;` declarations. The attribute may
+/// Locate `#[cfg(test)] mod name { … }` and `#[cfg(test)] mod name;`
+/// regions, and the names of the out-of-line ones. The attribute may
 /// be separated from `mod` by further attributes; we scan forward a
 /// short window for the `mod` keyword, then brace-match its body.
 fn find_test_regions(toks: &[Token]) -> (Vec<(usize, usize)>, Vec<String>) {
@@ -87,8 +88,9 @@ fn find_test_regions(toks: &[Token]) -> (Vec<(usize, usize)>, Vec<String>) {
         }
         if j >= toks.len() || !toks[j].is_punct('{') {
             // `#[cfg(test)] mod tests;`: the body is a file of its own.
-            if j == name + 1 {
+            if j == name + 1 && j < toks.len() {
                 mods.push(toks[name].text.clone());
+                out.push((i, j + 1));
             }
             i += 1;
             continue;

@@ -570,6 +570,30 @@ fn budget_holds_the_line_ceiling_at_its_boundary() {
 }
 
 #[test]
+fn budget_counts_past_a_test_only_item_to_the_test_module() {
+    let b = &budget::BUDGETS[0];
+    let path = format!("{}/carved.rs", b.scope);
+    // A mid-file test-only item hides nothing beneath it.
+    let text = format!(
+        "{}#[cfg(test)]\nconst PROBE: usize = 1;\n{}#[cfg(test)]\nmod tests {{\n}}\n",
+        code_lines(10),
+        code_lines(b.max_lines)
+    );
+    let over = budget_run(&one(&path, text));
+    assert_eq!(over.len(), 1, "{over:?}");
+    let counted = format!("{} lines before its test module", b.max_lines + 12);
+    assert!(over[0].message.contains(&counted), "{over:?}");
+    // The count stops at the `#[cfg(test)]` on a `mod`, out-of-line or
+    // behind further attributes, and at nothing indented.
+    let text = format!(
+        "{}    #[cfg(test)]\n    fn probe() {{}}\n#[cfg(test)]\n#[path = \"t.rs\"]\npub(crate) mod t;\n{}",
+        code_lines(b.max_lines - 2),
+        code_lines(2000)
+    );
+    assert!(budget_run(&one(&path, text)).is_empty());
+}
+
+#[test]
 fn budget_holds_the_allow_ceiling_at_its_boundary() {
     let b = &budget::BUDGETS[0];
     let files = |n: usize| -> Vec<(String, String)> {

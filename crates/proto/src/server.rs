@@ -75,8 +75,8 @@ impl SearchServer {
 
 /// The host of a blocking pump: no registry, no limits, and "not yet"
 /// is answered by waiting inside the engine — the connection's own
-/// thread is the thing that parks, on the session's progress cell, woken
-/// by that session's progress alone.
+/// thread is the thing that parks, on a watch it left in the session's
+/// progress cell, woken by that session's progress alone.
 struct Blocking;
 
 impl Host for Blocking {
